@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, Trajectory
+from .dynamics import Trajectory, _check_divergence
 from .numerics import require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 REL_ERROR_FLOOR = 1e-15
-
-_DIVERGE = 1e12
 
 
 @dataclass
@@ -187,8 +185,7 @@ def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
     nodes[N] = x
     for n in range(N - 1, -1, -1):
         x = x - family.eval(x, schedule[n]) / N
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGE:
-            raise DivergenceError(f"reverse reconstruction diverged at layer {n}", n)
+        _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
     rec = Trajectory(N, nodes, "euler")
     return _report(rec, true_traj)
@@ -208,8 +205,7 @@ def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
         y = x - f_up / N
         mids[n] = y
         x = x - (f_up + family.eval(y, schedule[n])) / (2.0 * N)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGE:
-            raise DivergenceError(f"reverse reconstruction diverged at layer {n}", n)
+        _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
     rec = Trajectory(N, nodes, "heun", midpoints=mids)
     return _report(rec, true_traj)
@@ -238,8 +234,7 @@ def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule,
     N = schedule.depth
     for n in range(N - 1, -1, -1):
         x = x - family.eval(x, schedule[n]) / N
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGE:
-            raise DivergenceError(f"adjoint sweep diverged at layer {n}", n)
+        _check_divergence(x, n, "adjoint sweep")
         theta_grad = family.vjp_params(x, schedule[n], g) / N
         g = g + family.vjp_state(x, schedule[n], g) / N
         yield n, theta_grad, g
@@ -261,8 +256,7 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
         f_up = family.eval(x, schedule.padded_row(n + 1))
         y_rev = x - f_up / N
         x = x - (f_up + family.eval(y_rev, schedule[n])) / (2.0 * N)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGE:
-            raise DivergenceError(f"adjoint sweep diverged at layer {n}", n)
+        _check_divergence(x, n, "adjoint sweep")
         y_fwd = x + family.eval(x, schedule[n]) / N
         own, carry, g_new = _heun_param_steps(
             family, schedule[n], schedule.padded_row(n + 1), x, y_fwd, g, N)

@@ -30,6 +30,7 @@ from .adjoint import (
 )
 from .dynamics import (
     DivergenceError,
+    _check_divergence,
     approximation_error,
     forward_euler_chain,
     forward_heun_chain,
@@ -87,8 +88,6 @@ PROFILES = ("constant", "lipschitz_profile", "alternating", "index")
 FAMILIES = ("mlp", "linear", "square", "identity")
 GRADIENT_MODES = ("exact", "adjoint_euler", "adjoint_heun")
 TARGETS = ("square_half", "neg_square_half")
-
-_DIVERGE = 1e12
 
 
 class ConfigError(ValueError):
@@ -663,8 +662,7 @@ def _forward_output(family, schedule, x0, scheme: str) -> np.ndarray:
             f_here = family.eval(x, schedule[n])
             y = x + f_here / depth
             x = x + (f_here + family.eval(y, schedule.padded_row(n + 1))) / (2.0 * depth)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGE:
-            raise DivergenceError(f"training forward pass diverged at layer {n}", n)
+        _check_divergence(x, n, "training forward pass")
     return x
 
 

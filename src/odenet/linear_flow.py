@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import VectorField, solve_ode_oracle
-from .numerics import SlopeFit, fit_loglog_slope, require_finite, spectral_norm
+from .numerics import SlopeFit, fit_loglog_slope, require_finite
 from .residual_models import WeightSchedule
 
 __all__ = [
@@ -152,34 +152,51 @@ def transport_product(thetas: np.ndarray) -> np.ndarray:
 
 
 def _prefix_suffix(thetas: np.ndarray):
-    """pre[n] = product of layers 1..n (pre[0] = I); suf[n] = layers n+1..N."""
+    """pre[n] = product of layers 1..n (pre[0] = I); suf[n] = layers n+1..N.
+
+    Both stacks come from a doubling (Hillis-Steele) scan: after the
+    round with stride s every entry holds the product of up to 2s
+    consecutive factors, so ceil(log2 N) batched matmuls replace the
+    N-step loops.
+    """
     n_layers, d, _ = thetas.shape
-    factors = np.eye(d)[None] + thetas / n_layers
     pre = np.empty((n_layers + 1, d, d))
     suf = np.empty((n_layers + 1, d, d))
-    pre[0] = np.eye(d)
-    suf[n_layers] = np.eye(d)
-    for n in range(n_layers):
-        pre[n + 1] = factors[n] @ pre[n]
-    for n in range(n_layers - 1, -1, -1):
-        suf[n] = suf[n + 1] @ factors[n]
+    pre[0] = suf[n_layers] = np.eye(d)
+    pre[1:] = suf[:-1] = np.eye(d)[None] + thetas / n_layers
+    p, q = pre[1:], suf[:-1]
+    s = 1
+    while s < n_layers:
+        p[s:] = p[s:] @ p[:-s]
+        q[:-s] = q[s:] @ q[:-s]
+        s *= 2
     return pre, suf
+
+
+def _weighted_loss(product: np.ndarray, problem: RegressionProblem) -> float:
+    resid = product - problem.b_target
+    return float(np.einsum("ij,jk,ik->", resid, problem.sigma, resid))
 
 
 def loss(state: FlowState, problem: RegressionProblem) -> float:
     if state.dim != problem.sigma.shape[0]:
         raise ValueError("state and problem dimensions differ")
-    resid = transport_product(state.matrices()) - problem.b_target
-    return float(np.einsum("ij,jk,ik->", resid, problem.sigma, resid))
+    return _weighted_loss(transport_product(state.matrices()), problem)
 
 
-def _rescaled_gradients(thetas: np.ndarray, problem: RegressionProblem) -> np.ndarray:
-    """All N rescaled gradients at once via shared partial products."""
+def _rescaled_gradients(thetas: np.ndarray, problem: RegressionProblem):
+    """All N rescaled gradients at once via shared partial products.
+
+    Returns the (N, d, d) gradient stack and the loss of ``thetas``,
+    read from the full product the gradient already needs.
+    """
     pre, suf = _prefix_suffix(thetas)
-    resid_sigma = (pre[-1] - problem.b_target) @ problem.sigma
+    value = _weighted_loss(pre[-1], problem)
     # Layer n sees transposed partial products on both sides; the
     # quadratic loss contributes the overall factor 2.
-    return 2.0 * np.einsum("nji,jk,nlk->nil", suf[1:], resid_sigma, pre[:-1])
+    resid_sigma = 2.0 * (pre[-1] - problem.b_target) @ problem.sigma
+    grads = np.swapaxes(suf[1:], 1, 2) @ resid_sigma @ np.swapaxes(pre[:-1], 1, 2)
+    return grads, value
 
 
 def layer_gradient(state: FlowState, problem: RegressionProblem, n: int) -> np.ndarray:
@@ -188,7 +205,7 @@ def layer_gradient(state: FlowState, problem: RegressionProblem, n: int) -> np.n
         raise ValueError(f"layer index {n} outside 1..{state.schedule.depth}")
     if state.dim != problem.sigma.shape[0]:
         raise ValueError("state and problem dimensions differ")
-    return _rescaled_gradients(state.matrices(), problem)[n - 1]
+    return _rescaled_gradients(state.matrices(), problem)[0][n - 1]
 
 
 @dataclass
@@ -231,15 +248,15 @@ def max_step_size(problem: RegressionProblem) -> float:
 
 
 def _sample(thetas: np.ndarray, t: float, loss_value: float) -> FlowSample:
-    n_layers, d, _ = thetas.shape
-    norms = [spectral_norm(thetas[n]) for n in range(n_layers)]
+    n_layers, d, _ = require_finite(thetas, "thetas").shape
+    max_norm = float(np.max(np.linalg.norm(thetas, 2, axis=(1, 2))))
     if n_layers > 1:
-        smooth = n_layers * max(
-            spectral_norm(thetas[n + 1] - thetas[n]) for n in range(n_layers - 1))
+        steps = np.linalg.norm(np.diff(thetas, axis=0), 2, axis=(1, 2))
+        smooth = n_layers * float(np.max(steps))
     else:
         smooth = 0.0
     sched = WeightSchedule(thetas.reshape(n_layers, d * d).copy())
-    return FlowSample(t, loss_value, max(norms), smooth, sched)
+    return FlowSample(t, loss_value, max_norm, smooth, sched)
 
 
 def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
@@ -250,7 +267,9 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
     at t_end when the last snapshot falls short of it.  Segments
     between snapshots are cut into equal steps no longer than dt, so
     every snapshot is landed on exactly.  A loss increase beyond the
-    relative tolerance aborts with StepSizeError.
+    relative tolerance aborts with StepSizeError.  The loss after a step
+    is read from the full product built by the gradient evaluation at
+    the new layers, which is also the next step's first RK4 stage.
     """
     if state0.dim != problem.sigma.shape[0]:
         raise ValueError("state and problem dimensions differ")
@@ -268,7 +287,6 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         targets.append(t_end)
 
     thetas = state0.matrices()
-    n_layers = thetas.shape[0]
     t = state0.t
     current_loss = loss(state0, problem)
     samples = []
@@ -276,22 +294,19 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         samples.append(_sample(thetas, t, current_loss))
         targets = targets[1:]
 
-    def rhs(th):
-        return -_rescaled_gradients(th, problem)
-
+    grads, _ = _rescaled_gradients(thetas, problem)
     atol = LOSS_INCREASE_ATOL * (1.0 + current_loss)
     for target in targets:
         span = target - t
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
         for _ in range(steps):
-            k1 = rhs(thetas)
-            k2 = rhs(thetas + 0.5 * h * k1)
-            k3 = rhs(thetas + 0.5 * h * k2)
-            k4 = rhs(thetas + h * k3)
+            k1 = -grads
+            k2 = -_rescaled_gradients(thetas + 0.5 * h * k1, problem)[0]
+            k3 = -_rescaled_gradients(thetas + 0.5 * h * k2, problem)[0]
+            k4 = -_rescaled_gradients(thetas + h * k3, problem)[0]
             thetas = thetas + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            resid = transport_product(thetas) - problem.b_target
-            new_loss = float(np.einsum("ij,jk,ik->", resid, problem.sigma, resid))
+            grads, new_loss = _rescaled_gradients(thetas, problem)
             if new_loss > current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "
@@ -320,7 +335,7 @@ def check_small_loss_regime(state0: FlowState, problem: RegressionProblem) -> Re
     threshold = problem.m / (4.0 * math.sqrt(2.0 * problem.m_max * math.e ** 3))
     root_loss = math.sqrt(loss(state0, problem))
     thetas = state0.matrices()
-    max_norm = max(spectral_norm(thetas[n]) for n in range(thetas.shape[0]))
+    max_norm = float(np.max(np.linalg.norm(thetas, 2, axis=(1, 2))))
     loss_margin = threshold - root_loss
     norm_margin = 0.25 - max_norm
     return RegimeReport(loss_margin > 0.0 and norm_margin >= 0.0,

@@ -26,9 +26,6 @@ __all__ = [
 # epsilon (relative to the trajectory scale) carry no rate information.
 NOISE_FLOOR_FACTOR = 100.0
 
-_MAX_POWER_ITERS = 10_000
-_POWER_REL_TOL = 1e-12
-
 
 def require_finite(arr, label: str = "array") -> np.ndarray:
     """Return ``arr`` as a float64 ndarray, rejecting NaN/Inf entries."""
@@ -57,30 +54,14 @@ class SlopeFit:
 def spectral_norm(m) -> float:
     """Largest singular value of a dense matrix.
 
-    Power iteration on the Gram matrix with a deterministic start
-    vector (normalized all-ones), so repeated calls on the same input
-    return the same value.  Relative tolerance on the Rayleigh quotient
-    is 1e-12, giving the singular value to ~1e-10 relative accuracy.
+    Taken from the singular values LAPACK computes, so no input can hide
+    its top singular direction from a start vector, and repeated calls
+    on the same input return the same value.
     """
     a = require_finite(m, "matrix")
     if a.ndim != 2 or a.size == 0:
         raise ValueError("spectral_norm expects a non-empty 2-D matrix")
-    # Iterate on the smaller Gram matrix.
-    g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    v = np.ones(g.shape[0]) / np.sqrt(g.shape[0])
-    lam = 0.0
-    for _ in range(_MAX_POWER_ITERS):
-        w = g @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_lam = float(v @ (g @ v))
-        if abs(new_lam - lam) <= _POWER_REL_TOL * max(abs(new_lam), abs(lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(a, 2))
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:

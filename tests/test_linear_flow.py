@@ -123,7 +123,7 @@ class TestLayerGradient:
             grad = layer_gradient(flat_state(thetas), prob, n)
             assert np.max(np.abs(grad)) <= 1e-14
 
-    @pytest.mark.parametrize("dim,depth", [(2, 3), (3, 5)])
+    @pytest.mark.parametrize("dim,depth", [(2, 1), (2, 3), (3, 5), (3, 17)])
     def test_matches_rescaled_finite_differences(self, dim, depth):
         rng = np.random.default_rng(10 * dim + depth)
         a = rng.standard_normal((dim, dim))
@@ -244,6 +244,16 @@ class TestIntegrateFlow:
             mats = s.schedule.params.reshape(4, 2, 2)
             spread = np.max(np.abs(mats - mats[0]))
             assert spread <= 1e-10
+
+    def test_sample_losses_match_their_schedules(self):
+        rng = np.random.default_rng(7)
+        thetas = rng.standard_normal((6, 2, 2)) * 0.1
+        prob = build_problem(np.diag([1.0, 2.0]), transport_product(thetas) + 0.05)
+        trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2,
+                               np.linspace(0.0, 1.0, 5))
+        for s in trace.samples:
+            assert s.loss_value == pytest.approx(
+                loss(FlowState(s.schedule, s.t), prob), rel=1e-12)
 
     def test_rejects_bad_steps_and_snapshots(self):
         prob = build_problem(np.eye(1), np.array([[1.01]]))

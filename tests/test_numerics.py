@@ -48,6 +48,47 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("m", [
+        [[1.0, -1.0], [0.5, 0.5]],
+        [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.9]],
+    ])
+    def test_top_direction_orthogonal_to_all_ones(self, m):
+        # The top right singular vector is (1, -1, 0...)/sqrt(2): a
+        # power iteration started from all-ones never sees it.
+        assert spectral_norm(np.array(m)) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi),
+           st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+    def test_matches_svd_on_rotations(self, a, b, s1, s2):
+        def rot(angle):
+            c, s = np.cos(angle), np.sin(angle)
+            return np.array([[c, -s], [s, c]])
+
+        m = rot(a) @ np.diag([s1, s2]) @ rot(b)
+        expected = np.linalg.svd(m, compute_uv=False)[0]
+        for exact in (expected, max(s1, s2)):
+            assert spectral_norm(m) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_matches_svd_on_sign_permuted(self, data):
+        """Signed permutations of rows and columns keep the singular values
+        but move the top singular vectors away from the all-ones start."""
+        n = data.draw(st.integers(2, 4))
+
+        def vector(elements):
+            return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))
+
+        base = np.stack([vector(st.floats(0.0, 5.0)) for _ in range(n)])
+        rows = data.draw(st.permutations(range(n)))
+        cols = data.draw(st.permutations(range(n)))
+        row_signs = vector(st.sampled_from([-1.0, 1.0]))
+        col_signs = vector(st.sampled_from([-1.0, 1.0]))
+        m = row_signs[:, None] * base[np.ix_(rows, cols)] * col_signs[None, :]
+        expected = np.linalg.svd(base, compute_uv=False)[0]
+        assert spectral_norm(m) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_transpose_invariance(self, seed):
