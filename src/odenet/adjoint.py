@@ -65,6 +65,9 @@ class GradientSet:
         return self.state_grads[0]
 
     def __post_init__(self):
+        if self.state_grads.ndim == 3:
+            # Summed over the batch, like the parameter VJPs of a summed loss.
+            self.state_grads = self.state_grads.sum(axis=2)
         require_finite(self.param_grads, "param_grads")
         require_finite(self.state_grads, "state_grads")
         if self.state_grads.shape[0] != self.param_grads.shape[0] + 1:
@@ -114,10 +117,6 @@ def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
         param_grads[n] = family.vjp_params(x, schedule[n], g) / N
         g = g + family.vjp_state(x, schedule[n], g) / N
         state_grads[n] = g
-    if state_grads.ndim == 3:
-        # Batched runs collapse state gradients by summation, matching
-        # the batch-summed scalar loss the parameter VJPs assume.
-        state_grads = state_grads.sum(axis=2)
     return GradientSet(param_grads, state_grads)
 
 
@@ -170,8 +169,6 @@ def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
         param_grads[n] += own
         param_grads[min(n + 1, N - 1)] += carry
         state_grads[n] = g
-    if state_grads.ndim == 3:
-        state_grads = state_grads.sum(axis=2)
     return GradientSet(param_grads, state_grads)
 
 
@@ -270,36 +267,29 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
     yield 0, pending, g
 
 
-def backprop_adjoint_euler(family: ResidualFamily, schedule: WeightSchedule,
-                           xN, output_grad) -> GradientSet:
-    """Collect the single-stage memory-free sweep into a GradientSet."""
+def _collect_sweep(sweep, family, schedule, xN, output_grad) -> GradientSet:
+    """Run a memory-free sweep, which yields every layer once, into a GradientSet."""
     N = schedule.depth
     param_grads = np.empty((N, schedule.param_dim))
     g0 = _check_output_grad(family, output_grad)
     state_grads = np.empty((N + 1,) + g0.shape)
     state_grads[N] = g0
-    for n, theta_grad, g in adjoint_sweep_euler(family, schedule, xN, output_grad):
+    for n, theta_grad, g in sweep(family, schedule, xN, output_grad):
         param_grads[n] = theta_grad
         state_grads[n] = g
-    if state_grads.ndim == 3:
-        state_grads = state_grads.sum(axis=2)
     return GradientSet(param_grads, state_grads)
+
+
+def backprop_adjoint_euler(family: ResidualFamily, schedule: WeightSchedule,
+                           xN, output_grad) -> GradientSet:
+    """Collect the single-stage memory-free sweep into a GradientSet."""
+    return _collect_sweep(adjoint_sweep_euler, family, schedule, xN, output_grad)
 
 
 def backprop_adjoint_heun(family: ResidualFamily, schedule: WeightSchedule,
                           xN, output_grad) -> GradientSet:
     """Collect the two-stage memory-free sweep into a GradientSet."""
-    N = schedule.depth
-    param_grads = np.zeros((N, schedule.param_dim))
-    g0 = _check_output_grad(family, output_grad)
-    state_grads = np.empty((N + 1,) + g0.shape)
-    state_grads[N] = g0
-    for n, theta_grad, g in adjoint_sweep_heun(family, schedule, xN, output_grad):
-        param_grads[n] = theta_grad
-        state_grads[n] = g
-    if state_grads.ndim == 3:
-        state_grads = state_grads.sum(axis=2)
-    return GradientSet(param_grads, state_grads)
+    return _collect_sweep(adjoint_sweep_heun, family, schedule, xN, output_grad)
 
 
 def compare_gradients(exact: GradientSet, approx: GradientSet) -> GradientComparison:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import require_finite
-from .residual_models import ResidualFamily, WeightSchedule
+from .residual_models import ResidualFamily, WeightSchedule, _unit
 
 __all__ = [
     "Trajectory",
@@ -76,12 +76,18 @@ class Trajectory:
 
 @dataclass
 class VectorField:
-    """Right-hand side of dx/ds = eval(x, s) on s in [0, 1]."""
+    """Right-hand side of dx/ds = eval(x, s) on s in [0, 1].
+
+    ``piece``, if set, is piece(n, times) -> g(x, m) = eval(x, times[m])
+    for times in layer interval [n/N, (n+1)/N]: one unchecked kernel per
+    interval, with its parameters checked and blend weights built once.
+    """
 
     eval: Callable[[np.ndarray, float], np.ndarray]
     kind: str        # "residual_interp" | "weight_interp" | "direct"
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
+    piece: Optional[Callable[[int, list], Callable]] = None
 
 
 @dataclass
@@ -92,8 +98,18 @@ class ODESolution:
 
 
 def _check_divergence(x, layer: int, context: str):
-    if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_THRESHOLD:
+    # NaN fails the comparison; inf or an overflowing square gives inf.
+    if not math.sqrt(float(np.vdot(x, x))) <= DIVERGENCE_THRESHOLD:
         raise DivergenceError(f"{context} diverged at layer {layer}", layer)
+
+
+def _locate(s, N: int):
+    """Layer intervals n (left-continuous) of the times s, and positions s*N
+    snapped to the grid so that s = n/N hits layer n bit-exactly."""
+    u = np.asarray(s, dtype=float) * N
+    nearest = np.round(u)
+    u = np.where((np.abs(u - nearest) < 1e-9) & (nearest >= 0) & (nearest <= N), nearest, u)
+    return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
 def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
@@ -160,57 +176,61 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
             raise ValueError("theta_end must match the schedule's parameter dimension")
     rows = np.vstack([schedule.params, last[None, :]])
 
+    def piece(n, times):
+        alphas = (_locate(times, N)[1] - n).tolist()
+        if kind == "residual_interp":
+            return family.blend(rows[n], rows[n + 1], alphas)
+        alpha = np.asarray(alphas)[:, None]
+        thetas = (1.0 - alpha) * rows[n] + alpha * rows[n + 1]
+        return lambda x, m: family._eval(x, thetas[m])
+
     def eval_field(x, s):
         if not (0.0 <= s <= 1.0):
             raise ValueError(f"field time {s} outside [0, 1]")
-        u = s * N
-        # Snap to the grid so evaluations at n/N hit the layer residual
-        # bit-exactly instead of through a 1-ulp interpolation sliver.
-        nearest = round(u)
-        if abs(u - nearest) < 1e-9 and 0 <= nearest <= N:
-            u = float(nearest)
-        n = min(max(int(math.ceil(u)) - 1, 0), N - 1)
-        alpha = u - n  # in [0, 1] within interval n
-        if kind == "residual_interp":
-            return (1.0 - alpha) * family.eval(x, rows[n]) \
-                + alpha * family.eval(x, rows[n + 1])
-        return family.eval(x, (1.0 - alpha) * rows[n] + alpha * rows[n + 1])
+        return piece(int(_locate(s, N)[0]), [s])(family._check_state(x), 0)
 
-    return VectorField(eval_field, kind, depth=N, state_dim=family.state_dim)
+    return VectorField(eval_field, kind, depth=N, state_dim=family.state_dim,
+                       piece=piece)
 
 
 def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
     """Classical 4-stage Runge-Kutta reference solution on a uniform fine grid.
 
-    ``fine_steps`` must be a multiple of the field's grid resolution and
-    at least 4x it, so every chain node time n/N lands exactly on the
+    ``fine_steps`` must be a multiple of the field's grid resolution N
+    and at least 4N, so every chain node time n/N lands exactly on the
     fine grid and sub-steps never straddle an interpolation interval.
+    Sub-step i evaluates the field's ``piece`` kernel for its interval
+    (else ``eval``) at (2i + m) / (2 fine_steps), m = 0..2: exactly
+    i/fine_steps and (i + 1/2)/fine_steps.  x0 is validated once, here.
     """
     x = require_finite(x0, "x0").astype(float)
+    if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
+        raise ValueError(f"x0 shape {x.shape} does not match state_dim {field.state_dim}")
     n_grid = max(int(field.depth), 1)
     if fine_steps % n_grid != 0:
         raise ValueError(f"fine_steps {fine_steps} must be a multiple of {n_grid}")
     if fine_steps < 4 * n_grid:
         raise ValueError(f"fine_steps {fine_steps} too coarse; need >= {4 * n_grid}")
 
+    piece = field.piece or (lambda n, times: lambda y, m: field.eval(y, times[m]))
+    per_layer = fine_steps // n_grid
     h = 1.0 / fine_steps
     states = np.empty((fine_steps + 1,) + x.shape)
-    grid = np.empty(fine_steps + 1)
     states[0] = x
-    grid[0] = 0.0
-    for i in range(fine_steps):
-        s = i / fine_steps
-        s_mid = (i + 0.5) / fine_steps
-        s_next = (i + 1) / fine_steps
-        k1 = field.eval(x, s)
-        k2 = field.eval(x + 0.5 * h * k1, s_mid)
-        k3 = field.eval(x + 0.5 * h * k2, s_mid)
-        k4 = field.eval(x + h * k3, s_next)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_divergence(x, i, "ode oracle")
-        states[i + 1] = x
-        grid[i + 1] = s_next
-    return ODESolution(grid, states, fine_steps)
+    for n in range(n_grid):
+        first = n * per_layer
+        stages = np.arange(2 * first, 2 * (first + per_layer) + 1)
+        g = piece(n, (stages / (2 * fine_steps)).tolist())
+        for j in range(per_layer):
+            m = 2 * j
+            k1 = g(x, m)
+            k2 = g(x + 0.5 * h * k1, m + 1)
+            k3 = g(x + 0.5 * h * k2, m + 1)
+            k4 = g(x + h * k3, m + 2)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _check_divergence(x, first + j, "ode oracle")
+            states[first + j + 1] = x
+    return ODESolution(np.arange(fine_steps + 1) / fine_steps, states, fine_steps)
 
 
 def approximation_error(traj: Trajectory, sol: ODESolution):
@@ -252,8 +272,7 @@ def estimate_c_n(field: VectorField, region_radius: float, samples: int,
     hs = 1.0 / (100.0 * N)
     best = 0.0
     for _ in range(samples):
-        v = rng.standard_normal(d)
-        v /= max(np.linalg.norm(v), 1e-300)
+        v = _unit(rng, d)
         x = region_radius * rng.random() ** (1.0 / d) * v
         interval = int(rng.integers(0, N))
         u = 0.02 + 0.96 * rng.random()  # stay clear of the interval edges

@@ -12,6 +12,8 @@ artifacts.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -188,12 +190,10 @@ class ExperimentConfig:
             raise ConfigError("slope_r2_min must lie in (0, 1]")
 
 
-_INT_KEYS = {"state_dim", "hidden_dim", "seed", "sigma_dim", "grid_points",
-             "probes", "snapshot_count", "input_count", "iterations"}
-_FLOAT_KEYS = {"profile_scale", "t_end", "dt", "loss_fraction", "input_low",
-               "input_high", "learning_rate", "slope_r2_min"}
-_STR_KEYS = {"experiment", "family", "schedule_profile", "output_dir",
-             "target", "gradient_mode"}
+# Value parser of each config key, from its field's annotation.
+_PARSERS = {"int": int, "float": float, "Optional[float]": float, "str": str,
+            "Optional[tuple]": lambda v: tuple(int(p) for p in v.split(","))}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -209,19 +209,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "depths":
-                values[key] = tuple(int(p) for p in val.split(","))
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if "experiment" not in values:
@@ -297,16 +288,14 @@ def _make_profile(config: ExperimentConfig, param_dim: int, rng) -> _Profile:
     kind = config.schedule_profile
     if kind == "index":
         return _Profile("index")
+
+    def draw():
+        row = rng.standard_normal(param_dim)
+        return row * (scale / np.max(np.abs(row)))
     if kind == "constant":
-        base = rng.standard_normal(param_dim)
-        base *= scale / np.max(np.abs(base))
-        return _Profile(kind, base=base)
+        return _Profile(kind, base=draw())
     if kind == "alternating":
-        base = rng.standard_normal(param_dim)
-        base *= scale / np.max(np.abs(base))
-        other = rng.standard_normal(param_dim)
-        other *= scale / np.max(np.abs(other))
-        return _Profile(kind, base=base, other=other)
+        return _Profile(kind, base=draw(), other=draw())
     coeffs = rng.standard_normal((4, param_dim))
     # Rescale the whole cubic so its sup-norm over [0, 1] hits `scale`;
     # consecutive layers then differ by O(1/N).
@@ -349,30 +338,15 @@ class StudyResult:
                 if r.metric == metric and r.flag == ""}
 
 
-def _euler_depth_metrics(family, schedule, x0, target):
-    traj = forward_euler_chain(family, schedule, x0)
+def _adjoint_depth_metrics(forward, exact_backprop, reconstruct, adjoint_backprop,
+                           family, schedule, x0, target):
+    """Reconstruction and gradient errors of one scheme's memory-free sweep."""
+    traj = forward(family, schedule, x0)
     out = traj.nodes[-1]
     out_grad = out - target
-    exact = backprop_exact(family, schedule, traj, out_grad)
-    recon = reconstruct_backward_euler(family, schedule, out, traj)
-    approx = backprop_adjoint_euler(family, schedule, out, out_grad)
-    comp = compare_gradients(exact, approx)
-    state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    grad_scale = float(np.max(np.linalg.norm(exact.param_grads, axis=1)))
-    return {
-        "recon_max_error": (recon.max_error, state_scale),
-        "grad_max_abs_error": (comp.max_abs, grad_scale),
-        "grad_max_rel_error": (comp.max_rel, 1.0),
-    }
-
-
-def _heun_depth_metrics(family, schedule, x0, target):
-    traj = forward_heun_chain(family, schedule, x0)
-    out = traj.nodes[-1]
-    out_grad = out - target
-    exact = backprop_exact_heun(family, schedule, traj, out_grad)
-    recon = reconstruct_backward_heun(family, schedule, out, traj)
-    approx = backprop_adjoint_heun(family, schedule, out, out_grad)
+    exact = exact_backprop(family, schedule, traj, out_grad)
+    recon = reconstruct(family, schedule, out, traj)
+    approx = adjoint_backprop(family, schedule, out, out_grad)
     comp = compare_gradients(exact, approx)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     grad_scale = float(np.max(np.linalg.norm(exact.param_grads, axis=1)))
@@ -409,8 +383,12 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     x0 = data_rng.standard_normal(family.state_dim) / math.sqrt(family.state_dim)
     target = data_rng.standard_normal(family.state_dim)
     runner = {"approx_error": _approx_depth_metrics,
-              "euler_adjoint": _euler_depth_metrics,
-              "heun_adjoint": _heun_depth_metrics}[config.experiment]
+              "euler_adjoint": functools.partial(
+                  _adjoint_depth_metrics, forward_euler_chain, backprop_exact,
+                  reconstruct_backward_euler, backprop_adjoint_euler),
+              "heun_adjoint": functools.partial(
+                  _adjoint_depth_metrics, forward_heun_chain, backprop_exact_heun,
+                  reconstruct_backward_heun, backprop_adjoint_heun)}[config.experiment]
     metric_names = _STUDY_METRICS[config.experiment]
 
     records = []

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import VectorField, solve_ode_oracle
+from .dynamics import VectorField, _locate, solve_ode_oracle
 from .numerics import SlopeFit, fit_loglog_slope, require_finite
 from .residual_models import WeightSchedule
 
@@ -113,10 +113,7 @@ class FlowState:
 
 def _matrix_stack(schedule: WeightSchedule) -> np.ndarray:
     d = math.isqrt(schedule.param_dim)
-    out = np.empty((schedule.depth, d, d))
-    for n in range(schedule.depth):
-        out[n] = schedule[n].reshape(d, d)
-    return out
+    return schedule.params.reshape(schedule.depth, d, d).copy()
 
 
 def state_from_matrices(thetas, t: float = 0.0) -> FlowState:
@@ -307,7 +304,8 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
             k4 = -_rescaled_gradients(thetas + h * k3, problem)[0]
             thetas = thetas + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             grads, new_loss = _rescaled_gradients(thetas, problem)
-            if new_loss > current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
+            # Written so that a NaN loss fails the check too.
+            if not new_loss <= current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "
                     f"near t={t:.6g}; reduce dt below {h:.3g}")
@@ -470,14 +468,15 @@ def product_vs_ode(state: FlowState, problem: RegressionProblem,
         raise ValueError("state and problem dimensions differ")
 
     def eval_field(x, s):
-        u = s * n_layers
-        r = round(u)
-        if abs(u - r) < 1e-9:
-            u = float(r)
-        n = min(max(math.ceil(u) - 1, 0), n_layers - 1)
-        return thetas[n] @ x
+        return thetas[int(_locate(s, n_layers)[0])] @ x
 
-    field = VectorField(eval_field, "direct", depth=n_layers, state_dim=d)
+    def piece(n, times):
+        # Left-continuous, as eval_field: stage 0 of interval n uses theta_{n-1}.
+        layers = list(thetas[_locate(times, n_layers)[0]])
+        return lambda x, m: layers[m] @ x
+
+    field = VectorField(eval_field, "direct", depth=n_layers, state_dim=d,
+                        piece=piece)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((d, probes))
     x0 /= np.linalg.norm(x0, axis=0)

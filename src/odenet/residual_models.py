@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,11 +37,13 @@ class ResidualFamily:
     vjp_state:  (x, theta, v) -> [d_x f]^T v, same shape as x
     vjp_params: (x, theta, v) -> [d_theta f]^T v, flat (param_dim,)
     jac_state:  (x, theta) -> (d, d) Jacobian of f in x (unbatched)
+    blend:      (theta_a, theta_b, alphas) -> g(x, m), see ``blend``
     """
 
     def __init__(self, name: str, state_dim: int, param_dim: int,
                  eval_fn: Callable, vjp_state: Callable,
-                 vjp_params: Callable, jac_state: Callable):
+                 vjp_params: Callable, jac_state: Callable,
+                 blend: Optional[Callable] = None):
         self.name = name
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
@@ -49,6 +51,7 @@ class ResidualFamily:
         self._vjp_state = vjp_state
         self._vjp_params = vjp_params
         self._jac_state = jac_state
+        self._blend = blend
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -86,6 +89,18 @@ class ResidualFamily:
         if x.ndim != 1:
             raise ValueError("jac_state takes a single (d,) state")
         return self._jac_state(x, self._check_params(theta))
+
+    def blend(self, theta_a, theta_b, alphas) -> Callable:
+        """Kernel g(x, m) = (1 - alphas[m]) f(x, theta_a) + alphas[m] f(x, theta_b).
+
+        The parameters are checked once, here; g checks nothing.  A family
+        may supply a fused form that agrees with this one to rounding.
+        """
+        theta_a, theta_b = self._check_params(theta_a), self._check_params(theta_b)
+        if self._blend is not None:
+            return self._blend(theta_a, theta_b, alphas)
+        f = self._eval
+        return lambda x, m: (1.0 - alphas[m]) * f(x, theta_a) + alphas[m] * f(x, theta_b)
 
     def __repr__(self):
         return (f"ResidualFamily({self.name!r}, state_dim={self.state_dim}, "
@@ -212,7 +227,18 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         a = np.tanh(w1 @ x)
         return w2 @ ((1.0 - a**2)[:, None] * w1)
 
-    return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, vjp_state, vjp_params, jac_state)
+    def blend(theta_a, theta_b, alphas):
+        # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
+        # or 1 keeps its single layer, so g is f(., theta) bit-exactly.
+        ends = {0.0: unpack(theta_a), 1.0: unpack(theta_b)}
+        w1 = np.concatenate([theta_a[:n1], theta_b[:n1]]).reshape(2 * hidden, d)
+        alpha = np.asarray(alphas, dtype=float)[:, None, None]
+        table = np.concatenate([(1.0 - alpha) * ends[0.0][1], alpha * ends[1.0][1]], axis=2)
+        layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
+        return lambda x, m: layers[m][1] @ np.tanh(layers[m][0] @ x)
+
+    return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, vjp_state, vjp_params,
+                          jac_state, blend)
 
 
 def make_square_family() -> ResidualFamily:
@@ -308,8 +334,7 @@ def estimate_constants(family: ResidualFamily, schedule: WeightSchedule,
 
     c_f = l_f = l_df = omega = delta_param = l_theta = l_theta_prime = 0.0
     for k in range(samples):
-        direction = rng.standard_normal(d)
-        direction /= max(np.linalg.norm(direction), 1e-300)
+        direction = _unit(rng, d)
         # Alternate interior and boundary samples; suprema of the
         # norm-like quantities here are typically attained at the rim.
         radius = region_radius if k % 2 else region_radius * rng.random() ** (1.0 / d)

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from odenet.dynamics import (
+    DIVERGENCE_THRESHOLD,
     DivergenceError,
     Trajectory,
     VectorField,
     approximation_bound,
+    _check_divergence,
     approximation_error,
     estimate_c_n,
     forward_euler_chain,
@@ -237,6 +241,106 @@ class TestSolveOdeOracle:
         field = VectorField(lambda x, s: x * x, "direct", depth=1, state_dim=1)
         with pytest.raises(DivergenceError):
             solve_ode_oracle(field, np.array([2.0]), 64)
+
+
+ORACLE_FAMILIES = {
+    "mlp": lambda: make_mlp_family(3, 4),
+    "linear": lambda: make_linear_family(2),
+    "square": make_square_family,
+    "identity": make_identity_family,
+}
+
+
+def without_piece(field):
+    return dataclasses.replace(field, piece=None)
+
+
+class TestOraclePiecePath:
+    """Per-interval kernels reproduce the field.eval path of the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_matches_eval_path(self, name, kind, extended):
+        fam = ORACLE_FAMILIES[name]()
+        rng = np.random.default_rng(12)
+        depth = 6
+        sched = WeightSchedule(rng.standard_normal((depth, fam.param_dim)) * 0.6)
+        theta_end = rng.standard_normal(fam.param_dim) * 0.6 if extended else None
+        field = interpolate(fam, sched, kind, theta_end=theta_end)
+        assert field.piece is not None
+        x0 = rng.standard_normal(fam.state_dim)
+        fused = solve_ode_oracle(field, x0, 16 * depth)
+        plain = solve_ode_oracle(without_piece(field), x0, 16 * depth)
+        assert np.array_equal(fused.grid, plain.grid)
+        scale = np.max(np.abs(plain.states))
+        assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * scale
+
+    def test_batched_mlp_matches_eval_path(self):
+        fam = make_mlp_family(3, 4)
+        rng = np.random.default_rng(13)
+        field = interpolate(fam, WeightSchedule(rng.standard_normal((5, fam.param_dim))),
+                            "residual_interp")
+        x0 = rng.standard_normal((3, 7))
+        fused = solve_ode_oracle(field, x0, 40)
+        plain = solve_ode_oracle(without_piece(field), x0, 40)
+        assert fused.states.shape == (41, 3, 7)
+        assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * np.max(np.abs(plain.states))
+
+    @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
+    def test_divergence_layer_is_the_same(self, kind):
+        sched = WeightSchedule(np.array([[30.0], [40.0], [50.0], [60.0]]))
+        field = interpolate(make_linear_family(1), sched, kind)
+        layers = []
+        for f in (field, without_piece(field)):
+            with pytest.raises(DivergenceError) as info:
+                solve_ode_oracle(f, np.ones(1), 64 * 4)
+            layers.append(info.value.layer)
+        assert layers[0] == layers[1] and 64 < layers[0] < 64 * 4
+
+    def test_state_dimension_checked_once_on_entry(self):
+        field = interpolate(make_mlp_family(3, 4),
+                            WeightSchedule(np.zeros((2, 24))), "residual_interp")
+        for bad in (np.zeros(2), np.zeros((4, 5)), np.zeros((3, 2, 2))):
+            with pytest.raises(ValueError, match="state_dim"):
+                solve_ode_oracle(field, bad, 8)
+
+
+class TestDivergenceCheck:
+    """The one-dot-product check agrees with isfinite + np.linalg.norm."""
+
+    above = np.nextafter(DIVERGENCE_THRESHOLD, np.inf)
+    below = np.nextafter(DIVERGENCE_THRESHOLD, 0.0)
+
+    @pytest.mark.parametrize("x", [
+        np.array([np.nan, 0.0, 0.0, 0.0]),
+        np.array([np.inf, 0.0, 0.0, 0.0]),
+        np.array([-np.inf, 1.0, 0.0, 0.0]),
+        np.array([np.inf, -np.inf, 0.0, 0.0]),
+        np.full(4, 1e200),
+        np.array([-1e200, 1e-300, 0.0, 0.0]),
+        np.array([above, 0.0, 0.0, 0.0]),
+        np.array([below, 0.0, 0.0, 0.0]),
+        np.array([DIVERGENCE_THRESHOLD, 0.0, 0.0, 0.0]),
+        np.array([-above, 0.0]),
+        np.array([6e11, 8e11 * (1.0 + 1e-15)]),
+        np.zeros(4),
+        np.full((4, 3), 3e11),          # every column below, the whole state above
+        np.full((4, 3), 2e11),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1e200, 0.0], [0.0, 1.0]]),
+    ])
+    def test_matches_finite_and_norm_rule(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = (not np.all(np.isfinite(x))
+                        or np.linalg.norm(x) > DIVERGENCE_THRESHOLD)
+        try:
+            _check_divergence(x, 7, "probe sweep")
+            diverged = False
+        except DivergenceError as exc:
+            diverged = True
+            assert exc.layer == 7 and str(exc) == "probe sweep diverged at layer 7"
+        assert diverged == expected
 
 
 class TestApproximationError:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
+import odenet.linear_flow as linear_flow
 from odenet.linear_flow import (
     FlowSample,
     FlowState,
@@ -276,6 +278,15 @@ class TestIntegrateFlow:
             with pytest.raises(StepSizeError, match="reduce dt"):
                 integrate_flow(big, prob, 1.0, 1e-2, [0.0, 1.0])
 
+    def test_nan_loss_is_a_step_size_error(self):
+        # Layers at 1e3 overflow the stages to inf - inf, so the loss
+        # after the first step is NaN rather than inf.
+        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        big = scalar_state([1e3] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepSizeError, match="to nan"):
+                integrate_flow(big, prob, 1.0, 1e-2, [0.0, 1.0])
+
 
 class TestFlowTraceValidation:
     def _sample(self, t, value):
@@ -461,6 +472,44 @@ class TestProductVsOde:
         prob = build_problem(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             product_vs_ode(scalar_state([0.1]), prob)
+
+    def test_piece_matches_eval_path(self, monkeypatch):
+        thetas = np.random.default_rng(8).standard_normal((12, 3, 3)) * 0.3
+        prob = build_problem(np.eye(3), np.eye(3))
+        fused = product_vs_ode(flat_state(thetas), prob, probes=5)
+        oracle = linear_flow.solve_ode_oracle
+        monkeypatch.setattr(
+            linear_flow, "solve_ode_oracle",
+            lambda field, x0, steps: oracle(dataclasses.replace(field, piece=None), x0, steps))
+        assert product_vs_ode(flat_state(thetas), prob, probes=5) == fused
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the piecewise-constant field is left-continuous, so the first RK4 "
+        "stage of each layer interval applies theta_{n-1}"))
+    def test_matches_exact_exponential_product(self):
+        thetas = np.random.default_rng(3).standard_normal((16, 2, 2)) * 0.2
+        n_layers = thetas.shape[0]
+        assert np.max(np.linalg.norm(thetas / n_layers, 2, axis=(1, 2))) < 0.05
+        assert np.allclose(taylor_expm(np.array([[0.0, -0.3], [0.3, 0.0]])),
+                           [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]],
+                           rtol=0, atol=1e-15)
+        flow = np.eye(2)
+        for theta in thetas:
+            flow = taylor_expm(theta / n_layers) @ flow
+        x0 = np.random.default_rng(0).standard_normal((2, 20))   # product_vs_ode's probes
+        x0 /= np.linalg.norm(x0, axis=0)
+        exact = np.max(np.linalg.norm((transport_product(thetas) - flow) @ x0, axis=0))
+        prob = build_problem(np.eye(2), np.eye(2))
+        assert product_vs_ode(flat_state(thetas), prob) == pytest.approx(exact, rel=1e-3)
+
+
+def taylor_expm(a, terms=18):
+    """Matrix exponential by its Taylor series; accurate for norms well below 1."""
+    out = term = np.eye(a.shape[0])
+    for k in range(1, terms):
+        term = term @ a / k
+        out = out + term
+    return out
 
 
 class TestCsvExports:

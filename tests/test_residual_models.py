@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from odenet.residual_models import (
+    ResidualFamily,
     WeightSchedule,
     estimate_constants,
     make_identity_family,
@@ -112,6 +113,54 @@ class TestSpecificFamilies:
         fam = make_mlp_family(2, 4)
         theta = np.random.default_rng(0).standard_normal(fam.param_dim)
         assert np.allclose(fam.eval(np.zeros(2), theta), 0.0)
+
+
+class TestBlend:
+    """blend(theta_a, theta_b, alphas) -> g(x, m), the interpolation kernel."""
+
+    ALPHAS = [0.0, 1.0 / 3.0, 0.5, 0.75, 1.0 - 2.0 ** -52, 1.0]
+
+    @staticmethod
+    def generic(fam):
+        """The same family without its fused blend."""
+        return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, fam._eval,
+                              fam._vjp_state, fam._vjp_params, fam._jac_state)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_generic_default_is_the_weighted_sum(self, family):
+        rng = np.random.default_rng(21)
+        a, b = rng.standard_normal((2, family.param_dim))
+        kernel = self.generic(family).blend(a, b, self.ALPHAS)
+        for x in (rng.standard_normal(family.state_dim),
+                  rng.standard_normal((family.state_dim, 5))):
+            for m, alpha in enumerate(self.ALPHAS):
+                expected = (1.0 - alpha) * family.eval(x, a) + alpha * family.eval(x, b)
+                assert np.array_equal(kernel(x, m), expected)
+
+    @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
+    def test_mlp_fused_blend_matches_generic(self, d, hidden):
+        fam = make_mlp_family(d, hidden)
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            a, b = rng.standard_normal((2, fam.param_dim))
+            fused = fam.blend(a, b, self.ALPHAS)
+            plain = self.generic(fam).blend(a, b, self.ALPHAS)
+            for x in (rng.standard_normal(d), rng.standard_normal((d, 6))):
+                for m in range(len(self.ALPHAS)):
+                    want = plain(x, m)
+                    gap = np.max(np.abs(fused(x, m) - want))
+                    assert gap <= 1e-15 * max(1.0, np.max(np.abs(want)))
+                # the end weights keep one layer, so they are f itself
+                assert np.array_equal(fused(x, 0), fam.eval(x, a))
+                assert np.array_equal(fused(x, len(self.ALPHAS) - 1), fam.eval(x, b))
+
+    def test_parameters_are_checked_once(self):
+        fam = make_mlp_family(2, 3)
+        good = np.zeros(fam.param_dim)
+        with pytest.raises(ValueError):
+            fam.blend(np.zeros(fam.param_dim + 1), good, [0.5])
+        with pytest.raises(ValueError):
+            self.generic(fam).blend(good, np.zeros(3), [0.5])
 
 
 class TestWeightSchedule:
