@@ -20,6 +20,12 @@ current state, the current state gradient, and (for the two-stage
 scheme) one pending parameter contribution.  Nothing proportional to N
 is kept alive inside a sweep; collecting the per-layer results into a
 GradientSet is the caller's choice.
+
+Every sweep validates its inputs once on entry (state and schedule
+against the family, output gradient against the state's shape) and
+then calls the family's unchecked kernels: ``_eval`` for a reverse step
+and ``_linearize`` for a pullback, which returns both [d_x f]^T v and
+[d_theta f]^T v from one forward pass at a layer point.
 """
 
 from __future__ import annotations
@@ -89,11 +95,12 @@ class GradientComparison:
     max_rel: float
 
 
-def _check_output_grad(family, output_grad):
+def _check_output_grad(output_grad, state) -> np.ndarray:
     g = require_finite(output_grad, "output_grad")
-    if g.shape[0] != family.state_dim:
-        raise ValueError("output gradient dimension does not match the family")
-    return g.astype(float)
+    if g.shape != state.shape:
+        raise ValueError(f"output gradient shape {g.shape} does not match "
+                         f"the state shape {state.shape}")
+    return g
 
 
 def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
@@ -102,25 +109,27 @@ def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
 
     grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T grad_{x_{n+1}}
     grad_x_n     = [I + (1/N) d_x f(x_n, theta_n)]^T grad_{x_{n+1}}
+
+    Both come from one pullback of f at (x_n, theta_n).
     """
     if traj.scheme != "euler":
         raise ValueError("backprop_exact expects a single-stage trajectory")
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
     N = schedule.depth
-    g = _check_output_grad(family, output_grad)
+    g = _check_output_grad(output_grad, family.check_entry(schedule, traj.nodes[N], "xN"))
     param_grads = np.empty((N, schedule.param_dim))
     state_grads = np.empty((N + 1,) + g.shape)
     state_grads[N] = g
     for n in range(N - 1, -1, -1):
-        x = traj.nodes[n]
-        param_grads[n] = family.vjp_params(x, schedule[n], g) / N
-        g = g + family.vjp_state(x, schedule[n], g) / N
+        d_x, d_theta = family._linearize(traj.nodes[n], schedule[n])[1](g)
+        param_grads[n] = d_theta / N
+        g = g + d_x / N
         state_grads[n] = g
     return GradientSet(param_grads, state_grads)
 
 
-def _heun_param_steps(family, theta_n, theta_next, x_n, y_n, g_next, N):
+def _heun_param_steps(pull_x, pull_y, g_next, N):
     """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
 
     Differentiating the two-stage update gives, for v = grad_{x_{n+1}},
@@ -132,16 +141,14 @@ def _heun_param_steps(family, theta_n, theta_next, x_n, y_n, g_next, N):
 
       grad_{x_n} = v + (1/2N) ( [d_x f(x_n)]^T v + (I + (1/N) d_x f(x_n))^T [d_x f(y_n)]^T v ).
 
-    The stage point y_n = x_n + f(x_n, theta_n)/N comes from the stored
-    trajectory in the exact path and is recomputed from the
-    reconstructed state in the memory-free path.
+    ``pull_x`` and ``pull_y`` are the pullbacks of f(., theta_n) at x_n
+    and of f(., theta_next) at the stage point y_n = x_n + f(x_n, theta_n)/N.
+    By linearity in the cotangent, one pullback of each at v and at
+    v + u/N, u = [d_x f(y_n)]^T v, gives all three terms.
     """
-    u = family.vjp_state(y_n, theta_next, g_next)         # [d_x f(y)]^T v
-    own = family.vjp_params(x_n, theta_n, g_next + u / N) / (2.0 * N)
-    carry = family.vjp_params(y_n, theta_next, g_next) / (2.0 * N)
-    g_prev = g_next + (family.vjp_state(x_n, theta_n, g_next) + u
-                       + family.vjp_state(x_n, theta_n, u) / N) / (2.0 * N)
-    return own, carry, g_prev
+    u, carry = pull_y(g_next)
+    s, own = pull_x(g_next + u / N)
+    return own / (2.0 * N), carry / (2.0 * N), g_next + (s + u) / (2.0 * N)
 
 
 def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
@@ -158,14 +165,14 @@ def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
     N = schedule.depth
-    g = _check_output_grad(family, output_grad)
+    g = _check_output_grad(output_grad, family.check_entry(schedule, traj.nodes[N], "xN"))
     param_grads = np.zeros((N, schedule.param_dim))
     state_grads = np.empty((N + 1,) + g.shape)
     state_grads[N] = g
     for n in range(N - 1, -1, -1):
         own, carry, g = _heun_param_steps(
-            family, schedule[n], schedule.padded_row(n + 1),
-            traj.nodes[n], traj.midpoints[n], g, N)
+            family._linearize(traj.nodes[n], schedule[n])[1],
+            family._linearize(traj.midpoints[n], schedule.padded_row(n + 1))[1], g, N)
         param_grads[n] += own
         param_grads[min(n + 1, N - 1)] += carry
         state_grads[n] = g
@@ -176,12 +183,12 @@ def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
                                xN, true_traj: Optional[Trajectory] = None
                                ) -> ReconstructionReport:
     """Rebuild x~_N..x~_0 from the output alone; report errors vs a stored run."""
-    x = require_finite(xN, "xN").astype(float)
+    x = family.check_entry(schedule, xN, "xN")
     N = schedule.depth
     nodes = np.empty((N + 1,) + x.shape)
     nodes[N] = x
     for n in range(N - 1, -1, -1):
-        x = x - family.eval(x, schedule[n]) / N
+        x = x - family._eval(x, schedule[n]) / N
         _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
     rec = Trajectory(N, nodes, "euler")
@@ -192,16 +199,16 @@ def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
                               xN, true_traj: Optional[Trajectory] = None
                               ) -> ReconstructionReport:
     """Two-stage reverse sweep; records the reverse stage points y~_n."""
-    x = require_finite(xN, "xN").astype(float)
+    x = family.check_entry(schedule, xN, "xN")
     N = schedule.depth
     nodes = np.empty((N + 1,) + x.shape)
     mids = np.empty((N,) + x.shape)
     nodes[N] = x
     for n in range(N - 1, -1, -1):
-        f_up = family.eval(x, schedule.padded_row(n + 1))
+        f_up = family._eval(x, schedule.padded_row(n + 1))
         y = x - f_up / N
         mids[n] = y
-        x = x - (f_up + family.eval(y, schedule[n])) / (2.0 * N)
+        x = x - (f_up + family._eval(y, schedule[n])) / (2.0 * N)
         _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
     rec = Trajectory(N, nodes, "heun", midpoints=mids)
@@ -224,17 +231,19 @@ def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule,
 
     Yields (n, grad_theta_n, grad_x_n) from layer N-1 down to 0.  Live
     state is one reconstructed activation and one state gradient; the
-    forward trajectory is never materialized.
+    forward trajectory is never materialized.  Each layer takes one
+    evaluation (the reverse step) and one pullback.
     """
-    x = require_finite(xN, "xN").astype(float)
-    g = _check_output_grad(family, output_grad)
+    x = family.check_entry(schedule, xN, "xN")
+    g = _check_output_grad(output_grad, x)
     N = schedule.depth
     for n in range(N - 1, -1, -1):
-        x = x - family.eval(x, schedule[n]) / N
+        theta = schedule[n]
+        x = x - family._eval(x, theta) / N
         _check_divergence(x, n, "adjoint sweep")
-        theta_grad = family.vjp_params(x, schedule[n], g) / N
-        g = g + family.vjp_state(x, schedule[n], g) / N
-        yield n, theta_grad, g
+        d_x, d_theta = family._linearize(x, theta)[1](g)
+        g = g + d_x / N
+        yield n, d_theta / N, g
 
 
 def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
@@ -243,20 +252,23 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
 
     A layer's gradient needs contributions from reverse steps n and
     n-1, so one parameter-sized buffer is carried between iterations;
-    layer n's total is final once step n-1 has run.
+    layer n's total is final once step n-1 has run.  Each layer takes
+    one evaluation and two linearizations: f(x~_n, theta_n) from the
+    linearization at x~_n is the next reverse step's f(x~_{n+1}, theta_{n+1}).
     """
-    x = require_finite(xN, "xN").astype(float)
-    g = _check_output_grad(family, output_grad)
+    x = family.check_entry(schedule, xN, "xN")
+    g = _check_output_grad(output_grad, x)
     N = schedule.depth
+    f_up = family._eval(x, schedule.padded_row(N))
     pending = None  # accumulating grad for theta_{n+1} during step n
     for n in range(N - 1, -1, -1):
-        f_up = family.eval(x, schedule.padded_row(n + 1))
+        theta = schedule[n]
         y_rev = x - f_up / N
-        x = x - (f_up + family.eval(y_rev, schedule[n])) / (2.0 * N)
+        x = x - (f_up + family._eval(y_rev, theta)) / (2.0 * N)
         _check_divergence(x, n, "adjoint sweep")
-        y_fwd = x + family.eval(x, schedule[n]) / N
-        own, carry, g_new = _heun_param_steps(
-            family, schedule[n], schedule.padded_row(n + 1), x, y_fwd, g, N)
+        f_up, pull_x = family._linearize(x, theta)
+        pull_y = family._linearize(x + f_up / N, schedule.padded_row(n + 1))[1]
+        own, carry, g_new = _heun_param_steps(pull_x, pull_y, g, N)
         if n == N - 1:
             # carry targets theta_N, which the padding rule folds back.
             pending = own + carry
@@ -268,15 +280,15 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
 
 
 def _collect_sweep(sweep, family, schedule, xN, output_grad) -> GradientSet:
-    """Run a memory-free sweep, which yields every layer once, into a GradientSet."""
+    """Run a memory-free sweep, which yields every layer once and checks
+    its inputs before the first, into a GradientSet."""
     N = schedule.depth
     param_grads = np.empty((N, schedule.param_dim))
-    g0 = _check_output_grad(family, output_grad)
-    state_grads = np.empty((N + 1,) + g0.shape)
-    state_grads[N] = g0
+    state_grads = np.empty((N + 1,) + np.shape(output_grad))
     for n, theta_grad, g in sweep(family, schedule, xN, output_grad):
         param_grads[n] = theta_grad
         state_grads[n] = g
+    state_grads[N] = output_grad
     return GradientSet(param_grads, state_grads)
 
 

@@ -115,14 +115,12 @@ def _locate(s, N: int):
 def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
                         x0) -> Trajectory:
     """Run the single-stage chain; nodes[0] is x0, nodes[N] the output."""
-    x = require_finite(x0, "x0")
-    if x.shape[0] != family.state_dim:
-        raise ValueError("x0 dimension does not match the family")
+    x = family.check_entry(schedule, x0)
     N = schedule.depth
     nodes = np.empty((N + 1,) + x.shape)
     nodes[0] = x
     for n in range(N):
-        x = x + family.eval(x, schedule[n]) / N
+        x = x + family._eval(x, schedule[n]) / N
         _check_divergence(x, n, "forward chain")
         nodes[n + 1] = x
     return Trajectory(N, nodes, "euler")
@@ -131,18 +129,16 @@ def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
 def forward_heun_chain(family: ResidualFamily, schedule: WeightSchedule,
                        x0) -> Trajectory:
     """Run the two-stage chain, recording the stage points y_n."""
-    x = require_finite(x0, "x0")
-    if x.shape[0] != family.state_dim:
-        raise ValueError("x0 dimension does not match the family")
+    x = family.check_entry(schedule, x0)
     N = schedule.depth
     nodes = np.empty((N + 1,) + x.shape)
     mids = np.empty((N,) + x.shape)
     nodes[0] = x
     for n in range(N):
-        f_here = family.eval(x, schedule[n])
+        f_here = family._eval(x, schedule[n])
         y = x + f_here / N
         mids[n] = y
-        x = x + (f_here + family.eval(y, schedule.padded_row(n + 1))) / (2.0 * N)
+        x = x + (f_here + family._eval(y, schedule.padded_row(n + 1))) / (2.0 * N)
         _check_divergence(x, n, "forward chain")
         nodes[n + 1] = x
     return Trajectory(N, nodes, "heun", midpoints=mids)

@@ -631,15 +631,16 @@ def _forward_output(family, schedule, x0, scheme: str) -> np.ndarray:
     The memory-free training modes use this so that no stored forward
     activations exist for the backward sweep to (accidentally) read.
     """
-    x = x0
+    x = family.check_entry(schedule, x0)
+    f = family._eval
     depth = schedule.depth
     for n in range(depth):
         if scheme == "euler":
-            x = x + family.eval(x, schedule[n]) / depth
+            x = x + f(x, schedule[n]) / depth
         else:
-            f_here = family.eval(x, schedule[n])
+            f_here = f(x, schedule[n])
             y = x + f_here / depth
-            x = x + (f_here + family.eval(y, schedule.padded_row(n + 1))) / (2.0 * depth)
+            x = x + (f_here + f(y, schedule.padded_row(n + 1))) / (2.0 * depth)
         _check_divergence(x, n, "training forward pass")
     return x
 

@@ -1,9 +1,10 @@
-"""Residual-function families f(x, theta) with exact VJPs, plus
+"""Residual-function families f(x, theta) with exact pullbacks, plus
 schedule statistics and sampled smoothness constants.
 
 A family evaluates states of shape (d,) or batched (d, B); parameter
-vectors are always flat 1-D arrays.  ``vjp_params`` sums over the batch
-axis, matching the gradient of a batch-summed scalar loss.
+vectors are always flat 1-D arrays.  The parameter half of a pullback
+sums over the batch axis, matching the gradient of a batch-summed
+scalar loss.
 """
 
 from __future__ import annotations
@@ -31,31 +32,36 @@ __all__ = [
 
 
 class ResidualFamily:
-    """A residual function f(x, theta) with exact derivatives.
+    """A residual function f(x, theta) with its exact pullback.
 
     eval:       (x, theta) -> f(x, theta), same shape as x
+    linearize:  (x, theta) -> (f(x, theta), pullback), where
+                pullback(v) -> ([d_x f]^T v, [d_theta f]^T v) reuses the
+                forward pass (the mlp's tanh(W1 x)) for any cotangent v
     vjp_state:  (x, theta, v) -> [d_x f]^T v, same shape as x
     vjp_params: (x, theta, v) -> [d_theta f]^T v, flat (param_dim,)
     jac_state:  (x, theta) -> (d, d) Jacobian of f in x (unbatched)
     blend:      (theta_a, theta_b, alphas) -> g(x, m), see ``blend``
+
+    The public methods check shapes; ``vjp_state``, ``vjp_params`` and
+    ``jac_state`` are read off one pullback.  The sweeps validate their
+    inputs once on entry (``check_entry``) and then call the unchecked
+    ``_eval`` and ``_linearize`` at every layer.
     """
 
     def __init__(self, name: str, state_dim: int, param_dim: int,
-                 eval_fn: Callable, vjp_state: Callable,
-                 vjp_params: Callable, jac_state: Callable,
+                 eval_fn: Callable, linearize: Callable,
                  blend: Optional[Callable] = None):
         self.name = name
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
         self._eval = eval_fn
-        self._vjp_state = vjp_state
-        self._vjp_params = vjp_params
-        self._jac_state = jac_state
+        self._linearize = linearize
         self._blend = blend
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.state_dim or x.ndim not in (1, 2):
+        if x.ndim not in (1, 2) or x.shape[0] != self.state_dim:
             raise ValueError(
                 f"state shape {x.shape} does not match state_dim {self.state_dim}")
         return x
@@ -67,28 +73,40 @@ class ResidualFamily:
                 f"parameter shape {theta.shape} does not match param_dim {self.param_dim}")
         return theta
 
+    def check_entry(self, schedule: WeightSchedule, x, label: str = "x0") -> np.ndarray:
+        """Validate a chain's or sweep's inputs once, before it runs the
+        unchecked kernels: a finite (d,) or (d, B) state and a schedule
+        of this family's parameter dimension.  Returns the float state."""
+        if schedule.param_dim != self.param_dim:
+            raise ValueError(f"schedule param_dim {schedule.param_dim} does not "
+                             f"match param_dim {self.param_dim}")
+        return self._check_state(require_finite(x, label))
+
     def eval(self, x, theta) -> np.ndarray:
         return self._eval(self._check_state(x), self._check_params(theta))
 
-    def vjp_state(self, x, theta, v) -> np.ndarray:
+    def linearize(self, x, theta) -> tuple:
+        return self._linearize(self._check_state(x), self._check_params(theta))
+
+    def _pull(self, x, theta, v) -> tuple:
         x = self._check_state(x)
         v = np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError("cotangent shape must match state shape")
-        return self._vjp_state(x, self._check_params(theta), v)
+        return self._linearize(x, self._check_params(theta))[1](v)
+
+    def vjp_state(self, x, theta, v) -> np.ndarray:
+        return self._pull(x, theta, v)[0]
 
     def vjp_params(self, x, theta, v) -> np.ndarray:
-        x = self._check_state(x)
-        v = np.asarray(v, dtype=float)
-        if v.shape != x.shape:
-            raise ValueError("cotangent shape must match state shape")
-        return self._vjp_params(x, self._check_params(theta), v)
+        return self._pull(x, theta, v)[1]
 
     def jac_state(self, x, theta) -> np.ndarray:
         x = self._check_state(x)
         if x.ndim != 1:
             raise ValueError("jac_state takes a single (d,) state")
-        return self._jac_state(x, self._check_params(theta))
+        pullback = self._linearize(x, self._check_params(theta))[1]
+        return np.array([pullback(e)[0] for e in np.eye(self.state_dim)])
 
     def blend(self, theta_a, theta_b, alphas) -> Callable:
         """Kernel g(x, m) = (1 - alphas[m]) f(x, theta_a) + alphas[m] f(x, theta_b).
@@ -161,29 +179,24 @@ class WeightSchedule:
         return cls(np.array(data))
 
 
+def _outer_sum(p, q) -> np.ndarray:
+    """sum over the batch of p q^T, flattened row-major; 1-D p, q are one column."""
+    return (p.reshape(p.shape[0], -1) @ q.reshape(q.shape[0], -1).T).ravel()
+
+
 def make_linear_family(d: int) -> ResidualFamily:
     """f(x, theta) = theta x with theta a flattened row-major d x d matrix."""
     if d < 1:
         raise ValueError("state dimension must be >= 1")
 
-    def as_matrix(theta):
-        return theta.reshape(d, d)
-
     def eval_fn(x, theta):
-        return as_matrix(theta) @ x
+        return theta.reshape(d, d) @ x
 
-    def vjp_state(x, theta, v):
-        return as_matrix(theta).T @ v
+    def linearize(x, theta):
+        a = theta.reshape(d, d)
+        return a @ x, lambda v: (a.T @ v, _outer_sum(v, x))
 
-    def vjp_params(x, theta, v):
-        if x.ndim == 1:
-            return np.outer(v, x).ravel()
-        return np.einsum("ib,jb->ij", v, x).ravel()
-
-    def jac_state(x, theta):
-        return as_matrix(theta).copy()
-
-    return ResidualFamily("linear", d, d * d, eval_fn, vjp_state, vjp_params, jac_state)
+    return ResidualFamily("linear", d, d * d, eval_fn, linearize)
 
 
 def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
@@ -204,28 +217,14 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         w1, w2 = unpack(theta)
         return w2 @ np.tanh(w1 @ x)
 
-    def vjp_state(x, theta, v):
+    def linearize(x, theta):
         w1, w2 = unpack(theta)
         a = np.tanh(w1 @ x)
-        return w1.T @ ((1.0 - a**2) * (w2.T @ v))
 
-    def vjp_params(x, theta, v):
-        w1, w2 = unpack(theta)
-        z = w1 @ x
-        a = np.tanh(z)
-        u = (1.0 - a**2) * (w2.T @ v)  # backprop through tanh pre-activation
-        if x.ndim == 1:
-            g1 = np.outer(u, x)
-            g2 = np.outer(v, a)
-        else:
-            g1 = np.einsum("hb,db->hd", u, x)
-            g2 = np.einsum("db,hb->dh", v, a)
-        return np.concatenate([g1.ravel(), g2.ravel()])
-
-    def jac_state(x, theta):
-        w1, w2 = unpack(theta)
-        a = np.tanh(w1 @ x)
-        return w2 @ ((1.0 - a**2)[:, None] * w1)
+        def pullback(v):
+            u = (1.0 - a**2) * (w2.T @ v)  # backprop through tanh pre-activation
+            return w1.T @ u, np.concatenate([_outer_sum(u, x), _outer_sum(v, a)])
+        return w2 @ a, pullback
 
     def blend(theta_a, theta_b, alphas):
         # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
@@ -237,8 +236,7 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
         return lambda x, m: layers[m][1] @ np.tanh(layers[m][0] @ x)
 
-    return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, vjp_state, vjp_params,
-                          jac_state, blend)
+    return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, linearize, blend)
 
 
 def make_square_family() -> ResidualFamily:
@@ -247,16 +245,11 @@ def make_square_family() -> ResidualFamily:
     def eval_fn(x, theta):
         return np.full_like(x, theta[0] ** 2)
 
-    def vjp_state(x, theta, v):
-        return np.zeros_like(v)
+    def linearize(x, theta):
+        return eval_fn(x, theta), lambda v: (
+            np.zeros_like(v), np.array([2.0 * theta[0] * float(np.sum(v))]))
 
-    def vjp_params(x, theta, v):
-        return np.array([2.0 * theta[0] * float(np.sum(v))])
-
-    def jac_state(x, theta):
-        return np.zeros((1, 1))
-
-    return ResidualFamily("square", 1, 1, eval_fn, vjp_state, vjp_params, jac_state)
+    return ResidualFamily("square", 1, 1, eval_fn, linearize)
 
 
 def make_identity_family() -> ResidualFamily:
@@ -265,16 +258,10 @@ def make_identity_family() -> ResidualFamily:
     def eval_fn(x, theta):
         return np.full_like(x, theta[0])
 
-    def vjp_state(x, theta, v):
-        return np.zeros_like(v)
+    def linearize(x, theta):
+        return eval_fn(x, theta), lambda v: (np.zeros_like(v), np.array([float(np.sum(v))]))
 
-    def vjp_params(x, theta, v):
-        return np.array([float(np.sum(v))])
-
-    def jac_state(x, theta):
-        return np.zeros((1, 1))
-
-    return ResidualFamily("identity", 1, 1, eval_fn, vjp_state, vjp_params, jac_state)
+    return ResidualFamily("identity", 1, 1, eval_fn, linearize)
 
 
 def make_index_schedule(N: int) -> WeightSchedule:
@@ -303,13 +290,9 @@ class SmoothnessConstants:
 
 
 def _param_jacobian(family: ResidualFamily, x, theta) -> np.ndarray:
-    """Assemble d_theta f as a (d, param_dim) matrix from VJP rows."""
-    rows = []
-    for i in range(family.state_dim):
-        e = np.zeros(family.state_dim)
-        e[i] = 1.0
-        rows.append(family.vjp_params(x, theta, e))
-    return np.array(rows)
+    """Assemble d_theta f as a (d, param_dim) matrix from pullback rows."""
+    pullback = family.linearize(x, theta)[1]
+    return np.array([pullback(e)[1] for e in np.eye(family.state_dim)])
 
 
 def estimate_constants(family: ResidualFamily, schedule: WeightSchedule,

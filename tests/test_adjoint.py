@@ -7,6 +7,8 @@ from odenet.adjoint import (
     backprop_adjoint_heun,
     backprop_exact,
     backprop_exact_heun,
+    adjoint_sweep_euler,
+    adjoint_sweep_heun,
     compare_gradients,
     comparison_to_csv,
     reconstruct_backward_euler,
@@ -14,11 +16,14 @@ from odenet.adjoint import (
 )
 from odenet.dynamics import (
     DivergenceError,
+    Trajectory,
     forward_euler_chain,
     forward_heun_chain,
 )
+from odenet.harness import _forward_output
 from odenet.numerics import finite_difference_gradient, fit_loglog_slope
 from odenet.residual_models import (
+    ResidualFamily,
     WeightSchedule,
     make_identity_family,
     make_linear_family,
@@ -456,3 +461,156 @@ class TestOneStepResidualIdentity:
                     fam.eval(x, theta_b) - fam.eval(x, theta_a))
                 predicted = np.linalg.norm(jump) / (4 * depth)
                 assert measured == pytest.approx(predicted, rel=0.2)
+
+
+def counting_family(fam):
+    """The same family, tallying its unchecked kernel and pullback calls."""
+    counts = {"eval": 0, "linearize": 0, "pullback": 0}
+
+    def eval_fn(x, theta):
+        counts["eval"] += 1
+        return fam._eval(x, theta)
+
+    def linearize(x, theta):
+        counts["linearize"] += 1
+        value, pullback = fam._linearize(x, theta)
+
+        def counted(v):
+            counts["pullback"] += 1
+            return pullback(v)
+        return value, counted
+
+    return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, eval_fn, linearize), counts
+
+
+def _stored(scheme, x, depth):
+    """A stored trajectory that sits at x; only its shapes matter."""
+    nodes = np.repeat(x[None], depth + 1, axis=0)
+    return Trajectory(depth, nodes, scheme, midpoints=nodes[1:] if scheme == "heun" else None)
+
+
+# Every chain and sweep entry point, called as run(family, schedule, x, g)
+# with x its input state (x0 or xN) and g its output gradient.
+ENTRY_POINTS = {
+    "forward_euler_chain": lambda f, s, x, g: forward_euler_chain(f, s, x),
+    "forward_heun_chain": lambda f, s, x, g: forward_heun_chain(f, s, x),
+    "forward_output_euler": lambda f, s, x, g: _forward_output(f, s, x, "euler"),
+    "forward_output_heun": lambda f, s, x, g: _forward_output(f, s, x, "heun"),
+    "reconstruct_backward_euler": lambda f, s, x, g: reconstruct_backward_euler(f, s, x),
+    "reconstruct_backward_heun": lambda f, s, x, g: reconstruct_backward_heun(f, s, x),
+    "backprop_exact": lambda f, s, x, g: backprop_exact(f, s, _stored("euler", x, s.depth), g),
+    "backprop_exact_heun": lambda f, s, x, g: backprop_exact_heun(
+        f, s, _stored("heun", x, s.depth), g),
+    "adjoint_sweep_euler": lambda f, s, x, g: list(adjoint_sweep_euler(f, s, x, g)),
+    "adjoint_sweep_heun": lambda f, s, x, g: list(adjoint_sweep_heun(f, s, x, g)),
+    "backprop_adjoint_euler": lambda f, s, x, g: backprop_adjoint_euler(f, s, x, g),
+    "backprop_adjoint_heun": lambda f, s, x, g: backprop_adjoint_heun(f, s, x, g),
+}
+TAKES_OUTPUT_GRAD = {name for name in ENTRY_POINTS
+                     if name.startswith(("backprop_", "adjoint_sweep_"))}
+MISMATCHES = ("state_dim", "zero_dim_state", "param_dim", "output_grad_shape",
+              "non_finite_state")
+
+
+class TestEntryValidation:
+    """Sweeps run unchecked kernels, so each entry point rejects, before
+    any kernel call, every input the first checked kernel call used to."""
+
+    @pytest.mark.parametrize("entry,mismatch", [
+        (entry, mismatch) for entry in ENTRY_POINTS for mismatch in MISMATCHES
+        if mismatch != "output_grad_shape" or entry in TAKES_OUTPUT_GRAD])
+    def test_rejects_mismatch_on_entry(self, entry, mismatch):
+        fam, counts = counting_family(make_mlp_family(2, 3))
+        sched = cubic_profile_schedule(3, fam.param_dim)
+        x, g = np.full((2, 4), 0.1), np.ones((2, 4))
+        run = ENTRY_POINTS[entry]
+        run(fam, sched, x, g)
+        if mismatch == "state_dim":
+            x, g = np.full((3, 4), 0.1), np.ones((3, 4))
+        elif mismatch == "zero_dim_state":  # was an IndexError
+            x, g = np.array(0.1), np.array(1.0)
+        elif mismatch == "param_dim":
+            sched = cubic_profile_schedule(3, fam.param_dim + 1)
+        elif mismatch == "output_grad_shape":
+            g = np.ones(2)  # (d,) against a (d, B) state
+        else:
+            x = np.where(np.arange(4) == 2, np.nan, x)
+        counts.update(eval=0, linearize=0)
+        with pytest.raises(ValueError):
+            run(fam, sched, x, g)
+        assert counts["eval"] == counts["linearize"] == 0
+
+
+class TestKernelCounts:
+    """Invocations of the unchecked kernels per layer of each backprop
+    sweep: 1/2/2/3 for exact Euler / adjoint Euler / exact Heun / adjoint
+    Heun, plus the one evaluation f(x~_N, theta_N) the adjoint Heun sweep
+    starts from.  Every linearization is pulled back exactly once."""
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("sweep,evals,linearizations,extra", [
+        ("exact_euler", 0, 1, 0), ("adjoint_euler", 1, 1, 0),
+        ("exact_heun", 0, 2, 0), ("adjoint_heun", 1, 2, 1)])
+    def test_calls_per_layer(self, sweep, evals, linearizations, extra, batch):
+        base = make_mlp_family(2, 3)
+        fam, counts = counting_family(base)
+        N = 16
+        sched = cubic_profile_schedule(N, fam.param_dim)
+        shape = (2,) if batch is None else (2, batch)
+        x0 = np.random.default_rng(4).standard_normal(shape)
+        forward = forward_heun_chain if sweep.endswith("heun") else forward_euler_chain
+        traj = forward(base, sched, x0)
+        g = np.ones(shape)
+        {"exact_euler": lambda: backprop_exact(fam, sched, traj, g),
+         "adjoint_euler": lambda: backprop_adjoint_euler(fam, sched, traj.nodes[-1], g),
+         "exact_heun": lambda: backprop_exact_heun(fam, sched, traj, g),
+         "adjoint_heun": lambda: backprop_adjoint_heun(fam, sched, traj.nodes[-1], g),
+         }[sweep]()
+        assert counts == {"eval": evals * N + extra, "linearize": linearizations * N,
+                          "pullback": linearizations * N}
+
+
+def eight_call_heun_sweep(family, schedule, xN, g):
+    """The two-stage sweep before the fused pullback: three evaluations
+    and five VJP calls per layer, through the checked public kernels."""
+    N = schedule.depth
+    x, pending = xN, None
+    for n in range(N - 1, -1, -1):
+        theta, theta_up = schedule[n], schedule.padded_row(n + 1)
+        f_up = family.eval(x, theta_up)
+        y_rev = x - f_up / N
+        x = x - (f_up + family.eval(y_rev, theta)) / (2.0 * N)
+        y = x + family.eval(x, theta) / N
+        u = family.vjp_state(y, theta_up, g)
+        own = family.vjp_params(x, theta, g + u / N) / (2.0 * N)
+        carry = family.vjp_params(y, theta_up, g) / (2.0 * N)
+        g_new = g + (family.vjp_state(x, theta, g) + u
+                     + family.vjp_state(x, theta, u) / N) / (2.0 * N)
+        if n == N - 1:
+            pending = own + carry
+        else:
+            yield n + 1, pending + carry, g
+            pending = own
+        g = g_new
+    yield 0, pending, g
+
+
+class TestHeunSweepAgainstEightCallStep:
+    """The carried f(x~_n, theta_n) and the two-pullback step reproduce
+    the old per-layer arithmetic; N = 1 and 2 reach the pending edges."""
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    @pytest.mark.parametrize("depth", [1, 2, 64])
+    def test_matches_eight_call_step(self, depth, batch):
+        fam = make_mlp_family(3, 5)
+        sched = cubic_profile_schedule(depth, fam.param_dim, seed=9, scale=0.8)
+        rng = np.random.default_rng(depth)
+        shape = (3,) if batch is None else (3, batch)
+        xN = forward_heun_chain(fam, sched, rng.standard_normal(shape)).nodes[-1]
+        g = rng.standard_normal(shape)
+        got = list(adjoint_sweep_heun(fam, sched, xN, g))
+        want = list(eight_call_heun_sweep(fam, sched, xN, g))
+        assert [n for n, _, _ in got] == [n for n, _, _ in want] == list(range(depth - 1, -1, -1))
+        for (_, theta_got, g_got), (_, theta_want, g_want) in zip(got, want):
+            for a, b in ((theta_got, theta_want), (g_got, g_want)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))

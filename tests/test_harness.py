@@ -1,6 +1,8 @@
 """Experiment runner and CLI behavior, including exit codes and CSVs."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,14 @@ class TestParseConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_readme_config_examples_parse(self):
+        """Every indented `# <name>.cfg` block of the README is a valid config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^    # (\w+)\.cfg\n((?:    \S.*\n)+)", readme, re.MULTILINE)
+        assert {name for name, _ in blocks} == {"study", "flow", "train"}
+        for _, body in blocks:
+            parse_config(body)
 
 
 class TestScheduleProfiles:
@@ -403,6 +413,20 @@ class TestToyTraining:
             run_toy_training(config)
             blobs.append((tmp_path / sub / "losses_N4.csv").read_bytes()
                          + (tmp_path / sub / "trajectories_N4.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", ["adjoint_euler", "adjoint_heun"])
+    def test_memory_free_reruns_are_byte_identical(self, tmp_path, mode):
+        """The memory-free modes too (exact: test_reruns_are_byte_identical)."""
+        blobs = []
+        for sub in ("a", "b"):
+            config = ExperimentConfig(experiment="toy_train", depths=(3, 8),
+                                      learning_rate=0.3, iterations=6,
+                                      input_count=8, hidden_dim=3, seed=4,
+                                      gradient_mode=mode, output_dir=str(tmp_path / sub))
+            run_toy_training(config)
+            blobs.append(b"".join((tmp_path / sub / f"{kind}_N{n}.csv").read_bytes()
+                                  for kind in ("losses", "trajectories") for n in (3, 8)))
         assert blobs[0] == blobs[1]
 
 

@@ -81,6 +81,64 @@ class TestFamilyDerivatives:
             family.eval(good_x, np.zeros(family.param_dim + 1))
         with pytest.raises(ValueError):
             family.vjp_state(good_x, np.zeros(family.param_dim), np.zeros((family.state_dim, 2)))
+        with pytest.raises(ValueError):
+            family.linearize(good_x, np.zeros(family.param_dim - 1))
+
+
+def reference_vjps(family, x, theta, v):
+    """Each family's separate vjp_state and vjp_params formulas from
+    before the fused pullback, kept as an independent reference."""
+    if family.name == "linear":
+        d = family.state_dim
+        mat = theta.reshape(d, d)
+        d_theta = np.outer(v, x) if x.ndim == 1 else np.einsum("ib,jb->ij", v, x)
+        return mat.T @ v, d_theta.ravel()
+    if family.name == "mlp":
+        d = family.state_dim
+        hidden = family.param_dim // (2 * d)
+        w1, w2 = theta[:hidden * d].reshape(hidden, d), theta[hidden * d:].reshape(d, hidden)
+        a = np.tanh(w1 @ x)
+        u = (1.0 - a**2) * (w2.T @ v)
+        if x.ndim == 1:
+            g1, g2 = np.outer(u, x), np.outer(v, a)
+        else:
+            g1, g2 = np.einsum("hb,db->hd", u, x), np.einsum("db,hb->dh", v, a)
+        return w1.T @ u, np.concatenate([g1.ravel(), g2.ravel()])
+    scale = 2.0 * theta[0] if family.name == "square" else 1.0
+    return np.zeros_like(v), np.array([scale * float(np.sum(v))])
+
+
+@pytest.mark.parametrize("batch", [None, 64], ids=["unbatched", "B64"])
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+class TestLinearize:
+    """linearize(x, theta) -> (f(x, theta), pullback), one forward pass
+    shared by both halves of every pullback taken from it."""
+
+    @staticmethod
+    def draw(family, batch, seed):
+        rng = np.random.default_rng(seed)
+        shape = (family.state_dim,) if batch is None else (family.state_dim, batch)
+        return (rng.standard_normal(shape), rng.standard_normal(family.param_dim) * 0.7,
+                rng.standard_normal(shape), rng.standard_normal(shape))
+
+    def test_value_is_eval_bit_exactly(self, family, batch):
+        x, theta, _, _ = self.draw(family, batch, 31)
+        value, _ = family.linearize(x, theta)
+        assert np.array_equal(value, family.eval(x, theta))
+
+    def test_pullback_matches_separate_formulas(self, family, batch):
+        x, theta, v, w = self.draw(family, batch, 32)
+        pullback = family.linearize(x, theta)[1]
+        for cotangent in (v, w, v + w):  # one linearization, several pullbacks
+            for got, want in zip(pullback(cotangent), reference_vjps(family, x, theta, cotangent)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    def test_public_vjps_are_the_pullback_halves(self, family, batch):
+        x, theta, v, _ = self.draw(family, batch, 33)
+        d_x, d_theta = family.linearize(x, theta)[1](v)
+        assert np.array_equal(family.vjp_state(x, theta, v), d_x)
+        assert np.array_equal(family.vjp_params(x, theta, v), d_theta)
 
 
 class TestSpecificFamilies:
@@ -124,7 +182,7 @@ class TestBlend:
     def generic(fam):
         """The same family without its fused blend."""
         return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, fam._eval,
-                              fam._vjp_state, fam._vjp_params, fam._jac_state)
+                              fam._linearize)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_generic_default_is_the_weighted_sum(self, family):
