@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -91,13 +92,20 @@ def _run_study(config: ExperimentConfig) -> None:
                   f"(r2 {fit.r_squared:.4f}, {flag})")
         else:
             print(f"{metric}: {flag}")
+    if result.oracle_errors:
+        gaps = {r.depth: r.value for r in result.records}
+        ratio = max(err / gaps[n] if gaps[n] > 0 else math.inf
+                    for n, err in result.oracle_errors.items())
+        print(f"oracle error: Richardson estimate <= "
+              f"{max(result.oracle_errors.values()):.3g}, "
+              f"worst estimate/gap {ratio:.3g}")
 
 
 def _run_tightness(config: ExperimentConfig) -> None:
     records = run_tightness_suite(config)
     for r in records:
         print(f"{r.case} N={r.depth}: measured {r.measured:.10g} "
-              f"vs analytic {r.analytic:.10g}")
+              f"vs analytic {r.analytic:.10g} (oracle error {r.oracle_error:.3g})")
 
 
 def _run_linflow(config: ExperimentConfig) -> None:

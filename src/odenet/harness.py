@@ -332,6 +332,7 @@ class StudyResult:
     fit_flags: dict     # metric -> "ok" | "low_confidence" | "insufficient"
     study_path: str
     slopes_path: str
+    oracle_errors: dict  # depth -> Richardson estimate of the ODE oracle's error
 
     def values(self, metric: str) -> dict:
         return {r.depth: r.value for r in self.records
@@ -357,13 +358,37 @@ def _adjoint_depth_metrics(forward, exact_backprop, reconstruct, adjoint_backpro
     }
 
 
+# RK4 steps per layer of the reference solution.  It is checked by step
+# doubling against half as many: the largest node gap between the two
+# solves is about 15 times the finer one's error while RK4 is in its
+# h^4 regime (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+ORACLE_STEPS_PER_LAYER = 8
+# A measured gap whose oracle estimate exceeds this share of it is
+# flagged "oracle" and left out of the slope fit.
+ORACLE_TOLERANCE = 1e-3
+
+
+def _oracle(field, x0, depth: int):
+    """Reference solution at 8N RK4 steps and its Richardson error estimate.
+
+    The estimate is the largest gap, over the chain nodes n/N, between
+    the solves at 4N and at 8N steps.
+    """
+    coarse_steps = ORACLE_STEPS_PER_LAYER // 2
+    coarse = solve_ode_oracle(field, x0, coarse_steps * depth)
+    sol = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * depth)
+    gap = coarse.states[::coarse_steps] - sol.states[::ORACLE_STEPS_PER_LAYER]
+    return sol, float(np.max(np.linalg.norm(gap, axis=1)))
+
+
 def _approx_depth_metrics(family, schedule, x0, target):
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, "residual_interp")
-    sol = solve_ode_oracle(ode_field, x0, 64 * schedule.depth)
+    sol, oracle_error = _oracle(ode_field, x0, schedule.depth)
     _, max_gap = approximation_error(traj, sol)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    return {"approx_max_error": (max_gap, state_scale)}
+    return {"approx_max_error": (max_gap, state_scale),
+            "oracle_error": oracle_error}
 
 
 _STUDY_METRICS = {
@@ -391,7 +416,7 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
                   reconstruct_backward_heun, backprop_adjoint_heun)}[config.experiment]
     metric_names = _STUDY_METRICS[config.experiment]
 
-    records = []
+    records, oracle_errors = [], {}
     clean = {name: [] for name in metric_names}
     for depth in config.depths:
         schedule = WeightSchedule(profile.rows(depth, family.param_dim))
@@ -401,13 +426,19 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
             for name in metric_names:
                 records.append(StudyRecord(depth, name, math.nan, "diverged"))
             continue
+        oracle_error = metrics.get("oracle_error")
+        if oracle_error is not None:
+            oracle_errors[depth] = oracle_error
         for name in metric_names:
             value, scale = metrics[name]
-            if above_noise_floor([value], scale)[0]:
-                records.append(StudyRecord(depth, name, value))
-                clean[name].append((depth, value))
+            if not above_noise_floor([value], scale)[0]:
+                flag = "floor"
+            elif oracle_error is not None and oracle_error > ORACLE_TOLERANCE * value:
+                flag = "oracle"
             else:
-                records.append(StudyRecord(depth, name, value, "floor"))
+                flag = ""
+                clean[name].append((depth, value))
+            records.append(StudyRecord(depth, name, value, flag))
     if all(r.flag == "diverged" for r in records):
         raise AllDepthsDiverged(f"all depths diverged in {config.experiment}")
 
@@ -436,7 +467,8 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
             slope_rows.append([name, "nan", "nan", "nan", fit_flags[name]])
     _write_rows(slopes_path, ["metric", "slope", "intercept", "r2", "flag"],
                 slope_rows)
-    return StudyResult(records, fits, fit_flags, study_path, slopes_path)
+    return StudyResult(records, fits, fit_flags, study_path, slopes_path,
+                       oracle_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +480,7 @@ class TightnessRecord:
     depth: int
     measured: float
     analytic: float
+    oracle_error: float  # Richardson estimate of the reference solution's error
 
 
 def _tightness_case(case: str, depth: int) -> TightnessRecord:
@@ -479,9 +512,9 @@ def _tightness_case(case: str, depth: int) -> TightnessRecord:
         raise ValueError(f"unknown tightness case {case!r}")
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, kind, theta_end=theta_end)
-    sol = solve_ode_oracle(ode_field, x0, 64 * depth)
+    sol, oracle_error = _oracle(ode_field, x0, depth)
     measured = float(np.linalg.norm(traj.nodes[-1] - sol.states[-1]))
-    return TightnessRecord(case, depth, measured, analytic)
+    return TightnessRecord(case, depth, measured, analytic, oracle_error)
 
 
 TIGHTNESS_CASES = ("linear_drift", "index_residual", "alternating_square")

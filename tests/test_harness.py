@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odenet import harness
 from odenet.cli import main
+from odenet.dynamics import VectorField, interpolate, solve_ode_oracle
 from odenet.harness import (
     AllDepthsDiverged,
     ConfigError,
@@ -22,6 +24,7 @@ from odenet.harness import (
     run_tightness_suite,
     run_toy_training,
 )
+from odenet.residual_models import WeightSchedule, make_mlp_family
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -287,6 +290,129 @@ class TestTightnessSuite:
         assert len(lines) == 7
 
 
+def _mlp_field(depth, seed=3):
+    family = make_mlp_family(3, 4)
+    rng = np.random.default_rng(seed)
+    schedule = WeightSchedule(0.3 * rng.standard_normal((depth, family.param_dim)))
+    return interpolate(family, schedule, "residual_interp"), rng.standard_normal(3)
+
+
+def _huge_estimate(field, x0, depth):
+    return solve_ode_oracle(field, x0, 8 * depth), 1.0
+
+
+class TestOracle:
+    @pytest.mark.parametrize("depth", [1, 5, 32])
+    def test_solution_is_the_eight_step_solve(self, depth):
+        field, x0 = _mlp_field(depth)
+        sol, _ = harness._oracle(field, x0, depth)
+        ref = solve_ode_oracle(field, x0, 8 * depth)
+        assert sol.oracle_steps == 8 * depth
+        assert np.array_equal(sol.states, ref.states)
+        assert np.array_equal(sol.grid, ref.grid)
+
+    @pytest.mark.parametrize("depth", [1, 5, 32])
+    def test_estimate_is_the_largest_node_gap(self, depth):
+        field, x0 = _mlp_field(depth)
+        _, estimate = harness._oracle(field, x0, depth)
+        coarse = solve_ode_oracle(field, x0, 4 * depth).states
+        fine = solve_ode_oracle(field, x0, 8 * depth).states
+        gaps = [np.linalg.norm(coarse[4 * n] - fine[8 * n]) for n in range(depth + 1)]
+        assert estimate == max(gaps)
+        assert estimate > 0.0
+
+    @pytest.mark.parametrize("depth", [1, 2, 4, 8])
+    def test_estimate_bounds_the_true_error(self, depth):
+        field = VectorField(lambda x, s: x * (1.0 - x), "direct",
+                            depth=1, state_dim=1)
+        x0 = np.array([0.2])
+        sol, estimate = harness._oracle(field, x0, depth)
+        ref = solve_ode_oracle(field, x0, 512).states[::512 // depth]
+        true_error = np.max(np.abs(sol.states[::8] - ref))
+        assert 0.0 < true_error <= estimate
+
+    def test_default_study_matches_a_64n_oracle(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(experiment="approx_error", depths=(16, 32, 64),
+                                  seed=0, output_dir=str(tmp_path / "fast"))
+        fast = run_scaling_study(config)
+        assert all(r.flag == "" for r in fast.records)
+        assert sorted(fast.oracle_errors) == [16, 32, 64]
+
+        def oracle_64n(field, x0, depth):
+            return solve_ode_oracle(field, x0, 64 * depth), 0.0
+        monkeypatch.setattr(harness, "_oracle", oracle_64n)
+        config.output_dir = str(tmp_path / "slow")
+        slow = run_scaling_study(config).values("approx_max_error")
+        for depth, value in fast.values("approx_max_error").items():
+            assert value == pytest.approx(slow[depth], rel=1e-8, abs=0.0)
+
+
+class TestOracleFlag:
+    def test_large_estimate_flags_every_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_oracle", _huge_estimate)
+        config = ExperimentConfig(experiment="approx_error", depths=(8, 16),
+                                  state_dim=2, hidden_dim=3, seed=1,
+                                  output_dir=str(tmp_path))
+        result = run_scaling_study(config)
+        assert [r.flag for r in result.records] == ["oracle", "oracle"]
+        assert all(r.value > 0.0 for r in result.records)
+        assert result.values("approx_max_error") == {}
+        assert result.fit_flags["approx_max_error"] == "insufficient"
+        assert result.oracle_errors == {8: 1.0, 16: 1.0}
+        lines = (tmp_path / "study.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+
+    def test_flagged_point_leaves_the_fit(self, tmp_path, monkeypatch):
+        depths = (8, 16, 32)
+        base = ExperimentConfig(experiment="approx_error", depths=depths,
+                                state_dim=2, hidden_dim=3, seed=1,
+                                output_dir=str(tmp_path / "base"))
+        clean = run_scaling_study(base).values("approx_max_error")
+        real = harness._oracle
+
+        def one_bad_depth(field, x0, depth):
+            sol, estimate = real(field, x0, depth)
+            # just above the tolerance at depth 16 only
+            return sol, (2e-3 * clean[16] if depth == 16 else estimate)
+        monkeypatch.setattr(harness, "_oracle", one_bad_depth)
+        base.output_dir = str(tmp_path / "flagged")
+        result = run_scaling_study(base)
+        assert {r.depth: r.flag for r in result.records} == {8: "", 16: "oracle", 32: ""}
+        assert result.values("approx_max_error") == {8: clean[8], 32: clean[32]}
+        assert result.fits["approx_max_error"].points_used == 2
+
+    def test_floor_check_runs_first(self, tmp_path, monkeypatch):
+        # a state-independent constant field makes the chain exact
+        monkeypatch.setattr(harness, "_oracle", _huge_estimate)
+        config = ExperimentConfig(experiment="approx_error", depths=(16, 64),
+                                  family="identity", schedule_profile="constant",
+                                  seed=0, output_dir=str(tmp_path))
+        result = run_scaling_study(config)
+        assert [r.flag for r in result.records] == ["floor", "floor"]
+
+    def test_adjoint_studies_carry_no_estimate(self, tmp_path):
+        config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
+                                  state_dim=2, hidden_dim=3, seed=1,
+                                  output_dir=str(tmp_path))
+        assert run_scaling_study(config).oracle_errors == {}
+
+    def test_diverged_depth_has_no_estimate(self, tmp_path):
+        config = ExperimentConfig(experiment="approx_error", depths=(16, 128),
+                                  family="linear", state_dim=1,
+                                  schedule_profile="index", seed=0,
+                                  output_dir=str(tmp_path))
+        result = run_scaling_study(config)
+        assert list(result.oracle_errors) == [16]
+        assert result.oracle_errors[16] < 1e-3 * result.values("approx_max_error")[16]
+
+    def test_tightness_records_carry_estimate(self, tmp_path):
+        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
+                                  output_dir=str(tmp_path))
+        for r in run_tightness_suite(config):
+            # RK4 integrates these polynomial-in-s fields exactly
+            assert 0.0 <= r.oracle_error <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def flow_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("linflow")
@@ -490,6 +616,30 @@ class TestCli:
         assert "slope" in capsys.readouterr().out
         assert (tmp_path / "out" / "study.csv").exists()
         assert (tmp_path / "out" / "slopes.csv").exists()
+
+    def test_study_prints_oracle_estimate(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "experiment = approx_error\n"
+                                   "depths = 8, 16\n"
+                                   "state_dim = 2\nhidden_dim = 3\n")
+        assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("oracle error")]
+        assert len(lines) == 1
+        assert re.search(r"estimate <= \S+, worst estimate/gap \S+$", lines[0])
+
+    def test_adjoint_study_prints_no_oracle_line(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
+                                   "depths = 8, 16\n"
+                                   "state_dim = 2\nhidden_dim = 3\n")
+        assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert "oracle" not in capsys.readouterr().out
+
+    def test_tightness_prints_oracle_estimate(self, tmp_path, capsys):
+        assert main(["tightness", "--depths", "4", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        assert all(re.search(r"vs analytic \S+ \(oracle error \S+\)$", line)
+                   for line in lines)
 
     def test_seed_override_controls_outputs(self, tmp_path):
         path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
