@@ -15,11 +15,11 @@ reconstructed states.  The two-stage scheme reverses both stages,
 and evaluates the same two-term parameter-gradient assembly at the
 reconstructed states.
 
-The memory-free sweeps are written as generators that hold only the
-current state, the current state gradient, and (for the two-stage
-scheme) one pending parameter contribution.  Nothing proportional to N
-is kept alive inside a sweep; collecting the per-layer results into a
-GradientSet is the caller's choice.
+One driver per sweep kind runs both schemes' ``dynamics.Scheme`` steps.
+The memory-free sweep is a generator that holds only the current state,
+the current state gradient, and one pending parameter contribution.
+Nothing proportional to N is kept alive inside a sweep; collecting the
+per-layer results into a GradientSet is the caller's choice.
 
 Every sweep validates its inputs once on entry (state and schedule
 against the family, output gradient against the state's shape) and
@@ -30,13 +30,12 @@ and ``_linearize`` for a pullback, which returns both [d_x f]^T v and
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, _check_divergence
+from .dynamics import EULER, HEUN, Scheme, Trajectory, _check_divergence
 from .numerics import require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
@@ -53,7 +52,6 @@ __all__ = [
     "adjoint_sweep_euler",
     "adjoint_sweep_heun",
     "compare_gradients",
-    "comparison_to_csv",
 ]
 
 REL_ERROR_FLOOR = 1e-15
@@ -103,119 +101,59 @@ def _check_output_grad(output_grad, state) -> np.ndarray:
     return g
 
 
-def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
-                   traj: Trajectory, output_grad) -> GradientSet:
-    """Exact reverse mode over a stored single-stage trajectory.
-
-    grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T grad_{x_{n+1}}
-    grad_x_n     = [I + (1/N) d_x f(x_n, theta_n)]^T grad_{x_{n+1}}
-
-    Both come from one pullback of f at (x_n, theta_n).
-    """
-    if traj.scheme != "euler":
-        raise ValueError("backprop_exact expects a single-stage trajectory")
+def _backprop_exact(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
+                    traj: Trajectory, output_grad) -> GradientSet:
+    """Exact reverse mode over a stored trajectory of ``scheme``.  A stage's
+    carry to theta_N is routed back to theta_{N-1} by the padding rule."""
+    if traj.scheme != scheme.name:
+        raise ValueError(f"expected a {scheme.name!r} trajectory, got {traj.scheme!r}")
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
     N = schedule.depth
     g = _check_output_grad(output_grad, family.check_entry(schedule, traj.nodes[N], "xN"))
+    pullback, lin, rows = scheme.pullback, family._linearize, schedule.padded
+    mids = traj.midpoints
     param_grads = np.empty((N, schedule.param_dim))
     state_grads = np.empty((N + 1,) + g.shape)
     state_grads[N] = g
     for n in range(N - 1, -1, -1):
-        d_x, d_theta = family._linearize(traj.nodes[n], schedule[n])[1](g)
-        param_grads[n] = d_theta / N
-        g = g + d_x / N
+        stage = None if mids is None else mids[n]
+        _, own, carry, g = pullback(lin, traj.nodes[n], stage, rows[n], rows[n + 1], g, N)
+        param_grads[n] = own
+        if carry is not None:
+            param_grads[min(n + 1, N - 1)] += carry
         state_grads[n] = g
     return GradientSet(param_grads, state_grads)
 
 
-def _heun_param_steps(pull_x, pull_y, g_next, N):
-    """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
-
-    Differentiating the two-stage update gives, for v = grad_{x_{n+1}},
-
-      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T (v + (1/N) [d_x f(y_n, theta_next)]^T v)
-      to theta_{n+1}:  (1/2N) [d_theta f(y_n, theta_next)]^T v
-
-    and the state gradient picks up
-
-      grad_{x_n} = v + (1/2N) ( [d_x f(x_n)]^T v + (I + (1/N) d_x f(x_n))^T [d_x f(y_n)]^T v ).
-
-    ``pull_x`` and ``pull_y`` are the pullbacks of f(., theta_n) at x_n
-    and of f(., theta_next) at the stage point y_n = x_n + f(x_n, theta_n)/N.
-    By linearity in the cotangent, one pullback of each at v and at
-    v + u/N, u = [d_x f(y_n)]^T v, gives all three terms.
-    """
-    u, carry = pull_y(g_next)
-    s, own = pull_x(g_next + u / N)
-    return own / (2.0 * N), carry / (2.0 * N), g_next + (s + u) / (2.0 * N)
+def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
+                   traj: Trajectory, output_grad) -> GradientSet:
+    """Exact reverse mode over a stored single-stage trajectory."""
+    return _backprop_exact(EULER, family, schedule, traj, output_grad)
 
 
 def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
                         traj: Trajectory, output_grad) -> GradientSet:
-    """Exact reverse mode over a stored two-stage trajectory.
-
-    Because theta_{n+1} enters both step n (through the stage point)
-    and step n+1, each layer's gradient is assembled from two adjacent
-    steps; the padding rule routes the final stage's contribution back
-    to theta_{N-1}.
-    """
-    if traj.scheme != "heun" or traj.midpoints is None:
-        raise ValueError("backprop_exact_heun expects a two-stage trajectory with midpoints")
-    if traj.depth != schedule.depth:
-        raise ValueError("trajectory and schedule depths differ")
-    N = schedule.depth
-    g = _check_output_grad(output_grad, family.check_entry(schedule, traj.nodes[N], "xN"))
-    param_grads = np.zeros((N, schedule.param_dim))
-    state_grads = np.empty((N + 1,) + g.shape)
-    state_grads[N] = g
-    for n in range(N - 1, -1, -1):
-        own, carry, g = _heun_param_steps(
-            family._linearize(traj.nodes[n], schedule[n])[1],
-            family._linearize(traj.midpoints[n], schedule.padded_row(n + 1))[1], g, N)
-        param_grads[n] += own
-        param_grads[min(n + 1, N - 1)] += carry
-        state_grads[n] = g
-    return GradientSet(param_grads, state_grads)
+    """Exact reverse mode over a stored two-stage trajectory."""
+    return _backprop_exact(HEUN, family, schedule, traj, output_grad)
 
 
-def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
-                               xN, true_traj: Optional[Trajectory] = None
-                               ) -> ReconstructionReport:
+def _reconstruct(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
+                 xN, true_traj: Optional[Trajectory]) -> ReconstructionReport:
     """Rebuild x~_N..x~_0 from the output alone; report errors vs a stored run."""
     x = family.check_entry(schedule, xN, "xN")
     N = schedule.depth
+    step, f, rows, lead = scheme.step, family._eval, schedule.padded, scheme.lead
     nodes = np.empty((N + 1,) + x.shape)
+    mids = np.empty((N,) + x.shape) if lead else None
     nodes[N] = x
     for n in range(N - 1, -1, -1):
-        x = x - family._eval(x, schedule[n]) / N
+        x, y = step(f, x, rows[n + lead], rows[n], -N)
         _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
-    rec = Trajectory(N, nodes, "euler")
-    return _report(rec, true_traj)
-
-
-def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
-                              xN, true_traj: Optional[Trajectory] = None
-                              ) -> ReconstructionReport:
-    """Two-stage reverse sweep; records the reverse stage points y~_n."""
-    x = family.check_entry(schedule, xN, "xN")
-    N = schedule.depth
-    nodes = np.empty((N + 1,) + x.shape)
-    mids = np.empty((N,) + x.shape)
-    nodes[N] = x
-    for n in range(N - 1, -1, -1):
-        f_up = family._eval(x, schedule.padded_row(n + 1))
-        y = x - f_up / N
-        mids[n] = y
-        x = x - (f_up + family._eval(y, schedule[n])) / (2.0 * N)
-        _check_divergence(x, n, "reverse reconstruction")
-        nodes[n] = x
-    rec = Trajectory(N, nodes, "heun", midpoints=mids)
-    return _report(rec, true_traj)
-
-
-def _report(rec: Trajectory, true_traj: Optional[Trajectory]) -> ReconstructionReport:
+        if y is not None:
+            mids[n] = y
+    rec = Trajectory(N, nodes, scheme.name, mids)
     if true_traj is None:
         return ReconstructionReport(rec, None, None)
     if true_traj.nodes.shape != rec.nodes.shape:
@@ -225,58 +163,62 @@ def _report(rec: Trajectory, true_traj: Optional[Trajectory]) -> ReconstructionR
     return ReconstructionReport(rec, errs, float(np.max(errs)))
 
 
-def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule,
-                        xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Memory-free single-stage sweep.
+def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
+                               xN, true_traj: Optional[Trajectory] = None
+                               ) -> ReconstructionReport:
+    """Single-stage reverse sweep from the output alone."""
+    return _reconstruct(EULER, family, schedule, xN, true_traj)
 
-    Yields (n, grad_theta_n, grad_x_n) from layer N-1 down to 0.  Live
-    state is one reconstructed activation and one state gradient; the
-    forward trajectory is never materialized.  Each layer takes one
-    evaluation (the reverse step) and one pullback.
+
+def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
+                              xN, true_traj: Optional[Trajectory] = None
+                              ) -> ReconstructionReport:
+    """Two-stage reverse sweep; records the reverse stage points y~_n."""
+    return _reconstruct(HEUN, family, schedule, xN, true_traj)
+
+
+def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
+           xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Memory-free sweep yielding (n, grad_theta_n, grad_x_n), n = N-1..0.
+
+    A stage's carry to theta_{n+1} comes from reverse step n, so layer
+    n+1 is yielded, from one pending gradient, once step n has run.  At
+    lead 1 the pullback's f(x~_n, theta_n) is the next reverse step's
+    first evaluation, so only the first step evaluates f(x~_N, theta_N).
     """
     x = family.check_entry(schedule, xN, "xN")
     g = _check_output_grad(output_grad, x)
     N = schedule.depth
+    step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
+    f, lin, rows = family._eval, family._linearize, schedule.padded
+    f_first = pending = None
     for n in range(N - 1, -1, -1):
-        theta = schedule[n]
-        x = x - family._eval(x, theta) / N
+        x = step(f, x, rows[n + lead], rows[n], -N, f_first)[0]
         _check_divergence(x, n, "adjoint sweep")
-        d_x, d_theta = family._linearize(x, theta)[1](g)
-        g = g + d_x / N
-        yield n, d_theta / N, g
+        f_x, own, carry, g_new = pullback(lin, x, None, rows[n], rows[n + 1], g, N)
+        if lead:
+            f_first = f_x
+        if carry is not None:
+            if n == N - 1:
+                own = own + carry  # theta_N is padded back to theta_{N-1}
+            else:
+                pending = pending + carry
+        if n < N - 1:
+            yield n + 1, pending, g
+        pending, g = own, g_new
+    yield 0, pending, g
+
+
+def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule,
+                        xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Memory-free single-stage sweep: one evaluation and one pullback per layer."""
+    yield from _sweep(EULER, family, schedule, xN, output_grad)
 
 
 def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
                        xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Memory-free two-stage sweep yielding (n, grad_theta_n, grad_x_n).
-
-    A layer's gradient needs contributions from reverse steps n and
-    n-1, so one parameter-sized buffer is carried between iterations;
-    layer n's total is final once step n-1 has run.  Each layer takes
-    one evaluation and two linearizations: f(x~_n, theta_n) from the
-    linearization at x~_n is the next reverse step's f(x~_{n+1}, theta_{n+1}).
-    """
-    x = family.check_entry(schedule, xN, "xN")
-    g = _check_output_grad(output_grad, x)
-    N = schedule.depth
-    f_up = family._eval(x, schedule.padded_row(N))
-    pending = None  # accumulating grad for theta_{n+1} during step n
-    for n in range(N - 1, -1, -1):
-        theta = schedule[n]
-        y_rev = x - f_up / N
-        x = x - (f_up + family._eval(y_rev, theta)) / (2.0 * N)
-        _check_divergence(x, n, "adjoint sweep")
-        f_up, pull_x = family._linearize(x, theta)
-        pull_y = family._linearize(x + f_up / N, schedule.padded_row(n + 1))[1]
-        own, carry, g_new = _heun_param_steps(pull_x, pull_y, g, N)
-        if n == N - 1:
-            # carry targets theta_N, which the padding rule folds back.
-            pending = own + carry
-        else:
-            yield n + 1, pending + carry, g
-            pending = own
-        g = g_new
-    yield 0, pending, g
+    """Memory-free two-stage sweep: one evaluation and two linearizations per layer."""
+    yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 
 def _collect_sweep(sweep, family, schedule, xN, output_grad) -> GradientSet:
@@ -312,12 +254,3 @@ def compare_gradients(exact: GradientSet, approx: GradientSet) -> GradientCompar
     denoms = np.maximum(np.linalg.norm(exact.param_grads, axis=1), REL_ERROR_FLOOR)
     rels = diffs / denoms
     return GradientComparison(diffs, rels, float(np.max(diffs)), float(np.max(rels)))
-
-
-def comparison_to_csv(cmp: GradientComparison, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "abs_err", "rel_err"])
-        for n, (a, r) in enumerate(zip(cmp.per_layer_abs, cmp.per_layer_rel)):
-            writer.writerow([n, f"{a:.17g}", f"{r:.17g}"])
-        writer.writerow(["max", f"{cmp.max_abs:.17g}", f"{cmp.max_rel:.17g}"])

@@ -11,6 +11,8 @@ and the two-stage (midpoint-corrected) update is
     x_{n+1} = x_n + (1/2N) (f(x_n, theta_n) + f(y_n, theta_{n+1})),
 
 where theta_N falls back to theta_{N-1} (see WeightSchedule.padded_row).
+Each update is one ``Scheme`` (EULER, HEUN) with its pullback; every
+chain and reverse sweep runs one of them through one driver.
 Interpolating fields turn a schedule into a continuous-time right-hand
 side that agrees with f(., theta_n) at every grid time n/N, which is the
 property all error measurements below are anchored on.
@@ -18,7 +20,6 @@ property all error measurements below are anchored on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,7 +41,6 @@ __all__ = [
     "approximation_error",
     "approximation_bound",
     "estimate_c_n",
-    "trajectory_to_csv",
 ]
 
 # A state this large has left the regime where any of the error bounds
@@ -72,6 +72,9 @@ class Trajectory:
             raise ValueError("nodes must hold N+1 states")
         if (self.midpoints is not None) != (self.scheme == "heun"):
             raise ValueError("midpoints are recorded exactly for the heun scheme")
+        if self.midpoints is not None and (
+                self.midpoints.shape != (self.depth,) + self.nodes.shape[1:]):
+            raise ValueError("midpoints must hold N states shaped like the nodes")
 
 
 @dataclass
@@ -112,36 +115,104 @@ def _locate(s, N: int):
     return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
+def _euler_step(f, x, theta_a, theta_b, div, f_first=None):
+    f_first = f(x, theta_a) if f_first is None else f_first
+    return x + f_first / div, None
+
+
+def _heun_step(f, x, theta_a, theta_b, div, f_first=None):
+    f_first = f(x, theta_a) if f_first is None else f_first
+    y = x + f_first / div
+    return x + (f_first + f(y, theta_b)) / (2.0 * div), y
+
+
+def _euler_pullback(linearize, x, stage, theta_a, theta_b, g, N):
+    """grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T g and
+    grad_x_n = [I + (1/N) d_x f(x_n, theta_n)]^T g, from one pullback."""
+    f_x, pull = linearize(x, theta_a)
+    d_x, d_theta = pull(g)
+    return f_x, d_theta / N, None, g + d_x / N
+
+
+def _heun_pullback(linearize, x, stage, theta_a, theta_b, g, N):
+    """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
+
+    Differentiating the two-stage update gives, for g = grad_{x_{n+1}},
+
+      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T (g + (1/N) [d_x f(y_n, theta_{n+1})]^T g)
+      to theta_{n+1}:  (1/2N) [d_theta f(y_n, theta_{n+1})]^T g
+
+    and the state gradient picks up
+
+      grad_{x_n} = g + (1/2N) ( [d_x f(x_n)]^T g + (I + (1/N) d_x f(x_n))^T [d_x f(y_n)]^T g ).
+
+    By linearity in the cotangent, one pullback of f(., theta_n) at x_n
+    (at g + u/N) and one of f(., theta_{n+1}) at the stage point y_n (at
+    g, giving u = [d_x f(y_n)]^T g) give all three terms.
+    """
+    f_x, pull_x = linearize(x, theta_a)
+    if stage is None:
+        stage = x + f_x / N
+    u, carry = linearize(stage, theta_b)[1](g)
+    s, own = pull_x(g + u / N)
+    return f_x, own / (2.0 * N), carry / (2.0 * N), g + (s + u) / (2.0 * N)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One integration scheme, defined once for every chain and sweep.
+
+    ``step(f, x, theta_a, theta_b, div, f_first=None) -> (x_next, stage)``
+    steps by 1/div: forward at div = N from theta_n to theta_{n+1}, in
+    reverse at div = -N from theta_{n+lead} to theta_n.  ``f_first`` is
+    f(x, theta_a) if already known; ``stage`` is None without a stage.
+
+    ``pullback(linearize, x_n, stage, theta_n, theta_{n+1}, g, N) -> (f,
+    own, carry, g_prev)`` differentiates forward step n at g =
+    grad_{x_{n+1}}: ``own`` goes to theta_n, ``carry`` (None without a
+    stage) to theta_{n+1}, g_prev is grad_{x_n}, f is f(x_n, theta_n).
+    """
+
+    name: str
+    lead: int
+    step: Callable
+    pullback: Callable
+
+
+EULER = Scheme("euler", 0, _euler_step, _euler_pullback)
+HEUN = Scheme("heun", 1, _heun_step, _heun_pullback)
+
+
+def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
+             x0, store: bool = True):
+    """Run the chain: its Trajectory if ``store``, else only x_N."""
+    x = family.check_entry(schedule, x0)
+    N = schedule.depth
+    step, f, rows = scheme.step, family._eval, schedule.padded
+    if store:
+        nodes = np.empty((N + 1,) + x.shape)
+        mids = np.empty((N,) + x.shape) if scheme.lead else None
+        nodes[0] = x
+    for n in range(N):
+        x, y = step(f, x, rows[n], rows[n + 1], N)
+        _check_divergence(x, n, "forward chain")
+        if store:
+            nodes[n + 1] = x
+            if y is not None:
+                mids[n] = y
+    return Trajectory(N, nodes, scheme.name, mids) if store else x
+
+
 def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
                         x0) -> Trajectory:
     """Run the single-stage chain; nodes[0] is x0, nodes[N] the output."""
-    x = family.check_entry(schedule, x0)
-    N = schedule.depth
-    nodes = np.empty((N + 1,) + x.shape)
-    nodes[0] = x
-    for n in range(N):
-        x = x + family._eval(x, schedule[n]) / N
-        _check_divergence(x, n, "forward chain")
-        nodes[n + 1] = x
-    return Trajectory(N, nodes, "euler")
+    return _forward(EULER, family, schedule, x0)
 
 
 def forward_heun_chain(family: ResidualFamily, schedule: WeightSchedule,
                        x0) -> Trajectory:
     """Run the two-stage chain, recording the stage points y_n."""
-    x = family.check_entry(schedule, x0)
-    N = schedule.depth
-    nodes = np.empty((N + 1,) + x.shape)
-    mids = np.empty((N,) + x.shape)
-    nodes[0] = x
-    for n in range(N):
-        f_here = family._eval(x, schedule[n])
-        y = x + f_here / N
-        mids[n] = y
-        x = x + (f_here + family._eval(y, schedule.padded_row(n + 1))) / (2.0 * N)
-        _check_divergence(x, n, "forward chain")
-        nodes[n + 1] = x
-    return Trajectory(N, nodes, "heun", midpoints=mids)
+    return _forward(HEUN, family, schedule, x0)
 
 
 def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
@@ -283,16 +354,3 @@ def estimate_c_n(field: VectorField, region_radius: float, samples: int,
         jvp = (field.eval(x + eps * phi, s) - field.eval(x - eps * phi, s)) / (2.0 * eps)
         best = max(best, float(np.linalg.norm(ds + jvp)))
     return best
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump nodes as rows node_index,s,x_0,...,x_{d-1}."""
-    if traj.nodes.ndim != 2:
-        raise ValueError("CSV export only supports unbatched trajectories")
-    d = traj.nodes.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "s"] + [f"x_{j}" for j in range(d)])
-        for n in range(traj.depth + 1):
-            s = n / traj.depth
-            writer.writerow([n, f"{s:.17g}"] + [f"{v:.17g}" for v in traj.nodes[n]])

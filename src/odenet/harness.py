@@ -31,8 +31,10 @@ from .adjoint import (
     reconstruct_backward_heun,
 )
 from .dynamics import (
+    EULER,
+    HEUN,
     DivergenceError,
-    _check_divergence,
+    _forward,
     approximation_error,
     forward_euler_chain,
     forward_heun_chain,
@@ -155,6 +157,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.depths is None:
             self.depths = _default_depths(self.experiment)
         self.depths = tuple(int(n) for n in self.depths)
@@ -583,6 +589,10 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         seed=int(target_rng.integers(2 ** 31)),
         loss_fraction=config.loss_fraction)
     problem = build_problem(sigma, b_target)
+    bound = max_step_size(problem)
+    dt = config.dt if config.dt is not None else bound
+    if dt > bound * (1.0 + 1e-12):  # the tolerance integrate_flow allows
+        raise ConfigError(f"dt {dt:g} exceeds max_step_size {bound:g} for this problem")
 
     regime_reports = {}
     for depth in config.depths:
@@ -591,7 +601,6 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         if not report.passes:
             raise RegimeAbort(depth, report)
 
-    dt = config.dt if config.dt is not None else max_step_size(problem)
     snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
     os.makedirs(config.output_dir, exist_ok=True)
     paths = []
@@ -658,26 +667,6 @@ def _toy_target(tag: str) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: -0.5 * x * x
 
 
-def _forward_output(family, schedule, x0, scheme: str) -> np.ndarray:
-    """Final chain state without storing the trajectory.
-
-    The memory-free training modes use this so that no stored forward
-    activations exist for the backward sweep to (accidentally) read.
-    """
-    x = family.check_entry(schedule, x0)
-    f = family._eval
-    depth = schedule.depth
-    for n in range(depth):
-        if scheme == "euler":
-            x = x + f(x, schedule[n]) / depth
-        else:
-            f_here = f(x, schedule[n])
-            y = x + f_here / depth
-            x = x + (f_here + f(y, schedule.padded_row(n + 1))) / (2.0 * depth)
-        _check_divergence(x, n, "training forward pass")
-    return x
-
-
 def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     """Full-batch gradient descent on a scalar chain, one run per depth.
 
@@ -693,7 +682,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     inputs = np.linspace(config.input_low, config.input_high,
                          config.input_count).reshape(1, -1)
     targets = _toy_target(config.target)(inputs)
-    scheme = "heun" if config.gradient_mode == "adjoint_heun" else "euler"
+    scheme = HEUN if config.gradient_mode == "adjoint_heun" else EULER
 
     os.makedirs(config.output_dir, exist_ok=True)
     runs = {}
@@ -707,18 +696,16 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
                 out = traj.nodes[-1]
                 out_grad = 2.0 * (out - targets) / config.input_count
                 grads = backprop_exact(family, schedule, traj, out_grad)
-            elif config.gradient_mode == "adjoint_euler":
-                out = _forward_output(family, schedule, inputs, "euler")
-                out_grad = 2.0 * (out - targets) / config.input_count
-                grads = backprop_adjoint_euler(family, schedule, out, out_grad)
             else:
-                out = _forward_output(family, schedule, inputs, "heun")
+                # No stored activations exist for the sweep to read.
+                out = _forward(scheme, family, schedule, inputs, store=False)
                 out_grad = 2.0 * (out - targets) / config.input_count
-                grads = backprop_adjoint_heun(family, schedule, out, out_grad)
+                grads = (backprop_adjoint_heun if scheme is HEUN else
+                         backprop_adjoint_euler)(family, schedule, out, out_grad)
             losses[it] = float(np.mean((out - targets) ** 2))
             params = params - config.learning_rate * depth * grads.param_grads
         final_schedule = WeightSchedule(params)
-        final_traj = (forward_heun_chain if scheme == "heun"
+        final_traj = (forward_heun_chain if scheme is HEUN
                       else forward_euler_chain)(family, final_schedule, inputs)
         out = final_traj.nodes[-1]
         losses[config.iterations] = float(np.mean((out - targets) ** 2))

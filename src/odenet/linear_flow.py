@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -51,7 +50,6 @@ __all__ = [
     "product_vs_ode",
     "flow_trace_to_csv",
     "limit_map_to_csv",
-    "schedule_snapshots_to_csv",
 ]
 
 LOSS_INCREASE_RTOL = 1e-9
@@ -518,26 +516,6 @@ def flow_trace_to_csv(trace: FlowTrace, path) -> None:
         for s in trace.samples:
             writer.writerow([f"{s.t:.17g}", f"{s.loss_value:.17g}",
                              f"{s.max_theta_norm:.17g}", f"{s.smoothness_stat:.17g}"])
-
-
-def schedule_snapshots_to_csv(trace: FlowTrace, out_dir) -> list:
-    """Write one file per sampled time holding the full schedule.
-
-    Rows are layers; columns are t, n and the row-major entries of
-    theta_n.  Returns the written paths in sample order.
-    """
-    paths = []
-    for i, s in enumerate(trace.samples):
-        mats = s.schedule.params
-        path = os.path.join(os.fspath(out_dir), f"schedule_{i:03d}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "n"] + [f"theta_{k}" for k in range(mats.shape[1])])
-            for n in range(mats.shape[0]):
-                writer.writerow([f"{s.t:.17g}", str(n + 1)]
-                                + [f"{v:.17g}" for v in mats[n]])
-        paths.append(path)
-    return paths
 
 
 def limit_map_to_csv(report: LimitMapReport, path) -> None:

@@ -1,5 +1,5 @@
 """Residual-function families f(x, theta) with exact pullbacks, plus
-schedule statistics and sampled smoothness constants.
+per-layer parameter schedules and sampled smoothness constants.
 
 A family evaluates states of shape (d,) or batched (d, B); parameter
 vectors are always flat 1-D arrays.  The parameter half of a pullback
@@ -9,7 +9,6 @@ scalar loss.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,7 +26,6 @@ __all__ = [
     "make_identity_family",
     "make_index_schedule",
     "estimate_constants",
-    "weight_smoothness",
 ]
 
 
@@ -126,14 +124,16 @@ class ResidualFamily:
 
 
 class WeightSchedule:
-    """Depth-indexed parameters theta_0..theta_{N-1}, one flat row each."""
+    """Depth-indexed parameters theta_0..theta_{N-1}, one flat row each, read-only;
+    ``padded`` adds theta_N = theta_{N-1}, the padding rule of ``padded_row``."""
 
     def __init__(self, params):
         arr = require_finite(params, "schedule parameters")
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("schedule must be a non-empty (N, param_dim) array")
-        self.params = arr.copy()
-        self.params.setflags(write=False)
+        self.padded = np.concatenate([arr, arr[-1:]])
+        self.padded.setflags(write=False)
+        self.params = self.padded[:-1]
 
     @property
     def depth(self) -> int:
@@ -156,27 +156,9 @@ class WeightSchedule:
         interpolation interval) reference theta_N, which the schedule
         does not carry; the padding rule reuses theta_{N-1}.
         """
-        if 0 <= n < self.depth:
-            return self.params[n]
-        if n == self.depth:
-            return self.params[self.depth - 1]
-        raise IndexError(f"layer index {n} out of range for depth {self.depth}")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer"] + [f"p{j}" for j in range(self.param_dim)])
-            for n in range(self.depth):
-                writer.writerow([n] + [f"{v:.17g}" for v in self.params[n]])
-
-    @classmethod
-    def from_csv(cls, path) -> "WeightSchedule":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or not rows[0] or rows[0][0] != "layer":
-            raise ValueError(f"{path} is not a schedule file")
-        data = [[float(v) for v in row[1:]] for row in rows[1:]]
-        return cls(np.array(data))
+        if not 0 <= n <= self.depth:
+            raise IndexError(f"layer index {n} out of range for depth {self.depth}")
+        return self.padded[n]
 
 
 def _outer_sum(p, q) -> np.ndarray:
@@ -352,11 +334,3 @@ def estimate_constants(family: ResidualFamily, schedule: WeightSchedule,
 def _unit(rng, d):
     v = rng.standard_normal(d)
     return v / max(np.linalg.norm(v), 1e-300)
-
-
-def weight_smoothness(schedule: WeightSchedule) -> float:
-    """max_n ||theta_{n+1} - theta_n||^2 over consecutive layers."""
-    if schedule.depth < 2:
-        raise ValueError("smoothness statistic undefined for a depth-1 schedule")
-    diffs = np.diff(schedule.params, axis=0)
-    return float(np.max(np.sum(diffs**2, axis=1)))

@@ -10,17 +10,18 @@ from odenet.adjoint import (
     adjoint_sweep_euler,
     adjoint_sweep_heun,
     compare_gradients,
-    comparison_to_csv,
     reconstruct_backward_euler,
     reconstruct_backward_heun,
 )
 from odenet.dynamics import (
+    EULER,
+    HEUN,
     DivergenceError,
     Trajectory,
+    _forward,
     forward_euler_chain,
     forward_heun_chain,
 )
-from odenet.harness import _forward_output
 from odenet.numerics import finite_difference_gradient, fit_loglog_slope
 from odenet.residual_models import (
     ResidualFamily,
@@ -320,19 +321,6 @@ class TestCompareGradients:
         with pytest.raises(ValueError):
             GradientSet(np.full((2, 1), np.nan), np.zeros((3, 1)))
 
-    def test_csv_format(self, tmp_path):
-        fam = make_linear_family(1)
-        sched = constant_schedule([1.0], 2)
-        traj = forward_euler_chain(fam, sched, np.array([1.0]))
-        exact = backprop_exact(fam, sched, traj, np.ones(1))
-        approx = backprop_adjoint_euler(fam, sched, traj.nodes[-1], np.ones(1))
-        path = tmp_path / "cmp.csv"
-        comparison_to_csv(compare_gradients(exact, approx), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,abs_err,rel_err"
-        assert lines[1] == "0,0.328125,0.4375"
-        assert lines[-1] == "max,0.328125,0.4375"
-
 
 def _benchmark_rows():
     """Reconstruction and gradient gaps on a fixed smooth-profile net."""
@@ -494,8 +482,8 @@ def _stored(scheme, x, depth):
 ENTRY_POINTS = {
     "forward_euler_chain": lambda f, s, x, g: forward_euler_chain(f, s, x),
     "forward_heun_chain": lambda f, s, x, g: forward_heun_chain(f, s, x),
-    "forward_output_euler": lambda f, s, x, g: _forward_output(f, s, x, "euler"),
-    "forward_output_heun": lambda f, s, x, g: _forward_output(f, s, x, "heun"),
+    "forward_output_euler": lambda f, s, x, g: _forward(EULER, f, s, x, store=False),
+    "forward_output_heun": lambda f, s, x, g: _forward(HEUN, f, s, x, store=False),
     "reconstruct_backward_euler": lambda f, s, x, g: reconstruct_backward_euler(f, s, x),
     "reconstruct_backward_heun": lambda f, s, x, g: reconstruct_backward_heun(f, s, x),
     "backprop_exact": lambda f, s, x, g: backprop_exact(f, s, _stored("euler", x, s.depth), g),

@@ -5,18 +5,20 @@ import pytest
 
 from odenet.dynamics import (
     DIVERGENCE_THRESHOLD,
+    EULER,
+    HEUN,
     DivergenceError,
     Trajectory,
     VectorField,
     approximation_bound,
     _check_divergence,
+    _forward,
     approximation_error,
     estimate_c_n,
     forward_euler_chain,
     forward_heun_chain,
     interpolate,
     solve_ode_oracle,
-    trajectory_to_csv,
 )
 from odenet.numerics import fit_loglog_slope
 from odenet.residual_models import (
@@ -109,6 +111,22 @@ class TestForwardHeunChain:
         assert abs(traj.nodes[-1, 0] - np.e) <= 1e-5
 
 
+class TestForwardWithoutStorage:
+    """The memory-free training forward pass ends exactly where the
+    stored chain does."""
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_output_equals_stored_chain(self, scheme, batch):
+        fam = make_mlp_family(3, 5)
+        rng = np.random.default_rng(11)
+        sched = WeightSchedule(0.4 * rng.standard_normal((32, fam.param_dim)))
+        x0 = rng.standard_normal((3,) if batch is None else (3, batch))
+        chain = {"euler": forward_euler_chain, "heun": forward_heun_chain}[scheme]
+        out = _forward({"euler": EULER, "heun": HEUN}[scheme], fam, sched, x0, store=False)
+        assert np.array_equal(out, chain(fam, sched, x0).nodes[-1])
+
+
 class TestTrajectoryType:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +137,12 @@ class TestTrajectoryType:
             Trajectory(2, np.zeros((3, 1)), "heun")  # midpoints missing
         with pytest.raises(ValueError):
             Trajectory(2, np.zeros((3, 1)), "euler", midpoints=np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            Trajectory(2, np.zeros((3, 1)), "heun", midpoints=np.zeros((1, 1)))  # short
+        with pytest.raises(ValueError):
+            Trajectory(2, np.zeros((3, 2)), "heun", midpoints=np.zeros((2, 3)))  # state dim
+        with pytest.raises(ValueError):
+            Trajectory(2, np.zeros((3, 2, 4)), "heun", midpoints=np.zeros((2, 2)))  # batch
 
 
 class TestInterpolate:
@@ -483,17 +507,3 @@ class TestEstimateCn:
             estimate_c_n(field, 0.0, samples=10)
         with pytest.raises(ValueError):
             estimate_c_n(field, 1.0, samples=0)
-
-
-def test_trajectory_csv_format(tmp_path):
-    fam = make_linear_family(1)
-    traj = forward_euler_chain(fam, constant_schedule([1.0], 2), np.array([1.0]))
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node_index,s,x_0"
-    assert lines[1] == "0,0,1"
-    assert lines[-1] == "2,1,2.25"
-    batched = forward_euler_chain(fam, constant_schedule([1.0], 2), np.ones((1, 3)))
-    with pytest.raises(ValueError):
-        trajectory_to_csv(batched, tmp_path / "b.csv")

@@ -601,6 +601,19 @@ class TestCli:
         assert main(["tightness", "--depths", "4,x"]) == 2
         assert "--depths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,experiment,setting", [
+        ("study", "approx_error", "profile_scale = nan"),
+        ("train", "toy_train", "learning_rate = nan"),
+        ("linflow", "limit_map", "t_end = nan"),
+        ("train", "toy_train", "input_high = inf"),
+        ("linflow", "limit_map", "dt = 0.5"),  # above max_step_size
+    ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt"])
+    def test_unusable_value_exits_2(self, tmp_path, capsys, command, experiment, setting):
+        path = write_cfg(tmp_path, f"experiment = {experiment}\ndepths = 8, 16\n"
+                                   f"{setting}\n")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_tightness_runs_without_config(self, tmp_path, capsys):
         rc = main(["tightness", "--depths", "4", "--out", str(tmp_path)])
         assert rc == 0

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from odenet.linear_flow import (
     max_step_size,
     monitor_invariants,
     product_vs_ode,
-    schedule_snapshots_to_csv,
     small_loss_target,
     state_from_matrices,
     state_from_profile,
@@ -533,17 +531,3 @@ class TestCsvExports:
         assert lines[0] == "t,N,l2_distance"
         assert len(lines) == 1 + len(report.times) * len(report.depths)
         assert lines[1].split(",")[1] == "16"
-
-    def test_schedule_snapshot_files(self, tmp_path):
-        prob = build_problem(np.eye(2), np.eye(2))
-        theta = np.array([[0.1, 0.0], [0.0, -0.1]])
-        trace = integrate_flow(flat_state([theta, theta]), prob, 1.0, 1e-2,
-                               [0.0, 0.5, 1.0])
-        paths = schedule_snapshots_to_csv(trace, tmp_path)
-        assert [os.path.basename(p) for p in paths] == [
-            "schedule_000.csv", "schedule_001.csv", "schedule_002.csv"]
-        lines = (tmp_path / "schedule_000.csv").read_text().strip().splitlines()
-        assert lines[0] == "t,n,theta_0,theta_1,theta_2,theta_3"
-        # two layers plus the header, entries in row-major order
-        assert len(lines) == 3
-        assert lines[1].split(",")[:3] == ["0", "1", "0.10000000000000001"]

@@ -10,7 +10,6 @@ from odenet.residual_models import (
     make_linear_family,
     make_mlp_family,
     make_square_family,
-    weight_smoothness,
 )
 
 ALL_FAMILIES = [
@@ -246,40 +245,8 @@ class TestWeightSchedule:
         with pytest.raises(ValueError):
             WeightSchedule(np.array([[np.nan]]))
 
-    def test_csv_roundtrip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(23)
-        sched = WeightSchedule(rng.standard_normal((5, 3)) / 3.0)
-        path = tmp_path / "sched.csv"
-        sched.to_csv(path)
-        back = WeightSchedule.from_csv(path)
-        assert np.array_equal(back.params, sched.params)
-        # serialization itself is byte-stable
-        path2 = tmp_path / "sched2.csv"
-        back.to_csv(path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_from_csv_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            WeightSchedule.from_csv(path)
-
 
 class TestScheduleStatistics:
-    def test_weight_smoothness_hand_value(self):
-        sched = WeightSchedule(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]))
-        # max squared consecutive gap is 3^2 + 4^2
-        assert weight_smoothness(sched) == pytest.approx(25.0)
-        with pytest.raises(ValueError):
-            weight_smoothness(WeightSchedule(np.zeros((1, 2))))
-
-    @pytest.mark.parametrize("depth", [8, 32, 128])
-    def test_sampled_profile_smoothness_shrinks_quadratically(self, depth):
-        # rows g(n/N) for 1-Lipschitz g give max squared gap <= (c/N)^2
-        g = lambda s: 0.25 * np.sin(2.0 * s)
-        rows = g(np.arange(depth) / depth).reshape(depth, 1)
-        assert weight_smoothness(WeightSchedule(rows)) <= (0.5 / depth) ** 2
-
     def test_index_schedule(self):
         sched = make_index_schedule(3)
         assert sched.depth == 3 and sched.param_dim == 1
