@@ -15,10 +15,11 @@ reconstructed states.  The two-stage scheme reverses both stages,
 and evaluates the same two-term parameter-gradient assembly at the
 reconstructed states.
 
-One driver per sweep kind runs both schemes' ``dynamics.Scheme`` steps.
-The memory-free sweep is a generator that holds only the current state,
-the current state gradient, and one pending parameter contribution.
-Nothing proportional to N is kept alive inside a sweep; collecting the
+One reverse reconstruction and one reverse gradient sweep run both
+schemes' ``dynamics.Scheme`` steps; exact reverse mode is that sweep
+reading x_n from stored nodes instead of rebuilding it.  The sweep is a
+generator that holds only the current state, the current state
+gradient, and one pending parameter contribution; collecting the
 per-layer results into a GradientSet is the caller's choice.
 
 Every sweep validates its inputs once on entry (state and schedule
@@ -93,37 +94,15 @@ class GradientComparison:
     max_rel: float
 
 
-def _check_output_grad(output_grad, state) -> np.ndarray:
-    g = require_finite(output_grad, "output_grad")
-    if g.shape != state.shape:
-        raise ValueError(f"output gradient shape {g.shape} does not match "
-                         f"the state shape {state.shape}")
-    return g
-
-
 def _backprop_exact(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
                     traj: Trajectory, output_grad) -> GradientSet:
-    """Exact reverse mode over a stored trajectory of ``scheme``.  A stage's
-    carry to theta_N is routed back to theta_{N-1} by the padding rule."""
+    """Exact reverse mode: the reverse sweep reading x_n from the stored trajectory."""
     if traj.scheme != scheme.name:
         raise ValueError(f"expected a {scheme.name!r} trajectory, got {traj.scheme!r}")
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
-    N = schedule.depth
-    g = _check_output_grad(output_grad, family.check_entry(schedule, traj.nodes[N], "xN"))
-    pullback, lin, rows = scheme.pullback, family._linearize, schedule.padded
-    mids = traj.midpoints
-    param_grads = np.empty((N, schedule.param_dim))
-    state_grads = np.empty((N + 1,) + g.shape)
-    state_grads[N] = g
-    for n in range(N - 1, -1, -1):
-        stage = None if mids is None else mids[n]
-        _, own, carry, g = pullback(lin, traj.nodes[n], stage, rows[n], rows[n + 1], g, N)
-        param_grads[n] = own
-        if carry is not None:
-            param_grads[min(n + 1, N - 1)] += carry
-        state_grads[n] = g
-    return GradientSet(param_grads, state_grads)
+    return _collect(_sweep(scheme, family, schedule, traj.nodes[-1], output_grad, traj.nodes),
+                    schedule, output_grad)
 
 
 def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
@@ -178,29 +157,38 @@ def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
 
 
 def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
-           xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Memory-free sweep yielding (n, grad_theta_n, grad_x_n), n = N-1..0.
+           xN, output_grad, nodes=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Reverse sweep yielding (n, grad_theta_n, grad_x_n), n = N-1..0.
 
-    A stage's carry to theta_{n+1} comes from reverse step n, so layer
-    n+1 is yielded, from one pending gradient, once step n has run.  At
+    With ``nodes`` (a stored x_0..x_N) it reads x_n there: exact reverse
+    mode.  Without, it rebuilds x~_n by the scheme's reverse step, which
+    is the memory-free adjoint.  A stage's carry to theta_{n+1} comes
+    from step n, so layer n+1 is yielded, from one pending gradient, once
+    step n has run; theta_N's carry is padded back to theta_{N-1}.  At
     lead 1 the pullback's f(x~_n, theta_n) is the next reverse step's
     first evaluation, so only the first step evaluates f(x~_N, theta_N).
     """
     x = family.check_entry(schedule, xN, "xN")
-    g = _check_output_grad(output_grad, x)
+    g = require_finite(output_grad, "output_grad")
+    if g.shape != x.shape:
+        raise ValueError(f"output gradient shape {g.shape} does not match "
+                         f"the state shape {x.shape}")
     N = schedule.depth
     step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
     f, lin, rows = family._eval, family._linearize, schedule.padded
     f_first = pending = None
     for n in range(N - 1, -1, -1):
-        x = step(f, x, rows[n + lead], rows[n], -N, f_first)[0]
-        _check_divergence(x, n, "adjoint sweep")
-        f_x, own, carry, g_new = pullback(lin, x, None, rows[n], rows[n + 1], g, N)
+        if nodes is None:
+            x = step(f, x, rows[n + lead], rows[n], -N, f_first)[0]
+            _check_divergence(x, n, "adjoint sweep")
+        else:
+            x = nodes[n]
+        f_x, own, carry, g_new = pullback(lin, x, rows[n], rows[n + 1], g, N)
         if lead:
             f_first = f_x
         if carry is not None:
             if n == N - 1:
-                own = own + carry  # theta_N is padded back to theta_{N-1}
+                own = own + carry
             else:
                 pending = pending + carry
         if n < N - 1:
@@ -221,13 +209,13 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
     yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 
-def _collect_sweep(sweep, family, schedule, xN, output_grad) -> GradientSet:
-    """Run a memory-free sweep, which yields every layer once and checks
-    its inputs before the first, into a GradientSet."""
+def _collect(sweep, schedule: WeightSchedule, output_grad) -> GradientSet:
+    """Run a reverse sweep, which yields every layer once and checks its
+    inputs before the first, into a GradientSet."""
     N = schedule.depth
     param_grads = np.empty((N, schedule.param_dim))
     state_grads = np.empty((N + 1,) + np.shape(output_grad))
-    for n, theta_grad, g in sweep(family, schedule, xN, output_grad):
+    for n, theta_grad, g in sweep:
         param_grads[n] = theta_grad
         state_grads[n] = g
     state_grads[N] = output_grad
@@ -237,13 +225,13 @@ def _collect_sweep(sweep, family, schedule, xN, output_grad) -> GradientSet:
 def backprop_adjoint_euler(family: ResidualFamily, schedule: WeightSchedule,
                            xN, output_grad) -> GradientSet:
     """Collect the single-stage memory-free sweep into a GradientSet."""
-    return _collect_sweep(adjoint_sweep_euler, family, schedule, xN, output_grad)
+    return _collect(adjoint_sweep_euler(family, schedule, xN, output_grad), schedule, output_grad)
 
 
 def backprop_adjoint_heun(family: ResidualFamily, schedule: WeightSchedule,
                           xN, output_grad) -> GradientSet:
     """Collect the two-stage memory-free sweep into a GradientSet."""
-    return _collect_sweep(adjoint_sweep_heun, family, schedule, xN, output_grad)
+    return _collect(adjoint_sweep_heun(family, schedule, xN, output_grad), schedule, output_grad)
 
 
 def compare_gradients(exact: GradientSet, approx: GradientSet) -> GradientComparison:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import require_finite
-from .residual_models import ResidualFamily, WeightSchedule, _unit
+from .residual_models import ResidualFamily, WeightSchedule
 
 __all__ = [
     "Trajectory",
@@ -87,7 +87,6 @@ class VectorField:
     """
 
     eval: Callable[[np.ndarray, float], np.ndarray]
-    kind: str        # "residual_interp" | "weight_interp" | "direct"
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
     piece: Optional[Callable[[int, list], Callable]] = None
@@ -126,7 +125,7 @@ def _heun_step(f, x, theta_a, theta_b, div, f_first=None):
     return x + (f_first + f(y, theta_b)) / (2.0 * div), y
 
 
-def _euler_pullback(linearize, x, stage, theta_a, theta_b, g, N):
+def _euler_pullback(linearize, x, theta_a, theta_b, g, N):
     """grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T g and
     grad_x_n = [I + (1/N) d_x f(x_n, theta_n)]^T g, from one pullback."""
     f_x, pull = linearize(x, theta_a)
@@ -134,7 +133,7 @@ def _euler_pullback(linearize, x, stage, theta_a, theta_b, g, N):
     return f_x, d_theta / N, None, g + d_x / N
 
 
-def _heun_pullback(linearize, x, stage, theta_a, theta_b, g, N):
+def _heun_pullback(linearize, x, theta_a, theta_b, g, N):
     """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
 
     Differentiating the two-stage update gives, for g = grad_{x_{n+1}},
@@ -148,12 +147,12 @@ def _heun_pullback(linearize, x, stage, theta_a, theta_b, g, N):
 
     By linearity in the cotangent, one pullback of f(., theta_n) at x_n
     (at g + u/N) and one of f(., theta_{n+1}) at the stage point y_n (at
-    g, giving u = [d_x f(y_n)]^T g) give all three terms.
+    g, giving u = [d_x f(y_n)]^T g) give all three terms.  y_n = x_n +
+    f(x_n, theta_n)/N is rebuilt from the linearization's value, bit-equal
+    to the stage the forward step computed.
     """
     f_x, pull_x = linearize(x, theta_a)
-    if stage is None:
-        stage = x + f_x / N
-    u, carry = linearize(stage, theta_b)[1](g)
+    u, carry = linearize(x + f_x / N, theta_b)[1](g)
     s, own = pull_x(g + u / N)
     return f_x, own / (2.0 * N), carry / (2.0 * N), g + (s + u) / (2.0 * N)
 
@@ -167,10 +166,10 @@ class Scheme:
     reverse at div = -N from theta_{n+lead} to theta_n.  ``f_first`` is
     f(x, theta_a) if already known; ``stage`` is None without a stage.
 
-    ``pullback(linearize, x_n, stage, theta_n, theta_{n+1}, g, N) -> (f,
-    own, carry, g_prev)`` differentiates forward step n at g =
-    grad_{x_{n+1}}: ``own`` goes to theta_n, ``carry`` (None without a
-    stage) to theta_{n+1}, g_prev is grad_{x_n}, f is f(x_n, theta_n).
+    ``pullback(linearize, x_n, theta_n, theta_{n+1}, g, N) -> (f, own,
+    carry, g_prev)`` differentiates forward step n at g = grad_{x_{n+1}}:
+    ``own`` goes to theta_n, ``carry`` (None without a stage) to
+    theta_{n+1}, g_prev is grad_{x_n}, f is f(x_n, theta_n).
     """
 
     name: str
@@ -256,8 +255,7 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
             raise ValueError(f"field time {s} outside [0, 1]")
         return piece(int(_locate(s, N)[0]), [s])(family._check_state(x), 0)
 
-    return VectorField(eval_field, kind, depth=N, state_dim=family.state_dim,
-                       piece=piece)
+    return VectorField(eval_field, depth=N, state_dim=family.state_dim, piece=piece)
 
 
 def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
@@ -320,6 +318,11 @@ def approximation_bound(L: float, c_n: float, N: int) -> float:
         return c_n / (2.0 * N)
     # expm1 keeps the L -> 0 limit (e^L - 1)/L -> 1 continuous.
     return float(np.expm1(L) / (2.0 * N * L) * c_n)
+
+
+def _unit(rng, d):
+    v = rng.standard_normal(d)
+    return v / max(np.linalg.norm(v), 1e-300)
 
 
 def estimate_c_n(field: VectorField, region_radius: float, samples: int,

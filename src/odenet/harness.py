@@ -178,8 +178,10 @@ class ExperimentConfig:
             raise ConfigError("profile_scale must be positive")
         if self.state_dim < 1 or self.hidden_dim < 1 or self.sigma_dim < 1:
             raise ConfigError("dimensions must be >= 1")
-        if self.t_end < 0 or (self.dt is not None and self.dt <= 0):
-            raise ConfigError("t_end must be >= 0 and dt positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.t_end <= 0 or (self.dt is not None and self.dt <= 0):
+            raise ConfigError("t_end and dt must be positive")
         if not 0.0 < self.loss_fraction < 1.0:
             raise ConfigError("loss_fraction must lie in (0, 1)")
         if self.grid_points < 1 or self.probes < 1 or self.snapshot_count < 2:
@@ -579,6 +581,9 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     """
     if config.experiment not in FLOW_EXPERIMENTS:
         raise ConfigError(f"not a linear-flow experiment: {config.experiment!r}")
+    if len(config.depths) >= 3 and any(config.grid_points % n for n in config.depths):
+        raise ConfigError(f"grid_points {config.grid_points} must be a multiple of "
+                          f"every depth for the limit map")
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     sigma = np.eye(config.sigma_dim)
     profile = _matrix_profile(config, profile_rng)

@@ -473,8 +473,7 @@ def product_vs_ode(state: FlowState, problem: RegressionProblem,
         layers = list(thetas[_locate(times, n_layers)[0]])
         return lambda x, m: layers[m] @ x
 
-    field = VectorField(eval_field, "direct", depth=n_layers, state_dim=d,
-                        piece=piece)
+    field = VectorField(eval_field, depth=n_layers, state_dim=d, piece=piece)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((d, probes))
     x0 /= np.linalg.norm(x0, axis=0)

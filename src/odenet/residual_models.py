@@ -1,5 +1,5 @@
 """Residual-function families f(x, theta) with exact pullbacks, plus
-per-layer parameter schedules and sampled smoothness constants.
+per-layer parameter schedules.
 
 A family evaluates states of shape (d,) or batched (d, B); parameter
 vectors are always flat 1-D arrays.  The parameter half of a pullback
@@ -9,23 +9,20 @@ scalar loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import require_finite, spectral_norm
+from .numerics import require_finite
 
 __all__ = [
     "ResidualFamily",
     "WeightSchedule",
-    "SmoothnessConstants",
     "make_linear_family",
     "make_mlp_family",
     "make_square_family",
     "make_identity_family",
     "make_index_schedule",
-    "estimate_constants",
 ]
 
 
@@ -146,9 +143,6 @@ class WeightSchedule:
     def __getitem__(self, n: int) -> np.ndarray:
         return self.params[n]
 
-    def __len__(self) -> int:
-        return self.depth
-
     def padded_row(self, n: int) -> np.ndarray:
         """Row n, with n == depth mapped to the last row.
 
@@ -184,8 +178,8 @@ def make_linear_family(d: int) -> ResidualFamily:
 def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
     """Two-layer residual f(x, (W1, W2)) = W2 tanh(W1 x).
 
-    tanh keeps every derivative of f bounded, which the smoothness
-    estimates below rely on.  Parameters are concatenated row-major:
+    tanh keeps every derivative of f bounded; as tanh' <= 1,
+    ||d_x f|| <= ||W2|| ||W1||.  Parameters are concatenated row-major:
     W1 is (hidden, d), W2 is (d, hidden).
     """
     if d < 1 or hidden < 1:
@@ -251,86 +245,3 @@ def make_index_schedule(N: int) -> WeightSchedule:
     if N < 1:
         raise ValueError("depth must be >= 1")
     return WeightSchedule(np.arange(N, dtype=float).reshape(N, 1))
-
-
-@dataclass(frozen=True)
-class SmoothnessConstants:
-    """Sampled suprema over a state ball and the schedule's parameters.
-
-    Sampling only ever sees finitely many points, so every field is a
-    lower bound on the true supremum.
-    """
-
-    c_f: float            # sup ||f||
-    l_f: float            # sup ||d_x f||            (state-Lipschitz)
-    l_df: float           # Lipschitz of d_x f in x
-    omega: float          # sup ||d_theta f||
-    delta_param: float    # Lipschitz of d_theta f in x
-    l_theta: float        # Lipschitz of f in theta
-    l_theta_prime: float  # Lipschitz of d_x f in theta
-    region_radius: float
-
-
-def _param_jacobian(family: ResidualFamily, x, theta) -> np.ndarray:
-    """Assemble d_theta f as a (d, param_dim) matrix from pullback rows."""
-    pullback = family.linearize(x, theta)[1]
-    return np.array([pullback(e)[1] for e in np.eye(family.state_dim)])
-
-
-def estimate_constants(family: ResidualFamily, schedule: WeightSchedule,
-                       region_radius: float, samples: int,
-                       seed: int = 0) -> SmoothnessConstants:
-    """Monte-Carlo estimates of the boundedness/Lipschitz constants.
-
-    Draws are consumed in a fixed order from a seeded generator, so the
-    sampled set for ``samples = k`` is a prefix of the set for any
-    larger count: estimates are deterministic and never decrease as
-    ``samples`` grows.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if region_radius <= 0.0:
-        raise ValueError("region_radius must be positive")
-
-    rng = np.random.default_rng(seed)
-    d = family.state_dim
-    thetas = [schedule[n] for n in range(schedule.depth)]
-    theta_pairs = [(schedule[n], schedule[n + 1]) for n in range(schedule.depth - 1)]
-
-    c_f = l_f = l_df = omega = delta_param = l_theta = l_theta_prime = 0.0
-    for k in range(samples):
-        direction = _unit(rng, d)
-        # Alternate interior and boundary samples; suprema of the
-        # norm-like quantities here are typically attained at the rim.
-        radius = region_radius if k % 2 else region_radius * rng.random() ** (1.0 / d)
-        x = radius * direction
-        x_alt = region_radius * rng.random() ** (1.0 / d) * _unit(rng, d)
-        gap = np.linalg.norm(x - x_alt)
-
-        for theta in thetas:
-            c_f = max(c_f, float(np.linalg.norm(family.eval(x, theta))))
-            jac = family.jac_state(x, theta)
-            l_f = max(l_f, spectral_norm(jac))
-            pjac = _param_jacobian(family, x, theta)
-            omega = max(omega, spectral_norm(pjac))
-            if gap > 1e-9:
-                jac_alt = family.jac_state(x_alt, theta)
-                l_df = max(l_df, spectral_norm(jac - jac_alt) / gap)
-                pjac_alt = _param_jacobian(family, x_alt, theta)
-                delta_param = max(delta_param, spectral_norm(pjac - pjac_alt) / gap)
-        for ta, tb in theta_pairs:
-            tgap = np.linalg.norm(ta - tb)
-            if tgap <= 1e-12:
-                continue
-            df = np.linalg.norm(family.eval(x, ta) - family.eval(x, tb))
-            l_theta = max(l_theta, df / tgap)
-            dj = spectral_norm(family.jac_state(x, ta) - family.jac_state(x, tb))
-            l_theta_prime = max(l_theta_prime, dj / tgap)
-
-    return SmoothnessConstants(c_f, l_f, l_df, omega, delta_param,
-                               l_theta, l_theta_prime, region_radius)
-
-
-def _unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / max(np.linalg.norm(v), 1e-300)

@@ -116,6 +116,19 @@ class TestExactBackpropHeun:
         fd = finite_difference_gradient(loss, sched.params.ravel(), eps=1e-6)
         assert np.max(np.abs(fd - grads.param_grads.ravel())) <= 1e-8
 
+    def test_reads_only_the_stored_nodes(self):
+        """Each stage point is rebuilt from its node's linearization, so
+        overwritten midpoints leave the gradients bit-for-bit unchanged."""
+        fam = make_mlp_family(2, 3)
+        sched = cubic_profile_schedule(8, fam.param_dim)
+        traj = forward_heun_chain(fam, sched, np.random.default_rng(2).standard_normal((2, 5)))
+        g = np.random.default_rng(3).standard_normal((2, 5))
+        want = backprop_exact_heun(fam, sched, traj, g)
+        bent = Trajectory(traj.depth, traj.nodes, "heun", traj.midpoints + 1.0)
+        got = backprop_exact_heun(fam, sched, bent, g)
+        assert np.array_equal(got.param_grads, want.param_grads)
+        assert np.array_equal(got.state_grads, want.state_grads)
+
     def test_rejects_missing_midpoints(self):
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)

@@ -323,7 +323,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("depth", [1, 2, 4, 8])
     def test_estimate_bounds_the_true_error(self, depth):
-        field = VectorField(lambda x, s: x * (1.0 - x), "direct",
+        field = VectorField(lambda x, s: x * (1.0 - x),
                             depth=1, state_dim=1)
         x0 = np.array([0.2])
         sol, estimate = harness._oracle(field, x0, depth)
@@ -607,12 +607,31 @@ class TestCli:
         ("linflow", "limit_map", "t_end = nan"),
         ("train", "toy_train", "input_high = inf"),
         ("linflow", "limit_map", "dt = 0.5"),  # above max_step_size
-    ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt"])
+        ("study", "approx_error", "seed = -1"),
+        ("linflow", "limit_map", "t_end = 0"),
+    ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt", "seed",
+            "t_end_zero"])
     def test_unusable_value_exits_2(self, tmp_path, capsys, command, experiment, setting):
         path = write_cfg(tmp_path, f"experiment = {experiment}\ndepths = 8, 16\n"
                                    f"{setting}\n")
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 8, 16\n")
+        assert main(["study", "--config", path, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_grid_points_off_the_depths_exits_2_before_writing(self, tmp_path, capsys):
+        """The limit map's grid check runs before any depth is integrated,
+        so no trace or doubling file is left behind."""
+        path = write_cfg(tmp_path, "experiment = limit_map\ndepths = 8, 16, 32\n"
+                                   "grid_points = 8\nt_end = 1\nsigma_dim = 2\n")
+        out = tmp_path / "out"
+        assert main(["linflow", "--config", path, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("**/*"))
 
     def test_tightness_runs_without_config(self, tmp_path, capsys):
         rc = main(["tightness", "--depths", "4", "--out", str(tmp_path)])

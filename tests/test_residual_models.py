@@ -4,7 +4,6 @@ import pytest
 from odenet.residual_models import (
     ResidualFamily,
     WeightSchedule,
-    estimate_constants,
     make_identity_family,
     make_index_schedule,
     make_linear_family,
@@ -253,34 +252,3 @@ class TestScheduleStatistics:
         assert np.array_equal(sched.params.ravel(), [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             make_index_schedule(0)
-
-
-class TestEstimateConstants:
-    def test_linear_family_exact_jacobian_constants(self):
-        fam = make_linear_family(2)
-        theta = np.array([0.3, 0.1, -0.2, 0.4])
-        sched = WeightSchedule(np.tile(theta, (3, 1)))
-        consts = estimate_constants(fam, sched, region_radius=2.0, samples=40)
-        # d_x f = theta everywhere, so the sampled sup is exact
-        from odenet.numerics import spectral_norm
-        assert consts.l_f == pytest.approx(spectral_norm(theta.reshape(2, 2)), rel=1e-9)
-        assert consts.l_df == pytest.approx(0.0, abs=1e-12)
-        # ||f(x)|| <= ||theta|| r on the ball, with equality out of reach
-        assert consts.c_f <= spectral_norm(theta.reshape(2, 2)) * 2.0 + 1e-12
-
-    def test_estimates_monotone_in_samples(self):
-        fam = make_mlp_family(2, 3)
-        rng = np.random.default_rng(5)
-        sched = WeightSchedule(rng.standard_normal((4, fam.param_dim)) * 0.3)
-        small = estimate_constants(fam, sched, 1.0, samples=10, seed=1)
-        big = estimate_constants(fam, sched, 1.0, samples=60, seed=1)
-        for field in ("c_f", "l_f", "l_df", "omega", "l_theta"):
-            assert getattr(big, field) >= getattr(small, field)
-
-    def test_input_validation(self):
-        fam = make_identity_family()
-        sched = make_index_schedule(2)
-        with pytest.raises(ValueError):
-            estimate_constants(fam, sched, 1.0, samples=0)
-        with pytest.raises(ValueError):
-            estimate_constants(fam, sched, -1.0, samples=5)
