@@ -97,8 +97,8 @@ class GradientComparison:
 def _backprop_exact(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
                     traj: Trajectory, output_grad) -> GradientSet:
     """Exact reverse mode: the reverse sweep reading x_n from the stored trajectory."""
-    if traj.scheme != scheme.name:
-        raise ValueError(f"expected a {scheme.name!r} trajectory, got {traj.scheme!r}")
+    if traj.scheme is not scheme:
+        raise ValueError(f"expected a {scheme.name!r} trajectory, got {traj.scheme.name!r}")
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
     return _collect(_sweep(scheme, family, schedule, traj.nodes[-1], output_grad, traj.nodes),
@@ -124,15 +124,12 @@ def _reconstruct(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedul
     N = schedule.depth
     step, f, rows, lead = scheme.step, family._eval, schedule.padded, scheme.lead
     nodes = np.empty((N + 1,) + x.shape)
-    mids = np.empty((N,) + x.shape) if lead else None
     nodes[N] = x
     for n in range(N - 1, -1, -1):
-        x, y = step(f, x, rows[n + lead], rows[n], -N)
+        x = step(f, x, rows[n + lead], rows[n], -N)
         _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
-        if y is not None:
-            mids[n] = y
-    rec = Trajectory(N, nodes, scheme.name, mids)
+    rec = Trajectory(nodes, scheme)
     if true_traj is None:
         return ReconstructionReport(rec, None, None)
     if true_traj.nodes.shape != rec.nodes.shape:
@@ -152,7 +149,7 @@ def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
 def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
                               xN, true_traj: Optional[Trajectory] = None
                               ) -> ReconstructionReport:
-    """Two-stage reverse sweep; records the reverse stage points y~_n."""
+    """Two-stage reverse sweep from the output alone."""
     return _reconstruct(HEUN, family, schedule, xN, true_traj)
 
 
@@ -179,7 +176,7 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     f_first = pending = None
     for n in range(N - 1, -1, -1):
         if nodes is None:
-            x = step(f, x, rows[n + lead], rows[n], -N, f_first)[0]
+            x = step(f, x, rows[n + lead], rows[n], -N, f_first)
             _check_divergence(x, n, "adjoint sweep")
         else:
             x = nodes[n]

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 from .dynamics import DivergenceError
 from .harness import (
+    FLOW_EXPERIMENTS,
+    SCALING_EXPERIMENTS,
     AllDepthsDiverged,
     ConfigError,
     ExperimentConfig,
@@ -26,9 +28,9 @@ from .harness import (
 )
 
 _COMMAND_EXPERIMENTS = {
-    "study": ("approx_error", "euler_adjoint", "heun_adjoint"),
+    "study": SCALING_EXPERIMENTS,
     "tightness": ("tightness_suite",),
-    "linflow": ("linear_flow", "limit_map"),
+    "linflow": FLOW_EXPERIMENTS,
     "train": ("toy_train",),
 }
 

@@ -57,27 +57,6 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class Trajectory:
-    """Forward states x_0..x_N, plus the stage points y_n for two-stage runs."""
-
-    depth: int
-    nodes: np.ndarray                 # (N+1, d) or (N+1, d, B)
-    scheme: str                       # "euler" | "heun"
-    midpoints: Optional[np.ndarray] = None  # (N, d...) when scheme == "heun"
-
-    def __post_init__(self):
-        if self.scheme not in ("euler", "heun"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.nodes.shape[0] != self.depth + 1:
-            raise ValueError("nodes must hold N+1 states")
-        if (self.midpoints is not None) != (self.scheme == "heun"):
-            raise ValueError("midpoints are recorded exactly for the heun scheme")
-        if self.midpoints is not None and (
-                self.midpoints.shape != (self.depth,) + self.nodes.shape[1:]):
-            raise ValueError("midpoints must hold N states shaped like the nodes")
-
-
-@dataclass
 class VectorField:
     """Right-hand side of dx/ds = eval(x, s) on s in [0, 1].
 
@@ -116,13 +95,12 @@ def _locate(s, N: int):
 
 def _euler_step(f, x, theta_a, theta_b, div, f_first=None):
     f_first = f(x, theta_a) if f_first is None else f_first
-    return x + f_first / div, None
+    return x + f_first / div
 
 
 def _heun_step(f, x, theta_a, theta_b, div, f_first=None):
     f_first = f(x, theta_a) if f_first is None else f_first
-    y = x + f_first / div
-    return x + (f_first + f(y, theta_b)) / (2.0 * div), y
+    return x + (f_first + f(x + f_first / div, theta_b)) / (2.0 * div)
 
 
 def _euler_pullback(linearize, x, theta_a, theta_b, g, N):
@@ -161,10 +139,10 @@ def _heun_pullback(linearize, x, theta_a, theta_b, g, N):
 class Scheme:
     """One integration scheme, defined once for every chain and sweep.
 
-    ``step(f, x, theta_a, theta_b, div, f_first=None) -> (x_next, stage)``
-    steps by 1/div: forward at div = N from theta_n to theta_{n+1}, in
-    reverse at div = -N from theta_{n+lead} to theta_n.  ``f_first`` is
-    f(x, theta_a) if already known; ``stage`` is None without a stage.
+    ``step(f, x, theta_a, theta_b, div, f_first=None) -> x_next`` steps
+    by 1/div: forward at div = N from theta_n to theta_{n+1}, in reverse
+    at div = -N from theta_{n+lead} to theta_n.  ``f_first`` is
+    f(x, theta_a) if already known.
 
     ``pullback(linearize, x_n, theta_n, theta_{n+1}, g, N) -> (f, own,
     carry, g_prev)`` differentiates forward step n at g = grad_{x_{n+1}}:
@@ -182,6 +160,22 @@ EULER = Scheme("euler", 0, _euler_step, _euler_pullback)
 HEUN = Scheme("heun", 1, _heun_step, _heun_pullback)
 
 
+@dataclass
+class Trajectory:
+    """States x_0..x_N of a chain and the scheme that ran it."""
+
+    nodes: np.ndarray                 # (N+1, d) or (N+1, d, B)
+    scheme: Scheme
+
+    def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
+
+    @property
+    def depth(self) -> int:
+        return self.nodes.shape[0] - 1
+
+
 def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
              x0, store: bool = True):
     """Run the chain: its Trajectory if ``store``, else only x_N."""
@@ -190,16 +184,13 @@ def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     step, f, rows = scheme.step, family._eval, schedule.padded
     if store:
         nodes = np.empty((N + 1,) + x.shape)
-        mids = np.empty((N,) + x.shape) if scheme.lead else None
         nodes[0] = x
     for n in range(N):
-        x, y = step(f, x, rows[n], rows[n + 1], N)
+        x = step(f, x, rows[n], rows[n + 1], N)
         _check_divergence(x, n, "forward chain")
         if store:
             nodes[n + 1] = x
-            if y is not None:
-                mids[n] = y
-    return Trajectory(N, nodes, scheme.name, mids) if store else x
+    return Trajectory(nodes, scheme) if store else x
 
 
 def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
@@ -210,7 +201,7 @@ def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,
 
 def forward_heun_chain(family: ResidualFamily, schedule: WeightSchedule,
                        x0) -> Trajectory:
-    """Run the two-stage chain, recording the stage points y_n."""
+    """Run the two-stage chain; nodes[0] is x0, nodes[N] the output."""
     return _forward(HEUN, family, schedule, x0)
 
 

@@ -47,9 +47,7 @@ from .linear_flow import (
     check_small_loss_regime,
     depth_double_compare,
     extract_limit_map,
-    flow_trace_to_csv,
     integrate_flow,
-    limit_map_to_csv,
     max_step_size,
     monitor_invariants,
     product_vs_ode,
@@ -248,9 +246,16 @@ def _fmt(x) -> str:
 
 def _write_rows(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _output_dir(config: ExperimentConfig) -> str:
+    """Create the output directory before any work; an unusable one is a ConfigError."""
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output_dir {config.output_dir!r}: {exc.strerror}") from exc
+    return config.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,7 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     """Sweep depths, record error metrics, fit log-log slopes, emit CSVs."""
     if config.experiment not in SCALING_EXPERIMENTS:
         raise ConfigError(f"not a scaling experiment: {config.experiment!r}")
+    out_dir = _output_dir(config)
     profile_rng, data_rng = _child_rngs(config.seed, 2)
     family = _make_family(config)
     profile = _make_profile(config, family.param_dim, profile_rng)
@@ -460,9 +466,8 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
         fit_flags[name] = ("ok" if fit.r_squared >= config.slope_r2_min
                            else "low_confidence")
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    study_path = os.path.join(config.output_dir, "study.csv")
-    slopes_path = os.path.join(config.output_dir, "slopes.csv")
+    study_path = os.path.join(out_dir, "study.csv")
+    slopes_path = os.path.join(out_dir, "slopes.csv")
     _write_rows(study_path, ["N", "metric", "value"],
                 [[r.depth, r.metric, _fmt(r.value)] for r in records])
     slope_rows = []
@@ -530,10 +535,10 @@ TIGHTNESS_CASES = ("linear_drift", "index_residual", "alternating_square")
 
 def run_tightness_suite(config: ExperimentConfig) -> list:
     """Measured chain-vs-flow gaps against their closed-form values."""
+    out_dir = _output_dir(config)
     records = [_tightness_case(case, depth)
                for case in TIGHTNESS_CASES for depth in config.depths]
-    os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, "tightness.csv")
+    path = os.path.join(out_dir, "tightness.csv")
     _write_rows(path, ["case", "N", "measured", "analytic"],
                 [[r.case, r.depth, _fmt(r.measured), _fmt(r.analytic)]
                  for r in records])
@@ -584,6 +589,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     if len(config.depths) >= 3 and any(config.grid_points % n for n in config.depths):
         raise ConfigError(f"grid_points {config.grid_points} must be a multiple of "
                           f"every depth for the limit map")
+    out_dir = _output_dir(config)
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     sigma = np.eye(config.sigma_dim)
     profile = _matrix_profile(config, profile_rng)
@@ -607,15 +613,16 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
             raise RegimeAbort(depth, report)
 
     snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
-    os.makedirs(config.output_dir, exist_ok=True)
     paths = []
     traces, monitor_reports, product_gaps = {}, {}, {}
     for depth in config.depths:
         trace = integrate_flow(states0[depth], problem, config.t_end, dt, snapshots)
         traces[depth] = trace
         monitor_reports[depth] = monitor_invariants(trace, problem)
-        path = os.path.join(config.output_dir, f"trace_N{depth}.csv")
-        flow_trace_to_csv(trace, path)
+        path = os.path.join(out_dir, f"trace_N{depth}.csv")
+        _write_rows(path, ["t", "loss", "max_theta_norm", "smoothness_stat"],
+                    [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
+                      _fmt(r.smoothness_stat)] for r in trace.samples])
         paths.append(path)
         last = trace.samples[-1]
         product_gaps[depth] = product_vs_ode(FlowState(last.schedule, last.t),
@@ -626,7 +633,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         if 2 * depth in traces:
             doubling[depth] = depth_double_compare(traces[depth], traces[2 * depth])
     if doubling:
-        dbl_path = os.path.join(config.output_dir, "doubling.csv")
+        dbl_path = os.path.join(out_dir, "doubling.csv")
         _write_rows(dbl_path, ["N", "sup_distance"],
                     [[n, _fmt(doubling[n])] for n in sorted(doubling)])
         paths.append(dbl_path)
@@ -635,11 +642,14 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     if len(config.depths) >= 3:
         limit_report = extract_limit_map([traces[n] for n in config.depths],
                                          grid_points=config.grid_points)
-        lm_path = os.path.join(config.output_dir, "limitmap.csv")
-        limit_map_to_csv(limit_report, lm_path)
+        lm_path = os.path.join(out_dir, "limitmap.csv")
+        _write_rows(lm_path, ["t", "N", "l2_distance"],
+                    [[_fmt(t), int(n), _fmt(limit_report.distances[ti, ni])]
+                     for ti, t in enumerate(limit_report.times)
+                     for ni, n in enumerate(limit_report.depths)])
         paths.append(lm_path)
 
-    prod_path = os.path.join(config.output_dir, "productode.csv")
+    prod_path = os.path.join(out_dir, "productode.csv")
     _write_rows(prod_path, ["N", "discrepancy"],
                 [[n, _fmt(product_gaps[n])] for n in config.depths])
     paths.append(prod_path)
@@ -681,6 +691,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     """
     if config.experiment != "toy_train":
         raise ConfigError(f"not a toy-training experiment: {config.experiment!r}")
+    out_dir = _output_dir(config)
     profile_rng, = _child_rngs(config.seed, 1)
     family = make_mlp_family(1, config.hidden_dim)
     profile = _make_profile(config, family.param_dim, profile_rng)
@@ -689,7 +700,6 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     targets = _toy_target(config.target)(inputs)
     scheme = HEUN if config.gradient_mode == "adjoint_heun" else EULER
 
-    os.makedirs(config.output_dir, exist_ok=True)
     runs = {}
     for depth in config.depths:
         params = profile.rows(depth, family.param_dim)
@@ -715,10 +725,10 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         out = final_traj.nodes[-1]
         losses[config.iterations] = float(np.mean((out - targets) ** 2))
 
-        losses_path = os.path.join(config.output_dir, f"losses_N{depth}.csv")
+        losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
         _write_rows(losses_path, ["iteration", "loss"],
                     [[k, _fmt(losses[k])] for k in range(losses.size)])
-        traj_path = os.path.join(config.output_dir, f"trajectories_N{depth}.csv")
+        traj_path = os.path.join(out_dir, f"trajectories_N{depth}.csv")
         rows = []
         s_values = np.arange(depth + 1) / depth
         for b in range(config.input_count):

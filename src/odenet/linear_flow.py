@@ -16,7 +16,6 @@ of the induced linear ODE.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -48,8 +47,6 @@ __all__ = [
     "extract_limit_map",
     "LimitMapReport",
     "product_vs_ode",
-    "flow_trace_to_csv",
-    "limit_map_to_csv",
 ]
 
 LOSS_INCREASE_RTOL = 1e-9
@@ -124,7 +121,7 @@ def state_from_matrices(thetas, t: float = 0.0) -> FlowState:
 
 def state_from_profile(profile: Callable[[float], np.ndarray], depth: int,
                        t: float = 0.0) -> FlowState:
-    """Sample layer matrices from a continuous profile at cell midpoints.
+    """Sample layer matrices from a continuous profile at cell centers.
 
     Layer n (1-based) covers the depth interval ((n-1)/N, n/N], so it
     reads the profile at the center (n - 1/2)/N.  Midpoint sampling
@@ -408,7 +405,7 @@ def _profile_values(thetas: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
 def extract_limit_map(traces: Sequence[FlowTrace], grid_points: int = 256) -> LimitMapReport:
     """L2 convergence of the depth profiles toward the deepest trace.
 
-    The step profile of each schedule is sampled at grid midpoints
+    The step profile of each schedule is sampled at grid cell centers
     (j + 1/2)/grid_points; with depths dividing grid_points the
     quadrature integrates each piecewise-constant profile exactly.
     """
@@ -506,22 +503,3 @@ def small_loss_target(sigma, state0: FlowState, seed: int = 0,
     direction /= math.sqrt(float(np.einsum("ij,jk,ik->", direction, s, direction)))
     eps = threshold * math.sqrt(loss_fraction)
     return transport_product(state0.matrices()) + eps * direction
-
-
-def flow_trace_to_csv(trace: FlowTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "loss", "max_theta_norm", "smoothness_stat"])
-        for s in trace.samples:
-            writer.writerow([f"{s.t:.17g}", f"{s.loss_value:.17g}",
-                             f"{s.max_theta_norm:.17g}", f"{s.smoothness_stat:.17g}"])
-
-
-def limit_map_to_csv(report: LimitMapReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "N", "l2_distance"])
-        for ti, t in enumerate(report.times):
-            for ni, n in enumerate(report.depths):
-                writer.writerow([f"{t:.17g}", f"{int(n)}",
-                                 f"{report.distances[ti, ni]:.17g}"])

@@ -116,19 +116,6 @@ class TestExactBackpropHeun:
         fd = finite_difference_gradient(loss, sched.params.ravel(), eps=1e-6)
         assert np.max(np.abs(fd - grads.param_grads.ravel())) <= 1e-8
 
-    def test_reads_only_the_stored_nodes(self):
-        """Each stage point is rebuilt from its node's linearization, so
-        overwritten midpoints leave the gradients bit-for-bit unchanged."""
-        fam = make_mlp_family(2, 3)
-        sched = cubic_profile_schedule(8, fam.param_dim)
-        traj = forward_heun_chain(fam, sched, np.random.default_rng(2).standard_normal((2, 5)))
-        g = np.random.default_rng(3).standard_normal((2, 5))
-        want = backprop_exact_heun(fam, sched, traj, g)
-        bent = Trajectory(traj.depth, traj.nodes, "heun", traj.midpoints + 1.0)
-        got = backprop_exact_heun(fam, sched, bent, g)
-        assert np.array_equal(got.param_grads, want.param_grads)
-        assert np.array_equal(got.state_grads, want.state_grads)
-
     def test_rejects_missing_midpoints(self):
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)
@@ -194,10 +181,11 @@ class TestFiniteDifferenceOracle:
         for n in range(N):
             g_here = grads.state_grads[n]
             g_below = grads.state_grads[max(n - 1, 0)]
-            u = fam.vjp_state(traj.midpoints[n], sched.padded_row(n + 1), g_here)
+            y_n = traj.nodes[n] + fam.eval(traj.nodes[n], sched[n]) / N
+            u = fam.vjp_state(y_n, sched.padded_row(n + 1), g_here)
             alt[n] += fam.vjp_params(traj.nodes[n], sched[n], g_here + u / N) / (2 * N)
             alt[min(n + 1, N - 1)] += fam.vjp_params(
-                traj.midpoints[n], sched.padded_row(n + 1), g_below) / (2 * N)
+                y_n, sched.padded_row(n + 1), g_below) / (2 * N)
         res_mech = np.linalg.norm(fd - grads.param_grads.ravel())
         res_alt = np.linalg.norm(fd - alt.ravel())
         print(f"assembly residuals: adjacent-node {res_mech:.3e}, "
@@ -486,8 +474,7 @@ def counting_family(fam):
 
 def _stored(scheme, x, depth):
     """A stored trajectory that sits at x; only its shapes matter."""
-    nodes = np.repeat(x[None], depth + 1, axis=0)
-    return Trajectory(depth, nodes, scheme, midpoints=nodes[1:] if scheme == "heun" else None)
+    return Trajectory(np.repeat(x[None], depth + 1, axis=0), scheme)
 
 
 # Every chain and sweep entry point, called as run(family, schedule, x, g)
@@ -499,9 +486,9 @@ ENTRY_POINTS = {
     "forward_output_heun": lambda f, s, x, g: _forward(HEUN, f, s, x, store=False),
     "reconstruct_backward_euler": lambda f, s, x, g: reconstruct_backward_euler(f, s, x),
     "reconstruct_backward_heun": lambda f, s, x, g: reconstruct_backward_heun(f, s, x),
-    "backprop_exact": lambda f, s, x, g: backprop_exact(f, s, _stored("euler", x, s.depth), g),
+    "backprop_exact": lambda f, s, x, g: backprop_exact(f, s, _stored(EULER, x, s.depth), g),
     "backprop_exact_heun": lambda f, s, x, g: backprop_exact_heun(
-        f, s, _stored("heun", x, s.depth), g),
+        f, s, _stored(HEUN, x, s.depth), g),
     "adjoint_sweep_euler": lambda f, s, x, g: list(adjoint_sweep_euler(f, s, x, g)),
     "adjoint_sweep_heun": lambda f, s, x, g: list(adjoint_sweep_heun(f, s, x, g)),
     "backprop_adjoint_euler": lambda f, s, x, g: backprop_adjoint_euler(f, s, x, g),

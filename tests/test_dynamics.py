@@ -45,7 +45,7 @@ class TestForwardEulerChain:
         sched = WeightSchedule(np.zeros((5, fam.param_dim)))
         traj = forward_euler_chain(fam, sched, np.array([1.0, -2.0, 0.5]))
         assert np.all(traj.nodes == traj.nodes[0])
-        assert traj.scheme == "euler" and traj.midpoints is None
+        assert traj.scheme is EULER
 
     def test_scalar_linear_hand_values(self):
         # x_{n+1} = x_n (1 + 1/2): nodes 1, 1.5, 2.25
@@ -94,9 +94,11 @@ class TestForwardHeunChain:
     def test_scalar_linear_hand_values(self):
         """Per-step factor 1 + 1/2 + 1/8 = 1.625 for theta = 1, N = 2."""
         fam = make_linear_family(1)
-        traj = forward_heun_chain(fam, constant_schedule([1.0], 2), np.array([1.0]))
+        sched = constant_schedule([1.0], 2)
+        traj = forward_heun_chain(fam, sched, np.array([1.0]))
         assert traj.nodes[:, 0] == pytest.approx([1.0, 1.625, 2.640625])
-        assert traj.midpoints[:, 0] == pytest.approx([1.5, 2.4375])
+        stages = [traj.nodes[n] + fam.eval(traj.nodes[n], sched[n]) / 2 for n in range(2)]
+        assert np.ravel(stages) == pytest.approx([1.5, 2.4375])
 
     def test_single_step_uses_padded_parameter(self):
         # N=1 reads theta_1 which pads to theta_0: x_1 = 1 + t + t^2/2
@@ -130,19 +132,10 @@ class TestForwardWithoutStorage:
 class TestTrajectoryType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 1)), "rk4")
+            Trajectory(np.zeros((3, 1)), "rk4")
         with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((2, 1)), "euler")
-        with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 1)), "heun")  # midpoints missing
-        with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 1)), "euler", midpoints=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 1)), "heun", midpoints=np.zeros((1, 1)))  # short
-        with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 2)), "heun", midpoints=np.zeros((2, 3)))  # state dim
-        with pytest.raises(ValueError):
-            Trajectory(2, np.zeros((3, 2, 4)), "heun", midpoints=np.zeros((2, 2)))  # batch
+            Trajectory(np.zeros((3, 1)), "euler")  # a name, not the Scheme
+        assert Trajectory(np.zeros((3, 1)), EULER).depth == 2
 
 
 class TestInterpolate:

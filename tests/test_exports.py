@@ -6,6 +6,9 @@ entry breaks traced runs even while every direct caller still works.
 """
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,52 @@ def test_every_exported_name_resolves(name):
 def test_residual_family_keeps_its_checked_kernels():
     for method in ("eval", "vjp_state", "vjp_params"):
         assert callable(getattr(ResidualFamily, method, None))
+
+
+# Runs tiny CLI calls under the benchmark tracer in a fresh interpreter, so
+# its class-level kernel patches never leak into the rest of the suite.
+TRACED_RUN = r"""
+import os, sys
+root, out = sys.argv[1], sys.argv[2]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+import tracing
+from odenet import cli
+
+recorder = tracing.SpanRecorder()
+tracer = tracing.install(recorder)
+calls = [
+    ("study", "experiment = heun_adjoint\ndepths = 4, 8\n"),
+    ("study", "experiment = approx_error\ndepths = 4, 8\n"),
+    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\ngrid_points = 16\n"),
+    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"),
+]
+for i, (command, text) in enumerate(calls):
+    path = os.path.join(out, f"{i}.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    rc = cli.main([command, "--config", path, "--out", os.path.join(out, str(i))])
+    if rc != 0:
+        sys.exit(f"{command} exited {rc}")
+_, table = tracing.layer_metrics(recorder, tracer, [], 1.0)
+names = sys.argv[3:]
+silent = [n for n in names if table.get(n, {}).get("calls", 0) == 0]
+if silent:
+    sys.exit(f"no calls recorded for {silent}")
+"""
+
+TRACED_NAMES = (
+    "dynamics.forward_euler_chain", "dynamics.forward_heun_chain",
+    "adjoint.backprop_exact", "adjoint.backprop_exact_heun",
+    "adjoint.backprop_adjoint_heun", "dynamics.solve_ode_oracle",
+    "linear_flow.integrate_flow")
+
+
+def test_benchmark_tracer_installs_and_records(tmp_path):
+    """The tracer reads ``VectorField.eval``, ``FlowState.schedule.depth``,
+    the kernel and sweep names; a refactor that renames any of them
+    breaks traced benchmark runs."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root), str(tmp_path), *TRACED_NAMES],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

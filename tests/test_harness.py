@@ -633,6 +633,22 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("**/*"))
 
+    @pytest.mark.parametrize("command,experiment", [
+        ("study", "approx_error"), ("tightness", "tightness_suite"),
+        ("linflow", "limit_map"), ("train", "toy_train")])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under_file"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch,
+                                         command, experiment, out):
+        """Every runner makes its output directory before it starts any work."""
+        def no_work(*args):
+            raise AssertionError("work started before the output directory was made")
+        monkeypatch.setattr(harness, "_child_rngs", no_work)
+        monkeypatch.setattr(harness, "_tightness_case", no_work)
+        (tmp_path / "afile").write_text("")
+        path = write_cfg(tmp_path, f"experiment = {experiment}\ndepths = 8, 16\n")
+        assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
+        assert "config error: cannot use output_dir" in capsys.readouterr().err
+
     def test_tightness_runs_without_config(self, tmp_path, capsys):
         rc = main(["tightness", "--depths", "4", "--out", str(tmp_path)])
         assert rc == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import odenet.linear_flow as linear_flow
+from odenet.harness import ExperimentConfig, run_linear_flow_experiment
 from odenet.linear_flow import (
     FlowSample,
     FlowState,
@@ -14,10 +15,8 @@ from odenet.linear_flow import (
     check_small_loss_regime,
     depth_double_compare,
     extract_limit_map,
-    flow_trace_to_csv,
     integrate_flow,
     layer_gradient,
-    limit_map_to_csv,
     loss,
     max_step_size,
     monitor_invariants,
@@ -510,24 +509,36 @@ def taylor_expm(a, terms=18):
     return out
 
 
-class TestCsvExports:
-    def test_flow_trace_csv(self, tmp_path):
-        prob = build_problem(np.eye(1), np.array([[1.01]]))
-        trace = integrate_flow(scalar_state([0.0]), prob, 1.0, 1e-3, [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        flow_trace_to_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,loss,max_theta_norm,smoothness_stat"
-        assert lines[1].startswith("0,0.0001")
-        assert len(lines) == 3
+@pytest.fixture(scope="module")
+def flow_csvs(tmp_path_factory):
+    """A small limit-map run; its trace and limit-map CSVs are the flow exports."""
+    out = tmp_path_factory.mktemp("flowcsv")
+    config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
+                              sigma_dim=2, t_end=1.0, snapshot_count=3,
+                              grid_points=32, seed=0, output_dir=str(out))
+    return out, run_linear_flow_experiment(config)
 
-    def test_limit_map_csv(self, tmp_path, doubling_runs):
-        _, _, traces = doubling_runs
-        report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)],
-                                   grid_points=256)
-        path = tmp_path / "limitmap.csv"
-        limit_map_to_csv(report, path)
-        lines = path.read_text().strip().splitlines()
+
+class TestCsvExports:
+    def test_flow_trace_csv(self, flow_csvs):
+        out, result = flow_csvs
+        for depth in (8, 16, 32):
+            lines = (out / f"trace_N{depth}.csv").read_text().strip().splitlines()
+            assert lines[0] == "t,loss,max_theta_norm,smoothness_stat"
+            samples = result.traces[depth].samples
+            assert len(lines) == 1 + len(samples) == 1 + 3
+            assert lines[1].startswith("0,")
+            for line, sample in zip(lines[1:], samples):
+                assert [float(v) for v in line.split(",")] == [
+                    sample.t, sample.loss_value, sample.max_theta_norm,
+                    sample.smoothness_stat]
+
+    def test_limit_map_csv(self, flow_csvs):
+        out, result = flow_csvs
+        report = result.limit_report
+        lines = (out / "limitmap.csv").read_text().strip().splitlines()
         assert lines[0] == "t,N,l2_distance"
-        assert len(lines) == 1 + len(report.times) * len(report.depths)
-        assert lines[1].split(",")[1] == "16"
+        assert len(lines) == 1 + len(report.times) * len(report.depths) == 1 + 3 * 2
+        assert [line.split(",")[1] for line in lines[1:3]] == ["8", "16"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[2]) for r in rows] == list(report.distances.ravel())
