@@ -2,78 +2,16 @@
 
 Forward Euler/Heun chains with 1/N step scaling, exact and memory-free
 reverse sweeps, the rescaled gradient flow for deep linear networks,
-and an experiment harness with a CLI front end.
+and an experiment harness with a CLI front end.  The package root
+re-exports each library module's ``__all__``; ``odenet.cli`` is not
+imported here.
 """
 
-from .adjoint import (
-    GradientComparison,
-    GradientSet,
-    ReconstructionReport,
-    adjoint_sweep_euler,
-    adjoint_sweep_heun,
-    backprop_adjoint_euler,
-    backprop_adjoint_heun,
-    backprop_exact,
-    backprop_exact_heun,
-    compare_gradients,
-    reconstruct_backward_euler,
-    reconstruct_backward_heun,
-)
-from .dynamics import (
-    DivergenceError,
-    ODESolution,
-    Trajectory,
-    VectorField,
-    approximation_bound,
-    approximation_error,
-    estimate_c_n,
-    forward_euler_chain,
-    forward_heun_chain,
-    interpolate,
-    solve_ode_oracle,
-)
-from .harness import (
-    AllDepthsDiverged,
-    ConfigError,
-    ExperimentConfig,
-    RegimeAbort,
-    load_config,
-    parse_config,
-    run_linear_flow_experiment,
-    run_scaling_study,
-    run_tightness_suite,
-    run_toy_training,
-)
-from .linear_flow import (
-    FlowState,
-    FlowTrace,
-    RegressionProblem,
-    build_problem,
-    check_small_loss_regime,
-    depth_double_compare,
-    extract_limit_map,
-    integrate_flow,
-    monitor_invariants,
-    product_vs_ode,
-    small_loss_target,
-    state_from_profile,
-    transport_product,
-)
-from .numerics import (
-    SlopeFit,
-    above_noise_floor,
-    finite_difference_gradient,
-    fit_loglog_slope,
-    spectral_norm,
-)
-from .residual_models import (
-    ResidualFamily,
-    WeightSchedule,
-    make_identity_family,
-    make_index_schedule,
-    make_linear_family,
-    make_mlp_family,
-    make_square_family,
-)
+from .adjoint import *
+from .dynamics import *
+from .harness import *
+from .linear_flow import *
+from .numerics import *
+from .residual_models import *
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import require_finite
+from .numerics import _rk4_step, require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
 __all__ = [
@@ -278,12 +278,7 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
         stages = np.arange(2 * first, 2 * (first + per_layer) + 1)
         g = piece(n, (stages / (2 * fine_steps)).tolist())
         for j in range(per_layer):
-            m = 2 * j
-            k1 = g(x, m)
-            k2 = g(x + 0.5 * h * k1, m + 1)
-            k3 = g(x + 0.5 * h * k2, m + 1)
-            k4 = g(x + h * k3, m + 2)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = _rk4_step(g, x, h, 2 * j)
             _check_divergence(x, first + j, "ode oracle")
             states[first + j + 1] = x
     return ODESolution(np.arange(fine_steps + 1) / fine_steps, states, fine_steps)

@@ -564,14 +564,12 @@ class LinearFlowResult:
 def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarray]:
     d = config.sigma_dim
     terms = rng.standard_normal((3, d, d))
-    grid = np.linspace(0.0, 1.0, 101)
-    worst = max(
-        spectral_norm(terms[0] + s * terms[1] + s * s * terms[2]) for s in grid)
-    terms *= config.profile_scale / worst
 
     def profile(s: float) -> np.ndarray:
         return terms[0] + s * terms[1] + s * s * terms[2]
 
+    grid = np.linspace(0.0, 1.0, 101)[:, None, None]
+    terms *= config.profile_scale / spectral_norm(profile(grid))
     return profile
 
 
@@ -589,9 +587,15 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     if len(config.depths) >= 3 and any(config.grid_points % n for n in config.depths):
         raise ConfigError(f"grid_points {config.grid_points} must be a multiple of "
                           f"every depth for the limit map")
+    sigma = np.eye(config.sigma_dim)
+    # The step ceiling depends on sigma alone, so it is checked before
+    # the output directory is made or any profile is drawn.
+    bound = max_step_size(build_problem(sigma, np.zeros_like(sigma)))
+    dt = config.dt if config.dt is not None else bound
+    if dt > bound * (1.0 + 1e-12):  # the tolerance integrate_flow allows
+        raise ConfigError(f"dt {dt:g} exceeds max_step_size {bound:g} for this problem")
     out_dir = _output_dir(config)
     profile_rng, target_rng = _child_rngs(config.seed, 2)
-    sigma = np.eye(config.sigma_dim)
     profile = _matrix_profile(config, profile_rng)
     states0 = {n: state_from_profile(profile, n) for n in config.depths}
     ref_depth = config.depths[-1]
@@ -600,10 +604,6 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         seed=int(target_rng.integers(2 ** 31)),
         loss_fraction=config.loss_fraction)
     problem = build_problem(sigma, b_target)
-    bound = max_step_size(problem)
-    dt = config.dt if config.dt is not None else bound
-    if dt > bound * (1.0 + 1e-12):  # the tolerance integrate_flow allows
-        raise ConfigError(f"dt {dt:g} exceeds max_step_size {bound:g} for this problem")
 
     regime_reports = {}
     for depth in config.depths:

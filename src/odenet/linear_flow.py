@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import VectorField, _locate, solve_ode_oracle
-from .numerics import SlopeFit, fit_loglog_slope, require_finite
+from .numerics import SlopeFit, _rk4_step, fit_loglog_slope, require_finite, spectral_norm
 from .residual_models import WeightSchedule
 
 __all__ = [
@@ -240,13 +240,9 @@ def max_step_size(problem: RegressionProblem) -> float:
 
 
 def _sample(thetas: np.ndarray, t: float, loss_value: float) -> FlowSample:
-    n_layers, d, _ = require_finite(thetas, "thetas").shape
-    max_norm = float(np.max(np.linalg.norm(thetas, 2, axis=(1, 2))))
-    if n_layers > 1:
-        steps = np.linalg.norm(np.diff(thetas, axis=0), 2, axis=(1, 2))
-        smooth = n_layers * float(np.max(steps))
-    else:
-        smooth = 0.0
+    n_layers, d, _ = thetas.shape
+    max_norm = spectral_norm(thetas)
+    smooth = n_layers * spectral_norm(np.diff(thetas, axis=0)) if n_layers > 1 else 0.0
     sched = WeightSchedule(thetas.reshape(n_layers, d * d).copy())
     return FlowSample(t, loss_value, max_norm, smooth, sched)
 
@@ -286,6 +282,9 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         samples.append(_sample(thetas, t, current_loss))
         targets = targets[1:]
 
+    def field(th, m):
+        return -_rescaled_gradients(th, problem)[0]
+
     grads, _ = _rescaled_gradients(thetas, problem)
     atol = LOSS_INCREASE_ATOL * (1.0 + current_loss)
     for target in targets:
@@ -293,11 +292,7 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
         for _ in range(steps):
-            k1 = -grads
-            k2 = -_rescaled_gradients(thetas + 0.5 * h * k1, problem)[0]
-            k3 = -_rescaled_gradients(thetas + 0.5 * h * k2, problem)[0]
-            k4 = -_rescaled_gradients(thetas + h * k3, problem)[0]
-            thetas = thetas + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            thetas = _rk4_step(field, thetas, h, k1=-grads)
             grads, new_loss = _rescaled_gradients(thetas, problem)
             # Written so that a NaN loss fails the check too.
             if not new_loss <= current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
@@ -308,6 +303,11 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         t = target
         samples.append(_sample(thetas, t, current_loss))
     return FlowTrace(samples, problem, dt)
+
+
+def _loss_threshold(problem: RegressionProblem) -> float:
+    """m / (4 sqrt(2 M e^3)): the small-loss regime's ceiling on sqrt(loss(0))."""
+    return problem.m / (4.0 * math.sqrt(2.0 * problem.m_max * math.e ** 3))
 
 
 @dataclass
@@ -325,10 +325,9 @@ def check_small_loss_regime(state0: FlowState, problem: RegressionProblem) -> Re
     Requires sqrt(loss(0)) < m / (4 sqrt(2 M e^3)) together with every
     layer matrix having spectral norm at most 1/4.
     """
-    threshold = problem.m / (4.0 * math.sqrt(2.0 * problem.m_max * math.e ** 3))
+    threshold = _loss_threshold(problem)
     root_loss = math.sqrt(loss(state0, problem))
-    thetas = state0.matrices()
-    max_norm = float(np.max(np.linalg.norm(thetas, 2, axis=(1, 2))))
+    max_norm = spectral_norm(state0.matrices())
     loss_margin = threshold - root_loss
     norm_margin = 0.25 - max_norm
     return RegimeReport(loss_margin > 0.0 and norm_margin >= 0.0,
@@ -492,11 +491,9 @@ def small_loss_target(sigma, state0: FlowState, seed: int = 0,
     """
     if not 0.0 < loss_fraction < 1.0:
         raise ValueError("loss_fraction must lie in (0, 1)")
-    s = require_finite(sigma, "sigma")
-    eigs = np.linalg.eigvalsh(s)
-    if eigs[0] <= 0.0:
-        raise ValueError(f"sigma is not positive definite: eigenvalue {eigs[0]:.6g}")
-    threshold = float(eigs[0]) / (4.0 * math.sqrt(2.0 * float(eigs[-1]) * math.e ** 3))
+    problem = build_problem(sigma, np.zeros(np.shape(sigma)))
+    s = problem.sigma
+    threshold = _loss_threshold(problem)
     rng = np.random.default_rng(seed)
     d = s.shape[0]
     direction = rng.standard_normal((d, d))

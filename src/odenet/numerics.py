@@ -52,16 +52,31 @@ class SlopeFit:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value of a dense matrix.
+    """Largest singular value of a dense matrix, or of any in a stack.
 
-    Taken from the singular values LAPACK computes, so no input can hide
-    its top singular direction from a start vector, and repeated calls
-    on the same input return the same value.
+    ``m`` is one matrix or a stack of shape (..., rows, cols).  The value
+    is taken from the singular values LAPACK computes, so no input can
+    hide its top singular direction from a start vector, and repeated
+    calls on the same input return the same value.
     """
     a = require_finite(m, "matrix")
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("spectral_norm expects a non-empty 2-D matrix")
-    return float(np.linalg.norm(a, 2))
+    if a.ndim < 2 or a.size == 0:
+        raise ValueError("spectral_norm expects a non-empty matrix or stack of matrices")
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+
+
+def _rk4_step(g, x, h, m=0, k1=None):
+    """One classical Runge-Kutta step of x' = g(x, stage) with step h.
+
+    The four stages evaluate g at stages m, m + 1, m + 1 and m + 2, so a
+    caller indexing half-steps gets the start, midpoint and end of the
+    step.  ``k1`` is g(x, m) when the caller already has it.
+    """
+    k1 = g(x, m) if k1 is None else k1
+    k2 = g(x + 0.5 * h * k1, m + 1)
+    k3 = g(x + 0.5 * h * k2, m + 1)
+    k4 = g(x + h * k3, m + 2)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:

@@ -8,10 +8,12 @@ entry breaks traced runs even while every direct caller still works.
 import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import odenet
 from odenet.residual_models import ResidualFamily
 
 MODULES = ("cli", "harness", "linear_flow", "dynamics", "adjoint", "residual_models",
@@ -24,6 +26,17 @@ def test_every_exported_name_resolves(name):
     public = getattr(module, "__all__", ("main",))
     assert public
     assert [attr for attr in public if not hasattr(module, attr)] == []
+
+
+def test_package_root_exports_exactly_the_module_lists():
+    """The root re-exports every library module's ``__all__`` and nothing
+    else, so a name added to a module needs no second registry."""
+    modules = [name for name in MODULES if name != "cli"]
+    expected = set().union(*(importlib.import_module(f"odenet.{name}").__all__
+                             for name in modules))
+    exported = {name for name, value in vars(odenet).items()
+                if not name.startswith("__") and not isinstance(value, types.ModuleType)}
+    assert exported == expected
 
 
 def test_residual_family_keeps_its_checked_kernels():

@@ -616,6 +616,7 @@ class TestCli:
                                    f"{setting}\n")
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 8, 16\n")

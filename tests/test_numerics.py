@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from odenet.numerics import (
     NOISE_FLOOR_FACTOR,
     SlopeFit,
+    _rk4_step,
     above_noise_floor,
     finite_difference_gradient,
     fit_loglog_slope,
@@ -103,6 +104,43 @@ class TestSpectralNorm:
         b = rng.standard_normal((3, 3))
         bound = spectral_norm(a) * spectral_norm(b) + 1e-9
         assert spectral_norm(a @ b) <= bound
+
+    def test_stack_returns_largest_over_matrices(self):
+        # The first matrix's top direction is orthogonal to all-ones.
+        stack = np.array([[[0.2, 0.0], [0.1, 0.3]], [[1.0, -1.0], [0.5, 0.5]]])
+        assert spectral_norm(stack) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert spectral_norm(stack) == max(spectral_norm(m) for m in stack)
+        for bad in (np.empty((0, 2, 2)), np.ones(3)):
+            with pytest.raises(ValueError):
+                spectral_norm(bad)
+
+
+class TestRk4Step:
+    LAM, H, X0 = -0.7, 0.3, 1.5
+
+    def linear_field(self):
+        stages = []
+
+        def g(x, m):
+            stages.append(m)
+            return self.LAM * x
+
+        return g, stages
+
+    def test_stages_and_stability_polynomial(self):
+        g, stages = self.linear_field()
+        x = _rk4_step(g, self.X0, self.H, m=4)
+        z = self.LAM * self.H
+        assert stages == [4, 5, 5, 6]
+        expected = self.X0 * (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+        assert x == pytest.approx(expected, rel=1e-14)
+
+    def test_given_first_stage_is_not_recomputed(self):
+        g, stages = self.linear_field()
+        x = _rk4_step(g, self.X0, self.H, k1=self.LAM * self.X0)
+        assert stages == [1, 1, 2]
+        g_full, _ = self.linear_field()
+        assert x == _rk4_step(g_full, self.X0, self.H)
 
 
 class TestFitLoglogSlope:
