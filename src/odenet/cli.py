@@ -1,21 +1,24 @@
 """Command-line front end for the experiment harness.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence that voids
-the run, 4 small-loss regime violation at initialization.
+the run, 4 small-loss regime violation at initialization.  A failed run
+removes its output directory when it made it and left it empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
 from .dynamics import DivergenceError
 from .harness import (
-    FLOW_EXPERIMENTS,
-    SCALING_EXPERIMENTS,
+    _KEY_PARSERS,
+    COMMANDS,
     AllDepthsDiverged,
     ConfigError,
     ExperimentConfig,
@@ -27,27 +30,14 @@ from .harness import (
     run_toy_training,
 )
 
-_COMMAND_EXPERIMENTS = {
-    "study": SCALING_EXPERIMENTS,
-    "tightness": ("tightness_suite",),
-    "linflow": FLOW_EXPERIMENTS,
-    "train": ("toy_train",),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odenet",
         description="Depth-scaling studies for residual chains and their flows.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("study", "depth-scaling error studies (approximation, adjoint gradients)"),
-        ("tightness", "analytic chain-vs-flow gap cases"),
-        ("linflow", "linear-flow integration and limit-profile diagnostics"),
-        ("train", "toy chain training with exact or memory-free gradients"),
-    ]
-    for name, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", required=(name != "tightness"),
                        help="flat key = value configuration file")
         p.add_argument("--seed", type=int, default=None,
@@ -64,7 +54,7 @@ def _load(args) -> ExperimentConfig:
         config = ExperimentConfig(experiment="tightness_suite")
     else:
         config = load_config(args.config)
-    allowed = _COMMAND_EXPERIMENTS[args.command]
+    allowed = COMMANDS[args.command][0]
     if config.experiment not in allowed:
         raise ConfigError(
             f"experiment {config.experiment!r} does not belong to "
@@ -76,7 +66,7 @@ def _load(args) -> ExperimentConfig:
         overrides["output_dir"] = args.out
     if args.depths is not None:
         try:
-            overrides["depths"] = tuple(int(p) for p in args.depths.split(","))
+            overrides["depths"] = _KEY_PARSERS["depths"](args.depths)
         except ValueError as exc:
             raise ConfigError(f"bad --depths value: {exc}") from exc
     if overrides:
@@ -85,6 +75,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _run_study(config: ExperimentConfig) -> None:
+    """depth-scaling error studies (approximation, adjoint gradients)"""
     result = run_scaling_study(config)
     print(f"wrote {result.study_path} and {result.slopes_path}")
     for metric, flag in result.fit_flags.items():
@@ -104,6 +95,7 @@ def _run_study(config: ExperimentConfig) -> None:
 
 
 def _run_tightness(config: ExperimentConfig) -> None:
+    """analytic chain-vs-flow gap cases"""
     records = run_tightness_suite(config)
     for r in records:
         print(f"{r.case} N={r.depth}: measured {r.measured:.10g} "
@@ -111,6 +103,7 @@ def _run_tightness(config: ExperimentConfig) -> None:
 
 
 def _run_linflow(config: ExperimentConfig) -> None:
+    """linear-flow integration and limit-profile diagnostics"""
     result = run_linear_flow_experiment(config)
     for depth in result.depths:
         mon = result.monitor_reports[depth]
@@ -124,37 +117,43 @@ def _run_linflow(config: ExperimentConfig) -> None:
 
 
 def _run_train(config: ExperimentConfig) -> None:
+    """toy chain training with exact or memory-free gradients"""
     result = run_toy_training(config)
     for depth, run in sorted(result.runs.items()):
         print(f"N={depth} ({result.gradient_mode}): "
               f"final loss {run.final_loss:.6g} -> {run.losses_path}")
 
 
+# Each command's runner; its docstring is the command's help text.
+_RUNNERS = {"study": _run_study, "tightness": _run_tightness,
+            "linflow": _run_linflow, "train": _run_train}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    made = None  # the output directory, when this run creates it
     try:
         config = _load(args)
-        if args.command == "study":
-            _run_study(config)
-        elif args.command == "tightness":
-            _run_tightness(config)
-        elif args.command == "linflow":
-            _run_linflow(config)
-        else:
-            _run_train(config)
+        made = None if os.path.exists(config.output_dir) else config.output_dir
+        _RUNNERS[args.command](config)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except AllDepthsDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except DivergenceError as exc:
         print(f"error: diverged at layer {exc.layer}: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except RegimeAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        code = 4
+    if made is not None:
+        # rmdir removes only an empty directory; one never made is fine too.
+        with contextlib.suppress(OSError):
+            os.rmdir(made)
+    return code
 
 
 if __name__ == "__main__":

@@ -226,12 +226,12 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
         raise ValueError(f"unknown interpolation kind {kind!r}")
     N = schedule.depth
     if theta_end is None:
-        last = schedule.padded_row(N)
+        rows = schedule.padded
     else:
         last = require_finite(theta_end, "theta_end")
         if last.shape != (schedule.param_dim,):
             raise ValueError("theta_end must match the schedule's parameter dimension")
-    rows = np.vstack([schedule.params, last[None, :]])
+        rows = np.vstack([schedule.params, last[None, :]])
 
     def piece(n, times):
         alphas = (_locate(times, N)[1] - n).tolist()

@@ -42,7 +42,6 @@ from .dynamics import (
     solve_ode_oracle,
 )
 from .linear_flow import (
-    FlowState,
     build_problem,
     check_small_loss_regime,
     depth_double_compare,
@@ -52,6 +51,7 @@ from .linear_flow import (
     monitor_invariants,
     product_vs_ode,
     small_loss_target,
+    state_from_matrices,
     state_from_profile,
 )
 from .numerics import above_noise_floor, fit_loglog_slope, spectral_norm
@@ -82,10 +82,16 @@ __all__ = [
     "run_toy_training",
 ]
 
-EXPERIMENTS = ("approx_error", "euler_adjoint", "heun_adjoint", "linear_flow",
-               "limit_map", "toy_train", "tightness_suite")
-SCALING_EXPERIMENTS = ("approx_error", "euler_adjoint", "heun_adjoint")
-FLOW_EXPERIMENTS = ("linear_flow", "limit_map")
+# The experiments each CLI command runs, and their default depths.
+COMMANDS = {
+    "study": (("approx_error", "euler_adjoint", "heun_adjoint"),
+              (16, 32, 64, 128, 256, 512, 1024)),
+    "tightness": (("tightness_suite",), (10, 100, 1000)),
+    "linflow": (("linear_flow", "limit_map"), (16, 32, 64, 128, 256)),
+    "train": (("toy_train",), (64, 300)),
+}
+COMMAND_OF = {experiment: command for command, (experiments, _) in COMMANDS.items()
+              for experiment in experiments}
 PROFILES = ("constant", "lipschitz_profile", "alternating", "index")
 FAMILIES = ("mlp", "linear", "square", "identity")
 GRADIENT_MODES = ("exact", "adjoint_euler", "adjoint_heun")
@@ -110,16 +116,6 @@ class RegimeAbort(RuntimeError):
             f"norm_margin={report.norm_margin:.6g})")
         self.depth = depth
         self.report = report
-
-
-def _default_depths(experiment: str) -> tuple:
-    if experiment in SCALING_EXPERIMENTS:
-        return (16, 32, 64, 128, 256, 512, 1024)
-    if experiment in FLOW_EXPERIMENTS:
-        return (16, 32, 64, 128, 256)
-    if experiment == "toy_train":
-        return (64, 300)
-    return (10, 100, 1000)
 
 
 @dataclass
@@ -153,14 +149,15 @@ class ExperimentConfig:
     slope_r2_min: float = 0.9
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in COMMAND_OF:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        command = COMMAND_OF[self.experiment]
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.depths is None:
-            self.depths = _default_depths(self.experiment)
+            self.depths = COMMANDS[command][1]
         self.depths = tuple(int(n) for n in self.depths)
         if not self.depths or any(n < 1 for n in self.depths):
             raise ConfigError("depths must be positive")
@@ -171,7 +168,7 @@ class ExperimentConfig:
         if self.schedule_profile not in PROFILES:
             raise ConfigError(f"unknown schedule_profile {self.schedule_profile!r}")
         if self.profile_scale is None:
-            self.profile_scale = 0.1 if self.experiment in FLOW_EXPERIMENTS else 0.25
+            self.profile_scale = 0.1 if command == "linflow" else 0.25
         if self.profile_scale <= 0:
             raise ConfigError("profile_scale must be positive")
         if self.state_dim < 1 or self.hidden_dim < 1 or self.sigma_dim < 1:
@@ -261,34 +258,6 @@ def _output_dir(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # schedule profiles
 
-@dataclass
-class _Profile:
-    """Frozen randomness of one schedule profile, reusable across depths."""
-
-    kind: str
-    base: Optional[np.ndarray] = None    # constant, or even rows of alternating
-    other: Optional[np.ndarray] = None   # odd rows of alternating
-    coeffs: Optional[np.ndarray] = None  # cubic coefficients, (4, param_dim)
-
-    def rows(self, depth: int, param_dim: int) -> np.ndarray:
-        if self.kind == "index":
-            if param_dim != 1:
-                raise ConfigError("index profile needs a one-parameter family")
-            return np.arange(depth, dtype=float).reshape(depth, 1)
-        if self.kind == "constant":
-            return np.tile(self.base, (depth, 1))
-        if self.kind == "alternating":
-            # Two independent draws so consecutive layers stay Theta(1)
-            # apart for every family; sign flips alone can be family
-            # symmetries (a tanh net is even under joint negation).
-            out = np.tile(self.base, (depth, 1))
-            out[1::2] = self.other
-            return out
-        # Left sampling g(n/N): consecutive rows differ by O(1/N).
-        s = np.arange(depth) / depth
-        return _poly_eval(self.coeffs, s)
-
-
 def _poly_eval(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.zeros((s.size, coeffs.shape[1]))
     for c in coeffs[::-1]:
@@ -296,25 +265,34 @@ def _poly_eval(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_profile(config: ExperimentConfig, param_dim: int, rng) -> _Profile:
+def _make_profile(config: ExperimentConfig, param_dim: int,
+                  rng) -> Callable[[int], np.ndarray]:
+    """The profile's rows(depth), its randomness drawn once for every depth."""
     scale = config.profile_scale
     kind = config.schedule_profile
     if kind == "index":
-        return _Profile("index")
+        if param_dim != 1:
+            raise ConfigError("index profile needs a one-parameter family")
+        return lambda depth: np.arange(depth, dtype=float).reshape(depth, 1)
 
     def draw():
         row = rng.standard_normal(param_dim)
         return row * (scale / np.max(np.abs(row)))
     if kind == "constant":
-        return _Profile(kind, base=draw())
+        base = draw()
+        return lambda depth: np.tile(base, (depth, 1))
     if kind == "alternating":
-        return _Profile(kind, base=draw(), other=draw())
+        # Two independent draws so consecutive layers stay Theta(1)
+        # apart for every family; sign flips alone can be family
+        # symmetries (a tanh net is even under joint negation).
+        even, odd = draw(), draw()
+        return lambda depth: np.where((np.arange(depth) % 2 == 0)[:, None], even, odd)
     coeffs = rng.standard_normal((4, param_dim))
     # Rescale the whole cubic so its sup-norm over [0, 1] hits `scale`;
-    # consecutive layers then differ by O(1/N).
+    # left sampling g(n/N) then keeps consecutive rows O(1/N) apart.
     probe = _poly_eval(coeffs, np.linspace(0.0, 1.0, 513))
     coeffs *= scale / np.max(np.abs(probe))
-    return _Profile(kind, coeffs=coeffs)
+    return lambda depth: _poly_eval(coeffs, np.arange(depth) / depth)
 
 
 def _make_family(config: ExperimentConfig):
@@ -352,9 +330,14 @@ class StudyResult:
                 if r.metric == metric and r.flag == ""}
 
 
-def _adjoint_depth_metrics(forward, exact_backprop, reconstruct, adjoint_backprop,
-                           family, schedule, x0, target):
+def _adjoint_depth_metrics(heun: bool, family, schedule, x0, target):
     """Reconstruction and gradient errors of one scheme's memory-free sweep."""
+    # Looked up per call: the benchmark tracer rebinds these names.
+    forward, exact_backprop, reconstruct, adjoint_backprop = (
+        (forward_heun_chain, backprop_exact_heun, reconstruct_backward_heun,
+         backprop_adjoint_heun) if heun else
+        (forward_euler_chain, backprop_exact, reconstruct_backward_euler,
+         backprop_adjoint_euler))
     traj = forward(family, schedule, x0)
     out = traj.nodes[-1]
     out_grad = out - target
@@ -364,11 +347,8 @@ def _adjoint_depth_metrics(forward, exact_backprop, reconstruct, adjoint_backpro
     comp = compare_gradients(exact, approx)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     grad_scale = float(np.max(np.linalg.norm(exact.param_grads, axis=1)))
-    return {
-        "recon_max_error": (recon.max_error, state_scale),
-        "grad_max_abs_error": (comp.max_abs, grad_scale),
-        "grad_max_rel_error": (comp.max_rel, 1.0),
-    }
+    return [(recon.max_error, state_scale), (comp.max_abs, grad_scale),
+            (comp.max_rel, 1.0)], None
 
 
 # RK4 steps per layer of the reference solution.  It is checked by step
@@ -400,20 +380,23 @@ def _approx_depth_metrics(family, schedule, x0, target):
     sol, oracle_error = _oracle(ode_field, x0, schedule.depth)
     _, max_gap = approximation_error(traj, sol)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    return {"approx_max_error": (max_gap, state_scale),
-            "oracle_error": oracle_error}
+    return [(max_gap, state_scale)], oracle_error
 
 
-_STUDY_METRICS = {
-    "approx_error": ("approx_max_error",),
-    "euler_adjoint": ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error"),
-    "heun_adjoint": ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error"),
+_ADJOINT_METRICS = ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error")
+# Each study's measure(family, schedule, x0, target) returns its
+# (value, scale) pairs in metric-name order and the oracle's error
+# estimate, or None when the study runs no oracle.
+_STUDIES = {
+    "approx_error": (_approx_depth_metrics, ("approx_max_error",)),
+    "euler_adjoint": (functools.partial(_adjoint_depth_metrics, False), _ADJOINT_METRICS),
+    "heun_adjoint": (functools.partial(_adjoint_depth_metrics, True), _ADJOINT_METRICS),
 }
 
 
 def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     """Sweep depths, record error metrics, fit log-log slopes, emit CSVs."""
-    if config.experiment not in SCALING_EXPERIMENTS:
+    if COMMAND_OF[config.experiment] != "study":
         raise ConfigError(f"not a scaling experiment: {config.experiment!r}")
     out_dir = _output_dir(config)
     profile_rng, data_rng = _child_rngs(config.seed, 2)
@@ -421,30 +404,21 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     profile = _make_profile(config, family.param_dim, profile_rng)
     x0 = data_rng.standard_normal(family.state_dim) / math.sqrt(family.state_dim)
     target = data_rng.standard_normal(family.state_dim)
-    runner = {"approx_error": _approx_depth_metrics,
-              "euler_adjoint": functools.partial(
-                  _adjoint_depth_metrics, forward_euler_chain, backprop_exact,
-                  reconstruct_backward_euler, backprop_adjoint_euler),
-              "heun_adjoint": functools.partial(
-                  _adjoint_depth_metrics, forward_heun_chain, backprop_exact_heun,
-                  reconstruct_backward_heun, backprop_adjoint_heun)}[config.experiment]
-    metric_names = _STUDY_METRICS[config.experiment]
+    measure, metric_names = _STUDIES[config.experiment]
 
     records, oracle_errors = [], {}
     clean = {name: [] for name in metric_names}
     for depth in config.depths:
-        schedule = WeightSchedule(profile.rows(depth, family.param_dim))
+        schedule = WeightSchedule(profile(depth))
         try:
-            metrics = runner(family, schedule, x0, target)
+            metrics, oracle_error = measure(family, schedule, x0, target)
         except DivergenceError:
             for name in metric_names:
                 records.append(StudyRecord(depth, name, math.nan, "diverged"))
             continue
-        oracle_error = metrics.get("oracle_error")
         if oracle_error is not None:
             oracle_errors[depth] = oracle_error
-        for name in metric_names:
-            value, scale = metrics[name]
+        for name, (value, scale) in zip(metric_names, metrics):
             if not above_noise_floor([value], scale)[0]:
                 flag = "floor"
             elif oracle_error is not None and oracle_error > ORACLE_TOLERANCE * value:
@@ -497,34 +471,26 @@ class TightnessRecord:
 
 
 def _tightness_case(case: str, depth: int) -> TightnessRecord:
+    layers = np.arange(depth, dtype=float)
     if case == "linear_drift":
-        family = make_identity_family()
-        rows = (np.arange(depth, dtype=float) / depth).reshape(depth, 1)
-        schedule = WeightSchedule(rows)
-        theta_end = np.array([1.0])
-        kind = "residual_interp"
-        x0 = np.zeros(1)
+        family, kind = make_identity_family(), "residual_interp"
+        rows, end = layers / depth, 1.0
         analytic = 1.0 / (2.0 * depth)
     elif case == "index_residual":
-        family = make_identity_family()
-        rows = np.arange(depth, dtype=float).reshape(depth, 1)
-        schedule = WeightSchedule(rows)
-        theta_end = np.array([float(depth)])
-        kind = "residual_interp"
-        x0 = np.zeros(1)
+        family, kind = make_identity_family(), "residual_interp"
+        rows, end = layers, float(depth)
         analytic = 0.5
     elif case == "alternating_square":
-        family = make_square_family()
-        rows = np.where(np.arange(depth) % 2 == 0, 1.0, -1.0).reshape(depth, 1)
-        schedule = WeightSchedule(rows)
-        theta_end = np.array([1.0 if depth % 2 == 0 else -1.0])
-        kind = "weight_interp"
-        x0 = np.zeros(1)
+        family, kind = make_square_family(), "weight_interp"
+        rows = np.where(layers % 2 == 0, 1.0, -1.0)
+        end = 1.0 if depth % 2 == 0 else -1.0
         analytic = 2.0 / 3.0
     else:
         raise ValueError(f"unknown tightness case {case!r}")
+    schedule = WeightSchedule(rows.reshape(depth, 1))
+    x0 = np.zeros(1)
     traj = forward_euler_chain(family, schedule, x0)
-    ode_field = interpolate(family, schedule, kind, theta_end=theta_end)
+    ode_field = interpolate(family, schedule, kind, theta_end=np.array([end]))
     sol, oracle_error = _oracle(ode_field, x0, depth)
     measured = float(np.linalg.norm(traj.nodes[-1] - sol.states[-1]))
     return TightnessRecord(case, depth, measured, analytic, oracle_error)
@@ -582,7 +548,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     run's initial product, keeping every depth inside the small-loss
     regime; a violation aborts before any integration starts.
     """
-    if config.experiment not in FLOW_EXPERIMENTS:
+    if COMMAND_OF[config.experiment] != "linflow":
         raise ConfigError(f"not a linear-flow experiment: {config.experiment!r}")
     if len(config.depths) >= 3 and any(config.grid_points % n for n in config.depths):
         raise ConfigError(f"grid_points {config.grid_points} must be a multiple of "
@@ -625,7 +591,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
                       _fmt(r.smoothness_stat)] for r in trace.samples])
         paths.append(path)
         last = trace.samples[-1]
-        product_gaps[depth] = product_vs_ode(FlowState(last.schedule, last.t),
+        product_gaps[depth] = product_vs_ode(state_from_matrices(last.thetas, last.t),
                                              problem, probes=config.probes)
 
     doubling = {}
@@ -702,7 +668,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
 
     runs = {}
     for depth in config.depths:
-        params = profile.rows(depth, family.param_dim)
+        params = profile(depth)
         losses = np.empty(config.iterations + 1)
         for it in range(config.iterations):
             schedule = WeightSchedule(params)

@@ -94,8 +94,7 @@ class FlowState:
     def __post_init__(self):
         if not (np.isfinite(self.t) and self.t >= 0.0):
             raise ValueError("flow time must be finite and nonnegative")
-        d = math.isqrt(self.schedule.param_dim)
-        if d * d != self.schedule.param_dim:
+        if self.dim ** 2 != self.schedule.param_dim:
             raise ValueError("schedule rows must flatten square matrices")
 
     @property
@@ -103,12 +102,8 @@ class FlowState:
         return math.isqrt(self.schedule.param_dim)
 
     def matrices(self) -> np.ndarray:
-        return _matrix_stack(self.schedule)
-
-
-def _matrix_stack(schedule: WeightSchedule) -> np.ndarray:
-    d = math.isqrt(schedule.param_dim)
-    return schedule.params.reshape(schedule.depth, d, d).copy()
+        d = self.dim
+        return self.schedule.params.reshape(self.schedule.depth, d, d).copy()
 
 
 def state_from_matrices(thetas, t: float = 0.0) -> FlowState:
@@ -206,7 +201,7 @@ class FlowSample:
     loss_value: float
     max_theta_norm: float
     smoothness_stat: float   # N * max_n ||theta_{n+1} - theta_n||
-    schedule: WeightSchedule
+    thetas: np.ndarray       # (N, d, d) layer matrices
 
 
 @dataclass
@@ -227,7 +222,7 @@ class FlowTrace:
 
     @property
     def depth(self) -> int:
-        return self.samples[0].schedule.depth
+        return self.samples[0].thetas.shape[0]
 
     @property
     def times(self) -> np.ndarray:
@@ -240,11 +235,10 @@ def max_step_size(problem: RegressionProblem) -> float:
 
 
 def _sample(thetas: np.ndarray, t: float, loss_value: float) -> FlowSample:
-    n_layers, d, _ = thetas.shape
+    n_layers = thetas.shape[0]
     max_norm = spectral_norm(thetas)
     smooth = n_layers * spectral_norm(np.diff(thetas, axis=0)) if n_layers > 1 else 0.0
-    sched = WeightSchedule(thetas.reshape(n_layers, d * d).copy())
-    return FlowSample(t, loss_value, max_norm, smooth, sched)
+    return FlowSample(t, loss_value, max_norm, smooth, thetas)
 
 
 def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
@@ -375,13 +369,8 @@ def depth_double_compare(trace_n: FlowTrace, trace_2n: FlowTrace) -> float:
     if not (np.array_equal(trace_n.problem.sigma, trace_2n.problem.sigma)
             and np.array_equal(trace_n.problem.b_target, trace_2n.problem.b_target)):
         raise ValueError("traces come from different problems")
-    worst = 0.0
-    for s_n, s_2n in zip(trace_n.samples, trace_2n.samples):
-        a = _matrix_stack(s_n.schedule)
-        b = _matrix_stack(s_2n.schedule)
-        gaps = np.linalg.norm(a - b[1::2], axis=(1, 2))
-        worst = max(worst, float(np.max(gaps)))
-    return worst
+    return max(float(np.max(np.linalg.norm(a.thetas - b.thetas[1::2], axis=(1, 2))))
+               for a, b in zip(trace_n.samples, trace_2n.samples))
 
 
 @dataclass
@@ -426,9 +415,9 @@ def extract_limit_map(traces: Sequence[FlowTrace], grid_points: int = 256) -> Li
 
     distances = np.empty((len(times), len(rest)))
     for ti in range(len(times)):
-        ref_vals = _profile_values(_matrix_stack(ref.samples[ti].schedule), s_grid)
+        ref_vals = _profile_values(ref.samples[ti].thetas, s_grid)
         for ni, tr in enumerate(rest):
-            vals = _profile_values(_matrix_stack(tr.samples[ti].schedule), s_grid)
+            vals = _profile_values(tr.samples[ti].thetas, s_grid)
             sq = np.sum((vals - ref_vals) ** 2, axis=(1, 2))
             distances[ti, ni] = math.sqrt(float(np.mean(sq)))
 

@@ -57,7 +57,9 @@ recorder = tracing.SpanRecorder()
 tracer = tracing.install(recorder)
 calls = [
     ("study", "experiment = heun_adjoint\ndepths = 4, 8\n"),
+    ("study", "experiment = euler_adjoint\ndepths = 4, 8\n"),
     ("study", "experiment = approx_error\ndepths = 4, 8\n"),
+    ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
     ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\ngrid_points = 16\n"),
     ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"),
 ]
@@ -78,8 +80,12 @@ if silent:
 TRACED_NAMES = (
     "dynamics.forward_euler_chain", "dynamics.forward_heun_chain",
     "adjoint.backprop_exact", "adjoint.backprop_exact_heun",
-    "adjoint.backprop_adjoint_heun", "dynamics.solve_ode_oracle",
-    "linear_flow.integrate_flow")
+    "adjoint.backprop_adjoint_euler", "adjoint.backprop_adjoint_heun",
+    "adjoint.reconstruct_backward_euler", "adjoint.reconstruct_backward_heun",
+    "dynamics.solve_ode_oracle", "linear_flow.integrate_flow",
+    "linear_flow.product_vs_ode", "harness.run_scaling_study",
+    "harness.run_tightness_suite", "harness.run_linear_flow_experiment",
+    "harness.run_toy_training", "cli.main")
 
 
 def test_benchmark_tracer_installs_and_records(tmp_path):

@@ -53,6 +53,11 @@ class TestParseConfig:
         assert config.target == "square_half"
         assert config.gradient_mode == "exact"
 
+    def test_tightness_defaults(self):
+        config = parse_config("experiment = tightness_suite")
+        assert config.depths == (10, 100, 1000)
+        assert config.profile_scale == 0.25
+
     def test_full_config_with_comments(self):
         text = """
         # depth-scaling study
@@ -145,24 +150,23 @@ class TestScheduleProfiles:
 
     def test_index_profile_counts_layers(self):
         spec = _make_profile(self._config("index"), 1, np.random.default_rng(0))
-        rows = spec.rows(5, 1)
+        rows = spec(5)
         assert np.array_equal(rows, np.arange(5.0).reshape(5, 1))
 
     def test_index_profile_needs_scalar_parameters(self):
-        spec = _make_profile(self._config("index"), 2, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            spec.rows(4, 2)
+            _make_profile(self._config("index"), 2, np.random.default_rng(0))
 
     def test_constant_profile_is_depth_independent(self):
         spec = _make_profile(self._config("constant"), 3, np.random.default_rng(1))
-        rows = spec.rows(6, 3)
+        rows = spec(6)
         assert np.max(np.abs(rows)) == pytest.approx(0.25)
         assert all(np.array_equal(rows[n], rows[0]) for n in range(6))
 
     def test_alternating_profile_keeps_unit_order_gaps(self):
         spec = _make_profile(self._config("alternating"), 4, np.random.default_rng(2))
-        shallow = spec.rows(8, 4)
-        deep = spec.rows(64, 4)
+        shallow = spec(8)
+        deep = spec(64)
         assert all(np.array_equal(deep[n], deep[0]) for n in range(0, 64, 2))
         assert all(np.array_equal(deep[n], deep[1]) for n in range(1, 64, 2))
         # the draws are independent, so the layer gap does not shrink
@@ -178,10 +182,13 @@ class TestScheduleProfiles:
     def test_smooth_profile_gaps_shrink_with_depth(self):
         spec = _make_profile(self._config("lipschitz_profile"), 3,
                              np.random.default_rng(3))
-        probe = _poly_eval(spec.coeffs, np.linspace(0.0, 1.0, 513))
-        assert np.max(np.abs(probe)) == pytest.approx(0.25, rel=1e-12)
-        gap8 = np.max(np.abs(np.diff(spec.rows(8, 3), axis=0)))
-        gap64 = np.max(np.abs(np.diff(spec.rows(64, 3), axis=0)))
+        grid = np.linspace(0.0, 1.0, 513)
+        coeffs = np.random.default_rng(3).standard_normal((4, 3))
+        coeffs *= 0.25 / np.max(np.abs(_poly_eval(coeffs, grid)))
+        assert np.max(np.abs(_poly_eval(coeffs, grid))) == pytest.approx(0.25, rel=1e-12)
+        assert np.array_equal(spec(8), _poly_eval(coeffs, np.arange(8) / 8))
+        gap8 = np.max(np.abs(np.diff(spec(8), axis=0)))
+        gap64 = np.max(np.abs(np.diff(spec(64), axis=0)))
         assert gap64 <= gap8 / 4.0
 
 
@@ -717,6 +724,54 @@ class TestCli:
         rc = main(["study", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    FAILED_RUNS = {
+        "regime_abort": ("linflow", "experiment = limit_map\ndepths = 8, 16\n"
+                                    "profile_scale = 1.0\n", 4, "small-loss regime"),
+        "index_on_mlp": ("study", "experiment = approx_error\ndepths = 8, 16\n"
+                                  "schedule_profile = index\n", 2,
+                         "index profile needs a one-parameter family"),
+        "all_diverged": ("study", "experiment = approx_error\nfamily = linear\n"
+                                  "state_dim = 1\nschedule_profile = index\n"
+                                  "depths = 128, 256\n", 3, "all depths diverged"),
+        "train_diverged": ("train", "experiment = toy_train\ndepths = 4\n"
+                                    "learning_rate = 1e6\niterations = 10\n"
+                                    "input_count = 8\nhidden_dim = 3\n", 3,
+                           "diverged at layer"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+    def test_failed_run_removes_the_directory_it_made(self, tmp_path, capsys, case):
+        command, text, code, message = self.FAILED_RUNS[case]
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing", "nested"])
+    def test_failed_run_keeps_directories_it_did_not_make(self, tmp_path, sub):
+        """An existing empty --out survives; of a nested one made by the
+        run, only the innermost directory is removed."""
+        command, text, code, _ = self.FAILED_RUNS["regime_abort"]
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(out / sub)]) == code
+        assert out.is_dir() and not list(out.iterdir())
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for command, help_text in [
+            ("study", "depth-scaling error studies (approximation, adjoint gradients)"),
+            ("tightness", "analytic chain-vs-flow gap cases"),
+            ("linflow", "linear-flow integration and limit-profile diagnostics"),
+            ("train", "toy chain training with exact or memory-free gradients"),
+        ]:
+            assert f"{command} {help_text}" in text
 
     def test_regime_violation_exits_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"

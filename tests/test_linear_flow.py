@@ -215,7 +215,7 @@ class TestIntegrateFlow:
         trace = integrate_flow(scalar_state([0.0]), prob, 2.0, 1e-3,
                                np.linspace(0.0, 2.0, 9))
         for s in trace.samples:
-            assert s.schedule[0][0] == pytest.approx(
+            assert s.thetas[0, 0, 0] == pytest.approx(
                 0.01 * (1.0 - math.exp(-2.0 * s.t)), abs=1e-6)
             assert s.loss_value == pytest.approx(
                 1e-4 * math.exp(-4.0 * s.t), abs=1e-6)
@@ -226,7 +226,7 @@ class TestIntegrateFlow:
         prob = build_problem(np.eye(2), transport_product(thetas))
         trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2, [0.0, 0.5, 1.0])
         for s in trace.samples:
-            assert np.array_equal(s.schedule.params, trace.samples[0].schedule.params)
+            assert np.array_equal(s.thetas, trace.samples[0].thetas)
 
     def test_identical_symmetric_layers_stay_identical(self):
         # symmetric theta0 keeps every gradient in the commutative algebra
@@ -240,7 +240,7 @@ class TestIntegrateFlow:
         trace = integrate_flow(flat_state(thetas), prob, 5.0, 1e-2,
                                np.linspace(0.0, 5.0, 6))
         for s in trace.samples:
-            mats = s.schedule.params.reshape(4, 2, 2)
+            mats = s.thetas
             spread = np.max(np.abs(mats - mats[0]))
             assert spread <= 1e-10
 
@@ -252,7 +252,7 @@ class TestIntegrateFlow:
                                np.linspace(0.0, 1.0, 5))
         for s in trace.samples:
             assert s.loss_value == pytest.approx(
-                loss(FlowState(s.schedule, s.t), prob), rel=1e-12)
+                loss(state_from_matrices(s.thetas, s.t), prob), rel=1e-12)
 
     def test_rejects_bad_steps_and_snapshots(self):
         prob = build_problem(np.eye(1), np.array([[1.01]]))
@@ -287,8 +287,7 @@ class TestIntegrateFlow:
 
 class TestFlowTraceValidation:
     def _sample(self, t, value):
-        sched = WeightSchedule(np.zeros((2, 1)))
-        return FlowSample(t, value, 0.0, 0.0, sched)
+        return FlowSample(t, value, 0.0, 0.0, np.zeros((2, 1, 1)))
 
     def test_times_must_increase(self):
         prob = build_problem(np.eye(1), np.zeros((1, 1)))
@@ -461,8 +460,8 @@ class TestProductVsOde:
         _, prob, traces = doubling_runs
         last64 = traces[64].samples[-1]
         last128 = traces[128].samples[-1]
-        gap64 = product_vs_ode(FlowState(last64.schedule, last64.t), prob)
-        gap128 = product_vs_ode(FlowState(last128.schedule, last128.t), prob)
+        gap64 = product_vs_ode(state_from_matrices(last64.thetas, last64.t), prob)
+        gap128 = product_vs_ode(state_from_matrices(last128.thetas, last128.t), prob)
         assert gap128 <= 1.1 * (64 * gap64) / 128
 
     def test_dimension_mismatch(self):
