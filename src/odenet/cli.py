@@ -112,6 +112,8 @@ def _run_linflow(config: ExperimentConfig) -> None:
               f"decay ratio {mon.max_decay_ratio:.4f} ({status})")
     for depth, dist in sorted(result.doubling.items()):
         print(f"doubling sup-distance D_{depth} = {dist:.6g}")
+    scaled = [n * result.product_gaps[n] for n in result.depths]
+    print(f"product-vs-flow N*gap {min(scaled):.4g} to {max(scaled):.4g} over all depths")
     if result.limit_report is not None and result.limit_report.sup_fit is not None:
         print(f"limit-profile sup slope {result.limit_report.sup_fit.slope:+.4f}")
 

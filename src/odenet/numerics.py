@@ -65,8 +65,8 @@ def spectral_norm(m) -> float:
     return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
 
 
-def _rk4_step(g, x, h, m=0, k1=None):
-    """One classical Runge-Kutta step of x' = g(x, stage) with step h.
+def _rk4_increment(g, x, h, m=0, k1=None):
+    """What one classical Runge-Kutta step of x' = g(x, stage) with step h adds to x.
 
     The four stages evaluate g at stages m, m + 1, m + 1 and m + 2, so a
     caller indexing half-steps gets the start, midpoint and end of the
@@ -76,7 +76,12 @@ def _rk4_step(g, x, h, m=0, k1=None):
     k2 = g(x + 0.5 * h * k1, m + 1)
     k3 = g(x + 0.5 * h * k2, m + 1)
     k4 = g(x + h * k3, m + 2)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_step(g, x, h, m=0, k1=None):
+    """One classical Runge-Kutta step: x + _rk4_increment(g, x, h, m, k1)."""
+    return x + _rk4_increment(g, x, h, m, k1)
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:

@@ -5,6 +5,7 @@ CLI) and wraps ``ResidualFamily``'s checked kernels by name, so a stale
 entry breaks traced runs even while every direct caller still works.
 """
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -37,6 +38,24 @@ def test_package_root_exports_exactly_the_module_lists():
     exported = {name for name, value in vars(odenet).items()
                 if not name.startswith("__") and not isinstance(value, types.ModuleType)}
     assert exported == expected
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in (Path(__file__).resolve().parents[1] / "src" / "odenet").glob("*.py")
+    if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_no_unused_top_level_import(path):
+    """A module-level import the module never reads is dead code left
+    behind by a deletion (the package root's re-exports are exempt)."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in bound.items() if name not in read} == {}
 
 
 def test_residual_family_keeps_its_checked_kernels():

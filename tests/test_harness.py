@@ -773,6 +773,24 @@ class TestCli:
         ]:
             assert f"{command} {help_text}" in text
 
+    def test_linflow_prints_product_gap_constant(self, tmp_path, capsys):
+        """One line gives the range of N * product gap over the depths; the
+        monitor lines the benchmark parses keep their form."""
+        path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
+                                   "depths = 8, 16, 32\nt_end = 1\n"
+                                   "snapshot_count = 2\ngrid_points = 32\n")
+        assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        monitors = re.findall(r"^N=(\d+): max theta norm \S+, decay ratio \S+ \(ok\)$",
+                              out, re.M)
+        assert monitors == ["8", "16", "32"]
+        with open(tmp_path / "out" / "productode.csv") as fh:
+            scaled = [int(n) * float(gap) for n, gap in
+                      (line.strip().split(",") for line in list(fh)[1:])]
+        line = f"product-vs-flow N*gap {min(scaled):.4g} to {max(scaled):.4g} over all depths"
+        assert line in out.splitlines()
+        assert out.index("doubling sup-distance") < out.index(line)
+
     def test_regime_violation_exits_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
                                    "depths = 8, 16, 32\nprofile_scale = 0.3\n"

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-import odenet.linear_flow as linear_flow
+from odenet.dynamics import DivergenceError, VectorField, _locate, solve_ode_oracle
 from odenet.harness import ExperimentConfig, run_linear_flow_experiment
 from odenet.linear_flow import (
     FlowSample,
@@ -469,15 +468,42 @@ class TestProductVsOde:
         with pytest.raises(ValueError):
             product_vs_ode(scalar_state([0.1]), prob)
 
-    def test_piece_matches_eval_path(self, monkeypatch):
-        thetas = np.random.default_rng(8).standard_normal((12, 3, 3)) * 0.3
-        prob = build_problem(np.eye(3), np.eye(3))
-        fused = product_vs_ode(flat_state(thetas), prob, probes=5)
-        oracle = linear_flow.solve_ode_oracle
-        monkeypatch.setattr(
-            linear_flow, "solve_ode_oracle",
-            lambda field, x0, steps: oracle(dataclasses.replace(field, piece=None), x0, steps))
-        assert product_vs_ode(flat_state(thetas), prob, probes=5) == fused
+    @pytest.mark.parametrize("probes", [1, 5])
+    @pytest.mark.parametrize("fine", [4, 64])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 12, 64])
+    def test_matches_rk4_oracle_path(self, n_layers, d, fine, probes):
+        """The closed form is the depth-s oracle's RK4 solve of the
+        left-continuous piecewise-constant field, to rounding."""
+        thetas = np.random.default_rng(8).standard_normal((n_layers, d, d)) * 0.3
+
+        def piece(n, times):   # one layer per stage time, as eval picks it
+            layers = thetas[_locate(times, n_layers)[0]]
+            return lambda x, m: layers[m] @ x
+
+        field = VectorField(lambda x, s: thetas[int(_locate(s, n_layers)[0])] @ x,
+                            depth=n_layers, state_dim=d, piece=piece)
+        x0 = np.random.default_rng(0).standard_normal((d, probes))   # product_vs_ode's probes
+        x0 /= np.linalg.norm(x0, axis=0)
+        flow = solve_ode_oracle(field, x0, fine * n_layers).states[-1]
+        expected = np.max(np.linalg.norm(transport_product(thetas) @ x0 - flow, axis=0))
+        prob = build_problem(np.eye(d), np.eye(d))
+        gap = product_vs_ode(flat_state(thetas), prob, probes=probes, fine_per_layer=fine)
+        assert gap == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [{"fine_per_layer": 3}, {"fine_per_layer": 4.0},
+                                        {"probes": 0}])
+    def test_rejects_coarse_grid_and_no_probes(self, kwargs):
+        prob = build_problem(np.eye(1), np.eye(1))
+        with pytest.raises(ValueError):
+            product_vs_ode(scalar_state([0.1] * 4), prob, **kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_blowup_raises_divergence(self):
+        prob = build_problem(np.eye(1), np.eye(1))
+        with pytest.raises(DivergenceError, match="ode oracle") as exc:
+            product_vs_ode(scalar_state([1e4]), prob)
+        assert exc.value.layer == 0
 
     @pytest.mark.xfail(strict=True, reason=(
         "the piecewise-constant field is left-continuous, so the first RK4 "
