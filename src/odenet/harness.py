@@ -134,7 +134,6 @@ class ExperimentConfig:
     dt: Optional[float] = None
     sigma_dim: int = 4
     loss_fraction: float = 0.125
-    grid_points: int = 256
     probes: int = 20
     snapshot_count: int = 11
     # toy-training knobs
@@ -145,8 +144,6 @@ class ExperimentConfig:
     learning_rate: float = 0.05
     iterations: int = 600
     gradient_mode: str = "exact"
-    # reporting knobs
-    slope_r2_min: float = 0.9
 
     def __post_init__(self):
         if self.experiment not in COMMAND_OF:
@@ -179,8 +176,8 @@ class ExperimentConfig:
             raise ConfigError("t_end and dt must be positive")
         if not 0.0 < self.loss_fraction < 1.0:
             raise ConfigError("loss_fraction must lie in (0, 1)")
-        if self.grid_points < 1 or self.probes < 1 or self.snapshot_count < 2:
-            raise ConfigError("grid_points, probes >= 1 and snapshot_count >= 2")
+        if self.probes < 1 or self.snapshot_count < 2:
+            raise ConfigError("probes >= 1 and snapshot_count >= 2")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown target {self.target!r}")
         if self.input_count < 2 or self.input_low >= self.input_high:
@@ -189,8 +186,6 @@ class ExperimentConfig:
             raise ConfigError("learning_rate must be > 0 and iterations >= 1")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ConfigError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if not 0.0 < self.slope_r2_min <= 1.0:
-            raise ConfigError("slope_r2_min must lie in (0, 1]")
 
 
 # Value parser of each config key, from its field's annotation.
@@ -359,6 +354,8 @@ ORACLE_STEPS_PER_LAYER = 8
 # A measured gap whose oracle estimate exceeds this share of it is
 # flagged "oracle" and left out of the slope fit.
 ORACLE_TOLERANCE = 1e-3
+# A slope fit with a smaller r^2 is flagged "low_confidence".
+SLOPE_R2_MIN = 0.9
 
 
 def _oracle(field, x0, depth: int):
@@ -437,8 +434,7 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
             continue
         fit = fit_loglog_slope(clean[name])
         fits[name] = fit
-        fit_flags[name] = ("ok" if fit.r_squared >= config.slope_r2_min
-                           else "low_confidence")
+        fit_flags[name] = "ok" if fit.r_squared >= SLOPE_R2_MIN else "low_confidence"
 
     study_path = os.path.join(out_dir, "study.csv")
     slopes_path = os.path.join(out_dir, "slopes.csv")
@@ -516,7 +512,6 @@ def run_tightness_suite(config: ExperimentConfig) -> list:
 
 @dataclass
 class LinearFlowResult:
-    problem: object
     depths: tuple
     regime_reports: dict      # depth -> RegimeReport
     traces: dict              # depth -> FlowTrace
@@ -524,7 +519,6 @@ class LinearFlowResult:
     doubling: dict            # depth N -> sup distance to the 2N run
     limit_report: object      # LimitMapReport or None
     product_gaps: dict        # depth -> product-vs-flow discrepancy
-    paths: list
 
 
 def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarray]:
@@ -550,9 +544,6 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     """
     if COMMAND_OF[config.experiment] != "linflow":
         raise ConfigError(f"not a linear-flow experiment: {config.experiment!r}")
-    if len(config.depths) >= 3 and any(config.grid_points % n for n in config.depths):
-        raise ConfigError(f"grid_points {config.grid_points} must be a multiple of "
-                          f"every depth for the limit map")
     sigma = np.eye(config.sigma_dim)
     # The step ceiling depends on sigma alone, so it is checked before
     # the output directory is made or any profile is drawn.
@@ -579,17 +570,15 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
             raise RegimeAbort(depth, report)
 
     snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
-    paths = []
     traces, monitor_reports, product_gaps = {}, {}, {}
     for depth in config.depths:
         trace = integrate_flow(states0[depth], problem, config.t_end, dt, snapshots)
         traces[depth] = trace
         monitor_reports[depth] = monitor_invariants(trace, problem)
-        path = os.path.join(out_dir, f"trace_N{depth}.csv")
-        _write_rows(path, ["t", "loss", "max_theta_norm", "smoothness_stat"],
+        _write_rows(os.path.join(out_dir, f"trace_N{depth}.csv"),
+                    ["t", "loss", "max_theta_norm", "smoothness_stat"],
                     [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
                       _fmt(r.smoothness_stat)] for r in trace.samples])
-        paths.append(path)
         last = trace.samples[-1]
         product_gaps[depth] = product_vs_ode(state_from_matrices(last.thetas, last.t),
                                              problem, probes=config.probes)
@@ -599,29 +588,21 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         if 2 * depth in traces:
             doubling[depth] = depth_double_compare(traces[depth], traces[2 * depth])
     if doubling:
-        dbl_path = os.path.join(out_dir, "doubling.csv")
-        _write_rows(dbl_path, ["N", "sup_distance"],
+        _write_rows(os.path.join(out_dir, "doubling.csv"), ["N", "sup_distance"],
                     [[n, _fmt(doubling[n])] for n in sorted(doubling)])
-        paths.append(dbl_path)
 
     limit_report = None
     if len(config.depths) >= 3:
-        limit_report = extract_limit_map([traces[n] for n in config.depths],
-                                         grid_points=config.grid_points)
-        lm_path = os.path.join(out_dir, "limitmap.csv")
-        _write_rows(lm_path, ["t", "N", "l2_distance"],
+        limit_report = extract_limit_map([traces[n] for n in config.depths])
+        _write_rows(os.path.join(out_dir, "limitmap.csv"), ["t", "N", "l2_distance"],
                     [[_fmt(t), int(n), _fmt(limit_report.distances[ti, ni])]
                      for ti, t in enumerate(limit_report.times)
                      for ni, n in enumerate(limit_report.depths)])
-        paths.append(lm_path)
 
-    prod_path = os.path.join(out_dir, "productode.csv")
-    _write_rows(prod_path, ["N", "discrepancy"],
+    _write_rows(os.path.join(out_dir, "productode.csv"), ["N", "discrepancy"],
                 [[n, _fmt(product_gaps[n])] for n in config.depths])
-    paths.append(prod_path)
-    return LinearFlowResult(problem, config.depths, regime_reports, traces,
-                            monitor_reports, doubling, limit_report,
-                            product_gaps, paths)
+    return LinearFlowResult(config.depths, regime_reports, traces, monitor_reports,
+                            doubling, limit_report, product_gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +614,6 @@ class ToyRun:
     losses: np.ndarray     # per-iteration mean squared error, length iters+1
     final_loss: float
     losses_path: str
-    trajectories_path: str
 
 
 @dataclass
@@ -685,6 +665,10 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
                          backprop_adjoint_euler)(family, schedule, out, out_grad)
             losses[it] = float(np.mean((out - targets) ** 2))
             params = params - config.learning_rate * depth * grads.param_grads
+            bad = ~np.isfinite(params).all(axis=1)
+            if bad.any():
+                layer = int(np.argmax(bad))
+                raise DivergenceError(f"training update diverged at layer {layer}", layer)
         final_schedule = WeightSchedule(params)
         final_traj = (forward_heun_chain if scheme is HEUN
                       else forward_euler_chain)(family, final_schedule, inputs)
@@ -694,14 +678,13 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
         _write_rows(losses_path, ["iteration", "loss"],
                     [[k, _fmt(losses[k])] for k in range(losses.size)])
-        traj_path = os.path.join(out_dir, f"trajectories_N{depth}.csv")
         rows = []
         s_values = np.arange(depth + 1) / depth
         for b in range(config.input_count):
             for node in range(depth + 1):
                 rows.append([b, node, _fmt(s_values[node]),
                              _fmt(final_traj.nodes[node, 0, b])])
-        _write_rows(traj_path, ["input_index", "node_index", "s", "x_0"], rows)
-        runs[depth] = ToyRun(depth, losses, float(losses[-1]),
-                             losses_path, traj_path)
+        _write_rows(os.path.join(out_dir, f"trajectories_N{depth}.csv"),
+                    ["input_index", "node_index", "s", "x_0"], rows)
+        runs[depth] = ToyRun(depth, losses, float(losses[-1]), losses_path)
     return ToyTrainResult(config.gradient_mode, runs)

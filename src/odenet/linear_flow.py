@@ -376,27 +376,34 @@ def depth_double_compare(trace_n: FlowTrace, trace_2n: FlowTrace) -> float:
 
 @dataclass
 class LimitMapReport:
+    """Exact L2 gaps of each shallower step profile to the deepest run's, and their fits."""
+
     depths: np.ndarray           # shallower depths, ascending
     ref_depth: int
     times: np.ndarray            # shared sample times
-    distances: np.ndarray        # (times, depths) L2 gaps to the reference
+    distances: np.ndarray        # (times, depths) exact L2 gaps to the reference
     per_time_fits: list          # Optional[SlopeFit] per sample time
     sup_fit: Optional[SlopeFit]  # fit of sup_t distance against depth
 
 
-def _profile_values(thetas: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """psi(s) = theta_ceil(N s) evaluated on interior grid points."""
-    n_layers = thetas.shape[0]
-    cells = np.minimum((n_layers * s_grid).astype(int), n_layers - 1)
-    return thetas[cells]
+def _profile_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact L2 distance over s in (0, 1] of the step profiles of two layer stacks.
+
+    Both profiles are constant on the cells of the lcm(N_a, N_b) grid, so
+    repeating each stack's rows onto it makes the cell mean the integral.
+    """
+    cells = math.lcm(len(a), len(b))
+    diff = np.repeat(a, cells // len(a), axis=0) - np.repeat(b, cells // len(b), axis=0)
+    return math.sqrt(float(np.mean(np.sum(diff ** 2, axis=(1, 2)))))
 
 
-def extract_limit_map(traces: Sequence[FlowTrace], grid_points: int = 256) -> LimitMapReport:
+def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
     """L2 convergence of the depth profiles toward the deepest trace.
 
-    The step profile of each schedule is sampled at grid cell centers
-    (j + 1/2)/grid_points; with depths dividing grid_points the
-    quadrature integrates each piecewise-constant profile exactly.
+    At every sample time, each shallower run's step profile
+    psi_N(s) = theta_ceil(N s) is compared with the reference run's by
+    their exact L2 distance over s in (0, 1]; any set of distinct depths
+    is accepted.
     """
     ordered = sorted(traces, key=lambda tr: tr.depth)
     depths = [tr.depth for tr in ordered]
@@ -405,22 +412,14 @@ def extract_limit_map(traces: Sequence[FlowTrace], grid_points: int = 256) -> Li
     if len(set(depths)) != len(depths):
         raise ValueError("traces must have distinct depths")
     for tr in ordered:
-        if grid_points % tr.depth != 0:
-            raise ValueError(f"grid_points must be a multiple of depth {tr.depth}")
         if not np.array_equal(tr.times, ordered[0].times):
             raise ValueError("traces were sampled at different times")
     ref = ordered[-1]
     rest = ordered[:-1]
     times = ref.times
-    s_grid = (np.arange(grid_points) + 0.5) / grid_points
 
-    distances = np.empty((len(times), len(rest)))
-    for ti in range(len(times)):
-        ref_vals = _profile_values(ref.samples[ti].thetas, s_grid)
-        for ni, tr in enumerate(rest):
-            vals = _profile_values(tr.samples[ti].thetas, s_grid)
-            sq = np.sum((vals - ref_vals) ** 2, axis=(1, 2))
-            distances[ti, ni] = math.sqrt(float(np.mean(sq)))
+    distances = np.array([[_profile_gap(tr.samples[ti].thetas, ref.samples[ti].thetas)
+                           for tr in rest] for ti in range(len(times))])
 
     rest_depths = np.array([tr.depth for tr in rest], dtype=float)
     fits = []

@@ -79,7 +79,7 @@ calls = [
     ("study", "experiment = euler_adjoint\ndepths = 4, 8\n"),
     ("study", "experiment = approx_error\ndepths = 4, 8\n"),
     ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
-    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\ngrid_points = 16\n"),
+    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n"),
     ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"),
 ]
 for i, (command, text) in enumerate(calls):

@@ -9,7 +9,7 @@ import pytest
 
 from odenet import harness
 from odenet.cli import main
-from odenet.dynamics import VectorField, interpolate, solve_ode_oracle
+from odenet.dynamics import DivergenceError, VectorField, interpolate, solve_ode_oracle
 from odenet.harness import (
     AllDepthsDiverged,
     ConfigError,
@@ -425,7 +425,7 @@ def flow_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("linflow")
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
                               sigma_dim=2, t_end=2.0, snapshot_count=3,
-                              grid_points=32, seed=0, output_dir=str(out))
+                              seed=0, output_dir=str(out))
     return out, run_linear_flow_experiment(config)
 
 
@@ -466,7 +466,7 @@ class TestLinearFlowExperiment:
     def test_oversized_init_aborts(self, tmp_path):
         config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
                                   sigma_dim=2, t_end=1.0, snapshot_count=2,
-                                  grid_points=32, profile_scale=0.3, seed=0,
+                                  profile_scale=0.3, seed=0,
                                   output_dir=str(tmp_path))
         with pytest.raises(RegimeAbort) as exc:
             run_linear_flow_experiment(config)
@@ -529,6 +529,22 @@ class TestToyTraining:
         final = result.runs[64].final_loss
         assert final < result.runs[64].losses[0]
         assert 0.015 <= final <= 0.2
+
+    def test_overflowing_update_names_first_bad_layer(self, tmp_path, monkeypatch):
+        """A non-finite parameter after an update raises DivergenceError at
+        the first layer holding one, before the next schedule is built."""
+        exact = harness.backprop_exact
+
+        def overflowing(*args):
+            grads = exact(*args)
+            grads.param_grads[2:] = np.inf
+            return grads
+        monkeypatch.setattr(harness, "backprop_exact", overflowing)
+        config = ExperimentConfig(experiment="toy_train", depths=(4,), iterations=3,
+                                  input_count=8, hidden_dim=3, output_dir=str(tmp_path))
+        with pytest.raises(DivergenceError) as exc:
+            run_toy_training(config)
+        assert exc.value.layer == 2
 
     def test_rejects_wrong_experiment(self, tmp_path):
         config = ExperimentConfig(experiment="linear_flow",
@@ -631,15 +647,28 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_grid_points_off_the_depths_exits_2_before_writing(self, tmp_path, capsys):
-        """The limit map's grid check runs before any depth is integrated,
-        so no trace or doubling file is left behind."""
-        path = write_cfg(tmp_path, "experiment = limit_map\ndepths = 8, 16, 32\n"
-                                   "grid_points = 8\nt_end = 1\nsigma_dim = 2\n")
-        out = tmp_path / "out"
-        assert main(["linflow", "--config", path, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not list(out.glob("**/*"))
+    def test_limit_map_on_depths_that_do_not_divide(self, tmp_path):
+        """Depths 4, 6, 9 run; each limitmap.csv distance is the L2 gap of
+        two step profiles, integrated by brute force on a fine common grid."""
+        text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nsigma_dim = 2\n"
+        path = write_cfg(tmp_path, text + "snapshot_count = 3\n")
+        assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        config = load_config(path)
+        config.output_dir = str(tmp_path / "again")
+        traces = run_linear_flow_experiment(config).traces
+        s = (np.arange(3600) + 0.5) / 3600
+
+        def profile(thetas):
+            return thetas[(len(thetas) * s).astype(int)]
+        rows = (tmp_path / "out" / "limitmap.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 3 * 2
+        for row in rows:
+            t, n, distance = row.split(",")
+            ti = [sample.t for sample in traces[9].samples].index(float(t))
+            diff = (profile(traces[int(n)].samples[ti].thetas)
+                    - profile(traces[9].samples[ti].thetas))
+            brute = math.sqrt(float(np.mean(np.sum(diff ** 2, axis=(1, 2)))))
+            assert float(distance) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("command,experiment", [
         ("study", "approx_error"), ("tightness", "tightness_suite"),
@@ -709,6 +738,22 @@ class TestCli:
         assert a == (tmp_path / "b" / "study.csv").read_bytes()
         assert a != (tmp_path / "c" / "study.csv").read_bytes()
 
+    def test_scattered_fit_is_flagged_low_confidence(self, tmp_path, capsys, monkeypatch):
+        """Values that scatter about every power law fit with r2 below
+        SLOPE_R2_MIN; the flag reaches slopes.csv and stdout."""
+        values = {8: 1.0, 16: 0.1, 32: 1.0, 64: 0.1}
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (
+            lambda family, schedule, x0, target: ([(values[schedule.depth], 1.0)], None),
+            ("approx_max_error",)))
+        path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 8, 16, 32, 64\n")
+        assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert re.search(r"^approx_max_error: slope \S+ \(r2 \S+, low_confidence\)$",
+                         capsys.readouterr().out, re.M)
+        lines = (tmp_path / "out" / "slopes.csv").read_text().strip().splitlines()
+        metric, _, _, r2, flag = lines[1].split(",")
+        assert (metric, flag) == ("approx_max_error", "low_confidence")
+        assert float(r2) < harness.SLOPE_R2_MIN
+
     def test_training_divergence_exits_3(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 4\n"
                                    "learning_rate = 1e6\niterations = 10\n"
@@ -738,6 +783,13 @@ class TestCli:
                                     "learning_rate = 1e6\niterations = 10\n"
                                     "input_count = 8\nhidden_dim = 3\n", 3,
                            "diverged at layer"),
+        # The update itself overflows: params turn infinite, not the chain.
+        **{f"train_overflow_{mode}": ("train", "experiment = toy_train\ndepths = 4\n"
+                                               f"gradient_mode = {mode}\n"
+                                               "learning_rate = 1e308\niterations = 3\n"
+                                               "input_count = 8\nhidden_dim = 3\n", 3,
+                                      "training update diverged at layer 0")
+           for mode in ("exact", "adjoint_euler", "adjoint_heun")},
     }
 
     @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
@@ -778,7 +830,7 @@ class TestCli:
         monitor lines the benchmark parses keep their form."""
         path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
                                    "depths = 8, 16, 32\nt_end = 1\n"
-                                   "snapshot_count = 2\ngrid_points = 32\n")
+                                   "snapshot_count = 2\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         monitors = re.findall(r"^N=(\d+): max theta norm \S+, decay ratio \S+ \(ok\)$",
@@ -794,8 +846,7 @@ class TestCli:
     def test_regime_violation_exits_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
                                    "depths = 8, 16, 32\nprofile_scale = 0.3\n"
-                                   "t_end = 1\nsnapshot_count = 2\n"
-                                   "grid_points = 32\n")
+                                   "t_end = 1\nsnapshot_count = 2\n")
         rc = main(["linflow", "--config", path, "--out", str(tmp_path)])
         assert rc == 4
         assert "small-loss regime" in capsys.readouterr().err

@@ -401,8 +401,7 @@ class TestDepthDoubling:
 class TestLimitMap:
     def test_profiles_converge_to_deepest_run(self, doubling_runs):
         _, _, traces = doubling_runs
-        report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)],
-                                   grid_points=256)
+        report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)])
         assert report.ref_depth == 128
         assert report.sup_fit is not None and report.sup_fit.r_squared >= 0.9
         assert -1.3 <= report.sup_fit.slope <= -0.7
@@ -415,8 +414,7 @@ class TestLimitMap:
         """At t = 0 the reported gap is just the sampling gap between the
         step profiles, computable straight from the profile."""
         profile, _, traces = doubling_runs
-        report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)],
-                                   grid_points=256)
+        report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)])
         s_grid = (np.arange(256) + 0.5) / 256
 
         def step_values(depth):
@@ -429,15 +427,34 @@ class TestLimitMap:
                 np.sum((step_values(depth) - ref_vals) ** 2, axis=(1, 2)))))
             assert report.distances[0, ni] == pytest.approx(direct, rel=1e-12)
 
+    def test_equals_cell_sampling_on_a_doubling_ladder(self):
+        """With the reference at depth 256, the exact distance equals, bit
+        for bit, the 256-point midpoint sampling of both step profiles."""
+        rng = np.random.default_rng(7)
+        prob = build_problem(np.eye(3), np.eye(3))
+        depths = (16, 32, 64, 128, 256)
+        stacks = {n: rng.standard_normal((2, n, 3, 3)) for n in depths}
+        report = extract_limit_map([
+            FlowTrace([FlowSample(t, 1.0, 0.0, 0.0, stacks[n][ti])
+                       for ti, t in enumerate((0.0, 1.0))], prob, 0.01)
+            for n in depths])
+        s_grid = (np.arange(256) + 0.5) / 256
+
+        def sampled(thetas):
+            n = thetas.shape[0]
+            return thetas[np.minimum((n * s_grid).astype(int), n - 1)]
+        for ti in range(2):
+            ref_vals = sampled(stacks[256][ti])
+            for ni, n in enumerate(depths[:-1]):
+                sq = np.sum((sampled(stacks[n][ti]) - ref_vals) ** 2, axis=(1, 2))
+                assert report.distances[ti, ni] == math.sqrt(float(np.mean(sq)))
+
     def test_validation(self, doubling_runs):
         _, _, traces = doubling_runs
         with pytest.raises(ValueError):
             extract_limit_map([traces[16], traces[32]])
         with pytest.raises(ValueError):
             extract_limit_map([traces[16], traces[16], traces[32]])
-        with pytest.raises(ValueError):
-            extract_limit_map([traces[d] for d in (16, 32, 64, 128)],
-                              grid_points=100)
 
 
 class TestProductVsOde:
@@ -540,7 +557,7 @@ def flow_csvs(tmp_path_factory):
     out = tmp_path_factory.mktemp("flowcsv")
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
                               sigma_dim=2, t_end=1.0, snapshot_count=3,
-                              grid_points=32, seed=0, output_dir=str(out))
+                              seed=0, output_dir=str(out))
     return out, run_linear_flow_experiment(config)
 
 
