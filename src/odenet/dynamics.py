@@ -73,7 +73,6 @@ class VectorField:
 
 @dataclass
 class ODESolution:
-    grid: np.ndarray        # (steps+1,) times, 0 to 1
     states: np.ndarray      # (steps+1, d)
     oracle_steps: int
 
@@ -281,7 +280,7 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
             x = _rk4_step(g, x, h, 2 * j)
             _check_divergence(x, first + j, "ode oracle")
             states[first + j + 1] = x
-    return ODESolution(np.arange(fine_steps + 1) / fine_steps, states, fine_steps)
+    return ODESolution(states, fine_steps)
 
 
 def approximation_error(traj: Trajectory, sol: ODESolution):

@@ -51,7 +51,6 @@ from .linear_flow import (
     monitor_invariants,
     product_vs_ode,
     small_loss_target,
-    state_from_matrices,
     state_from_profile,
 )
 from .numerics import above_noise_floor, fit_loglog_slope, spectral_norm
@@ -87,7 +86,7 @@ COMMANDS = {
     "study": (("approx_error", "euler_adjoint", "heun_adjoint"),
               (16, 32, 64, 128, 256, 512, 1024)),
     "tightness": (("tightness_suite",), (10, 100, 1000)),
-    "linflow": (("linear_flow", "limit_map"), (16, 32, 64, 128, 256)),
+    "linflow": (("limit_map",), (16, 32, 64, 128, 256)),
     "train": (("toy_train",), (64, 300)),
 }
 COMMAND_OF = {experiment: command for command, (experiments, _) in COMMANDS.items()
@@ -134,7 +133,6 @@ class ExperimentConfig:
     dt: Optional[float] = None
     sigma_dim: int = 4
     loss_fraction: float = 0.125
-    probes: int = 20
     snapshot_count: int = 11
     # toy-training knobs
     target: str = "square_half"
@@ -176,8 +174,8 @@ class ExperimentConfig:
             raise ConfigError("t_end and dt must be positive")
         if not 0.0 < self.loss_fraction < 1.0:
             raise ConfigError("loss_fraction must lie in (0, 1)")
-        if self.probes < 1 or self.snapshot_count < 2:
-            raise ConfigError("probes >= 1 and snapshot_count >= 2")
+        if self.snapshot_count < 2:
+            raise ConfigError("snapshot_count must be >= 2")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown target {self.target!r}")
         if self.input_count < 2 or self.input_low >= self.input_high:
@@ -579,9 +577,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
                     ["t", "loss", "max_theta_norm", "smoothness_stat"],
                     [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
                       _fmt(r.smoothness_stat)] for r in trace.samples])
-        last = trace.samples[-1]
-        product_gaps[depth] = product_vs_ode(state_from_matrices(last.thetas, last.t),
-                                             problem, probes=config.probes)
+        product_gaps[depth] = product_vs_ode(trace.samples[-1].thetas, problem)
 
     doubling = {}
     for depth in config.depths:

@@ -219,7 +219,6 @@ class TestSolveOdeOracle:
         sol = solve_ode_oracle(field, np.zeros(1), 16)
         # RK4 integrates the line s exactly: x(1) = 1/2
         assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-15)
-        assert sol.grid[0] == 0.0 and sol.grid[-1] == 1.0
 
     def test_alternating_square_third(self):
         depth = 16
@@ -289,7 +288,6 @@ class TestOraclePiecePath:
         x0 = rng.standard_normal(fam.state_dim)
         fused = solve_ode_oracle(field, x0, 16 * depth)
         plain = solve_ode_oracle(without_piece(field), x0, 16 * depth)
-        assert np.array_equal(fused.grid, plain.grid)
         scale = np.max(np.abs(plain.states))
         assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * scale
 

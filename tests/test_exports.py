@@ -6,6 +6,7 @@ entry breaks traced runs even while every direct caller still works.
 """
 
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import odenet
+from odenet.harness import ExperimentConfig
 from odenet.residual_models import ResidualFamily
 
 MODULES = ("cli", "harness", "linear_flow", "dynamics", "adjoint", "residual_models",
@@ -56,6 +58,24 @@ def test_no_unused_top_level_import(path):
                 bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in bound.items() if name not in read} == {}
+
+
+def test_every_config_key_is_read():
+    """Each ExperimentConfig field is read as ``config.<name>`` by the
+    harness or the CLI outside the class itself; a key only its
+    validation reads is an option that changes nothing."""
+    src = Path(__file__).resolve().parents[1] / "src" / "odenet"
+    read = set()
+    for name in ("harness.py", "cli.py"):
+        tree = ast.parse((src / name).read_text())
+        skipped = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "ExperimentConfig"
+                   for node in ast.walk(cls)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and id(node) not in skipped
+                 and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert keys - read == set()
 
 
 def test_residual_family_keeps_its_checked_kernels():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from odenet import linear_flow
 from odenet.dynamics import DivergenceError, VectorField, _locate, solve_ode_oracle
 from odenet.harness import ExperimentConfig, run_linear_flow_experiment
 from odenet.linear_flow import (
@@ -10,6 +12,7 @@ from odenet.linear_flow import (
     FlowState,
     FlowTrace,
     StepSizeError,
+    _profile_gap,
     build_problem,
     check_small_loss_regime,
     depth_double_compare,
@@ -291,12 +294,12 @@ class TestFlowTraceValidation:
     def test_times_must_increase(self):
         prob = build_problem(np.eye(1), np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            FlowTrace([self._sample(0.0, 1.0), self._sample(0.0, 1.0)], prob, 1e-3)
+            FlowTrace([self._sample(0.0, 1.0), self._sample(0.0, 1.0)], prob)
 
     def test_loss_must_not_increase(self):
         prob = build_problem(np.eye(1), np.zeros((1, 1)))
         with pytest.raises(ValueError, match="increased"):
-            FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], prob, 1e-3)
+            FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], prob)
 
 
 class TestStateConstruction:
@@ -436,7 +439,7 @@ class TestLimitMap:
         stacks = {n: rng.standard_normal((2, n, 3, 3)) for n in depths}
         report = extract_limit_map([
             FlowTrace([FlowSample(t, 1.0, 0.0, 0.0, stacks[n][ti])
-                       for ti, t in enumerate((0.0, 1.0))], prob, 0.01)
+                       for ti, t in enumerate((0.0, 1.0))], prob)
             for n in depths])
         s_grid = (np.arange(256) + 0.5) / 256
 
@@ -449,6 +452,30 @@ class TestLimitMap:
                 sq = np.sum((sampled(stacks[n][ti]) - ref_vals) ** 2, axis=(1, 2))
                 assert report.distances[ti, ni] == math.sqrt(float(np.mean(sq)))
 
+    @pytest.mark.parametrize("na, nb", [(4, 9), (6, 10), (250, 257)])
+    def test_matches_lcm_grid_sampling(self, na, nb):
+        """Reference: both stacks repeated onto the lcm(N_a, N_b) grid,
+        where the cell mean of the squared gap is its integral."""
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((na, 3, 3)), rng.standard_normal((nb, 3, 3))
+        cells = math.lcm(na, nb)
+        diff = np.repeat(a, cells // na, axis=0) - np.repeat(b, cells // nb, axis=0)
+        lcm_gap = math.sqrt(float(np.mean(np.sum(diff ** 2, axis=(1, 2)))))
+        assert _profile_gap(a, b) == pytest.approx(lcm_gap, rel=1e-14)
+
+    def test_memory_does_not_grow_with_lcm(self):
+        """Coprime depths 997 and 1009 share no cell edge but the last; the
+        lcm grid would hold a million 4x4 cells."""
+        a, b = np.ones((997, 4, 4)), np.zeros((1009, 4, 4))
+        tracemalloc.start()
+        try:
+            gap = _profile_gap(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap == pytest.approx(4.0, rel=1e-14)
+        assert peak < 16 * 2 ** 20
+
     def test_validation(self, doubling_runs):
         _, _, traces = doubling_runs
         with pytest.raises(ValueError):
@@ -460,38 +487,37 @@ class TestLimitMap:
 class TestProductVsOde:
     def test_zero_schedule_no_gap(self):
         prob = build_problem(np.eye(2), np.eye(2))
-        state = flat_state(np.zeros((8, 2, 2)))
-        assert product_vs_ode(state, prob) == 0.0
+        assert product_vs_ode(np.zeros((8, 2, 2)), prob) == 0.0
 
     def test_constant_scalar_matches_exponential_gap(self):
         # |(1 + 0.4/256)^256 - e^{0.4}| with unit probes
         prob = build_problem(np.eye(1), np.eye(1))
-        state = scalar_state([0.4] * 256)
-        gap = product_vs_ode(state, prob)
+        gap = product_vs_ode(np.full((256, 1, 1), 0.4), prob)
         closed = abs((1.0 + 0.4 / 256) ** 256 - math.exp(0.4))
         assert gap == pytest.approx(closed, rel=1e-10)
         assert gap <= 5e-4
 
     def test_trained_gap_scales_inversely_with_depth(self, doubling_runs):
         _, prob, traces = doubling_runs
-        last64 = traces[64].samples[-1]
-        last128 = traces[128].samples[-1]
-        gap64 = product_vs_ode(state_from_matrices(last64.thetas, last64.t), prob)
-        gap128 = product_vs_ode(state_from_matrices(last128.thetas, last128.t), prob)
+        gap64 = product_vs_ode(traces[64].samples[-1].thetas, prob)
+        gap128 = product_vs_ode(traces[128].samples[-1].thetas, prob)
         assert gap128 <= 1.1 * (64 * gap64) / 128
 
     def test_dimension_mismatch(self):
         prob = build_problem(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            product_vs_ode(scalar_state([0.1]), prob)
+            product_vs_ode(np.full((1, 1, 1), 0.1), prob)
 
-    @pytest.mark.parametrize("probes", [1, 5])
+    @pytest.mark.parametrize("probes", [1, 5, 20])
     @pytest.mark.parametrize("fine", [4, 64])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("n_layers", [1, 2, 12, 64])
-    def test_matches_rk4_oracle_path(self, n_layers, d, fine, probes):
+    def test_matches_rk4_oracle_path(self, n_layers, d, fine, probes, monkeypatch):
         """The closed form is the depth-s oracle's RK4 solve of the
-        left-continuous piecewise-constant field, to rounding."""
+        left-continuous piecewise-constant field, to rounding.  The
+        sub-step and probe counts are set through the module constants."""
+        monkeypatch.setattr(linear_flow, "ODE_STEPS_PER_LAYER", fine)
+        monkeypatch.setattr(linear_flow, "PROBES", probes)
         thetas = np.random.default_rng(8).standard_normal((n_layers, d, d)) * 0.3
 
         def piece(n, times):   # one layer per stage time, as eval picks it
@@ -505,21 +531,22 @@ class TestProductVsOde:
         flow = solve_ode_oracle(field, x0, fine * n_layers).states[-1]
         expected = np.max(np.linalg.norm(transport_product(thetas) @ x0 - flow, axis=0))
         prob = build_problem(np.eye(d), np.eye(d))
-        gap = product_vs_ode(flat_state(thetas), prob, probes=probes, fine_per_layer=fine)
-        assert gap == pytest.approx(expected, rel=1e-9)
+        assert product_vs_ode(thetas, prob) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("kwargs", [{"fine_per_layer": 3}, {"fine_per_layer": 4.0},
-                                        {"probes": 0}])
-    def test_rejects_coarse_grid_and_no_probes(self, kwargs):
+    @pytest.mark.parametrize("thetas", [np.zeros((4, 1)), np.zeros((4, 2, 3)),
+                                        np.full((4, 1, 1), np.nan), np.zeros((4, 2, 2)),
+                                        np.zeros((0, 1, 1))],
+                             ids=["2d", "not_square", "nan", "other_dim", "empty"])
+    def test_rejects_malformed_stack(self, thetas):
         prob = build_problem(np.eye(1), np.eye(1))
         with pytest.raises(ValueError):
-            product_vs_ode(scalar_state([0.1] * 4), prob, **kwargs)
+            product_vs_ode(thetas, prob)
 
     @pytest.mark.filterwarnings("error")
     def test_blowup_raises_divergence(self):
         prob = build_problem(np.eye(1), np.eye(1))
         with pytest.raises(DivergenceError, match="ode oracle") as exc:
-            product_vs_ode(scalar_state([1e4]), prob)
+            product_vs_ode(np.full((1, 1, 1), 1e4), prob)
         assert exc.value.layer == 0
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -539,7 +566,7 @@ class TestProductVsOde:
         x0 /= np.linalg.norm(x0, axis=0)
         exact = np.max(np.linalg.norm((transport_product(thetas) - flow) @ x0, axis=0))
         prob = build_problem(np.eye(2), np.eye(2))
-        assert product_vs_ode(flat_state(thetas), prob) == pytest.approx(exact, rel=1e-3)
+        assert product_vs_ode(thetas, prob) == pytest.approx(exact, rel=1e-3)
 
 
 def taylor_expm(a, terms=18):
