@@ -60,9 +60,9 @@ class DivergenceError(RuntimeError):
 class VectorField:
     """Right-hand side of dx/ds = eval(x, s) on s in [0, 1].
 
-    ``piece``, if set, is piece(n, times) -> g(x, m) = eval(x, times[m])
-    for times in layer interval [n/N, (n+1)/N]: one unchecked kernel per
-    interval, with its parameters checked and blend weights built once.
+    ``piece``, if set, is piece(n, alphas) -> g(x, m) = eval(x, (n +
+    alphas[m]) / N) at stage fractions alphas of layer interval n: one
+    unchecked kernel per interval, parameters checked and weights built once.
     """
 
     eval: Callable[[np.ndarray, float], np.ndarray]
@@ -73,7 +73,7 @@ class VectorField:
 
 @dataclass
 class ODESolution:
-    states: np.ndarray      # (steps+1, d)
+    states: np.ndarray      # (N+1, d): the flow at the chain nodes n/N
     oracle_steps: int
 
 
@@ -232,8 +232,7 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
             raise ValueError("theta_end must match the schedule's parameter dimension")
         rows = np.vstack([schedule.params, last[None, :]])
 
-    def piece(n, times):
-        alphas = (_locate(times, N)[1] - n).tolist()
+    def piece(n, alphas):
         if kind == "residual_interp":
             return family.blend(rows[n], rows[n + 1], alphas)
         alpha = np.asarray(alphas)[:, None]
@@ -243,20 +242,21 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
     def eval_field(x, s):
         if not (0.0 <= s <= 1.0):
             raise ValueError(f"field time {s} outside [0, 1]")
-        return piece(int(_locate(s, N)[0]), [s])(family._check_state(x), 0)
+        n, u = _locate(s, N)
+        return piece(int(n), [float(u - n)])(family._check_state(x), 0)
 
     return VectorField(eval_field, depth=N, state_dim=family.state_dim, piece=piece)
 
 
 def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
-    """Classical 4-stage Runge-Kutta reference solution on a uniform fine grid.
+    """Classical 4-stage Runge-Kutta flow of the field at the chain nodes n/N.
 
     ``fine_steps`` must be a multiple of the field's grid resolution N
-    and at least 4N, so every chain node time n/N lands exactly on the
-    fine grid and sub-steps never straddle an interpolation interval.
-    Sub-step i evaluates the field's ``piece`` kernel for its interval
-    (else ``eval``) at (2i + m) / (2 fine_steps), m = 0..2: exactly
-    i/fine_steps and (i + 1/2)/fine_steps.  x0 is validated once, here.
+    and at least 4N, so each layer interval takes K = fine_steps / N
+    whole sub-steps and none straddles an interpolation interval.  Each
+    interval gets one ``piece`` kernel (else ``eval``) at the stage
+    fractions j / (2K), j = 0..2K; sub-step i of the interval evaluates
+    fractions 2i, 2i + 1 and 2i + 2.  x0 is validated once, here.
     """
     x = require_finite(x0, "x0").astype(float)
     if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
@@ -267,31 +267,27 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
     if fine_steps < 4 * n_grid:
         raise ValueError(f"fine_steps {fine_steps} too coarse; need >= {4 * n_grid}")
 
-    piece = field.piece or (lambda n, times: lambda y, m: field.eval(y, times[m]))
+    piece = field.piece or (lambda n, a: lambda y, m: field.eval(y, (n + a[m]) / n_grid))
     per_layer = fine_steps // n_grid
+    alphas = (np.arange(2 * per_layer + 1) / (2 * per_layer)).tolist()
     h = 1.0 / fine_steps
-    states = np.empty((fine_steps + 1,) + x.shape)
+    states = np.empty((n_grid + 1,) + x.shape)
     states[0] = x
     for n in range(n_grid):
-        first = n * per_layer
-        stages = np.arange(2 * first, 2 * (first + per_layer) + 1)
-        g = piece(n, (stages / (2 * fine_steps)).tolist())
+        g = piece(n, alphas)
         for j in range(per_layer):
             x = _rk4_step(g, x, h, 2 * j)
-            _check_divergence(x, first + j, "ode oracle")
-            states[first + j + 1] = x
+            _check_divergence(x, n, "ode oracle")
+        states[n + 1] = x
     return ODESolution(states, fine_steps)
 
 
 def approximation_error(traj: Trajectory, sol: ODESolution):
-    """Per-node gaps ||x_n - x(n/N)|| and their maximum."""
-    N = traj.depth
-    if sol.oracle_steps % N != 0:
-        raise ValueError("oracle grid does not contain the chain grid")
-    stride = sol.oracle_steps // N
-    if traj.nodes.ndim != 2 or sol.states.shape[1] != traj.nodes.shape[1]:
-        raise ValueError("trajectory and solution dimensions do not match")
-    gaps = np.linalg.norm(traj.nodes - sol.states[::stride], axis=1)
+    """Per-node gaps ||x_n - x(n/N)|| and their maximum; ``sol`` must hold
+    the flow at the same N + 1 nodes as the chain."""
+    if traj.nodes.ndim != 2 or sol.states.shape != traj.nodes.shape:
+        raise ValueError("trajectory and solution nodes do not match")
+    gaps = np.linalg.norm(traj.nodes - sol.states, axis=1)
     return gaps, float(np.max(gaps))
 
 

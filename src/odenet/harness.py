@@ -239,6 +239,12 @@ def _write_rows(path, header, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
+def _require(config: ExperimentConfig, command: str) -> None:
+    """Reject an experiment that another command runs."""
+    if COMMAND_OF[config.experiment] != command:
+        raise ConfigError(f"not a {command} experiment: {config.experiment!r}")
+
+
 def _output_dir(config: ExperimentConfig) -> str:
     """Create the output directory before any work; an unusable one is a ConfigError."""
     try:
@@ -356,23 +362,21 @@ ORACLE_TOLERANCE = 1e-3
 SLOPE_R2_MIN = 0.9
 
 
-def _oracle(field, x0, depth: int):
+def _oracle(field, x0):
     """Reference solution at 8N RK4 steps and its Richardson error estimate.
 
     The estimate is the largest gap, over the chain nodes n/N, between
     the solves at 4N and at 8N steps.
     """
-    coarse_steps = ORACLE_STEPS_PER_LAYER // 2
-    coarse = solve_ode_oracle(field, x0, coarse_steps * depth)
-    sol = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * depth)
-    gap = coarse.states[::coarse_steps] - sol.states[::ORACLE_STEPS_PER_LAYER]
-    return sol, float(np.max(np.linalg.norm(gap, axis=1)))
+    coarse = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER // 2 * field.depth)
+    sol = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * field.depth)
+    return sol, float(np.max(np.linalg.norm(coarse.states - sol.states, axis=1)))
 
 
 def _approx_depth_metrics(family, schedule, x0, target):
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, "residual_interp")
-    sol, oracle_error = _oracle(ode_field, x0, schedule.depth)
+    sol, oracle_error = _oracle(ode_field, x0)
     _, max_gap = approximation_error(traj, sol)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     return [(max_gap, state_scale)], oracle_error
@@ -391,8 +395,7 @@ _STUDIES = {
 
 def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     """Sweep depths, record error metrics, fit log-log slopes, emit CSVs."""
-    if COMMAND_OF[config.experiment] != "study":
-        raise ConfigError(f"not a scaling experiment: {config.experiment!r}")
+    _require(config, "study")
     out_dir = _output_dir(config)
     profile_rng, data_rng = _child_rngs(config.seed, 2)
     family = _make_family(config)
@@ -485,7 +488,7 @@ def _tightness_case(case: str, depth: int) -> TightnessRecord:
     x0 = np.zeros(1)
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, kind, theta_end=np.array([end]))
-    sol, oracle_error = _oracle(ode_field, x0, depth)
+    sol, oracle_error = _oracle(ode_field, x0)
     measured = float(np.linalg.norm(traj.nodes[-1] - sol.states[-1]))
     return TightnessRecord(case, depth, measured, analytic, oracle_error)
 
@@ -495,6 +498,7 @@ TIGHTNESS_CASES = ("linear_drift", "index_residual", "alternating_square")
 
 def run_tightness_suite(config: ExperimentConfig) -> list:
     """Measured chain-vs-flow gaps against their closed-form values."""
+    _require(config, "tightness")
     out_dir = _output_dir(config)
     records = [_tightness_case(case, depth)
                for case in TIGHTNESS_CASES for depth in config.depths]
@@ -540,8 +544,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     run's initial product, keeping every depth inside the small-loss
     regime; a violation aborts before any integration starts.
     """
-    if COMMAND_OF[config.experiment] != "linflow":
-        raise ConfigError(f"not a linear-flow experiment: {config.experiment!r}")
+    _require(config, "linflow")
     sigma = np.eye(config.sigma_dim)
     # The step ceiling depends on sigma alone, so it is checked before
     # the output directory is made or any profile is drawn.
@@ -631,8 +634,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     which keeps the effective output-space step size comparable across
     depths (the same rescaling the linear flow uses).
     """
-    if config.experiment != "toy_train":
-        raise ConfigError(f"not a toy-training experiment: {config.experiment!r}")
+    _require(config, "train")
     out_dir = _output_dir(config)
     profile_rng, = _child_rngs(config.seed, 1)
     family = make_mlp_family(1, config.hidden_dim)

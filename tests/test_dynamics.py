@@ -250,8 +250,15 @@ class TestSolveOdeOracle:
         field = VectorField(lambda x, s: -x, depth=1, state_dim=2)
         x0 = np.array([[1.0, 2.0], [0.0, -1.0]])
         sol = solve_ode_oracle(field, x0, 32)
-        assert sol.states.shape == (33, 2, 2)
+        assert sol.states.shape == (2, 2, 2)
         assert np.allclose(sol.states[-1], x0 * np.exp(-1.0), atol=1e-9)
+
+    @pytest.mark.parametrize("depth", [1, 3, 8])
+    def test_states_are_the_chain_nodes(self, depth):
+        field = VectorField(lambda x, s: -x, depth=depth, state_dim=1)
+        sol = solve_ode_oracle(field, np.ones(1), 8 * depth)
+        assert sol.states.shape == (depth + 1, 1)
+        assert np.allclose(sol.states[:, 0], np.exp(-np.arange(depth + 1) / depth), atol=1e-9)
 
     def test_divergence(self):
         field = VectorField(lambda x, s: x * x, depth=1, state_dim=1)
@@ -299,7 +306,7 @@ class TestOraclePiecePath:
         x0 = rng.standard_normal((3, 7))
         fused = solve_ode_oracle(field, x0, 40)
         plain = solve_ode_oracle(without_piece(field), x0, 40)
-        assert fused.states.shape == (41, 3, 7)
+        assert fused.states.shape == (6, 3, 7)
         assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * np.max(np.abs(plain.states))
 
     @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
@@ -311,7 +318,30 @@ class TestOraclePiecePath:
             with pytest.raises(DivergenceError) as info:
                 solve_ode_oracle(f, np.ones(1), 64 * 4)
             layers.append(info.value.layer)
-        assert layers[0] == layers[1] and 64 < layers[0] < 64 * 4
+        assert layers[0] == layers[1] and 1 <= layers[0] <= 3
+
+    def test_divergence_reports_the_layer_interval(self):
+        sched = WeightSchedule(np.array([[30.0], [40.0], [50.0], [60.0]]))
+        field = interpolate(make_linear_family(1), sched, "residual_interp")
+        with pytest.raises(DivergenceError, match="ode oracle diverged at layer 2") as info:
+            solve_ode_oracle(field, np.ones(1), 64 * 4)
+        assert info.value.layer == 2
+
+    @pytest.mark.parametrize("per_layer", [4, 8])
+    def test_piece_gets_the_stage_fractions(self, per_layer):
+        depth = 5
+        field = interpolate(make_identity_family(), make_index_schedule(depth),
+                            "residual_interp")
+        piece, seen = field.piece, []
+
+        def recording(n, alphas):
+            seen.append((n, list(alphas)))
+            return piece(n, alphas)
+
+        solve_ode_oracle(dataclasses.replace(field, piece=recording), np.zeros(1),
+                         per_layer * depth)
+        fractions = [j / (2 * per_layer) for j in range(2 * per_layer + 1)]
+        assert seen == [(n, fractions) for n in range(depth)]
 
     def test_state_dimension_checked_once_on_entry(self):
         field = interpolate(make_mlp_family(3, 4),
@@ -395,7 +425,7 @@ class TestApproximationError:
         fam = make_identity_family()
         traj = forward_euler_chain(fam, make_index_schedule(3), np.zeros(1))
         field = interpolate(fam, make_index_schedule(4), "residual_interp")
-        sol = solve_ode_oracle(field, np.zeros(1), 16)  # 16 % 3 != 0
+        sol = solve_ode_oracle(field, np.zeros(1), 16)  # 5 nodes against the chain's 4
         with pytest.raises(ValueError):
             approximation_error(traj, sol)
 

@@ -298,6 +298,14 @@ class TestTightnessSuite:
         assert lines[0] == "case,N,measured,analytic"
         assert len(lines) == 7
 
+    def test_rejects_wrong_experiment(self, tmp_path):
+        out = tmp_path / "out"
+        config = ExperimentConfig(experiment="limit_map", depths=(4, 8, 16),
+                                  output_dir=str(out))
+        with pytest.raises(ConfigError):
+            run_tightness_suite(config)
+        assert not out.exists()
+
 
 def _mlp_field(depth, seed=3):
     family = make_mlp_family(3, 4)
@@ -306,15 +314,15 @@ def _mlp_field(depth, seed=3):
     return interpolate(family, schedule, "residual_interp"), rng.standard_normal(3)
 
 
-def _huge_estimate(field, x0, depth):
-    return solve_ode_oracle(field, x0, 8 * depth), 1.0
+def _huge_estimate(field, x0):
+    return solve_ode_oracle(field, x0, 8 * field.depth), 1.0
 
 
 class TestOracle:
     @pytest.mark.parametrize("depth", [1, 5, 32])
     def test_solution_is_the_eight_step_solve(self, depth):
         field, x0 = _mlp_field(depth)
-        sol, _ = harness._oracle(field, x0, depth)
+        sol, _ = harness._oracle(field, x0)
         ref = solve_ode_oracle(field, x0, 8 * depth)
         assert sol.oracle_steps == 8 * depth
         assert np.array_equal(sol.states, ref.states)
@@ -322,21 +330,21 @@ class TestOracle:
     @pytest.mark.parametrize("depth", [1, 5, 32])
     def test_estimate_is_the_largest_node_gap(self, depth):
         field, x0 = _mlp_field(depth)
-        _, estimate = harness._oracle(field, x0, depth)
+        _, estimate = harness._oracle(field, x0)
         coarse = solve_ode_oracle(field, x0, 4 * depth).states
         fine = solve_ode_oracle(field, x0, 8 * depth).states
-        gaps = [np.linalg.norm(coarse[4 * n] - fine[8 * n]) for n in range(depth + 1)]
+        gaps = [np.linalg.norm(coarse[n] - fine[n]) for n in range(depth + 1)]
         assert estimate == max(gaps)
         assert estimate > 0.0
 
     @pytest.mark.parametrize("depth", [1, 2, 4, 8])
     def test_estimate_bounds_the_true_error(self, depth):
         field = VectorField(lambda x, s: x * (1.0 - x),
-                            depth=1, state_dim=1)
+                            depth=depth, state_dim=1)
         x0 = np.array([0.2])
-        sol, estimate = harness._oracle(field, x0, depth)
-        ref = solve_ode_oracle(field, x0, 512).states[::512 // depth]
-        true_error = np.max(np.abs(sol.states[::8] - ref))
+        sol, estimate = harness._oracle(field, x0)
+        ref = solve_ode_oracle(field, x0, 512).states
+        true_error = np.max(np.abs(sol.states - ref))
         assert 0.0 < true_error <= estimate
 
     def test_default_study_matches_a_64n_oracle(self, tmp_path, monkeypatch):
@@ -346,8 +354,8 @@ class TestOracle:
         assert all(r.flag == "" for r in fast.records)
         assert sorted(fast.oracle_errors) == [16, 32, 64]
 
-        def oracle_64n(field, x0, depth):
-            return solve_ode_oracle(field, x0, 64 * depth), 0.0
+        def oracle_64n(field, x0):
+            return solve_ode_oracle(field, x0, 64 * field.depth), 0.0
         monkeypatch.setattr(harness, "_oracle", oracle_64n)
         config.output_dir = str(tmp_path / "slow")
         slow = run_scaling_study(config).values("approx_max_error")
@@ -378,10 +386,10 @@ class TestOracleFlag:
         clean = run_scaling_study(base).values("approx_max_error")
         real = harness._oracle
 
-        def one_bad_depth(field, x0, depth):
-            sol, estimate = real(field, x0, depth)
+        def one_bad_depth(field, x0):
+            sol, estimate = real(field, x0)
             # just above the tolerance at depth 16 only
-            return sol, (2e-3 * clean[16] if depth == 16 else estimate)
+            return sol, (2e-3 * clean[16] if field.depth == 16 else estimate)
         monkeypatch.setattr(harness, "_oracle", one_bad_depth)
         base.output_dir = str(tmp_path / "flagged")
         result = run_scaling_study(base)

@@ -520,8 +520,8 @@ class TestProductVsOde:
         monkeypatch.setattr(linear_flow, "PROBES", probes)
         thetas = np.random.default_rng(8).standard_normal((n_layers, d, d)) * 0.3
 
-        def piece(n, times):   # one layer per stage time, as eval picks it
-            layers = thetas[_locate(times, n_layers)[0]]
+        def piece(n, alphas):   # fraction 0 of layer n >= 1 applies theta_{n-1}, as eval does
+            layers = [thetas[n - 1] if a == 0.0 and n > 0 else thetas[n] for a in alphas]
             return lambda x, m: layers[m] @ x
 
         field = VectorField(lambda x, s: thetas[int(_locate(s, n_layers)[0])] @ x,
