@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -117,6 +118,14 @@ class RegimeAbort(RuntimeError):
         self.report = report
 
 
+def _integral(name: str, value):
+    """Python and numpy integers pass; 2.7 would be truncated and 2.0 fail in numpy."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -151,9 +160,11 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int":
+                setattr(self, f.name, _integral(f.name, value))
         if self.depths is None:
             self.depths = COMMANDS[command][1]
-        self.depths = tuple(int(n) for n in self.depths)
+        self.depths = tuple(_integral("depths", n) for n in self.depths)
         if not self.depths or any(n < 1 for n in self.depths):
             raise ConfigError("depths must be positive")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
@@ -235,8 +246,11 @@ def _fmt(x) -> str:
 
 
 def _write_rows(path, header, rows) -> None:
+    """Write the header, then each row of any iterable as it is produced."""
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require(config: ExperimentConfig, command: str) -> None:
@@ -676,12 +690,11 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
         _write_rows(losses_path, ["iteration", "loss"],
                     [[k, _fmt(losses[k])] for k in range(losses.size)])
-        rows = []
-        s_values = np.arange(depth + 1) / depth
-        for b in range(config.input_count):
-            for node in range(depth + 1):
-                rows.append([b, node, _fmt(s_values[node]),
-                             _fmt(final_traj.nodes[node, 0, b])])
+        # B·(N + 1) rows, streamed to the file rather than held in memory.
+        s_text = [_fmt(s) for s in (np.arange(depth + 1) / depth).tolist()]
+        rows = ([b, node, s_text[node], _fmt(x)]
+                for b in range(config.input_count)
+                for node, x in enumerate(final_traj.nodes[:, 0, b].tolist()))
         _write_rows(os.path.join(out_dir, f"trajectories_N{depth}.csv"),
                     ["input_index", "node_index", "s", "x_0"], rows)
         runs[depth] = ToyRun(depth, losses, float(losses[-1]), losses_path)

@@ -3,11 +3,14 @@
 The benchmark tracer reads each module's ``__all__`` (``main`` for the
 CLI) and wraps ``ResidualFamily``'s checked kernels by name, so a stale
 entry breaks traced runs even while every direct caller still works.
+The committed ``BENCH_*.json`` records keep the fields a reader of a
+measured claim needs.
 """
 
 import ast
 import dataclasses
 import importlib
+import json
 import subprocess
 import sys
 import types
@@ -136,3 +139,16 @@ def test_benchmark_tracer_installs_and_records(tmp_path):
         [sys.executable, "-c", TRACED_RUN, str(root), str(tmp_path), *TRACED_NAMES],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+BENCH_RECORD_KEYS = {"change", "parent_commit", "machine", "method", "end_to_end"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_bench_record_parses_and_is_complete(path):
+    """A measured claim names what changed, against which commit, on which
+    machine and by which method, and gives its end-to-end figures."""
+    record = json.loads(path.read_text())
+    assert isinstance(record, dict)
+    assert BENCH_RECORD_KEYS - record.keys() == set()

@@ -1,7 +1,10 @@
 """Experiment runner and CLI behavior, including exit codes and CSVs."""
 
+import csv
+import io
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +128,29 @@ class TestParseConfig:
         text = line if line.startswith("experiment") else base + line
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("depths", (2.7, 5)),
+        ("depths", (2.0,)),
+        ("state_dim", 2.0),
+        ("hidden_dim", 3.5),
+        ("seed", 1.5),
+        ("sigma_dim", 2.0),
+        ("snapshot_count", 3.5),
+        ("input_count", 8.0),
+        ("iterations", 2.5),
+    ])
+    def test_rejects_non_integral_values(self, field, value):
+        """A config built from Python must not truncate 2.7 to depth 2 or
+        carry 2.5 iterations into numpy."""
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(experiment="toy_train", **{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        config = ExperimentConfig(experiment="toy_train", depths=(np.int64(3), 5),
+                                  seed=np.int32(2), iterations=np.int64(4))
+        assert config.depths == (3, 5)
+        assert (config.seed, config.iterations) == (2, 4)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = write_cfg(tmp_path, "experiment = tightness_suite\nseed = 9\n")
@@ -586,6 +612,52 @@ class TestToyTraining:
             blobs.append(b"".join((tmp_path / sub / f"{kind}_N{n}.csv").read_bytes()
                                   for kind in ("losses", "trajectories") for n in (3, 8)))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", ["exact", "adjoint_euler"])
+    def test_trajectory_table_is_streamed(self, tmp_path, mode):
+        """The 64 x 1001-row table is written row by row: the heap peak
+        stays near the size of the node array (0.5 MB), far below the
+        ~17 MB a list of all formatted rows takes."""
+        config = ExperimentConfig(experiment="toy_train", depths=(1000,),
+                                  iterations=1, input_count=64, gradient_mode=mode,
+                                  output_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_toy_training(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert (tmp_path / "trajectories_N1000.csv").read_text().count("\n") == 1 + 64 * 1001
+
+    @pytest.mark.parametrize("mode", ["exact", "adjoint_heun"])
+    def test_trajectory_table_matches_row_list_writer(self, tmp_path, monkeypatch, mode):
+        """The streamed table is byte-identical to one built as a list of
+        rows, node by node, from the final forward pass's nodes."""
+        finals = []
+        for name in ("forward_euler_chain", "forward_heun_chain"):
+            chain = getattr(harness, name)
+
+            def recording(*args, chain=chain):
+                traj = chain(*args)
+                finals.append(traj.nodes)
+                return traj
+            monkeypatch.setattr(harness, name, recording)
+        config = ExperimentConfig(experiment="toy_train", depths=(5,), iterations=4,
+                                  input_count=3, hidden_dim=3, seed=1,
+                                  gradient_mode=mode, output_dir=str(tmp_path))
+        run_toy_training(config)
+        nodes = finals[-1]
+        depth = nodes.shape[0] - 1
+        s_values = np.arange(depth + 1) / depth
+        rows = []
+        for b in range(config.input_count):
+            for node in range(depth + 1):
+                rows.append([b, node, f"{float(s_values[node]):.17g}",
+                             f"{float(nodes[node, 0, b]):.17g}"])
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([["input_index", "node_index", "s", "x_0"], *rows])
+        assert (tmp_path / "trajectories_N5.csv").read_bytes() == expected.getvalue().encode()
 
 
 class TestTrainedAccuracy:
