@@ -19,8 +19,8 @@ One reverse reconstruction and one reverse gradient sweep run both
 schemes' ``dynamics.Scheme`` steps; exact reverse mode is that sweep
 reading x_n from stored nodes instead of rebuilding it.  The sweep is a
 generator that holds only the current state, the current state
-gradient, and one pending parameter contribution; collecting the
-per-layer results into a GradientSet is the caller's choice.
+gradient, and one pending parameter contribution; ``backprop_*`` keep
+only its parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule
 against the family, output gradient against the state's shape) and
@@ -41,7 +41,6 @@ from .numerics import require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
 __all__ = [
-    "GradientSet",
     "ReconstructionReport",
     "GradientComparison",
     "backprop_exact",
@@ -56,27 +55,6 @@ __all__ = [
 ]
 
 REL_ERROR_FLOOR = 1e-15
-
-
-@dataclass
-class GradientSet:
-    """Per-layer parameter gradients and per-node state gradients."""
-
-    param_grads: np.ndarray   # (N, param_dim)
-    state_grads: np.ndarray   # (N+1, d)
-
-    @property
-    def input_grad(self) -> np.ndarray:
-        return self.state_grads[0]
-
-    def __post_init__(self):
-        if self.state_grads.ndim == 3:
-            # Summed over the batch, like the parameter VJPs of a summed loss.
-            self.state_grads = self.state_grads.sum(axis=2)
-        require_finite(self.param_grads, "param_grads")
-        require_finite(self.state_grads, "state_grads")
-        if self.state_grads.shape[0] != self.param_grads.shape[0] + 1:
-            raise ValueError("state_grads must hold one entry per node")
 
 
 @dataclass
@@ -95,24 +73,24 @@ class GradientComparison:
 
 
 def _backprop_exact(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
-                    traj: Trajectory, output_grad) -> GradientSet:
+                    traj: Trajectory, output_grad) -> np.ndarray:
     """Exact reverse mode: the reverse sweep reading x_n from the stored trajectory."""
     if traj.scheme is not scheme:
         raise ValueError(f"expected a {scheme.name!r} trajectory, got {traj.scheme.name!r}")
     if traj.depth != schedule.depth:
         raise ValueError("trajectory and schedule depths differ")
     return _collect(_sweep(scheme, family, schedule, traj.nodes[-1], output_grad, traj.nodes),
-                    schedule, output_grad)
+                    schedule)
 
 
 def backprop_exact(family: ResidualFamily, schedule: WeightSchedule,
-                   traj: Trajectory, output_grad) -> GradientSet:
+                   traj: Trajectory, output_grad) -> np.ndarray:
     """Exact reverse mode over a stored single-stage trajectory."""
     return _backprop_exact(EULER, family, schedule, traj, output_grad)
 
 
 def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
-                        traj: Trajectory, output_grad) -> GradientSet:
+                        traj: Trajectory, output_grad) -> np.ndarray:
     """Exact reverse mode over a stored two-stage trajectory."""
     return _backprop_exact(HEUN, family, schedule, traj, output_grad)
 
@@ -206,36 +184,32 @@ def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
     yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 
-def _collect(sweep, schedule: WeightSchedule, output_grad) -> GradientSet:
+def _collect(sweep, schedule: WeightSchedule) -> np.ndarray:
     """Run a reverse sweep, which yields every layer once and checks its
-    inputs before the first, into a GradientSet."""
-    N = schedule.depth
-    param_grads = np.empty((N, schedule.param_dim))
-    state_grads = np.empty((N + 1,) + np.shape(output_grad))
-    for n, theta_grad, g in sweep:
+    inputs before the first, into its (N, param_dim) parameter gradients."""
+    param_grads = np.empty((schedule.depth, schedule.param_dim))
+    for n, theta_grad, _ in sweep:
         param_grads[n] = theta_grad
-        state_grads[n] = g
-    state_grads[N] = output_grad
-    return GradientSet(param_grads, state_grads)
+    return require_finite(param_grads, "param_grads")
 
 
 def backprop_adjoint_euler(family: ResidualFamily, schedule: WeightSchedule,
-                           xN, output_grad) -> GradientSet:
-    """Collect the single-stage memory-free sweep into a GradientSet."""
-    return _collect(adjoint_sweep_euler(family, schedule, xN, output_grad), schedule, output_grad)
+                           xN, output_grad) -> np.ndarray:
+    """The single-stage memory-free sweep's (N, param_dim) parameter gradients."""
+    return _collect(adjoint_sweep_euler(family, schedule, xN, output_grad), schedule)
 
 
 def backprop_adjoint_heun(family: ResidualFamily, schedule: WeightSchedule,
-                          xN, output_grad) -> GradientSet:
-    """Collect the two-stage memory-free sweep into a GradientSet."""
-    return _collect(adjoint_sweep_heun(family, schedule, xN, output_grad), schedule, output_grad)
+                          xN, output_grad) -> np.ndarray:
+    """The two-stage memory-free sweep's (N, param_dim) parameter gradients."""
+    return _collect(adjoint_sweep_heun(family, schedule, xN, output_grad), schedule)
 
 
-def compare_gradients(exact: GradientSet, approx: GradientSet) -> GradientComparison:
-    """Per-layer absolute and floored relative gaps between gradient sets."""
-    if exact.param_grads.shape != approx.param_grads.shape:
-        raise ValueError("gradient sets have different shapes")
-    diffs = np.linalg.norm(approx.param_grads - exact.param_grads, axis=1)
-    denoms = np.maximum(np.linalg.norm(exact.param_grads, axis=1), REL_ERROR_FLOOR)
+def compare_gradients(exact: np.ndarray, approx: np.ndarray) -> GradientComparison:
+    """Per-layer absolute and floored relative gaps between two gradients."""
+    if exact.shape != approx.shape:
+        raise ValueError("gradients have different shapes")
+    diffs = np.linalg.norm(approx - exact, axis=1)
+    denoms = np.maximum(np.linalg.norm(exact, axis=1), REL_ERROR_FLOOR)
     rels = diffs / denoms
     return GradientComparison(diffs, rels, float(np.max(diffs)), float(np.max(rels)))

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -158,12 +159,17 @@ class ExperimentConfig:
         command = COMMAND_OF[self.experiment]
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if f.type == "float" or (f.type == "Optional[float]" and value is not None):
+                if not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int":
                 setattr(self, f.name, _integral(f.name, value))
         if self.depths is None:
             self.depths = COMMANDS[command][1]
+        if not np.iterable(self.depths):
+            raise ConfigError(f"depths must be a sequence of integers, got {self.depths!r}")
         self.depths = tuple(_integral("depths", n) for n in self.depths)
         if not self.depths or any(n < 1 for n in self.depths):
             raise ConfigError("depths must be positive")
@@ -359,7 +365,7 @@ def _adjoint_depth_metrics(heun: bool, family, schedule, x0, target):
     approx = adjoint_backprop(family, schedule, out, out_grad)
     comp = compare_gradients(exact, approx)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    grad_scale = float(np.max(np.linalg.norm(exact.param_grads, axis=1)))
+    grad_scale = float(np.max(np.linalg.norm(exact, axis=1)))
     return [(recon.max_error, state_scale), (comp.max_abs, grad_scale),
             (comp.max_rel, 1.0)], None
 
@@ -676,7 +682,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
                 grads = (backprop_adjoint_heun if scheme is HEUN else
                          backprop_adjoint_euler)(family, schedule, out, out_grad)
             losses[it] = float(np.mean((out - targets) ** 2))
-            params = params - config.learning_rate * depth * grads.param_grads
+            params = params - config.learning_rate * depth * grads
             bad = ~np.isfinite(params).all(axis=1)
             if bad.any():
                 layer = int(np.argmax(bad))

@@ -192,7 +192,7 @@ def test_exact_gradients_match_finite_differences_for_all_families():
 
                     fd = finite_difference_gradient(loss_of, rows.ravel(),
                                                     eps=1e-6)
-                    rel = (np.linalg.norm(fd - grads.param_grads.ravel())
+                    rel = (np.linalg.norm(fd - grads.ravel())
                            / np.linalg.norm(fd))
                     worst = max(worst, rel)
     assert worst <= 1e-5

@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from odenet.adjoint import (
-    GradientSet,
+    _sweep,
     backprop_adjoint_euler,
     backprop_adjoint_heun,
     backprop_exact,
@@ -59,10 +62,12 @@ class TestExactBackpropEuler:
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)
         traj = forward_euler_chain(fam, sched, np.array([1.0]))
-        grads = backprop_exact(fam, sched, traj, np.array([1.0]))
-        assert grads.state_grads[:, 0].tolist() == [2.25, 1.5, 1.0]
-        assert grads.param_grads[:, 0].tolist() == [0.75, 0.75]
-        assert grads.input_grad[0] == 2.25
+        g = np.array([1.0])
+        grads = backprop_exact(fam, sched, traj, g)
+        swept = list(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes))
+        assert [n for n, _, _ in swept] == [1, 0]
+        assert [g_x[0] for _, _, g_x in swept[::-1]] + [g[0]] == [2.25, 1.5, 1.0]
+        assert grads[:, 0].tolist() == [0.75, 0.75]
 
     def test_zero_weight_mlp(self):
         # tanh net at the origin of weight space is the identity chain
@@ -71,8 +76,9 @@ class TestExactBackpropEuler:
         traj = forward_euler_chain(fam, sched, np.array([0.3, -0.8]))
         g = np.array([1.0, 2.0])
         grads = backprop_exact(fam, sched, traj, g)
-        assert np.all(grads.param_grads == 0.0)
-        assert np.all(grads.state_grads == g)
+        assert np.all(grads == 0.0)
+        for _, _, g_x in _sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes):
+            assert np.all(g_x == g)
 
     def test_rejects_heun_trajectory(self):
         fam = make_linear_family(1)
@@ -99,7 +105,7 @@ class TestExactBackpropHeun:
         sched = constant_schedule([t], 1)
         traj = forward_heun_chain(fam, sched, np.array([1.0]))
         grads = backprop_exact_heun(fam, sched, traj, np.array([1.0]))
-        assert grads.param_grads[0, 0] == pytest.approx(1.0 + t, rel=1e-12)
+        assert grads[0, 0] == pytest.approx(1.0 + t, rel=1e-12)
 
     def test_state_independent_two_term_assembly(self):
         # f = theta^2: dL/dtheta_n = (g_{n+1} + g_{n+2}-stage terms) * theta
@@ -114,7 +120,7 @@ class TestExactBackpropHeun:
             return t.nodes[-1, 0]
 
         fd = finite_difference_gradient(loss, sched.params.ravel(), eps=1e-6)
-        assert np.max(np.abs(fd - grads.param_grads.ravel())) <= 1e-8
+        assert np.max(np.abs(fd - grads.ravel())) <= 1e-8
 
     def test_rejects_missing_midpoints(self):
         fam = make_linear_family(1)
@@ -157,7 +163,7 @@ class TestFiniteDifferenceOracle:
             traj = forward(fam, sched, x0)
             grads = backprop(fam, sched, traj, traj.nodes[-1] - target)
             fd = _fd_reference(fam, sched, x0, target, scheme)
-            exact = grads.param_grads.ravel()
+            exact = grads.ravel()
             rel = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-15)
             assert rel <= 1e-6
 
@@ -173,20 +179,23 @@ class TestFiniteDifferenceOracle:
         x0 = rng.standard_normal(2)
         target = rng.standard_normal(2)
         traj = forward_heun_chain(fam, sched, x0)
-        grads = backprop_exact_heun(fam, sched, traj, traj.nodes[-1] - target)
+        g = traj.nodes[-1] - target
+        grads = backprop_exact_heun(fam, sched, traj, g)
         fd = _fd_reference(fam, sched, x0, target, "heun")
+        state_grads = {n: g_x for n, _, g_x in
+                       _sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes)}
 
         N = sched.depth
-        alt = np.zeros_like(grads.param_grads)
+        alt = np.zeros_like(grads)
         for n in range(N):
-            g_here = grads.state_grads[n]
-            g_below = grads.state_grads[max(n - 1, 0)]
+            g_here = state_grads[n]
+            g_below = state_grads[max(n - 1, 0)]
             y_n = traj.nodes[n] + fam.eval(traj.nodes[n], sched[n]) / N
             u = fam.vjp_state(y_n, sched.padded_row(n + 1), g_here)
             alt[n] += fam.vjp_params(traj.nodes[n], sched[n], g_here + u / N) / (2 * N)
             alt[min(n + 1, N - 1)] += fam.vjp_params(
                 y_n, sched.padded_row(n + 1), g_below) / (2 * N)
-        res_mech = np.linalg.norm(fd - grads.param_grads.ravel())
+        res_mech = np.linalg.norm(fd - grads.ravel())
         res_alt = np.linalg.norm(fd - alt.ravel())
         print(f"assembly residuals: adjacent-node {res_mech:.3e}, "
               f"same-node {res_alt:.3e}")
@@ -261,7 +270,7 @@ class TestAdjointBackprop:
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)
         grads = backprop_adjoint_euler(fam, sched, np.array([2.25]), np.ones(1))
-        assert grads.param_grads[:, 0].tolist() == [0.421875, 0.5625]
+        assert grads[:, 0].tolist() == [0.421875, 0.5625]
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_state_independent_family_recovers_exact(self, scheme):
@@ -277,11 +286,62 @@ class TestAdjointBackprop:
         approx = adjoint(fam, sched, traj.nodes[-1], g)
         assert compare_gradients(exact, approx).max_abs <= 1e-14
 
+    def test_non_finite_parameter_row_is_rejected(self):
+        """A sweep whose parameter pullback is NaN at one layer, with every
+        state finite, fails each backprop_* call on the collected rows."""
+        base = make_linear_family(1)
+
+        def linearize(x, theta):
+            value, pullback = base._linearize(x, theta)
+            if theta[0] != 0.5:
+                return value, pullback
+            return value, lambda v: (pullback(v)[0], np.full(1, np.nan))
+
+        fam = ResidualFamily("nan_row", 1, 1, base._eval, linearize)
+        sched = WeightSchedule(np.array([[1.0], [0.5], [1.0]]))
+        for name in ("backprop_exact", "backprop_exact_heun",
+                     "backprop_adjoint_euler", "backprop_adjoint_heun"):
+            with pytest.raises(ValueError, match="param_grads"):
+                ENTRY_POINTS[name](fam, sched, np.ones(1), np.ones(1))
+
     def test_sweep_divergence(self):
         fam = make_linear_family(1)
         with pytest.raises(DivergenceError):
             backprop_adjoint_euler(fam, constant_schedule([-400.0], 8),
                                    np.array([1.0]), np.ones(1))
+
+
+def _batch_growth_bytes(scheme, backprop, depth: int) -> int:
+    """Traced allocation peak of one memory-free gradient call at B = 256
+    less that at B = 16: parameter-sized arrays cancel, and what is left
+    grows with the batch, as any per-layer state buffer would."""
+    family = make_mlp_family(1, 8)
+    schedule = cubic_profile_schedule(depth, family.param_dim)
+    peaks = []
+    for batch in (16, 256):
+        out = _forward(scheme, family, schedule, np.linspace(-1.0, 1.0, batch)[None],
+                       store=False)
+        g = np.ones_like(out)
+        backprop(family, WeightSchedule(schedule.params[:2]), out, g)  # warm numpy
+        gc.collect()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        backprop(family, schedule, out, g)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return peaks[1] - peaks[0]
+
+
+@pytest.mark.parametrize("scheme,backprop", [(EULER, backprop_adjoint_euler),
+                                             (HEUN, backprop_adjoint_heun)],
+                         ids=["euler", "heun"])
+def test_memory_free_gradients_hold_nothing_per_layer(scheme, backprop):
+    """The paper's training "without memory consumption in the residual
+    layers": the batch-sized part of a memory-free gradient's heap peak
+    does not grow with depth."""
+    shallow = _batch_growth_bytes(scheme, backprop, 100)
+    deep = _batch_growth_bytes(scheme, backprop, 10_000)
+    assert deep <= 1.1 * shallow
 
 
 class TestCompareGradients:
@@ -305,22 +365,12 @@ class TestCompareGradients:
         assert cmp.max_abs == 0.328125 and cmp.max_rel == 0.4375
 
     def test_relative_floor(self):
-        zero = GradientSet(np.zeros((2, 1)), np.zeros((3, 1)))
-        off = GradientSet(np.full((2, 1), 1e-18), np.zeros((3, 1)))
-        cmp = compare_gradients(zero, off)
+        cmp = compare_gradients(np.zeros((2, 1)), np.full((2, 1), 1e-18))
         assert cmp.max_rel == pytest.approx(1e-3)  # 1e-18 / 1e-15
 
     def test_shape_mismatch(self):
-        a = GradientSet(np.zeros((2, 1)), np.zeros((3, 1)))
-        b = GradientSet(np.zeros((3, 1)), np.zeros((4, 1)))
         with pytest.raises(ValueError):
-            compare_gradients(a, b)
-
-    def test_gradient_set_validation(self):
-        with pytest.raises(ValueError):
-            GradientSet(np.zeros((2, 1)), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            GradientSet(np.full((2, 1), np.nan), np.zeros((3, 1)))
+            compare_gradients(np.zeros((2, 1)), np.zeros((3, 1)))
 
 
 def _benchmark_rows():

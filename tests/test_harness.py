@@ -132,6 +132,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("field, value", [
         ("depths", (2.7, 5)),
         ("depths", (2.0,)),
+        ("depths", 5),
         ("state_dim", 2.0),
         ("hidden_dim", 3.5),
         ("seed", 1.5),
@@ -143,6 +144,18 @@ class TestParseConfig:
     def test_rejects_non_integral_values(self, field, value):
         """A config built from Python must not truncate 2.7 to depth 2 or
         carry 2.5 iterations into numpy."""
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(experiment="toy_train", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", "4"),
+        ("learning_rate", None),
+        ("profile_scale", "0.1"),
+        ("dt", "x"),
+    ])
+    def test_rejects_non_numbers_in_float_fields(self, field, value):
+        """A config built from Python reports the field, not a TypeError
+        from the first comparison that reads it."""
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(experiment="toy_train", **{field: value})
 
@@ -169,6 +182,14 @@ class TestParseConfig:
         assert {name for name, _ in blocks} == {"study", "flow", "train"}
         for _, body in blocks:
             parse_config(body)
+
+    def test_readme_library_sketch_runs(self, capsys):
+        """The README's fenced `python` sketch runs and prints one number."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sketches = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        assert len(sketches) == 1
+        exec(compile(sketches[0], "README.md", "exec"), {})
+        assert math.isfinite(float(capsys.readouterr().out))
 
 
 class TestScheduleProfiles:
@@ -572,7 +593,7 @@ class TestToyTraining:
 
         def overflowing(*args):
             grads = exact(*args)
-            grads.param_grads[2:] = np.inf
+            grads[2:] = np.inf
             return grads
         monkeypatch.setattr(harness, "backprop_exact", overflowing)
         config = ExperimentConfig(experiment="toy_train", depths=(4,), iterations=3,
