@@ -120,11 +120,14 @@ class RegimeAbort(RuntimeError):
 
 
 def _integral(name: str, value):
-    """Python and numpy integers pass; 2.7 would be truncated and 2.0 fail in numpy."""
+    """Python and numpy integers pass; 2.7 would be truncated, 2.0 fail in
+    numpy, and True would silently read as 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -160,7 +163,7 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "float" or (f.type == "Optional[float]" and value is not None):
-                if not isinstance(value, numbers.Real):
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
                     raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")

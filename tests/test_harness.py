@@ -133,6 +133,9 @@ class TestParseConfig:
         ("depths", (2.7, 5)),
         ("depths", (2.0,)),
         ("depths", 5),
+        ("depths", (True, 2, 3)),
+        ("seed", True),
+        ("iterations", False),
         ("state_dim", 2.0),
         ("hidden_dim", 3.5),
         ("seed", 1.5),
@@ -152,6 +155,8 @@ class TestParseConfig:
         ("learning_rate", None),
         ("profile_scale", "0.1"),
         ("dt", "x"),
+        ("t_end", True),
+        ("dt", False),
     ])
     def test_rejects_non_numbers_in_float_fields(self, field, value):
         """A config built from Python reports the field, not a TypeError

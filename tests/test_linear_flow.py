@@ -105,6 +105,34 @@ def test_transport_product_applies_layer_one_first():
     assert np.array_equal(prod, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
+def _normwise_close(got, want, rtol):
+    return np.all(np.linalg.norm(got - want, axis=(-2, -1))
+                  <= rtol * np.linalg.norm(want, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100])
+def test_prefix_suffix_matches_sequential_products(depth, dim):
+    """The blocked scan gives every partial product, at depths below, at
+    and on either side of the scan's block and power-of-two edges."""
+    thetas = np.random.default_rng(100 * dim + depth).standard_normal((depth, dim, dim))
+    factors = np.eye(dim) + thetas / depth
+    want_pre, want_suf = [np.eye(dim)], [np.eye(dim)]
+    for n in range(depth):
+        want_pre.append(factors[n] @ want_pre[-1])
+        want_suf.append(want_suf[-1] @ factors[depth - 1 - n])
+    want_suf_t = np.swapaxes(np.array(want_suf[::-1]), 1, 2)
+
+    pre, suf_t = linear_flow._prefix_suffix(thetas)
+    assert pre.shape == suf_t.shape == (depth + 1, dim, dim)
+    assert np.array_equal(pre[0], np.eye(dim))
+    assert np.array_equal(suf_t[depth], np.eye(dim))
+    assert _normwise_close(pre, np.array(want_pre), 1e-12)
+    assert _normwise_close(suf_t, want_suf_t, 1e-12)
+    assert _normwise_close(pre[-1], transport_product(thetas), 1e-12)
+    assert _normwise_close(suf_t[0].T, transport_product(thetas), 1e-12)
+
+
 class TestLayerGradient:
     def test_scalar_single_layer(self):
         """Quadratic loss (1 + theta - 2)^2 has derivative -2 at zero; the
@@ -124,7 +152,7 @@ class TestLayerGradient:
             grad = layer_gradient(flat_state(thetas), prob, n)
             assert np.max(np.abs(grad)) <= 1e-14
 
-    @pytest.mark.parametrize("dim,depth", [(2, 1), (2, 3), (3, 5), (3, 17)])
+    @pytest.mark.parametrize("dim,depth", [(2, 1), (2, 3), (2, 4), (3, 5), (3, 9), (3, 17)])
     def test_matches_rescaled_finite_differences(self, dim, depth):
         rng = np.random.default_rng(10 * dim + depth)
         a = rng.standard_normal((dim, dim))
