@@ -155,9 +155,13 @@ class WeightSchedule:
         return self.padded[n]
 
 
-def _outer_sum(p, q) -> np.ndarray:
-    """sum over the batch of p q^T, flattened row-major; 1-D p, q are one column."""
-    return (p.reshape(p.shape[0], -1) @ q.reshape(q.shape[0], -1).T).ravel()
+def _outer_sum(p, q, out) -> np.ndarray:
+    """Write the sum over the batch of p q^T, row-major, into the flat
+    buffer ``out`` and return it; 1-D p, q are one column."""
+    if p.ndim == 1:
+        p, q = p[:, None], q[:, None]
+    np.dot(p, q.T, out=out.reshape(p.shape[0], q.shape[0]))
+    return out
 
 
 def make_linear_family(d: int) -> ResidualFamily:
@@ -166,11 +170,11 @@ def make_linear_family(d: int) -> ResidualFamily:
         raise ValueError("state dimension must be >= 1")
 
     def eval_fn(x, theta):
-        return theta.reshape(d, d) @ x
+        return np.dot(theta.reshape(d, d), x)
 
     def linearize(x, theta):
         a = theta.reshape(d, d)
-        return a @ x, lambda v: (a.T @ v, _outer_sum(v, x))
+        return np.dot(a, x), lambda v: (np.dot(a.T, v), _outer_sum(v, x, np.empty(d * d)))
 
     return ResidualFamily("linear", d, d * d, eval_fn, linearize)
 
@@ -191,16 +195,19 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
 
     def eval_fn(x, theta):
         w1, w2 = unpack(theta)
-        return w2 @ np.tanh(w1 @ x)
+        return np.dot(w2, np.tanh(np.dot(w1, x)))
 
     def linearize(x, theta):
         w1, w2 = unpack(theta)
-        a = np.tanh(w1 @ x)
+        a = np.tanh(np.dot(w1, x))
 
         def pullback(v):
-            u = (1.0 - a**2) * (w2.T @ v)  # backprop through tanh pre-activation
-            return w1.T @ u, np.concatenate([_outer_sum(u, x), _outer_sum(v, a)])
-        return w2 @ a, pullback
+            u = (1.0 - a**2) * np.dot(w2.T, v)  # backprop through tanh pre-activation
+            grad = np.empty(2 * n1)
+            _outer_sum(u, x, grad[:n1])
+            _outer_sum(v, a, grad[n1:])
+            return np.dot(w1.T, u), grad
+        return np.dot(w2, a), pullback
 
     def blend(theta_a, theta_b, alphas):
         # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
@@ -210,7 +217,7 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         alpha = np.asarray(alphas, dtype=float)[:, None, None]
         table = np.concatenate([(1.0 - alpha) * ends[0.0][1], alpha * ends[1.0][1]], axis=2)
         layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
-        return lambda x, m: layers[m][1] @ np.tanh(layers[m][0] @ x)
+        return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
 
     return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, linearize, blend)
 

@@ -311,6 +311,24 @@ class TestAdjointBackprop:
                                    np.array([1.0]), np.ones(1))
 
 
+def test_gradient_rows_survive_later_sweeps():
+    """The rows one backprop call returns are its own: sweeps run
+    afterwards on the same family and schedule leave them unchanged."""
+    fam = make_mlp_family(2, 3)
+    sched = cubic_profile_schedule(12, fam.param_dim)
+    rng = np.random.default_rng(44)
+    x0, g, g_other = rng.standard_normal((3, 2, 5))
+    traj = forward_heun_chain(fam, sched, x0)
+    rows = backprop_adjoint_heun(fam, sched, traj.nodes[-1], g)
+    kept = rows.copy()
+    later = [backprop_adjoint_heun(fam, sched, traj.nodes[-1], g_other),
+             backprop_exact_heun(fam, sched, traj, g_other),
+             backprop_adjoint_euler(fam, sched, traj.nodes[-1], g_other)]
+    assert np.array_equal(rows, kept)
+    assert not np.array_equal(rows, later[0])
+    assert not any(np.shares_memory(rows, other) for other in later)
+
+
 def _batch_growth_bytes(scheme, backprop, depth: int) -> int:
     """Traced allocation peak of one memory-free gradient call at B = 256
     less that at B = 16: parameter-sized arrays cancel, and what is left

@@ -138,6 +138,24 @@ class TestLinearize:
         assert np.array_equal(family.vjp_state(x, theta, v), d_x)
         assert np.array_equal(family.vjp_params(x, theta, v), d_theta)
 
+    def test_pullbacks_write_fresh_gradients(self, family, batch):
+        """Two pullbacks of one linearization write separate gradient
+        buffers: the second leaves the first unchanged, and neither
+        shares memory with the inputs."""
+        x, theta, v, w = self.draw(family, batch, 34)
+        pullback = family._linearize(x, theta)[1]
+        first = pullback(v)[1]
+        kept = first.copy()
+        second = pullback(w)[1]
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+        for grad in (first, second):
+            assert grad.shape == (family.param_dim,) and grad.dtype == np.float64
+            assert grad.flags.c_contiguous and grad.base is None
+            for other in (x, v, w, theta):
+                assert not np.shares_memory(grad, other)
+        assert not np.shares_memory(first, second)
+
 
 class TestSpecificFamilies:
     def test_identity_and_square_values(self):
@@ -217,6 +235,84 @@ class TestBlend:
             fam.blend(np.zeros(fam.param_dim + 1), good, [0.5])
         with pytest.raises(ValueError):
             self.generic(fam).blend(good, np.zeros(3), [0.5])
+
+
+def matmul_kernels(family, x, theta, v):
+    """The linear and mlp kernels written with ``@`` and ``np.concatenate``,
+    as they were before the kernels called ``np.dot`` and wrote into one
+    gradient buffer: f(x, theta), the linearization's value and both
+    pullback halves at v."""
+    def outer_sum(p, q):
+        return (p.reshape(p.shape[0], -1) @ q.reshape(q.shape[0], -1).T).ravel()
+
+    d = family.state_dim
+    if family.name == "linear":
+        a = theta.reshape(d, d)
+        return a @ x, a @ x, a.T @ v, outer_sum(v, x)
+    n1 = family.param_dim // 2
+    w1, w2 = theta[:n1].reshape(-1, d), theta[n1:].reshape(d, -1)
+    a = np.tanh(w1 @ x)
+    u = (1.0 - a**2) * (w2.T @ v)
+    return (w2 @ np.tanh(w1 @ x), w2 @ a, w1.T @ u,
+            np.concatenate([outer_sum(u, x), outer_sum(v, a)]))
+
+
+def matmul_blend(family, theta_a, theta_b, alphas):
+    """The fused mlp blend kernel written with ``@``."""
+    d = family.state_dim
+    n1 = family.param_dim // 2
+    hidden = n1 // d
+
+    def unpack(theta):
+        return theta[:n1].reshape(hidden, d), theta[n1:].reshape(d, hidden)
+
+    ends = {0.0: unpack(theta_a), 1.0: unpack(theta_b)}
+    w1 = np.concatenate([theta_a[:n1], theta_b[:n1]]).reshape(2 * hidden, d)
+    alpha = np.asarray(alphas, dtype=float)[:, None, None]
+    table = np.concatenate([(1.0 - alpha) * ends[0.0][1], alpha * ends[1.0][1]], axis=2)
+    layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
+    return lambda x, m: layers[m][1] @ np.tanh(layers[m][0] @ x)
+
+
+BIT_FAMILIES = [make_mlp_family(1, 8), make_mlp_family(2, 3), make_mlp_family(4, 8),
+                make_linear_family(1), make_linear_family(3)]
+def state_shape(family, batch):
+    return (family.state_dim,) if batch is None else (family.state_dim, batch)
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [None, 0, 1, 64], ids=lambda b: "unbatched" if b is None else f"B{b}")
+class TestKernelsBitForBit:
+    """The ``np.dot`` kernels reproduce the ``@`` forms bit for bit, so the
+    chains, sweeps and oracle keep their outputs byte-identical."""
+
+    @pytest.mark.parametrize("family", BIT_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_eval_linearize_and_pullback(self, family, batch):
+        rng = np.random.default_rng(41)
+        shape = state_shape(family, batch)
+        for _ in range(10):
+            x, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            theta = rng.standard_normal(family.param_dim) * 0.7
+            value, pullback = family._linearize(x, theta)
+            got = (family._eval(x, theta), value, *pullback(v))
+            for g, w in zip(got, matmul_kernels(family, x, theta, v)):
+                assert_bit_equal(g, w)
+
+    @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
+    def test_mlp_blend(self, d, hidden, batch):
+        fam = make_mlp_family(d, hidden)
+        rng = np.random.default_rng(42)
+        alphas = TestBlend.ALPHAS
+        for _ in range(5):
+            a, b = rng.standard_normal((2, fam.param_dim))
+            got, want = fam.blend(a, b, alphas), matmul_blend(fam, a, b, alphas)
+            x = rng.standard_normal(state_shape(fam, batch))
+            for m in range(len(alphas)):
+                assert_bit_equal(got(x, m), want(x, m))
 
 
 class TestWeightSchedule:
