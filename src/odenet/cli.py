@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .dynamics import DivergenceError
 from .harness import (
     _KEY_PARSERS,
-    COMMANDS,
     AllDepthsDiverged,
     ConfigError,
     ExperimentConfig,
@@ -54,11 +53,6 @@ def _load(args) -> ExperimentConfig:
         config = ExperimentConfig(experiment="tightness_suite")
     else:
         config = load_config(args.config)
-    allowed = COMMANDS[args.command][0]
-    if config.experiment not in allowed:
-        raise ConfigError(
-            f"experiment {config.experiment!r} does not belong to "
-            f"`{args.command}` (expected one of {', '.join(allowed)})")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

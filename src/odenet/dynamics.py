@@ -10,7 +10,7 @@ and the two-stage (midpoint-corrected) update is
     y_n     = x_n + (1/N) f(x_n, theta_n)
     x_{n+1} = x_n + (1/2N) (f(x_n, theta_n) + f(y_n, theta_{n+1})),
 
-where theta_N falls back to theta_{N-1} (see WeightSchedule.padded_row).
+where theta_N falls back to theta_{N-1} (see WeightSchedule.padded).
 Each update is one ``Scheme`` (EULER, HEUN) with its pullback; every
 chain and reverse sweep runs one of them through one driver.
 Interpolating fields turn a schedule into a continuous-time right-hand
@@ -32,7 +32,6 @@ from .residual_models import ResidualFamily, WeightSchedule
 __all__ = [
     "Trajectory",
     "VectorField",
-    "ODESolution",
     "DivergenceError",
     "forward_euler_chain",
     "forward_heun_chain",
@@ -69,12 +68,6 @@ class VectorField:
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
     piece: Optional[Callable[[int, list], Callable]] = None
-
-
-@dataclass
-class ODESolution:
-    states: np.ndarray      # (N+1, d): the flow at the chain nodes n/N
-    oracle_steps: int
 
 
 def _check_divergence(x, layer: int, context: str):
@@ -248,8 +241,9 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
     return VectorField(eval_field, depth=N, state_dim=family.state_dim, piece=piece)
 
 
-def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
-    """Classical 4-stage Runge-Kutta flow of the field at the chain nodes n/N.
+def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
+    """Classical 4-stage Runge-Kutta flow of the field at the chain nodes
+    n/N, returned as the (N + 1,) + x0.shape array of node states.
 
     ``fine_steps`` must be a multiple of the field's grid resolution N
     and at least 4N, so each layer interval takes K = fine_steps / N
@@ -279,15 +273,15 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> ODESolution:
             x = _rk4_step(g, x, h, 2 * j)
             _check_divergence(x, n, "ode oracle")
         states[n + 1] = x
-    return ODESolution(states, fine_steps)
+    return states
 
 
-def approximation_error(traj: Trajectory, sol: ODESolution):
-    """Per-node gaps ||x_n - x(n/N)|| and their maximum; ``sol`` must hold
-    the flow at the same N + 1 nodes as the chain."""
-    if traj.nodes.ndim != 2 or sol.states.shape != traj.nodes.shape:
+def approximation_error(traj: Trajectory, flow: np.ndarray):
+    """Per-node gaps ||x_n - x(n/N)|| and their maximum; ``flow`` is the
+    oracle's node array, the flow at the same N + 1 nodes as the chain."""
+    if traj.nodes.ndim != 2 or flow.shape != traj.nodes.shape:
         raise ValueError("trajectory and solution nodes do not match")
-    gaps = np.linalg.norm(traj.nodes - sol.states, axis=1)
+    gaps = np.linalg.norm(traj.nodes - flow, axis=1)
     return gaps, float(np.max(gaps))
 
 

@@ -143,7 +143,6 @@ class ExperimentConfig:
     output_dir: str = "."
     # linear-flow knobs
     t_end: float = 20.0
-    dt: Optional[float] = None
     sigma_dim: int = 4
     loss_fraction: float = 0.125
     snapshot_count: int = 11
@@ -157,11 +156,11 @@ class ExperimentConfig:
     gradient_mode: str = "exact"
 
     def __post_init__(self):
-        if self.experiment not in COMMAND_OF:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        command = COMMAND_OF[self.experiment]
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            strings = (str, os.PathLike) if f.name == "output_dir" else str
+            if f.type == "str" and not isinstance(value, strings):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
             if f.type == "float" or (f.type == "Optional[float]" and value is not None):
                 if not isinstance(value, numbers.Real) or isinstance(value, bool):
                     raise ConfigError(f"{f.name} must be a number, got {value!r}")
@@ -169,6 +168,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int":
                 setattr(self, f.name, _integral(f.name, value))
+        if self.experiment not in COMMAND_OF:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        command = COMMAND_OF[self.experiment]
         if self.depths is None:
             self.depths = COMMANDS[command][1]
         if not np.iterable(self.depths):
@@ -190,8 +192,8 @@ class ExperimentConfig:
             raise ConfigError("dimensions must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.t_end <= 0 or (self.dt is not None and self.dt <= 0):
-            raise ConfigError("t_end and dt must be positive")
+        if self.t_end <= 0:
+            raise ConfigError("t_end must be positive")
         if not 0.0 < self.loss_fraction < 1.0:
             raise ConfigError("loss_fraction must lie in (0, 1)")
         if self.snapshot_count < 2:
@@ -264,8 +266,10 @@ def _write_rows(path, header, rows) -> None:
 
 def _require(config: ExperimentConfig, command: str) -> None:
     """Reject an experiment that another command runs."""
-    if COMMAND_OF[config.experiment] != command:
-        raise ConfigError(f"not a {command} experiment: {config.experiment!r}")
+    allowed = COMMANDS[command][0]
+    if config.experiment not in allowed:
+        raise ConfigError(f"experiment {config.experiment!r} does not belong to "
+                          f"`{command}` (expected one of {', '.join(allowed)})")
 
 
 def _output_dir(config: ExperimentConfig) -> str:
@@ -392,15 +396,15 @@ def _oracle(field, x0):
     the solves at 4N and at 8N steps.
     """
     coarse = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER // 2 * field.depth)
-    sol = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * field.depth)
-    return sol, float(np.max(np.linalg.norm(coarse.states - sol.states, axis=1)))
+    flow = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * field.depth)
+    return flow, float(np.max(np.linalg.norm(coarse - flow, axis=1)))
 
 
 def _approx_depth_metrics(family, schedule, x0, target):
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, "residual_interp")
-    sol, oracle_error = _oracle(ode_field, x0)
-    _, max_gap = approximation_error(traj, sol)
+    flow, oracle_error = _oracle(ode_field, x0)
+    _, max_gap = approximation_error(traj, flow)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     return [(max_gap, state_scale)], oracle_error
 
@@ -511,8 +515,8 @@ def _tightness_case(case: str, depth: int) -> TightnessRecord:
     x0 = np.zeros(1)
     traj = forward_euler_chain(family, schedule, x0)
     ode_field = interpolate(family, schedule, kind, theta_end=np.array([end]))
-    sol, oracle_error = _oracle(ode_field, x0)
-    measured = float(np.linalg.norm(traj.nodes[-1] - sol.states[-1]))
+    flow, oracle_error = _oracle(ode_field, x0)
+    measured = float(np.linalg.norm(traj.nodes[-1] - flow[-1]))
     return TightnessRecord(case, depth, measured, analytic, oracle_error)
 
 
@@ -559,7 +563,7 @@ def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarr
 
 
 def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
-    """Integrate the rescaled flow at every depth and run the diagnostics.
+    """Integrate the rescaled flow at every depth, at max_step_size, and run the diagnostics.
 
     One covariance, one target, and one initialization profile are
     shared across depths so that depth-doubling and limit-profile
@@ -569,12 +573,6 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     """
     _require(config, "linflow")
     sigma = np.eye(config.sigma_dim)
-    # The step ceiling depends on sigma alone, so it is checked before
-    # the output directory is made or any profile is drawn.
-    bound = max_step_size(build_problem(sigma, np.zeros_like(sigma)))
-    dt = config.dt if config.dt is not None else bound
-    if dt > bound * (1.0 + 1e-12):  # the tolerance integrate_flow allows
-        raise ConfigError(f"dt {dt:g} exceeds max_step_size {bound:g} for this problem")
     out_dir = _output_dir(config)
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     profile = _matrix_profile(config, profile_rng)
@@ -585,6 +583,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         seed=int(target_rng.integers(2 ** 31)),
         loss_fraction=config.loss_fraction)
     problem = build_problem(sigma, b_target)
+    dt = max_step_size(problem)
 
     regime_reports = {}
     for depth in config.depths:

@@ -122,7 +122,8 @@ class ResidualFamily:
 
 class WeightSchedule:
     """Depth-indexed parameters theta_0..theta_{N-1}, one flat row each, read-only;
-    ``padded`` adds theta_N = theta_{N-1}, the padding rule of ``padded_row``."""
+    ``padded`` adds theta_N = theta_{N-1}, which Heun's last half-step and
+    the last interpolation interval read."""
 
     def __init__(self, params):
         arr = require_finite(params, "schedule parameters")
@@ -139,20 +140,6 @@ class WeightSchedule:
     @property
     def param_dim(self) -> int:
         return self.params.shape[1]
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self.params[n]
-
-    def padded_row(self, n: int) -> np.ndarray:
-        """Row n, with n == depth mapped to the last row.
-
-        The final half-step of a two-stage chain (and the last
-        interpolation interval) reference theta_N, which the schedule
-        does not carry; the padding rule reuses theta_{N-1}.
-        """
-        if not 0 <= n <= self.depth:
-            raise IndexError(f"layer index {n} out of range for depth {self.depth}")
-        return self.padded[n]
 
 
 def _outer_sum(p, q, out) -> np.ndarray:

@@ -83,7 +83,7 @@ def _scalar_gap(family, rows, theta_end, kind) -> float:
     traj = forward_euler_chain(family, schedule, x0)
     field = interpolate(family, schedule, kind, theta_end=theta_end)
     sol = solve_ode_oracle(field, x0, 4 * schedule.depth)
-    return float(np.abs(traj.nodes[-1][0] - sol.states[-1][0]))
+    return float(np.abs(traj.nodes[-1][0] - sol[-1][0]))
 
 
 def test_smooth_linear_profile_gap_is_half_inverse_depth():

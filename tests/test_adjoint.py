@@ -190,11 +190,11 @@ class TestFiniteDifferenceOracle:
         for n in range(N):
             g_here = state_grads[n]
             g_below = state_grads[max(n - 1, 0)]
-            y_n = traj.nodes[n] + fam.eval(traj.nodes[n], sched[n]) / N
-            u = fam.vjp_state(y_n, sched.padded_row(n + 1), g_here)
-            alt[n] += fam.vjp_params(traj.nodes[n], sched[n], g_here + u / N) / (2 * N)
+            y_n = traj.nodes[n] + fam.eval(traj.nodes[n], sched.params[n]) / N
+            u = fam.vjp_state(y_n, sched.padded[n + 1], g_here)
+            alt[n] += fam.vjp_params(traj.nodes[n], sched.params[n], g_here + u / N) / (2 * N)
             alt[min(n + 1, N - 1)] += fam.vjp_params(
-                y_n, sched.padded_row(n + 1), g_below) / (2 * N)
+                y_n, sched.padded[n + 1], g_below) / (2 * N)
         res_mech = np.linalg.norm(fd - grads.ravel())
         res_alt = np.linalg.norm(fd - alt.ravel())
         print(f"assembly residuals: adjacent-node {res_mech:.3e}, "
@@ -632,7 +632,7 @@ def eight_call_heun_sweep(family, schedule, xN, g):
     N = schedule.depth
     x, pending = xN, None
     for n in range(N - 1, -1, -1):
-        theta, theta_up = schedule[n], schedule.padded_row(n + 1)
+        theta, theta_up = schedule.params[n], schedule.padded[n + 1]
         f_up = family.eval(x, theta_up)
         y_rev = x - f_up / N
         x = x - (f_up + family.eval(y_rev, theta)) / (2.0 * N)

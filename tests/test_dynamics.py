@@ -97,7 +97,7 @@ class TestForwardHeunChain:
         sched = constant_schedule([1.0], 2)
         traj = forward_heun_chain(fam, sched, np.array([1.0]))
         assert traj.nodes[:, 0] == pytest.approx([1.0, 1.625, 2.640625])
-        stages = [traj.nodes[n] + fam.eval(traj.nodes[n], sched[n]) / 2 for n in range(2)]
+        stages = [traj.nodes[n] + fam.eval(traj.nodes[n], sched.params[n]) / 2 for n in range(2)]
         assert np.ravel(stages) == pytest.approx([1.5, 2.4375])
 
     def test_single_step_uses_padded_parameter(self):
@@ -149,7 +149,7 @@ class TestInterpolate:
         for n in range(sched.depth):
             for _ in range(50):
                 x = rng.standard_normal(2)
-                gap = field.eval(x, n / 8) - fam.eval(x, sched[n])
+                gap = field.eval(x, n / 8) - fam.eval(x, sched.params[n])
                 assert np.max(np.abs(gap)) == 0.0
 
     def test_constant_schedule_time_independent(self):
@@ -211,14 +211,14 @@ class TestSolveOdeOracle:
         field = interpolate(make_linear_family(1), constant_schedule([1.0], 1),
                             "residual_interp")
         sol = solve_ode_oracle(field, np.ones(1), 1024)
-        assert abs(sol.states[-1, 0] - np.e) <= 1e-8
+        assert abs(sol[-1, 0] - np.e) <= 1e-8
 
     def test_linear_drift_quadrature(self):
         field = VectorField(lambda x, s: np.full_like(x, s),
                             depth=1, state_dim=1)
         sol = solve_ode_oracle(field, np.zeros(1), 16)
         # RK4 integrates the line s exactly: x(1) = 1/2
-        assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-15)
+        assert sol[-1, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_alternating_square_third(self):
         depth = 16
@@ -226,7 +226,7 @@ class TestSolveOdeOracle:
                             "weight_interp",
                             theta_end=np.array([1.0 if depth % 2 == 0 else -1.0]))
         sol = solve_ode_oracle(field, np.zeros(1), 64 * depth)
-        assert sol.states[-1, 0] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert sol[-1, 0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_step_count_validation(self):
         field = interpolate(make_identity_family(), make_index_schedule(3),
@@ -241,24 +241,24 @@ class TestSolveOdeOracle:
         field = VectorField(lambda x, s: x * (1.0 - x),
                             depth=1, state_dim=1)
         x0 = np.array([0.2])
-        ref = solve_ode_oracle(field, x0, 512).states[-1, 0]
-        err_coarse = abs(solve_ode_oracle(field, x0, 16).states[-1, 0] - ref)
-        err_fine = abs(solve_ode_oracle(field, x0, 32).states[-1, 0] - ref)
+        ref = solve_ode_oracle(field, x0, 512)[-1, 0]
+        err_coarse = abs(solve_ode_oracle(field, x0, 16)[-1, 0] - ref)
+        err_fine = abs(solve_ode_oracle(field, x0, 32)[-1, 0] - ref)
         assert np.log2(err_coarse / err_fine) >= 3.5
 
     def test_batched_states(self):
         field = VectorField(lambda x, s: -x, depth=1, state_dim=2)
         x0 = np.array([[1.0, 2.0], [0.0, -1.0]])
         sol = solve_ode_oracle(field, x0, 32)
-        assert sol.states.shape == (2, 2, 2)
-        assert np.allclose(sol.states[-1], x0 * np.exp(-1.0), atol=1e-9)
+        assert sol.shape == (2, 2, 2)
+        assert np.allclose(sol[-1], x0 * np.exp(-1.0), atol=1e-9)
 
     @pytest.mark.parametrize("depth", [1, 3, 8])
     def test_states_are_the_chain_nodes(self, depth):
         field = VectorField(lambda x, s: -x, depth=depth, state_dim=1)
         sol = solve_ode_oracle(field, np.ones(1), 8 * depth)
-        assert sol.states.shape == (depth + 1, 1)
-        assert np.allclose(sol.states[:, 0], np.exp(-np.arange(depth + 1) / depth), atol=1e-9)
+        assert sol.shape == (depth + 1, 1)
+        assert np.allclose(sol[:, 0], np.exp(-np.arange(depth + 1) / depth), atol=1e-9)
 
     def test_divergence(self):
         field = VectorField(lambda x, s: x * x, depth=1, state_dim=1)
@@ -295,8 +295,8 @@ class TestOraclePiecePath:
         x0 = rng.standard_normal(fam.state_dim)
         fused = solve_ode_oracle(field, x0, 16 * depth)
         plain = solve_ode_oracle(without_piece(field), x0, 16 * depth)
-        scale = np.max(np.abs(plain.states))
-        assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * scale
+        scale = np.max(np.abs(plain))
+        assert np.max(np.abs(fused - plain)) <= 1e-13 * scale
 
     def test_batched_mlp_matches_eval_path(self):
         fam = make_mlp_family(3, 4)
@@ -306,8 +306,8 @@ class TestOraclePiecePath:
         x0 = rng.standard_normal((3, 7))
         fused = solve_ode_oracle(field, x0, 40)
         plain = solve_ode_oracle(without_piece(field), x0, 40)
-        assert fused.states.shape == (6, 3, 7)
-        assert np.max(np.abs(fused.states - plain.states)) <= 1e-13 * np.max(np.abs(plain.states))
+        assert fused.shape == (6, 3, 7)
+        assert np.max(np.abs(fused - plain)) <= 1e-13 * np.max(np.abs(plain))
 
     @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
     def test_divergence_layer_is_the_same(self, kind):
@@ -476,7 +476,7 @@ class TestApproximationBound:
             field = interpolate(fam, sched, "residual_interp")
             sol = solve_ode_oracle(field, x0, 64 * depth)
             _, worst = approximation_error(traj, sol)
-            radius = float(np.max(np.linalg.norm(sol.states, axis=1))) + 1.0
+            radius = float(np.max(np.linalg.norm(sol, axis=1))) + 1.0
             L = max(spectral_norm(theta[6:].reshape(2, 3)) * spectral_norm(theta[:6].reshape(3, 2))
                     for theta in sched.padded)
             c_n = estimate_c_n(field, radius, samples=200)

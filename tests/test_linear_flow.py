@@ -556,7 +556,7 @@ class TestProductVsOde:
                             depth=n_layers, state_dim=d, piece=piece)
         x0 = np.random.default_rng(0).standard_normal((d, probes))   # product_vs_ode's probes
         x0 /= np.linalg.norm(x0, axis=0)
-        flow = solve_ode_oracle(field, x0, fine * n_layers).states[-1]
+        flow = solve_ode_oracle(field, x0, fine * n_layers)[-1]
         expected = np.max(np.linalg.norm(transport_product(thetas) @ x0 - flow, axis=0))
         prob = build_problem(np.eye(d), np.eye(d))
         assert product_vs_ode(thetas, prob) == pytest.approx(expected, rel=1e-9)

@@ -320,17 +320,17 @@ class TestWeightSchedule:
         rows = np.ones((3, 2))
         sched = WeightSchedule(rows)
         rows[0, 0] = 99.0
-        assert sched[0][0] == 1.0
+        assert sched.params[0][0] == 1.0
         with pytest.raises(ValueError):
             sched.params[0, 0] = 5.0
 
     def test_padding_rule(self):
         sched = make_index_schedule(4)
-        assert sched.padded_row(3) == pytest.approx([3.0])
+        assert sched.padded[3] == pytest.approx([3.0])
         # theta_N falls back to the last stored row
-        assert sched.padded_row(4) == pytest.approx([3.0])
+        assert sched.padded[4] == pytest.approx([3.0])
         with pytest.raises(IndexError):
-            sched.padded_row(5)
+            sched.padded[5]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
