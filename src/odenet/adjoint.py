@@ -23,9 +23,10 @@ gradient, and one pending parameter contribution; ``backprop_*`` keep
 only its parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule
-against the family, output gradient against the state's shape) and
-then calls the family's unchecked kernels: ``_eval`` for a reverse step
-and ``_linearize`` for a pullback, which returns both [d_x f]^T v and
+against the family, output gradient against the state's shape), binds
+the family's unchecked kernels to the schedule's ``padded`` rows once,
+and then calls them at layer indices: ``eval`` for a reverse step and
+``linearize`` for a pullback, which returns both [d_x f]^T v and
 [d_theta f]^T v from one forward pass at a layer point.
 """
 
@@ -100,11 +101,11 @@ def _reconstruct(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedul
     """Rebuild x~_N..x~_0 from the output alone; report errors vs a stored run."""
     x = family.check_entry(schedule, xN, "xN")
     N = schedule.depth
-    step, f, rows, lead = scheme.step, family._eval, schedule.padded, scheme.lead
+    step, lead, f = scheme.step, scheme.lead, family._bind(schedule.padded)[0]
     nodes = np.empty((N + 1,) + x.shape)
     nodes[N] = x
     for n in range(N - 1, -1, -1):
-        x = step(f, x, rows[n + lead], rows[n], -N)
+        x = step(f, x, n + lead, n, -N)
         _check_divergence(x, n, "reverse reconstruction")
         nodes[n] = x
     rec = Trajectory(nodes, scheme)
@@ -150,15 +151,15 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
                          f"the state shape {x.shape}")
     N = schedule.depth
     step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
-    f, lin, rows = family._eval, family._linearize, schedule.padded
+    f, lin = family._bind(schedule.padded)
     f_first = pending = None
     for n in range(N - 1, -1, -1):
         if nodes is None:
-            x = step(f, x, rows[n + lead], rows[n], -N, f_first)
+            x = step(f, x, n + lead, n, -N, f_first)
             _check_divergence(x, n, "adjoint sweep")
         else:
             x = nodes[n]
-        f_x, own, carry, g_new = pullback(lin, x, rows[n], rows[n + 1], g, N)
+        f_x, own, carry, g_new = pullback(lin, x, n, n + 1, g, N)
         if lead:
             f_first = f_x
         if carry is not None:

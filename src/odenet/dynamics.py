@@ -85,25 +85,25 @@ def _locate(s, N: int):
     return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
-def _euler_step(f, x, theta_a, theta_b, div, f_first=None):
-    f_first = f(x, theta_a) if f_first is None else f_first
+def _euler_step(f, x, a, b, div, f_first=None):
+    f_first = f(x, a) if f_first is None else f_first
     return x + f_first / div
 
 
-def _heun_step(f, x, theta_a, theta_b, div, f_first=None):
-    f_first = f(x, theta_a) if f_first is None else f_first
-    return x + (f_first + f(x + f_first / div, theta_b)) / (2.0 * div)
+def _heun_step(f, x, a, b, div, f_first=None):
+    f_first = f(x, a) if f_first is None else f_first
+    return x + (f_first + f(x + f_first / div, b)) / (2.0 * div)
 
 
-def _euler_pullback(linearize, x, theta_a, theta_b, g, N):
+def _euler_pullback(linearize, x, a, b, g, N):
     """grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T g and
     grad_x_n = [I + (1/N) d_x f(x_n, theta_n)]^T g, from one pullback."""
-    f_x, pull = linearize(x, theta_a)
+    f_x, pull = linearize(x, a)
     d_x, d_theta = pull(g)
     return f_x, d_theta / N, None, g + d_x / N
 
 
-def _heun_pullback(linearize, x, theta_a, theta_b, g, N):
+def _heun_pullback(linearize, x, a, b, g, N):
     """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
 
     Differentiating the two-stage update gives, for g = grad_{x_{n+1}},
@@ -121,8 +121,8 @@ def _heun_pullback(linearize, x, theta_a, theta_b, g, N):
     f(x_n, theta_n)/N is rebuilt from the linearization's value, bit-equal
     to the stage the forward step computed.
     """
-    f_x, pull_x = linearize(x, theta_a)
-    u, carry = linearize(x + f_x / N, theta_b)[1](g)
+    f_x, pull_x = linearize(x, a)
+    u, carry = linearize(x + f_x / N, b)[1](g)
     s, own = pull_x(g + u / N)
     return f_x, own / (2.0 * N), carry / (2.0 * N), g + (s + u) / (2.0 * N)
 
@@ -131,13 +131,15 @@ def _heun_pullback(linearize, x, theta_a, theta_b, g, N):
 class Scheme:
     """One integration scheme, defined once for every chain and sweep.
 
-    ``step(f, x, theta_a, theta_b, div, f_first=None) -> x_next`` steps
-    by 1/div: forward at div = N from theta_n to theta_{n+1}, in reverse
-    at div = -N from theta_{n+lead} to theta_n.  ``f_first`` is
-    f(x, theta_a) if already known.
+    ``f`` and ``linearize`` are a family's kernels bound to the schedule's
+    ``padded`` rows (``ResidualFamily._bind``); a and b are layer indices
+    into those rows.  ``step(f, x, a, b, div, f_first=None) -> x_next``
+    steps by 1/div: forward at div = N from layer a = n to b = n + 1, in
+    reverse at div = -N from a = n + lead to b = n.  ``f_first`` is
+    f(x, a) if already known.
 
-    ``pullback(linearize, x_n, theta_n, theta_{n+1}, g, N) -> (f, own,
-    carry, g_prev)`` differentiates forward step n at g = grad_{x_{n+1}}:
+    ``pullback(linearize, x_n, n, n + 1, g, N) -> (f, own, carry,
+    g_prev)`` differentiates forward step n at g = grad_{x_{n+1}}:
     ``own`` goes to theta_n, ``carry`` (None without a stage) to
     theta_{n+1}, g_prev is grad_{x_n}, f is f(x_n, theta_n).
     """
@@ -173,12 +175,12 @@ def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     """Run the chain: its Trajectory if ``store``, else only x_N."""
     x = family.check_entry(schedule, x0)
     N = schedule.depth
-    step, f, rows = scheme.step, family._eval, schedule.padded
+    step, f = scheme.step, family._bind(schedule.padded)[0]
     if store:
         nodes = np.empty((N + 1,) + x.shape)
         nodes[0] = x
     for n in range(N):
-        x = step(f, x, rows[n], rows[n + 1], N)
+        x = step(f, x, n, n + 1, N)
         _check_divergence(x, n, "forward chain")
         if store:
             nodes[n + 1] = x
@@ -229,8 +231,7 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
         if kind == "residual_interp":
             return family.blend(rows[n], rows[n + 1], alphas)
         alpha = np.asarray(alphas)[:, None]
-        thetas = (1.0 - alpha) * rows[n] + alpha * rows[n + 1]
-        return lambda x, m: family._eval(x, thetas[m])
+        return family._bind((1.0 - alpha) * rows[n] + alpha * rows[n + 1])[0]
 
     def eval_field(x, s):
         if not (0.0 <= s <= 1.0):

@@ -2,9 +2,10 @@
 per-layer parameter schedules.
 
 A family evaluates states of shape (d,) or batched (d, B); parameter
-vectors are always flat 1-D arrays.  The parameter half of a pullback
-sums over the batch axis, matching the gradient of a batch-summed
-scalar loss.
+vectors are always flat 1-D arrays, and its kernels are bound once to a
+(K, param_dim) stack of them (``ResidualFamily``).  The parameter half
+of a pullback sums over the batch axis, matching the gradient of a
+batch-summed scalar loss.
 """
 
 from __future__ import annotations
@@ -29,29 +30,30 @@ __all__ = [
 class ResidualFamily:
     """A residual function f(x, theta) with its exact pullback.
 
-    eval:       (x, theta) -> f(x, theta), same shape as x
-    linearize:  (x, theta) -> (f(x, theta), pullback), where
+    bind:       rows -> (eval, linearize), the family's one kernel
+                definition: it reads layer n of a (K, param_dim) stack of
+                rows through views of that buffer (the mlp's (K, h, d)
+                and (K, d, h) weights, the linear family's (K, d, d)), so
+                binding holds nothing per layer and no call re-splits a row
+    eval:       (x, n) -> f(x, rows[n]), same shape as x
+    linearize:  (x, n) -> (f(x, rows[n]), pullback), where
                 pullback(v) -> ([d_x f]^T v, [d_theta f]^T v) reuses the
                 forward pass (the mlp's tanh(W1 x)) for any cotangent v
-    vjp_state:  (x, theta, v) -> [d_x f]^T v, same shape as x
-    vjp_params: (x, theta, v) -> [d_theta f]^T v, flat (param_dim,)
-    jac_state:  (x, theta) -> (d, d) Jacobian of f in x (unbatched)
     blend:      (theta_a, theta_b, alphas) -> g(x, m), see ``blend``
 
-    The public methods check shapes; ``vjp_state``, ``vjp_params`` and
-    ``jac_state`` are read off one pullback.  The sweeps validate their
-    inputs once on entry (``check_entry``) and then call the unchecked
-    ``_eval`` and ``_linearize`` at every layer.
+    The public ``eval``, ``linearize``, ``vjp_state`` and ``vjp_params``
+    check shapes and bind the one row ``theta[None]``.  The chains and
+    sweeps validate their inputs once on entry (``check_entry``), bind
+    the schedule's ``padded`` stack once and then call the bound kernels
+    at layer indices.
     """
 
     def __init__(self, name: str, state_dim: int, param_dim: int,
-                 eval_fn: Callable, linearize: Callable,
-                 blend: Optional[Callable] = None):
+                 bind: Callable, blend: Optional[Callable] = None):
         self.name = name
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
-        self._eval = eval_fn
-        self._linearize = linearize
+        self._bind = bind
         self._blend = blend
 
     def _check_state(self, x) -> np.ndarray:
@@ -78,30 +80,25 @@ class ResidualFamily:
         return self._check_state(require_finite(x, label))
 
     def eval(self, x, theta) -> np.ndarray:
-        return self._eval(self._check_state(x), self._check_params(theta))
+        x = self._check_state(x)
+        return self._bind(self._check_params(theta)[None])[0](x, 0)
 
     def linearize(self, x, theta) -> tuple:
-        return self._linearize(self._check_state(x), self._check_params(theta))
+        x = self._check_state(x)
+        return self._bind(self._check_params(theta)[None])[1](x, 0)
 
     def _pull(self, x, theta, v) -> tuple:
         x = self._check_state(x)
         v = np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError("cotangent shape must match state shape")
-        return self._linearize(x, self._check_params(theta))[1](v)
+        return self.linearize(x, theta)[1](v)
 
     def vjp_state(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[0]
 
     def vjp_params(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[1]
-
-    def jac_state(self, x, theta) -> np.ndarray:
-        x = self._check_state(x)
-        if x.ndim != 1:
-            raise ValueError("jac_state takes a single (d,) state")
-        pullback = self._linearize(x, self._check_params(theta))[1]
-        return np.array([pullback(e)[0] for e in np.eye(self.state_dim)])
 
     def blend(self, theta_a, theta_b, alphas) -> Callable:
         """Kernel g(x, m) = (1 - alphas[m]) f(x, theta_a) + alphas[m] f(x, theta_b).
@@ -112,8 +109,8 @@ class ResidualFamily:
         theta_a, theta_b = self._check_params(theta_a), self._check_params(theta_b)
         if self._blend is not None:
             return self._blend(theta_a, theta_b, alphas)
-        f = self._eval
-        return lambda x, m: (1.0 - alphas[m]) * f(x, theta_a) + alphas[m] * f(x, theta_b)
+        f = self._bind(np.stack([theta_a, theta_b]))[0]
+        return lambda x, m: (1.0 - alphas[m]) * f(x, 0) + alphas[m] * f(x, 1)
 
     def __repr__(self):
         return (f"ResidualFamily({self.name!r}, state_dim={self.state_dim}, "
@@ -156,14 +153,18 @@ def make_linear_family(d: int) -> ResidualFamily:
     if d < 1:
         raise ValueError("state dimension must be >= 1")
 
-    def eval_fn(x, theta):
-        return np.dot(theta.reshape(d, d), x)
+    def bind(rows):
+        mats = rows.reshape(-1, d, d)
 
-    def linearize(x, theta):
-        a = theta.reshape(d, d)
-        return np.dot(a, x), lambda v: (np.dot(a.T, v), _outer_sum(v, x, np.empty(d * d)))
+        def eval_fn(x, n):
+            return np.dot(mats[n], x)
 
-    return ResidualFamily("linear", d, d * d, eval_fn, linearize)
+        def linearize(x, n):
+            a = mats[n]
+            return np.dot(a, x), lambda v: (np.dot(a.T, v), _outer_sum(v, x, np.empty(d * d)))
+        return eval_fn, linearize
+
+    return ResidualFamily("linear", d, d * d, bind)
 
 
 def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
@@ -177,61 +178,67 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         raise ValueError("dimensions must be >= 1")
     n1 = hidden * d
 
-    def unpack(theta):
-        return theta[:n1].reshape(hidden, d), theta[n1:].reshape(d, hidden)
+    def split(rows):
+        return rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
 
-    def eval_fn(x, theta):
-        w1, w2 = unpack(theta)
-        return np.dot(w2, np.tanh(np.dot(w1, x)))
+    def bind(rows):
+        w1s, w2s = split(rows)
 
-    def linearize(x, theta):
-        w1, w2 = unpack(theta)
-        a = np.tanh(np.dot(w1, x))
+        def eval_fn(x, n):
+            return np.dot(w2s[n], np.tanh(np.dot(w1s[n], x)))
 
-        def pullback(v):
-            u = (1.0 - a**2) * np.dot(w2.T, v)  # backprop through tanh pre-activation
-            grad = np.empty(2 * n1)
-            _outer_sum(u, x, grad[:n1])
-            _outer_sum(v, a, grad[n1:])
-            return np.dot(w1.T, u), grad
-        return np.dot(w2, a), pullback
+        def linearize(x, n):
+            w1, w2 = w1s[n], w2s[n]
+            a = np.tanh(np.dot(w1, x))
+
+            def pullback(v):
+                u = (1.0 - a**2) * np.dot(w2.T, v)  # backprop through tanh pre-activation
+                grad = np.empty(2 * n1)
+                _outer_sum(u, x, grad[:n1])
+                _outer_sum(v, a, grad[n1:])
+                return np.dot(w1.T, u), grad
+            return np.dot(w2, a), pullback
+        return eval_fn, linearize
 
     def blend(theta_a, theta_b, alphas):
         # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
         # or 1 keeps its single layer, so g is f(., theta) bit-exactly.
-        ends = {0.0: unpack(theta_a), 1.0: unpack(theta_b)}
-        w1 = np.concatenate([theta_a[:n1], theta_b[:n1]]).reshape(2 * hidden, d)
+        w1s, w2s = split(np.stack([theta_a, theta_b]))
+        ends = {0.0: (w1s[0], w2s[0]), 1.0: (w1s[1], w2s[1])}
+        w1 = w1s.reshape(2 * hidden, d)
         alpha = np.asarray(alphas, dtype=float)[:, None, None]
-        table = np.concatenate([(1.0 - alpha) * ends[0.0][1], alpha * ends[1.0][1]], axis=2)
+        table = np.concatenate([(1.0 - alpha) * w2s[0], alpha * w2s[1]], axis=2)
         layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
         return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
 
-    return ResidualFamily("mlp", d, 2 * d * hidden, eval_fn, linearize, blend)
+    return ResidualFamily("mlp", d, 2 * d * hidden, bind, blend)
+
+
+def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
+    """Scalar, state-independent f(x, theta) = g(theta) with derivative dg."""
+
+    def bind(rows):
+        thetas = rows[:, 0]
+
+        def eval_fn(x, n):
+            return np.full_like(x, g(thetas[n]))
+
+        def linearize(x, n):
+            return eval_fn(x, n), lambda v: (
+                np.zeros_like(v), np.array([dg(thetas[n]) * float(np.sum(v))]))
+        return eval_fn, linearize
+
+    return ResidualFamily(name, 1, 1, bind)
 
 
 def make_square_family() -> ResidualFamily:
     """Scalar, state-independent f(x, theta) = theta^2."""
-
-    def eval_fn(x, theta):
-        return np.full_like(x, theta[0] ** 2)
-
-    def linearize(x, theta):
-        return eval_fn(x, theta), lambda v: (
-            np.zeros_like(v), np.array([2.0 * theta[0] * float(np.sum(v))]))
-
-    return ResidualFamily("square", 1, 1, eval_fn, linearize)
+    return _scalar_family("square", lambda t: t ** 2, lambda t: 2.0 * t)
 
 
 def make_identity_family() -> ResidualFamily:
     """Scalar, state-independent f(x, theta) = theta."""
-
-    def eval_fn(x, theta):
-        return np.full_like(x, theta[0])
-
-    def linearize(x, theta):
-        return eval_fn(x, theta), lambda v: (np.zeros_like(v), np.array([float(np.sum(v))]))
-
-    return ResidualFamily("identity", 1, 1, eval_fn, linearize)
+    return _scalar_family("identity", lambda t: t, lambda t: 1.0)
 
 
 def make_index_schedule(N: int) -> WeightSchedule:

@@ -34,6 +34,7 @@ from odenet.residual_models import (
     make_mlp_family,
     make_square_family,
 )
+from oracles import jac_state
 
 
 def constant_schedule(theta, depth):
@@ -291,13 +292,17 @@ class TestAdjointBackprop:
         state finite, fails each backprop_* call on the collected rows."""
         base = make_linear_family(1)
 
-        def linearize(x, theta):
-            value, pullback = base._linearize(x, theta)
-            if theta[0] != 0.5:
-                return value, pullback
-            return value, lambda v: (pullback(v)[0], np.full(1, np.nan))
+        def bind(rows):
+            f, lin = base._bind(rows)
 
-        fam = ResidualFamily("nan_row", 1, 1, base._eval, linearize)
+            def linearize(x, n):
+                value, pullback = lin(x, n)
+                if rows[n, 0] != 0.5:
+                    return value, pullback
+                return value, lambda v: (pullback(v)[0], np.full(1, np.nan))
+            return f, linearize
+
+        fam = ResidualFamily("nan_row", 1, 1, bind)
         sched = WeightSchedule(np.array([[1.0], [0.5], [1.0]]))
         for name in ("backprop_exact", "backprop_exact_heun",
                      "backprop_adjoint_euler", "backprop_adjoint_heun"):
@@ -514,30 +519,36 @@ class TestOneStepResidualIdentity:
                 psi = depth * (rep.reconstructed.nodes[depth - 1]
                                - rep.reconstructed.nodes[depth - 2])
                 measured = np.linalg.norm(psi - phi)
-                jump = (fam.jac_state(x, theta_b) - fam.jac_state(x, theta_a)) @ (
+                jump = (jac_state(fam, x, theta_b) - jac_state(fam, x, theta_a)) @ (
                     fam.eval(x, theta_b) - fam.eval(x, theta_a))
                 predicted = np.linalg.norm(jump) / (4 * depth)
                 assert measured == pytest.approx(predicted, rel=0.2)
 
 
 def counting_family(fam):
-    """The same family, tallying its unchecked kernel and pullback calls."""
-    counts = {"eval": 0, "linearize": 0, "pullback": 0}
+    """The same family, tallying its binds and the calls of its bound
+    kernels and pullbacks."""
+    counts = {"bind": 0, "eval": 0, "linearize": 0, "pullback": 0}
 
-    def eval_fn(x, theta):
-        counts["eval"] += 1
-        return fam._eval(x, theta)
+    def bind(rows):
+        counts["bind"] += 1
+        f, lin = fam._bind(rows)
 
-    def linearize(x, theta):
-        counts["linearize"] += 1
-        value, pullback = fam._linearize(x, theta)
+        def eval_fn(x, n):
+            counts["eval"] += 1
+            return f(x, n)
 
-        def counted(v):
-            counts["pullback"] += 1
-            return pullback(v)
-        return value, counted
+        def linearize(x, n):
+            counts["linearize"] += 1
+            value, pullback = lin(x, n)
 
-    return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, eval_fn, linearize), counts
+            def counted(v):
+                counts["pullback"] += 1
+                return pullback(v)
+            return value, counted
+        return eval_fn, linearize
+
+    return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, bind), counts
 
 
 def _stored(scheme, x, depth):
@@ -591,17 +602,18 @@ class TestEntryValidation:
             g = np.ones(2)  # (d,) against a (d, B) state
         else:
             x = np.where(np.arange(4) == 2, np.nan, x)
-        counts.update(eval=0, linearize=0)
+        counts.update(bind=0, eval=0, linearize=0)
         with pytest.raises(ValueError):
             run(fam, sched, x, g)
-        assert counts["eval"] == counts["linearize"] == 0
+        assert counts["bind"] == counts["eval"] == counts["linearize"] == 0
 
 
 class TestKernelCounts:
     """Invocations of the unchecked kernels per layer of each backprop
     sweep: 1/2/2/3 for exact Euler / adjoint Euler / exact Heun / adjoint
     Heun, plus the one evaluation f(x~_N, theta_N) the adjoint Heun sweep
-    starts from.  Every linearization is pulled back exactly once."""
+    starts from.  Every linearization is pulled back exactly once, and
+    each chain or sweep binds the family to its schedule once."""
 
     @pytest.mark.parametrize("batch", [None, 5])
     @pytest.mark.parametrize("sweep,evals,linearizations,extra", [
@@ -622,8 +634,16 @@ class TestKernelCounts:
          "exact_heun": lambda: backprop_exact_heun(fam, sched, traj, g),
          "adjoint_heun": lambda: backprop_adjoint_heun(fam, sched, traj.nodes[-1], g),
          }[sweep]()
-        assert counts == {"eval": evals * N + extra, "linearize": linearizations * N,
-                          "pullback": linearizations * N}
+        assert counts == {"bind": 1, "eval": evals * N + extra,
+                          "linearize": linearizations * N, "pullback": linearizations * N}
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_each_entry_point_binds_once(self, entry):
+        fam, counts = counting_family(make_mlp_family(2, 3))
+        sched = cubic_profile_schedule(8, fam.param_dim)
+        x, g = np.full((2, 3), 0.1), np.ones((2, 3))
+        ENTRY_POINTS[entry](fam, sched, x, g)
+        assert counts["bind"] == 1 and counts["eval"] + counts["linearize"] > 0
 
 
 def eight_call_heun_sweep(family, schedule, xN, g):

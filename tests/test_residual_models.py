@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from odenet.residual_models import (
     make_mlp_family,
     make_square_family,
 )
+from oracles import jac_state
 
 ALL_FAMILIES = [
     make_identity_family(),
@@ -57,7 +61,7 @@ class TestFamilyDerivatives:
         rng = np.random.default_rng(13)
         x = rng.standard_normal(family.state_dim)
         theta = rng.standard_normal(family.param_dim) * 0.5
-        jac = family.jac_state(x, theta)
+        jac = jac_state(family, x, theta)
         assert jac.shape == (family.state_dim, family.state_dim)
         v = rng.standard_normal(family.state_dim)
         assert np.allclose(jac.T @ v, family.vjp_state(x, theta, v), rtol=1e-12)
@@ -143,7 +147,7 @@ class TestLinearize:
         buffers: the second leaves the first unchanged, and neither
         shares memory with the inputs."""
         x, theta, v, w = self.draw(family, batch, 34)
-        pullback = family._linearize(x, theta)[1]
+        pullback = family._bind(theta[None])[1](x, 0)[1]
         first = pullback(v)[1]
         kept = first.copy()
         second = pullback(w)[1]
@@ -175,7 +179,7 @@ class TestSpecificFamilies:
         theta = np.array([1.0, 2.0, 3.0, 4.0])  # [[1,2],[3,4]] row-major
         x = np.array([1.0, -1.0])
         assert fam.eval(x, theta) == pytest.approx([-1.0, -1.0])
-        assert np.allclose(fam.jac_state(x, theta), [[1, 2], [3, 4]])
+        assert np.allclose(jac_state(fam, x, theta), [[1, 2], [3, 4]])
 
     def test_mlp_zero_weights_is_zero_map(self):
         fam = make_mlp_family(3, 5)
@@ -197,8 +201,7 @@ class TestBlend:
     @staticmethod
     def generic(fam):
         """The same family without its fused blend."""
-        return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, fam._eval,
-                              fam._linearize)
+        return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, fam._bind)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_generic_default_is_the_weighted_sum(self, family):
@@ -287,20 +290,24 @@ def assert_bit_equal(got, want):
 
 @pytest.mark.parametrize("batch", [None, 0, 1, 64], ids=lambda b: "unbatched" if b is None else f"B{b}")
 class TestKernelsBitForBit:
-    """The ``np.dot`` kernels reproduce the ``@`` forms bit for bit, so the
+    """The ``np.dot`` kernels, bound to a stack of rows and called at a
+    row index, reproduce the ``@`` forms on that row bit for bit, so the
     chains, sweeps and oracle keep their outputs byte-identical."""
 
     @pytest.mark.parametrize("family", BIT_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_eval_linearize_and_pullback(self, family, batch):
         rng = np.random.default_rng(41)
         shape = state_shape(family, batch)
-        for _ in range(10):
-            x, v = rng.standard_normal(shape), rng.standard_normal(shape)
-            theta = rng.standard_normal(family.param_dim) * 0.7
-            value, pullback = family._linearize(x, theta)
-            got = (family._eval(x, theta), value, *pullback(v))
-            for g, w in zip(got, matmul_kernels(family, x, theta, v)):
-                assert_bit_equal(g, w)
+        for _ in range(2):
+            rows = rng.standard_normal((5, family.param_dim)) * 0.7
+            rows.setflags(write=False)  # read-only, as WeightSchedule.padded is
+            f, lin = family._bind(rows)
+            for n in range(rows.shape[0]):
+                x, v = rng.standard_normal(shape), rng.standard_normal(shape)
+                value, pullback = lin(x, n)
+                got = (f(x, n), value, *pullback(v))
+                for g, w in zip(got, matmul_kernels(family, x, rows[n], v)):
+                    assert_bit_equal(g, w)
 
     @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
     def test_mlp_blend(self, d, hidden, batch):
@@ -313,6 +320,37 @@ class TestKernelsBitForBit:
             x = rng.standard_normal(state_shape(fam, batch))
             for m in range(len(alphas)):
                 assert_bit_equal(got(x, m), want(x, m))
+
+
+class TestBindingHoldsNothingPerLayer:
+    """Binding a family to a schedule makes views of its one buffer: no
+    per-layer weights are built, whatever the depth."""
+
+    @pytest.mark.parametrize("family", [make_mlp_family(1, 8), make_linear_family(3)],
+                             ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_bound_weights_are_views_of_the_schedule(self, family):
+        schedule = WeightSchedule(np.random.default_rng(5).standard_normal((7, family.param_dim)))
+        for kernel in family._bind(schedule.padded):
+            held = [cell.cell_contents for cell in kernel.__closure__]
+            weights = [a for a in held if isinstance(a, np.ndarray)]
+            assert weights and not any(isinstance(a, (list, tuple, dict)) for a in held)
+            assert all(np.shares_memory(w, schedule.padded) for w in weights)
+
+    @staticmethod
+    def bind_peak(family, depth):
+        schedule = WeightSchedule(np.ones((depth, family.param_dim)))
+        family._bind(schedule.padded)  # warm
+        gc.collect()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        family._bind(schedule.padded)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_bind_peak_does_not_grow_with_depth(self, family):
+        assert self.bind_peak(family, 10_000) <= self.bind_peak(family, 100) + 512
 
 
 class TestWeightSchedule:
