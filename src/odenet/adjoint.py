@@ -15,12 +15,14 @@ reconstructed states.  The two-stage scheme reverses both stages,
 and evaluates the same two-term parameter-gradient assembly at the
 reconstructed states.
 
-One reverse reconstruction and one reverse gradient sweep run both
-schemes' ``dynamics.Scheme`` steps; exact reverse mode is that sweep
-reading x_n from stored nodes instead of rebuilding it.  The sweep is a
-generator that holds only the current state, the current state
-gradient, and one pending parameter contribution; ``backprop_*`` keep
-only its parameter gradients, one (param_dim,) row per layer.
+One reverse sweep runs both schemes' ``dynamics.Scheme`` steps.  It
+yields (n, grad_theta_n, grad_x_n, x_n) for n = N-1..0, x_n being the
+state it linearized at layer n: the stored node in exact reverse mode,
+and the rebuilt x~_n in the memory-free adjoint, so one pass gives both
+the reconstruction and the gradients.  The sweep is a generator that
+holds only the current and previous states, the current state gradient,
+and one pending parameter contribution; ``backprop_*`` keep only its
+parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule
 against the family, output gradient against the state's shape), binds
@@ -33,7 +35,7 @@ and then calls them at layer indices: ``eval`` for a reverse step and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -42,12 +44,9 @@ from .numerics import require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
 __all__ = [
-    "ReconstructionReport",
     "GradientComparison",
     "backprop_exact",
     "backprop_exact_heun",
-    "reconstruct_backward_euler",
-    "reconstruct_backward_heun",
     "backprop_adjoint_euler",
     "backprop_adjoint_heun",
     "adjoint_sweep_euler",
@@ -56,13 +55,6 @@ __all__ = [
 ]
 
 REL_ERROR_FLOOR = 1e-15
-
-
-@dataclass
-class ReconstructionReport:
-    reconstructed: Trajectory
-    per_node_error: Optional[np.ndarray]  # (N+1,), None without a reference
-    max_error: Optional[float]
 
 
 @dataclass
@@ -96,52 +88,18 @@ def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
     return _backprop_exact(HEUN, family, schedule, traj, output_grad)
 
 
-def _reconstruct(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
-                 xN, true_traj: Optional[Trajectory]) -> ReconstructionReport:
-    """Rebuild x~_N..x~_0 from the output alone; report errors vs a stored run."""
-    x = family.check_entry(schedule, xN, "xN")
-    N = schedule.depth
-    step, lead, f = scheme.step, scheme.lead, family._bind(schedule.padded)[0]
-    nodes = np.empty((N + 1,) + x.shape)
-    nodes[N] = x
-    for n in range(N - 1, -1, -1):
-        x = step(f, x, n + lead, n, -N)
-        _check_divergence(x, n, "reverse reconstruction")
-        nodes[n] = x
-    rec = Trajectory(nodes, scheme)
-    if true_traj is None:
-        return ReconstructionReport(rec, None, None)
-    if true_traj.nodes.shape != rec.nodes.shape:
-        raise ValueError("reference trajectory shape does not match")
-    axes = tuple(range(1, rec.nodes.ndim))
-    errs = np.sqrt(np.sum((rec.nodes - true_traj.nodes) ** 2, axis=axes))
-    return ReconstructionReport(rec, errs, float(np.max(errs)))
-
-
-def reconstruct_backward_euler(family: ResidualFamily, schedule: WeightSchedule,
-                               xN, true_traj: Optional[Trajectory] = None
-                               ) -> ReconstructionReport:
-    """Single-stage reverse sweep from the output alone."""
-    return _reconstruct(EULER, family, schedule, xN, true_traj)
-
-
-def reconstruct_backward_heun(family: ResidualFamily, schedule: WeightSchedule,
-                              xN, true_traj: Optional[Trajectory] = None
-                              ) -> ReconstructionReport:
-    """Two-stage reverse sweep from the output alone."""
-    return _reconstruct(HEUN, family, schedule, xN, true_traj)
-
-
 def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
-           xN, output_grad, nodes=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Reverse sweep yielding (n, grad_theta_n, grad_x_n), n = N-1..0.
+           xN, output_grad, nodes=None
+           ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Reverse sweep yielding (n, grad_theta_n, grad_x_n, x_n), n = N-1..0.
 
-    With ``nodes`` (a stored x_0..x_N) it reads x_n there: exact reverse
-    mode.  Without, it rebuilds x~_n by the scheme's reverse step, which
-    is the memory-free adjoint.  A stage's carry to theta_{n+1} comes
-    from step n, so layer n+1 is yielded, from one pending gradient, once
-    step n has run; theta_N's carry is padded back to theta_{N-1}.  At
-    lead 1 the pullback's f(x~_n, theta_n) is the next reverse step's
+    x_n is the state layer n was linearized at.  With ``nodes`` (a stored
+    x_0..x_N) it is read there: exact reverse mode.  Without, it is x~_n,
+    rebuilt by the scheme's reverse step, which is the memory-free
+    adjoint.  A stage's carry to theta_{n+1} comes from step n, so layer
+    n+1 is yielded, from one pending gradient and the previous state,
+    once step n has run; theta_N's carry is padded back to theta_{N-1}.
+    At lead 1 the pullback's f(x~_n, theta_n) is the next reverse step's
     first evaluation, so only the first step evaluates f(x~_N, theta_N).
     """
     x = family.check_entry(schedule, xN, "xN")
@@ -152,7 +110,7 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     N = schedule.depth
     step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
     f, lin = family._bind(schedule.padded)
-    f_first = pending = None
+    f_first = pending = x_prev = None
     for n in range(N - 1, -1, -1):
         if nodes is None:
             x = step(f, x, n + lead, n, -N, f_first)
@@ -168,20 +126,22 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
             else:
                 pending = pending + carry
         if n < N - 1:
-            yield n + 1, pending, g
-        pending, g = own, g_new
-    yield 0, pending, g
+            yield n + 1, pending, g, x_prev
+        pending, g, x_prev = own, g_new, x
+    yield 0, pending, g, x
 
 
-def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule,
-                        xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Memory-free single-stage sweep: one evaluation and one pullback per layer."""
+def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
+                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Memory-free single-stage sweep yielding (n, grad_theta_n, grad_x_n,
+    x~_n): one evaluation and one pullback per layer."""
     yield from _sweep(EULER, family, schedule, xN, output_grad)
 
 
-def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule,
-                       xN, output_grad) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Memory-free two-stage sweep: one evaluation and two linearizations per layer."""
+def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
+                       ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Memory-free two-stage sweep yielding (n, grad_theta_n, grad_x_n,
+    x~_n): one evaluation and two linearizations per layer."""
     yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 
@@ -189,7 +149,7 @@ def _collect(sweep, schedule: WeightSchedule) -> np.ndarray:
     """Run a reverse sweep, which yields every layer once and checks its
     inputs before the first, into its (N, param_dim) parameter gradients."""
     param_grads = np.empty((schedule.depth, schedule.param_dim))
-    for n, theta_grad, _ in sweep:
+    for n, theta_grad, _, _ in sweep:
         param_grads[n] = theta_grad
     return require_finite(param_grads, "param_grads")
 

@@ -246,8 +246,8 @@ def _sweep_peak_bytes(forward, sweep, depth: int) -> int:
 
     def consume() -> float:
         total = 0.0
-        for _, theta_grad, state_grad in sweep(family, schedule, out, g):
-            total += float(theta_grad[0]) + float(state_grad[0])
+        for _, theta_grad, state_grad, state in sweep(family, schedule, out, g):
+            total += float(theta_grad[0]) + float(state_grad[0]) + float(state[0])
         return total
 
     consume()  # warm numpy internals so they do not count as live state

@@ -13,8 +13,6 @@ from odenet.adjoint import (
     adjoint_sweep_euler,
     adjoint_sweep_heun,
     compare_gradients,
-    reconstruct_backward_euler,
-    reconstruct_backward_heun,
 )
 from odenet.dynamics import (
     EULER,
@@ -34,7 +32,8 @@ from odenet.residual_models import (
     make_mlp_family,
     make_square_family,
 )
-from oracles import jac_state
+from odenet.harness import _adjoint_depth_metrics
+from oracles import jac_state, reverse_nodes
 
 
 def constant_schedule(theta, depth):
@@ -66,8 +65,8 @@ class TestExactBackpropEuler:
         g = np.array([1.0])
         grads = backprop_exact(fam, sched, traj, g)
         swept = list(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes))
-        assert [n for n, _, _ in swept] == [1, 0]
-        assert [g_x[0] for _, _, g_x in swept[::-1]] + [g[0]] == [2.25, 1.5, 1.0]
+        assert [n for n, *_ in swept] == [1, 0]
+        assert [g_x[0] for _, _, g_x, _ in swept[::-1]] + [g[0]] == [2.25, 1.5, 1.0]
         assert grads[:, 0].tolist() == [0.75, 0.75]
 
     def test_zero_weight_mlp(self):
@@ -78,7 +77,7 @@ class TestExactBackpropEuler:
         g = np.array([1.0, 2.0])
         grads = backprop_exact(fam, sched, traj, g)
         assert np.all(grads == 0.0)
-        for _, _, g_x in _sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes):
+        for _, _, g_x, _ in _sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes):
             assert np.all(g_x == g)
 
     def test_rejects_heun_trajectory(self):
@@ -183,7 +182,7 @@ class TestFiniteDifferenceOracle:
         g = traj.nodes[-1] - target
         grads = backprop_exact_heun(fam, sched, traj, g)
         fd = _fd_reference(fam, sched, x0, target, "heun")
-        state_grads = {n: g_x for n, _, g_x in
+        state_grads = {n: g_x for n, _, g_x, _ in
                        _sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes)}
 
         N = sched.depth
@@ -204,34 +203,43 @@ class TestFiniteDifferenceOracle:
         assert res_alt > 100 * res_mech
 
 
+def swept_nodes(sweep, fam, sched, xN):
+    """x~_0..x~_N: the states a memory-free sweep yields, below its input xN."""
+    nodes = np.empty((sched.depth + 1,) + np.shape(xN))
+    nodes[-1] = xN
+    for n, _, _, x_n in sweep(fam, sched, xN, np.ones_like(xN)):
+        nodes[n] = x_n
+    return nodes
+
+
+def node_errors(nodes, traj):
+    """Euclidean gap to the stored trajectory at each node."""
+    return np.sqrt(np.sum((nodes - traj.nodes) ** 2, axis=tuple(range(1, nodes.ndim))))
+
+
 class TestReconstructionEuler:
     def test_zero_residual_is_exact(self):
         fam = make_mlp_family(2, 2)
         sched = WeightSchedule(np.zeros((5, fam.param_dim)))
         traj = forward_euler_chain(fam, sched, np.array([1.0, -2.0]))
-        rep = reconstruct_backward_euler(fam, sched, traj.nodes[-1], traj)
-        assert rep.max_error == 0.0
+        nodes = swept_nodes(adjoint_sweep_euler, fam, sched, traj.nodes[-1])
+        assert np.max(node_errors(nodes, traj)) == 0.0
 
     def test_scalar_linear_hand_values(self):
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)
         traj = forward_euler_chain(fam, sched, np.array([1.0]))
-        rep = reconstruct_backward_euler(fam, sched, traj.nodes[-1], traj)
-        assert rep.reconstructed.nodes[:, 0].tolist() == [0.5625, 1.125, 2.25]
-        assert rep.per_node_error.tolist() == [0.4375, 0.375, 0.0]
-        assert rep.max_error == 0.4375
-
-    def test_no_reference_gives_no_errors(self):
-        fam = make_linear_family(1)
-        sched = constant_schedule([1.0], 2)
-        rep = reconstruct_backward_euler(fam, sched, np.array([2.25]))
-        assert rep.per_node_error is None and rep.max_error is None
+        nodes = swept_nodes(adjoint_sweep_euler, fam, sched, traj.nodes[-1])
+        errors = node_errors(nodes, traj)
+        assert nodes[:, 0].tolist() == [0.5625, 1.125, 2.25]
+        assert errors.tolist() == [0.4375, 0.375, 0.0]
+        assert np.max(errors) == 0.4375
 
     def test_reverse_divergence_reports_layer(self):
         fam = make_linear_family(1)
         with pytest.raises(DivergenceError) as exc:
-            reconstruct_backward_euler(fam, constant_schedule([-400.0], 8),
-                                       np.array([1.0]))
+            list(adjoint_sweep_euler(fam, constant_schedule([-400.0], 8),
+                                     np.array([1.0]), np.ones(1)))
         assert exc.value.layer is not None
 
 
@@ -240,30 +248,72 @@ class TestReconstructionHeun:
         fam = make_square_family()
         sched = WeightSchedule(np.array([[0.4], [-0.9], [0.7], [0.1]]))
         traj = forward_heun_chain(fam, sched, np.array([0.2]))
-        rep = reconstruct_backward_heun(fam, sched, traj.nodes[-1], traj)
-        assert rep.max_error <= 1e-14
+        nodes = swept_nodes(adjoint_sweep_heun, fam, sched, traj.nodes[-1])
+        assert np.max(node_errors(nodes, traj)) <= 1e-14
 
     def test_scalar_linear_hand_values(self):
         """Reverse factor per step is 1 - 3/8 = 0.625 at N = 2."""
         fam = make_linear_family(1)
         sched = constant_schedule([1.0], 2)
         traj = forward_heun_chain(fam, sched, np.array([1.0]))
-        rep = reconstruct_backward_heun(fam, sched, traj.nodes[-1], traj)
-        assert rep.reconstructed.nodes[1, 0] == 0.625 * 2.640625
-        assert rep.per_node_error[1] == pytest.approx(0.025390625, abs=0)
+        nodes = swept_nodes(adjoint_sweep_heun, fam, sched, traj.nodes[-1])
+        errors = node_errors(nodes, traj)
+        assert nodes[1, 0] == 0.625 * 2.640625
+        assert errors[1] == pytest.approx(0.025390625, abs=0)
         # an order smaller than the single-stage miss at the same node
-        euler = reconstruct_backward_euler(
-            fam, sched, forward_euler_chain(fam, sched, np.ones(1)).nodes[-1],
-            forward_euler_chain(fam, sched, np.ones(1)))
-        assert rep.per_node_error[1] < euler.per_node_error[1] / 10
+        euler_traj = forward_euler_chain(fam, sched, np.ones(1))
+        euler = node_errors(
+            swept_nodes(adjoint_sweep_euler, fam, sched, euler_traj.nodes[-1]), euler_traj)
+        assert errors[1] < euler[1] / 10
 
     def test_error_vanishes_at_output_node(self):
+        """The study's recon_max_error is the largest node gap, the zero
+        at x_N included, bit for bit."""
         fam = make_mlp_family(2, 3)
         sched = cubic_profile_schedule(6, fam.param_dim)
-        traj = forward_heun_chain(fam, sched, np.array([0.5, 0.5]))
-        rep = reconstruct_backward_heun(fam, sched, traj.nodes[-1], traj)
-        assert rep.per_node_error[-1] == 0.0
-        assert rep.max_error == np.max(rep.per_node_error)
+        x0 = np.array([0.5, 0.5])
+        traj = forward_heun_chain(fam, sched, x0)
+        errors = node_errors(swept_nodes(adjoint_sweep_heun, fam, sched, traj.nodes[-1]), traj)
+        assert errors[-1] == 0.0
+        metrics, _ = _adjoint_depth_metrics(True, fam, sched, x0, np.zeros(2))
+        assert metrics[0][0] == np.max(errors)
+
+
+class TestSweepStates:
+    """The x_n a sweep yields is the state it linearized layer n at."""
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 7, 64])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", FD_FAMILIES, ids=lambda f: f.name)
+    def test_adjoint_states_equal_the_reverse_step_loop(self, fam, scheme, depth, batch):
+        """Bit-equal to the scheme's reverse step through the checked
+        ``eval``, so the Heun sweep's reuse of the pullback's
+        f(x~_n, theta_n) changes no state."""
+        sched = cubic_profile_schedule(depth, fam.param_dim, seed=depth, scale=0.8)
+        rng = np.random.default_rng(depth)
+        shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
+        xN = _forward(scheme, fam, sched, rng.standard_normal(shape), store=False)
+        sweep = adjoint_sweep_heun if scheme is HEUN else adjoint_sweep_euler
+        got = list(sweep(fam, sched, xN, rng.standard_normal(shape)))
+        want = reverse_nodes(scheme, fam, sched, xN)
+        assert [n for n, *_ in got] == list(range(depth - 1, -1, -1))
+        for n, _, _, x_n in got:
+            assert np.array_equal(x_n, want[n])
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", FD_FAMILIES, ids=lambda f: f.name)
+    def test_exact_sweep_yields_the_stored_nodes(self, fam, scheme, batch):
+        sched = cubic_profile_schedule(7, fam.param_dim)
+        rng = np.random.default_rng(1)
+        shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
+        traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
+        swept = list(_sweep(scheme, fam, sched, traj.nodes[-1], np.ones(shape), traj.nodes))
+        assert [n for n, *_ in swept] == list(range(6, -1, -1))
+        for n, _, _, x_n in swept:
+            assert np.shares_memory(x_n, traj.nodes[n])
+            assert np.array_equal(x_n, traj.nodes[n])
 
 
 class TestAdjointBackprop:
@@ -407,7 +457,8 @@ def _benchmark_rows():
         te = forward_euler_chain(fam, sched, x0)
         ge = te.nodes[-1] - target
         rows["euler_recon"].append(
-            (depth, reconstruct_backward_euler(fam, sched, te.nodes[-1], te).max_error))
+            (depth, np.max(node_errors(
+                swept_nodes(adjoint_sweep_euler, fam, sched, te.nodes[-1]), te))))
         rows["euler_grad"].append(
             (depth, compare_gradients(
                 backprop_exact(fam, sched, te, ge),
@@ -415,7 +466,8 @@ def _benchmark_rows():
         th = forward_heun_chain(fam, sched, x0)
         gh = th.nodes[-1] - target
         rows["heun_recon"].append(
-            (depth, reconstruct_backward_heun(fam, sched, th.nodes[-1], th).max_error))
+            (depth, np.max(node_errors(
+                swept_nodes(adjoint_sweep_heun, fam, sched, th.nodes[-1]), th))))
         rows["heun_grad"].append(
             (depth, compare_gradients(
                 backprop_exact_heun(fam, sched, th, gh),
@@ -513,11 +565,10 @@ class TestOneStepResidualIdentity:
                 rows[depth - 1] = theta_b
                 sched = WeightSchedule(rows)
                 traj = forward_heun_chain(fam, sched, x0)
-                rep = reconstruct_backward_heun(fam, sched, traj.nodes[-1], traj)
+                rec = swept_nodes(adjoint_sweep_heun, fam, sched, traj.nodes[-1])
                 x = traj.nodes[depth - 2]
                 phi = depth * (traj.nodes[depth - 1] - x)
-                psi = depth * (rep.reconstructed.nodes[depth - 1]
-                               - rep.reconstructed.nodes[depth - 2])
+                psi = depth * (rec[depth - 1] - rec[depth - 2])
                 measured = np.linalg.norm(psi - phi)
                 jump = (jac_state(fam, x, theta_b) - jac_state(fam, x, theta_a)) @ (
                     fam.eval(x, theta_b) - fam.eval(x, theta_a))
@@ -563,8 +614,6 @@ ENTRY_POINTS = {
     "forward_heun_chain": lambda f, s, x, g: forward_heun_chain(f, s, x),
     "forward_output_euler": lambda f, s, x, g: _forward(EULER, f, s, x, store=False),
     "forward_output_heun": lambda f, s, x, g: _forward(HEUN, f, s, x, store=False),
-    "reconstruct_backward_euler": lambda f, s, x, g: reconstruct_backward_euler(f, s, x),
-    "reconstruct_backward_heun": lambda f, s, x, g: reconstruct_backward_heun(f, s, x),
     "backprop_exact": lambda f, s, x, g: backprop_exact(f, s, _stored(EULER, x, s.depth), g),
     "backprop_exact_heun": lambda f, s, x, g: backprop_exact_heun(
         f, s, _stored(HEUN, x, s.depth), g),
@@ -686,7 +735,7 @@ class TestHeunSweepAgainstEightCallStep:
         g = rng.standard_normal(shape)
         got = list(adjoint_sweep_heun(fam, sched, xN, g))
         want = list(eight_call_heun_sweep(fam, sched, xN, g))
-        assert [n for n, _, _ in got] == [n for n, _, _ in want] == list(range(depth - 1, -1, -1))
-        for (_, theta_got, g_got), (_, theta_want, g_want) in zip(got, want):
+        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
+        for (_, theta_got, g_got, _), (_, theta_want, g_want) in zip(got, want):
             for a, b in ((theta_got, theta_want), (g_got, g_want)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))

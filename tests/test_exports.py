@@ -104,6 +104,10 @@ calls = [
     ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
     ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n"),
     ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"),
+    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"
+              "gradient_mode = adjoint_euler\n"),
+    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"
+              "gradient_mode = adjoint_heun\n"),
 ]
 for i, (command, text) in enumerate(calls):
     path = os.path.join(out, f"{i}.cfg")
@@ -123,7 +127,7 @@ TRACED_NAMES = (
     "dynamics.forward_euler_chain", "dynamics.forward_heun_chain",
     "adjoint.backprop_exact", "adjoint.backprop_exact_heun",
     "adjoint.backprop_adjoint_euler", "adjoint.backprop_adjoint_heun",
-    "adjoint.reconstruct_backward_euler", "adjoint.reconstruct_backward_heun",
+    "adjoint.adjoint_sweep_euler", "adjoint.adjoint_sweep_heun",
     "dynamics.solve_ode_oracle", "linear_flow.integrate_flow",
     "linear_flow.product_vs_ode", "harness.run_scaling_study",
     "harness.run_tightness_suite", "harness.run_linear_flow_experiment",

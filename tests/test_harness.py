@@ -18,6 +18,7 @@ from odenet.harness import (
     ConfigError,
     ExperimentConfig,
     RegimeAbort,
+    _adjoint_depth_metrics,
     _make_profile,
     _poly_eval,
     load_config,
@@ -27,7 +28,7 @@ from odenet.harness import (
     run_tightness_suite,
     run_toy_training,
 )
-from odenet.residual_models import WeightSchedule, make_mlp_family
+from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -309,6 +310,27 @@ class TestScalingStudy:
         assert list(result.values("approx_max_error")) == [16]
         assert result.fit_flags["approx_max_error"] == "insufficient"
         assert "nan" in (tmp_path / "slopes.csv").read_text()
+
+    def test_reverse_divergence_flags_one_adjoint_depth(self, tmp_path):
+        # theta = -40 on a scalar linear field: at depth 20 a two-stage
+        # step multiplies the forward state by 1 - 2 + 2 = 1 and the
+        # reverse one by 1 + 2 + 2 = 5, so only the adjoint sweep
+        # diverges; at depth 160 both passes stay bounded
+        config = ExperimentConfig(experiment="heun_adjoint", depths=(20, 160),
+                                  family="linear", state_dim=1,
+                                  schedule_profile="constant", profile_scale=40.0,
+                                  seed=1, output_dir=str(tmp_path))
+        result = run_scaling_study(config)
+        diverged = [r for r in result.records if r.depth == 20]
+        clean = [r for r in result.records if r.depth == 160]
+        assert len(diverged) == len(clean) == 3
+        assert all(r.flag == "diverged" and math.isnan(r.value) for r in diverged)
+        assert all(r.flag == "" and math.isfinite(r.value) for r in clean)
+        assert sorted(result.values("recon_max_error")) == [160]
+        with pytest.raises(DivergenceError, match="adjoint sweep diverged at layer 3"):
+            _adjoint_depth_metrics(True, make_linear_family(1),
+                                   WeightSchedule(np.full((20, 1), -40.0)),
+                                   np.array([2.5]), np.array([1.0]))
 
     def test_all_depths_diverged(self, tmp_path):
         config = ExperimentConfig(experiment="approx_error", depths=(128, 256),
