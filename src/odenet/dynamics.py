@@ -59,15 +59,16 @@ class DivergenceError(RuntimeError):
 class VectorField:
     """Right-hand side of dx/ds = eval(x, s) on s in [0, 1].
 
-    ``piece``, if set, is piece(n, alphas) -> g(x, m) = eval(x, (n +
-    alphas[m]) / N) at stage fractions alphas of layer interval n: one
-    unchecked kernel per interval, parameters checked and weights built once.
+    ``piece`` is piece(n, alphas) -> g(x, m) = eval(x, (n + alphas[m]) / N)
+    at stage fractions alphas of layer interval n: one unchecked kernel
+    per interval, parameters checked and weights built once.  The oracle
+    steps through ``piece`` alone.
     """
 
     eval: Callable[[np.ndarray, float], np.ndarray]
+    piece: Callable[[int, list], Callable]
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
-    piece: Optional[Callable[[int, list], Callable]] = None
 
 
 def _check_divergence(x, layer: int, context: str):
@@ -249,9 +250,9 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
     ``fine_steps`` must be a multiple of the field's grid resolution N
     and at least 4N, so each layer interval takes K = fine_steps / N
     whole sub-steps and none straddles an interpolation interval.  Each
-    interval gets one ``piece`` kernel (else ``eval``) at the stage
-    fractions j / (2K), j = 0..2K; sub-step i of the interval evaluates
-    fractions 2i, 2i + 1 and 2i + 2.  x0 is validated once, here.
+    interval gets one ``piece`` kernel at the stage fractions j / (2K),
+    j = 0..2K; sub-step i of the interval evaluates fractions 2i, 2i + 1
+    and 2i + 2.  x0 is validated once, here.
     """
     x = require_finite(x0, "x0").astype(float)
     if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
@@ -262,14 +263,13 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
     if fine_steps < 4 * n_grid:
         raise ValueError(f"fine_steps {fine_steps} too coarse; need >= {4 * n_grid}")
 
-    piece = field.piece or (lambda n, a: lambda y, m: field.eval(y, (n + a[m]) / n_grid))
     per_layer = fine_steps // n_grid
     alphas = (np.arange(2 * per_layer + 1) / (2 * per_layer)).tolist()
     h = 1.0 / fine_steps
     states = np.empty((n_grid + 1,) + x.shape)
     states[0] = x
     for n in range(n_grid):
-        g = piece(n, alphas)
+        g = field.piece(n, alphas)
         for j in range(per_layer):
             x = _rk4_step(g, x, h, 2 * j)
             _check_divergence(x, n, "ode oracle")

@@ -351,10 +351,6 @@ class StudyResult:
     slopes_path: str
     oracle_errors: dict  # depth -> Richardson estimate of the ODE oracle's error
 
-    def values(self, metric: str) -> dict:
-        return {r.depth: r.value for r in self.records
-                if r.metric == metric and r.flag == ""}
-
 
 def _adjoint_depth_metrics(heun: bool, family, schedule, x0, target):
     """Reconstruction and gradient errors of one memory-free sweep pass."""

@@ -39,7 +39,6 @@ __all__ = [
     "state_from_profile",
     "transport_product",
     "loss",
-    "layer_gradient",
     "integrate_flow",
     "max_step_size",
     "check_small_loss_regime",
@@ -209,15 +208,6 @@ def _rescaled_gradients(thetas: np.ndarray, problem: RegressionProblem):
     pre_t = np.ascontiguousarray(np.swapaxes(pre[:-1], 1, 2))
     grads = suf_t[1:] @ resid_sigma @ pre_t
     return grads, value
-
-
-def layer_gradient(state: FlowState, problem: RegressionProblem, n: int) -> np.ndarray:
-    """N times the loss derivative in theta_n, for 1 <= n <= depth."""
-    if not 1 <= n <= state.schedule.depth:
-        raise ValueError(f"layer index {n} outside 1..{state.schedule.depth}")
-    if state.dim != problem.sigma.shape[0]:
-        raise ValueError("state and problem dimensions differ")
-    return _rescaled_gradients(state.matrices(), problem)[0][n - 1]
 
 
 @dataclass

@@ -1,15 +1,14 @@
-"""Dense linear algebra, finite-difference oracles, and slope fitting.
+"""Dense linear algebra, the RK4 step, and slope fitting.
 
 All data is plain float64 numpy: vectors are 1-D arrays, matrices 2-D
 arrays in row-major semantic order.  Every routine here is a pure
-function of its inputs, so the module doubles as the oracle layer for
-the rest of the test suite.
+function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "SlopeFit",
     "spectral_norm",
     "fit_loglog_slope",
-    "finite_difference_gradient",
     "above_noise_floor",
     "require_finite",
 ]
@@ -112,27 +110,6 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     r2 = min(max(r2, 0.0), 1.0)
     return SlopeFit(float(slope), float(intercept), r2, len(pts))
-
-
-def finite_difference_gradient(
-    loss: Callable[[np.ndarray], float], params, eps: float
-) -> np.ndarray:
-    """Central-difference gradient (loss(p + eps*e_i) - loss(p - eps*e_i)) / (2 eps)."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    p = require_finite(params, "params").copy()
-    grad = np.empty_like(p)
-    for i in range(p.size):
-        saved = p[i]
-        p[i] = saved + eps
-        hi = float(loss(p))
-        p[i] = saved - eps
-        lo = float(loss(p))
-        p[i] = saved
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"loss returned a non-finite value near coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 def above_noise_floor(errors, scale: float) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "make_mlp_family",
     "make_square_family",
     "make_identity_family",
-    "make_index_schedule",
 ]
 
 
@@ -111,10 +110,6 @@ class ResidualFamily:
             return self._blend(theta_a, theta_b, alphas)
         f = self._bind(np.stack([theta_a, theta_b]))[0]
         return lambda x, m: (1.0 - alphas[m]) * f(x, 0) + alphas[m] * f(x, 1)
-
-    def __repr__(self):
-        return (f"ResidualFamily({self.name!r}, state_dim={self.state_dim}, "
-                f"param_dim={self.param_dim})")
 
 
 class WeightSchedule:
@@ -240,9 +235,3 @@ def make_identity_family() -> ResidualFamily:
     """Scalar, state-independent f(x, theta) = theta."""
     return _scalar_family("identity", lambda t: t, lambda t: 1.0)
 
-
-def make_index_schedule(N: int) -> WeightSchedule:
-    """theta_n = n for the identity family: the canonical depth-growing schedule."""
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    return WeightSchedule(np.arange(N, dtype=float).reshape(N, 1))

@@ -23,7 +23,7 @@ from odenet.dynamics import (
     forward_euler_chain,
     forward_heun_chain,
 )
-from odenet.numerics import finite_difference_gradient, fit_loglog_slope
+from odenet.numerics import fit_loglog_slope
 from odenet.residual_models import (
     ResidualFamily,
     WeightSchedule,
@@ -33,7 +33,7 @@ from odenet.residual_models import (
     make_square_family,
 )
 from odenet.harness import _adjoint_depth_metrics
-from oracles import jac_state, reverse_nodes
+from oracles import finite_difference_gradient, jac_state, reverse_nodes
 
 
 def constant_schedule(theta, depth):

@@ -9,7 +9,6 @@ from odenet.dynamics import (
     HEUN,
     DivergenceError,
     Trajectory,
-    VectorField,
     approximation_bound,
     _check_divergence,
     _forward,
@@ -24,11 +23,11 @@ from odenet.numerics import fit_loglog_slope, spectral_norm
 from odenet.residual_models import (
     WeightSchedule,
     make_identity_family,
-    make_index_schedule,
     make_linear_family,
     make_mlp_family,
     make_square_family,
 )
+from oracles import eval_field, make_index_schedule
 
 
 def constant_schedule(theta, depth):
@@ -214,8 +213,8 @@ class TestSolveOdeOracle:
         assert abs(sol[-1, 0] - np.e) <= 1e-8
 
     def test_linear_drift_quadrature(self):
-        field = VectorField(lambda x, s: np.full_like(x, s),
-                            depth=1, state_dim=1)
+        field = eval_field(lambda x, s: np.full_like(x, s),
+                           depth=1, state_dim=1)
         sol = solve_ode_oracle(field, np.zeros(1), 16)
         # RK4 integrates the line s exactly: x(1) = 1/2
         assert sol[-1, 0] == pytest.approx(0.5, abs=1e-15)
@@ -238,8 +237,8 @@ class TestSolveOdeOracle:
 
     def test_self_convergence_order(self):
         """Halving the step on a smooth field gains a factor >= 2^3.5."""
-        field = VectorField(lambda x, s: x * (1.0 - x),
-                            depth=1, state_dim=1)
+        field = eval_field(lambda x, s: x * (1.0 - x),
+                           depth=1, state_dim=1)
         x0 = np.array([0.2])
         ref = solve_ode_oracle(field, x0, 512)[-1, 0]
         err_coarse = abs(solve_ode_oracle(field, x0, 16)[-1, 0] - ref)
@@ -247,7 +246,7 @@ class TestSolveOdeOracle:
         assert np.log2(err_coarse / err_fine) >= 3.5
 
     def test_batched_states(self):
-        field = VectorField(lambda x, s: -x, depth=1, state_dim=2)
+        field = eval_field(lambda x, s: -x, depth=1, state_dim=2)
         x0 = np.array([[1.0, 2.0], [0.0, -1.0]])
         sol = solve_ode_oracle(field, x0, 32)
         assert sol.shape == (2, 2, 2)
@@ -255,13 +254,13 @@ class TestSolveOdeOracle:
 
     @pytest.mark.parametrize("depth", [1, 3, 8])
     def test_states_are_the_chain_nodes(self, depth):
-        field = VectorField(lambda x, s: -x, depth=depth, state_dim=1)
+        field = eval_field(lambda x, s: -x, depth=depth, state_dim=1)
         sol = solve_ode_oracle(field, np.ones(1), 8 * depth)
         assert sol.shape == (depth + 1, 1)
         assert np.allclose(sol[:, 0], np.exp(-np.arange(depth + 1) / depth), atol=1e-9)
 
     def test_divergence(self):
-        field = VectorField(lambda x, s: x * x, depth=1, state_dim=1)
+        field = eval_field(lambda x, s: x * x, depth=1, state_dim=1)
         with pytest.raises(DivergenceError):
             solve_ode_oracle(field, np.array([2.0]), 64)
 
@@ -274,8 +273,9 @@ ORACLE_FAMILIES = {
 }
 
 
-def without_piece(field):
-    return dataclasses.replace(field, piece=None)
+def eval_path(field):
+    """The field's eval, stepped by the oracle one call per stage."""
+    return eval_field(field.eval, field.depth, field.state_dim)
 
 
 class TestOraclePiecePath:
@@ -294,7 +294,7 @@ class TestOraclePiecePath:
         assert field.piece is not None
         x0 = rng.standard_normal(fam.state_dim)
         fused = solve_ode_oracle(field, x0, 16 * depth)
-        plain = solve_ode_oracle(without_piece(field), x0, 16 * depth)
+        plain = solve_ode_oracle(eval_path(field), x0, 16 * depth)
         scale = np.max(np.abs(plain))
         assert np.max(np.abs(fused - plain)) <= 1e-13 * scale
 
@@ -305,7 +305,7 @@ class TestOraclePiecePath:
                             "residual_interp")
         x0 = rng.standard_normal((3, 7))
         fused = solve_ode_oracle(field, x0, 40)
-        plain = solve_ode_oracle(without_piece(field), x0, 40)
+        plain = solve_ode_oracle(eval_path(field), x0, 40)
         assert fused.shape == (6, 3, 7)
         assert np.max(np.abs(fused - plain)) <= 1e-13 * np.max(np.abs(plain))
 
@@ -314,7 +314,7 @@ class TestOraclePiecePath:
         sched = WeightSchedule(np.array([[30.0], [40.0], [50.0], [60.0]]))
         field = interpolate(make_linear_family(1), sched, kind)
         layers = []
-        for f in (field, without_piece(field)):
+        for f in (field, eval_path(field)):
             with pytest.raises(DivergenceError) as info:
                 solve_ode_oracle(f, np.ones(1), 64 * 4)
             layers.append(info.value.layer)
@@ -503,14 +503,14 @@ class TestApproximationBound:
 class TestEstimateCn:
     def test_linear_drift_rate(self):
         a = 1.7
-        field = VectorField(lambda x, s: np.full_like(x, a * s),
-                            depth=4, state_dim=1)
+        field = eval_field(lambda x, s: np.full_like(x, a * s),
+                           depth=4, state_dim=1)
         est = estimate_c_n(field, 1.0, samples=100)
         assert est == pytest.approx(a, rel=0.05)
 
     def test_constant_field_is_zero(self):
-        field = VectorField(lambda x, s: np.full_like(x, 2.0),
-                            depth=1, state_dim=1)
+        field = eval_field(lambda x, s: np.full_like(x, 2.0),
+                           depth=1, state_dim=1)
         assert estimate_c_n(field, 1.0, samples=50) == pytest.approx(0.0, abs=1e-6)
 
     def test_index_schedule_obstruction_grows_linearly(self):
@@ -524,7 +524,7 @@ class TestEstimateCn:
         assert estimates[16] / estimates[8] == pytest.approx(2.0, rel=0.1)
 
     def test_validation(self):
-        field = VectorField(lambda x, s: x, depth=1, state_dim=1)
+        field = eval_field(lambda x, s: x, depth=1, state_dim=1)
         with pytest.raises(ValueError):
             estimate_c_n(field, 0.0, samples=10)
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
-"""The names other code looks up at run time still exist.
+"""The names other code looks up at run time still exist, and ``src``
+holds only what the commands run.
 
 The benchmark tracer reads each module's ``__all__`` (``main`` for the
 CLI) and wraps ``ResidualFamily``'s checked kernels by name, so a stale
 entry breaks traced runs even while every direct caller still works.
 The committed ``BENCH_*.json`` records keep the fields a reader of a
-measured claim needs.
+measured claim needs.  A function in ``src`` that no command calls is
+dead code or a test helper; the reach guard names it.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -21,6 +24,7 @@ import pytest
 import odenet
 from odenet.harness import ExperimentConfig
 from odenet.residual_models import ResidualFamily
+import reach
 
 MODULES = ("cli", "harness", "linear_flow", "dynamics", "adjoint", "residual_models",
            "numerics")
@@ -156,3 +160,140 @@ def test_bench_record_parses_and_is_complete(path):
     record = json.loads(path.read_text())
     assert isinstance(record, dict)
     assert BENCH_RECORD_KEYS - record.keys() == set()
+
+
+THROWAWAY = """
+class Box:
+    def __init__(self, v):
+        self.v = v
+
+    @property
+    def doubled(self):
+        return 2 * self.v
+
+    @property
+    def halved(self):
+        return self.v / 2
+
+
+def called(x):
+    def inner(y):
+        return y + 1
+
+    def unused_inner(y):
+        return y - 1
+    return inner(x) + [v for v in range(3)][0] + Box(x).doubled
+
+
+def uncalled():
+    return 0
+
+
+square = lambda t: t * t
+cube = lambda t: t ** 3
+"""
+
+
+def test_reach_reports_exactly_the_uncalled_functions(tmp_path):
+    """Class bodies and comprehensions are no functions of their own, a
+    property's code starts at its decorator line, and two lambdas of one
+    scope share a name: none of these may give a false report."""
+    path = tmp_path / "throwaway.py"
+    path.write_text(THROWAWAY)
+
+    def run():
+        spec = importlib.util.spec_from_file_location("throwaway", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.called(1)
+        module.square(2)
+
+    assert reach.uncalled([path], reach.calls(run)) == {
+        "throwaway.Box.__init__": 0, "throwaway.Box.doubled": 0,
+        "throwaway.Box.halved": 1, "throwaway.called": 0,
+        "throwaway.called.<locals>.inner": 0,
+        "throwaway.called.<locals>.unused_inner": 1, "throwaway.uncalled": 1,
+        "throwaway.<lambda>": 1}
+
+
+# Every command the reproduction is run by, at small depths, in a fresh
+# interpreter under reach.calls: each study experiment on each family and
+# each profile it accepts (``index`` needs a one-parameter family),
+# tightness, linflow, the three training modes and their second target,
+# and one run voided by divergence (exit 3) and one outside the
+# small-loss regime (exit 4).  Prints reach.uncalled for ``src`` as JSON.
+REACH_RUN = r"""
+import json, os, sys
+root, out = sys.argv[1], sys.argv[2]
+src = os.path.join(root, "src", "odenet")
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
+import reach
+
+TRAIN = "experiment = toy_train\ndepths = 4\niterations = 2\n"
+calls = [("study", f"experiment = {experiment}\nfamily = {family}\n"
+                   f"schedule_profile = {profile}\ndepths = 4, 8\n", 0)
+         for experiment in ("approx_error", "euler_adjoint", "heun_adjoint")
+         for family in ("mlp", "linear", "square", "identity")
+         for profile in ("constant", "lipschitz_profile", "alternating", "index")
+         if profile != "index" or family in ("square", "identity")]
+calls += [
+    ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n", 0),
+    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n", 0),
+    ("train", TRAIN, 0),
+    ("train", TRAIN + "gradient_mode = adjoint_euler\ntarget = neg_square_half\n", 0),
+    ("train", TRAIN + "gradient_mode = adjoint_heun\n", 0),
+    ("study", "experiment = approx_error\nfamily = linear\n"
+              "schedule_profile = constant\nprofile_scale = 1e4\ndepths = 4\n", 3),
+    ("linflow", "experiment = limit_map\nprofile_scale = 1\ndepths = 4\n", 4),
+]
+
+
+def run_pass():
+    from odenet import cli
+    for i, (command, text, expected) in enumerate(calls):
+        path = os.path.join(out, f"{i}.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        rc = cli.main([command, "--config", path, "--out", os.path.join(out, str(i))])
+        if rc != expected:
+            sys.exit(f"{command} {text!r} exited {rc}, not {expected}")
+
+
+seen = reach.calls(run_pass)
+paths = sorted(os.path.join(src, name) for name in os.listdir(src) if name.endswith(".py"))
+print(json.dumps(reach.uncalled(paths, seen)))
+"""
+
+# The functions no command reaches yet: {name: what it waits for}.
+UNREACHED = {
+    # The chain-vs-ODE bound (ROADMAP item 2): no run reports it yet.
+    "dynamics.approximation_bound": "item 2: the bound itself",
+    "dynamics.estimate_c_n": "item 2: the bound's sampled c_n",
+    "dynamics._unit": "item 2: estimate_c_n's direction sampler",
+    "dynamics.interpolate.<locals>.eval_field": "item 2: the field.eval estimate_c_n samples",
+    "dynamics._locate": "item 2: eval_field's grid lookup",
+    # The checked kernels: bench/tracing.py wraps eval, vjp_state and
+    # vjp_params by name until it traces by code object (items 1a and 8).
+    "residual_models.ResidualFamily.eval": "items 1a and 8: traced by name",
+    "residual_models.ResidualFamily.vjp_state": "items 1a and 8: traced by name",
+    "residual_models.ResidualFamily.vjp_params": "items 1a and 8: traced by name",
+    "residual_models.ResidualFamily._pull": "items 1a and 8: the vjp_* call it",
+    "residual_models.ResidualFamily.linearize": "items 1a and 8: _pull calls it",
+}
+
+
+def test_every_src_function_is_reached(tmp_path):
+    """``src`` is what the commands run: a def or lambda no command calls
+    is dead code or a test helper, unless UNREACHED names why it stays.
+    An entry that is reached, or no longer exists, must leave the list."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", REACH_RUN, str(root), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    dead = sorted(n for n, left in counts.items() if left and n not in UNREACHED)
+    assert not dead, f"no command calls {dead}"
+    gone = sorted(n for n in UNREACHED if n not in counts)
+    assert not gone, f"UNREACHED names functions src no longer has: {gone}"
+    reached = sorted(n for n in UNREACHED if counts.get(n) == 0)
+    assert not reached, f"UNREACHED names functions a command now calls: {reached}"

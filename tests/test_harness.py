@@ -12,7 +12,7 @@ import pytest
 
 from odenet import harness
 from odenet.cli import main
-from odenet.dynamics import DivergenceError, VectorField, interpolate, solve_ode_oracle
+from odenet.dynamics import DivergenceError, interpolate, solve_ode_oracle
 from odenet.harness import (
     AllDepthsDiverged,
     ConfigError,
@@ -29,6 +29,7 @@ from odenet.harness import (
     run_toy_training,
 )
 from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
+from oracles import eval_field, values
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -278,7 +279,7 @@ class TestScalingStudy:
         assert len(result.records) == 6
         assert all(r.flag == "" for r in result.records)
         assert set(result.fit_flags.values()) == {"ok"}
-        recon = result.values("recon_max_error")
+        recon = values(result, "recon_max_error")
         assert recon[16] < recon[8]
         study_lines = (tmp_path / "study.csv").read_text().strip().splitlines()
         assert study_lines[0] == "N,metric,value"
@@ -307,7 +308,7 @@ class TestScalingStudy:
         assert by_depth[16].flag == ""
         assert by_depth[128].flag == "diverged"
         assert math.isnan(by_depth[128].value)
-        assert list(result.values("approx_max_error")) == [16]
+        assert list(values(result, "approx_max_error")) == [16]
         assert result.fit_flags["approx_max_error"] == "insufficient"
         assert "nan" in (tmp_path / "slopes.csv").read_text()
 
@@ -326,7 +327,7 @@ class TestScalingStudy:
         assert len(diverged) == len(clean) == 3
         assert all(r.flag == "diverged" and math.isnan(r.value) for r in diverged)
         assert all(r.flag == "" and math.isfinite(r.value) for r in clean)
-        assert sorted(result.values("recon_max_error")) == [160]
+        assert sorted(values(result, "recon_max_error")) == [160]
         with pytest.raises(DivergenceError, match="adjoint sweep diverged at layer 3"):
             _adjoint_depth_metrics(True, make_linear_family(1),
                                    WeightSchedule(np.full((20, 1), -40.0)),
@@ -348,7 +349,7 @@ class TestScalingStudy:
                                   seed=0, output_dir=str(tmp_path))
         result = run_scaling_study(config)
         assert all(r.flag == "floor" for r in result.records)
-        assert result.values("recon_max_error") == {}
+        assert values(result, "recon_max_error") == {}
         assert set(result.fit_flags.values()) == {"insufficient"}
 
     def test_rejects_wrong_experiment(self, tmp_path):
@@ -434,8 +435,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("depth", [1, 2, 4, 8])
     def test_estimate_bounds_the_true_error(self, depth):
-        field = VectorField(lambda x, s: x * (1.0 - x),
-                            depth=depth, state_dim=1)
+        field = eval_field(lambda x, s: x * (1.0 - x),
+                           depth=depth, state_dim=1)
         x0 = np.array([0.2])
         sol, estimate = harness._oracle(field, x0)
         ref = solve_ode_oracle(field, x0, 512)
@@ -453,8 +454,8 @@ class TestOracle:
             return solve_ode_oracle(field, x0, 64 * field.depth), 0.0
         monkeypatch.setattr(harness, "_oracle", oracle_64n)
         config.output_dir = str(tmp_path / "slow")
-        slow = run_scaling_study(config).values("approx_max_error")
-        for depth, value in fast.values("approx_max_error").items():
+        slow = values(run_scaling_study(config), "approx_max_error")
+        for depth, value in values(fast, "approx_max_error").items():
             assert value == pytest.approx(slow[depth], rel=1e-8, abs=0.0)
 
 
@@ -467,7 +468,7 @@ class TestOracleFlag:
         result = run_scaling_study(config)
         assert [r.flag for r in result.records] == ["oracle", "oracle"]
         assert all(r.value > 0.0 for r in result.records)
-        assert result.values("approx_max_error") == {}
+        assert values(result, "approx_max_error") == {}
         assert result.fit_flags["approx_max_error"] == "insufficient"
         assert result.oracle_errors == {8: 1.0, 16: 1.0}
         lines = (tmp_path / "study.csv").read_text().strip().splitlines()
@@ -478,7 +479,7 @@ class TestOracleFlag:
         base = ExperimentConfig(experiment="approx_error", depths=depths,
                                 state_dim=2, hidden_dim=3, seed=1,
                                 output_dir=str(tmp_path / "base"))
-        clean = run_scaling_study(base).values("approx_max_error")
+        clean = values(run_scaling_study(base), "approx_max_error")
         real = harness._oracle
 
         def one_bad_depth(field, x0):
@@ -489,7 +490,7 @@ class TestOracleFlag:
         base.output_dir = str(tmp_path / "flagged")
         result = run_scaling_study(base)
         assert {r.depth: r.flag for r in result.records} == {8: "", 16: "oracle", 32: ""}
-        assert result.values("approx_max_error") == {8: clean[8], 32: clean[32]}
+        assert values(result, "approx_max_error") == {8: clean[8], 32: clean[32]}
         assert result.fits["approx_max_error"].points_used == 2
 
     def test_floor_check_runs_first(self, tmp_path, monkeypatch):
@@ -514,7 +515,7 @@ class TestOracleFlag:
                                   output_dir=str(tmp_path))
         result = run_scaling_study(config)
         assert list(result.oracle_errors) == [16]
-        assert result.oracle_errors[16] < 1e-3 * result.values("approx_max_error")[16]
+        assert result.oracle_errors[16] < 1e-3 * values(result, "approx_max_error")[16]
 
     def test_tightness_records_carry_estimate(self, tmp_path):
         config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64),

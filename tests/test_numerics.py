@@ -7,11 +7,11 @@ from odenet.numerics import (
     SlopeFit,
     _rk4_step,
     above_noise_floor,
-    finite_difference_gradient,
     fit_loglog_slope,
     require_finite,
     spectral_norm,
 )
+from oracles import finite_difference_gradient
 
 
 def svd_2x2_oracle(m):

@@ -8,12 +8,11 @@ from odenet.residual_models import (
     ResidualFamily,
     WeightSchedule,
     make_identity_family,
-    make_index_schedule,
     make_linear_family,
     make_mlp_family,
     make_square_family,
 )
-from oracles import jac_state
+from oracles import jac_state, make_index_schedule
 
 ALL_FAMILIES = [
     make_identity_family(),
