@@ -109,7 +109,7 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
                          f"the state shape {x.shape}")
     N = schedule.depth
     step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
-    f, lin = family._bind(schedule.padded)
+    f, lin = family._bind(schedule.padded)[:2]
     f_first = pending = x_prev = None
     for n in range(N - 1, -1, -1):
         if nodes is None:

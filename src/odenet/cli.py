@@ -81,7 +81,8 @@ def _run_study(config: ExperimentConfig) -> None:
             print(f"{metric}: {flag}")
     if result.oracle_errors:
         gaps = {r.depth: r.value for r in result.records}
-        ratio = max(err / gaps[n] if gaps[n] > 0 else math.inf
+        # 0 over a zero gap (an exact chain) reads 0; a positive estimate, inf.
+        ratio = max(err / gaps[n] if gaps[n] > 0 else math.inf if err > 0 else 0.0
                     for n, err in result.oracle_errors.items())
         print(f"oracle error: Richardson estimate <= "
               f"{max(result.oracle_errors.values()):.3g}, "

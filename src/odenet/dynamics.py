@@ -61,8 +61,8 @@ class VectorField:
 
     ``piece`` is piece(n, alphas) -> g(x, m) = eval(x, (n + alphas[m]) / N)
     at stage fractions alphas of layer interval n: one unchecked kernel
-    per interval, parameters checked and weights built once.  The oracle
-    steps through ``piece`` alone.
+    per interval, its inputs checked when the field was built.  The
+    oracle steps through ``piece`` alone.
     """
 
     eval: Callable[[np.ndarray, float], np.ndarray]
@@ -216,23 +216,26 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
     default the padding rule (theta_N = theta_{N-1}) applies; pass
     ``theta_end`` to extend the schedule differently, e.g. to continue
     an analytic pattern.
+
+    The schedule and ``theta_end`` are checked here, once, for both kinds.
+    residual_interp binds the rows once and its pieces are the bound
+    ``blend``; each weight_interp piece binds its interval's blended row.
     """
     if kind not in ("residual_interp", "weight_interp"):
         raise ValueError(f"unknown interpolation kind {kind!r}")
+    family.check_schedule(schedule)
     N = schedule.depth
     if theta_end is None:
         rows = schedule.padded
     else:
-        last = require_finite(theta_end, "theta_end")
-        if last.shape != (schedule.param_dim,):
-            raise ValueError("theta_end must match the schedule's parameter dimension")
+        last = family._check_params(require_finite(theta_end, "theta_end"))
         rows = np.vstack([schedule.params, last[None, :]])
-
-    def piece(n, alphas):
-        if kind == "residual_interp":
-            return family.blend(rows[n], rows[n + 1], alphas)
-        alpha = np.asarray(alphas)[:, None]
-        return family._bind((1.0 - alpha) * rows[n] + alpha * rows[n + 1])[0]
+    if kind == "residual_interp":
+        piece = family._bind(rows)[2]
+    else:
+        def piece(n, alphas):
+            alpha = np.asarray(alphas)[:, None]
+            return family._bind((1.0 - alpha) * rows[n] + alpha * rows[n + 1])[0]
 
     def eval_field(x, s):
         if not (0.0 <= s <= 1.0):

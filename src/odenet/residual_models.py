@@ -10,7 +10,7 @@ batch-summed scalar loss.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
 class ResidualFamily:
     """A residual function f(x, theta) with its exact pullback.
 
-    bind:       rows -> (eval, linearize), the family's one kernel
+    bind:       rows -> (eval, linearize, blend), the family's one kernel
                 definition: it reads layer n of a (K, param_dim) stack of
                 rows through views of that buffer (the mlp's (K, h, d)
                 and (K, d, h) weights, the linear family's (K, d, d)), so
@@ -38,22 +38,22 @@ class ResidualFamily:
     linearize:  (x, n) -> (f(x, rows[n]), pullback), where
                 pullback(v) -> ([d_x f]^T v, [d_theta f]^T v) reuses the
                 forward pass (the mlp's tanh(W1 x)) for any cotangent v
-    blend:      (theta_a, theta_b, alphas) -> g(x, m), see ``blend``
+    blend:      (n, alphas) -> g(x, m) = (1 - alphas[m]) f(x, rows[n])
+                + alphas[m] f(x, rows[n + 1]); the mlp fuses it into one
+                tanh per stage, the others sum two evals (``_eval_blend``)
 
     The public ``eval``, ``linearize``, ``vjp_state`` and ``vjp_params``
-    check shapes and bind the one row ``theta[None]``.  The chains and
-    sweeps validate their inputs once on entry (``check_entry``), bind
-    the schedule's ``padded`` stack once and then call the bound kernels
-    at layer indices.
+    check shapes and bind the one row ``theta[None]``.  The chains,
+    sweeps and interpolating fields validate their inputs once on entry
+    (``check_schedule``, ``check_entry``), bind the rows once and then
+    call the bound kernels at layer indices, unchecked.
     """
 
-    def __init__(self, name: str, state_dim: int, param_dim: int,
-                 bind: Callable, blend: Optional[Callable] = None):
+    def __init__(self, name: str, state_dim: int, param_dim: int, bind: Callable):
         self.name = name
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
         self._bind = bind
-        self._blend = blend
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -69,13 +69,17 @@ class ResidualFamily:
                 f"parameter shape {theta.shape} does not match param_dim {self.param_dim}")
         return theta
 
+    def check_schedule(self, schedule: WeightSchedule) -> None:
+        """Reject a schedule not of this family's parameter dimension."""
+        if schedule.param_dim != self.param_dim:
+            raise ValueError(f"schedule param_dim {schedule.param_dim} does not "
+                             f"match param_dim {self.param_dim}")
+
     def check_entry(self, schedule: WeightSchedule, x, label: str = "x0") -> np.ndarray:
         """Validate a chain's or sweep's inputs once, before it runs the
         unchecked kernels: a finite (d,) or (d, B) state and a schedule
         of this family's parameter dimension.  Returns the float state."""
-        if schedule.param_dim != self.param_dim:
-            raise ValueError(f"schedule param_dim {schedule.param_dim} does not "
-                             f"match param_dim {self.param_dim}")
+        self.check_schedule(schedule)
         return self._check_state(require_finite(x, label))
 
     def eval(self, x, theta) -> np.ndarray:
@@ -98,18 +102,6 @@ class ResidualFamily:
 
     def vjp_params(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[1]
-
-    def blend(self, theta_a, theta_b, alphas) -> Callable:
-        """Kernel g(x, m) = (1 - alphas[m]) f(x, theta_a) + alphas[m] f(x, theta_b).
-
-        The parameters are checked once, here; g checks nothing.  A family
-        may supply a fused form that agrees with this one to rounding.
-        """
-        theta_a, theta_b = self._check_params(theta_a), self._check_params(theta_b)
-        if self._blend is not None:
-            return self._blend(theta_a, theta_b, alphas)
-        f = self._bind(np.stack([theta_a, theta_b]))[0]
-        return lambda x, m: (1.0 - alphas[m]) * f(x, 0) + alphas[m] * f(x, 1)
 
 
 class WeightSchedule:
@@ -143,6 +135,13 @@ def _outer_sum(p, q, out) -> np.ndarray:
     return out
 
 
+def _eval_blend(eval_fn) -> Callable:
+    """The blend kernel of a bound ``eval``, as the weighted sum of two calls."""
+    def blend(n, alphas):
+        return lambda x, m: (1.0 - alphas[m]) * eval_fn(x, n) + alphas[m] * eval_fn(x, n + 1)
+    return blend
+
+
 def make_linear_family(d: int) -> ResidualFamily:
     """f(x, theta) = theta x with theta a flattened row-major d x d matrix."""
     if d < 1:
@@ -157,7 +156,7 @@ def make_linear_family(d: int) -> ResidualFamily:
         def linearize(x, n):
             a = mats[n]
             return np.dot(a, x), lambda v: (np.dot(a.T, v), _outer_sum(v, x, np.empty(d * d)))
-        return eval_fn, linearize
+        return eval_fn, linearize, _eval_blend(eval_fn)
 
     return ResidualFamily("linear", d, d * d, bind)
 
@@ -173,11 +172,8 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         raise ValueError("dimensions must be >= 1")
     n1 = hidden * d
 
-    def split(rows):
-        return rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
-
     def bind(rows):
-        w1s, w2s = split(rows)
+        w1s, w2s = rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
 
         def eval_fn(x, n):
             return np.dot(w2s[n], np.tanh(np.dot(w1s[n], x)))
@@ -193,20 +189,19 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
                 _outer_sum(v, a, grad[n1:])
                 return np.dot(w1.T, u), grad
             return np.dot(w2, a), pullback
-        return eval_fn, linearize
 
-    def blend(theta_a, theta_b, alphas):
-        # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
-        # or 1 keeps its single layer, so g is f(., theta) bit-exactly.
-        w1s, w2s = split(np.stack([theta_a, theta_b]))
-        ends = {0.0: (w1s[0], w2s[0]), 1.0: (w1s[1], w2s[1])}
-        w1 = w1s.reshape(2 * hidden, d)
-        alpha = np.asarray(alphas, dtype=float)[:, None, None]
-        table = np.concatenate([(1.0 - alpha) * w2s[0], alpha * w2s[1]], axis=2)
-        layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
-        return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
+        def blend(n, alphas):
+            # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
+            # or 1 keeps its single layer, so g is f(., rows[n]) bit-exactly.
+            ends = {0.0: (w1s[n], w2s[n]), 1.0: (w1s[n + 1], w2s[n + 1])}
+            w1 = w1s[n:n + 2].reshape(2 * hidden, d)
+            alpha = np.asarray(alphas, dtype=float)[:, None, None]
+            table = np.concatenate([(1.0 - alpha) * w2s[n], alpha * w2s[n + 1]], axis=2)
+            layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
+            return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
+        return eval_fn, linearize, blend
 
-    return ResidualFamily("mlp", d, 2 * d * hidden, bind, blend)
+    return ResidualFamily("mlp", d, 2 * d * hidden, bind)
 
 
 def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
@@ -221,7 +216,7 @@ def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
         def linearize(x, n):
             return eval_fn(x, n), lambda v: (
                 np.zeros_like(v), np.array([dg(thetas[n]) * float(np.sum(v))]))
-        return eval_fn, linearize
+        return eval_fn, linearize, _eval_blend(eval_fn)
 
     return ResidualFamily(name, 1, 1, bind)
 

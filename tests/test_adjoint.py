@@ -22,6 +22,8 @@ from odenet.dynamics import (
     _forward,
     forward_euler_chain,
     forward_heun_chain,
+    interpolate,
+    solve_ode_oracle,
 )
 from odenet.numerics import fit_loglog_slope
 from odenet.residual_models import (
@@ -343,14 +345,14 @@ class TestAdjointBackprop:
         base = make_linear_family(1)
 
         def bind(rows):
-            f, lin = base._bind(rows)
+            f, lin, blend = base._bind(rows)
 
             def linearize(x, n):
                 value, pullback = lin(x, n)
                 if rows[n, 0] != 0.5:
                     return value, pullback
                 return value, lambda v: (pullback(v)[0], np.full(1, np.nan))
-            return f, linearize
+            return f, linearize, blend
 
         fam = ResidualFamily("nan_row", 1, 1, bind)
         sched = WeightSchedule(np.array([[1.0], [0.5], [1.0]]))
@@ -578,12 +580,12 @@ class TestOneStepResidualIdentity:
 
 def counting_family(fam):
     """The same family, tallying its binds and the calls of its bound
-    kernels and pullbacks."""
+    eval, linearize and pullbacks; its bound blend is passed through."""
     counts = {"bind": 0, "eval": 0, "linearize": 0, "pullback": 0}
 
     def bind(rows):
         counts["bind"] += 1
-        f, lin = fam._bind(rows)
+        f, lin, blend = fam._bind(rows)
 
         def eval_fn(x, n):
             counts["eval"] += 1
@@ -597,7 +599,7 @@ def counting_family(fam):
                 counts["pullback"] += 1
                 return pullback(v)
             return value, counted
-        return eval_fn, linearize
+        return eval_fn, linearize, blend
 
     return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, bind), counts
 
@@ -656,6 +658,23 @@ class TestEntryValidation:
             run(fam, sched, x, g)
         assert counts["bind"] == counts["eval"] == counts["linearize"] == 0
 
+    @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
+    @pytest.mark.parametrize("base", [make_mlp_family(2, 3), make_linear_family(2)],
+                             ids=lambda f: f.name)
+    def test_interpolate_rejects_param_dim_on_entry(self, base, kind):
+        """An interpolating field's pieces are unchecked kernels too, so
+        ``interpolate`` rejects a schedule, or a ``theta_end``, of the
+        wrong parameter dimension before it binds anything."""
+        fam, counts = counting_family(base)
+        wide = WeightSchedule(np.full((3, fam.param_dim + 4), 0.1))
+        with pytest.raises(ValueError, match=f"schedule param_dim {fam.param_dim + 4} "
+                                             f"does not match param_dim {fam.param_dim}"):
+            interpolate(fam, wide, kind)
+        sched = WeightSchedule(np.full((3, fam.param_dim), 0.1))
+        with pytest.raises(ValueError, match="does not match param_dim"):
+            interpolate(fam, sched, kind, theta_end=np.zeros(fam.param_dim + 1))
+        assert counts["bind"] == counts["eval"] == counts["linearize"] == 0
+
 
 class TestKernelCounts:
     """Invocations of the unchecked kernels per layer of each backprop
@@ -693,6 +712,28 @@ class TestKernelCounts:
         x, g = np.full((2, 3), 0.1), np.ones((2, 3))
         ENTRY_POINTS[entry](fam, sched, x, g)
         assert counts["bind"] == 1 and counts["eval"] + counts["linearize"] > 0
+
+
+class TestInterpolationBindsOnce:
+    """A residual_interp field binds its family to the rows once, and
+    each layer interval of an oracle solve takes the bound blend."""
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["padded", "theta_end"])
+    @pytest.mark.parametrize("base", [make_mlp_family(2, 3), make_linear_family(2),
+                                      make_square_family(), make_identity_family()],
+                             ids=lambda f: f.name)
+    def test_oracle_solve_binds_once(self, base, extended):
+        fam, counts = counting_family(base)
+        N = 8
+        sched = cubic_profile_schedule(N, fam.param_dim)
+        theta_end = np.full(fam.param_dim, 0.2) if extended else None
+        x0 = np.full((fam.state_dim, 3), 0.1)
+        states = solve_ode_oracle(interpolate(fam, sched, "residual_interp", theta_end),
+                                  x0, 4 * N)
+        assert counts["bind"] == 1
+        plain = solve_ode_oracle(interpolate(base, sched, "residual_interp", theta_end),
+                                 x0, 4 * N)
+        assert np.array_equal(states, plain)
 
 
 def eight_call_heun_sweep(family, schedule, xN, g):

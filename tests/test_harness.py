@@ -878,6 +878,28 @@ class TestCli:
         assert len(lines) == 1
         assert re.search(r"estimate <= \S+, worst estimate/gap \S+$", lines[0])
 
+    @pytest.mark.parametrize("family", ["square", "identity"])
+    def test_exact_chain_prints_ratio_zero(self, family, tmp_path, capsys):
+        """A state-independent family on a constant profile runs an exact
+        chain: every gap and every oracle estimate is 0, and 0/0 reads 0."""
+        path = write_cfg(tmp_path, f"experiment = approx_error\nfamily = {family}\n"
+                                   "schedule_profile = constant\ndepths = 4, 8\n")
+        assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("oracle error")]
+        assert lines == ["oracle error: Richardson estimate <= 0, worst estimate/gap 0"]
+
+    def test_positive_estimate_over_zero_gap_prints_inf(self, tmp_path, capsys, monkeypatch):
+        result = harness.StudyResult(
+            records=[harness.StudyRecord(4, "approx_max_error", 0.0),
+                     harness.StudyRecord(8, "approx_max_error", 1e-9)],
+            fits={}, fit_flags={}, study_path="study.csv", slopes_path="slopes.csv",
+            oracle_errors={4: 1e-12, 8: 1e-12})
+        monkeypatch.setattr("odenet.cli.run_scaling_study", lambda config: result)
+        path = write_cfg(tmp_path, "experiment = approx_error\n")
+        assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("worst estimate/gap inf")
+
     def test_adjoint_study_prints_no_oracle_line(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
                                    "depths = 8, 16\n"

@@ -1,12 +1,13 @@
 import gc
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from odenet.residual_models import (
-    ResidualFamily,
     WeightSchedule,
+    _eval_blend,
     make_identity_family,
     make_linear_family,
     make_mlp_family,
@@ -193,50 +194,46 @@ class TestSpecificFamilies:
 
 
 class TestBlend:
-    """blend(theta_a, theta_b, alphas) -> g(x, m), the interpolation kernel."""
+    """The bound blend(n, alphas) -> g(x, m), the interpolation kernel of
+    interval n, against ``_eval_blend``, the weighted sum of two evals."""
 
     ALPHAS = [0.0, 1.0 / 3.0, 0.5, 0.75, 1.0 - 2.0 ** -52, 1.0]
-
-    @staticmethod
-    def generic(fam):
-        """The same family without its fused blend."""
-        return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, fam._bind)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_generic_default_is_the_weighted_sum(self, family):
         rng = np.random.default_rng(21)
-        a, b = rng.standard_normal((2, family.param_dim))
-        kernel = self.generic(family).blend(a, b, self.ALPHAS)
-        for x in (rng.standard_normal(family.state_dim),
-                  rng.standard_normal((family.state_dim, 5))):
-            for m, alpha in enumerate(self.ALPHAS):
-                expected = (1.0 - alpha) * family.eval(x, a) + alpha * family.eval(x, b)
-                assert np.array_equal(kernel(x, m), expected)
+        rows = rng.standard_normal((4, family.param_dim))
+        f, _, blend = family._bind(rows)
+        for n in range(3):
+            kernels = [_eval_blend(f)(n, self.ALPHAS)]
+            if family.name != "mlp":  # the mlp's own blend is fused, below
+                kernels.append(blend(n, self.ALPHAS))
+            for x in (rng.standard_normal(family.state_dim),
+                      rng.standard_normal((family.state_dim, 5))):
+                for m, alpha in enumerate(self.ALPHAS):
+                    expected = ((1.0 - alpha) * family.eval(x, rows[n])
+                                + alpha * family.eval(x, rows[n + 1]))
+                    for kernel in kernels:
+                        assert np.array_equal(kernel(x, m), expected)
 
     @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
     def test_mlp_fused_blend_matches_generic(self, d, hidden):
         fam = make_mlp_family(d, hidden)
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            a, b = rng.standard_normal((2, fam.param_dim))
-            fused = fam.blend(a, b, self.ALPHAS)
-            plain = self.generic(fam).blend(a, b, self.ALPHAS)
-            for x in (rng.standard_normal(d), rng.standard_normal((d, 6))):
-                for m in range(len(self.ALPHAS)):
-                    want = plain(x, m)
-                    gap = np.max(np.abs(fused(x, m) - want))
-                    assert gap <= 1e-15 * max(1.0, np.max(np.abs(want)))
-                # the end weights keep one layer, so they are f itself
-                assert np.array_equal(fused(x, 0), fam.eval(x, a))
-                assert np.array_equal(fused(x, len(self.ALPHAS) - 1), fam.eval(x, b))
-
-    def test_parameters_are_checked_once(self):
-        fam = make_mlp_family(2, 3)
-        good = np.zeros(fam.param_dim)
-        with pytest.raises(ValueError):
-            fam.blend(np.zeros(fam.param_dim + 1), good, [0.5])
-        with pytest.raises(ValueError):
-            self.generic(fam).blend(good, np.zeros(3), [0.5])
+        for _ in range(5):
+            rows = rng.standard_normal((5, fam.param_dim))
+            f, _, blend = fam._bind(rows)
+            for n in range(4):
+                fused, plain = blend(n, self.ALPHAS), _eval_blend(f)(n, self.ALPHAS)
+                for x in (rng.standard_normal(d), rng.standard_normal((d, 6))):
+                    for m in range(len(self.ALPHAS)):
+                        want = plain(x, m)
+                        gap = np.max(np.abs(fused(x, m) - want))
+                        assert gap <= 1e-15 * max(1.0, np.max(np.abs(want)))
+                    # the end weights keep one layer, so they are f itself
+                    assert np.array_equal(fused(x, 0), fam.eval(x, rows[n]))
+                    assert np.array_equal(fused(x, len(self.ALPHAS) - 1),
+                                          fam.eval(x, rows[n + 1]))
 
 
 def matmul_kernels(family, x, theta, v):
@@ -300,7 +297,7 @@ class TestKernelsBitForBit:
         for _ in range(2):
             rows = rng.standard_normal((5, family.param_dim)) * 0.7
             rows.setflags(write=False)  # read-only, as WeightSchedule.padded is
-            f, lin = family._bind(rows)
+            f, lin = family._bind(rows)[:2]
             for n in range(rows.shape[0]):
                 x, v = rng.standard_normal(shape), rng.standard_normal(shape)
                 value, pullback = lin(x, n)
@@ -314,35 +311,53 @@ class TestKernelsBitForBit:
         rng = np.random.default_rng(42)
         alphas = TestBlend.ALPHAS
         for _ in range(5):
-            a, b = rng.standard_normal((2, fam.param_dim))
-            got, want = fam.blend(a, b, alphas), matmul_blend(fam, a, b, alphas)
-            x = rng.standard_normal(state_shape(fam, batch))
-            for m in range(len(alphas)):
-                assert_bit_equal(got(x, m), want(x, m))
+            rows = rng.standard_normal((4, fam.param_dim))
+            rows.setflags(write=False)
+            blend = fam._bind(rows)[2]
+            for n in range(3):
+                got, want = blend(n, alphas), matmul_blend(fam, rows[n], rows[n + 1], alphas)
+                x = rng.standard_normal(state_shape(fam, batch))
+                for m in range(len(alphas)):
+                    assert_bit_equal(got(x, m), want(x, m))
+
+
+def held(fn):
+    """What a kernel's closure holds, and what the bound kernels it calls
+    hold (``_eval_blend`` holds the bound eval)."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        found.extend(held(value) if inspect.isfunction(value) else [value])
+    return found
 
 
 class TestBindingHoldsNothingPerLayer:
     """Binding a family to a schedule makes views of its one buffer: no
-    per-layer weights are built, whatever the depth."""
+    per-layer weights are built, whatever the depth, for any of the
+    three kernels."""
 
     @pytest.mark.parametrize("family", [make_mlp_family(1, 8), make_linear_family(3)],
                              ids=lambda f: f"{f.name}{f.state_dim}")
     def test_bound_weights_are_views_of_the_schedule(self, family):
         schedule = WeightSchedule(np.random.default_rng(5).standard_normal((7, family.param_dim)))
-        for kernel in family._bind(schedule.padded):
-            held = [cell.cell_contents for cell in kernel.__closure__]
-            weights = [a for a in held if isinstance(a, np.ndarray)]
-            assert weights and not any(isinstance(a, (list, tuple, dict)) for a in held)
+        kernels = family._bind(schedule.padded)
+        assert len(kernels) == 3
+        for kernel in kernels:
+            contents = held(kernel)
+            weights = [a for a in contents if isinstance(a, np.ndarray)]
+            assert weights and not any(isinstance(a, (list, tuple, dict)) for a in contents)
             assert all(np.shares_memory(w, schedule.padded) for w in weights)
 
     @staticmethod
     def bind_peak(family, depth):
+        """Peak heap of binding a depth-``depth`` schedule and building the
+        blend kernel of its last interval."""
         schedule = WeightSchedule(np.ones((depth, family.param_dim)))
-        family._bind(schedule.padded)  # warm
+        family._bind(schedule.padded)[2](depth - 1, TestBlend.ALPHAS)  # warm
         gc.collect()
         tracemalloc.start()
         tracemalloc.reset_peak()
-        family._bind(schedule.padded)
+        family._bind(schedule.padded)[2](depth - 1, TestBlend.ALPHAS)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return peak
