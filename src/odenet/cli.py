@@ -1,7 +1,7 @@
 """Command-line front end for the experiment harness.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence that voids
-the run, 4 small-loss regime violation at initialization.  A failed run
+the run, 4 small-loss regime violation at initialization.  Any failed run
 removes its output directory when it made it and left it empty.
 """
 
@@ -129,11 +129,12 @@ _RUNNERS = {"study": _run_study, "tightness": _run_tightness,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     made = None  # the output directory, when this run creates it
+    code = None  # stays None while an exception no clause maps propagates
     try:
         config = _load(args)
         made = None if os.path.exists(config.output_dir) else config.output_dir
         _RUNNERS[args.command](config)
-        return 0
+        code = 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
@@ -146,10 +147,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RegimeAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 4
-    if made is not None:
-        # rmdir removes only an empty directory; one never made is fine too.
-        with contextlib.suppress(OSError):
-            os.rmdir(made)
+    finally:
+        if code != 0 and made is not None:
+            # rmdir removes only an empty directory; one never made is fine too.
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
     return code
 
 

@@ -334,7 +334,9 @@ def check_small_loss_regime(state0: FlowState, problem: RegressionProblem) -> Re
     layer matrix having spectral norm at most 1/4.
     """
     threshold = _loss_threshold(problem)
-    root_loss = math.sqrt(loss(state0, problem))
+    value = loss(state0, problem)
+    # An overflowing product has an infinite loss, even where inf - inf made it nan.
+    root_loss = math.sqrt(value) if value < math.inf else math.inf
     max_norm = spectral_norm(state0.matrices())
     loss_margin = threshold - root_loss
     norm_margin = 0.25 - max_norm

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odenet import harness
+from odenet import cli, harness
 from odenet.cli import main
 from odenet.dynamics import DivergenceError, interpolate, solve_ode_oracle
 from odenet.harness import (
@@ -141,7 +141,6 @@ class TestParseConfig:
         ("state_dim", 2.0),
         ("hidden_dim", 3.5),
         ("seed", 1.5),
-        ("sigma_dim", 2.0),
         ("snapshot_count", 3.5),
         ("input_count", 8.0),
         ("iterations", 2.5),
@@ -529,7 +528,7 @@ class TestOracleFlag:
 def flow_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("linflow")
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                              sigma_dim=2, t_end=2.0, snapshot_count=3,
+                              state_dim=2, t_end=2.0, snapshot_count=3,
                               seed=0, output_dir=str(out))
     return out, run_linear_flow_experiment(config)
 
@@ -570,7 +569,7 @@ class TestLinearFlowExperiment:
 
     def test_oversized_init_aborts(self, tmp_path):
         config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                                  sigma_dim=2, t_end=1.0, snapshot_count=2,
+                                  state_dim=2, t_end=1.0, snapshot_count=2,
                                   profile_scale=0.3, seed=0,
                                   output_dir=str(tmp_path))
         with pytest.raises(RegimeAbort) as exc:
@@ -778,6 +777,15 @@ class TestCli:
         assert main(["train", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["input_low = 0", "input_high = 1",
+                                      "loss_fraction = 0.125", "sigma_dim = 4"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, line):
+        """The inputs always span [0, 1], the flow's loss fraction is fixed
+        and state_dim is the flow's d: none of these is a key any more."""
+        path = write_cfg(tmp_path, f"experiment = toy_train\n{line}\n")
+        assert main(["train", "--config", path]) == 2
+        assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
     def test_command_experiment_mismatch_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = toy_train\n")
         assert main(["study", "--config", path]) == 2
@@ -816,7 +824,7 @@ class TestCli:
     def test_limit_map_on_depths_that_do_not_divide(self, tmp_path):
         """Depths 4, 6, 9 run; each limitmap.csv distance is the L2 gap of
         two step profiles, integrated by brute force on a fine common grid."""
-        text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nsigma_dim = 2\n"
+        text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nstate_dim = 2\n"
         path = write_cfg(tmp_path, text + "snapshot_count = 3\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
         config = load_config(path)
@@ -978,6 +986,11 @@ class TestCli:
                                                "input_count = 8\nhidden_dim = 3\n", 3,
                                       "training update diverged at layer 0")
            for mode in ("exact", "adjoint_euler", "adjoint_heun")},
+        # The deepest initial product overflows, so no finite target exists.
+        "flow_overflow": ("linflow", "experiment = limit_map\nprofile_scale = 1e5\n"
+                                     "t_end = 0.1\n", 4,
+                          "depth 256 init outside the small-loss regime "
+                          "(loss_margin=-inf, norm_margin="),
     }
 
     @pytest.mark.parametrize("case", sorted(FAILED_RUNS))
@@ -987,6 +1000,19 @@ class TestCli:
         path = write_cfg(tmp_path, text)
         assert main([command, "--config", path, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raising_run_removes_the_directory_it_made(self, tmp_path, monkeypatch):
+        """An exception no exit code maps still leaves no directory behind,
+        and reaches the caller."""
+        def crash(config):
+            harness._output_dir(config)
+            raise ValueError("crash")
+        monkeypatch.setitem(cli._RUNNERS, "study", crash)
+        path = write_cfg(tmp_path, "experiment = approx_error\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="crash"):
+            main(["study", "--config", path, "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing", "nested"])
@@ -1016,7 +1042,7 @@ class TestCli:
     def test_linflow_prints_product_gap_constant(self, tmp_path, capsys):
         """One line gives the range of N * product gap over the depths; the
         monitor lines the benchmark parses keep their form."""
-        path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
+        path = write_cfg(tmp_path, "experiment = limit_map\nstate_dim = 2\n"
                                    "depths = 8, 16, 32\nt_end = 1\n"
                                    "snapshot_count = 2\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -1032,7 +1058,7 @@ class TestCli:
         assert out.index("doubling sup-distance") < out.index(line)
 
     def test_regime_violation_exits_4(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "experiment = limit_map\nsigma_dim = 2\n"
+        path = write_cfg(tmp_path, "experiment = limit_map\nstate_dim = 2\n"
                                    "depths = 8, 16, 32\nprofile_scale = 0.3\n"
                                    "t_end = 1\nsnapshot_count = 2\n")
         rc = main(["linflow", "--config", path, "--out", str(tmp_path)])

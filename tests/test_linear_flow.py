@@ -602,7 +602,7 @@ def flow_csvs(tmp_path_factory):
     """A small limit-map run; its trace and limit-map CSVs are the flow exports."""
     out = tmp_path_factory.mktemp("flowcsv")
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                              sigma_dim=2, t_end=1.0, snapshot_count=3,
+                              state_dim=2, t_end=1.0, snapshot_count=3,
                               seed=0, output_dir=str(out))
     return out, run_linear_flow_experiment(config)
 
