@@ -389,13 +389,17 @@ def _oracle(field, x0):
     return flow, float(np.max(np.linalg.norm(coarse - flow, axis=1)))
 
 
-def _approx_depth_metrics(family, schedule, x0, target):
+def _chain_vs_flow(family, schedule, x0, kind="residual_interp", theta_end=None):
+    """The Euler chain, its node gaps to the interpolating flow, and the oracle's error."""
     traj = forward_euler_chain(family, schedule, x0)
-    ode_field = interpolate(family, schedule, "residual_interp")
-    flow, oracle_error = _oracle(ode_field, x0)
-    _, max_gap = approximation_error(traj, flow)
+    flow, oracle_error = _oracle(interpolate(family, schedule, kind, theta_end), x0)
+    return traj, approximation_error(traj, flow)[0], oracle_error
+
+
+def _approx_depth_metrics(family, schedule, x0, target):
+    traj, gaps, oracle_error = _chain_vs_flow(family, schedule, x0)
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    return [(max_gap, state_scale)], oracle_error
+    return [(float(np.max(gaps)), state_scale)], oracle_error
 
 
 _ADJOINT_METRICS = ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error")
@@ -444,27 +448,21 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     if all(r.flag == "diverged" for r in records):
         raise AllDepthsDiverged(f"all depths diverged in {config.experiment}")
 
-    fits, fit_flags = {}, {}
+    fits, fit_flags, slope_rows = {}, {}, []
     for name in metric_names:
-        if len(clean[name]) < 2:
-            fit_flags[name] = "insufficient"
-            continue
-        fit = fit_loglog_slope(clean[name])
-        fits[name] = fit
-        fit_flags[name] = "ok" if fit.r_squared >= SLOPE_R2_MIN else "low_confidence"
+        if len(clean[name]) >= 2:
+            fit = fits[name] = fit_loglog_slope(clean[name])
+            flag = "ok" if fit.r_squared >= SLOPE_R2_MIN else "low_confidence"
+            values = (fit.slope, fit.intercept, fit.r_squared)
+        else:
+            flag, values = "insufficient", (math.nan,) * 3
+        fit_flags[name] = flag
+        slope_rows.append([name, *map(_fmt, values), flag])
 
     study_path = os.path.join(out_dir, "study.csv")
     slopes_path = os.path.join(out_dir, "slopes.csv")
     _write_rows(study_path, ["N", "metric", "value"],
                 [[r.depth, r.metric, _fmt(r.value)] for r in records])
-    slope_rows = []
-    for name in metric_names:
-        if name in fits:
-            f = fits[name]
-            slope_rows.append([name, _fmt(f.slope), _fmt(f.intercept),
-                               _fmt(f.r_squared), fit_flags[name]])
-        else:
-            slope_rows.append([name, "nan", "nan", "nan", fit_flags[name]])
     _write_rows(slopes_path, ["metric", "slope", "intercept", "r2", "flag"],
                 slope_rows)
     return StudyResult(records, fits, fit_flags, study_path, slopes_path,
@@ -483,33 +481,24 @@ class TightnessRecord:
     oracle_error: float  # Richardson estimate of the reference solution's error
 
 
+# Each case at depth N: (family, interpolation kind, the N layer weights,
+# theta_N, the closed-form end gap), its constructors looked up per call.
+TIGHTNESS_CASES = {
+    "linear_drift": lambda n: (make_identity_family(), "residual_interp",
+                               np.arange(n) / n, 1.0, 1.0 / (2.0 * n)),
+    "index_residual": lambda n: (make_identity_family(), "residual_interp",
+                                 np.arange(n, dtype=float), float(n), 0.5),
+    "alternating_square": lambda n: (make_square_family(), "weight_interp",
+                                     np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
+                                     1.0 if n % 2 == 0 else -1.0, 2.0 / 3.0),
+}
+
+
 def _tightness_case(case: str, depth: int) -> TightnessRecord:
-    layers = np.arange(depth, dtype=float)
-    if case == "linear_drift":
-        family, kind = make_identity_family(), "residual_interp"
-        rows, end = layers / depth, 1.0
-        analytic = 1.0 / (2.0 * depth)
-    elif case == "index_residual":
-        family, kind = make_identity_family(), "residual_interp"
-        rows, end = layers, float(depth)
-        analytic = 0.5
-    elif case == "alternating_square":
-        family, kind = make_square_family(), "weight_interp"
-        rows = np.where(layers % 2 == 0, 1.0, -1.0)
-        end = 1.0 if depth % 2 == 0 else -1.0
-        analytic = 2.0 / 3.0
-    else:
-        raise ValueError(f"unknown tightness case {case!r}")
-    schedule = WeightSchedule(rows.reshape(depth, 1))
-    x0 = np.zeros(1)
-    traj = forward_euler_chain(family, schedule, x0)
-    ode_field = interpolate(family, schedule, kind, theta_end=np.array([end]))
-    flow, oracle_error = _oracle(ode_field, x0)
-    measured = float(np.linalg.norm(traj.nodes[-1] - flow[-1]))
-    return TightnessRecord(case, depth, measured, analytic, oracle_error)
-
-
-TIGHTNESS_CASES = ("linear_drift", "index_residual", "alternating_square")
+    family, kind, rows, end, analytic = TIGHTNESS_CASES[case](depth)
+    _, gaps, oracle_error = _chain_vs_flow(family, WeightSchedule(rows.reshape(depth, 1)),
+                                           np.zeros(1), kind, np.array([end]))
+    return TightnessRecord(case, depth, float(gaps[-1]), analytic, oracle_error)
 
 
 def run_tightness_suite(config: ExperimentConfig) -> list:
@@ -591,12 +580,12 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     for depth in config.depths:
         trace = integrate_flow(states0[depth], problem, config.t_end, dt, snapshots)
         traces[depth] = trace
-        monitor_reports[depth] = monitor_invariants(trace, problem)
+        monitor_reports[depth] = monitor_invariants(trace)
         _write_rows(os.path.join(out_dir, f"trace_N{depth}.csv"),
                     ["t", "loss", "max_theta_norm", "smoothness_stat"],
                     [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
                       _fmt(r.smoothness_stat)] for r in trace.samples])
-        product_gaps[depth] = product_vs_ode(trace.samples[-1].thetas, problem)
+        product_gaps[depth] = product_vs_ode(trace.samples[-1].thetas)
 
     doubling = {}
     for depth in config.depths:

@@ -353,13 +353,13 @@ class MonitorReport:
     decay_ok: bool           # decay ratio <= 1 + DECAY_SLACK
 
 
-def monitor_invariants(trace: FlowTrace, problem: RegressionProblem) -> MonitorReport:
+def monitor_invariants(trace: FlowTrace) -> MonitorReport:
     """Check the trained-weight norm bound and the loss-decay envelope."""
     t0 = trace.samples[0].t
     l0 = trace.samples[0].loss_value
     max_norm = max(s.max_theta_norm for s in trace.samples)
     max_smooth = max(s.smoothness_stat for s in trace.samples)
-    rate = (2.0 / math.e) * problem.m
+    rate = (2.0 / math.e) * trace.problem.m
     ratios = []
     for s in trace.samples:
         envelope = math.exp(-rate * (s.t - t0)) * l0
@@ -372,6 +372,16 @@ def monitor_invariants(trace: FlowTrace, problem: RegressionProblem) -> MonitorR
                          max_norm < 0.5, max_ratio <= 1.0 + DECAY_SLACK)
 
 
+def _require_comparable(traces: Sequence[FlowTrace]) -> None:
+    """Traces compared across depths share their sample times and their problem."""
+    for tr in traces[1:]:
+        if not np.array_equal(tr.times, traces[0].times):
+            raise ValueError("traces were sampled at different times")
+        if not (np.array_equal(tr.problem.sigma, traces[0].problem.sigma)
+                and np.array_equal(tr.problem.b_target, traces[0].problem.b_target)):
+            raise ValueError("traces come from different problems")
+
+
 def depth_double_compare(trace_n: FlowTrace, trace_2n: FlowTrace) -> float:
     """sup over sampled (t, n) of ||theta_n(t) - theta_{2n}(t)|| (Frobenius).
 
@@ -380,11 +390,7 @@ def depth_double_compare(trace_n: FlowTrace, trace_2n: FlowTrace) -> float:
     """
     if trace_2n.depth != 2 * trace_n.depth:
         raise ValueError("second trace must have exactly twice the depth")
-    if not np.array_equal(trace_n.times, trace_2n.times):
-        raise ValueError("traces were sampled at different times")
-    if not (np.array_equal(trace_n.problem.sigma, trace_2n.problem.sigma)
-            and np.array_equal(trace_n.problem.b_target, trace_2n.problem.b_target)):
-        raise ValueError("traces come from different problems")
+    _require_comparable([trace_n, trace_2n])
     return max(float(np.max(np.linalg.norm(a.thetas - b.thetas[1::2], axis=(1, 2))))
                for a, b in zip(trace_n.samples, trace_2n.samples))
 
@@ -423,7 +429,7 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
     At every sample time, each shallower run's step profile
     psi_N(s) = theta_ceil(N s) is compared with the reference run's by
     their exact L2 distance over s in (0, 1]; any set of distinct depths
-    is accepted.
+    of one problem, sampled at the same times, is accepted.
     """
     ordered = sorted(traces, key=lambda tr: tr.depth)
     depths = [tr.depth for tr in ordered]
@@ -431,9 +437,7 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
         raise ValueError("need at least two depths plus a reference trace")
     if len(set(depths)) != len(depths):
         raise ValueError("traces must have distinct depths")
-    for tr in ordered:
-        if not np.array_equal(tr.times, ordered[0].times):
-            raise ValueError("traces were sampled at different times")
+    _require_comparable(ordered)
     ref = ordered[-1]
     rest = ordered[:-1]
     times = ref.times
@@ -455,7 +459,7 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
     return LimitMapReport(rest_depths, ref.depth, times, distances, fits, sup_fit)
 
 
-def product_vs_ode(thetas, problem: RegressionProblem) -> float:
+def product_vs_ode(thetas) -> float:
     """Worst end-state gap between the layer product and the ODE flow.
 
     The (N, d, d) layer stack induces the piecewise-constant linear field
@@ -474,8 +478,6 @@ def product_vs_ode(thetas, problem: RegressionProblem) -> float:
     if thetas.ndim != 3 or not len(thetas) or thetas.shape[1] != thetas.shape[2]:
         raise ValueError("expected an (N, d, d) stack of square matrices, N >= 1")
     n_layers, d, _ = thetas.shape
-    if d != problem.sigma.shape[0]:
-        raise ValueError("thetas and problem dimensions differ")
 
     h = 1.0 / (ODE_STEPS_PER_LAYER * n_layers)
     eye = np.broadcast_to(np.eye(d), thetas.shape)

@@ -344,7 +344,7 @@ class TestMonitors:
         b = transport_product(thetas) + 0.01 * np.eye(2)
         prob = build_problem(np.eye(2), b)
         trace = integrate_flow(flat_state(thetas), prob, 2.0, 1e-2, [0.0, 1.0, 2.0])
-        rep = monitor_invariants(trace, prob)
+        rep = monitor_invariants(trace)
         assert rep.max_smoothness_stat <= 1e-10
 
     def test_smooth_profile_run_passes_all_monitors(self):
@@ -360,7 +360,7 @@ class TestMonitors:
         assert check_small_loss_regime(state, prob).passes
         trace = integrate_flow(state, prob, 10.0, max_step_size(prob),
                                np.linspace(0.0, 10.0, 11))
-        rep = monitor_invariants(trace, prob)
+        rep = monitor_invariants(trace)
         assert rep.theta_bound_ok and rep.max_theta_norm < 0.5
         assert rep.decay_ok and rep.max_decay_ratio <= 1.0 + 1e-3
         assert rep.max_smoothness_stat <= 10.0 * trace.samples[0].smoothness_stat
@@ -370,7 +370,7 @@ class TestMonitors:
         b = transport_product(thetas) + 0.01 * np.eye(2)
         prob = build_problem(np.eye(2), b)
         trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2, [0.0, 1.0])
-        rep = monitor_invariants(trace, prob)
+        rep = monitor_invariants(trace)
         assert rep.theta_bound_ok is False
 
 
@@ -502,30 +502,37 @@ class TestLimitMap:
         with pytest.raises(ValueError):
             extract_limit_map([traces[16], traces[16], traces[32]])
 
+    @pytest.mark.parametrize("problem", [
+        lambda k: build_problem(np.eye(2), (1.0 + 0.01 * k) * np.eye(2)),
+        lambda k: build_problem(np.diag([1.0, 1.0 + 0.01 * k]), np.eye(2))],
+        ids=["target", "covariance"])
+    def test_rejects_traces_of_different_problems(self, problem):
+        """The limit map, like depth doubling, compares runs of one problem only."""
+        traces = [integrate_flow(state_from_profile(lambda s: s * np.eye(2) / 10.0, depth),
+                                 problem(k), 0.5, 1e-2, [0.0, 0.5])
+                  for k, depth in enumerate((4, 8, 16))]
+        with pytest.raises(ValueError, match="different problems"):
+            depth_double_compare(traces[0], traces[1])
+        with pytest.raises(ValueError, match="different problems"):
+            extract_limit_map(traces)
+
 
 class TestProductVsOde:
     def test_zero_schedule_no_gap(self):
-        prob = build_problem(np.eye(2), np.eye(2))
-        assert product_vs_ode(np.zeros((8, 2, 2)), prob) == 0.0
+        assert product_vs_ode(np.zeros((8, 2, 2))) == 0.0
 
     def test_constant_scalar_matches_exponential_gap(self):
         # |(1 + 0.4/256)^256 - e^{0.4}| with unit probes
-        prob = build_problem(np.eye(1), np.eye(1))
-        gap = product_vs_ode(np.full((256, 1, 1), 0.4), prob)
+        gap = product_vs_ode(np.full((256, 1, 1), 0.4))
         closed = abs((1.0 + 0.4 / 256) ** 256 - math.exp(0.4))
         assert gap == pytest.approx(closed, rel=1e-10)
         assert gap <= 5e-4
 
     def test_trained_gap_scales_inversely_with_depth(self, doubling_runs):
-        _, prob, traces = doubling_runs
-        gap64 = product_vs_ode(traces[64].samples[-1].thetas, prob)
-        gap128 = product_vs_ode(traces[128].samples[-1].thetas, prob)
+        _, _, traces = doubling_runs
+        gap64 = product_vs_ode(traces[64].samples[-1].thetas)
+        gap128 = product_vs_ode(traces[128].samples[-1].thetas)
         assert gap128 <= 1.1 * (64 * gap64) / 128
-
-    def test_dimension_mismatch(self):
-        prob = build_problem(np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            product_vs_ode(np.full((1, 1, 1), 0.1), prob)
 
     @pytest.mark.parametrize("probes", [1, 5, 20])
     @pytest.mark.parametrize("fine", [4, 64])
@@ -549,23 +556,19 @@ class TestProductVsOde:
         x0 /= np.linalg.norm(x0, axis=0)
         flow = solve_ode_oracle(field, x0, fine * n_layers)[-1]
         expected = np.max(np.linalg.norm(transport_product(thetas) @ x0 - flow, axis=0))
-        prob = build_problem(np.eye(d), np.eye(d))
-        assert product_vs_ode(thetas, prob) == pytest.approx(expected, rel=1e-9)
+        assert product_vs_ode(thetas) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("thetas", [np.zeros((4, 1)), np.zeros((4, 2, 3)),
-                                        np.full((4, 1, 1), np.nan), np.zeros((4, 2, 2)),
-                                        np.zeros((0, 1, 1))],
-                             ids=["2d", "not_square", "nan", "other_dim", "empty"])
+                                        np.full((4, 1, 1), np.nan), np.zeros((0, 1, 1))],
+                             ids=["2d", "not_square", "nan", "empty"])
     def test_rejects_malformed_stack(self, thetas):
-        prob = build_problem(np.eye(1), np.eye(1))
         with pytest.raises(ValueError):
-            product_vs_ode(thetas, prob)
+            product_vs_ode(thetas)
 
     @pytest.mark.filterwarnings("error")
     def test_blowup_raises_divergence(self):
-        prob = build_problem(np.eye(1), np.eye(1))
         with pytest.raises(DivergenceError, match="ode oracle") as exc:
-            product_vs_ode(np.full((1, 1, 1), 1e4), prob)
+            product_vs_ode(np.full((1, 1, 1), 1e4))
         assert exc.value.layer == 0
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -584,8 +587,7 @@ class TestProductVsOde:
         x0 = np.random.default_rng(0).standard_normal((2, 20))   # product_vs_ode's probes
         x0 /= np.linalg.norm(x0, axis=0)
         exact = np.max(np.linalg.norm((transport_product(thetas) - flow) @ x0, axis=0))
-        prob = build_problem(np.eye(2), np.eye(2))
-        assert product_vs_ode(thetas, prob) == pytest.approx(exact, rel=1e-3)
+        assert product_vs_ode(thetas) == pytest.approx(exact, rel=1e-3)
 
 
 def taylor_expm(a, terms=18):
