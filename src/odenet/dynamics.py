@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import _rk4_step, require_finite
+from .numerics import _rk4_increment, require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
 __all__ = [
@@ -274,7 +274,7 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
     for n in range(n_grid):
         g = field.piece(n, alphas)
         for j in range(per_layer):
-            x = _rk4_step(g, x, h, 2 * j)
+            x = x + _rk4_increment(g, x, h, 2 * j)
             _check_divergence(x, n, "ode oracle")
         states[n + 1] = x
     return states

@@ -344,12 +344,17 @@ class StudyResult:
     oracle_errors: dict  # depth -> Richardson estimate of the ODE oracle's error
 
 
-def _adjoint_depth_metrics(heun: bool, family, schedule, x0, target):
+def _scheme_functions(scheme):
+    """The scheme's stored chain, exact backprop, memory-free sweep and
+    memory-free backprop, looked up per call: the benchmark tracer rebinds them."""
+    if scheme is HEUN:
+        return forward_heun_chain, backprop_exact_heun, adjoint_sweep_heun, backprop_adjoint_heun
+    return forward_euler_chain, backprop_exact, adjoint_sweep_euler, backprop_adjoint_euler
+
+
+def _adjoint_depth_metrics(scheme, family, schedule, x0, target):
     """Reconstruction and gradient errors of one memory-free sweep pass."""
-    # Looked up per call: the benchmark tracer rebinds these names.
-    forward, exact_backprop, adjoint_sweep = (
-        (forward_heun_chain, backprop_exact_heun, adjoint_sweep_heun) if heun else
-        (forward_euler_chain, backprop_exact, adjoint_sweep_euler))
+    forward, exact_backprop, adjoint_sweep, _ = _scheme_functions(scheme)
     traj = forward(family, schedule, x0)
     out = traj.nodes[-1]
     out_grad = out - target
@@ -408,8 +413,8 @@ _ADJOINT_METRICS = ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error
 # estimate, or None when the study runs no oracle.
 _STUDIES = {
     "approx_error": (_approx_depth_metrics, ("approx_max_error",)),
-    "euler_adjoint": (functools.partial(_adjoint_depth_metrics, False), _ADJOINT_METRICS),
-    "heun_adjoint": (functools.partial(_adjoint_depth_metrics, True), _ADJOINT_METRICS),
+    "euler_adjoint": (functools.partial(_adjoint_depth_metrics, EULER), _ADJOINT_METRICS),
+    "heun_adjoint": (functools.partial(_adjoint_depth_metrics, HEUN), _ADJOINT_METRICS),
 }
 
 
@@ -641,35 +646,33 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     inputs = np.linspace(0.0, 1.0, config.input_count).reshape(1, -1)
     targets = TARGETS[config.target](inputs)
     scheme, stored = GRADIENT_MODES[config.gradient_mode]
+    forward, exact_backprop, _, adjoint_backprop = _scheme_functions(scheme)
 
     runs = {}
     for depth in config.depths:
         params = profile(depth)
         losses = np.empty(config.iterations + 1)
-        for it in range(config.iterations):
+        # The last pass only measures: its loss is the final one and its
+        # stored trajectory is the table written below.
+        for it in range(config.iterations + 1):
             schedule = WeightSchedule(params)
-            if stored:
-                traj = forward_euler_chain(family, schedule, inputs)
+            if stored or it == config.iterations:
+                traj = forward(family, schedule, inputs)
                 out = traj.nodes[-1]
-                out_grad = 2.0 * (out - targets) / config.input_count
-                grads = backprop_exact(family, schedule, traj, out_grad)
             else:
                 # No stored activations exist for the sweep to read.
                 out = _forward(scheme, family, schedule, inputs, store=False)
-                out_grad = 2.0 * (out - targets) / config.input_count
-                grads = (backprop_adjoint_heun if scheme is HEUN else
-                         backprop_adjoint_euler)(family, schedule, out, out_grad)
             losses[it] = float(np.mean((out - targets) ** 2))
+            if it == config.iterations:
+                break
+            out_grad = 2.0 * (out - targets) / config.input_count
+            grads = (exact_backprop(family, schedule, traj, out_grad) if stored else
+                     adjoint_backprop(family, schedule, out, out_grad))
             params = params - config.learning_rate * depth * grads
             bad = ~np.isfinite(params).all(axis=1)
             if bad.any():
                 layer = int(np.argmax(bad))
                 raise DivergenceError(f"training update diverged at layer {layer}", layer)
-        final_schedule = WeightSchedule(params)
-        final_traj = (forward_heun_chain if scheme is HEUN
-                      else forward_euler_chain)(family, final_schedule, inputs)
-        out = final_traj.nodes[-1]
-        losses[config.iterations] = float(np.mean((out - targets) ** 2))
 
         losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
         _write_rows(losses_path, ["iteration", "loss"],
@@ -678,7 +681,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         s_text = [_fmt(s) for s in (np.arange(depth + 1) / depth).tolist()]
         rows = ([b, node, s_text[node], _fmt(x)]
                 for b in range(config.input_count)
-                for node, x in enumerate(final_traj.nodes[:, 0, b].tolist()))
+                for node, x in enumerate(traj.nodes[:, 0, b].tolist()))
         _write_rows(os.path.join(out_dir, f"trajectories_N{depth}.csv"),
                     ["input_index", "node_index", "s", "x_0"], rows)
         runs[depth] = ToyRun(depth, losses, float(losses[-1]), losses_path)

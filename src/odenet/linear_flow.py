@@ -23,8 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import _check_divergence
-from .numerics import (SlopeFit, _rk4_increment, _rk4_step, fit_loglog_slope, require_finite,
-                       spectral_norm)
+from .numerics import SlopeFit, _rk4_increment, fit_loglog_slope, require_finite, spectral_norm
 from .residual_models import WeightSchedule
 
 __all__ = [
@@ -300,7 +299,7 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
         for _ in range(steps):
-            thetas = _rk4_step(field, thetas, h, k1=-grads)
+            thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
             grads, new_loss = _rescaled_gradients(thetas, problem)
             # Written so that a NaN loss fails the check too.
             if not new_loss <= current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
@@ -446,17 +445,12 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
                            for tr in rest] for ti in range(len(times))])
 
     rest_depths = np.array([tr.depth for tr in rest], dtype=float)
-    fits = []
-    for ti in range(len(times)):
-        row = distances[ti]
-        if np.all(row > 0.0):
-            fits.append(fit_loglog_slope(list(zip(rest_depths, row))))
-        else:
-            fits.append(None)
-    sup_row = distances.max(axis=0)
-    sup_fit = (fit_loglog_slope(list(zip(rest_depths, sup_row)))
-               if np.all(sup_row > 0.0) else None)
-    return LimitMapReport(rest_depths, ref.depth, times, distances, fits, sup_fit)
+
+    def fit(row):
+        """A row's slope, or None when a distance is zero and has no log."""
+        return fit_loglog_slope(list(zip(rest_depths, row))) if np.all(row > 0.0) else None
+    return LimitMapReport(rest_depths, ref.depth, times, distances,
+                          [fit(row) for row in distances], fit(distances.max(axis=0)))
 
 
 def product_vs_ode(thetas) -> float:

@@ -1,4 +1,4 @@
-"""Dense linear algebra, the RK4 step, and slope fitting.
+"""Dense linear algebra, the RK4 increment, and slope fitting.
 
 All data is plain float64 numpy: vectors are 1-D arrays, matrices 2-D
 arrays in row-major semantic order.  Every routine here is a pure
@@ -75,11 +75,6 @@ def _rk4_increment(g, x, h, m=0, k1=None):
     k3 = g(x + 0.5 * h * k2, m + 1)
     k4 = g(x + h * k3, m + 2)
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_step(g, x, h, m=0, k1=None):
-    """One classical Runge-Kutta step: x + _rk4_increment(g, x, h, m, k1)."""
-    return x + _rk4_increment(g, x, h, m, k1)
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:

@@ -42,9 +42,9 @@ class ResidualFamily:
                 + alphas[m] f(x, rows[n + 1]); the mlp fuses it into one
                 tanh per stage, the others sum two evals (``_eval_blend``)
 
-    The public ``eval``, ``linearize``, ``vjp_state`` and ``vjp_params``
-    check shapes and bind the one row ``theta[None]``.  The chains,
-    sweeps and interpolating fields validate their inputs once on entry
+    The public ``eval``, ``vjp_state`` and ``vjp_params`` check shapes
+    and bind the one row ``theta[None]``.  The chains, sweeps and
+    interpolating fields validate their inputs once on entry
     (``check_schedule``, ``check_entry``), bind the rows once and then
     call the bound kernels at layer indices, unchecked.
     """
@@ -86,16 +86,12 @@ class ResidualFamily:
         x = self._check_state(x)
         return self._bind(self._check_params(theta)[None])[0](x, 0)
 
-    def linearize(self, x, theta) -> tuple:
-        x = self._check_state(x)
-        return self._bind(self._check_params(theta)[None])[1](x, 0)
-
     def _pull(self, x, theta, v) -> tuple:
         x = self._check_state(x)
         v = np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError("cotangent shape must match state shape")
-        return self.linearize(x, theta)[1](v)
+        return self._bind(self._check_params(theta)[None])[1](x, 0)[1](v)
 
     def vjp_state(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[0]

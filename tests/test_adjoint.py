@@ -277,7 +277,7 @@ class TestReconstructionHeun:
         traj = forward_heun_chain(fam, sched, x0)
         errors = node_errors(swept_nodes(adjoint_sweep_heun, fam, sched, traj.nodes[-1]), traj)
         assert errors[-1] == 0.0
-        metrics, _ = _adjoint_depth_metrics(True, fam, sched, x0, np.zeros(2))
+        metrics, _ = _adjoint_depth_metrics(HEUN, fam, sched, x0, np.zeros(2))
         assert metrics[0][0] == np.max(errors)
 
 

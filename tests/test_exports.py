@@ -273,12 +273,11 @@ UNREACHED = {
     "dynamics.interpolate.<locals>.eval_field": "item 2: the field.eval estimate_c_n samples",
     "dynamics._locate": "item 2: eval_field's grid lookup",
     # The checked kernels: bench/tracing.py wraps eval, vjp_state and
-    # vjp_params by name until it traces by code object (items 1a and 8).
-    "residual_models.ResidualFamily.eval": "items 1a and 8: traced by name",
-    "residual_models.ResidualFamily.vjp_state": "items 1a and 8: traced by name",
-    "residual_models.ResidualFamily.vjp_params": "items 1a and 8: traced by name",
-    "residual_models.ResidualFamily._pull": "items 1a and 8: the vjp_* call it",
-    "residual_models.ResidualFamily.linearize": "items 1a and 8: _pull calls it",
+    # vjp_params by name until it traces by code object (item 1a).
+    "residual_models.ResidualFamily.eval": "item 1a: traced by name",
+    "residual_models.ResidualFamily.vjp_state": "item 1a: traced by name",
+    "residual_models.ResidualFamily.vjp_params": "item 1a: traced by name",
+    "residual_models.ResidualFamily._pull": "item 1a: the vjp_* call it",
 }
 
 

@@ -11,14 +11,29 @@ import numpy as np
 import pytest
 
 from odenet import cli, harness
+from odenet.adjoint import (
+    adjoint_sweep_euler,
+    backprop_exact,
+    backprop_exact_heun,
+    compare_gradients,
+)
 from odenet.cli import main
-from odenet.dynamics import DivergenceError, interpolate, solve_ode_oracle
+from odenet.dynamics import (
+    EULER,
+    HEUN,
+    DivergenceError,
+    forward_euler_chain,
+    forward_heun_chain,
+    interpolate,
+    solve_ode_oracle,
+)
 from odenet.harness import (
     AllDepthsDiverged,
     ConfigError,
     ExperimentConfig,
     RegimeAbort,
     _adjoint_depth_metrics,
+    _child_rngs,
     _make_profile,
     _poly_eval,
     load_config,
@@ -295,6 +310,28 @@ class TestScalingStudy:
         assert sorted(result.fit_flags) == [
             "grad_max_abs_error", "grad_max_rel_error", "recon_max_error"]
 
+    def test_euler_adjoint_metrics_run_the_euler_pass(self):
+        """The euler_adjoint measure is a hand Euler pass bit for bit: the
+        stored chain, its exact backprop and the memory-free Euler sweep."""
+        family = make_mlp_family(2, 3)
+        rng = np.random.default_rng(7)
+        schedule = WeightSchedule(0.3 * rng.standard_normal((6, family.param_dim)))
+        x0, target = rng.standard_normal(2), rng.standard_normal(2)
+        traj = forward_euler_chain(family, schedule, x0)
+        out_grad = traj.nodes[-1] - target
+        exact = backprop_exact(family, schedule, traj, out_grad)
+        approx, recon = np.empty_like(exact), 0.0
+        for n, theta_grad, _, x_n in adjoint_sweep_euler(family, schedule, traj.nodes[-1],
+                                                         out_grad):
+            approx[n] = theta_grad
+            recon = max(recon, float(np.sqrt(np.sum((x_n - traj.nodes[n]) ** 2))))
+        comp = compare_gradients(exact, approx)
+        metrics, oracle_error = _adjoint_depth_metrics(EULER, family, schedule, x0, target)
+        assert oracle_error is None
+        assert metrics == [(recon, float(np.max(np.linalg.norm(traj.nodes, axis=1)))),
+                           (comp.max_abs, float(np.max(np.linalg.norm(exact, axis=1)))),
+                           (comp.max_rel, 1.0)]
+
     def test_diverged_depths_are_flagged_not_fatal(self, tmp_path):
         # theta_n = n with a scalar linear field blows past the guard at
         # depth 128 but not at 16
@@ -328,7 +365,7 @@ class TestScalingStudy:
         assert all(r.flag == "" and math.isfinite(r.value) for r in clean)
         assert sorted(values(result, "recon_max_error")) == [160]
         with pytest.raises(DivergenceError, match="adjoint sweep diverged at layer 3"):
-            _adjoint_depth_metrics(True, make_linear_family(1),
+            _adjoint_depth_metrics(HEUN, make_linear_family(1),
                                    WeightSchedule(np.full((20, 1), -40.0)),
                                    np.array([2.5]), np.array([1.0]))
 
@@ -649,6 +686,30 @@ class TestToyTraining:
         with pytest.raises(DivergenceError) as exc:
             run_toy_training(config)
         assert exc.value.layer == 2
+
+    def test_exact_heun_row_trains_the_heun_chain(self, tmp_path, monkeypatch):
+        """A gradient mode is one (scheme, stored) row: an exact-Heun row
+        trains with the Heun chain and its exact backprop from iteration 0,
+        and its losses are a hand loop of the two bit for bit."""
+        monkeypatch.setitem(harness.GRADIENT_MODES, "exact_heun", (HEUN, True))
+        config = ExperimentConfig(experiment="toy_train", depths=(4,), learning_rate=0.3,
+                                  iterations=5, input_count=8, hidden_dim=3, seed=0,
+                                  gradient_mode="exact_heun", output_dir=str(tmp_path))
+        losses = run_toy_training(config).runs[4].losses
+        family = make_mlp_family(1, 3)
+        params = _make_profile(config, family.param_dim, _child_rngs(config.seed, 1)[0])(4)
+        inputs = np.linspace(0.0, 1.0, 8).reshape(1, -1)
+        targets = 0.5 * inputs * inputs
+        expected = []
+        for _ in range(config.iterations + 1):
+            schedule = WeightSchedule(params)
+            traj = forward_heun_chain(family, schedule, inputs)
+            out = traj.nodes[-1]
+            expected.append(float(np.mean((out - targets) ** 2)))
+            out_grad = 2.0 * (out - targets) / config.input_count
+            grads = backprop_exact_heun(family, schedule, traj, out_grad)
+            params = params - config.learning_rate * 4 * grads
+        assert np.array_equal(losses, expected)
 
     def test_rejects_wrong_experiment(self, tmp_path):
         config = ExperimentConfig(experiment="limit_map",

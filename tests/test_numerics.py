@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from odenet.numerics import (
     NOISE_FLOOR_FACTOR,
     SlopeFit,
-    _rk4_step,
+    _rk4_increment,
     above_noise_floor,
     fit_loglog_slope,
     require_finite,
@@ -129,7 +129,7 @@ class TestRk4Step:
 
     def test_stages_and_stability_polynomial(self):
         g, stages = self.linear_field()
-        x = _rk4_step(g, self.X0, self.H, m=4)
+        x = self.X0 + _rk4_increment(g, self.X0, self.H, m=4)
         z = self.LAM * self.H
         assert stages == [4, 5, 5, 6]
         expected = self.X0 * (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
@@ -137,10 +137,10 @@ class TestRk4Step:
 
     def test_given_first_stage_is_not_recomputed(self):
         g, stages = self.linear_field()
-        x = _rk4_step(g, self.X0, self.H, k1=self.LAM * self.X0)
+        x = self.X0 + _rk4_increment(g, self.X0, self.H, k1=self.LAM * self.X0)
         assert stages == [1, 1, 2]
         g_full, _ = self.linear_field()
-        assert x == _rk4_step(g_full, self.X0, self.H)
+        assert x == self.X0 + _rk4_increment(g_full, self.X0, self.H)
 
 
 class TestFitLoglogSlope:

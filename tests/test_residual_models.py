@@ -83,8 +83,6 @@ class TestFamilyDerivatives:
             family.eval(good_x, np.zeros(family.param_dim + 1))
         with pytest.raises(ValueError):
             family.vjp_state(good_x, np.zeros(family.param_dim), np.zeros((family.state_dim, 2)))
-        with pytest.raises(ValueError):
-            family.linearize(good_x, np.zeros(family.param_dim - 1))
 
 
 def reference_vjps(family, x, theta, v):
@@ -113,8 +111,9 @@ def reference_vjps(family, x, theta, v):
 @pytest.mark.parametrize("batch", [None, 64], ids=["unbatched", "B64"])
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
 class TestLinearize:
-    """linearize(x, theta) -> (f(x, theta), pullback), one forward pass
-    shared by both halves of every pullback taken from it."""
+    """The bound linearize(x, n) -> (f(x, theta), pullback) of the one row
+    theta, one forward pass shared by both halves of every pullback taken
+    from it."""
 
     @staticmethod
     def draw(family, batch, seed):
@@ -125,12 +124,12 @@ class TestLinearize:
 
     def test_value_is_eval_bit_exactly(self, family, batch):
         x, theta, _, _ = self.draw(family, batch, 31)
-        value, _ = family.linearize(x, theta)
+        value, _ = family._bind(theta[None])[1](x, 0)
         assert np.array_equal(value, family.eval(x, theta))
 
     def test_pullback_matches_separate_formulas(self, family, batch):
         x, theta, v, w = self.draw(family, batch, 32)
-        pullback = family.linearize(x, theta)[1]
+        pullback = family._bind(theta[None])[1](x, 0)[1]
         for cotangent in (v, w, v + w):  # one linearization, several pullbacks
             for got, want in zip(pullback(cotangent), reference_vjps(family, x, theta, cotangent)):
                 assert got.shape == want.shape
@@ -138,7 +137,7 @@ class TestLinearize:
 
     def test_public_vjps_are_the_pullback_halves(self, family, batch):
         x, theta, v, _ = self.draw(family, batch, 33)
-        d_x, d_theta = family.linearize(x, theta)[1](v)
+        d_x, d_theta = family._bind(theta[None])[1](x, 0)[1](v)
         assert np.array_equal(family.vjp_state(x, theta, v), d_x)
         assert np.array_equal(family.vjp_params(x, theta, v), d_theta)
 
