@@ -19,17 +19,23 @@ One reverse sweep runs both schemes' ``dynamics.Scheme`` steps.  It
 yields (n, grad_theta_n, grad_x_n, x_n) for n = N-1..0, x_n being the
 state it linearized at layer n: the stored node in exact reverse mode,
 and the rebuilt x~_n in the memory-free adjoint, so one pass gives both
-the reconstruction and the gradients.  The sweep is a generator that
-holds only the current and previous states, the current state gradient,
-and one pending parameter contribution; ``backprop_*`` keep only its
+the reconstruction and the gradients.
+
+The sweep walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
+a block's states are a view of the stored nodes, or a block buffer the
+reverse step fills with a divergence check per layer, and the
+scheme's ``backprop`` linearizes the block in one stacked call (two for
+the two-stage scheme) before its cotangent recursion runs layer by
+layer.  So a sweep holds one or two blocks of states, activations and
+state gradients, O(SWEEP_BLOCK (d + h) B) for a (d, B) state and h
+hidden units, whatever the depth N; ``backprop_*`` keep only its
 parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule
 against the family, output gradient against the state's shape), binds
 the family's unchecked kernels to the schedule's ``padded`` rows once,
 and then calls them at layer indices: ``eval`` for a reverse step and
-``linearize`` for a pullback, which returns both [d_x f]^T v and
-[d_theta f]^T v from one forward pass at a layer point.
+``linearize_block`` for a block of layer points.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ __all__ = [
 ]
 
 REL_ERROR_FLOOR = 1e-15
+# Layers per block of a reverse sweep: one stacked linearization each.
+# It bounds the sweep's working memory, whatever the depth.
+SWEEP_BLOCK = 16
 
 
 @dataclass
@@ -94,13 +103,11 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     """Reverse sweep yielding (n, grad_theta_n, grad_x_n, x_n), n = N-1..0.
 
     x_n is the state layer n was linearized at.  With ``nodes`` (a stored
-    x_0..x_N) it is read there: exact reverse mode.  Without, it is x~_n,
-    rebuilt by the scheme's reverse step, which is the memory-free
-    adjoint.  A stage's carry to theta_{n+1} comes from step n, so layer
-    n+1 is yielded, from one pending gradient and the previous state,
-    once step n has run; theta_N's carry is padded back to theta_{N-1}.
-    At lead 1 the pullback's f(x~_n, theta_n) is the next reverse step's
-    first evaluation, so only the first step evaluates f(x~_N, theta_N).
+    x_0..x_N) a block's states are a view of them: exact reverse mode.
+    Without, they are x~_n, rebuilt by the scheme's reverse step, which
+    is the memory-free adjoint.  A stage's carry to theta_{n+1} comes
+    from step n, so a block's lowest layer is yielded with the next
+    block; theta_N's carry is padded back to theta_{N-1}.
     """
     x = family.check_entry(schedule, xN, "xN")
     g = require_finite(output_grad, "output_grad")
@@ -108,40 +115,43 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
         raise ValueError(f"output gradient shape {g.shape} does not match "
                          f"the state shape {x.shape}")
     N = schedule.depth
-    step, pullback, lead = scheme.step, scheme.pullback, scheme.lead
-    f, lin = family._bind(schedule.padded)[:2]
-    f_first = pending = x_prev = None
-    for n in range(N - 1, -1, -1):
+    step, lead = scheme.step, scheme.lead
+    f, linearize_block = family._bind(schedule.padded)[:2]
+    pending = None
+    for hi in range(N, 0, -SWEEP_BLOCK):
+        lo = max(hi - SWEEP_BLOCK, 0)
         if nodes is None:
-            x = step(f, x, n + lead, n, -N, f_first)
-            _check_divergence(x, n, "adjoint sweep")
+            xs = np.empty((hi - lo,) + x.shape)
+            for n in range(hi - 1, lo - 1, -1):
+                x = step(f, x, n + lead, n, -N)
+                _check_divergence(x, n, "adjoint sweep")
+                xs[n - lo] = x
         else:
-            x = nodes[n]
-        f_x, own, carry, g_new = pullback(lin, x, n, n + 1, g, N)
-        if lead:
-            f_first = f_x
+            xs = nodes[lo:hi]
+        own, carry, grads = scheme.backprop(linearize_block, xs, lo, g, N)
         if carry is not None:
-            if n == N - 1:
-                own = own + carry
-            else:
-                pending = pending + carry
-        if n < N - 1:
-            yield n + 1, pending, g, x_prev
-        pending, g, x_prev = own, g_new, x
-    yield 0, pending, g, x
+            row = own[-1] if hi == N else pending[1]  # theta_hi's row
+            row += carry[-1]
+            own[1:] += carry[:-1]
+        if pending is not None:
+            yield pending
+        for j in range(hi - lo - 1, 0, -1):
+            yield lo + j, own[j], grads[j], xs[j]
+        pending, g = (lo, own[0], grads[0], xs[0]), grads[0]
+    yield pending
 
 
 def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                         ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Memory-free single-stage sweep yielding (n, grad_theta_n, grad_x_n,
-    x~_n): one evaluation and one pullback per layer."""
+    x~_n): one evaluation per layer and one block linearization per block."""
     yield from _sweep(EULER, family, schedule, xN, output_grad)
 
 
 def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Memory-free two-stage sweep yielding (n, grad_theta_n, grad_x_n,
-    x~_n): one evaluation and two linearizations per layer."""
+    x~_n): two evaluations per layer and two block linearizations per block."""
     yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 

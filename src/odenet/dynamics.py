@@ -11,8 +11,9 @@ and the two-stage (midpoint-corrected) update is
     x_{n+1} = x_n + (1/2N) (f(x_n, theta_n) + f(y_n, theta_{n+1})),
 
 where theta_N falls back to theta_{N-1} (see WeightSchedule.padded).
-Each update is one ``Scheme`` (EULER, HEUN) with its pullback; every
-chain and reverse sweep runs one of them through one driver.
+Each update is one ``Scheme`` (EULER, HEUN) with its reverse-mode
+derivative over a block of layers; every chain and reverse sweep runs
+one of them.
 Interpolating fields turn a schedule into a continuous-time right-hand
 side that agrees with f(., theta_n) at every grid time n/N, which is the
 property all error measurements below are anchored on.
@@ -86,73 +87,85 @@ def _locate(s, N: int):
     return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
-def _euler_step(f, x, a, b, div, f_first=None):
-    f_first = f(x, a) if f_first is None else f_first
-    return x + f_first / div
+def _euler_step(f, x, a, b, div):
+    return x + f(x, a) / div
 
 
-def _heun_step(f, x, a, b, div, f_first=None):
-    f_first = f(x, a) if f_first is None else f_first
-    return x + (f_first + f(x + f_first / div, b)) / (2.0 * div)
+def _heun_step(f, x, a, b, div):
+    f_a = f(x, a)
+    return x + (f_a + f(x + f_a / div, b)) / (2.0 * div)
 
 
-def _euler_pullback(linearize, x, a, b, g, N):
-    """grad_theta_n = (1/N) [d_theta f(x_n, theta_n)]^T g and
-    grad_x_n = [I + (1/N) d_x f(x_n, theta_n)]^T g, from one pullback."""
-    f_x, pull = linearize(x, a)
-    d_x, d_theta = pull(g)
-    return f_x, d_theta / N, None, g + d_x / N
+def _euler_backprop(linearize_block, xs, lo, g, N):
+    """Steps lo..lo + J - 1 in reverse, J = len(xs), from g = grad_{x_{lo+J}}:
+
+      grad_{x_n}     = g_n = g_{n+1} + (1/N) [d_x f(x_n, theta_n)]^T g_{n+1}
+      grad_{theta_n} = (1/N) [d_theta f(x_n, theta_n)]^T g_{n+1},
+
+    the first layer by layer, the second for the block in one stacked
+    parameter pullback at the cotangents g_{lo+1..lo+J}."""
+    _, vjp_x, vjp_theta = linearize_block(xs, lo)
+    grads = np.empty((len(xs) + 1,) + g.shape)
+    grads[-1] = g
+    for j in range(len(xs) - 1, -1, -1):
+        g_next, g = g, grads[j]
+        np.add(g_next, vjp_x(j, g_next) / N, out=g)
+    return vjp_theta(grads[1:]) / N, None, grads
 
 
-def _heun_pullback(linearize, x, a, b, g, N):
-    """Two contributions the step n = (x_n -> x_{n+1}) sends backwards.
+def _heun_backprop(linearize_block, xs, lo, g, N):
+    """The two contributions each step n = (x_n -> x_{n+1}) of a block
+    sends backwards.  Differentiating the two-stage update gives, for
+    g = grad_{x_{n+1}} and u = [d_x f(y_n, theta_{n+1})]^T g,
 
-    Differentiating the two-stage update gives, for g = grad_{x_{n+1}},
-
-      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T (g + (1/N) [d_x f(y_n, theta_{n+1})]^T g)
+      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T (g + u/N)
       to theta_{n+1}:  (1/2N) [d_theta f(y_n, theta_{n+1})]^T g
+      grad_{x_n}     = g + (1/2N) ([d_x f(x_n, theta_n)]^T (g + u/N) + u).
 
-    and the state gradient picks up
-
-      grad_{x_n} = g + (1/2N) ( [d_x f(x_n)]^T g + (I + (1/N) d_x f(x_n))^T [d_x f(y_n)]^T g ).
-
-    By linearity in the cotangent, one pullback of f(., theta_n) at x_n
-    (at g + u/N) and one of f(., theta_{n+1}) at the stage point y_n (at
-    g, giving u = [d_x f(y_n)]^T g) give all three terms.  y_n = x_n +
-    f(x_n, theta_n)/N is rebuilt from the linearization's value, bit-equal
-    to the stage the forward step computed.
+    One block linearization of f(., theta_n) at the x_n, and one of
+    f(., theta_{n+1}) at the stage points y_n = x_n + f(x_n, theta_n)/N
+    built from its values (bit-equal to the forward stages), give all
+    three terms: the state pullbacks layer by layer, each parameter half
+    in one stacked pullback.
     """
-    f_x, pull_x = linearize(x, a)
-    u, carry = linearize(x + f_x / N, b)[1](g)
-    s, own = pull_x(g + u / N)
-    return f_x, own / (2.0 * N), carry / (2.0 * N), g + (s + u) / (2.0 * N)
+    f_x, vjp_x, vjp_theta = linearize_block(xs, lo)
+    _, vjp_y, vjp_theta_y = linearize_block(xs + f_x / N, lo + 1)
+    grads = np.empty((len(xs) + 1,) + g.shape)
+    grads[-1] = g
+    cotangents = np.empty_like(xs)
+    for j in range(len(xs) - 1, -1, -1):
+        g_next, g, v = g, grads[j], cotangents[j]
+        u = vjp_y(j, g_next)
+        np.add(g_next, u / N, out=v)
+        np.add(g_next, (vjp_x(j, v) + u) / (2.0 * N), out=g)
+    return vjp_theta(cotangents) / (2.0 * N), vjp_theta_y(grads[1:]) / (2.0 * N), grads
 
 
 @dataclass(frozen=True)
 class Scheme:
     """One integration scheme, defined once for every chain and sweep.
 
-    ``f`` and ``linearize`` are a family's kernels bound to the schedule's
-    ``padded`` rows (``ResidualFamily._bind``); a and b are layer indices
-    into those rows.  ``step(f, x, a, b, div, f_first=None) -> x_next``
-    steps by 1/div: forward at div = N from layer a = n to b = n + 1, in
-    reverse at div = -N from a = n + lead to b = n.  ``f_first`` is
-    f(x, a) if already known.
+    ``f`` and ``linearize_block`` are a family's kernels bound to the
+    schedule's ``padded`` rows (``ResidualFamily._bind``); a, b and lo
+    are layer indices into those rows.  ``step(f, x, a, b, div) ->
+    x_next`` steps by 1/div: forward at div = N from layer a = n to
+    b = n + 1, in reverse at div = -N from a = n + lead to b = n.
 
-    ``pullback(linearize, x_n, n, n + 1, g, N) -> (f, own, carry,
-    g_prev)`` differentiates forward step n at g = grad_{x_{n+1}}:
-    ``own`` goes to theta_n, ``carry`` (None without a stage) to
-    theta_{n+1}, g_prev is grad_{x_n}, f is f(x_n, theta_n).
+    ``backprop(linearize_block, xs, lo, g, N) -> (own, carry, grads)``
+    differentiates forward steps lo..lo + J - 1 at the states xs (J of
+    them) from g = grad_{x_{lo+J}}: row j of ``own`` goes to
+    theta_{lo+j}, row j of ``carry`` (None without a stage) to
+    theta_{lo+j+1}, and grads[j] is grad_{x_{lo+j}}, grads[J] being g.
     """
 
     name: str
     lead: int
     step: Callable
-    pullback: Callable
+    backprop: Callable
 
 
-EULER = Scheme("euler", 0, _euler_step, _euler_pullback)
-HEUN = Scheme("heun", 1, _heun_step, _heun_pullback)
+EULER = Scheme("euler", 0, _euler_step, _euler_backprop)
+HEUN = Scheme("heun", 1, _heun_step, _heun_backprop)
 
 
 @dataclass

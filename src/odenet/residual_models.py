@@ -3,9 +3,10 @@ per-layer parameter schedules.
 
 A family evaluates states of shape (d,) or batched (d, B); parameter
 vectors are always flat 1-D arrays, and its kernels are bound once to a
-(K, param_dim) stack of them (``ResidualFamily``).  The parameter half
-of a pullback sums over the batch axis, matching the gradient of a
-batch-summed scalar loss.
+(K, param_dim) stack of them (``ResidualFamily``), and it linearizes a
+block of layers in one stacked call.  The parameter half of a pullback
+sums over the batch axis, matching the gradient of a batch-summed
+scalar loss.
 """
 
 from __future__ import annotations
@@ -29,15 +30,20 @@ __all__ = [
 class ResidualFamily:
     """A residual function f(x, theta) with its exact pullback.
 
-    bind:       rows -> (eval, linearize, blend), the family's one kernel
-                definition: it reads layer n of a (K, param_dim) stack of
-                rows through views of that buffer (the mlp's (K, h, d)
-                and (K, d, h) weights, the linear family's (K, d, d)), so
-                binding holds nothing per layer and no call re-splits a row
+    bind:       rows -> (eval, linearize_block, blend), the family's one
+                kernel definition: it reads layer n of a (K, param_dim)
+                stack of rows through views of that buffer (the mlp's
+                (K, h, d) and (K, d, h) weights, the linear family's
+                (K, d, d)), so binding holds nothing per layer and no
+                call re-splits a row
     eval:       (x, n) -> f(x, rows[n]), same shape as x
-    linearize:  (x, n) -> (f(x, rows[n]), pullback), where
-                pullback(v) -> ([d_x f]^T v, [d_theta f]^T v) reuses the
-                forward pass (the mlp's tanh(W1 x)) for any cotangent v
+    linearize_block:
+                (xs, lo) -> (values, vjp_x, vjp_theta) at the points xs[j]
+                of layers lo + j, j < len(xs), from one stacked forward
+                pass (the mlp's tanh(W1 x)): values[j] is ``eval``'s
+                f(xs[j], rows[lo + j]), vjp_x(j, v) is [d_x f]^T v at one
+                layer, and vjp_theta(vs) the fresh (len(xs), param_dim)
+                rows [d_theta f]^T vs[j], in one stacked pullback
     blend:      (n, alphas) -> g(x, m) = (1 - alphas[m]) f(x, rows[n])
                 + alphas[m] f(x, rows[n + 1]); the mlp fuses it into one
                 tanh per stage, the others sum two evals (``_eval_blend``)
@@ -91,7 +97,8 @@ class ResidualFamily:
         v = np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError("cotangent shape must match state shape")
-        return self._bind(self._check_params(theta)[None])[1](x, 0)[1](v)
+        _, vjp_x, vjp_theta = self._bind(self._check_params(theta)[None])[1](x[None], 0)
+        return vjp_x(0, v), vjp_theta(v[None])[0]
 
     def vjp_state(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[0]
@@ -122,13 +129,10 @@ class WeightSchedule:
         return self.params.shape[1]
 
 
-def _outer_sum(p, q, out) -> np.ndarray:
-    """Write the sum over the batch of p q^T, row-major, into the flat
-    buffer ``out`` and return it; 1-D p, q are one column."""
-    if p.ndim == 1:
-        p, q = p[:, None], q[:, None]
-    np.dot(p, q.T, out=out.reshape(p.shape[0], q.shape[0]))
-    return out
+def _columns(xs) -> np.ndarray:
+    """A (J, d) stack of single states as (J, d, 1) columns; a (J, d, B)
+    stack as it is."""
+    return xs[..., None] if xs.ndim == 2 else xs
 
 
 def _eval_blend(eval_fn) -> Callable:
@@ -149,10 +153,16 @@ def make_linear_family(d: int) -> ResidualFamily:
         def eval_fn(x, n):
             return np.dot(mats[n], x)
 
-        def linearize(x, n):
-            a = mats[n]
-            return np.dot(a, x), lambda v: (np.dot(a.T, v), _outer_sum(v, x, np.empty(d * d)))
-        return eval_fn, linearize, _eval_blend(eval_fn)
+        def linearize_block(xs, lo):
+            count, cols = len(xs), _columns(xs)
+
+            def vjp_x(j, v):
+                return np.dot(mats[lo + j].T, v)
+
+            def vjp_theta(vs):
+                return np.matmul(_columns(vs), np.swapaxes(cols, 1, 2)).reshape(count, d * d)
+            return np.matmul(mats[lo:lo + count], cols).reshape(xs.shape), vjp_x, vjp_theta
+        return eval_fn, linearize_block, _eval_blend(eval_fn)
 
     return ResidualFamily("linear", d, d * d, bind)
 
@@ -174,17 +184,24 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         def eval_fn(x, n):
             return np.dot(w2s[n], np.tanh(np.dot(w1s[n], x)))
 
-        def linearize(x, n):
-            w1, w2 = w1s[n], w2s[n]
-            a = np.tanh(np.dot(w1, x))
+        def linearize_block(xs, lo):
+            count, cols = len(xs), _columns(xs)
+            w1, w2 = w1s[lo:lo + count], w2s[lo:lo + count]
+            w1t, w2t = np.swapaxes(w1, 1, 2), np.swapaxes(w2, 1, 2)
+            a = np.tanh(np.matmul(w1, cols))
+            slope = 1.0 - a**2  # tanh' at the pre-activations
+            slopes = slope.reshape((count, hidden) + xs.shape[2:])
 
-            def pullback(v):
-                u = (1.0 - a**2) * np.dot(w2.T, v)  # backprop through tanh pre-activation
-                grad = np.empty(2 * n1)
-                _outer_sum(u, x, grad[:n1])
-                _outer_sum(v, a, grad[n1:])
-                return np.dot(w1.T, u), grad
-            return np.dot(w2, a), pullback
+            def vjp_x(j, v):
+                return np.dot(w1t[j], slopes[j] * np.dot(w2t[j], v))
+
+            def vjp_theta(vs):
+                v = _columns(vs)
+                u = slope * np.matmul(w2t, v)
+                grad_w1 = np.matmul(u, np.swapaxes(cols, 1, 2)).reshape(count, n1)
+                grad_w2 = np.matmul(v, np.swapaxes(a, 1, 2)).reshape(count, n1)
+                return np.concatenate([grad_w1, grad_w2], axis=1)
+            return np.matmul(w2, a).reshape(xs.shape), vjp_x, vjp_theta
 
         def blend(n, alphas):
             # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
@@ -195,7 +212,7 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
             table = np.concatenate([(1.0 - alpha) * w2s[n], alpha * w2s[n + 1]], axis=2)
             layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
             return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
-        return eval_fn, linearize, blend
+        return eval_fn, linearize_block, blend
 
     return ResidualFamily("mlp", d, 2 * d * hidden, bind)
 
@@ -209,10 +226,18 @@ def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
         def eval_fn(x, n):
             return np.full_like(x, g(thetas[n]))
 
-        def linearize(x, n):
-            return eval_fn(x, n), lambda v: (
-                np.zeros_like(v), np.array([dg(thetas[n]) * float(np.sum(v))]))
-        return eval_fn, linearize, _eval_blend(eval_fn)
+        def linearize_block(xs, lo):
+            th = thetas[lo:lo + len(xs)]
+            layer_axis = (len(xs),) + (1,) * (xs.ndim - 1)
+
+            def vjp_x(j, v):
+                return np.zeros_like(v)
+
+            def vjp_theta(vs):
+                return (dg(th) * np.sum(vs, axis=tuple(range(1, vs.ndim))))[:, None]
+            values = np.broadcast_to(np.reshape(g(th), layer_axis), xs.shape)
+            return values, vjp_x, vjp_theta
+        return eval_fn, linearize_block, _eval_blend(eval_fn)
 
     return ResidualFamily(name, 1, 1, bind)
 

@@ -1,8 +1,9 @@
 """Reference quantities and fixtures the tests check the package against.
 
 The reference quantities are built only from the package's public,
-shape-checked kernels: ``jac_state``, ``reverse_nodes`` and central
-finite differences.  The fixtures are the index schedule, the
+shape-checked kernels: ``jac_state``, ``reverse_nodes``, the reverse
+sweep one layer at a time (``layer_sweep``) and central finite
+differences.  The fixtures are the index schedule, the
 eval-defined vector field and a study's clean values by depth.
 """
 
@@ -10,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from odenet.dynamics import VectorField
+from odenet.dynamics import VectorField, _check_divergence
 from odenet.numerics import require_finite
 from odenet.residual_models import WeightSchedule
 
@@ -36,6 +37,67 @@ def reverse_nodes(scheme, family, schedule, xN):
     for n in range(N - 1, -1, -1):
         x = nodes[n] = scheme.step(f, x, n + scheme.lead, n, -N)
     return nodes
+
+
+def _euler_layer(family, x, theta, theta_up, g, N):
+    """Euler step n's pullback at g = grad_{x_{n+1}}: (f(x_n, theta_n),
+    to theta_n, to theta_{n+1}, grad_{x_n})."""
+    return (family.eval(x, theta), family.vjp_params(x, theta, g) / N, None,
+            g + family.vjp_state(x, theta, g) / N)
+
+
+def _heun_layer(family, x, theta, theta_up, g, N):
+    """Heun step n's pullback: f(., theta_n) pulled back at x_n and
+    f(., theta_{n+1}) at the stage point y_n, one layer at a time."""
+    f_x = family.eval(x, theta)
+    y = x + f_x / N
+    u, carry = family.vjp_state(y, theta_up, g), family.vjp_params(y, theta_up, g)
+    v = g + u / N
+    s, own = family.vjp_state(x, theta, v), family.vjp_params(x, theta, v)
+    return f_x, own / (2.0 * N), carry / (2.0 * N), g + (s + u) / (2.0 * N)
+
+
+LAYER_PULLBACKS = {"euler": _euler_layer, "heun": _heun_layer}
+
+
+def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
+    """The reverse sweep one layer at a time, yielding (n, grad_theta_n,
+    grad_x_n, x_n) for n = N-1..0 like ``adjoint._sweep``: x_n read from
+    ``nodes`` or rebuilt by the scheme's reverse step through the checked
+    ``eval`` (carrying Heun's f(x~_n, theta_n) from the pullback to the
+    next step), with a divergence check per layer; each layer pulled back
+    through the checked ``vjp_state`` and ``vjp_params``.  A stage's
+    carry to theta_{n+1} comes from step n, so layer n + 1 is yielded
+    once step n has run; theta_N's carry is padded back to theta_{N-1}."""
+    def f(x, n):
+        return family.eval(x, schedule.padded[n])
+
+    N = schedule.depth
+    pullback = LAYER_PULLBACKS[scheme.name]
+    x, g = np.asarray(xN, dtype=float), np.asarray(output_grad, dtype=float)
+    f_next = pending = x_prev = None
+    for n in range(N - 1, -1, -1):
+        if nodes is None:
+            if f_next is None:
+                x = scheme.step(f, x, n + scheme.lead, n, -N)
+            else:  # Heun's reverse step from the carried f(x~_{n+1}, theta_{n+1})
+                x = x + (f_next + f(x + f_next / -N, n)) / (2.0 * -N)
+            _check_divergence(x, n, "adjoint sweep")
+        else:
+            x = nodes[n]
+        f_x, own, carry, g_new = pullback(family, x, schedule.padded[n],
+                                          schedule.padded[n + 1], g, N)
+        if scheme.lead:
+            f_next = f_x
+        if carry is not None:
+            if n == N - 1:
+                own = own + carry
+            else:
+                pending = pending + carry
+        if n < N - 1:
+            yield n + 1, pending, g, x_prev
+        pending, g, x_prev = own, g_new, x
+    yield 0, pending, g, x
 
 
 def finite_difference_gradient(

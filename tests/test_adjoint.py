@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from odenet.adjoint import (
+    SWEEP_BLOCK,
     _sweep,
     backprop_adjoint_euler,
     backprop_adjoint_heun,
@@ -35,7 +36,7 @@ from odenet.residual_models import (
     make_square_family,
 )
 from odenet.harness import _adjoint_depth_metrics
-from oracles import finite_difference_gradient, jac_state, reverse_nodes
+from oracles import finite_difference_gradient, jac_state, layer_sweep, reverse_nodes
 
 
 def constant_schedule(theta, depth):
@@ -318,6 +319,50 @@ class TestSweepStates:
             assert np.array_equal(x_n, traj.nodes[n])
 
 
+SWEEP_DEPTHS = [1, 2, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 3, 300]
+
+
+class TestBlockedSweep:
+    """The blocked reverse sweep against ``oracles.layer_sweep``, the
+    sweep one layer at a time through the checked kernels."""
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "memory_free"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("depth", SWEEP_DEPTHS)
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", FD_FAMILIES, ids=lambda f: f.name)
+    def test_bit_equal_to_the_layer_sweep(self, fam, scheme, depth, batch, stored):
+        sched = cubic_profile_schedule(depth, fam.param_dim, seed=depth, scale=0.8)
+        rng = np.random.default_rng(depth)
+        shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
+        traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
+        nodes = traj.nodes if stored else None
+        g = rng.standard_normal(shape)
+        got = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        want = list(layer_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
+        for got_layer, want_layer in zip(got, want):
+            for a, b in zip(got_layer[1:], want_layer[1:]):  # grad_theta, grad_x, x
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("layer", [SWEEP_BLOCK + 3, SWEEP_BLOCK + 2],
+                             ids=["lowest_of_block", "highest_of_next"])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    def test_divergence_at_a_block_edge_reports_the_layer(self, scheme, layer):
+        """At N = 2 SWEEP_BLOCK + 3 the top block is layers SWEEP_BLOCK + 3
+        and up; one layer whose reverse step scales x~ by about 1e14 stops
+        both sweeps there."""
+        N = 2 * SWEEP_BLOCK + 3
+        rows = np.zeros((N, 1))
+        rows[layer] = -1e14 * N
+        sched, fam = WeightSchedule(rows), make_linear_family(1)
+        message = f"adjoint sweep diverged at layer {layer}"
+        for sweep in (_sweep, layer_sweep):
+            with pytest.raises(DivergenceError, match=message) as exc:
+                list(sweep(scheme, fam, sched, np.ones(1), np.ones(1)))
+            assert exc.value.layer == layer
+
+
 class TestAdjointBackprop:
     def test_euler_hand_values(self):
         fam = make_linear_family(1)
@@ -345,14 +390,17 @@ class TestAdjointBackprop:
         base = make_linear_family(1)
 
         def bind(rows):
-            f, lin, blend = base._bind(rows)
+            f, linearize_block, blend = base._bind(rows)
 
-            def linearize(x, n):
-                value, pullback = lin(x, n)
-                if rows[n, 0] != 0.5:
-                    return value, pullback
-                return value, lambda v: (pullback(v)[0], np.full(1, np.nan))
-            return f, linearize, blend
+            def nan_row(xs, lo):
+                values, vjp_x, vjp_theta = linearize_block(xs, lo)
+
+                def pullback(vs):
+                    grads = vjp_theta(vs)
+                    grads[rows[lo:lo + len(xs), 0] == 0.5] = np.nan
+                    return grads
+                return values, vjp_x, pullback
+            return f, nan_row, blend
 
         fam = ResidualFamily("nan_row", 1, 1, bind)
         sched = WeightSchedule(np.array([[1.0], [0.5], [1.0]]))
@@ -416,6 +464,37 @@ def test_memory_free_gradients_hold_nothing_per_layer(scheme, backprop):
     does not grow with depth."""
     shallow = _batch_growth_bytes(scheme, backprop, 100)
     deep = _batch_growth_bytes(scheme, backprop, 10_000)
+    assert deep <= 1.1 * shallow
+
+
+def _exact_peak_beyond_result(scheme, backprop, depth: int) -> int:
+    """Traced allocation peak of one exact gradient call at B = 64 over
+    stored nodes, less its (N, param_dim) result."""
+    family = make_mlp_family(1, 8)
+    schedule = cubic_profile_schedule(depth, family.param_dim)
+    x0 = np.linspace(-1.0, 1.0, 64)[None]
+    traj = _forward(scheme, family, schedule, x0)
+    g = np.ones_like(x0)
+    warm = WeightSchedule(schedule.params[:2])
+    backprop(family, warm, _forward(scheme, family, warm, x0), g)  # warm numpy
+    gc.collect()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    backprop(family, schedule, traj, g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak - depth * family.param_dim * 8
+
+
+@pytest.mark.parametrize("scheme,backprop", [(EULER, backprop_exact),
+                                             (HEUN, backprop_exact_heun)],
+                         ids=["euler", "heun"])
+def test_exact_gradients_hold_one_block_of_layers(scheme, backprop):
+    """Exact reverse mode linearizes the stored nodes one block at a
+    time, so its heap peak beyond the gradient rows it returns does not
+    grow with depth."""
+    shallow = _exact_peak_beyond_result(scheme, backprop, 100)
+    deep = _exact_peak_beyond_result(scheme, backprop, 10_000)
     assert deep <= 1.1 * shallow
 
 
@@ -579,26 +658,33 @@ class TestOneStepResidualIdentity:
 
 
 def counting_family(fam):
-    """The same family, tallying its binds and the calls of its bound
-    eval, linearize and pullbacks; its bound blend is passed through."""
-    counts = {"bind": 0, "eval": 0, "linearize": 0, "pullback": 0}
+    """The same family, tallying its binds, the calls of its bound eval,
+    its block linearizations and the layers they cover, and the calls of
+    each block's per-layer state pullback and stacked parameter pullback;
+    its bound blend is passed through."""
+    counts = {"bind": 0, "eval": 0, "linearize": 0, "layers": 0, "vjp_x": 0, "vjp_theta": 0}
 
     def bind(rows):
         counts["bind"] += 1
-        f, lin, blend = fam._bind(rows)
+        f, linearize_block, blend = fam._bind(rows)
 
         def eval_fn(x, n):
             counts["eval"] += 1
             return f(x, n)
 
-        def linearize(x, n):
+        def linearize(xs, lo):
             counts["linearize"] += 1
-            value, pullback = lin(x, n)
+            counts["layers"] += len(xs)
+            values, vjp_x, vjp_theta = linearize_block(xs, lo)
 
-            def counted(v):
-                counts["pullback"] += 1
-                return pullback(v)
-            return value, counted
+            def counted_x(j, v):
+                counts["vjp_x"] += 1
+                return vjp_x(j, v)
+
+            def counted_theta(vs):
+                counts["vjp_theta"] += 1
+                return vjp_theta(vs)
+            return values, counted_x, counted_theta
         return eval_fn, linearize, blend
 
     return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, bind), counts
@@ -677,20 +763,22 @@ class TestEntryValidation:
 
 
 class TestKernelCounts:
-    """Invocations of the unchecked kernels per layer of each backprop
-    sweep: 1/2/2/3 for exact Euler / adjoint Euler / exact Heun / adjoint
-    Heun, plus the one evaluation f(x~_N, theta_N) the adjoint Heun sweep
-    starts from.  Every linearization is pulled back exactly once, and
-    each chain or sweep binds the family to its schedule once."""
+    """Invocations of the unchecked kernels by each backprop sweep: per
+    block of ``SWEEP_BLOCK`` layers, one block linearization for Euler
+    and two for Heun, each pulled back once per layer for the state and
+    once per block for the parameters; per layer, no evaluation in exact
+    mode, the reverse step's one (Euler) or two (Heun, which rebuilds
+    f(x~_{n+1}, theta_{n+1}) itself) in the memory-free adjoint.  Each
+    chain or sweep binds the family to its schedule once."""
 
     @pytest.mark.parametrize("batch", [None, 5])
-    @pytest.mark.parametrize("sweep,evals,linearizations,extra", [
-        ("exact_euler", 0, 1, 0), ("adjoint_euler", 1, 1, 0),
-        ("exact_heun", 0, 2, 0), ("adjoint_heun", 1, 2, 1)])
-    def test_calls_per_layer(self, sweep, evals, linearizations, extra, batch):
+    @pytest.mark.parametrize("N", [SWEEP_BLOCK, 2 * SWEEP_BLOCK + 3])
+    @pytest.mark.parametrize("sweep,evals,linearizations", [
+        ("exact_euler", 0, 1), ("adjoint_euler", 1, 1),
+        ("exact_heun", 0, 2), ("adjoint_heun", 2, 2)])
+    def test_calls_per_layer(self, sweep, evals, linearizations, N, batch):
         base = make_mlp_family(2, 3)
         fam, counts = counting_family(base)
-        N = 16
         sched = cubic_profile_schedule(N, fam.param_dim)
         shape = (2,) if batch is None else (2, batch)
         x0 = np.random.default_rng(4).standard_normal(shape)
@@ -702,8 +790,10 @@ class TestKernelCounts:
          "exact_heun": lambda: backprop_exact_heun(fam, sched, traj, g),
          "adjoint_heun": lambda: backprop_adjoint_heun(fam, sched, traj.nodes[-1], g),
          }[sweep]()
-        assert counts == {"bind": 1, "eval": evals * N + extra,
-                          "linearize": linearizations * N, "pullback": linearizations * N}
+        blocks = -(-N // SWEEP_BLOCK)
+        assert counts == {"bind": 1, "eval": evals * N,
+                          "linearize": linearizations * blocks, "layers": linearizations * N,
+                          "vjp_x": linearizations * N, "vjp_theta": linearizations * blocks}
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_each_entry_point_binds_once(self, entry):

@@ -83,6 +83,8 @@ class TestFamilyDerivatives:
             family.eval(good_x, np.zeros(family.param_dim + 1))
         with pytest.raises(ValueError):
             family.vjp_state(good_x, np.zeros(family.param_dim), np.zeros((family.state_dim, 2)))
+        with pytest.raises(ValueError):
+            family.vjp_params(good_x, np.zeros(family.param_dim), np.zeros((family.state_dim, 2)))
 
 
 def reference_vjps(family, x, theta, v):
@@ -111,51 +113,61 @@ def reference_vjps(family, x, theta, v):
 @pytest.mark.parametrize("batch", [None, 64], ids=["unbatched", "B64"])
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
 class TestLinearize:
-    """The bound linearize(x, n) -> (f(x, theta), pullback) of the one row
-    theta, one forward pass shared by both halves of every pullback taken
-    from it."""
+    """The bound linearize_block(xs, lo) -> (values, vjp_x, vjp_theta) of
+    a block of layers lo..lo + J - 1: one stacked forward pass shared by
+    every pullback taken from it, each row as the one layer alone."""
 
-    @staticmethod
-    def draw(family, batch, seed):
+    LAYERS = 3  # block layers 1..3 of five rows
+
+    @classmethod
+    def draw(cls, family, batch, seed):
         rng = np.random.default_rng(seed)
-        shape = (family.state_dim,) if batch is None else (family.state_dim, batch)
-        return (rng.standard_normal(shape), rng.standard_normal(family.param_dim) * 0.7,
+        shape = (cls.LAYERS, family.state_dim) + (() if batch is None else (batch,))
+        rows = rng.standard_normal((cls.LAYERS + 2, family.param_dim)) * 0.7
+        return (rng.standard_normal(shape), rows,
                 rng.standard_normal(shape), rng.standard_normal(shape))
 
     def test_value_is_eval_bit_exactly(self, family, batch):
-        x, theta, _, _ = self.draw(family, batch, 31)
-        value, _ = family._bind(theta[None])[1](x, 0)
-        assert np.array_equal(value, family.eval(x, theta))
+        xs, rows, _, _ = self.draw(family, batch, 31)
+        values, _, _ = family._bind(rows)[1](xs, 1)
+        assert values.shape == xs.shape
+        for j, x in enumerate(xs):
+            assert np.array_equal(values[j], family.eval(x, rows[1 + j]))
 
     def test_pullback_matches_separate_formulas(self, family, batch):
-        x, theta, v, w = self.draw(family, batch, 32)
-        pullback = family._bind(theta[None])[1](x, 0)[1]
-        for cotangent in (v, w, v + w):  # one linearization, several pullbacks
-            for got, want in zip(pullback(cotangent), reference_vjps(family, x, theta, cotangent)):
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        xs, rows, vs, ws = self.draw(family, batch, 32)
+        _, vjp_x, vjp_theta = family._bind(rows)[1](xs, 1)
+        for cotangents in (vs, ws, vs + ws):  # one linearization, several pullbacks
+            d_theta = vjp_theta(cotangents)
+            for j, (x, v) in enumerate(zip(xs, cotangents)):
+                want = reference_vjps(family, x, rows[1 + j], v)
+                for got, w in zip((vjp_x(j, v), d_theta[j]), want):
+                    assert got.shape == w.shape
+                    assert np.max(np.abs(got - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
 
     def test_public_vjps_are_the_pullback_halves(self, family, batch):
-        x, theta, v, _ = self.draw(family, batch, 33)
-        d_x, d_theta = family._bind(theta[None])[1](x, 0)[1](v)
-        assert np.array_equal(family.vjp_state(x, theta, v), d_x)
-        assert np.array_equal(family.vjp_params(x, theta, v), d_theta)
+        xs, rows, vs, _ = self.draw(family, batch, 33)
+        _, vjp_x, vjp_theta = family._bind(rows)[1](xs, 1)
+        d_theta = vjp_theta(vs)
+        for j, (x, v) in enumerate(zip(xs, vs)):
+            assert np.array_equal(family.vjp_state(x, rows[1 + j], v), vjp_x(j, v))
+            assert np.array_equal(family.vjp_params(x, rows[1 + j], v), d_theta[j])
 
     def test_pullbacks_write_fresh_gradients(self, family, batch):
-        """Two pullbacks of one linearization write separate gradient
-        buffers: the second leaves the first unchanged, and neither
+        """Two parameter pullbacks of one linearization write separate
+        gradient rows: the second leaves the first unchanged, and neither
         shares memory with the inputs."""
-        x, theta, v, w = self.draw(family, batch, 34)
-        pullback = family._bind(theta[None])[1](x, 0)[1]
-        first = pullback(v)[1]
+        xs, rows, vs, ws = self.draw(family, batch, 34)
+        _, _, vjp_theta = family._bind(rows)[1](xs, 1)
+        first = vjp_theta(vs)
         kept = first.copy()
-        second = pullback(w)[1]
+        second = vjp_theta(ws)
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
         for grad in (first, second):
-            assert grad.shape == (family.param_dim,) and grad.dtype == np.float64
-            assert grad.flags.c_contiguous and grad.base is None
-            for other in (x, v, w, theta):
+            assert grad.shape == (self.LAYERS, family.param_dim) and grad.dtype == np.float64
+            assert grad.flags.c_contiguous and grad.flags.writeable
+            for other in (xs, vs, ws, rows):
                 assert not np.shares_memory(grad, other)
         assert not np.shares_memory(first, second)
 
@@ -239,7 +251,7 @@ def matmul_kernels(family, x, theta, v):
     """The linear and mlp kernels written with ``@`` and ``np.concatenate``,
     as they were before the kernels called ``np.dot`` and wrote into one
     gradient buffer: f(x, theta), the linearization's value and both
-    pullback halves at v."""
+    pullback halves at v, for one layer."""
     def outer_sum(p, q):
         return (p.reshape(p.shape[0], -1) @ q.reshape(q.shape[0], -1).T).ravel()
 
@@ -291,18 +303,23 @@ class TestKernelsBitForBit:
 
     @pytest.mark.parametrize("family", BIT_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_eval_linearize_and_pullback(self, family, batch):
+        """Every row of a block linearization, at the block's first layer
+        and past it, is the one-row ``@`` form."""
         rng = np.random.default_rng(41)
         shape = state_shape(family, batch)
         for _ in range(2):
             rows = rng.standard_normal((5, family.param_dim)) * 0.7
             rows.setflags(write=False)  # read-only, as WeightSchedule.padded is
-            f, lin = family._bind(rows)[:2]
-            for n in range(rows.shape[0]):
-                x, v = rng.standard_normal(shape), rng.standard_normal(shape)
-                value, pullback = lin(x, n)
-                got = (f(x, n), value, *pullback(v))
-                for g, w in zip(got, matmul_kernels(family, x, rows[n], v)):
-                    assert_bit_equal(g, w)
+            f, linearize_block = family._bind(rows)[:2]
+            for lo in (0, 2):
+                xs = rng.standard_normal((rows.shape[0] - lo,) + shape)
+                vs = rng.standard_normal(xs.shape)
+                values, vjp_x, vjp_theta = linearize_block(xs, lo)
+                d_theta = vjp_theta(vs)
+                for j, (x, v) in enumerate(zip(xs, vs)):
+                    got = (f(x, lo + j), values[j], vjp_x(j, v), d_theta[j])
+                    for g, w in zip(got, matmul_kernels(family, x, rows[lo + j], v)):
+                        assert_bit_equal(g, w)
 
     @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
     def test_mlp_blend(self, d, hidden, batch):
