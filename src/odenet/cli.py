@@ -30,6 +30,10 @@ from .harness import (
 )
 
 
+# Each override flag -> the config key whose file line its value parses as.
+_FLAGS = {"seed": "seed", "out": "output_dir", "depths": "depths"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odenet",
@@ -39,12 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", required=(name != "tightness"),
                        help="flat key = value configuration file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None,
-                       help="override the config output directory")
-        p.add_argument("--depths", default=None,
-                       help="override the depth list, comma-separated")
+        for flag, key in _FLAGS.items():
+            p.add_argument(f"--{flag}", help=f"override the config's {key} (config-file syntax)")
     return parser
 
 
@@ -54,15 +54,12 @@ def _load(args) -> ExperimentConfig:
     else:
         config = load_config(args.config)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.depths is not None:
-        try:
-            overrides["depths"] = _KEY_PARSERS["depths"](args.depths)
-        except ValueError as exc:
-            raise ConfigError(f"bad --depths value: {exc}") from exc
+    for flag, key in _FLAGS.items():
+        if getattr(args, flag) is not None:
+            try:
+                overrides[key] = _KEY_PARSERS[key](getattr(args, flag))
+            except ValueError as exc:
+                raise ConfigError(f"bad --{flag} value: {exc}") from exc
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

@@ -83,15 +83,15 @@ __all__ = [
     "run_toy_training",
 ]
 
-# The experiments each CLI command runs, and their default depths.
+# The experiments each CLI command runs, and their default depths and profile_scale.
 COMMANDS = {
     "study": (("approx_error", "euler_adjoint", "heun_adjoint"),
-              (16, 32, 64, 128, 256, 512, 1024)),
-    "tightness": (("tightness_suite",), (10, 100, 1000)),
-    "linflow": (("limit_map",), (16, 32, 64, 128, 256)),
-    "train": (("toy_train",), (64, 300)),
+              (16, 32, 64, 128, 256, 512, 1024), 0.25),
+    "tightness": (("tightness_suite",), (10, 100, 1000), 0.25),
+    "linflow": (("limit_map",), (16, 32, 64, 128, 256), 0.1),
+    "train": (("toy_train",), (64, 300), 0.25),
 }
-COMMAND_OF = {experiment: command for command, (experiments, _) in COMMANDS.items()
+COMMAND_OF = {experiment: command for command, (experiments, *_) in COMMANDS.items()
               for experiment in experiments}
 PROFILES = ("constant", "lipschitz_profile", "alternating", "index")
 # The lambdas look the constructors up per call: the benchmark tracer rebinds them.
@@ -105,6 +105,13 @@ GRADIENT_MODES = {"exact": (EULER, True), "adjoint_euler": (EULER, False),
                   "adjoint_heun": (HEUN, False)}
 # The share of the small-loss ceiling the flow's target spends at the deepest depth.
 FLOW_LOSS_FRACTION = 0.125
+# ExperimentConfig's rules beyond each field's kind: the table naming each
+# choice field's values, the positive fields and each integer's lower bound.
+_CHOICES = {"experiment": COMMAND_OF, "family": FAMILIES, "schedule_profile": PROFILES,
+            "target": TARGETS, "gradient_mode": GRADIENT_MODES}
+_POSITIVE = ("profile_scale", "t_end", "learning_rate")
+_AT_LEAST = {"state_dim": 1, "hidden_dim": 1, "seed": 0, "snapshot_count": 2,
+             "input_count": 2, "iterations": 1}
 
 
 class ConfigError(ValueError):
@@ -138,6 +145,18 @@ def _integral(name: str, value):
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """A non-bool real within the float range, stored as a Python float:
+    NaN, inf of any numpy width and ints past the float range all fail."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and abs(value) <= np.finfo(float).max):
+            return float(value)
+    except OverflowError:  # an int past the float range meets a numpy float
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -166,17 +185,15 @@ class ExperimentConfig:
             if f.type == "str" and not isinstance(value, strings):
                 raise ConfigError(f"{f.name} must be a string, got {value!r}")
             if f.type == "float" or (f.type == "Optional[float]" and value is not None):
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                    raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                setattr(self, f.name, _real(f.name, value))
             if f.type == "int":
                 setattr(self, f.name, _integral(f.name, value))
-        if self.experiment not in COMMAND_OF:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        command = COMMAND_OF[self.experiment]
-        if self.depths is None:
-            self.depths = COMMANDS[command][1]
+        for name, table in _CHOICES.items():
+            if getattr(self, name) not in table:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        _, depths, scale = COMMANDS[COMMAND_OF[self.experiment]]
+        self.depths = depths if self.depths is None else self.depths
+        self.profile_scale = scale if self.profile_scale is None else self.profile_scale
         if not np.iterable(self.depths):
             raise ConfigError(f"depths must be a sequence of integers, got {self.depths!r}")
         self.depths = tuple(_integral("depths", n) for n in self.depths)
@@ -184,30 +201,12 @@ class ExperimentConfig:
             raise ConfigError("depths must be positive")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ConfigError("depths must be strictly increasing")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.schedule_profile not in PROFILES:
-            raise ConfigError(f"unknown schedule_profile {self.schedule_profile!r}")
-        if self.profile_scale is None:
-            self.profile_scale = 0.1 if command == "linflow" else 0.25
-        if self.profile_scale <= 0:
-            raise ConfigError("profile_scale must be positive")
-        if self.state_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("dimensions must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if self.snapshot_count < 2:
-            raise ConfigError("snapshot_count must be >= 2")
-        if self.target not in TARGETS:
-            raise ConfigError(f"unknown target {self.target!r}")
-        if self.input_count < 2:
-            raise ConfigError("input_count must be >= 2")
-        if self.learning_rate <= 0 or self.iterations < 1:
-            raise ConfigError("learning_rate must be > 0 and iterations >= 1")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ConfigError(f"unknown gradient_mode {self.gradient_mode!r}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name, low in _AT_LEAST.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
 
 
 # Value parser of each config key, from its field's annotation.
@@ -242,9 +241,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -266,16 +265,13 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _require(config: ExperimentConfig, command: str) -> None:
-    """Reject an experiment that another command runs."""
+def _output_dir(config: ExperimentConfig, command: str) -> str:
+    """Reject an experiment that another command runs, then create the output
+    directory before any work; an unusable one is a ConfigError too."""
     allowed = COMMANDS[command][0]
     if config.experiment not in allowed:
         raise ConfigError(f"experiment {config.experiment!r} does not belong to "
                           f"`{command}` (expected one of {', '.join(allowed)})")
-
-
-def _output_dir(config: ExperimentConfig) -> str:
-    """Create the output directory before any work; an unusable one is a ConfigError."""
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
@@ -420,8 +416,7 @@ _STUDIES = {
 
 def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     """Sweep depths, record error metrics, fit log-log slopes, emit CSVs."""
-    _require(config, "study")
-    out_dir = _output_dir(config)
+    out_dir = _output_dir(config, "study")
     profile_rng, data_rng = _child_rngs(config.seed, 2)
     family = FAMILIES[config.family](config)
     profile = _make_profile(config, family.param_dim, profile_rng)
@@ -508,8 +503,7 @@ def _tightness_case(case: str, depth: int) -> TightnessRecord:
 
 def run_tightness_suite(config: ExperimentConfig) -> list:
     """Measured chain-vs-flow gaps against their closed-form values."""
-    _require(config, "tightness")
-    out_dir = _output_dir(config)
+    out_dir = _output_dir(config, "tightness")
     records = [_tightness_case(case, depth)
                for case in TIGHTNESS_CASES for depth in config.depths]
     path = os.path.join(out_dir, "tightness.csv")
@@ -554,9 +548,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     run's initial product, keeping every depth inside the small-loss
     regime; a violation aborts before any integration starts.
     """
-    _require(config, "linflow")
     sigma = np.eye(config.state_dim)
-    out_dir = _output_dir(config)
+    out_dir = _output_dir(config, "linflow")
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     profile = _matrix_profile(config, profile_rng)
     states0 = {n: state_from_profile(profile, n) for n in config.depths}
@@ -638,8 +631,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     which keeps the effective output-space step size comparable across
     depths (the same rescaling the linear flow uses).
     """
-    _require(config, "train")
-    out_dir = _output_dir(config)
+    out_dir = _output_dir(config, "train")
     profile_rng, = _child_rngs(config.seed, 1)
     family = make_mlp_family(1, config.hidden_dim)
     profile = _make_profile(config, family.param_dim, profile_rng)

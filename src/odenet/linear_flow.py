@@ -209,6 +209,12 @@ def _rescaled_gradients(thetas: np.ndarray, problem: RegressionProblem):
     return grads, value
 
 
+def _loss_rose(before: float, after: float, first: float) -> bool:
+    """Whether the loss rose beyond LOSS_INCREASE_RTOL and LOSS_INCREASE_ATOL,
+    the latter scaled by 1 + the run's first loss.  A NaN counts as a rise."""
+    return not after <= before * (1.0 + LOSS_INCREASE_RTOL) + LOSS_INCREASE_ATOL * (1.0 + first)
+
+
 @dataclass
 class FlowSample:
     t: float
@@ -227,9 +233,9 @@ class FlowTrace:
         ts = [s.t for s in self.samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("sample times must be strictly increasing")
-        atol = LOSS_INCREASE_ATOL * (1.0 + self.samples[0].loss_value)
+        first = self.samples[0].loss_value
         for a, b in zip(self.samples, self.samples[1:]):
-            if b.loss_value > a.loss_value * (1.0 + LOSS_INCREASE_RTOL) + atol:
+            if _loss_rose(a.loss_value, b.loss_value, first):
                 raise ValueError(
                     f"loss increased between t={a.t:.6g} and t={b.t:.6g}")
 
@@ -293,7 +299,7 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
     def field(th, m):
         return -_rescaled_gradients(th, problem)[0]
 
-    atol = LOSS_INCREASE_ATOL * (1.0 + current_loss)
+    first = current_loss
     for target in targets:
         span = target - t
         steps = max(1, math.ceil(span / dt - 1e-12))
@@ -301,8 +307,7 @@ def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
         for _ in range(steps):
             thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
             grads, new_loss = _rescaled_gradients(thetas, problem)
-            # Written so that a NaN loss fails the check too.
-            if not new_loss <= current_loss * (1.0 + LOSS_INCREASE_RTOL) + atol:
+            if _loss_rose(current_loss, new_loss, first):
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "
                     f"near t={t:.6g}; reduce dt below {h:.3g}")

@@ -1,6 +1,7 @@
 """Experiment runner and CLI behavior, including exit codes and CSVs."""
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -194,6 +195,51 @@ class TestParseConfig:
         values = {"experiment": "toy_train", field: value}
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**values)
+
+    def test_every_field_has_a_rule_table(self):
+        """A string, integer or float key joins _CHOICES, _AT_LEAST or
+        _POSITIVE, so a later key cannot skip its rule."""
+        kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        assert {n for n, t in kinds.items() if t == "str"} == set(harness._CHOICES) | {"output_dir"}
+        assert {n for n, t in kinds.items() if t == "int"} == set(harness._AT_LEAST)
+        assert {n for n, t in kinds.items() if "float" in t} == set(harness._POSITIVE)
+
+    @pytest.mark.parametrize("field", sorted(harness._CHOICES))
+    def test_each_choice_rejects_an_unknown_value(self, field):
+        values = {"experiment": "toy_train", field: "warp_drive"}
+        with pytest.raises(ConfigError, match=f"^unknown {field} 'warp_drive'$"):
+            ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("value", [0, -0.5])
+    @pytest.mark.parametrize("field", harness._POSITIVE)
+    def test_each_positive_field_rejects_its_bound(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be positive$"):
+            ExperimentConfig(experiment="toy_train", **{field: value})
+        ExperimentConfig(experiment="toy_train", **{field: 1e-300})
+
+    @pytest.mark.parametrize("field, low", sorted(harness._AT_LEAST.items()))
+    def test_each_integer_rejects_one_below_its_bound(self, field, low):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= {low}$"):
+            ExperimentConfig(experiment="toy_train", **{field: low - 1})
+        ExperimentConfig(experiment="toy_train", **{field: low})
+
+    @pytest.mark.parametrize("value", [
+        np.float32("nan"), np.float32("inf"), -np.float32("inf"),
+        np.float16("nan"), np.float16("inf"), -np.float16("inf"),
+        float("nan"), 10 ** 400, -10 ** 400,
+    ], ids=["f32_nan", "f32_inf", "f32_neg_inf", "f16_nan", "f16_inf", "f16_neg_inf",
+            "nan", "int_past_float", "neg_int_past_float"])
+    @pytest.mark.parametrize("field", ["t_end", "learning_rate", "profile_scale"])
+    def test_rejects_non_finite_floats_of_any_width(self, field, value):
+        """A numpy NaN or inf, or an int no float holds, names its field
+        here, not in the first update or linspace that reads it."""
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+            ExperimentConfig(experiment="toy_train", **{field: value})
+
+    @pytest.mark.parametrize("field", ["t_end", "learning_rate", "profile_scale"])
+    def test_numpy_floats_are_stored_as_python_floats(self, field):
+        config = ExperimentConfig(experiment="toy_train", **{field: np.float32(0.5)})
+        assert type(getattr(config, field)) is float and getattr(config, field) == 0.5
 
     def test_output_dir_may_be_a_path(self, tmp_path):
         config = ExperimentConfig(experiment="toy_train", output_dir=tmp_path)
@@ -855,9 +901,35 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["study", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        """A config that is not UTF-8 is a config error, not a traceback."""
+        path = tmp_path / "run.cfg"
+        path.write_bytes(bytes(range(256)))
+        assert main(["study", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_depths_override_exits_2(self, capsys):
         assert main(["tightness", "--depths", "4,x"]) == 2
         assert "--depths" in capsys.readouterr().err
+
+    def test_bad_seed_override_exits_2(self, tmp_path, capsys):
+        """--seed parses as a config file's `seed` line does: a bad value is
+        a config error naming the flag, not argparse's usage error."""
+        path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 8, 16\n")
+        assert main(["study", "--config", path, "--seed", "x",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --seed value: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_override_flags_parse_like_file_keys(self, tmp_path):
+        """Each flag's value reaches the config as its key's file line would."""
+        path = write_cfg(tmp_path, "experiment = tightness_suite\n")
+        flags = {"seed": " 7", "out": str(tmp_path / "out"), "depths": "2, 3"}
+        args = cli._build_parser().parse_args(
+            ["tightness", "--config", path] + [a for f, v in flags.items() for a in (f"--{f}", v)])
+        lines = "".join(f"{cli._FLAGS[f]} = {v}\n" for f, v in flags.items())
+        assert cli._load(args) == parse_config("experiment = tightness_suite\n" + lines)
 
     @pytest.mark.parametrize("command,experiment,setting", [
         ("study", "approx_error", "profile_scale = nan"),
@@ -1067,7 +1139,7 @@ class TestCli:
         """An exception no exit code maps still leaves no directory behind,
         and reaches the caller."""
         def crash(config):
-            harness._output_dir(config)
+            harness._output_dir(config, "study")
             raise ValueError("crash")
         monkeypatch.setitem(cli._RUNNERS, "study", crash)
         path = write_cfg(tmp_path, "experiment = approx_error\n")

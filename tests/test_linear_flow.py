@@ -320,6 +320,14 @@ class TestFlowTraceValidation:
         with pytest.raises(ValueError, match="increased"):
             FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], prob)
 
+    @pytest.mark.parametrize("losses", [(1.0, math.nan), (math.nan, 1.0)],
+                             ids=["nan_later", "nan_first"])
+    def test_nan_loss_counts_as_a_rise(self, losses):
+        """The trace applies integrate_flow's rule, under which NaN never passes."""
+        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="increased"):
+            FlowTrace([self._sample(0.0, losses[0]), self._sample(1.0, losses[1])], prob)
+
 
 class TestStateConstruction:
     def test_profile_samples_cell_midpoints(self):
