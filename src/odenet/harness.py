@@ -44,12 +44,11 @@ from .dynamics import (
     solve_ode_oracle,
 )
 from .linear_flow import (
-    build_problem,
+    MAX_STEP_SIZE,
     check_small_loss_regime,
     depth_double_compare,
     extract_limit_map,
     integrate_flow,
-    max_step_size,
     monitor_invariants,
     product_vs_ode,
     small_loss_target,
@@ -103,8 +102,6 @@ TARGETS = {"square_half": lambda x: 0.5 * x * x, "neg_square_half": lambda x: -0
 # Gradient mode -> (scheme, whether the forward pass stores the trajectory).
 GRADIENT_MODES = {"exact": (EULER, True), "adjoint_euler": (EULER, False),
                   "adjoint_heun": (HEUN, False)}
-# The share of the small-loss ceiling the flow's target spends at the deepest depth.
-FLOW_LOSS_FRACTION = 0.125
 # ExperimentConfig's rules beyond each field's kind: the table naming each
 # choice field's values, the positive fields and each integer's lower bound.
 _CHOICES = {"experiment": COMMAND_OF, "family": FAMILIES, "schedule_profile": PROFILES,
@@ -157,7 +154,8 @@ def _real(name: str, value) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-@dataclass
+# Frozen, so a changed field goes through dataclasses.replace and every rule again.
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     depths: Optional[tuple] = None
@@ -185,18 +183,19 @@ class ExperimentConfig:
             if f.type == "str" and not isinstance(value, strings):
                 raise ConfigError(f"{f.name} must be a string, got {value!r}")
             if f.type == "float" or (f.type == "Optional[float]" and value is not None):
-                setattr(self, f.name, _real(f.name, value))
+                object.__setattr__(self, f.name, _real(f.name, value))
             if f.type == "int":
-                setattr(self, f.name, _integral(f.name, value))
+                object.__setattr__(self, f.name, _integral(f.name, value))
         for name, table in _CHOICES.items():
             if getattr(self, name) not in table:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         _, depths, scale = COMMANDS[COMMAND_OF[self.experiment]]
-        self.depths = depths if self.depths is None else self.depths
-        self.profile_scale = scale if self.profile_scale is None else self.profile_scale
-        if not np.iterable(self.depths):
-            raise ConfigError(f"depths must be a sequence of integers, got {self.depths!r}")
-        self.depths = tuple(_integral("depths", n) for n in self.depths)
+        depths = depths if self.depths is None else self.depths
+        if not np.iterable(depths):
+            raise ConfigError(f"depths must be a sequence of integers, got {depths!r}")
+        object.__setattr__(self, "depths", tuple(_integral("depths", n) for n in depths))
+        if self.profile_scale is None:
+            object.__setattr__(self, "profile_scale", scale)
         if not self.depths or any(n < 1 for n in self.depths):
             raise ConfigError("depths must be positive")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
@@ -540,35 +539,32 @@ def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarr
 
 
 def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
-    """Integrate the rescaled flow at every depth, at max_step_size, and run the diagnostics.
+    """Integrate the rescaled flow at every depth, at MAX_STEP_SIZE, and run the diagnostics.
 
-    One covariance, one target, and one initialization profile are
-    shared across depths so that depth-doubling and limit-profile
-    comparisons are meaningful.  The target is built from the deepest
-    run's initial product, keeping every depth inside the small-loss
-    regime; a violation aborts before any integration starts.
+    One target and one initialization profile are shared across depths
+    so that depth-doubling and limit-profile comparisons are
+    meaningful; the inputs are whitened, so the loss is ||Pi - B||_F^2.
+    The target is built from the deepest run's initial product, keeping
+    every depth inside the small-loss regime; a violation aborts before
+    any integration starts.
     """
-    sigma = np.eye(config.state_dim)
     out_dir = _output_dir(config, "linflow")
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     profile = _matrix_profile(config, profile_rng)
     states0 = {n: state_from_profile(profile, n) for n in config.depths}
     ref_depth = config.depths[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        b_target = small_loss_target(sigma, states0[ref_depth],
-                                     seed=int(target_rng.integers(2 ** 31)),
-                                     loss_fraction=FLOW_LOSS_FRACTION)
+        b_target = small_loss_target(states0[ref_depth],
+                                     seed=int(target_rng.integers(2 ** 31)))
         if not np.isfinite(b_target).all():
             # The deepest initial product overflowed: its loss is infinite
             # against any target, so the zero target reports it as well.
             raise RegimeAbort(ref_depth, check_small_loss_regime(
-                states0[ref_depth], build_problem(sigma, np.zeros_like(sigma))))
-    problem = build_problem(sigma, b_target)
-    dt = max_step_size(problem)
+                states0[ref_depth], np.zeros_like(b_target)))
 
     regime_reports = {}
     for depth in config.depths:
-        report = check_small_loss_regime(states0[depth], problem)
+        report = check_small_loss_regime(states0[depth], b_target)
         regime_reports[depth] = report
         if not report.passes:
             raise RegimeAbort(depth, report)
@@ -576,7 +572,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
     traces, monitor_reports, product_gaps = {}, {}, {}
     for depth in config.depths:
-        trace = integrate_flow(states0[depth], problem, config.t_end, dt, snapshots)
+        trace = integrate_flow(states0[depth], b_target, config.t_end, MAX_STEP_SIZE,
+                               snapshots)
         traces[depth] = trace
         monitor_reports[depth] = monitor_invariants(trace)
         _write_rows(os.path.join(out_dir, f"trace_N{depth}.csv"),

@@ -1,10 +1,12 @@
 """Deep linear residual factorization trained by rescaled gradient flow.
 
 The model is the depth-N product Pi = (I + theta_N/N) ... (I + theta_1/N)
-applied in ascending layer order, fitted to a target matrix B under the
-covariance-weighted loss Tr((Pi - B) Sigma (Pi - B)^T).  All layers
-evolve jointly by d theta_n / dt = -N grad_n, the gradient rescaling
-that keeps per-layer motion depth-independent.
+applied in ascending layer order, fitted to a target matrix B.  The
+inputs are whitened (covariance I, the setting of Bartlett, Helmbold and
+Long, arXiv 1802.06093), so the loss is ||Pi - B||_F^2 and the paper's
+covariance constants take their values at extreme eigenvalues
+m = M = 1.  All layers evolve jointly by d theta_n / dt = -N grad_n, the
+gradient rescaling that keeps per-layer motion depth-independent.
 
 Besides the integrator this module carries the diagnostics used by the
 experiments: the small-loss entry condition, loss-decay and weight-norm
@@ -27,19 +29,16 @@ from .numerics import SlopeFit, _rk4_increment, fit_loglog_slope, require_finite
 from .residual_models import WeightSchedule
 
 __all__ = [
-    "RegressionProblem",
     "FlowState",
     "FlowSample",
     "FlowTrace",
     "StepSizeError",
-    "build_problem",
     "small_loss_target",
     "state_from_matrices",
     "state_from_profile",
     "transport_product",
     "loss",
     "integrate_flow",
-    "max_step_size",
     "check_small_loss_regime",
     "monitor_invariants",
     "depth_double_compare",
@@ -59,34 +58,17 @@ SCAN_BLOCK = 4
 ODE_STEPS_PER_LAYER = 64
 PROBES = 20
 PROBE_SEED = 0
+# Largest dt integrate_flow accepts: min(1e-2, 0.1/M) at M = 1.
+MAX_STEP_SIZE = 1e-2
+# The small-loss regime's ceiling on sqrt(loss(0)): m / (4 sqrt(2 M e^3)) at m = M = 1.
+LOSS_THRESHOLD = 1.0 / (4.0 * math.sqrt(2.0 * math.e ** 3))
+# The share of LOSS_THRESHOLD^2 small_loss_target's initial loss spends; the
+# rest is room for Pi(0)'s depth dependence when depths share one target.
+LOSS_FRACTION = 0.125
 
 
 class StepSizeError(RuntimeError):
     """Loss went up during a flow step by more than the tolerance."""
-
-
-@dataclass
-class RegressionProblem:
-    sigma: np.ndarray      # covariance weighting the loss, SPD
-    b_target: np.ndarray   # target matrix B
-    m: float               # smallest eigenvalue of sigma
-    m_max: float           # largest eigenvalue of sigma
-
-
-def build_problem(sigma, b_target) -> RegressionProblem:
-    s = require_finite(sigma, "sigma")
-    b = require_finite(b_target, "b_target")
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("sigma must be a square matrix")
-    if b.shape != s.shape:
-        raise ValueError("b_target shape does not match sigma")
-    asym = np.max(np.abs(s - s.T))
-    if asym > 1e-12 * max(1.0, np.max(np.abs(s))):
-        raise ValueError(f"sigma is not symmetric (asymmetry {asym:.3g})")
-    eigs = np.linalg.eigvalsh(s)
-    if eigs[0] <= 0.0:
-        raise ValueError(f"sigma is not positive definite: eigenvalue {eigs[0]:.6g}")
-    return RegressionProblem(s.copy(), b.copy(), float(eigs[0]), float(eigs[-1]))
 
 
 @dataclass
@@ -180,32 +162,40 @@ def _prefix_suffix(thetas: np.ndarray):
     return scan[0, :n_layers + 1], scan[1, n_layers::-1]
 
 
-def _weighted_loss(product: np.ndarray, problem: RegressionProblem) -> float:
-    resid = product - problem.b_target
-    return float(np.einsum("ij,jk,ik->", resid, problem.sigma, resid))
+def _require_target(target, state: FlowState) -> np.ndarray:
+    """B as a finite (d, d) array matching the state's d."""
+    b = require_finite(target, "target")
+    if b.shape != (state.dim, state.dim):
+        raise ValueError(f"target shape {b.shape} does not match the state's d = {state.dim}")
+    return b
 
 
-def loss(state: FlowState, problem: RegressionProblem) -> float:
-    if state.dim != problem.sigma.shape[0]:
-        raise ValueError("state and problem dimensions differ")
-    return _weighted_loss(transport_product(state.matrices()), problem)
+def _sq_norm(a: np.ndarray) -> float:
+    """||a||_F^2 summed left to right in row-major order, the order the recorded
+    flow outputs were computed in; at d = 4 it is faster than np.sum."""
+    return sum(x * x for x in a.ravel().tolist())
 
 
-def _rescaled_gradients(thetas: np.ndarray, problem: RegressionProblem):
+def loss(state: FlowState, target) -> float:
+    """||Pi - B||_F^2."""
+    return _sq_norm(transport_product(state.matrices()) - _require_target(target, state))
+
+
+def _rescaled_gradients(thetas: np.ndarray, target: np.ndarray):
     """All N rescaled gradients at once via shared partial products.
 
     Returns the (N, d, d) gradient stack and the loss of ``thetas``,
     read from the full product the gradient already needs.
     """
     pre, suf_t = _prefix_suffix(thetas)
-    value = _weighted_loss(pre[-1], problem)
+    value = _sq_norm(pre[-1] - target)
     # Layer n sees transposed partial products on both sides; the
     # quadratic loss contributes the overall factor 2.  numpy's matmul
     # reads a swapped-axes view about 2.5x slower than a contiguous
     # stack (N = 256, d = 4), so the transposed prefixes are copied once.
-    resid_sigma = 2.0 * (pre[-1] - problem.b_target) @ problem.sigma
+    resid = 2.0 * (pre[-1] - target)
     pre_t = np.ascontiguousarray(np.swapaxes(pre[:-1], 1, 2))
-    grads = suf_t[1:] @ resid_sigma @ pre_t
+    grads = suf_t[1:] @ resid @ pre_t
     return grads, value
 
 
@@ -227,7 +217,7 @@ class FlowSample:
 @dataclass
 class FlowTrace:
     samples: list
-    problem: RegressionProblem
+    target: np.ndarray       # the B every sample was fitted to
 
     def __post_init__(self):
         ts = [s.t for s in self.samples]
@@ -248,11 +238,6 @@ class FlowTrace:
         return np.array([s.t for s in self.samples])
 
 
-def max_step_size(problem: RegressionProblem) -> float:
-    """Largest dt integrate_flow accepts: min(1e-2, 0.1/M)."""
-    return min(1e-2, 0.1 / problem.m_max)
-
-
 def _sample(thetas: np.ndarray, t: float, loss_value: float) -> FlowSample:
     n_layers = thetas.shape[0]
     max_norm = spectral_norm(thetas)
@@ -260,99 +245,91 @@ def _sample(thetas: np.ndarray, t: float, loss_value: float) -> FlowSample:
     return FlowSample(t, loss_value, max_norm, smooth, thetas)
 
 
-def integrate_flow(state0: FlowState, problem: RegressionProblem, t_end: float,
+def integrate_flow(state0: FlowState, target, t_end: float,
                    dt: float, snapshot_times: Sequence[float]) -> FlowTrace:
     """March all layers jointly with classical Runge-Kutta steps in t.
 
     The trace holds one sample per snapshot time, plus a final sample
     at t_end when the last snapshot falls short of it.  Segments
     between snapshots are cut into equal steps no longer than dt, so
-    every snapshot is landed on exactly.  A loss increase beyond the
-    relative tolerance aborts with StepSizeError.  Every loss, the
-    starting one included, is read from the full product built by the
-    gradient evaluation at the same layers, which is also the next
+    every snapshot is landed on exactly; dt may not exceed MAX_STEP_SIZE.
+    A loss increase beyond the relative tolerance aborts with
+    StepSizeError at the start time of the failing step.  Every loss,
+    the starting one included, is read from the full product built by
+    the gradient evaluation at the same layers, which is also the next
     step's first RK4 stage.
     """
-    if state0.dim != problem.sigma.shape[0]:
-        raise ValueError("state and problem dimensions differ")
-    bound = max_step_size(problem)
-    if not (0.0 < dt <= bound * (1.0 + 1e-12)):
-        raise ValueError(f"dt must lie in (0, {bound:.6g}] for this problem")
-    targets = [float(t) for t in snapshot_times]
-    if any(b <= a for a, b in zip(targets, targets[1:])):
+    target = _require_target(target, state0).copy()   # the trace keeps it
+    if not (0.0 < dt <= MAX_STEP_SIZE * (1.0 + 1e-12)):
+        raise ValueError(f"dt must lie in (0, {MAX_STEP_SIZE:.6g}]")
+    stops = [float(t) for t in snapshot_times]
+    if any(b <= a for a, b in zip(stops, stops[1:])):
         raise ValueError("snapshot times must be strictly increasing")
-    if targets and (targets[0] < state0.t - 1e-12 or targets[-1] > t_end + 1e-12):
+    if stops and (stops[0] < state0.t - 1e-12 or stops[-1] > t_end + 1e-12):
         raise ValueError("snapshot times must lie within [state0.t, t_end]")
     if t_end < state0.t:
         raise ValueError("t_end precedes the initial time")
-    if not targets or targets[-1] < t_end - 1e-12:
-        targets.append(t_end)
+    if not stops or stops[-1] < t_end - 1e-12:
+        stops.append(t_end)
 
     thetas = state0.matrices()
     t = state0.t
-    grads, current_loss = _rescaled_gradients(thetas, problem)
+    grads, current_loss = _rescaled_gradients(thetas, target)
     samples = []
-    if abs(targets[0] - t) <= 1e-12:
+    if abs(stops[0] - t) <= 1e-12:
         samples.append(_sample(thetas, t, current_loss))
-        targets = targets[1:]
+        stops = stops[1:]
 
     def field(th, m):
-        return -_rescaled_gradients(th, problem)[0]
+        return -_rescaled_gradients(th, target)[0]
 
     first = current_loss
-    for target in targets:
-        span = target - t
+    for stop in stops:
+        span = stop - t
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
-        for _ in range(steps):
+        for k in range(steps):
             thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
-            grads, new_loss = _rescaled_gradients(thetas, problem)
+            grads, new_loss = _rescaled_gradients(thetas, target)
             if _loss_rose(current_loss, new_loss, first):
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "
-                    f"near t={t:.6g}; reduce dt below {h:.3g}")
+                    f"near t={t + k * h:.6g}; reduce dt below {h:.3g}")
             current_loss = new_loss
-        t = target
+        t = stop
         samples.append(_sample(thetas, t, current_loss))
-    return FlowTrace(samples, problem)
-
-
-def _loss_threshold(problem: RegressionProblem) -> float:
-    """m / (4 sqrt(2 M e^3)): the small-loss regime's ceiling on sqrt(loss(0))."""
-    return problem.m / (4.0 * math.sqrt(2.0 * problem.m_max * math.e ** 3))
+    return FlowTrace(samples, target)
 
 
 @dataclass
 class RegimeReport:
     passes: bool
-    loss_margin: float    # threshold - sqrt(initial loss); pass while > 0
+    loss_margin: float    # LOSS_THRESHOLD - sqrt(initial loss); pass while > 0
     norm_margin: float    # 1/4 - max spectral norm; pass while >= 0
-    loss_threshold: float
     max_theta_norm: float
 
 
-def check_small_loss_regime(state0: FlowState, problem: RegressionProblem) -> RegimeReport:
+def check_small_loss_regime(state0: FlowState, target) -> RegimeReport:
     """Entry condition for the guaranteed-decay regime.
 
-    Requires sqrt(loss(0)) < m / (4 sqrt(2 M e^3)) together with every
-    layer matrix having spectral norm at most 1/4.
+    Requires sqrt(loss(0)) < LOSS_THRESHOLD together with every layer
+    matrix having spectral norm at most 1/4.
     """
-    threshold = _loss_threshold(problem)
-    value = loss(state0, problem)
+    value = loss(state0, target)
     # An overflowing product has an infinite loss, even where inf - inf made it nan.
     root_loss = math.sqrt(value) if value < math.inf else math.inf
     max_norm = spectral_norm(state0.matrices())
-    loss_margin = threshold - root_loss
+    loss_margin = LOSS_THRESHOLD - root_loss
     norm_margin = 0.25 - max_norm
     return RegimeReport(loss_margin > 0.0 and norm_margin >= 0.0,
-                        loss_margin, norm_margin, threshold, max_norm)
+                        loss_margin, norm_margin, max_norm)
 
 
 @dataclass
 class MonitorReport:
     max_theta_norm: float
     max_smoothness_stat: float
-    max_decay_ratio: float   # worst loss(t) / (exp(-(2/e) m (t - t0)) loss(t0))
+    max_decay_ratio: float   # worst loss(t) / (exp(-(2/e) (t - t0)) loss(t0))
     theta_bound_ok: bool     # all sampled norms < 1/2
     decay_ok: bool           # decay ratio <= 1 + DECAY_SLACK
 
@@ -363,7 +340,7 @@ def monitor_invariants(trace: FlowTrace) -> MonitorReport:
     l0 = trace.samples[0].loss_value
     max_norm = max(s.max_theta_norm for s in trace.samples)
     max_smooth = max(s.smoothness_stat for s in trace.samples)
-    rate = (2.0 / math.e) * trace.problem.m
+    rate = 2.0 / math.e
     ratios = []
     for s in trace.samples:
         envelope = math.exp(-rate * (s.t - t0)) * l0
@@ -377,12 +354,11 @@ def monitor_invariants(trace: FlowTrace) -> MonitorReport:
 
 
 def _require_comparable(traces: Sequence[FlowTrace]) -> None:
-    """Traces compared across depths share their sample times and their problem."""
+    """Traces compared across depths share their sample times and their target."""
     for tr in traces[1:]:
         if not np.array_equal(tr.times, traces[0].times):
             raise ValueError("traces were sampled at different times")
-        if not (np.array_equal(tr.problem.sigma, traces[0].problem.sigma)
-                and np.array_equal(tr.problem.b_target, traces[0].problem.b_target)):
+        if not np.array_equal(tr.target, traces[0].target):
             raise ValueError("traces come from different problems")
 
 
@@ -433,7 +409,7 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
     At every sample time, each shallower run's step profile
     psi_N(s) = theta_ceil(N s) is compared with the reference run's by
     their exact L2 distance over s in (0, 1]; any set of distinct depths
-    of one problem, sampled at the same times, is accepted.
+    fitted to one target, sampled at the same times, is accepted.
     """
     ordered = sorted(traces, key=lambda tr: tr.depth)
     depths = [tr.depth for tr in ordered]
@@ -497,24 +473,15 @@ def product_vs_ode(thetas) -> float:
     return float(np.max(gaps))
 
 
-def small_loss_target(sigma, state0: FlowState, seed: int = 0,
-                      loss_fraction: float = 0.5) -> np.ndarray:
+def small_loss_target(state0: FlowState, seed: int = 0) -> np.ndarray:
     """Target matrix placing the initial loss inside the regime threshold.
 
-    B = Pi(0) + eps * E with E normalized to unit Sigma-norm, so the
-    initial loss is exactly eps^2 = loss_fraction * threshold^2.  The
-    default puts the loss at half its admissible ceiling; multi-depth
-    experiments that share one B across depths pass a smaller fraction
-    to leave room for the depth dependence of Pi(0).
+    B = Pi(0) + eps * E with E of unit Frobenius norm, so the initial
+    loss is exactly eps^2 = LOSS_FRACTION * LOSS_THRESHOLD^2.
     """
-    if not 0.0 < loss_fraction < 1.0:
-        raise ValueError("loss_fraction must lie in (0, 1)")
-    problem = build_problem(sigma, np.zeros(np.shape(sigma)))
-    s = problem.sigma
-    threshold = _loss_threshold(problem)
     rng = np.random.default_rng(seed)
-    d = s.shape[0]
+    d = state0.dim
     direction = rng.standard_normal((d, d))
-    direction /= math.sqrt(float(np.einsum("ij,jk,ik->", direction, s, direction)))
-    eps = threshold * math.sqrt(loss_fraction)
+    direction /= math.sqrt(_sq_norm(direction))
+    eps = LOSS_THRESHOLD * math.sqrt(LOSS_FRACTION)
     return transport_product(state0.matrices()) + eps * direction

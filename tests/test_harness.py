@@ -54,6 +54,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def csv_bytes(directory):
+    """{name: contents} of every CSV a run wrote to ``directory``."""
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).glob("*.csv"))}
+
+
 class TestParseConfig:
     def test_minimal_study_defaults(self):
         config = parse_config("experiment = approx_error")
@@ -250,6 +255,16 @@ class TestParseConfig:
                                   seed=np.int32(2), iterations=np.int64(4))
         assert config.depths == (3, 5)
         assert (config.seed, config.iterations) == (2, 4)
+
+    def test_fields_are_frozen(self):
+        """A field set after construction would skip every rule; a change
+        goes through dataclasses.replace, which applies them again."""
+        config = ExperimentConfig(experiment="toy_train")
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+        with pytest.raises(ConfigError, match="learning_rate"):
+            dataclasses.replace(config, learning_rate=float("nan"))
 
     def test_load_config_roundtrip(self, tmp_path):
         path = write_cfg(tmp_path, "experiment = tightness_suite\nseed = 9\n")
@@ -477,6 +492,13 @@ class TestTightnessSuite:
         assert lines[0] == "case,N,measured,analytic"
         assert len(lines) == 7
 
+    def test_reruns_are_byte_identical(self, tmp_path):
+        for sub in ("a", "b"):
+            run_tightness_suite(ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
+                                                 output_dir=str(tmp_path / sub)))
+        assert csv_bytes(tmp_path / "a") == csv_bytes(tmp_path / "b")
+        assert list(csv_bytes(tmp_path / "a")) == ["tightness.csv"]
+
     def test_rejects_wrong_experiment(self, tmp_path):
         out = tmp_path / "out"
         config = ExperimentConfig(experiment="limit_map", depths=(4, 8, 16),
@@ -535,7 +557,7 @@ class TestOracle:
         def oracle_64n(field, x0):
             return solve_ode_oracle(field, x0, 64 * field.depth), 0.0
         monkeypatch.setattr(harness, "_oracle", oracle_64n)
-        config.output_dir = str(tmp_path / "slow")
+        config = dataclasses.replace(config, output_dir=str(tmp_path / "slow"))
         slow = values(run_scaling_study(config), "approx_max_error")
         for depth, value in values(fast, "approx_max_error").items():
             assert value == pytest.approx(slow[depth], rel=1e-8, abs=0.0)
@@ -569,8 +591,7 @@ class TestOracleFlag:
             # just above the tolerance at depth 16 only
             return sol, (2e-3 * clean[16] if field.depth == 16 else estimate)
         monkeypatch.setattr(harness, "_oracle", one_bad_depth)
-        base.output_dir = str(tmp_path / "flagged")
-        result = run_scaling_study(base)
+        result = run_scaling_study(dataclasses.replace(base, output_dir=str(tmp_path / "flagged")))
         assert {r.depth: r.flag for r in result.records} == {8: "", 16: "oracle", 32: ""}
         assert values(result, "approx_max_error") == {8: clean[8], 32: clean[32]}
         assert result.fits["approx_max_error"].points_used == 2
@@ -607,13 +628,14 @@ class TestOracleFlag:
             assert 0.0 <= r.oracle_error <= 1e-12
 
 
+FLOW_CONFIG = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32), state_dim=2,
+                               t_end=2.0, snapshot_count=3, seed=0)
+
+
 @pytest.fixture(scope="module")
 def flow_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("linflow")
-    config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                              state_dim=2, t_end=2.0, snapshot_count=3,
-                              seed=0, output_dir=str(out))
-    return out, run_linear_flow_experiment(config)
+    return out, run_linear_flow_experiment(dataclasses.replace(FLOW_CONFIG, output_dir=str(out)))
 
 
 class TestLinearFlowExperiment:
@@ -649,6 +671,13 @@ class TestLinearFlowExperiment:
         assert (out / "productode.csv").read_text().splitlines()[0] == "N,discrepancy"
         limit_lines = (out / "limitmap.csv").read_text().strip().splitlines()
         assert len(limit_lines) == 1 + 3 * 2
+
+    def test_reruns_are_byte_identical(self, flow_result, tmp_path):
+        """A second run of the fixture's config writes every CSV byte for byte."""
+        out, _ = flow_result
+        run_linear_flow_experiment(dataclasses.replace(FLOW_CONFIG, output_dir=str(tmp_path)))
+        assert csv_bytes(tmp_path) == csv_bytes(out)
+        assert len(csv_bytes(out)) == 6
 
     def test_oversized_init_aborts(self, tmp_path):
         config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
@@ -936,7 +965,7 @@ class TestCli:
         ("train", "toy_train", "learning_rate = nan"),
         ("linflow", "limit_map", "t_end = nan"),
         ("train", "toy_train", "input_high = inf"),
-        ("linflow", "limit_map", "dt = 0.5"),  # not a key: flows step at max_step_size
+        ("linflow", "limit_map", "dt = 0.5"),  # not a key: flows step at MAX_STEP_SIZE
         ("study", "approx_error", "seed = -1"),
         ("linflow", "limit_map", "t_end = 0"),
     ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt", "seed",
@@ -960,8 +989,7 @@ class TestCli:
         text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nstate_dim = 2\n"
         path = write_cfg(tmp_path, text + "snapshot_count = 3\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
-        config = load_config(path)
-        config.output_dir = str(tmp_path / "again")
+        config = dataclasses.replace(load_config(path), output_dir=str(tmp_path / "again"))
         traces = run_linear_flow_experiment(config).traces
         s = (np.arange(3600) + 0.5) / 3600
 

@@ -13,13 +13,11 @@ from odenet.linear_flow import (
     FlowTrace,
     StepSizeError,
     _profile_gap,
-    build_problem,
     check_small_loss_regime,
     depth_double_compare,
     extract_limit_map,
     integrate_flow,
     loss,
-    max_step_size,
     monitor_invariants,
     product_vs_ode,
     small_loss_target,
@@ -40,61 +38,48 @@ def scalar_state(values, t=0.0):
 
 
 class TestBuildProblem:
+    """A flow problem is its target B alone: the inputs are whitened, so the
+    paper's covariance constants take their values at m = M = 1."""
+
     def test_identity_problem(self):
-        prob = build_problem(np.eye(2), np.eye(2))
-        assert prob.m == 1.0 and prob.m_max == 1.0
+        """The loss is the covariance-weighted Tr((Pi - B) Sigma (Pi - B)^T) at
+        Sigma = I, bit for bit, and the regime ceiling m / (4 sqrt(2 M e^3))."""
+        rng = np.random.default_rng(1)
+        for d in (1, 3, 4, 6):
+            state = flat_state(rng.standard_normal((5, d, d)) * 0.3)
+            b = rng.standard_normal((d, d))
+            resid = transport_product(state.matrices()) - b
+            assert loss(state, b) == float(np.einsum("ij,jk,ik->", resid, np.eye(d), resid))
+        assert linear_flow.LOSS_THRESHOLD == 1.0 / (4.0 * math.sqrt(2.0 * 1.0 * math.e ** 3))
 
-    def test_diagonal_eigenvalues(self):
-        prob = build_problem(np.diag([1.0, 4.0]), np.zeros((2, 2)))
-        assert prob.m == 1.0 and prob.m_max == 4.0
-
-    def test_matches_characteristic_polynomial(self):
-        """Extremal eigenvalues agree with a root solve of det(lam I - S)."""
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3))
-        s = a.T @ a + 0.1 * np.eye(3)
-        prob = build_problem(s, np.zeros((3, 3)))
-        c2 = np.trace(s)
-        minors = sum(np.linalg.det(s[np.ix_(idx, idx)])
-                     for idx in ([0, 1], [0, 2], [1, 2]))
-        c0 = np.linalg.det(s)
-        roots = np.roots([1.0, -c2, minors, -c0]).real
-        assert prob.m == pytest.approx(roots.min(), abs=1e-8)
-        assert prob.m_max == pytest.approx(roots.max(), abs=1e-8)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            build_problem(np.diag([1.0, -2.0]), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="symmetric"):
-            build_problem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            build_problem(np.eye(2), np.zeros((3, 3)))
+    @pytest.mark.parametrize("target", [np.zeros((2, 3)), np.zeros(4), np.full((2, 2), np.inf),
+                                        [[0.0, np.nan], [0.0, 0.0]]],
+                             ids=["not_square", "flat", "inf", "nan"])
+    def test_target_is_checked_on_entry(self, target):
+        """loss, integrate_flow and check_small_loss_regime take B only
+        finite and of the state's (d, d) shape."""
+        state = flat_state(np.zeros((3, 2, 2)))
+        for call in (lambda: loss(state, target),
+                     lambda: integrate_flow(state, target, 0.1, 1e-2, [0.0]),
+                     lambda: check_small_loss_regime(state, target)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestLoss:
     def test_identity_product_hits_identity_target(self):
-        prob = build_problem(np.diag([2.0, 5.0]), np.eye(2))
         state = flat_state(np.zeros((3, 2, 2)))
-        assert loss(state, prob) == 0.0
+        assert loss(state, np.eye(2)) == 0.0
 
     def test_zero_target_identity_sigma(self):
-        prob = build_problem(np.eye(2), np.zeros((2, 2)))
-        assert loss(flat_state(np.zeros((4, 2, 2))), prob) == pytest.approx(2.0)
+        assert loss(flat_state(np.zeros((4, 2, 2))), np.zeros((2, 2))) == pytest.approx(2.0)
 
     def test_scalar_value(self):
-        prob = build_problem(np.eye(1), np.array([[2.0]]))
-        assert loss(scalar_state([0.0]), prob) == pytest.approx(1.0)
-
-    def test_weighted_trace_hand_value(self):
-        # residual [[1,2],[3,4]] against diag(1,4): 1+16+9+64
-        prob = build_problem(np.diag([1.0, 4.0]), np.zeros((2, 2)))
-        state = flat_state([[[0.0, 2.0], [3.0, 3.0]]])
-        assert loss(state, prob) == pytest.approx(90.0)
+        assert loss(scalar_state([0.0]), np.array([[2.0]])) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        prob = build_problem(np.eye(3), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            loss(flat_state(np.zeros((2, 2, 2))), prob)
+        with pytest.raises(ValueError, match="does not match"):
+            loss(flat_state(np.zeros((2, 2, 2))), np.zeros((3, 3)))
 
 
 def test_transport_product_applies_layer_one_first():
@@ -137,32 +122,28 @@ class TestLayerGradient:
         """Quadratic loss (1 + theta - 2)^2 has derivative -2 at zero; the
         rescaled gradient carries the factor 2 so it matches finite
         differences of the loss."""
-        prob = build_problem(np.eye(1), np.array([[2.0]]))
-        grad = linear_flow._rescaled_gradients(np.zeros((1, 1, 1)), prob)[0][0]
+        grad = linear_flow._rescaled_gradients(np.zeros((1, 1, 1)), np.array([[2.0]]))[0][0]
         assert grad[0, 0] == pytest.approx(-2.0)
 
     def test_zero_at_global_minimum(self):
         rng = np.random.default_rng(4)
         thetas = rng.standard_normal((3, 2, 2)) * 0.2
         b = transport_product(thetas)
-        prob = build_problem(np.eye(2), b)
         for n in (1, 2, 3):
-            grad = linear_flow._rescaled_gradients(thetas, prob)[0][n - 1]
+            grad = linear_flow._rescaled_gradients(thetas, b)[0][n - 1]
             assert np.max(np.abs(grad)) <= 1e-14
 
     @pytest.mark.parametrize("dim,depth", [(2, 1), (2, 3), (2, 4), (3, 5), (3, 9), (3, 17)])
     def test_matches_rescaled_finite_differences(self, dim, depth):
         rng = np.random.default_rng(10 * dim + depth)
-        a = rng.standard_normal((dim, dim))
-        prob = build_problem(a.T @ a + 0.1 * np.eye(dim),
-                             rng.standard_normal((dim, dim)))
+        b = rng.standard_normal((dim, dim))
         thetas = rng.standard_normal((depth, dim, dim)) * 0.4
-        grads = linear_flow._rescaled_gradients(thetas, prob)[0]
+        grads = linear_flow._rescaled_gradients(thetas, b)[0]
         for n in range(1, depth + 1):
             def loss_of_layer(flat, n=n):
                 moved = thetas.copy()
                 moved[n - 1] = flat.reshape(dim, dim)
-                return loss(flat_state(moved), prob)
+                return loss(flat_state(moved), b)
 
             fd = finite_difference_gradient(
                 loss_of_layer, thetas[n - 1].ravel(), eps=1e-6) * depth
@@ -173,39 +154,29 @@ class TestLayerGradient:
 
 class TestSmallLossTarget:
     def test_initial_loss_hits_requested_fraction(self):
+        """The initial loss is an eighth of the squared regime threshold."""
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((3, 3))
-        sigma = a.T @ a + 0.5 * np.eye(3)
         state = flat_state(rng.standard_normal((4, 3, 3)) * 0.05)
-        for fraction in (0.125, 0.5, 0.9):
-            b = small_loss_target(sigma, state, seed=2, loss_fraction=fraction)
-            prob = build_problem(sigma, b)
-            eigs = np.linalg.eigvalsh(sigma)
-            threshold = eigs[0] / (4.0 * math.sqrt(2.0 * eigs[-1] * math.e ** 3))
-            assert loss(state, prob) == pytest.approx(
-                fraction * threshold ** 2, rel=1e-12)
-
-    def test_fraction_validation(self):
-        state = scalar_state([0.0])
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                small_loss_target(np.eye(1), state, loss_fraction=bad)
+        threshold = 1.0 / (4.0 * math.sqrt(2.0 * math.e ** 3))
+        for seed in (0, 2):
+            b = small_loss_target(state, seed=seed)
+            assert loss(state, b) == pytest.approx(0.125 * threshold ** 2, rel=1e-12)
 
 
 class TestRegimeCheck:
     def test_threshold_value_identity_sigma(self):
-        prob = build_problem(np.eye(2), np.eye(2))
-        rep = check_small_loss_regime(flat_state(np.zeros((2, 2, 2))), prob)
-        assert rep.loss_threshold == pytest.approx(0.0394443, abs=1e-6)
-        assert rep.loss_threshold == 1.0 / (4.0 * math.sqrt(2.0 * math.e ** 3))
+        """At zero loss the margin is the whole threshold m / (4 sqrt(2 M e^3)), m = M = 1."""
+        rep = check_small_loss_regime(flat_state(np.zeros((2, 2, 2))), np.eye(2))
+        assert rep.loss_margin == pytest.approx(0.0394443, abs=1e-6)
+        assert rep.loss_margin == 1.0 / (4.0 * math.sqrt(2.0 * math.e ** 3))
 
     def test_loss_margin_decides(self):
         # initial loss 1e-3 sits inside the squared threshold 1.556e-3,
         # 1e-2 does not
         direction = np.eye(2) / math.sqrt(2.0)
         zero = np.zeros((2, 2, 2))
-        ok = build_problem(np.eye(2), np.eye(2) + math.sqrt(1e-3) * direction)
-        bad = build_problem(np.eye(2), np.eye(2) + math.sqrt(1e-2) * direction)
+        ok = np.eye(2) + math.sqrt(1e-3) * direction
+        bad = np.eye(2) + math.sqrt(1e-2) * direction
         rep_ok = check_small_loss_regime(flat_state(zero), ok)
         rep_bad = check_small_loss_regime(flat_state(zero), bad)
         assert rep_ok.passes and rep_ok.loss_margin > 0
@@ -214,8 +185,7 @@ class TestRegimeCheck:
 
     def test_norm_margin_decides(self):
         thetas = np.stack([0.3 * np.eye(2), np.zeros((2, 2))])
-        prob = build_problem(np.eye(2), transport_product(thetas))
-        rep = check_small_loss_regime(flat_state(thetas), prob)
+        rep = check_small_loss_regime(flat_state(thetas), transport_product(thetas))
         assert not rep.passes
         assert rep.norm_margin == pytest.approx(-0.05)
         assert rep.loss_margin > 0  # loss is exactly zero here
@@ -223,17 +193,20 @@ class TestRegimeCheck:
 
 class TestMaxStepSize:
     def test_cap_and_curvature_limit(self):
-        assert max_step_size(build_problem(np.eye(2), np.zeros((2, 2)))) == 1e-2
-        stiff = build_problem(np.diag([1.0, 100.0]), np.zeros((2, 2)))
-        assert max_step_size(stiff) == pytest.approx(1e-3)
+        """dt may reach min(1e-2, 0.1/M) at M = 1 and no further."""
+        assert linear_flow.MAX_STEP_SIZE == min(1e-2, 0.1 / 1.0) == 1e-2
+        b = np.array([[1.01]])
+        trace = integrate_flow(scalar_state([0.0]), b, 0.02, 1e-2, [0.0, 0.02])
+        assert trace.samples[-1].t == 0.02
+        with pytest.raises(ValueError, match="dt must lie in"):
+            integrate_flow(scalar_state([0.0]), b, 0.02, 1e-2 * (1.0 + 1e-9), [0.0, 0.02])
 
 
 class TestIntegrateFlow:
     def test_scalar_closed_form(self):
         """theta' = -2(theta - 0.01) from zero: theta = 0.01(1 - e^{-2t}),
         loss = 1e-4 e^{-4t}."""
-        prob = build_problem(np.eye(1), np.array([[1.01]]))
-        trace = integrate_flow(scalar_state([0.0]), prob, 2.0, 1e-3,
+        trace = integrate_flow(scalar_state([0.0]), np.array([[1.01]]), 2.0, 1e-3,
                                np.linspace(0.0, 2.0, 9))
         for s in trace.samples:
             assert s.thetas[0, 0, 0] == pytest.approx(
@@ -244,8 +217,8 @@ class TestIntegrateFlow:
     def test_stationary_at_global_minimum(self):
         rng = np.random.default_rng(5)
         thetas = rng.standard_normal((3, 2, 2)) * 0.1
-        prob = build_problem(np.eye(2), transport_product(thetas))
-        trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2, [0.0, 0.5, 1.0])
+        trace = integrate_flow(flat_state(thetas), transport_product(thetas), 1.0, 1e-2,
+                               [0.0, 0.5, 1.0])
         for s in trace.samples:
             assert np.array_equal(s.thetas, trace.samples[0].thetas)
 
@@ -257,8 +230,7 @@ class TestIntegrateFlow:
         theta0 = 0.5 * (a + a.T)
         thetas = np.tile(theta0, (4, 1, 1))
         b = transport_product(thetas) + 0.05 * np.eye(2)
-        prob = build_problem(np.eye(2), b)
-        trace = integrate_flow(flat_state(thetas), prob, 5.0, 1e-2,
+        trace = integrate_flow(flat_state(thetas), b, 5.0, 1e-2,
                                np.linspace(0.0, 5.0, 6))
         for s in trace.samples:
             mats = s.thetas
@@ -268,42 +240,61 @@ class TestIntegrateFlow:
     def test_sample_losses_match_their_schedules(self):
         rng = np.random.default_rng(7)
         thetas = rng.standard_normal((6, 2, 2)) * 0.1
-        prob = build_problem(np.diag([1.0, 2.0]), transport_product(thetas) + 0.05)
-        trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2,
+        b = transport_product(thetas) + 0.05
+        trace = integrate_flow(flat_state(thetas), b, 1.0, 1e-2,
                                np.linspace(0.0, 1.0, 5))
         for s in trace.samples:
             assert s.loss_value == pytest.approx(
-                loss(state_from_matrices(s.thetas, s.t), prob), rel=1e-12)
+                loss(state_from_matrices(s.thetas, s.t), b), rel=1e-12)
+
+    def test_trace_keeps_its_own_target(self):
+        """Reusing the caller's B buffer later cannot change which problem a
+        trace is compared as."""
+        b = np.array([[1.01]])
+        trace = integrate_flow(scalar_state([0.0]), b, 0.01, 1e-2, [0.0])
+        b[0, 0] = 2.0
+        assert trace.target[0, 0] == 1.01
 
     def test_rejects_bad_steps_and_snapshots(self):
-        prob = build_problem(np.eye(1), np.array([[1.01]]))
+        b = np.array([[1.01]])
         state = scalar_state([0.0])
         with pytest.raises(ValueError):
-            integrate_flow(state, prob, 1.0, 0.05, [0.0, 1.0])  # above the cap
+            integrate_flow(state, b, 1.0, 0.05, [0.0, 1.0])  # above the cap
         with pytest.raises(ValueError):
-            integrate_flow(state, prob, 1.0, 0.0, [0.0, 1.0])
+            integrate_flow(state, b, 1.0, 0.0, [0.0, 1.0])
         with pytest.raises(ValueError):
-            integrate_flow(state, prob, 1.0, 1e-3, [0.5, 0.5])
+            integrate_flow(state, b, 1.0, 1e-3, [0.5, 0.5])
         with pytest.raises(ValueError):
-            integrate_flow(state, prob, 1.0, 1e-3, [0.0, 2.0])
+            integrate_flow(state, b, 1.0, 1e-3, [0.0, 2.0])
         with pytest.raises(ValueError):
-            integrate_flow(FlowState(state.schedule, 3.0), prob, 1.0, 1e-3, [])
+            integrate_flow(FlowState(state.schedule, 3.0), b, 1.0, 1e-3, [])
 
     def test_unstable_step_raises_with_advice(self):
-        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        b = np.zeros((1, 1))
         big = scalar_state([20.0, 20.0, 20.0, 20.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepSizeError, match="reduce dt"):
-                integrate_flow(big, prob, 1.0, 1e-2, [0.0, 1.0])
+                integrate_flow(big, b, 1.0, 1e-2, [0.0, 1.0])
 
     def test_nan_loss_is_a_step_size_error(self):
         # Layers at 1e3 overflow the stages to inf - inf, so the loss
         # after the first step is NaN rather than inf.
-        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        b = np.zeros((1, 1))
         big = scalar_state([1e3] * 4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepSizeError, match="to nan"):
-                integrate_flow(big, prob, 1.0, 1e-2, [0.0, 1.0])
+                integrate_flow(big, b, 1.0, 1e-2, [0.0, 1.0])
+
+    def test_step_size_error_names_the_failing_step(self):
+        """Four layers at 0.3 against B = 50 pass two steps and fail the
+        third, t = 0.02 to 0.03: the message gives that step's start,
+        not the start of its snapshot segment, in the first segment or a later one."""
+        state = scalar_state([0.3] * 4)
+        for snapshots in ([0.0, 1.0, 2.0], [0.0, 0.01, 2.0]):
+            with pytest.raises(StepSizeError, match=r"near t=0\.02;"):
+                integrate_flow(state, np.array([[50.0]]), 2.0, 1e-2, snapshots)
+        trace = integrate_flow(state, np.array([[50.0]]), 0.02, 1e-2, [0.0, 0.02])
+        assert trace.samples[-1].loss_value < trace.samples[0].loss_value
 
 
 class TestFlowTraceValidation:
@@ -311,22 +302,22 @@ class TestFlowTraceValidation:
         return FlowSample(t, value, 0.0, 0.0, np.zeros((2, 1, 1)))
 
     def test_times_must_increase(self):
-        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        b = np.zeros((1, 1))
         with pytest.raises(ValueError):
-            FlowTrace([self._sample(0.0, 1.0), self._sample(0.0, 1.0)], prob)
+            FlowTrace([self._sample(0.0, 1.0), self._sample(0.0, 1.0)], b)
 
     def test_loss_must_not_increase(self):
-        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        b = np.zeros((1, 1))
         with pytest.raises(ValueError, match="increased"):
-            FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], prob)
+            FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], b)
 
     @pytest.mark.parametrize("losses", [(1.0, math.nan), (math.nan, 1.0)],
                              ids=["nan_later", "nan_first"])
     def test_nan_loss_counts_as_a_rise(self, losses):
         """The trace applies integrate_flow's rule, under which NaN never passes."""
-        prob = build_problem(np.eye(1), np.zeros((1, 1)))
+        b = np.zeros((1, 1))
         with pytest.raises(ValueError, match="increased"):
-            FlowTrace([self._sample(0.0, losses[0]), self._sample(1.0, losses[1])], prob)
+            FlowTrace([self._sample(0.0, losses[0]), self._sample(1.0, losses[1])], b)
 
 
 class TestStateConstruction:
@@ -350,8 +341,7 @@ class TestMonitors:
         theta0 = np.array([[0.1, 0.05], [0.05, -0.1]])
         thetas = np.tile(theta0, (4, 1, 1))
         b = transport_product(thetas) + 0.01 * np.eye(2)
-        prob = build_problem(np.eye(2), b)
-        trace = integrate_flow(flat_state(thetas), prob, 2.0, 1e-2, [0.0, 1.0, 2.0])
+        trace = integrate_flow(flat_state(thetas), b, 2.0, 1e-2, [0.0, 1.0, 2.0])
         rep = monitor_invariants(trace)
         assert rep.max_smoothness_stat <= 1e-10
 
@@ -363,10 +353,9 @@ class TestMonitors:
         a = rng.standard_normal((4, 4))
         a /= np.linalg.norm(a, 2)
         state = state_from_profile(lambda s: s * a / 10.0, 32)
-        b = small_loss_target(np.eye(4), state, seed=1, loss_fraction=0.5)
-        prob = build_problem(np.eye(4), b)
-        assert check_small_loss_regime(state, prob).passes
-        trace = integrate_flow(state, prob, 10.0, max_step_size(prob),
+        b = small_loss_target(state, seed=1)
+        assert check_small_loss_regime(state, b).passes
+        trace = integrate_flow(state, b, 10.0, linear_flow.MAX_STEP_SIZE,
                                np.linspace(0.0, 10.0, 11))
         rep = monitor_invariants(trace)
         assert rep.theta_bound_ok and rep.max_theta_norm < 0.5
@@ -376,35 +365,32 @@ class TestMonitors:
     def test_violating_init_is_flagged_not_raised(self):
         thetas = np.stack([0.6 * np.eye(2), 0.6 * np.eye(2)])
         b = transport_product(thetas) + 0.01 * np.eye(2)
-        prob = build_problem(np.eye(2), b)
-        trace = integrate_flow(flat_state(thetas), prob, 1.0, 1e-2, [0.0, 1.0])
+        trace = integrate_flow(flat_state(thetas), b, 1.0, 1e-2, [0.0, 1.0])
         rep = monitor_invariants(trace)
         assert rep.theta_bound_ok is False
 
 
 @pytest.fixture(scope="module")
 def doubling_runs():
-    """Profile-initialized flows at depths 16..128 sharing one problem."""
+    """Profile-initialized flows at depths 16..128 sharing one target."""
     profile = lambda s: s * np.eye(2) / 10.0
-    ref_state = state_from_profile(profile, 128)
-    b = small_loss_target(np.eye(2), ref_state, seed=3, loss_fraction=0.125)
-    prob = build_problem(np.eye(2), b)
+    b = small_loss_target(state_from_profile(profile, 128), seed=3)
     snaps = np.linspace(0.0, 20.0, 11)
     traces = {}
     for depth in (16, 32, 64, 128):
         state = state_from_profile(profile, depth)
-        assert check_small_loss_regime(state, prob).passes
-        traces[depth] = integrate_flow(state, prob, 20.0, max_step_size(prob), snaps)
-    return profile, prob, traces
+        assert check_small_loss_regime(state, b).passes
+        traces[depth] = integrate_flow(state, b, 20.0, linear_flow.MAX_STEP_SIZE, snaps)
+    return profile, b, traces
 
 
 class TestDepthDoubling:
     def test_identical_constant_inits_match_at_start(self):
         theta0 = 0.05 * np.eye(2)
-        prob = build_problem(np.eye(2), np.eye(2) + 0.01 * np.eye(2) / math.sqrt(2.0))
-        tr_a = integrate_flow(flat_state(np.tile(theta0, (8, 1, 1))), prob,
+        b = np.eye(2) + 0.01 * np.eye(2) / math.sqrt(2.0)
+        tr_a = integrate_flow(flat_state(np.tile(theta0, (8, 1, 1))), b,
                               0.0, 1e-2, [0.0])
-        tr_b = integrate_flow(flat_state(np.tile(theta0, (16, 1, 1))), prob,
+        tr_b = integrate_flow(flat_state(np.tile(theta0, (16, 1, 1))), b,
                               0.0, 1e-2, [0.0])
         assert depth_double_compare(tr_a, tr_b) == 0.0
 
@@ -418,12 +404,12 @@ class TestDepthDoubling:
         assert 0.35 <= d64 / d32 <= 0.7
 
     def test_mismatch_validation(self, doubling_runs):
-        _, prob, traces = doubling_runs
+        _, b, traces = doubling_runs
         with pytest.raises(ValueError):
             depth_double_compare(traces[16], traces[64])
         short = integrate_flow(
             state_from_profile(lambda s: s * np.eye(2) / 10.0, 32),
-            prob, 0.0, 1e-2, [0.0])
+            b, 0.0, 1e-2, [0.0])
         with pytest.raises(ValueError):
             depth_double_compare(traces[16], short)
 
@@ -461,12 +447,11 @@ class TestLimitMap:
         """With the reference at depth 256, the exact distance equals, bit
         for bit, the 256-point midpoint sampling of both step profiles."""
         rng = np.random.default_rng(7)
-        prob = build_problem(np.eye(3), np.eye(3))
         depths = (16, 32, 64, 128, 256)
         stacks = {n: rng.standard_normal((2, n, 3, 3)) for n in depths}
         report = extract_limit_map([
             FlowTrace([FlowSample(t, 1.0, 0.0, 0.0, stacks[n][ti])
-                       for ti, t in enumerate((0.0, 1.0))], prob)
+                       for ti, t in enumerate((0.0, 1.0))], np.eye(3))
             for n in depths])
         s_grid = (np.arange(256) + 0.5) / 256
 
@@ -510,14 +495,14 @@ class TestLimitMap:
         with pytest.raises(ValueError):
             extract_limit_map([traces[16], traces[16], traces[32]])
 
-    @pytest.mark.parametrize("problem", [
-        lambda k: build_problem(np.eye(2), (1.0 + 0.01 * k) * np.eye(2)),
-        lambda k: build_problem(np.diag([1.0, 1.0 + 0.01 * k]), np.eye(2))],
-        ids=["target", "covariance"])
-    def test_rejects_traces_of_different_problems(self, problem):
-        """The limit map, like depth doubling, compares runs of one problem only."""
+    @pytest.mark.parametrize("target", [
+        lambda k: (1.0 + 0.01 * k) * np.eye(2),
+        lambda k: np.eye(2) + np.array([[0.0, 0.01 * k], [0.0, 0.0]])],
+        ids=["target", "one_entry"])
+    def test_rejects_traces_of_different_problems(self, target):
+        """The limit map, like depth doubling, compares runs of one target only."""
         traces = [integrate_flow(state_from_profile(lambda s: s * np.eye(2) / 10.0, depth),
-                                 problem(k), 0.5, 1e-2, [0.0, 0.5])
+                                 target(k), 0.5, 1e-2, [0.0, 0.5])
                   for k, depth in enumerate((4, 8, 16))]
         with pytest.raises(ValueError, match="different problems"):
             depth_double_compare(traces[0], traces[1])
