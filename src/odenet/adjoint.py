@@ -23,7 +23,7 @@ the reconstruction and the gradients.
 
 The sweep walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
 a block's states are a view of the stored nodes, or a block buffer the
-reverse step fills with a divergence check per layer, and the
+reverse step fills and ``dynamics._check_block`` screens once, and the
 scheme's ``backprop`` linearizes the block in one stacked call (two for
 the two-stage scheme) before its cotangent recursion runs layer by
 layer.  So a sweep holds one or two blocks of states, activations and
@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import EULER, HEUN, Scheme, Trajectory, _check_divergence
+from .dynamics import EULER, HEUN, SWEEP_BLOCK, Scheme, Trajectory, _check_block
 from .numerics import require_finite
 from .residual_models import ResidualFamily, WeightSchedule
 
@@ -61,9 +61,6 @@ __all__ = [
 ]
 
 REL_ERROR_FLOOR = 1e-15
-# Layers per block of a reverse sweep: one stacked linearization each.
-# It bounds the sweep's working memory, whatever the depth.
-SWEEP_BLOCK = 16
 
 
 @dataclass
@@ -122,10 +119,11 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
         lo = max(hi - SWEEP_BLOCK, 0)
         if nodes is None:
             xs = np.empty((hi - lo,) + x.shape)
-            for n in range(hi - 1, lo - 1, -1):
-                x = step(f, x, n + lead, n, -N)
-                _check_divergence(x, n, "adjoint sweep")
-                xs[n - lo] = x
+            # Layers past a divergence run on until the block's screen.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in range(hi - 1, lo - 1, -1):
+                    x = xs[n - lo] = step(f, x, n + lead, n, -N)
+            _check_block(xs[::-1], range(hi - 1, lo - 1, -1), "adjoint sweep")
         else:
             xs = nodes[lo:hi]
         own, carry, grads = scheme.backprop(linearize_block, xs, lo, g, N)

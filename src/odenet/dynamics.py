@@ -13,7 +13,9 @@ and the two-stage (midpoint-corrected) update is
 where theta_N falls back to theta_{N-1} (see WeightSchedule.padded).
 Each update is one ``Scheme`` (EULER, HEUN) with its reverse-mode
 derivative over a block of layers; every chain and reverse sweep runs
-one of them.
+one of them, SWEEP_BLOCK layers at a time, and screens each block of
+states for divergence once (``_check_block``): the error names the
+first layer in step order whose state fails the per-state rule.
 Interpolating fields turn a schedule into a continuous-time right-hand
 side that agrees with f(., theta_n) at every grid time n/N, which is the
 property all error measurements below are anchored on.
@@ -46,6 +48,10 @@ __all__ = [
 # A state this large has left the regime where any of the error bounds
 # mean anything; fail fast with the layer index instead of overflowing.
 DIVERGENCE_THRESHOLD = 1e12
+# Layers per block of a chain or reverse sweep: one divergence screen and
+# one stacked linearization each.  It bounds a sweep's working memory,
+# whatever the depth.
+SWEEP_BLOCK = 16
 
 
 class DivergenceError(RuntimeError):
@@ -76,6 +82,22 @@ def _check_divergence(x, layer: int, context: str):
     # NaN fails the comparison; inf or an overflowing square gives inf.
     if not math.sqrt(float(np.vdot(x, x))) <= DIVERGENCE_THRESHOLD:
         raise DivergenceError(f"{context} diverged at layer {layer}", layer)
+
+
+def _check_block(states, layers, context: str):
+    """``_check_divergence`` over a stack of states, states[j] reached at
+    layer layers[j] in step order, in one reduction while none is near
+    the threshold.
+
+    max|x| <= DIVERGENCE_THRESHOLD / (2 sqrt(size)) bounds every state's
+    norm by half the threshold, so the per-state rule passes each of
+    them whatever its rounding; NaN fails the comparison.  Any other
+    stack is checked state by state, so the layer and message are the
+    per-state rule's.
+    """
+    if not np.abs(states).max() <= DIVERGENCE_THRESHOLD / (2.0 * math.sqrt(states[0].size)):
+        for x, layer in zip(states, layers):
+            _check_divergence(x, layer, context)
 
 
 def _locate(s, N: int):
@@ -186,19 +208,26 @@ class Trajectory:
 
 def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
              x0, store: bool = True):
-    """Run the chain: its Trajectory if ``store``, else only x_N."""
+    """Run the chain: its Trajectory if ``store``, else only x_N.
+
+    It steps SWEEP_BLOCK layers at a time, into the stored nodes or into
+    one reused block buffer, and screens each block once for divergence.
+    """
     x = family.check_entry(schedule, x0)
     N = schedule.depth
     step, f = scheme.step, family._bind(schedule.padded)[0]
+    states = np.empty(((N + 1) if store else SWEEP_BLOCK,) + x.shape)
     if store:
-        nodes = np.empty((N + 1,) + x.shape)
-        nodes[0] = x
-    for n in range(N):
-        x = step(f, x, n, n + 1, N)
-        _check_divergence(x, n, "forward chain")
-        if store:
-            nodes[n + 1] = x
-    return Trajectory(nodes, scheme) if store else x
+        states[0] = x
+    for lo in range(0, N, SWEEP_BLOCK):
+        hi = min(lo + SWEEP_BLOCK, N)
+        block = states[lo + 1:hi + 1] if store else states[:hi - lo]
+        # Layers past a divergence run on until the block's screen.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(lo, hi):
+                x = block[n - lo] = step(f, x, n, n + 1, N)
+        _check_block(block, range(lo, hi), "forward chain")
+    return Trajectory(states, scheme) if store else x
 
 
 def forward_euler_chain(family: ResidualFamily, schedule: WeightSchedule,

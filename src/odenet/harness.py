@@ -355,10 +355,11 @@ def _adjoint_depth_metrics(scheme, family, schedule, x0, target):
     out_grad = out - target
     exact = exact_backprop(family, schedule, traj, out_grad)
     approx = np.empty_like(exact)
-    recon_error = 0.0  # x~_N is x_N
+    rebuilt = np.empty_like(traj.nodes[:-1])  # x~_N is x_N
     for n, theta_grad, _, x_n in adjoint_sweep(family, schedule, out, out_grad):
         approx[n] = theta_grad
-        recon_error = max(recon_error, float(np.sqrt(np.sum((x_n - traj.nodes[n]) ** 2))))
+        rebuilt[n] = x_n
+    recon_error = float(np.max(np.linalg.norm(rebuilt - traj.nodes[:-1], axis=1)))
     comp = compare_gradients(exact, require_finite(approx, "param_grads"))
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     grad_scale = float(np.max(np.linalg.norm(exact, axis=1)))
@@ -666,12 +667,15 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
         _write_rows(losses_path, ["iteration", "loss"],
                     [[k, _fmt(losses[k])] for k in range(losses.size)])
-        # B·(N + 1) rows, streamed to the file rather than held in memory.
-        s_text = [_fmt(s) for s in (np.arange(depth + 1) / depth).tolist()]
-        rows = ([b, node, s_text[node], _fmt(x)]
-                for b in range(config.input_count)
-                for node, x in enumerate(traj.nodes[:, 0, b].tolist()))
-        _write_rows(os.path.join(out_dir, f"trajectories_N{depth}.csv"),
-                    ["input_index", "node_index", "s", "x_0"], rows)
+        # B·(N + 1) rows in csv.writer's format, streamed to the file one
+        # input's N + 1 lines at a time rather than held in memory.
+        node_cells = [f"{node},{_fmt(s)},"
+                      for node, s in enumerate((np.arange(depth + 1) / depth).tolist())]
+        with open(os.path.join(out_dir, f"trajectories_N{depth}.csv"), "w",
+                  newline="") as fh:
+            fh.write("input_index,node_index,s,x_0\r\n")
+            for b in range(config.input_count):
+                fh.write("".join([f"{b},{cells}{x:.17g}\r\n" for cells, x
+                                  in zip(node_cells, traj.nodes[:, 0, b].tolist())]))
         runs[depth] = ToyRun(depth, losses, float(losses[-1]), losses_path)
     return ToyTrainResult(config.gradient_mode, runs)

@@ -184,11 +184,10 @@ def loss(state: FlowState, target) -> float:
 def _rescaled_gradients(thetas: np.ndarray, target: np.ndarray):
     """All N rescaled gradients at once via shared partial products.
 
-    Returns the (N, d, d) gradient stack and the loss of ``thetas``,
-    read from the full product the gradient already needs.
+    Returns the (N, d, d) gradient stack and the full product Pi of
+    ``thetas``, which the gradient needs and the loss is read from.
     """
     pre, suf_t = _prefix_suffix(thetas)
-    value = _sq_norm(pre[-1] - target)
     # Layer n sees transposed partial products on both sides; the
     # quadratic loss contributes the overall factor 2.  numpy's matmul
     # reads a swapped-axes view about 2.5x slower than a contiguous
@@ -196,7 +195,7 @@ def _rescaled_gradients(thetas: np.ndarray, target: np.ndarray):
     resid = 2.0 * (pre[-1] - target)
     pre_t = np.ascontiguousarray(np.swapaxes(pre[:-1], 1, 2))
     grads = suf_t[1:] @ resid @ pre_t
-    return grads, value
+    return grads, pre[-1]
 
 
 def _loss_rose(before: float, after: float, first: float) -> bool:
@@ -257,7 +256,7 @@ def integrate_flow(state0: FlowState, target, t_end: float,
     StepSizeError at the start time of the failing step.  Every loss,
     the starting one included, is read from the full product built by
     the gradient evaluation at the same layers, which is also the next
-    step's first RK4 stage.
+    step's first RK4 stage; the inner stages take no loss.
     """
     target = _require_target(target, state0).copy()   # the trace keeps it
     if not (0.0 < dt <= MAX_STEP_SIZE * (1.0 + 1e-12)):
@@ -274,7 +273,8 @@ def integrate_flow(state0: FlowState, target, t_end: float,
 
     thetas = state0.matrices()
     t = state0.t
-    grads, current_loss = _rescaled_gradients(thetas, target)
+    grads, product = _rescaled_gradients(thetas, target)
+    current_loss = _sq_norm(product - target)
     samples = []
     if abs(stops[0] - t) <= 1e-12:
         samples.append(_sample(thetas, t, current_loss))
@@ -290,7 +290,8 @@ def integrate_flow(state0: FlowState, target, t_end: float,
         h = span / steps
         for k in range(steps):
             thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
-            grads, new_loss = _rescaled_gradients(thetas, target)
+            grads, product = _rescaled_gradients(thetas, target)
+            new_loss = _sq_norm(product - target)
             if _loss_rose(current_loss, new_loss, first):
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "

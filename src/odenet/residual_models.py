@@ -151,16 +151,16 @@ def make_linear_family(d: int) -> ResidualFamily:
         mats = rows.reshape(-1, d, d)
 
         def eval_fn(x, n):
-            return np.dot(mats[n], x)
+            return mats[n].dot(x)
 
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
 
             def vjp_x(j, v):
-                return np.dot(mats[lo + j].T, v)
+                return mats[lo + j].T.dot(v)
 
             def vjp_theta(vs):
-                return np.matmul(_columns(vs), np.swapaxes(cols, 1, 2)).reshape(count, d * d)
+                return np.matmul(_columns(vs), cols.swapaxes(1, 2)).reshape(count, d * d)
             return np.matmul(mats[lo:lo + count], cols).reshape(xs.shape), vjp_x, vjp_theta
         return eval_fn, linearize_block, _eval_blend(eval_fn)
 
@@ -182,24 +182,24 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         w1s, w2s = rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
 
         def eval_fn(x, n):
-            return np.dot(w2s[n], np.tanh(np.dot(w1s[n], x)))
+            return w2s[n].dot(np.tanh(w1s[n].dot(x)))
 
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
             w1, w2 = w1s[lo:lo + count], w2s[lo:lo + count]
-            w1t, w2t = np.swapaxes(w1, 1, 2), np.swapaxes(w2, 1, 2)
+            w1t, w2t = w1.swapaxes(1, 2), w2.swapaxes(1, 2)
             a = np.tanh(np.matmul(w1, cols))
             slope = 1.0 - a**2  # tanh' at the pre-activations
             slopes = slope.reshape((count, hidden) + xs.shape[2:])
 
             def vjp_x(j, v):
-                return np.dot(w1t[j], slopes[j] * np.dot(w2t[j], v))
+                return w1t[j].dot(slopes[j] * w2t[j].dot(v))
 
             def vjp_theta(vs):
                 v = _columns(vs)
                 u = slope * np.matmul(w2t, v)
-                grad_w1 = np.matmul(u, np.swapaxes(cols, 1, 2)).reshape(count, n1)
-                grad_w2 = np.matmul(v, np.swapaxes(a, 1, 2)).reshape(count, n1)
+                grad_w1 = np.matmul(u, cols.swapaxes(1, 2)).reshape(count, n1)
+                grad_w2 = np.matmul(v, a.swapaxes(1, 2)).reshape(count, n1)
                 return np.concatenate([grad_w1, grad_w2], axis=1)
             return np.matmul(w2, a).reshape(xs.shape), vjp_x, vjp_theta
 
@@ -211,7 +211,7 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
             alpha = np.asarray(alphas, dtype=float)[:, None, None]
             table = np.concatenate([(1.0 - alpha) * w2s[n], alpha * w2s[n + 1]], axis=2)
             layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
-            return lambda x, m: np.dot(layers[m][1], np.tanh(np.dot(layers[m][0], x)))
+            return lambda x, m: layers[m][1].dot(np.tanh(layers[m][0].dot(x)))
         return eval_fn, linearize_block, blend
 
     return ResidualFamily("mlp", d, 2 * d * hidden, bind)

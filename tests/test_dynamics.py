@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from odenet.adjoint import _sweep
 from odenet.dynamics import (
     DIVERGENCE_THRESHOLD,
     EULER,
     HEUN,
+    SWEEP_BLOCK,
     DivergenceError,
     Trajectory,
     approximation_bound,
@@ -21,6 +23,7 @@ from odenet.dynamics import (
 )
 from odenet.numerics import fit_loglog_slope, spectral_norm
 from odenet.residual_models import (
+    ResidualFamily,
     WeightSchedule,
     make_identity_family,
     make_linear_family,
@@ -351,34 +354,39 @@ class TestOraclePiecePath:
                 solve_ode_oracle(field, bad, 8)
 
 
+ABOVE = np.nextafter(DIVERGENCE_THRESHOLD, np.inf)
+BELOW = np.nextafter(DIVERGENCE_THRESHOLD, 0.0)
+ADVERSARIAL_STATES = [
+    np.array([np.nan, 0.0, 0.0, 0.0]),
+    np.array([np.inf, 0.0, 0.0, 0.0]),
+    np.array([-np.inf, 1.0, 0.0, 0.0]),
+    np.array([np.inf, -np.inf, 0.0, 0.0]),
+    np.full(4, 1e200),
+    np.array([-1e200, 1e-300, 0.0, 0.0]),
+    np.array([ABOVE, 0.0, 0.0, 0.0]),
+    np.array([BELOW, 0.0, 0.0, 0.0]),
+    np.array([DIVERGENCE_THRESHOLD, 0.0, 0.0, 0.0]),
+    np.array([-ABOVE, 0.0]),
+    np.array([6e11, 8e11 * (1.0 + 1e-15)]),
+    np.zeros(4),
+    np.full((4, 3), 3e11),          # every column below, the whole state above
+    np.full((4, 3), 2e11),
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    np.array([[1e200, 0.0], [0.0, 1.0]]),
+]
+
+
+def diverged_by_finite_and_norm_rule(x) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_THRESHOLD
+
+
 class TestDivergenceCheck:
     """The one-dot-product check agrees with isfinite + np.linalg.norm."""
 
-    above = np.nextafter(DIVERGENCE_THRESHOLD, np.inf)
-    below = np.nextafter(DIVERGENCE_THRESHOLD, 0.0)
-
-    @pytest.mark.parametrize("x", [
-        np.array([np.nan, 0.0, 0.0, 0.0]),
-        np.array([np.inf, 0.0, 0.0, 0.0]),
-        np.array([-np.inf, 1.0, 0.0, 0.0]),
-        np.array([np.inf, -np.inf, 0.0, 0.0]),
-        np.full(4, 1e200),
-        np.array([-1e200, 1e-300, 0.0, 0.0]),
-        np.array([above, 0.0, 0.0, 0.0]),
-        np.array([below, 0.0, 0.0, 0.0]),
-        np.array([DIVERGENCE_THRESHOLD, 0.0, 0.0, 0.0]),
-        np.array([-above, 0.0]),
-        np.array([6e11, 8e11 * (1.0 + 1e-15)]),
-        np.zeros(4),
-        np.full((4, 3), 3e11),          # every column below, the whole state above
-        np.full((4, 3), 2e11),
-        np.array([[1.0, np.nan], [0.0, 1.0]]),
-        np.array([[1e200, 0.0], [0.0, 1.0]]),
-    ])
+    @pytest.mark.parametrize("x", ADVERSARIAL_STATES)
     def test_matches_finite_and_norm_rule(self, x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = (not np.all(np.isfinite(x))
-                        or np.linalg.norm(x) > DIVERGENCE_THRESHOLD)
+        expected = diverged_by_finite_and_norm_rule(x)
         try:
             _check_divergence(x, 7, "probe sweep")
             diverged = False
@@ -386,6 +394,85 @@ class TestDivergenceCheck:
             diverged = True
             assert exc.layer == 7 and str(exc) == "probe sweep diverged at layer 7"
         assert diverged == expected
+
+
+# A power of two, so N x / N is x bit for bit: a residual of +-N x plants
+# the state x in one Euler step from zero, forwards or in reverse.
+PLANT_DEPTH = 4 * SWEEP_BLOCK
+# The first, a middle and the last layer of the chain's second block; the
+# reverse sweep walks the same block from its last layer down.
+PLANT_LAYERS = [SWEEP_BLOCK, SWEEP_BLOCK + SWEEP_BLOCK // 2, 2 * SWEEP_BLOCK - 1]
+# Each Euler run that screens a block of states: the direction's sign, the
+# context its DivergenceError names, and the run from a start state.
+SCREENED_RUNS = {
+    "stored_chain": (1, "forward chain", lambda fam, sched, x: _forward(EULER, fam, sched, x)),
+    "chain": (1, "forward chain",
+              lambda fam, sched, x: _forward(EULER, fam, sched, x, store=False)),
+    "memory_free_sweep": (-1, "adjoint sweep",
+                          lambda fam, sched, x: list(_sweep(EULER, fam, sched, x,
+                                                            np.ones_like(x)))),
+}
+
+
+def planting_family(d, residuals):
+    """The linear family at zero weights, except that layer n's residual
+    is residuals[n](x) where one is given."""
+    base = make_linear_family(d)
+
+    def bind(rows):
+        f, linearize_block, blend = base._bind(rows)
+
+        def eval_fn(x, n):
+            return residuals[n](x) if n in residuals else f(x, n)
+        return eval_fn, linearize_block, blend
+    return ResidualFamily("planting", d, d * d, bind)
+
+
+class TestBlockScreen:
+    """Chains and memory-free sweeps screen each block of states once,
+    yet report the layer and message the per-state rule gives for the
+    first state in step order that fails it, wherever it sits."""
+
+    @pytest.mark.parametrize("run", SCREENED_RUNS)
+    @pytest.mark.parametrize("layer", PLANT_LAYERS)
+    @pytest.mark.parametrize("x", ADVERSARIAL_STATES)
+    def test_planted_state_is_judged_by_the_per_state_rule(self, x, layer, run):
+        sign, context, run_fn = SCREENED_RUNS[run]
+        fam = planting_family(x.shape[0], {layer: lambda _: sign * PLANT_DEPTH * x})
+        sched = WeightSchedule(np.zeros((PLANT_DEPTH, fam.param_dim)))
+        if diverged_by_finite_and_norm_rule(x):
+            with pytest.raises(DivergenceError) as exc:
+                run_fn(fam, sched, np.zeros(x.shape))
+            assert exc.value.layer == layer
+            assert str(exc.value) == f"{context} diverged at layer {layer}"
+        else:
+            out = run_fn(fam, sched, np.zeros(x.shape))
+            if run == "stored_chain":
+                assert np.array_equal(out.nodes[layer + 1], x)
+
+    @pytest.mark.parametrize("run", SCREENED_RUNS)
+    def test_a_state_that_falls_back_is_still_reported(self, run):
+        """A state just above the threshold, zeroed again by the next layer
+        of the same block: the block ends clear, the layer is still named."""
+        sign, context, run_fn = SCREENED_RUNS[run]
+        layer, x = PLANT_LAYERS[1], np.array([ABOVE, 0.0])
+        fam = planting_family(2, {layer: lambda _: sign * PLANT_DEPTH * x,
+                                  layer + sign: lambda y: -sign * PLANT_DEPTH * y})
+        sched = WeightSchedule(np.zeros((PLANT_DEPTH, fam.param_dim)))
+        with pytest.raises(DivergenceError, match=f"{context} diverged at layer {layer}$"):
+            run_fn(fam, sched, np.zeros(2))
+
+    @pytest.mark.parametrize("run", SCREENED_RUNS)
+    def test_overflow_inside_a_block_is_a_divergence(self, run):
+        """Two layers that each scale the state by about 1e200, mid-block:
+        the second overflows, which must not surface as a RuntimeWarning
+        before the block's screen names the first."""
+        sign, context, run_fn = SCREENED_RUNS[run]
+        layer = PLANT_LAYERS[1]
+        rows = np.zeros((PLANT_DEPTH, 1))
+        rows[[layer, layer + sign]] = sign * PLANT_DEPTH * 1e200
+        with pytest.raises(DivergenceError, match=f"{context} diverged at layer {layer}$"):
+            run_fn(make_linear_family(1), WeightSchedule(rows), np.ones(1))
 
 
 class TestApproximationError:
