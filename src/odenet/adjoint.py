@@ -25,10 +25,12 @@ The sweep walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
 a block's states are a view of the stored nodes, or a block buffer the
 reverse step fills and ``dynamics._check_block`` screens once, and the
 scheme's ``backprop`` linearizes the block in one stacked call (two for
-the two-stage scheme) before its cotangent recursion runs layer by
-layer.  So a sweep holds one or two blocks of states, activations and
-state gradients, O(SWEEP_BLOCK (d + h) B) for a (d, B) state and h
-hidden units, whatever the depth N; ``backprop_*`` keep only its
+the two-stage scheme), builds every layer's cotangent transition matrix
+from the stacked state Jacobians, and applies them one product per
+layer (one cumulative product for a scalar state).  So a sweep holds
+one or two blocks of states, activations, Jacobians and state
+gradients, O(SWEEP_BLOCK (d^2 + h) B) for a (d, B) state and h hidden
+units, whatever the depth N; ``backprop_*`` keep only its
 parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule

@@ -12,7 +12,8 @@ and the two-stage (midpoint-corrected) update is
 
 where theta_N falls back to theta_{N-1} (see WeightSchedule.padded).
 Each update is one ``Scheme`` (EULER, HEUN) with its reverse-mode
-derivative over a block of layers; every chain and reverse sweep runs
+derivative over a block of layers, one cotangent transition matrix per
+layer; every chain and reverse sweep runs
 one of them, SWEEP_BLOCK layers at a time, and screens each block of
 states for divergence once (``_check_block``): the error names the
 first layer in step order whose state fails the per-state rule.
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import _rk4_increment, require_finite
-from .residual_models import ResidualFamily, WeightSchedule
+from .residual_models import ResidualFamily, WeightSchedule, _jac_t_dot
 
 __all__ = [
     "Trajectory",
@@ -118,48 +119,69 @@ def _heun_step(f, x, a, b, div):
     return x + (f_a + f(x + f_a / div, b)) / (2.0 * div)
 
 
+def _eye_plus(m) -> np.ndarray:
+    """I + m for a (J, d, d) stack of matrices or a (J, d, d, B) stack of
+    one matrix per input, added in place to m's contiguous copy (m
+    itself when it is contiguous): every (d + 1)-th entry of a flattened
+    matrix is on its diagonal."""
+    m, d = np.ascontiguousarray(m), m.shape[1]
+    m.reshape((len(m), d * d) + m.shape[3:])[:, ::d + 1] += 1.0
+    return m
+
+
+def _transitions(ms, grads):
+    """grads[j] = ms[j] grads[j + 1] for j = J - 1..0, from grads[J]: one
+    product per layer, and a scalar state's block as one cumulative
+    product over [g, m_{J-1}, ..., m_0], g first so that the factors
+    multiply in the recursion's order."""
+    if ms.shape[1] == 1:
+        grads[:-1] = ms.reshape(grads[:-1].shape)
+        np.cumprod(grads[::-1], axis=0, out=grads[::-1])
+    else:
+        for j in range(len(ms) - 1, -1, -1):
+            _jac_t_dot(ms[j], grads[j + 1], out=grads[j])
+
+
 def _euler_backprop(linearize_block, xs, lo, g, N):
     """Steps lo..lo + J - 1 in reverse, J = len(xs), from g = grad_{x_{lo+J}}:
 
-      grad_{x_n}     = g_n = g_{n+1} + (1/N) [d_x f(x_n, theta_n)]^T g_{n+1}
+      grad_{x_n}     = g_n = (I + (1/N) [d_x f(x_n, theta_n)]^T) g_{n+1}
       grad_{theta_n} = (1/N) [d_theta f(x_n, theta_n)]^T g_{n+1},
 
-    the first layer by layer, the second for the block in one stacked
-    parameter pullback at the cotangents g_{lo+1..lo+J}."""
-    _, vjp_x, vjp_theta = linearize_block(xs, lo)
+    the first as one transition matrix per layer, built for the block at
+    once, the second for the block in one stacked parameter pullback at
+    the cotangents g_{lo+1..lo+J}."""
+    _, jac_t, vjp_theta = linearize_block(xs, lo)
     grads = np.empty((len(xs) + 1,) + g.shape)
     grads[-1] = g
-    for j in range(len(xs) - 1, -1, -1):
-        g_next, g = g, grads[j]
-        np.add(g_next, vjp_x(j, g_next) / N, out=g)
+    _transitions(_eye_plus(jac_t / N), grads)
     return vjp_theta(grads[1:]) / N, None, grads
 
 
 def _heun_backprop(linearize_block, xs, lo, g, N):
     """The two contributions each step n = (x_n -> x_{n+1}) of a block
     sends backwards.  Differentiating the two-stage update gives, for
-    g = grad_{x_{n+1}} and u = [d_x f(y_n, theta_{n+1})]^T g,
+    g = grad_{x_{n+1}}, J_x = d_x f(x_n, theta_n), J_y = d_x f(y_n, theta_{n+1})
+    and v = (I + J_y^T / N) g,
 
-      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T (g + u/N)
+      to theta_n:      (1/2N) [d_theta f(x_n, theta_n)]^T v
       to theta_{n+1}:  (1/2N) [d_theta f(y_n, theta_{n+1})]^T g
-      grad_{x_n}     = g + (1/2N) ([d_x f(x_n, theta_n)]^T (g + u/N) + u).
+      grad_{x_n}     = [I + (J_x^T (I + J_y^T / N) + J_y^T) / (2N)] g.
 
     One block linearization of f(., theta_n) at the x_n, and one of
     f(., theta_{n+1}) at the stage points y_n = x_n + f(x_n, theta_n)/N
     built from its values (bit-equal to the forward stages), give all
-    three terms: the state pullbacks layer by layer, each parameter half
-    in one stacked pullback.
+    three terms: the transition matrices and the v for the whole block
+    in stacked products, each parameter half in one stacked pullback.
     """
-    f_x, vjp_x, vjp_theta = linearize_block(xs, lo)
-    _, vjp_y, vjp_theta_y = linearize_block(xs + f_x / N, lo + 1)
+    f_x, jac_x, vjp_theta = linearize_block(xs, lo)
+    _, jac_y, vjp_theta_y = linearize_block(xs + f_x / N, lo + 1)
+    stage = _eye_plus(jac_y / N)
     grads = np.empty((len(xs) + 1,) + g.shape)
     grads[-1] = g
-    cotangents = np.empty_like(xs)
-    for j in range(len(xs) - 1, -1, -1):
-        g_next, g, v = g, grads[j], cotangents[j]
-        u = vjp_y(j, g_next)
-        np.add(g_next, u / N, out=v)
-        np.add(g_next, (vjp_x(j, v) + u) / (2.0 * N), out=g)
+    _transitions(_eye_plus((np.einsum("jki...,jil...->jkl...", jac_x, stage) + jac_y)
+                           / (2.0 * N)), grads)
+    cotangents = np.einsum("jki...,ji...->jk...", stage, grads[1:])
     return vjp_theta(cotangents) / (2.0 * N), vjp_theta_y(grads[1:]) / (2.0 * N), grads
 
 
@@ -178,6 +200,10 @@ class Scheme:
     them) from g = grad_{x_{lo+J}}: row j of ``own`` goes to
     theta_{lo+j}, row j of ``carry`` (None without a stage) to
     theta_{lo+j+1}, and grads[j] is grad_{x_{lo+j}}, grads[J] being g.
+    It states the scheme's reverse-mode algebra once, as one transition
+    matrix per layer, grads[j] = M_j grads[j + 1], built for the block
+    in a few stacked calls from the transposed state Jacobians that
+    ``linearize_block`` returns (``_transitions`` applies them).
     """
 
     name: str

@@ -38,12 +38,15 @@ class ResidualFamily:
                 call re-splits a row
     eval:       (x, n) -> f(x, rows[n]), same shape as x
     linearize_block:
-                (xs, lo) -> (values, vjp_x, vjp_theta) at the points xs[j]
+                (xs, lo) -> (values, jac_t, vjp_theta) at the points xs[j]
                 of layers lo + j, j < len(xs), from one stacked forward
                 pass (the mlp's tanh(W1 x)): values[j] is ``eval``'s
-                f(xs[j], rows[lo + j]), vjp_x(j, v) is [d_x f]^T v at one
-                layer, and vjp_theta(vs) the fresh (len(xs), param_dim)
-                rows [d_theta f]^T vs[j], in one stacked pullback
+                f(xs[j], rows[lo + j]), jac_t[j] the transposed state
+                Jacobian [d_x f]^T at that point, (d, d) for a (d,) state
+                and (d, d, B) for a (d, B) one (``jac_t[j][:, :, b]``
+                belongs to input b), and vjp_theta(vs) the fresh
+                (len(xs), param_dim) rows [d_theta f]^T vs[j], in one
+                stacked pullback
     blend:      (n, alphas) -> g(x, m) = (1 - alphas[m]) f(x, rows[n])
                 + alphas[m] f(x, rows[n + 1]); the mlp fuses it into one
                 tanh per stage, the others sum two evals (``_eval_blend``)
@@ -97,8 +100,8 @@ class ResidualFamily:
         v = np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError("cotangent shape must match state shape")
-        _, vjp_x, vjp_theta = self._bind(self._check_params(theta)[None])[1](x[None], 0)
-        return vjp_x(0, v), vjp_theta(v[None])[0]
+        _, jac_t, vjp_theta = self._bind(self._check_params(theta)[None])[1](x[None], 0)
+        return _jac_t_dot(jac_t[0], v), vjp_theta(v[None])[0]
 
     def vjp_state(self, x, theta, v) -> np.ndarray:
         return self._pull(x, theta, v)[0]
@@ -135,6 +138,21 @@ def _columns(xs) -> np.ndarray:
     return xs[..., None] if xs.ndim == 2 else xs
 
 
+def _outer(a, b) -> np.ndarray:
+    """np.matmul of a (..., m, 1) and a (..., 1, n) stack, bit for bit: each
+    entry is one product, and einsum keeps it off numpy's slow stacked
+    path for an inner dimension of 1."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _jac_t_dot(jac_t, v, out=None) -> np.ndarray:
+    """[d_x f]^T v from one layer's ``jac_t``: a (d, d) matrix on a (d,)
+    cotangent, or a (d, d, B) stack on a (d, B) one, input by input."""
+    if v.ndim == 1:
+        return jac_t.dot(v, out=out)
+    return np.einsum("kib,ib->kb", jac_t, v, out=out)
+
+
 def _eval_blend(eval_fn) -> Callable:
     """The blend kernel of a bound ``eval``, as the weighted sum of two calls."""
     def blend(n, alphas):
@@ -155,13 +173,14 @@ def make_linear_family(d: int) -> ResidualFamily:
 
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
-
-            def vjp_x(j, v):
-                return mats[lo + j].T.dot(v)
+            block = mats[lo:lo + count]
+            jac_t = block.swapaxes(1, 2)
+            if xs.ndim == 3:  # the same matrix for every input
+                jac_t = np.broadcast_to(jac_t[..., None], jac_t.shape + xs.shape[2:])
 
             def vjp_theta(vs):
                 return np.matmul(_columns(vs), cols.swapaxes(1, 2)).reshape(count, d * d)
-            return np.matmul(mats[lo:lo + count], cols).reshape(xs.shape), vjp_x, vjp_theta
+            return np.matmul(block, cols).reshape(xs.shape), jac_t, vjp_theta
         return eval_fn, linearize_block, _eval_blend(eval_fn)
 
     return ResidualFamily("linear", d, d * d, bind)
@@ -177,6 +196,8 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
     if d < 1 or hidden < 1:
         raise ValueError("dimensions must be >= 1")
     n1 = hidden * d
+    # At d = 1 the stacked W1 x and W2^T v are (h, 1) @ (1, B) outer products.
+    widen = _outer if d == 1 else np.matmul
 
     def bind(rows):
         w1s, w2s = rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
@@ -187,21 +208,20 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
             w1, w2 = w1s[lo:lo + count], w2s[lo:lo + count]
-            w1t, w2t = w1.swapaxes(1, 2), w2.swapaxes(1, 2)
-            a = np.tanh(np.matmul(w1, cols))
+            a = np.tanh(widen(w1, cols))
             slope = 1.0 - a**2  # tanh' at the pre-activations
-            slopes = slope.reshape((count, hidden) + xs.shape[2:])
-
-            def vjp_x(j, v):
-                return w1t[j].dot(slopes[j] * w2t[j].dot(v))
+            # [d_x f]^T = W1^T diag(slope) W2^T: entry (k, i) sums
+            # W1[h, k] W2[i, h] slope[h] over h, one (d d, h) @ (h, B) product.
+            pairs = (w1.swapaxes(1, 2)[:, :, None] * w2[:, None]).reshape(count, d * d, hidden)
+            jac_t = np.matmul(pairs, slope).reshape((count, d, d) + xs.shape[2:])
 
             def vjp_theta(vs):
                 v = _columns(vs)
-                u = slope * np.matmul(w2t, v)
+                u = slope * widen(w2.swapaxes(1, 2), v)
                 grad_w1 = np.matmul(u, cols.swapaxes(1, 2)).reshape(count, n1)
                 grad_w2 = np.matmul(v, a.swapaxes(1, 2)).reshape(count, n1)
                 return np.concatenate([grad_w1, grad_w2], axis=1)
-            return np.matmul(w2, a).reshape(xs.shape), vjp_x, vjp_theta
+            return np.matmul(w2, a).reshape(xs.shape), jac_t, vjp_theta
 
         def blend(n, alphas):
             # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
@@ -230,13 +250,10 @@ def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
             th = thetas[lo:lo + len(xs)]
             layer_axis = (len(xs),) + (1,) * (xs.ndim - 1)
 
-            def vjp_x(j, v):
-                return np.zeros_like(v)
-
             def vjp_theta(vs):
                 return (dg(th) * np.sum(vs, axis=tuple(range(1, vs.ndim))))[:, None]
             values = np.broadcast_to(np.reshape(g(th), layer_axis), xs.shape)
-            return values, vjp_x, vjp_theta
+            return values, np.zeros((len(xs), 1, 1) + xs.shape[2:]), vjp_theta
         return eval_fn, linearize_block, _eval_blend(eval_fn)
 
     return ResidualFamily(name, 1, 1, bind)

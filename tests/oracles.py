@@ -41,14 +41,15 @@ def reverse_nodes(scheme, family, schedule, xN):
 
 def _euler_layer(family, x, theta, theta_up, g, N):
     """Euler step n's pullback at g = grad_{x_{n+1}}: (f(x_n, theta_n),
-    to theta_n, to theta_{n+1}, grad_{x_n})."""
+    to theta_n, to theta_{n+1}, grad_{x_n} = g + [d_x f]^T g / N)."""
     return (family.eval(x, theta), family.vjp_params(x, theta, g) / N, None,
             g + family.vjp_state(x, theta, g) / N)
 
 
 def _heun_layer(family, x, theta, theta_up, g, N):
     """Heun step n's pullback: f(., theta_n) pulled back at x_n and
-    f(., theta_{n+1}) at the stage point y_n, one layer at a time."""
+    f(., theta_{n+1}) at the stage point y_n, one layer at a time, from
+    u = [d_x f(y_n, theta_{n+1})]^T g and v = g + u / N."""
     f_x = family.eval(x, theta)
     y = x + f_x / N
     u, carry = family.vjp_state(y, theta_up, g), family.vjp_params(y, theta_up, g)
@@ -62,7 +63,9 @@ LAYER_PULLBACKS = {"euler": _euler_layer, "heun": _heun_layer}
 
 def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
     """The reverse sweep one layer at a time, yielding (n, grad_theta_n,
-    grad_x_n, x_n) for n = N-1..0 like ``adjoint._sweep``: x_n read from
+    grad_x_n, x_n) for n = N-1..0 like ``adjoint._sweep``, whose
+    per-layer transition matrices it checks to rounding: the cotangent
+    recursion of ``LAYER_PULLBACKS``, cotangent by cotangent; x_n read from
     ``nodes`` or rebuilt by the scheme's reverse step through the checked
     ``eval`` (carrying Heun's f(x~_n, theta_n) from the pullback to the
     next step), with a divergence check per layer; each layer pulled back

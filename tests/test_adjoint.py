@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from odenet import adjoint
 from odenet.adjoint import (
     SWEEP_BLOCK,
     _sweep,
@@ -21,6 +22,7 @@ from odenet.dynamics import (
     DivergenceError,
     Trajectory,
     _forward,
+    _transitions,
     forward_euler_chain,
     forward_heun_chain,
     interpolate,
@@ -320,30 +322,92 @@ class TestSweepStates:
 
 
 SWEEP_DEPTHS = [1, 2, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 3, 300]
+RECURSION_DEPTHS = [1, 2, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1, 300]
+# Every family at d = 1 and d = 3.
+RECURSION_FAMILIES = [make_identity_family(), make_square_family(), make_linear_family(1),
+                      make_linear_family(3), make_mlp_family(1, 8), make_mlp_family(3, 5)]
+
+
+def sweep_case(fam, scheme, depth, batch):
+    """A schedule, its stored trajectory and an output gradient."""
+    sched = cubic_profile_schedule(depth, fam.param_dim, seed=depth, scale=0.8)
+    rng = np.random.default_rng(depth)
+    shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
+    traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
+    return sched, traj, rng.standard_normal(shape)
 
 
 class TestBlockedSweep:
-    """The blocked reverse sweep against ``oracles.layer_sweep``, the
-    sweep one layer at a time through the checked kernels."""
+    """The blocked reverse sweep against the same sweep taken one layer
+    per block, bit for bit, and against ``oracles.layer_sweep``, the
+    per-layer cotangent recursion through the checked kernels, to
+    rounding."""
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "memory_free"])
     @pytest.mark.parametrize("batch", [None, 5])
     @pytest.mark.parametrize("depth", SWEEP_DEPTHS)
     @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
     @pytest.mark.parametrize("fam", FD_FAMILIES, ids=lambda f: f.name)
-    def test_bit_equal_to_the_layer_sweep(self, fam, scheme, depth, batch, stored):
-        sched = cubic_profile_schedule(depth, fam.param_dim, seed=depth, scale=0.8)
-        rng = np.random.default_rng(depth)
-        shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
-        traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
+    def test_bit_equal_to_the_layer_sweep(self, fam, scheme, depth, batch, stored,
+                                          monkeypatch):
+        """Blocking changes no output byte: a layer's transition matrix
+        and parameter rows do not depend on the block they were built in."""
+        sched, traj, g = sweep_case(fam, scheme, depth, batch)
         nodes = traj.nodes if stored else None
-        g = rng.standard_normal(shape)
         got = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
-        want = list(layer_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        monkeypatch.setattr(adjoint, "SWEEP_BLOCK", 1)
+        want = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
         assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
         for got_layer, want_layer in zip(got, want):
             for a, b in zip(got_layer[1:], want_layer[1:]):  # grad_theta, grad_x, x
-                assert a.shape == b.shape and np.array_equal(a, b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "memory_free"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("depth", RECURSION_DEPTHS)
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", RECURSION_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_matches_the_per_layer_recursion(self, fam, scheme, depth, batch, stored):
+        """Each layer's transition matrix gives the gradients the per-layer
+        recursion does, within 1e-13 of each yielded array's largest
+        entry, and the same states bit for bit."""
+        sched, traj, g = sweep_case(fam, scheme, depth, batch)
+        nodes = traj.nodes if stored else None
+        got = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        want = list(layer_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
+        for (_, theta_got, g_got, x_got), (_, theta_want, g_want, x_want) in zip(got, want):
+            assert np.array_equal(x_got, x_want)
+            for a, b in ((theta_got, theta_want), (g_got, g_want)):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_scalar_block_multiplies_in_the_recursion_order(self, batch):
+        """A scalar state's block is one cumulative product.  Factors of
+        1e+-150 from g = 1e-300 keep every partial product of the
+        recursion finite until the fifth factor of 1e150 in a row
+        overflows it, at the bottom layer; the factors' own running
+        product overflows at the third.  The block equals the per-layer
+        loop g_n = m_n g_{n+1} bit for bit, the infinity included."""
+        big, small = [1e150] * 3, [1e-150] * 3
+        per_input = np.array(big + small + big + small + [0.5, 2.0] + [1e150] * 5)
+        top_down = per_input[:, None] * np.linspace(1.0, 1.5, 3)[None, :]
+        ms = top_down[::-1][:, None, None, :]                  # ms[j] = m_j, top layer last
+        g = np.full(3, 1e-300)
+        if batch is None:
+            ms, g = ms[..., 0], g[:1]
+        grads = np.empty((len(ms) + 1,) + g.shape)
+        grads[-1] = g
+        want = grads.copy()
+        with np.errstate(over="ignore"):
+            _transitions(ms, grads)
+            for j in range(len(ms) - 1, -1, -1):
+                want[j] = ms[j].reshape(g.shape) * want[j + 1]
+            assert not np.all(np.isfinite(np.cumprod(ms[::-1], axis=0)[:12]))
+        finite = np.isfinite(want).all(axis=tuple(range(1, want.ndim)))
+        assert finite.tolist() == [False] + [True] * len(ms)
+        assert grads.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layer", [SWEEP_BLOCK + 3, SWEEP_BLOCK + 2],
                              ids=["lowest_of_block", "highest_of_next"])
@@ -393,13 +457,13 @@ class TestAdjointBackprop:
             f, linearize_block, blend = base._bind(rows)
 
             def nan_row(xs, lo):
-                values, vjp_x, vjp_theta = linearize_block(xs, lo)
+                values, jac_t, vjp_theta = linearize_block(xs, lo)
 
                 def pullback(vs):
                     grads = vjp_theta(vs)
                     grads[rows[lo:lo + len(xs), 0] == 0.5] = np.nan
                     return grads
-                return values, vjp_x, pullback
+                return values, jac_t, pullback
             return f, nan_row, blend
 
         fam = ResidualFamily("nan_row", 1, 1, bind)
@@ -660,9 +724,9 @@ class TestOneStepResidualIdentity:
 def counting_family(fam):
     """The same family, tallying its binds, the calls of its bound eval,
     its block linearizations and the layers they cover, and the calls of
-    each block's per-layer state pullback and stacked parameter pullback;
-    its bound blend is passed through."""
-    counts = {"bind": 0, "eval": 0, "linearize": 0, "layers": 0, "vjp_x": 0, "vjp_theta": 0}
+    each block's stacked parameter pullback, and logging each call in
+    ``counts["calls"]``; its bound blend is passed through."""
+    counts = {"bind": 0, "eval": 0, "linearize": 0, "layers": 0, "vjp_theta": 0, "calls": []}
 
     def bind(rows):
         counts["bind"] += 1
@@ -670,21 +734,20 @@ def counting_family(fam):
 
         def eval_fn(x, n):
             counts["eval"] += 1
+            counts["calls"].append("eval")
             return f(x, n)
 
         def linearize(xs, lo):
             counts["linearize"] += 1
             counts["layers"] += len(xs)
-            values, vjp_x, vjp_theta = linearize_block(xs, lo)
-
-            def counted_x(j, v):
-                counts["vjp_x"] += 1
-                return vjp_x(j, v)
+            counts["calls"].append("linearize")
+            values, jac_t, vjp_theta = linearize_block(xs, lo)
 
             def counted_theta(vs):
                 counts["vjp_theta"] += 1
+                counts["calls"].append("vjp_theta")
                 return vjp_theta(vs)
-            return values, counted_x, counted_theta
+            return values, jac_t, counted_theta
         return eval_fn, linearize, blend
 
     return ResidualFamily(fam.name, fam.state_dim, fam.param_dim, bind), counts
@@ -765,11 +828,13 @@ class TestEntryValidation:
 class TestKernelCounts:
     """Invocations of the unchecked kernels by each backprop sweep: per
     block of ``SWEEP_BLOCK`` layers, one block linearization for Euler
-    and two for Heun, each pulled back once per layer for the state and
-    once per block for the parameters; per layer, no evaluation in exact
+    and two for Heun, each pulled back once per block for the
+    parameters, and between them no kernel call, so the per-layer
+    cotangent recursion calls none; per layer, no evaluation in exact
     mode, the reverse step's one (Euler) or two (Heun, which rebuilds
-    f(x~_{n+1}, theta_{n+1}) itself) in the memory-free adjoint.  Each
-    chain or sweep binds the family to its schedule once."""
+    f(x~_{n+1}, theta_{n+1}) itself) in the memory-free adjoint, all
+    before the block's first linearization.  Each chain or sweep binds
+    the family to its schedule once."""
 
     @pytest.mark.parametrize("batch", [None, 5])
     @pytest.mark.parametrize("N", [SWEEP_BLOCK, 2 * SWEEP_BLOCK + 3])
@@ -791,9 +856,15 @@ class TestKernelCounts:
          "adjoint_heun": lambda: backprop_adjoint_heun(fam, sched, traj.nodes[-1], g),
          }[sweep]()
         blocks = -(-N // SWEEP_BLOCK)
+        calls = counts.pop("calls")
         assert counts == {"bind": 1, "eval": evals * N,
                           "linearize": linearizations * blocks, "layers": linearizations * N,
-                          "vjp_x": linearizations * N, "vjp_theta": linearizations * blocks}
+                          "vjp_theta": linearizations * blocks}
+        want = []
+        for hi in range(N, 0, -SWEEP_BLOCK):
+            want += (["eval"] * evals * min(SWEEP_BLOCK, hi) + ["linearize"] * linearizations
+                     + ["vjp_theta"] * linearizations)
+        assert calls == want
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_each_entry_point_binds_once(self, entry):

@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from odenet.dynamics import SWEEP_BLOCK
 from odenet.residual_models import (
     WeightSchedule,
     _eval_blend,
+    _jac_t_dot,
+    _outer,
     make_identity_family,
     make_linear_family,
     make_mlp_family,
@@ -113,17 +116,18 @@ def reference_vjps(family, x, theta, v):
 @pytest.mark.parametrize("batch", [None, 64], ids=["unbatched", "B64"])
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
 class TestLinearize:
-    """The bound linearize_block(xs, lo) -> (values, vjp_x, vjp_theta) of
+    """The bound linearize_block(xs, lo) -> (values, jac_t, vjp_theta) of
     a block of layers lo..lo + J - 1: one stacked forward pass shared by
-    every pullback taken from it, each row as the one layer alone."""
+    the stacked transposed state Jacobians and every parameter pullback
+    taken from it, each row as the one layer alone."""
 
     LAYERS = 3  # block layers 1..3 of five rows
 
     @classmethod
-    def draw(cls, family, batch, seed):
+    def draw(cls, family, batch, seed, layers=LAYERS):
         rng = np.random.default_rng(seed)
-        shape = (cls.LAYERS, family.state_dim) + (() if batch is None else (batch,))
-        rows = rng.standard_normal((cls.LAYERS + 2, family.param_dim)) * 0.7
+        shape = (layers, family.state_dim) + (() if batch is None else (batch,))
+        rows = rng.standard_normal((layers + 2, family.param_dim)) * 0.7
         return (rng.standard_normal(shape), rows,
                 rng.standard_normal(shape), rng.standard_normal(shape))
 
@@ -136,21 +140,38 @@ class TestLinearize:
 
     def test_pullback_matches_separate_formulas(self, family, batch):
         xs, rows, vs, ws = self.draw(family, batch, 32)
-        _, vjp_x, vjp_theta = family._bind(rows)[1](xs, 1)
+        _, jac_t, vjp_theta = family._bind(rows)[1](xs, 1)
         for cotangents in (vs, ws, vs + ws):  # one linearization, several pullbacks
             d_theta = vjp_theta(cotangents)
             for j, (x, v) in enumerate(zip(xs, cotangents)):
                 want = reference_vjps(family, x, rows[1 + j], v)
-                for got, w in zip((vjp_x(j, v), d_theta[j]), want):
+                for got, w in zip((_jac_t_dot(jac_t[j], v), d_theta[j]), want):
                     assert got.shape == w.shape
                     assert np.max(np.abs(got - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
 
+    @pytest.mark.parametrize("layers", [1, SWEEP_BLOCK, 7], ids=["one", "full", "partial"])
+    def test_jacobians_match_the_oracle(self, family, batch, layers):
+        """jac_t[j] is the transpose of ``oracles.jac_state`` at layer
+        lo + j's point, input by input, for any block length."""
+        xs, rows, _, _ = self.draw(family, batch, 35, layers)
+        d = family.state_dim
+        jac_t = family._bind(rows)[1](xs, 1)[1]
+        assert jac_t.shape == (layers, d, d) + xs.shape[2:]
+        for j, x in enumerate(xs):
+            inputs = [(x, jac_t[j])] if batch is None else [
+                (x[:, b], jac_t[j][:, :, b]) for b in range(batch)]
+            for point, got in inputs:
+                want = jac_state(family, point, rows[1 + j]).T
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
     def test_public_vjps_are_the_pullback_halves(self, family, batch):
+        """The checked ``vjp_state`` is the transposed Jacobian's product
+        with the cotangent, and ``vjp_params`` the stacked pullback's row."""
         xs, rows, vs, _ = self.draw(family, batch, 33)
-        _, vjp_x, vjp_theta = family._bind(rows)[1](xs, 1)
+        _, jac_t, vjp_theta = family._bind(rows)[1](xs, 1)
         d_theta = vjp_theta(vs)
         for j, (x, v) in enumerate(zip(xs, vs)):
-            assert np.array_equal(family.vjp_state(x, rows[1 + j], v), vjp_x(j, v))
+            assert np.array_equal(family.vjp_state(x, rows[1 + j], v), _jac_t_dot(jac_t[j], v))
             assert np.array_equal(family.vjp_params(x, rows[1 + j], v), d_theta[j])
 
     def test_pullbacks_write_fresh_gradients(self, family, batch):
@@ -250,20 +271,25 @@ class TestBlend:
 def matmul_kernels(family, x, theta, v):
     """The linear and mlp kernels written with ``@`` and ``np.concatenate``,
     as they were before the kernels called ``np.dot`` and wrote into one
-    gradient buffer: f(x, theta), the linearization's value and both
-    pullback halves at v, for one layer."""
+    gradient buffer, for one layer: f(x, theta), the linearization's
+    value, its transposed state Jacobian (one (d, d) matrix per input,
+    inputs on the last axis) and its parameter pullback at v."""
     def outer_sum(p, q):
         return (p.reshape(p.shape[0], -1) @ q.reshape(q.shape[0], -1).T).ravel()
 
     d = family.state_dim
+    per_input = x.shape[1:]
     if family.name == "linear":
         a = theta.reshape(d, d)
-        return a @ x, a @ x, a.T @ v, outer_sum(v, x)
+        jac_t = np.broadcast_to(a.T.reshape((d, d) + (1,) * len(per_input)), (d, d) + per_input)
+        return a @ x, a @ x, jac_t, outer_sum(v, x)
     n1 = family.param_dim // 2
     w1, w2 = theta[:n1].reshape(-1, d), theta[n1:].reshape(d, -1)
     a = np.tanh(w1 @ x)
-    u = (1.0 - a**2) * (w2.T @ v)
-    return (w2 @ np.tanh(w1 @ x), w2 @ a, w1.T @ u,
+    slope = 1.0 - a**2
+    pairs = (w1.T[:, None, :] * w2[None]).reshape(d * d, -1)
+    u = slope * (w2.T @ v)
+    return (w2 @ np.tanh(w1 @ x), w2 @ a, (pairs @ slope).reshape((d, d) + per_input),
             np.concatenate([outer_sum(u, x), outer_sum(v, a)]))
 
 
@@ -291,8 +317,9 @@ def state_shape(family, batch):
 
 
 def assert_bit_equal(got, want):
+    """Equal shapes, dtypes and bytes, so signed zeros count too."""
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("batch", [None, 0, 1, 64], ids=lambda b: "unbatched" if b is None else f"B{b}")
@@ -314,12 +341,44 @@ class TestKernelsBitForBit:
             for lo in (0, 2):
                 xs = rng.standard_normal((rows.shape[0] - lo,) + shape)
                 vs = rng.standard_normal(xs.shape)
-                values, vjp_x, vjp_theta = linearize_block(xs, lo)
+                values, jac_t, vjp_theta = linearize_block(xs, lo)
                 d_theta = vjp_theta(vs)
                 for j, (x, v) in enumerate(zip(xs, vs)):
-                    got = (f(x, lo + j), values[j], vjp_x(j, v), d_theta[j])
+                    got = (f(x, lo + j), values[j], jac_t[j], d_theta[j])
                     for g, w in zip(got, matmul_kernels(family, x, rows[lo + j], v)):
                         assert_bit_equal(g, w)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_mlp_stacked_products_are_the_dot_form(self, d, batch):
+        """A block's values, Jacobians and parameter rows at d = 1, where
+        the stacked W1 x and W2^T v are (h, 1) @ (1, B) outer products
+        taken by einsum, and at d = 4, where they are np.matmul, are the
+        one-layer ``ndarray.dot`` forms byte for byte.  The states and
+        cotangents hold zeros and half the weights are negative, and
+        ``_outer`` gives np.matmul's bytes, signed zeros included."""
+        fam = make_mlp_family(d, 8)
+        rng = np.random.default_rng(43)
+        rows = rng.standard_normal((SWEEP_BLOCK + 1, fam.param_dim))
+        shape = (SWEEP_BLOCK,) + state_shape(fam, batch)
+        xs = np.where(rng.random(shape) < 0.3, 0.0, rng.standard_normal(shape))
+        vs = np.where(rng.random(shape) < 0.3, 0.0, rng.standard_normal(shape))
+        values, jac_t, vjp_theta = fam._bind(rows)[1](xs, 1)
+        d_theta = vjp_theta(vs)
+        n1 = fam.param_dim // 2
+        w1s, w2s = rows[1:, :n1].reshape(-1, 8, d), rows[1:, n1:].reshape(-1, d, 8)
+        cols = xs.reshape(SWEEP_BLOCK, d, -1)
+        assert_bit_equal(_outer(w1s[..., :1], cols[:, :1]), np.matmul(w1s[..., :1], cols[:, :1]))
+        for j, (x, v) in enumerate(zip(xs, vs)):
+            w1, w2 = w1s[j], w2s[j]
+            a = np.tanh(w1.dot(x))
+            slope = 1.0 - a**2
+            u = slope * w2.T.dot(v)
+            pairs = (w1.T[:, None, :] * w2[None]).reshape(d * d, 8)
+            assert_bit_equal(values[j], w2.dot(a))
+            assert_bit_equal(jac_t[j], pairs.dot(slope).reshape(jac_t[j].shape))
+            assert_bit_equal(d_theta[j], np.concatenate([
+                u.reshape(8, -1).dot(x.reshape(d, -1).T).ravel(),
+                v.reshape(d, -1).dot(a.reshape(8, -1).T).ravel()]))
 
     @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
     def test_mlp_blend(self, d, hidden, batch):
