@@ -1,8 +1,9 @@
-"""Command-line front end for the experiment harness.
+"""Command-line front end for the experiment harness: main writes every
+table a runner returns, once the run has succeeded, then prints its report.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence that voids
-the run, 4 small-loss regime violation at initialization.  Any failed run
-removes its output directory when it made it and left it empty.
+the run, 4 small-loss regime violation at initialization.  A failed run
+writes no file and removes its output directory when it made it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RegimeAbort,
+    _check_command,
     load_config,
     run_linear_flow_experiment,
     run_scaling_study,
@@ -39,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="odenet",
         description="Depth-scaling studies for residual chains and their flows.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=runner.__doc__)
+    for name, (_, report) in _RUNNERS.items():
+        p = sub.add_parser(name, help=report.__doc__)
         p.add_argument("--config", required=(name != "tightness"),
                        help="flat key = value configuration file")
         for flag, key in _FLAGS.items():
@@ -65,15 +67,14 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _run_study(config: ExperimentConfig) -> None:
+def _report_study(config: ExperimentConfig, result) -> None:
     """depth-scaling error studies (approximation, adjoint gradients)"""
-    result = run_scaling_study(config)
-    print(f"wrote {result.study_path} and {result.slopes_path}")
+    out = config.output_dir
+    print(f"wrote {os.path.join(out, 'study.csv')} and {os.path.join(out, 'slopes.csv')}")
     for metric, flag in result.fit_flags.items():
         if metric in result.fits:
             fit = result.fits[metric]
-            print(f"{metric}: slope {fit.slope:+.4f} "
-                  f"(r2 {fit.r_squared:.4f}, {flag})")
+            print(f"{metric}: slope {fit.slope:+.4f} (r2 {fit.r_squared:.4f}, {flag})")
         else:
             print(f"{metric}: {flag}")
     if result.oracle_errors:
@@ -81,46 +82,45 @@ def _run_study(config: ExperimentConfig) -> None:
         # 0 over a zero gap (an exact chain) reads 0; a positive estimate, inf.
         ratio = max(err / gaps[n] if gaps[n] > 0 else math.inf if err > 0 else 0.0
                     for n, err in result.oracle_errors.items())
-        print(f"oracle error: Richardson estimate <= "
-              f"{max(result.oracle_errors.values()):.3g}, "
+        print(f"oracle error: Richardson estimate <= {max(result.oracle_errors.values()):.3g}, "
               f"worst estimate/gap {ratio:.3g}")
 
 
-def _run_tightness(config: ExperimentConfig) -> None:
+def _report_tightness(config: ExperimentConfig, result) -> None:
     """analytic chain-vs-flow gap cases"""
-    records = run_tightness_suite(config)
-    for r in records:
+    for r in result.records:
         print(f"{r.case} N={r.depth}: measured {r.measured:.10g} "
               f"vs analytic {r.analytic:.10g} (oracle error {r.oracle_error:.3g})")
 
 
-def _run_linflow(config: ExperimentConfig) -> None:
+def _report_linflow(config: ExperimentConfig, result) -> None:
     """linear-flow integration and limit-profile diagnostics"""
-    result = run_linear_flow_experiment(config)
-    for depth in result.depths:
+    for depth in config.depths:
         mon = result.monitor_reports[depth]
         status = "ok" if (mon.theta_bound_ok and mon.decay_ok) else "VIOLATED"
         print(f"N={depth}: max theta norm {mon.max_theta_norm:.4f}, "
               f"decay ratio {mon.max_decay_ratio:.4f} ({status})")
     for depth, dist in sorted(result.doubling.items()):
         print(f"doubling sup-distance D_{depth} = {dist:.6g}")
-    scaled = [n * result.product_gaps[n] for n in result.depths]
+    scaled = [n * result.product_gaps[n] for n in config.depths]
     print(f"product-vs-flow N*gap {min(scaled):.4g} to {max(scaled):.4g} over all depths")
     if result.limit_report is not None and result.limit_report.sup_fit is not None:
         print(f"limit-profile sup slope {result.limit_report.sup_fit.slope:+.4f}")
 
 
-def _run_train(config: ExperimentConfig) -> None:
+def _report_train(config: ExperimentConfig, result) -> None:
     """toy chain training with exact or memory-free gradients"""
-    result = run_toy_training(config)
     for depth, run in sorted(result.runs.items()):
-        print(f"N={depth} ({result.gradient_mode}): "
-              f"final loss {run.final_loss:.6g} -> {run.losses_path}")
+        path = os.path.join(config.output_dir, f"losses_N{depth}.csv")
+        print(f"N={depth} ({config.gradient_mode}): final loss {run.final_loss:.6g} -> {path}")
 
 
-# Each command's runner; its docstring is the command's help text.
-_RUNNERS = {"study": _run_study, "tightness": _run_tightness,
-            "linflow": _run_linflow, "train": _run_train}
+# Each command's runner, looked up per call as the benchmark tracer rebinds
+# it, and its report, whose docstring is the command's help text.
+_RUNNERS = {"study": (lambda c: run_scaling_study(c), _report_study),
+            "tightness": (lambda c: run_tightness_suite(c), _report_tightness),
+            "linflow": (lambda c: run_linear_flow_experiment(c), _report_linflow),
+            "train": (lambda c: run_toy_training(c), _report_train)}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -129,8 +129,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     code = None  # stays None while an exception no clause maps propagates
     try:
         config = _load(args)
-        made = None if os.path.exists(config.output_dir) else config.output_dir
-        _RUNNERS[args.command](config)
+        _check_command(config, args.command)
+        out = config.output_dir
+        made = None if os.path.exists(out) else out
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output_dir {out!r}: {exc.strerror}") from exc
+        run, report = _RUNNERS[args.command]
+        result = run(config)
+        for name, lines in result.tables:
+            with open(os.path.join(out, name), "w", newline="") as fh:
+                fh.writelines(lines)
+        report(config, result)
         code = 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

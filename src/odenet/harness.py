@@ -4,14 +4,14 @@ Four entry points: depth-scaling studies of the reconstruction and
 gradient errors, the three analytic tightness cases, the linear-flow
 diagnostics, and desk-scale training of a toy chain with exact or
 memory-free gradients.  Every run is driven by an ExperimentConfig and
-a single integer seed; outputs are plain CSV files written with %.17g
-formatting so that identical configurations reproduce byte-identical
-artifacts.
+a single integer seed.  A runner opens no file: it returns its CSV
+tables as (file name, lines), every number formatted with %.17g so that
+identical configurations reproduce byte-identical artifacts, and the
+CLI writes them once the run has succeeded.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -74,6 +74,7 @@ __all__ = [
     "StudyResult",
     "run_scaling_study",
     "TightnessRecord",
+    "TightnessResult",
     "run_tightness_suite",
     "LinearFlowResult",
     "run_linear_flow_experiment",
@@ -256,26 +257,17 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_rows(path, header, rows) -> None:
-    """Write the header, then each row of any iterable as it is produced."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _table(name: str, header, rows) -> tuple:
+    """(file name, lines) in csv.writer's format, for cells with no comma, quote or newline."""
+    return name, [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
 
 
-def _output_dir(config: ExperimentConfig, command: str) -> str:
-    """Reject an experiment that another command runs, then create the output
-    directory before any work; an unusable one is a ConfigError too."""
+def _check_command(config: ExperimentConfig, command: str) -> None:
+    """Reject an experiment that another command runs, before any work."""
     allowed = COMMANDS[command][0]
     if config.experiment not in allowed:
         raise ConfigError(f"experiment {config.experiment!r} does not belong to "
                           f"`{command}` (expected one of {', '.join(allowed)})")
-    try:
-        os.makedirs(config.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output_dir {config.output_dir!r}: {exc.strerror}") from exc
-    return config.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +326,8 @@ class StudyResult:
     records: list
     fits: dict          # metric -> SlopeFit for metrics with >= 2 clean points
     fit_flags: dict     # metric -> "ok" | "low_confidence" | "insufficient"
-    study_path: str
-    slopes_path: str
     oracle_errors: dict  # depth -> Richardson estimate of the ODE oracle's error
+    tables: list        # (file name, lines): study.csv and slopes.csv
 
 
 def _scheme_functions(scheme):
@@ -415,8 +406,9 @@ _STUDIES = {
 
 
 def run_scaling_study(config: ExperimentConfig) -> StudyResult:
-    """Sweep depths, record error metrics, fit log-log slopes, emit CSVs."""
-    out_dir = _output_dir(config, "study")
+    """Sweep depths, record error metrics, fit log-log slopes; return the
+    records, fits and the study.csv and slopes.csv tables."""
+    _check_command(config, "study")
     profile_rng, data_rng = _child_rngs(config.seed, 2)
     family = FAMILIES[config.family](config)
     profile = _make_profile(config, family.param_dim, profile_rng)
@@ -459,14 +451,10 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
         fit_flags[name] = flag
         slope_rows.append([name, *map(_fmt, values), flag])
 
-    study_path = os.path.join(out_dir, "study.csv")
-    slopes_path = os.path.join(out_dir, "slopes.csv")
-    _write_rows(study_path, ["N", "metric", "value"],
-                [[r.depth, r.metric, _fmt(r.value)] for r in records])
-    _write_rows(slopes_path, ["metric", "slope", "intercept", "r2", "flag"],
-                slope_rows)
-    return StudyResult(records, fits, fit_flags, study_path, slopes_path,
-                       oracle_errors)
+    return StudyResult(records, fits, fit_flags, oracle_errors, [
+        _table("study.csv", ["N", "metric", "value"],
+               [[r.depth, r.metric, _fmt(r.value)] for r in records]),
+        _table("slopes.csv", ["metric", "slope", "intercept", "r2", "flag"], slope_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +467,12 @@ class TightnessRecord:
     measured: float
     analytic: float
     oracle_error: float  # Richardson estimate of the reference solution's error
+
+
+@dataclass
+class TightnessResult:
+    records: list        # TightnessRecord per case and depth
+    tables: list         # (file name, lines): tightness.csv
 
 
 # Each case at depth N: (family, interpolation kind, the N layer weights,
@@ -501,16 +495,14 @@ def _tightness_case(case: str, depth: int) -> TightnessRecord:
     return TightnessRecord(case, depth, float(gaps[-1]), analytic, oracle_error)
 
 
-def run_tightness_suite(config: ExperimentConfig) -> list:
+def run_tightness_suite(config: ExperimentConfig) -> TightnessResult:
     """Measured chain-vs-flow gaps against their closed-form values."""
-    out_dir = _output_dir(config, "tightness")
+    _check_command(config, "tightness")
     records = [_tightness_case(case, depth)
                for case in TIGHTNESS_CASES for depth in config.depths]
-    path = os.path.join(out_dir, "tightness.csv")
-    _write_rows(path, ["case", "N", "measured", "analytic"],
-                [[r.case, r.depth, _fmt(r.measured), _fmt(r.analytic)]
-                 for r in records])
-    return records
+    return TightnessResult(records, [_table(
+        "tightness.csv", ["case", "N", "measured", "analytic"],
+        [[r.case, r.depth, _fmt(r.measured), _fmt(r.analytic)] for r in records])])
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +510,13 @@ def run_tightness_suite(config: ExperimentConfig) -> list:
 
 @dataclass
 class LinearFlowResult:
-    depths: tuple
     regime_reports: dict      # depth -> RegimeReport
     traces: dict              # depth -> FlowTrace
     monitor_reports: dict     # depth -> MonitorReport
     doubling: dict            # depth N -> sup distance to the 2N run
     limit_report: object      # LimitMapReport or None
     product_gaps: dict        # depth -> product-vs-flow discrepancy
+    tables: list              # (file name, lines) of every CSV
 
 
 def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarray]:
@@ -549,7 +541,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
     every depth inside the small-loss regime; a violation aborts before
     any integration starts.
     """
-    out_dir = _output_dir(config, "linflow")
+    _check_command(config, "linflow")
     profile_rng, target_rng = _child_rngs(config.seed, 2)
     profile = _matrix_profile(config, profile_rng)
     states0 = {n: state_from_profile(profile, n) for n in config.depths}
@@ -571,38 +563,36 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
             raise RegimeAbort(depth, report)
 
     snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
-    traces, monitor_reports, product_gaps = {}, {}, {}
+    traces, monitor_reports, product_gaps, tables = {}, {}, {}, []
     for depth in config.depths:
         trace = integrate_flow(states0[depth], b_target, config.t_end, MAX_STEP_SIZE,
                                snapshots)
         traces[depth] = trace
         monitor_reports[depth] = monitor_invariants(trace)
-        _write_rows(os.path.join(out_dir, f"trace_N{depth}.csv"),
-                    ["t", "loss", "max_theta_norm", "smoothness_stat"],
-                    [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
-                      _fmt(r.smoothness_stat)] for r in trace.samples])
+        tables.append(_table(f"trace_N{depth}.csv",
+                             ["t", "loss", "max_theta_norm", "smoothness_stat"],
+                             [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
+                               _fmt(r.smoothness_stat)] for r in trace.samples]))
         product_gaps[depth] = product_vs_ode(trace.samples[-1].thetas)
 
-    doubling = {}
-    for depth in config.depths:
-        if 2 * depth in traces:
-            doubling[depth] = depth_double_compare(traces[depth], traces[2 * depth])
+    doubling = {n: depth_double_compare(traces[n], traces[2 * n])
+                for n in config.depths if 2 * n in traces}
     if doubling:
-        _write_rows(os.path.join(out_dir, "doubling.csv"), ["N", "sup_distance"],
-                    [[n, _fmt(doubling[n])] for n in sorted(doubling)])
+        tables.append(_table("doubling.csv", ["N", "sup_distance"],
+                             [[n, _fmt(doubling[n])] for n in sorted(doubling)]))
 
     limit_report = None
     if len(config.depths) >= 3:
         limit_report = extract_limit_map([traces[n] for n in config.depths])
-        _write_rows(os.path.join(out_dir, "limitmap.csv"), ["t", "N", "l2_distance"],
-                    [[_fmt(t), int(n), _fmt(limit_report.distances[ti, ni])]
-                     for ti, t in enumerate(limit_report.times)
-                     for ni, n in enumerate(limit_report.depths)])
+        tables.append(_table("limitmap.csv", ["t", "N", "l2_distance"],
+                             [[_fmt(t), int(n), _fmt(limit_report.distances[ti, ni])]
+                              for ti, t in enumerate(limit_report.times)
+                              for ni, n in enumerate(limit_report.depths)]))
 
-    _write_rows(os.path.join(out_dir, "productode.csv"), ["N", "discrepancy"],
-                [[n, _fmt(product_gaps[n])] for n in config.depths])
-    return LinearFlowResult(config.depths, regime_reports, traces, monitor_reports,
-                            doubling, limit_report, product_gaps)
+    tables.append(_table("productode.csv", ["N", "discrepancy"],
+                         [[n, _fmt(product_gaps[n])] for n in config.depths]))
+    return LinearFlowResult(regime_reports, traces, monitor_reports, doubling,
+                            limit_report, product_gaps, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +600,24 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
 
 @dataclass
 class ToyRun:
-    depth: int
     losses: np.ndarray     # per-iteration mean squared error, length iters+1
     final_loss: float
-    losses_path: str
 
 
 @dataclass
 class ToyTrainResult:
-    gradient_mode: str
     runs: dict             # depth -> ToyRun
+    tables: list           # (file name, lines): each depth's losses and trajectories
+
+
+def _trajectory_lines(nodes: np.ndarray):
+    """The nodes' B·(N + 1) rows, one input's N + 1 lines per string, never held whole."""
+    depth = nodes.shape[0] - 1
+    node_cells = [f"{node},{_fmt(node / depth)}," for node in range(depth + 1)]
+    yield "input_index,node_index,s,x_0\r\n"
+    for b in range(nodes.shape[2]):
+        yield "".join([f"{b},{cells}{x:.17g}\r\n" for cells, x
+                       in zip(node_cells, nodes[:, 0, b].tolist())])
 
 
 def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
@@ -629,7 +627,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     which keeps the effective output-space step size comparable across
     depths (the same rescaling the linear flow uses).
     """
-    out_dir = _output_dir(config, "train")
+    _check_command(config, "train")
     profile_rng, = _child_rngs(config.seed, 1)
     family = make_mlp_family(1, config.hidden_dim)
     profile = _make_profile(config, family.param_dim, profile_rng)
@@ -638,7 +636,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     scheme, stored = GRADIENT_MODES[config.gradient_mode]
     forward, exact_backprop, _, adjoint_backprop = _scheme_functions(scheme)
 
-    runs = {}
+    runs, tables = {}, []
     for depth in config.depths:
         params = profile(depth)
         losses = np.empty(config.iterations + 1)
@@ -664,18 +662,8 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
                 layer = int(np.argmax(bad))
                 raise DivergenceError(f"training update diverged at layer {layer}", layer)
 
-        losses_path = os.path.join(out_dir, f"losses_N{depth}.csv")
-        _write_rows(losses_path, ["iteration", "loss"],
-                    [[k, _fmt(losses[k])] for k in range(losses.size)])
-        # B·(N + 1) rows in csv.writer's format, streamed to the file one
-        # input's N + 1 lines at a time rather than held in memory.
-        node_cells = [f"{node},{_fmt(s)},"
-                      for node, s in enumerate((np.arange(depth + 1) / depth).tolist())]
-        with open(os.path.join(out_dir, f"trajectories_N{depth}.csv"), "w",
-                  newline="") as fh:
-            fh.write("input_index,node_index,s,x_0\r\n")
-            for b in range(config.input_count):
-                fh.write("".join([f"{b},{cells}{x:.17g}\r\n" for cells, x
-                                  in zip(node_cells, traj.nodes[:, 0, b].tolist())]))
-        runs[depth] = ToyRun(depth, losses, float(losses[-1]), losses_path)
-    return ToyTrainResult(config.gradient_mode, runs)
+        tables += [_table(f"losses_N{depth}.csv", ["iteration", "loss"],
+                          [[k, _fmt(losses[k])] for k in range(losses.size)]),
+                   (f"trajectories_N{depth}.csv", _trajectory_lines(traj.nodes))]
+        runs[depth] = ToyRun(losses, float(losses[-1]))
+    return ToyTrainResult(runs, tables)

@@ -4,7 +4,8 @@ The reference quantities are built only from the package's public,
 shape-checked kernels: ``jac_state``, ``reverse_nodes``, the reverse
 sweep one layer at a time (``layer_sweep``) and central finite
 differences.  The fixtures are the index schedule, the
-eval-defined vector field and a study's clean values by depth.
+eval-defined vector field, a study's clean values by depth and the
+text of each table a runner returns.
 """
 
 from typing import Callable
@@ -145,3 +146,9 @@ def values(result, metric: str) -> dict:
     """A study's unflagged values of ``metric``, by depth."""
     return {r.depth: r.value for r in result.records
             if r.metric == metric and r.flag == ""}
+
+
+def tables(result) -> dict:
+    """{file name: text} of the CSV tables a runner returned; a streamed
+    table is consumed, so call this once per result."""
+    return {name: "".join(lines) for name, lines in result.tables}

@@ -38,39 +38,34 @@ from odenet.residual_models import (
     make_mlp_family,
     make_square_family,
 )
-from oracles import finite_difference_gradient, values
+from oracles import finite_difference_gradient, tables, values
 
 
-def _timed_study(experiment: str, profile: str, out) -> tuple:
-    config = ExperimentConfig(experiment=experiment, schedule_profile=profile,
-                              seed=0, output_dir=str(out))
+def _timed_study(experiment: str, profile: str) -> tuple:
+    config = ExperimentConfig(experiment=experiment, schedule_profile=profile, seed=0)
     start = time.perf_counter()
     result = run_scaling_study(config)
     return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def euler_study(tmp_path_factory):
-    return _timed_study("euler_adjoint", "lipschitz_profile",
-                        tmp_path_factory.mktemp("euler_study"))
+def euler_study():
+    return _timed_study("euler_adjoint", "lipschitz_profile")
 
 
 @pytest.fixture(scope="module")
-def heun_study(tmp_path_factory):
-    return _timed_study("heun_adjoint", "lipschitz_profile",
-                        tmp_path_factory.mktemp("heun_study"))
+def heun_study():
+    return _timed_study("heun_adjoint", "lipschitz_profile")
 
 
 @pytest.fixture(scope="module")
-def heun_alternating_study(tmp_path_factory):
-    return _timed_study("heun_adjoint", "alternating",
-                        tmp_path_factory.mktemp("heun_alt_study"))
+def heun_alternating_study():
+    return _timed_study("heun_adjoint", "alternating")
 
 
 @pytest.fixture(scope="module")
-def flow_experiment(tmp_path_factory):
-    config = ExperimentConfig(experiment="limit_map", seed=0,
-                              output_dir=str(tmp_path_factory.mktemp("flow")))
+def flow_experiment():
+    config = ExperimentConfig(experiment="limit_map", seed=0)
     start = time.perf_counter()
     result = run_linear_flow_experiment(config)
     return result, time.perf_counter() - start
@@ -269,12 +264,10 @@ def test_adjoint_sweeps_use_depth_independent_memory():
         assert deep <= 1.1 * shallow
 
 
-def test_identical_seeds_reproduce_identical_study_outputs(tmp_path):
+def test_identical_seeds_reproduce_identical_study_outputs():
     blobs = []
-    for sub in ("first", "second"):
-        config = ExperimentConfig(experiment="euler_adjoint", depths=(16, 64),
-                                  seed=0, output_dir=str(tmp_path / sub))
-        run_scaling_study(config)
-        blobs.append((tmp_path / sub / "study.csv").read_bytes()
-                     + (tmp_path / sub / "slopes.csv").read_bytes())
+    for _ in range(2):
+        config = ExperimentConfig(experiment="euler_adjoint", depths=(16, 64), seed=0)
+        text = tables(run_scaling_study(config))
+        blobs.append(text["study.csv"] + text["slopes.csv"])
     assert blobs[0] == blobs[1]

@@ -45,18 +45,13 @@ from odenet.harness import (
     run_toy_training,
 )
 from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
-from oracles import eval_field, values
+from oracles import eval_field, tables, values
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def csv_bytes(directory):
-    """{name: contents} of every CSV a run wrote to ``directory``."""
-    return {p.name: p.read_bytes() for p in sorted(Path(directory).glob("*.csv"))}
 
 
 class TestParseConfig:
@@ -346,27 +341,26 @@ class TestScheduleProfiles:
 
 
 class TestScalingStudy:
-    def test_mlp_study_smoke(self, tmp_path):
+    def test_mlp_study_smoke(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3,
-                                  seed=1, output_dir=str(tmp_path))
+                                  family="mlp", state_dim=2, hidden_dim=3, seed=1)
         result = run_scaling_study(config)
         assert len(result.records) == 6
         assert all(r.flag == "" for r in result.records)
         assert set(result.fit_flags.values()) == {"ok"}
         recon = values(result, "recon_max_error")
         assert recon[16] < recon[8]
-        study_lines = (tmp_path / "study.csv").read_text().strip().splitlines()
+        text = tables(result)
+        study_lines = text["study.csv"].strip().splitlines()
         assert study_lines[0] == "N,metric,value"
         assert len(study_lines) == 7
-        slope_lines = (tmp_path / "slopes.csv").read_text().strip().splitlines()
+        slope_lines = text["slopes.csv"].strip().splitlines()
         assert slope_lines[0] == "metric,slope,intercept,r2,flag"
         assert len(slope_lines) == 4
 
-    def test_heun_study_smoke(self, tmp_path):
+    def test_heun_study_smoke(self):
         config = ExperimentConfig(experiment="heun_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3,
-                                  seed=1, output_dir=str(tmp_path))
+                                  family="mlp", state_dim=2, hidden_dim=3, seed=1)
         result = run_scaling_study(config)
         assert sorted(result.fit_flags) == [
             "grad_max_abs_error", "grad_max_rel_error", "recon_max_error"]
@@ -393,13 +387,12 @@ class TestScalingStudy:
                            (comp.max_abs, float(np.max(np.linalg.norm(exact, axis=1)))),
                            (comp.max_rel, 1.0)]
 
-    def test_diverged_depths_are_flagged_not_fatal(self, tmp_path):
+    def test_diverged_depths_are_flagged_not_fatal(self):
         # theta_n = n with a scalar linear field blows past the guard at
         # depth 128 but not at 16
         config = ExperimentConfig(experiment="approx_error", depths=(16, 128),
                                   family="linear", state_dim=1,
-                                  schedule_profile="index", seed=0,
-                                  output_dir=str(tmp_path))
+                                  schedule_profile="index", seed=0)
         result = run_scaling_study(config)
         by_depth = {r.depth: r for r in result.records}
         assert by_depth[16].flag == ""
@@ -407,9 +400,9 @@ class TestScalingStudy:
         assert math.isnan(by_depth[128].value)
         assert list(values(result, "approx_max_error")) == [16]
         assert result.fit_flags["approx_max_error"] == "insufficient"
-        assert "nan" in (tmp_path / "slopes.csv").read_text()
+        assert "nan" in tables(result)["slopes.csv"]
 
-    def test_reverse_divergence_flags_one_adjoint_depth(self, tmp_path):
+    def test_reverse_divergence_flags_one_adjoint_depth(self):
         # theta = -40 on a scalar linear field: at depth 20 a two-stage
         # step multiplies the forward state by 1 - 2 + 2 = 1 and the
         # reverse one by 1 + 2 + 2 = 5, so only the adjoint sweep
@@ -417,7 +410,7 @@ class TestScalingStudy:
         config = ExperimentConfig(experiment="heun_adjoint", depths=(20, 160),
                                   family="linear", state_dim=1,
                                   schedule_profile="constant", profile_scale=40.0,
-                                  seed=1, output_dir=str(tmp_path))
+                                  seed=1)
         result = run_scaling_study(config)
         diverged = [r for r in result.records if r.depth == 20]
         clean = [r for r in result.records if r.depth == 160]
@@ -430,51 +423,44 @@ class TestScalingStudy:
                                    WeightSchedule(np.full((20, 1), -40.0)),
                                    np.array([2.5]), np.array([1.0]))
 
-    def test_all_depths_diverged(self, tmp_path):
+    def test_all_depths_diverged(self):
         config = ExperimentConfig(experiment="approx_error", depths=(128, 256),
                                   family="linear", state_dim=1,
-                                  schedule_profile="index", seed=0,
-                                  output_dir=str(tmp_path))
+                                  schedule_profile="index", seed=0)
         with pytest.raises(AllDepthsDiverged):
             run_scaling_study(config)
 
-    def test_exact_metrics_fall_to_noise_floor(self, tmp_path):
+    def test_exact_metrics_fall_to_noise_floor(self):
         # a state-independent field makes reconstruction and both
         # gradient routes exact, so every metric sits at rounding level
         config = ExperimentConfig(experiment="euler_adjoint", depths=(16, 64),
-                                  family="identity", schedule_profile="constant",
-                                  seed=0, output_dir=str(tmp_path))
+                                  family="identity", schedule_profile="constant", seed=0)
         result = run_scaling_study(config)
         assert all(r.flag == "floor" for r in result.records)
         assert values(result, "recon_max_error") == {}
         assert set(result.fit_flags.values()) == {"insufficient"}
 
-    def test_rejects_wrong_experiment(self, tmp_path):
-        config = ExperimentConfig(experiment="toy_train", output_dir=str(tmp_path))
+    def test_rejects_wrong_experiment(self):
+        config = ExperimentConfig(experiment="toy_train")
         with pytest.raises(ConfigError):
             run_scaling_study(config)
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self):
         outputs = []
-        for sub in ("a", "b"):
+        for _ in range(2):
             config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                      family="mlp", state_dim=2, hidden_dim=3,
-                                      seed=5, output_dir=str(tmp_path / sub))
-            run_scaling_study(config)
-            outputs.append((tmp_path / sub / "study.csv").read_bytes())
+                                      family="mlp", state_dim=2, hidden_dim=3, seed=5)
+            outputs.append(tables(run_scaling_study(config))["study.csv"])
         assert outputs[0] == outputs[1]
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3,
-                                  seed=6, output_dir=str(tmp_path / "c"))
-        run_scaling_study(config)
-        assert (tmp_path / "c" / "study.csv").read_bytes() != outputs[0]
+                                  family="mlp", state_dim=2, hidden_dim=3, seed=6)
+        assert tables(run_scaling_study(config))["study.csv"] != outputs[0]
 
 
 class TestTightnessSuite:
-    def test_measured_gaps_match_closed_forms(self, tmp_path):
-        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
-                                  output_dir=str(tmp_path))
-        records = run_tightness_suite(config)
+    def test_measured_gaps_match_closed_forms(self):
+        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64))
+        records = run_tightness_suite(config).records
         assert len(records) == 6
         for r in records:
             assert r.measured == pytest.approx(r.analytic, rel=1e-6)
@@ -484,20 +470,17 @@ class TestTightnessSuite:
         assert analytic[("index_residual", 4)] == 0.5
         assert analytic[("alternating_square", 64)] == 2.0 / 3.0
 
-    def test_csv_layout(self, tmp_path):
-        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
-                                  output_dir=str(tmp_path))
-        run_tightness_suite(config)
-        lines = (tmp_path / "tightness.csv").read_text().strip().splitlines()
+    def test_csv_layout(self):
+        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64))
+        lines = tables(run_tightness_suite(config))["tightness.csv"].strip().splitlines()
         assert lines[0] == "case,N,measured,analytic"
         assert len(lines) == 7
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        for sub in ("a", "b"):
-            run_tightness_suite(ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
-                                                 output_dir=str(tmp_path / sub)))
-        assert csv_bytes(tmp_path / "a") == csv_bytes(tmp_path / "b")
-        assert list(csv_bytes(tmp_path / "a")) == ["tightness.csv"]
+    def test_reruns_are_byte_identical(self):
+        a, b = (tables(run_tightness_suite(ExperimentConfig(
+            experiment="tightness_suite", depths=(4, 64)))) for _ in range(2))
+        assert a == b
+        assert list(a) == ["tightness.csv"]
 
     def test_rejects_wrong_experiment(self, tmp_path):
         out = tmp_path / "out"
@@ -547,9 +530,8 @@ class TestOracle:
         true_error = np.max(np.abs(sol - ref))
         assert 0.0 < true_error <= estimate
 
-    def test_default_study_matches_a_64n_oracle(self, tmp_path, monkeypatch):
-        config = ExperimentConfig(experiment="approx_error", depths=(16, 32, 64),
-                                  seed=0, output_dir=str(tmp_path / "fast"))
+    def test_default_study_matches_a_64n_oracle(self, monkeypatch):
+        config = ExperimentConfig(experiment="approx_error", depths=(16, 32, 64), seed=0)
         fast = run_scaling_study(config)
         assert all(r.flag == "" for r in fast.records)
         assert sorted(fast.oracle_errors) == [16, 32, 64]
@@ -557,32 +539,29 @@ class TestOracle:
         def oracle_64n(field, x0):
             return solve_ode_oracle(field, x0, 64 * field.depth), 0.0
         monkeypatch.setattr(harness, "_oracle", oracle_64n)
-        config = dataclasses.replace(config, output_dir=str(tmp_path / "slow"))
         slow = values(run_scaling_study(config), "approx_max_error")
         for depth, value in values(fast, "approx_max_error").items():
             assert value == pytest.approx(slow[depth], rel=1e-8, abs=0.0)
 
 
 class TestOracleFlag:
-    def test_large_estimate_flags_every_point(self, tmp_path, monkeypatch):
+    def test_large_estimate_flags_every_point(self, monkeypatch):
         monkeypatch.setattr(harness, "_oracle", _huge_estimate)
         config = ExperimentConfig(experiment="approx_error", depths=(8, 16),
-                                  state_dim=2, hidden_dim=3, seed=1,
-                                  output_dir=str(tmp_path))
+                                  state_dim=2, hidden_dim=3, seed=1)
         result = run_scaling_study(config)
         assert [r.flag for r in result.records] == ["oracle", "oracle"]
         assert all(r.value > 0.0 for r in result.records)
         assert values(result, "approx_max_error") == {}
         assert result.fit_flags["approx_max_error"] == "insufficient"
         assert result.oracle_errors == {8: 1.0, 16: 1.0}
-        lines = (tmp_path / "study.csv").read_text().strip().splitlines()
+        lines = tables(result)["study.csv"].strip().splitlines()
         assert len(lines) == 3
 
-    def test_flagged_point_leaves_the_fit(self, tmp_path, monkeypatch):
+    def test_flagged_point_leaves_the_fit(self, monkeypatch):
         depths = (8, 16, 32)
         base = ExperimentConfig(experiment="approx_error", depths=depths,
-                                state_dim=2, hidden_dim=3, seed=1,
-                                output_dir=str(tmp_path / "base"))
+                                state_dim=2, hidden_dim=3, seed=1)
         clean = values(run_scaling_study(base), "approx_max_error")
         real = harness._oracle
 
@@ -591,39 +570,35 @@ class TestOracleFlag:
             # just above the tolerance at depth 16 only
             return sol, (2e-3 * clean[16] if field.depth == 16 else estimate)
         monkeypatch.setattr(harness, "_oracle", one_bad_depth)
-        result = run_scaling_study(dataclasses.replace(base, output_dir=str(tmp_path / "flagged")))
+        result = run_scaling_study(base)
         assert {r.depth: r.flag for r in result.records} == {8: "", 16: "oracle", 32: ""}
         assert values(result, "approx_max_error") == {8: clean[8], 32: clean[32]}
         assert result.fits["approx_max_error"].points_used == 2
 
-    def test_floor_check_runs_first(self, tmp_path, monkeypatch):
+    def test_floor_check_runs_first(self, monkeypatch):
         # a state-independent constant field makes the chain exact
         monkeypatch.setattr(harness, "_oracle", _huge_estimate)
         config = ExperimentConfig(experiment="approx_error", depths=(16, 64),
-                                  family="identity", schedule_profile="constant",
-                                  seed=0, output_dir=str(tmp_path))
+                                  family="identity", schedule_profile="constant", seed=0)
         result = run_scaling_study(config)
         assert [r.flag for r in result.records] == ["floor", "floor"]
 
-    def test_adjoint_studies_carry_no_estimate(self, tmp_path):
+    def test_adjoint_studies_carry_no_estimate(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  state_dim=2, hidden_dim=3, seed=1,
-                                  output_dir=str(tmp_path))
+                                  state_dim=2, hidden_dim=3, seed=1)
         assert run_scaling_study(config).oracle_errors == {}
 
-    def test_diverged_depth_has_no_estimate(self, tmp_path):
+    def test_diverged_depth_has_no_estimate(self):
         config = ExperimentConfig(experiment="approx_error", depths=(16, 128),
                                   family="linear", state_dim=1,
-                                  schedule_profile="index", seed=0,
-                                  output_dir=str(tmp_path))
+                                  schedule_profile="index", seed=0)
         result = run_scaling_study(config)
         assert list(result.oracle_errors) == [16]
         assert result.oracle_errors[16] < 1e-3 * values(result, "approx_max_error")[16]
 
-    def test_tightness_records_carry_estimate(self, tmp_path):
-        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64),
-                                  output_dir=str(tmp_path))
-        for r in run_tightness_suite(config):
+    def test_tightness_records_carry_estimate(self):
+        config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64))
+        for r in run_tightness_suite(config).records:
             # RK4 integrates these polynomial-in-s fields exactly
             assert 0.0 <= r.oracle_error <= 1e-12
 
@@ -633,9 +608,10 @@ FLOW_CONFIG = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32), state
 
 
 @pytest.fixture(scope="module")
-def flow_result(tmp_path_factory):
-    out = tmp_path_factory.mktemp("linflow")
-    return out, run_linear_flow_experiment(dataclasses.replace(FLOW_CONFIG, output_dir=str(out)))
+def flow_result():
+    """The fixture config's tables, {file name: text}, and its result."""
+    result = run_linear_flow_experiment(FLOW_CONFIG)
+    return tables(result), result
 
 
 class TestLinearFlowExperiment:
@@ -663,90 +639,87 @@ class TestLinearFlowExperiment:
         assert -1.3 <= report.sup_fit.slope <= -0.7
 
     def test_output_files(self, flow_result):
-        out, result = flow_result
-        names = sorted(p.name for p in out.iterdir())
+        text, result = flow_result
+        names = sorted(text)
         assert names == ["doubling.csv", "limitmap.csv", "productode.csv",
                          "trace_N16.csv", "trace_N32.csv", "trace_N8.csv"]
-        assert (out / "doubling.csv").read_text().splitlines()[0] == "N,sup_distance"
-        assert (out / "productode.csv").read_text().splitlines()[0] == "N,discrepancy"
-        limit_lines = (out / "limitmap.csv").read_text().strip().splitlines()
+        assert text["doubling.csv"].splitlines()[0] == "N,sup_distance"
+        assert text["productode.csv"].splitlines()[0] == "N,discrepancy"
+        limit_lines = text["limitmap.csv"].strip().splitlines()
         assert len(limit_lines) == 1 + 3 * 2
 
-    def test_reruns_are_byte_identical(self, flow_result, tmp_path):
-        """A second run of the fixture's config writes every CSV byte for byte."""
-        out, _ = flow_result
-        run_linear_flow_experiment(dataclasses.replace(FLOW_CONFIG, output_dir=str(tmp_path)))
-        assert csv_bytes(tmp_path) == csv_bytes(out)
-        assert len(csv_bytes(out)) == 6
+    def test_reruns_are_byte_identical(self, flow_result):
+        """A second run of the fixture's config returns every CSV byte for byte."""
+        text, _ = flow_result
+        assert tables(run_linear_flow_experiment(FLOW_CONFIG)) == text
+        assert len(text) == 6
 
-    def test_oversized_init_aborts(self, tmp_path):
+    def test_oversized_init_aborts(self):
         config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
                                   state_dim=2, t_end=1.0, snapshot_count=2,
-                                  profile_scale=0.3, seed=0,
-                                  output_dir=str(tmp_path))
+                                  profile_scale=0.3, seed=0)
         with pytest.raises(RegimeAbort) as exc:
             run_linear_flow_experiment(config)
         assert exc.value.depth == 8
         assert "small-loss regime" in str(exc.value)
 
-    def test_rejects_wrong_experiment(self, tmp_path):
-        config = ExperimentConfig(experiment="approx_error",
-                                  output_dir=str(tmp_path))
+    def test_rejects_wrong_experiment(self):
+        config = ExperimentConfig(experiment="approx_error")
         with pytest.raises(ConfigError):
             run_linear_flow_experiment(config)
 
 
 class TestToyTraining:
-    def test_exact_training_smoke(self, tmp_path):
+    def test_exact_training_smoke(self):
         config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                   learning_rate=0.3, iterations=30,
-                                  input_count=8, hidden_dim=3, seed=0,
-                                  output_dir=str(tmp_path))
+                                  input_count=8, hidden_dim=3, seed=0)
         result = run_toy_training(config)
         run = result.runs[4]
         assert run.losses.size == 31
         assert run.final_loss == run.losses[-1]
         assert run.final_loss < run.losses[0]
-        loss_lines = (tmp_path / "losses_N4.csv").read_text().strip().splitlines()
+        text = tables(result)
+        loss_lines = text["losses_N4.csv"].strip().splitlines()
         assert loss_lines[0] == "iteration,loss"
         assert len(loss_lines) == 32
-        traj_lines = (tmp_path / "trajectories_N4.csv").read_text().strip().splitlines()
+        traj_lines = text["trajectories_N4.csv"].strip().splitlines()
         assert traj_lines[0] == "input_index,node_index,s,x_0"
         assert len(traj_lines) == 1 + 8 * 5
 
     @pytest.mark.parametrize("mode", ["adjoint_euler", "adjoint_heun"])
-    def test_memory_free_modes_train(self, tmp_path, mode):
+    def test_memory_free_modes_train(self, mode):
         config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                   learning_rate=0.3, iterations=10,
                                   input_count=8, hidden_dim=3, seed=0,
-                                  gradient_mode=mode, output_dir=str(tmp_path))
+                                  gradient_mode=mode)
         result = run_toy_training(config)
         run = result.runs[4]
         assert np.all(np.isfinite(run.losses))
         assert run.final_loss < run.losses[0]
 
-    def test_shallow_chain_fits_decreasing_target(self, tmp_path):
+    def test_shallow_chain_fits_decreasing_target(self):
         # with only 4 layers each Euler step is large enough to fold the
         # map, so a decreasing target is representable
         config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                   target="neg_square_half", learning_rate=0.3,
-                                  iterations=100, seed=0, output_dir=str(tmp_path))
+                                  iterations=100, seed=0)
         result = run_toy_training(config)
         assert result.runs[4].final_loss <= 1e-2
 
-    def test_deep_chain_hits_monotone_floor(self, tmp_path):
+    def test_deep_chain_hits_monotone_floor(self):
         # a deep chain approximates an ODE flow, which is monotone in the
         # scalar input; the best monotone fit of -x^2/2 on [0, 1] is a
         # constant, leaving mean squared error near var(x^2/2) = 1/45
         config = ExperimentConfig(experiment="toy_train", depths=(64,),
                                   target="neg_square_half", learning_rate=3.0,
-                                  iterations=600, seed=0, output_dir=str(tmp_path))
+                                  iterations=600, seed=0)
         result = run_toy_training(config)
         final = result.runs[64].final_loss
         assert final < result.runs[64].losses[0]
         assert 0.015 <= final <= 0.2
 
-    def test_overflowing_update_names_first_bad_layer(self, tmp_path, monkeypatch):
+    def test_overflowing_update_names_first_bad_layer(self, monkeypatch):
         """A non-finite parameter after an update raises DivergenceError at
         the first layer holding one, before the next schedule is built."""
         exact = harness.backprop_exact
@@ -757,19 +730,19 @@ class TestToyTraining:
             return grads
         monkeypatch.setattr(harness, "backprop_exact", overflowing)
         config = ExperimentConfig(experiment="toy_train", depths=(4,), iterations=3,
-                                  input_count=8, hidden_dim=3, output_dir=str(tmp_path))
+                                  input_count=8, hidden_dim=3)
         with pytest.raises(DivergenceError) as exc:
             run_toy_training(config)
         assert exc.value.layer == 2
 
-    def test_exact_heun_row_trains_the_heun_chain(self, tmp_path, monkeypatch):
+    def test_exact_heun_row_trains_the_heun_chain(self, monkeypatch):
         """A gradient mode is one (scheme, stored) row: an exact-Heun row
         trains with the Heun chain and its exact backprop from iteration 0,
         and its losses are a hand loop of the two bit for bit."""
         monkeypatch.setitem(harness.GRADIENT_MODES, "exact_heun", (HEUN, True))
         config = ExperimentConfig(experiment="toy_train", depths=(4,), learning_rate=0.3,
                                   iterations=5, input_count=8, hidden_dim=3, seed=0,
-                                  gradient_mode="exact_heun", output_dir=str(tmp_path))
+                                  gradient_mode="exact_heun")
         losses = run_toy_training(config).runs[4].losses
         family = make_mlp_family(1, 3)
         params = _make_profile(config, family.param_dim, _child_rngs(config.seed, 1)[0])(4)
@@ -786,57 +759,54 @@ class TestToyTraining:
             params = params - config.learning_rate * 4 * grads
         assert np.array_equal(losses, expected)
 
-    def test_rejects_wrong_experiment(self, tmp_path):
-        config = ExperimentConfig(experiment="limit_map",
-                                  output_dir=str(tmp_path))
+    def test_rejects_wrong_experiment(self):
+        config = ExperimentConfig(experiment="limit_map")
         with pytest.raises(ConfigError):
             run_toy_training(config)
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self):
         blobs = []
-        for sub in ("a", "b"):
+        for _ in range(2):
             config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                       learning_rate=0.3, iterations=15,
-                                      input_count=8, hidden_dim=3, seed=2,
-                                      output_dir=str(tmp_path / sub))
-            run_toy_training(config)
-            blobs.append((tmp_path / sub / "losses_N4.csv").read_bytes()
-                         + (tmp_path / sub / "trajectories_N4.csv").read_bytes())
+                                      input_count=8, hidden_dim=3, seed=2)
+            text = tables(run_toy_training(config))
+            blobs.append(text["losses_N4.csv"] + text["trajectories_N4.csv"])
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("mode", ["adjoint_euler", "adjoint_heun"])
-    def test_memory_free_reruns_are_byte_identical(self, tmp_path, mode):
+    def test_memory_free_reruns_are_byte_identical(self, mode):
         """The memory-free modes too (exact: test_reruns_are_byte_identical)."""
         blobs = []
-        for sub in ("a", "b"):
+        for _ in range(2):
             config = ExperimentConfig(experiment="toy_train", depths=(3, 8),
                                       learning_rate=0.3, iterations=6,
                                       input_count=8, hidden_dim=3, seed=4,
-                                      gradient_mode=mode, output_dir=str(tmp_path / sub))
-            run_toy_training(config)
-            blobs.append(b"".join((tmp_path / sub / f"{kind}_N{n}.csv").read_bytes()
-                                  for kind in ("losses", "trajectories") for n in (3, 8)))
+                                      gradient_mode=mode)
+            text = tables(run_toy_training(config))
+            blobs.append("".join(text[f"{kind}_N{n}.csv"]
+                                 for kind in ("losses", "trajectories") for n in (3, 8)))
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("mode", ["exact", "adjoint_euler"])
     def test_trajectory_table_is_streamed(self, tmp_path, mode):
-        """The 64 x 1001-row table is written row by row: the heap peak
-        stays near the size of the node array (0.5 MB), far below the
-        ~17 MB a list of all formatted rows takes."""
-        config = ExperimentConfig(experiment="toy_train", depths=(1000,),
-                                  iterations=1, input_count=64, gradient_mode=mode,
-                                  output_dir=str(tmp_path))
+        """The 64 x 1001-row table is written row by row: the heap peak of
+        the whole command stays near the size of the node array (0.5 MB),
+        far below the ~17 MB a list of all formatted rows takes."""
+        path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 1000\niterations = 1\n"
+                                   f"input_count = 64\ngradient_mode = {mode}\n")
         tracemalloc.start()
         try:
-            run_toy_training(config)
+            assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-        assert (tmp_path / "trajectories_N1000.csv").read_text().count("\n") == 1 + 64 * 1001
+        table = (tmp_path / "out" / "trajectories_N1000.csv").read_text()
+        assert table.count("\n") == 1 + 64 * 1001
 
     @pytest.mark.parametrize("mode", ["exact", "adjoint_heun"])
-    def test_trajectory_table_matches_row_list_writer(self, tmp_path, monkeypatch, mode):
+    def test_trajectory_table_matches_row_list_writer(self, monkeypatch, mode):
         """The streamed table is byte-identical to one built as a list of
         rows, node by node, from the final forward pass's nodes."""
         finals = []
@@ -849,9 +819,8 @@ class TestToyTraining:
                 return traj
             monkeypatch.setattr(harness, name, recording)
         config = ExperimentConfig(experiment="toy_train", depths=(5,), iterations=4,
-                                  input_count=3, hidden_dim=3, seed=1,
-                                  gradient_mode=mode, output_dir=str(tmp_path))
-        run_toy_training(config)
+                                  input_count=3, hidden_dim=3, seed=1, gradient_mode=mode)
+        table = tables(run_toy_training(config))["trajectories_N5.csv"]
         nodes = finals[-1]
         depth = nodes.shape[0] - 1
         s_values = np.arange(depth + 1) / depth
@@ -862,32 +831,30 @@ class TestToyTraining:
                              f"{float(nodes[node, 0, b]):.17g}"])
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows([["input_index", "node_index", "s", "x_0"], *rows])
-        assert (tmp_path / "trajectories_N5.csv").read_bytes() == expected.getvalue().encode()
+        assert table.encode() == expected.getvalue().encode()
 
 
 class TestTrainedAccuracy:
     """Deep-chain training quality with exact and memory-free gradients."""
 
-    def test_deep_training_with_adjoint_matches_exact(self, tmp_path):
+    def test_deep_training_with_adjoint_matches_exact(self):
         finals = {}
         for mode in ("exact", "adjoint_euler"):
             config = ExperimentConfig(experiment="toy_train", depths=(300,),
                                       learning_rate=3.0, iterations=600, seed=0,
-                                      gradient_mode=mode,
-                                      output_dir=str(tmp_path / mode))
+                                      gradient_mode=mode)
             finals[mode] = run_toy_training(config).runs[300].final_loss
         assert finals["exact"] <= 1e-3
         assert finals["adjoint_euler"] <= 2.0 * finals["exact"]
 
-    def test_shallow_adjoint_training_underperforms(self, tmp_path):
+    def test_shallow_adjoint_training_underperforms(self):
         # at depth 4 the reconstruction error is large enough to steer
         # descent to a visibly worse optimum
         finals = {}
         for mode in ("exact", "adjoint_euler"):
             config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                       learning_rate=0.3, iterations=2000, seed=0,
-                                      gradient_mode=mode,
-                                      output_dir=str(tmp_path / mode))
+                                      gradient_mode=mode)
             finals[mode] = run_toy_training(config).runs[4].final_loss
         assert finals["adjoint_euler"] >= 5.0 * finals["exact"]
 
@@ -898,8 +865,14 @@ class TestTrainedAccuracy:
     (run_linear_flow_experiment, "linflow", "tightness_suite"),
     (run_toy_training, "train", "limit_map"),
 ], ids=["study", "tightness", "linflow", "train"])
-def test_runner_rejects_another_commands_experiment(tmp_path, runner, command, experiment):
-    """Each runner checks its experiment before it makes the output directory."""
+def test_runner_rejects_another_commands_experiment(tmp_path, monkeypatch, runner, command,
+                                                   experiment):
+    """Each runner, a public entry point, checks its experiment before any
+    work; and no runner makes a directory or writes a file."""
+    def no_work(*args):
+        raise AssertionError("work started before the experiment was checked")
+    monkeypatch.setattr(harness, "_child_rngs", no_work)
+    monkeypatch.setattr(harness, "_tightness_case", no_work)
     out = tmp_path / "out"
     config = ExperimentConfig(experiment=experiment, depths=(2, 4), output_dir=str(out))
     with pytest.raises(ConfigError, match=f"does not belong to `{command}`"):
@@ -989,8 +962,7 @@ class TestCli:
         text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nstate_dim = 2\n"
         path = write_cfg(tmp_path, text + "snapshot_count = 3\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
-        config = dataclasses.replace(load_config(path), output_dir=str(tmp_path / "again"))
-        traces = run_linear_flow_experiment(config).traces
+        traces = run_linear_flow_experiment(load_config(path)).traces
         s = (np.arange(3600) + 0.5) / 3600
 
         def profile(thetas):
@@ -1062,8 +1034,7 @@ class TestCli:
         result = harness.StudyResult(
             records=[harness.StudyRecord(4, "approx_max_error", 0.0),
                      harness.StudyRecord(8, "approx_max_error", 1e-9)],
-            fits={}, fit_flags={}, study_path="study.csv", slopes_path="slopes.csv",
-            oracle_errors={4: 1e-12, 8: 1e-12})
+            fits={}, fit_flags={}, oracle_errors={4: 1e-12, 8: 1e-12}, tables=[])
         monkeypatch.setattr("odenet.cli.run_scaling_study", lambda config: result)
         path = write_cfg(tmp_path, "experiment = approx_error\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -1167,14 +1138,67 @@ class TestCli:
         """An exception no exit code maps still leaves no directory behind,
         and reaches the caller."""
         def crash(config):
-            harness._output_dir(config, "study")
+            assert Path(config.output_dir).is_dir()
             raise ValueError("crash")
-        monkeypatch.setitem(cli._RUNNERS, "study", crash)
+        monkeypatch.setitem(cli._RUNNERS, "study", (crash, cli._report_study))
         path = write_cfg(tmp_path, "experiment = approx_error\n")
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="crash"):
             main(["study", "--config", path, "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,name", [
+        ("linflow", "experiment = limit_map\ndepths = 8, 16, 32\nt_end = 0.1\n",
+         "integrate_flow"),
+        ("train", "experiment = toy_train\ndepths = 4, 8\niterations = 2\n",
+         "forward_euler_chain"),
+    ], ids=["linflow", "train"])
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, monkeypatch, command, text,
+                                       name):
+        """Divergence at the second depth, after the first depth finished,
+        leaves no CSV of the first behind and no directory the run made."""
+        real = getattr(harness, name)
+        depths = []
+
+        def diverging(*args):
+            # integrate_flow's state and a chain's schedule both carry the depth
+            depths.append(args[0].schedule.depth if name == "integrate_flow" else args[1].depth)
+            if depths[-1] == depths[0]:
+                return real(*args)
+            raise DivergenceError(f"planted divergence at depth {depths[-1]}", 0)
+        monkeypatch.setattr(harness, name, diverging)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+        assert "planted divergence" in capsys.readouterr().err
+        assert len(set(depths)) == 2
+        assert not out.exists()
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("command,text", [
+        ("study", "experiment = approx_error\ndepths = 4, 8\n"),
+        ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
+        ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n"),
+        ("train", "experiment = toy_train\ndepths = 4, 8\niterations = 2\n"),
+    ], ids=["study", "tightness", "linflow", "train"])
+    def test_main_writes_exactly_the_returned_tables(self, tmp_path, monkeypatch, command,
+                                                     text):
+        """The files in --out are the tables the runner returned, each once
+        and byte for byte: no other code path writes output."""
+        run, report = cli._RUNNERS[command]
+        returned = {}
+
+        def recording(config):
+            result = run(config)
+            texts = [(name, "".join(lines)) for name, lines in result.tables]
+            returned.update(texts)
+            assert len(returned) == len(texts)
+            result.tables = texts
+            return result
+        monkeypatch.setitem(cli._RUNNERS, command, (recording, report))
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: body.encode() for name, body in returned.items()}
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing", "nested"])
     def test_failed_run_keeps_directories_it_did_not_make(self, tmp_path, sub):

@@ -26,7 +26,7 @@ from odenet.linear_flow import (
     transport_product,
 )
 from odenet.residual_models import WeightSchedule
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, tables
 
 
 def flat_state(thetas, t=0.0):
@@ -593,20 +593,20 @@ def taylor_expm(a, terms=18):
 
 
 @pytest.fixture(scope="module")
-def flow_csvs(tmp_path_factory):
-    """A small limit-map run; its trace and limit-map CSVs are the flow exports."""
-    out = tmp_path_factory.mktemp("flowcsv")
+def flow_csvs():
+    """A small limit-map run; its trace and limit-map tables are the flow
+    exports, {file name: text}, returned beside the result."""
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                              state_dim=2, t_end=1.0, snapshot_count=3,
-                              seed=0, output_dir=str(out))
-    return out, run_linear_flow_experiment(config)
+                              state_dim=2, t_end=1.0, snapshot_count=3, seed=0)
+    result = run_linear_flow_experiment(config)
+    return tables(result), result
 
 
 class TestCsvExports:
     def test_flow_trace_csv(self, flow_csvs):
-        out, result = flow_csvs
+        text, result = flow_csvs
         for depth in (8, 16, 32):
-            lines = (out / f"trace_N{depth}.csv").read_text().strip().splitlines()
+            lines = text[f"trace_N{depth}.csv"].strip().splitlines()
             assert lines[0] == "t,loss,max_theta_norm,smoothness_stat"
             samples = result.traces[depth].samples
             assert len(lines) == 1 + len(samples) == 1 + 3
@@ -617,9 +617,9 @@ class TestCsvExports:
                     sample.smoothness_stat]
 
     def test_limit_map_csv(self, flow_csvs):
-        out, result = flow_csvs
+        text, result = flow_csvs
         report = result.limit_report
-        lines = (out / "limitmap.csv").read_text().strip().splitlines()
+        lines = text["limitmap.csv"].strip().splitlines()
         assert lines[0] == "t,N,l2_distance"
         assert len(lines) == 1 + len(report.times) * len(report.depths) == 1 + 3 * 2
         assert [line.split(",")[1] for line in lines[1:3]] == ["8", "16"]
