@@ -52,7 +52,7 @@ LOSS_INCREASE_RTOL = 1e-9
 # evaluation and fluctuates there; the relative test alone would trip.
 LOSS_INCREASE_ATOL = 1e-18
 DECAY_SLACK = 1e-3
-# Entries per block of _prefix_suffix's scan.
+# Entries per block of _bind_flow's scan, bound once per integrate_flow call.
 SCAN_BLOCK = 4
 # product_vs_ode's flow: RK4 sub-steps per layer, and its probe inputs.
 ODE_STEPS_PER_LAYER = 64
@@ -125,41 +125,64 @@ def transport_product(thetas: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _prefix_suffix(thetas: np.ndarray):
-    """pre[n] = product of layers 1..n and suf_t[n] = (layers n+1..N)^T, n = 0..N.
+def _bind_flow(n_layers: int, d: int):
+    """The bound kernels for (N, d) layer stacks: ``scan`` and ``gradients``.
 
-    Both stacks come from one blocked scan (Blelloch, CMU-CS-90-190) over
-    a stacked pair of sequences: row 0 holds I, then the factors
-    I + theta_n/N in layer order; row 1 holds I, then their transposes in
-    reverse layer order.  A left-multiplying inclusive scan turns row 0
-    into the prefixes and row 1 into the transposed suffixes, so both
-    stacks come out of the same batched matmul calls.  Each row is cut
-    into blocks of SCAN_BLOCK entries, the tail padded with identities:
-    SCAN_BLOCK - 1 matmuls scan inside the blocks, a doubling scan runs
-    over the ceil((N + 1)/SCAN_BLOCK) block totals, and one matmul
-    carries each block's predecessors into its other entries.  Per row
-    that is 2.2 N to 2.8 N matrix products at N = 16..256 (715 at
-    N = 256), against N log2 N - N + 1 (1793) for a doubling scan over
-    all N factors.  Both returned stacks are views of the scan's buffer;
-    suf_t runs backwards in it.
+    ``scan(thetas)`` gives pre[n] = product of layers 1..n and
+    suf_t[n] = (layers n+1..N)^T, n = 0..N, from one blocked scan
+    (Blelloch, CMU-CS-90-190) over a stacked pair of sequences: row 0
+    holds I, then the factors I + theta_n/N in layer order; row 1 holds
+    I, then their transposes in reverse layer order.  A left-multiplying
+    inclusive scan turns row 0 into the prefixes and row 1 into the
+    transposed suffixes, so both stacks come out of the same batched
+    matmul calls.  Each row is cut into blocks of SCAN_BLOCK entries, the
+    tail padded with identities: SCAN_BLOCK - 1 matmuls scan inside the
+    blocks, a doubling scan runs over the ceil((N + 1)/SCAN_BLOCK) block
+    totals, and one matmul carries each block's predecessors into its
+    other entries.  Per row that is 2.2 N to 2.8 N matrix products at
+    N = 16..256 (715 at N = 256), against N log2 N - N + 1 (1793) for a
+    doubling scan over all N factors.  The buffer, I and the (left,
+    right) views of every matmul are built here once; a call refills the
+    buffer, the padding too, since the scan writes products into it that
+    would compound to overflow across calls.  Both stacks are views of
+    the buffer, valid until the next call; suf_t runs backwards in it.
+
+    ``gradients(thetas, target)`` returns all N rescaled gradients and
+    Pi - B, which the loss is read from, both fresh arrays.
     """
-    n_layers, d, _ = thetas.shape
     eye = np.eye(d)
     blocks = n_layers // SCAN_BLOCK + 1
-    scan = np.empty((2, blocks * SCAN_BLOCK, d, d))
-    scan[:, 0] = scan[:, n_layers + 1:] = eye
-    scan[0, 1:n_layers + 1] = eye + thetas / n_layers
-    scan[1, n_layers:0:-1] = np.swapaxes(scan[0, 1:n_layers + 1], 1, 2)
-    blocked = scan.reshape(2, blocks, SCAN_BLOCK, d, d)
-    for j in range(1, SCAN_BLOCK):
-        blocked[:, :, j] = blocked[:, :, j] @ blocked[:, :, j - 1]
+    scan_buf = np.empty((2, blocks * SCAN_BLOCK, d, d))
+    scan_buf[:, 0] = eye
+    head, pad = scan_buf[0, 1:n_layers + 1], scan_buf[:, n_layers + 1:]
+    head_t, head_t_rev = head.swapaxes(1, 2), scan_buf[1, n_layers:0:-1]
+    blocked = scan_buf.reshape(2, blocks, SCAN_BLOCK, d, d)
     totals = blocked[:, :, -1]
-    s = 1
-    while s < blocks:
-        totals[:, s:] = totals[:, s:] @ totals[:, :-s]
-        s *= 2
-    blocked[:, 1:, :-1] = blocked[:, 1:, :-1] @ totals[:, :-1, None]
-    return scan[0, :n_layers + 1], scan[1, n_layers::-1]
+    pairs = [(blocked[:, :, j], blocked[:, :, j - 1]) for j in range(1, SCAN_BLOCK)]
+    doublings = (1 << k for k in range((blocks - 1).bit_length()))   # s = 1, 2, 4, .. < blocks
+    pairs += [(totals[:, s:], totals[:, :-s]) for s in doublings]
+    pairs.append((blocked[:, 1:, :-1], totals[:, :-1, None]))
+    pre, suf_t = scan_buf[0, :n_layers + 1], scan_buf[1, n_layers::-1]
+    # numpy's matmul reads a swapped-axes view about 2.5x slower than a
+    # contiguous stack (N = 256, d = 4), so the transposed prefixes are copied.
+    pre_t, pre_t_view = np.empty((n_layers, d, d)), pre[:-1].swapaxes(1, 2)
+
+    def scan(thetas):
+        pad[...] = eye
+        np.add(eye, thetas / n_layers, out=head)
+        head_t_rev[...] = head_t
+        for a, b in pairs:
+            a[...] = a @ b
+        return pre, suf_t
+
+    def gradients(thetas, target):
+        # Layer n sees transposed partial products on both sides; the
+        # quadratic loss contributes the overall factor 2.
+        scan(thetas)
+        gap = pre[-1] - target
+        pre_t[...] = pre_t_view
+        return suf_t[1:] @ (2.0 * gap) @ pre_t, gap
+    return scan, gradients
 
 
 def _require_target(target, state: FlowState) -> np.ndarray:
@@ -179,23 +202,6 @@ def _sq_norm(a: np.ndarray) -> float:
 def loss(state: FlowState, target) -> float:
     """||Pi - B||_F^2."""
     return _sq_norm(transport_product(state.matrices()) - _require_target(target, state))
-
-
-def _rescaled_gradients(thetas: np.ndarray, target: np.ndarray):
-    """All N rescaled gradients at once via shared partial products.
-
-    Returns the (N, d, d) gradient stack and the full product Pi of
-    ``thetas``, which the gradient needs and the loss is read from.
-    """
-    pre, suf_t = _prefix_suffix(thetas)
-    # Layer n sees transposed partial products on both sides; the
-    # quadratic loss contributes the overall factor 2.  numpy's matmul
-    # reads a swapped-axes view about 2.5x slower than a contiguous
-    # stack (N = 256, d = 4), so the transposed prefixes are copied once.
-    resid = 2.0 * (pre[-1] - target)
-    pre_t = np.ascontiguousarray(np.swapaxes(pre[:-1], 1, 2))
-    grads = suf_t[1:] @ resid @ pre_t
-    return grads, pre[-1]
 
 
 def _loss_rose(before: float, after: float, first: float) -> bool:
@@ -273,15 +279,16 @@ def integrate_flow(state0: FlowState, target, t_end: float,
 
     thetas = state0.matrices()
     t = state0.t
-    grads, product = _rescaled_gradients(thetas, target)
-    current_loss = _sq_norm(product - target)
+    gradients = _bind_flow(*thetas.shape[:2])[1]
+    grads, gap = gradients(thetas, target)
+    current_loss = _sq_norm(gap)
     samples = []
     if abs(stops[0] - t) <= 1e-12:
         samples.append(_sample(thetas, t, current_loss))
         stops = stops[1:]
 
     def field(th, m):
-        return -_rescaled_gradients(th, target)[0]
+        return -gradients(th, target)[0]
 
     first = current_loss
     for stop in stops:
@@ -290,8 +297,8 @@ def integrate_flow(state0: FlowState, target, t_end: float,
         h = span / steps
         for k in range(steps):
             thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
-            grads, product = _rescaled_gradients(thetas, target)
-            new_loss = _sq_norm(product - target)
+            grads, gap = gradients(thetas, target)
+            new_loss = _sq_norm(gap)
             if _loss_rose(current_loss, new_loss, first):
                 raise StepSizeError(
                     f"loss rose from {current_loss:.6g} to {new_loss:.6g} "

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1241,6 +1242,16 @@ class TestCli:
         line = f"product-vs-flow N*gap {min(scaled):.4g} to {max(scaled):.4g} over all depths"
         assert line in out.splitlines()
         assert out.index("doubling sup-distance") < out.index(line)
+
+    def test_linflow_writes_nothing_on_stderr(self, tmp_path, capsys):
+        """A flow run reports through stdout and its files alone: no numpy
+        floating-point warning, which the filter turns into an error, and
+        not one byte on stderr."""
+        path = write_cfg(tmp_path, "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_regime_violation_exits_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = limit_map\nstate_dim = 2\n"

@@ -107,7 +107,7 @@ def test_prefix_suffix_matches_sequential_products(depth, dim):
         want_suf.append(want_suf[-1] @ factors[depth - 1 - n])
     want_suf_t = np.swapaxes(np.array(want_suf[::-1]), 1, 2)
 
-    pre, suf_t = linear_flow._prefix_suffix(thetas)
+    pre, suf_t = linear_flow._bind_flow(depth, dim)[0](thetas)
     assert pre.shape == suf_t.shape == (depth + 1, dim, dim)
     assert np.array_equal(pre[0], np.eye(dim))
     assert np.array_equal(suf_t[depth], np.eye(dim))
@@ -117,12 +117,17 @@ def test_prefix_suffix_matches_sequential_products(depth, dim):
     assert _normwise_close(suf_t[0].T, transport_product(thetas), 1e-12)
 
 
+def gradients(thetas, target):
+    """The rescaled gradients from a freshly bound kernel."""
+    return linear_flow._bind_flow(*thetas.shape[:2])[1](thetas, target)[0]
+
+
 class TestLayerGradient:
     def test_scalar_single_layer(self):
         """Quadratic loss (1 + theta - 2)^2 has derivative -2 at zero; the
         rescaled gradient carries the factor 2 so it matches finite
         differences of the loss."""
-        grad = linear_flow._rescaled_gradients(np.zeros((1, 1, 1)), np.array([[2.0]]))[0][0]
+        grad = gradients(np.zeros((1, 1, 1)), np.array([[2.0]]))[0]
         assert grad[0, 0] == pytest.approx(-2.0)
 
     def test_zero_at_global_minimum(self):
@@ -130,7 +135,7 @@ class TestLayerGradient:
         thetas = rng.standard_normal((3, 2, 2)) * 0.2
         b = transport_product(thetas)
         for n in (1, 2, 3):
-            grad = linear_flow._rescaled_gradients(thetas, b)[0][n - 1]
+            grad = gradients(thetas, b)[n - 1]
             assert np.max(np.abs(grad)) <= 1e-14
 
     @pytest.mark.parametrize("dim,depth", [(2, 1), (2, 3), (2, 4), (3, 5), (3, 9), (3, 17)])
@@ -138,7 +143,7 @@ class TestLayerGradient:
         rng = np.random.default_rng(10 * dim + depth)
         b = rng.standard_normal((dim, dim))
         thetas = rng.standard_normal((depth, dim, dim)) * 0.4
-        grads = linear_flow._rescaled_gradients(thetas, b)[0]
+        grads = gradients(thetas, b)
         for n in range(1, depth + 1):
             def loss_of_layer(flat, n=n):
                 moved = thetas.copy()
@@ -150,6 +155,31 @@ class TestLayerGradient:
             exact = grads[n - 1].ravel()
             rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
             assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100])
+def test_bound_gradients_keep_no_state(depth, dim):
+    """One bound kernel run on A, then B, then A gives each time what a
+    fresh kernel gives, bit for bit, and leaves earlier results alone;
+    1000 more calls raise no floating-point error, which they would if
+    the scan's identity padding were not refilled on every call."""
+    rng = np.random.default_rng(100 * dim + depth)
+    a, b = rng.standard_normal((2, depth, dim, dim))
+    target = rng.standard_normal((dim, dim))
+    kernel = linear_flow._bind_flow(depth, dim)[1]
+    runs = []
+    for thetas in (a, b, a):
+        out = kernel(thetas, target)
+        runs.append((thetas, out, [x.copy() for x in out]))
+    for thetas, out, copies in runs:
+        fresh = linear_flow._bind_flow(depth, dim)[1](thetas, target)
+        for got, copy, want in zip(out, copies, fresh):
+            assert np.array_equal(copy, want) and np.array_equal(got, copy)
+    with np.errstate(all="raise"):
+        for _ in range(500):
+            kernel(a, target)
+            kernel(b, target)
 
 
 class TestSmallLossTarget:
