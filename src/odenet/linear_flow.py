@@ -119,9 +119,9 @@ def state_from_profile(profile: Callable[[float], np.ndarray], depth: int,
 def transport_product(thetas: np.ndarray) -> np.ndarray:
     """Pi = (I + theta_N/N) ... (I + theta_1/N), layer 1 applied first."""
     n_layers, d, _ = thetas.shape
-    prod = np.eye(d)
+    prod = eye = np.eye(d)
     for n in range(n_layers):
-        prod = (np.eye(d) + thetas[n] / n_layers) @ prod
+        prod = (eye + thetas[n] / n_layers) @ prod
     return prod
 
 
@@ -149,6 +149,13 @@ def _bind_flow(n_layers: int, d: int):
 
     ``gradients(thetas, target)`` returns all N rescaled gradients and
     Pi - B, which the loss is read from, both fresh arrays.
+
+    The carry and the sandwich's left half suf_t[1:] @ (2 (Pi - B)) each
+    multiply a stack of d x d matrices by one shared matrix; a broadcast
+    stacked matmul makes one BLAS call per matrix, so both stacks are bound
+    as row-stacked views of the buffer and run as one gemm (per block and
+    row for the carry).  The sums and their order are unchanged, so the
+    bytes are too, on one OpenBLAS core.
     """
     eye = np.eye(d)
     blocks = n_layers // SCAN_BLOCK + 1
@@ -161,8 +168,10 @@ def _bind_flow(n_layers: int, d: int):
     pairs = [(blocked[:, :, j], blocked[:, :, j - 1]) for j in range(1, SCAN_BLOCK)]
     doublings = (1 << k for k in range((blocks - 1).bit_length()))   # s = 1, 2, 4, .. < blocks
     pairs += [(totals[:, s:], totals[:, :-s]) for s in doublings]
-    pairs.append((blocked[:, 1:, :-1], totals[:, :-1, None]))
+    carried = blocked[:, 1:, :-1].reshape(2, blocks - 1, (SCAN_BLOCK - 1) * d, d)
+    pairs.append((carried, totals[:, :-1]))
     pre, suf_t = scan_buf[0, :n_layers + 1], scan_buf[1, n_layers::-1]
+    suf_rows = scan_buf[1, :n_layers].reshape(n_layers * d, d)   # suf_t[1:], reversed
     # numpy's matmul reads a swapped-axes view about 2.5x slower than a
     # contiguous stack (N = 256, d = 4), so the transposed prefixes are copied.
     pre_t, pre_t_view = np.empty((n_layers, d, d)), pre[:-1].swapaxes(1, 2)
@@ -181,7 +190,8 @@ def _bind_flow(n_layers: int, d: int):
         scan(thetas)
         gap = pre[-1] - target
         pre_t[...] = pre_t_view
-        return suf_t[1:] @ (2.0 * gap) @ pre_t, gap
+        left = (suf_rows @ (2.0 * gap)).reshape(n_layers, d, d)[::-1]
+        return left @ pre_t, gap
     return scan, gradients
 
 

@@ -3,9 +3,10 @@
 The reference quantities are built only from the package's public,
 shape-checked kernels: ``jac_state``, ``reverse_nodes``, the reverse
 sweep one layer at a time (``layer_sweep``) and central finite
-differences.  The fixtures are the index schedule, the
-eval-defined vector field, a study's clean values by depth and the
-text of each table a runner returns.
+differences.  The flow's gradient kernel is checked against its earlier
+broadcast form (``bind_flow_broadcast``).  The fixtures are the index
+schedule, the eval-defined vector field, a study's clean values by depth
+and the text of each table a runner returns.
 """
 
 from typing import Callable
@@ -13,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from odenet.dynamics import VectorField, _check_divergence
+from odenet.linear_flow import SCAN_BLOCK
 from odenet.numerics import require_finite
 from odenet.residual_models import WeightSchedule
 
@@ -123,6 +125,49 @@ def finite_difference_gradient(
             raise ValueError(f"loss returned a non-finite value near coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def bind_flow_broadcast(n_layers: int, d: int):
+    """``linear_flow._bind_flow`` as it was before its shared-operand
+    products ran as one gemm each: the carry multiplies every in-block
+    entry by its block's predecessor through a broadcast ``(..., 1, d, d)``
+    operand, and the gradient sandwich is the three-operand
+    ``suf_t[1:] @ (2 gap) @ pre_t``.  numpy makes one BLAS call per matrix
+    of such a stack, with the same sums, so the two kernels agree byte for
+    byte; this one is the reference."""
+    eye = np.eye(d)
+    blocks = n_layers // SCAN_BLOCK + 1
+    scan_buf = np.empty((2, blocks * SCAN_BLOCK, d, d))
+    scan_buf[:, 0] = eye
+    head, pad = scan_buf[0, 1:n_layers + 1], scan_buf[:, n_layers + 1:]
+    head_t, head_t_rev = head.swapaxes(1, 2), scan_buf[1, n_layers:0:-1]
+    blocked = scan_buf.reshape(2, blocks, SCAN_BLOCK, d, d)
+    totals = blocked[:, :, -1]
+    pairs = [(blocked[:, :, j], blocked[:, :, j - 1]) for j in range(1, SCAN_BLOCK)]
+    doublings = (1 << k for k in range((blocks - 1).bit_length()))   # s = 1, 2, 4, .. < blocks
+    pairs += [(totals[:, s:], totals[:, :-s]) for s in doublings]
+    pairs.append((blocked[:, 1:, :-1], totals[:, :-1, None]))
+    pre, suf_t = scan_buf[0, :n_layers + 1], scan_buf[1, n_layers::-1]
+    # numpy's matmul reads a swapped-axes view about 2.5x slower than a
+    # contiguous stack (N = 256, d = 4), so the transposed prefixes are copied.
+    pre_t, pre_t_view = np.empty((n_layers, d, d)), pre[:-1].swapaxes(1, 2)
+
+    def scan(thetas):
+        pad[...] = eye
+        np.add(eye, thetas / n_layers, out=head)
+        head_t_rev[...] = head_t
+        for a, b in pairs:
+            a[...] = a @ b
+        return pre, suf_t
+
+    def gradients(thetas, target):
+        # Layer n sees transposed partial products on both sides; the
+        # quadratic loss contributes the overall factor 2.
+        scan(thetas)
+        gap = pre[-1] - target
+        pre_t[...] = pre_t_view
+        return suf_t[1:] @ (2.0 * gap) @ pre_t, gap
+    return scan, gradients
 
 
 def make_index_schedule(N: int) -> WeightSchedule:

@@ -24,6 +24,7 @@ import pytest
 import odenet
 from odenet.harness import ExperimentConfig
 from odenet.residual_models import ResidualFamily
+import outputs
 import reach
 
 MODULES = ("cli", "harness", "linear_flow", "dynamics", "adjoint", "residual_models",
@@ -216,12 +217,8 @@ def test_reach_reports_exactly_the_uncalled_functions(tmp_path):
         "throwaway.<lambda>": 1}
 
 
-# Every command the reproduction is run by, at small depths, in a fresh
-# interpreter under reach.calls: each study experiment on each family and
-# each profile it accepts (``index`` needs a one-parameter family),
-# tightness, linflow, the three training modes and their second target,
-# and one run voided by divergence (exit 3) and one outside the
-# small-loss regime (exit 4).  Prints reach.uncalled for ``src`` as JSON.
+# Every command of ``reach.CALLS`` in a fresh interpreter under
+# reach.calls.  Prints reach.uncalled for ``src`` as JSON.
 REACH_RUN = r"""
 import json, os, sys
 root, out = sys.argv[1], sys.argv[2]
@@ -229,28 +226,10 @@ src = os.path.join(root, "src", "odenet")
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
 import reach
 
-TRAIN = "experiment = toy_train\ndepths = 4\niterations = 2\n"
-calls = [("study", f"experiment = {experiment}\nfamily = {family}\n"
-                   f"schedule_profile = {profile}\ndepths = 4, 8\n", 0)
-         for experiment in ("approx_error", "euler_adjoint", "heun_adjoint")
-         for family in ("mlp", "linear", "square", "identity")
-         for profile in ("constant", "lipschitz_profile", "alternating", "index")
-         if profile != "index" or family in ("square", "identity")]
-calls += [
-    ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n", 0),
-    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n", 0),
-    ("train", TRAIN, 0),
-    ("train", TRAIN + "gradient_mode = adjoint_euler\ntarget = neg_square_half\n", 0),
-    ("train", TRAIN + "gradient_mode = adjoint_heun\n", 0),
-    ("study", "experiment = approx_error\nfamily = linear\n"
-              "schedule_profile = constant\nprofile_scale = 1e4\ndepths = 4\n", 3),
-    ("linflow", "experiment = limit_map\nprofile_scale = 1\ndepths = 4\n", 4),
-]
-
 
 def run_pass():
     from odenet import cli
-    for i, (command, text, expected) in enumerate(calls):
+    for i, (command, text, expected) in enumerate(reach.CALLS):
         path = os.path.join(out, f"{i}.cfg")
         with open(path, "w") as fh:
             fh.write(text)
@@ -263,6 +242,27 @@ seen = reach.calls(run_pass)
 paths = sorted(os.path.join(src, name) for name in os.listdir(src) if name.endswith(".py"))
 print(json.dumps(reach.uncalled(paths, seen)))
 """
+
+
+def test_outputs_records_a_call_with_its_roots_replaced(tmp_path):
+    """``outputs.py`` keeps a call's tables, streams and exit code, with
+    the output root and the checkout read as markers, so one call
+    recorded under two roots gives two byte-identical trees."""
+    name, text, argv = next(job for job in outputs.jobs() if job[0].endswith("-train"))
+    root = Path(__file__).resolve().parents[1]
+    trees = [tmp_path / side for side in ("a", "b")]
+    for tree in trees:
+        assert outputs.record(root, tree, 0, name, text, argv) == 0
+    files = [sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file())
+             for tree in trees]
+    assert files[0] == files[1]
+    assert {"config", "stdout", "stderr", "exit"} <= {p.name for p in files[0]}
+    assert any(p.suffix == ".csv" for p in files[0])
+    for path in files[0]:
+        assert (trees[0] / path).read_bytes() == (trees[1] / path).read_bytes()
+    stdout = (trees[0] / "seed0" / name / "stdout").read_text()
+    assert "OUT/" in stdout and str(tmp_path) not in stdout
+
 
 # The functions no command reaches yet: {name: what it waits for}.
 UNREACHED = {

@@ -26,7 +26,7 @@ from odenet.linear_flow import (
     transport_product,
 )
 from odenet.residual_models import WeightSchedule
-from oracles import finite_difference_gradient, tables
+from oracles import bind_flow_broadcast, finite_difference_gradient, tables
 
 
 def flat_state(thetas, t=0.0):
@@ -180,6 +180,47 @@ def test_bound_gradients_keep_no_state(depth, dim):
         for _ in range(500):
             kernel(a, target)
             kernel(b, target)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [*range(1, 41), 63, 64, 65, 255, 256, 257, 300])
+def test_gradients_match_the_broadcast_kernel_byte_for_byte(depth, dim):
+    """The carry and the sandwich's left factor each run as one gemm over
+    stacked rows, with the broadcast kernel's sums in its order, so the
+    gradients and Pi - B keep every byte, below, on and past the scan's
+    block edges; at B = Pi the gap is all zeros and each gradient entry's
+    sign of zero comes from the order of its sums."""
+    rng = np.random.default_rng(1000 * dim + depth)
+    kernel = linear_flow._bind_flow(depth, dim)[1]
+    reference = bind_flow_broadcast(depth, dim)[1]
+    for scale in (0.1, 1.0):
+        thetas = rng.standard_normal((depth, dim, dim)) * scale
+        pi = reference(thetas, np.zeros((dim, dim)))[1]
+        for target in (rng.standard_normal((dim, dim)), pi):
+            for got, want in zip(kernel(thetas, target), reference(thetas, target)):
+                assert got.tobytes() == want.tobytes()
+
+
+def _closed_over(kernel):
+    """{name: value} of the variables a bound kernel closes over."""
+    return dict(zip(kernel.__code__.co_freevars,
+                    (cell.cell_contents for cell in kernel.__closure__)))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("depth", [4, 7, 64, 257])
+def test_shared_operand_products_use_views_of_the_scan_buffer(depth, dim):
+    """The carry's stacked rows and the sandwich's suffix rows are reshaped
+    views of the scan buffer: a reshape that copied would carry into a
+    stray array, or copy the suffixes on every call."""
+    scan, gradients = linear_flow._bind_flow(depth, dim)
+    cells = _closed_over(gradients)
+    buffer, suf_rows = cells["pre"].base, cells["suf_rows"]
+    carried = _closed_over(scan)["pairs"][-1][0]
+    blocks = depth // linear_flow.SCAN_BLOCK + 1
+    assert carried.shape == (2, blocks - 1, (linear_flow.SCAN_BLOCK - 1) * dim, dim)
+    assert suf_rows.shape == (depth * dim, dim)
+    assert np.shares_memory(carried, buffer) and np.shares_memory(suf_rows, buffer)
 
 
 class TestSmallLossTarget:
