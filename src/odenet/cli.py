@@ -3,7 +3,7 @@ table a runner returns, once the run has succeeded, then prints its report.
 
 Exit codes: 0 success, 2 configuration error, 3 divergence that voids
 the run, 4 small-loss regime violation at initialization.  A failed run
-writes no file and removes its output directory when it made it.
+writes no file and removes every directory it made.
 """
 
 from __future__ import annotations
@@ -125,13 +125,15 @@ _RUNNERS = {"study": (lambda c: run_scaling_study(c), _report_study),
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    made = None  # the output directory, when this run creates it
+    made = []  # the directories this run creates, innermost first
     code = None  # stays None while an exception no clause maps propagates
     try:
         config = _load(args)
         _check_command(config, args.command)
-        out = config.output_dir
-        made = None if os.path.exists(out) else out
+        out = head = config.output_dir
+        while head and not os.path.exists(head):
+            made.append(head)
+            head = os.path.dirname(head)
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
@@ -156,10 +158,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = 4
     finally:
-        if code != 0 and made is not None:
+        if code != 0:
             # rmdir removes only an empty directory; one never made is fine too.
-            with contextlib.suppress(OSError):
-                os.rmdir(made)
+            for directory in made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(directory)
     return code
 
 

@@ -8,11 +8,14 @@ two meet in one set.  Stdlib only, so a fresh interpreter can install
 the hook before it imports the modules it measures.
 
 ``CALLS`` lists every command the reproduction is run by, at small
-depths: the reach guard runs them all in one interpreter, and
-``outputs.py`` runs each in its own to record its bytes.
+depths, and is the one such list: ``run_calls`` runs them through one
+``main`` for the reach guard, the benchmark-tracer test and the CLI's
+tables test, and ``outputs.py`` runs each in its own interpreter to
+record its bytes.
 """
 
 import inspect
+import os
 import sys
 import types
 from pathlib import Path
@@ -22,7 +25,10 @@ TRAIN = "experiment = toy_train\ndepths = 4\niterations = 2\n"
 # family and each profile it accepts (``index`` needs a one-parameter
 # family), tightness, linflow, the three training modes and their second
 # target, and one run voided by divergence (exit 3) and one outside the
-# small-loss regime (exit 4).
+# small-loss regime (exit 4).  Then, appended so that earlier entries keep
+# their ``outputs.py`` names, both adjoint studies and a memory-free
+# training run past one ``SWEEP_BLOCK`` of 16 layers, whose reverse sweeps
+# carry a block's lowest layer into the next.
 CALLS = [("study", f"experiment = {experiment}\nfamily = {family}\n"
                    f"schedule_profile = {profile}\ndepths = 4, 8\n", 0)
          for experiment in ("approx_error", "euler_adjoint", "heun_adjoint")
@@ -38,7 +44,27 @@ CALLS += [
     ("study", "experiment = approx_error\nfamily = linear\n"
               "schedule_profile = constant\nprofile_scale = 1e4\ndepths = 4\n", 3),
     ("linflow", "experiment = limit_map\nprofile_scale = 1\ndepths = 4\n", 4),
+    *(("study", f"experiment = {experiment}\nfamily = mlp\ndepths = 16, 33\n", 0)
+      for experiment in ("euler_adjoint", "heun_adjoint")),
+    ("train", "experiment = toy_train\ndepths = 4, 17\niterations = 2\n"
+              "gradient_mode = adjoint_heun\n", 0),
 ]
+
+
+def run_calls(main, out, calls=CALLS):
+    """Run each ``(command, text, expected)`` of ``calls`` as
+    ``main([command, "--config", OUT/i.cfg, "--out", OUT/i])``, the
+    config file holding ``text``, and raise ``AssertionError`` on the
+    first exit code other than ``expected``.  ``main`` is an argument,
+    so this module imports nothing of the package it runs."""
+    for i, (command, text, expected) in enumerate(calls):
+        path = os.path.join(out, f"{i}.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = main([command, "--config", path, "--out", os.path.join(out, str(i))])
+        if code != expected:
+            raise AssertionError(f"{command} {text!r} exited {code}, not {expected}")
+
 
 # Comprehension bodies are code objects of their own, but not functions
 # anyone defines or calls by name.

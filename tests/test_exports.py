@@ -91,36 +91,21 @@ def test_residual_family_keeps_its_checked_kernels():
         assert callable(getattr(ResidualFamily, method, None))
 
 
-# Runs tiny CLI calls under the benchmark tracer in a fresh interpreter, so
-# its class-level kernel patches never leak into the rest of the suite.
+# Every command of ``reach.CALLS`` under the benchmark tracer, in a fresh
+# interpreter, so its class-level kernel patches never leak into the rest
+# of the suite.
 TRACED_RUN = r"""
 import os, sys
 root, out = sys.argv[1], sys.argv[2]
-sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench"),
+                os.path.join(root, "tests")]
+import reach
 import tracing
 from odenet import cli
 
 recorder = tracing.SpanRecorder()
 tracer = tracing.install(recorder)
-calls = [
-    ("study", "experiment = heun_adjoint\ndepths = 4, 8\n"),
-    ("study", "experiment = euler_adjoint\ndepths = 4, 8\n"),
-    ("study", "experiment = approx_error\ndepths = 4, 8\n"),
-    ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
-    ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n"),
-    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"),
-    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"
-              "gradient_mode = adjoint_euler\n"),
-    ("train", "experiment = toy_train\ndepths = 4\niterations = 2\n"
-              "gradient_mode = adjoint_heun\n"),
-]
-for i, (command, text) in enumerate(calls):
-    path = os.path.join(out, f"{i}.cfg")
-    with open(path, "w") as fh:
-        fh.write(text)
-    rc = cli.main([command, "--config", path, "--out", os.path.join(out, str(i))])
-    if rc != 0:
-        sys.exit(f"{command} exited {rc}")
+reach.run_calls(cli.main, out)
 _, table = tracing.layer_metrics(recorder, tracer, [], 1.0)
 names = sys.argv[3:]
 silent = [n for n in names if table.get(n, {}).get("calls", 0) == 0]
@@ -134,7 +119,10 @@ TRACED_NAMES = (
     "adjoint.backprop_adjoint_euler", "adjoint.backprop_adjoint_heun",
     "adjoint.adjoint_sweep_euler", "adjoint.adjoint_sweep_heun",
     "dynamics.solve_ode_oracle", "linear_flow.integrate_flow",
-    "linear_flow.product_vs_ode", "harness.run_scaling_study",
+    "linear_flow.product_vs_ode", "linear_flow.transport_product",
+    "linear_flow.extract_limit_map", "linear_flow.monitor_invariants",
+    "linear_flow.check_small_loss_regime", "numerics.spectral_norm",
+    "numerics.fit_loglog_slope", "harness.run_scaling_study",
     "harness.run_tightness_suite", "harness.run_linear_flow_experiment",
     "harness.run_toy_training", "cli.main")
 
@@ -229,13 +217,7 @@ import reach
 
 def run_pass():
     from odenet import cli
-    for i, (command, text, expected) in enumerate(reach.CALLS):
-        path = os.path.join(out, f"{i}.cfg")
-        with open(path, "w") as fh:
-            fh.write(text)
-        rc = cli.main([command, "--config", path, "--out", os.path.join(out, str(i))])
-        if rc != expected:
-            sys.exit(f"{command} {text!r} exited {rc}, not {expected}")
+    reach.run_calls(cli.main, out)
 
 
 seen = reach.calls(run_pass)

@@ -47,6 +47,7 @@ from odenet.harness import (
 )
 from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
 from oracles import eval_field, tables, values
+import reach
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -441,11 +442,6 @@ class TestScalingStudy:
         assert values(result, "recon_max_error") == {}
         assert set(result.fit_flags.values()) == {"insufficient"}
 
-    def test_rejects_wrong_experiment(self):
-        config = ExperimentConfig(experiment="toy_train")
-        with pytest.raises(ConfigError):
-            run_scaling_study(config)
-
     def test_reruns_are_byte_identical(self):
         outputs = []
         for _ in range(2):
@@ -482,14 +478,6 @@ class TestTightnessSuite:
             experiment="tightness_suite", depths=(4, 64)))) for _ in range(2))
         assert a == b
         assert list(a) == ["tightness.csv"]
-
-    def test_rejects_wrong_experiment(self, tmp_path):
-        out = tmp_path / "out"
-        config = ExperimentConfig(experiment="limit_map", depths=(4, 8, 16),
-                                  output_dir=str(out))
-        with pytest.raises(ConfigError):
-            run_tightness_suite(config)
-        assert not out.exists()
 
 
 def _mlp_field(depth, seed=3):
@@ -664,11 +652,6 @@ class TestLinearFlowExperiment:
         assert exc.value.depth == 8
         assert "small-loss regime" in str(exc.value)
 
-    def test_rejects_wrong_experiment(self):
-        config = ExperimentConfig(experiment="approx_error")
-        with pytest.raises(ConfigError):
-            run_linear_flow_experiment(config)
-
 
 class TestToyTraining:
     def test_exact_training_smoke(self):
@@ -759,11 +742,6 @@ class TestToyTraining:
             grads = backprop_exact_heun(family, schedule, traj, out_grad)
             params = params - config.learning_rate * 4 * grads
         assert np.array_equal(losses, expected)
-
-    def test_rejects_wrong_experiment(self):
-        config = ExperimentConfig(experiment="limit_map")
-        with pytest.raises(ConfigError):
-            run_toy_training(config)
 
     def test_reruns_are_byte_identical(self):
         blobs = []
@@ -863,9 +841,12 @@ class TestTrainedAccuracy:
 @pytest.mark.parametrize("runner, command, experiment", [
     (run_scaling_study, "study", "toy_train"),
     (run_tightness_suite, "tightness", "approx_error"),
+    (run_tightness_suite, "tightness", "limit_map"),
     (run_linear_flow_experiment, "linflow", "tightness_suite"),
+    (run_linear_flow_experiment, "linflow", "approx_error"),
     (run_toy_training, "train", "limit_map"),
-], ids=["study", "tightness", "linflow", "train"])
+], ids=["study", "tightness", "tightness_on_limit_map", "linflow", "linflow_on_approx_error",
+        "train"])
 def test_runner_rejects_another_commands_experiment(tmp_path, monkeypatch, runner, command,
                                                    experiment):
     """Each runner, a public entry point, checks its experiment before any
@@ -1175,36 +1156,33 @@ class TestCli:
         assert not out.exists()
         assert list(tmp_path.rglob("*.csv")) == []
 
-    @pytest.mark.parametrize("command,text", [
-        ("study", "experiment = approx_error\ndepths = 4, 8\n"),
-        ("tightness", "experiment = tightness_suite\ndepths = 4, 8\n"),
-        ("linflow", "experiment = limit_map\ndepths = 4, 8, 16\nt_end = 0.1\n"),
-        ("train", "experiment = toy_train\ndepths = 4, 8\niterations = 2\n"),
-    ], ids=["study", "tightness", "linflow", "train"])
-    def test_main_writes_exactly_the_returned_tables(self, tmp_path, monkeypatch, command,
-                                                     text):
-        """The files in --out are the tables the runner returned, each once
-        and byte for byte: no other code path writes output."""
+    @pytest.mark.parametrize("command", ["study", "tightness", "linflow", "train"])
+    def test_main_writes_exactly_the_returned_tables(self, tmp_path, monkeypatch, command):
+        """On every call of ``reach.CALLS`` that succeeds, the files in
+        --out are the tables the runner returned, each once and byte for
+        byte: no other code path writes output."""
         run, report = cli._RUNNERS[command]
-        returned = {}
+        returned = []
 
         def recording(config):
             result = run(config)
-            texts = [(name, "".join(lines)) for name, lines in result.tables]
-            returned.update(texts)
-            assert len(returned) == len(texts)
-            result.tables = texts
+            result.tables = [(name, "".join(lines)) for name, lines in result.tables]
+            returned.append(dict(result.tables))
+            assert len(returned[-1]) == len(result.tables)
             return result
         monkeypatch.setitem(cli._RUNNERS, command, (recording, report))
-        out = tmp_path / "out"
-        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
-            name: body.encode() for name, body in returned.items()}
+        calls = [call for call in reach.CALLS if call[0] == command and call[2] == 0]
+        reach.run_calls(main, tmp_path, calls)
+        assert len(returned) == len(calls)
+        for i, texts in enumerate(returned):
+            assert {p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()} == {
+                name: body.encode() for name, body in texts.items()}
 
-    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing", "nested"])
+    @pytest.mark.parametrize("sub", ["", "sub", "a/b/c"],
+                             ids=["existing", "nested", "three_levels"])
     def test_failed_run_keeps_directories_it_did_not_make(self, tmp_path, sub):
-        """An existing empty --out survives; of a nested one made by the
-        run, only the innermost directory is removed."""
+        """An existing empty --out survives; of a nested one, the run
+        removes every directory it made and no other."""
         command, text, code, _ = self.FAILED_RUNS["regime_abort"]
         out = tmp_path / "out"
         out.mkdir()
