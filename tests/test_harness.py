@@ -442,6 +442,11 @@ class TestScalingStudy:
         assert values(result, "recon_max_error") == {}
         assert set(result.fit_flags.values()) == {"insufficient"}
 
+    def test_rejects_wrong_experiment(self):
+        config = ExperimentConfig(experiment="toy_train")
+        with pytest.raises(ConfigError):
+            run_scaling_study(config)
+
     def test_reruns_are_byte_identical(self):
         outputs = []
         for _ in range(2):
@@ -742,6 +747,11 @@ class TestToyTraining:
             grads = backprop_exact_heun(family, schedule, traj, out_grad)
             params = params - config.learning_rate * 4 * grads
         assert np.array_equal(losses, expected)
+
+    def test_rejects_wrong_experiment(self):
+        config = ExperimentConfig(experiment="limit_map")
+        with pytest.raises(ConfigError):
+            run_toy_training(config)
 
     def test_reruns_are_byte_identical(self):
         blobs = []
