@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .dynamics import DivergenceError
 from .harness import (
+    _FLAGS,
     _KEY_PARSERS,
     AllDepthsDiverged,
     ConfigError,
@@ -30,10 +31,6 @@ from .harness import (
     run_tightness_suite,
     run_toy_training,
 )
-
-
-# Each override flag -> the config key whose file line its value parses as.
-_FLAGS = {"seed": "seed", "out": "output_dir", "depths": "depths"}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -83,14 +83,21 @@ __all__ = [
     "run_toy_training",
 ]
 
-# The experiments each CLI command runs, and their default depths and profile_scale.
+# The experiments each CLI command runs, their default depths and profile_scale,
+# and the config keys it reads besides `experiment` and the keys _FLAGS sets.
 COMMANDS = {
     "study": (("approx_error", "euler_adjoint", "heun_adjoint"),
-              (16, 32, 64, 128, 256, 512, 1024), 0.25),
-    "tightness": (("tightness_suite",), (10, 100, 1000), 0.25),
-    "linflow": (("limit_map",), (16, 32, 64, 128, 256), 0.1),
-    "train": (("toy_train",), (64, 300), 0.25),
+              (16, 32, 64, 128, 256, 512, 1024), 0.25,
+              ("family", "state_dim", "hidden_dim", "schedule_profile", "profile_scale")),
+    "tightness": (("tightness_suite",), (10, 100, 1000), 0.25, ()),
+    "linflow": (("limit_map",), (16, 32, 64, 128, 256), 0.1,
+                ("state_dim", "profile_scale", "t_end", "snapshot_count")),
+    "train": (("toy_train",), (64, 300), 0.25,
+              ("hidden_dim", "schedule_profile", "profile_scale", "target", "input_count",
+               "learning_rate", "iterations", "gradient_mode")),
 }
+# Each flag of every command -> the config key whose file line its value parses as.
+_FLAGS = {"seed": "seed", "out": "output_dir", "depths": "depths"}
 COMMAND_OF = {experiment: command for command, (experiments, *_) in COMMANDS.items()
               for experiment in experiments}
 PROFILES = ("constant", "lipschitz_profile", "alternating", "index")
@@ -190,7 +197,7 @@ class ExperimentConfig:
         for name, table in _CHOICES.items():
             if getattr(self, name) not in table:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        _, depths, scale = COMMANDS[COMMAND_OF[self.experiment]]
+        _, depths, scale, _ = COMMANDS[COMMAND_OF[self.experiment]]
         depths = depths if self.depths is None else self.depths
         if not np.iterable(depths):
             raise ConfigError(f"depths must be a sequence of integers, got {depths!r}")
@@ -236,7 +243,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if "experiment" not in values:
         raise ConfigError("config must set `experiment`")
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    _check_keys(COMMAND_OF[config.experiment], values)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -262,12 +271,23 @@ def _table(name: str, header, rows) -> tuple:
     return name, [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
 
 
+def _check_keys(command: str, keys) -> None:
+    """Reject, naming them all, the keys that `command` does not read."""
+    unread = sorted(set(keys) - {"experiment", *_FLAGS.values(), *COMMANDS[command][3]})
+    if unread:
+        raise ConfigError(f"keys {unread} are not read by {command}")
+
+
 def _check_command(config: ExperimentConfig, command: str) -> None:
-    """Reject an experiment that another command runs, before any work."""
+    """Reject, before any work, an experiment that another command runs
+    and a key the command does not read set off its resolved default."""
     allowed = COMMANDS[command][0]
     if config.experiment not in allowed:
         raise ConfigError(f"experiment {config.experiment!r} does not belong to "
                           f"`{command}` (expected one of {', '.join(allowed)})")
+    default = ExperimentConfig(experiment=config.experiment)
+    _check_keys(command, [f.name for f in dataclasses.fields(config)
+                          if getattr(config, f.name) != getattr(default, f.name)])
 
 
 # ---------------------------------------------------------------------------

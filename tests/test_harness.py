@@ -343,6 +343,21 @@ class TestScheduleProfiles:
 
 
 class TestScalingStudy:
+    @pytest.mark.parametrize("planted, r2, flag", [
+        ((1.0, 0.3, 0.5, 0.1), 0.725, "low_confidence"),
+        ((1.0, 0.35, 0.3, 0.1), 0.936, "ok"),
+    ], ids=["r2_0.72", "r2_0.94"])
+    def test_fit_confidence_threshold_is_r2_of_0_9(self, monkeypatch, planted, r2, flag):
+        """A slope fit with r2 near 0.7 is low_confidence; one near 0.94 is ok."""
+        by_depth = dict(zip((8, 16, 32, 64), planted))
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (
+            lambda family, schedule, x0, target: ([(by_depth[schedule.depth], 1.0)], None),
+            ("approx_max_error",)))
+        result = run_scaling_study(ExperimentConfig(experiment="approx_error",
+                                                    depths=(8, 16, 32, 64)))
+        assert result.fits["approx_max_error"].r_squared == pytest.approx(r2, abs=1e-3)
+        assert result.fit_flags["approx_max_error"] == flag
+
     def test_mlp_study_smoke(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
                                   family="mlp", state_dim=2, hidden_dim=3, seed=1)
@@ -870,6 +885,112 @@ def test_runner_rejects_another_commands_experiment(tmp_path, monkeypatch, runne
     with pytest.raises(ConfigError, match=f"does not belong to `{command}`"):
         runner(config)
     assert not out.exists()
+
+
+SHARED_KEYS = {"experiment", *cli._FLAGS.values()}
+
+
+@pytest.fixture(scope="module")
+def measured_reads(tmp_path_factory):
+    """{command: every ExperimentConfig field its runner and report read}
+    over all of ``reach.CALLS``, by a spy on attribute reads.  The reads
+    of ``_check_command``, which compares every field, are not counted."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    reads = {command: set() for command in [*harness.COMMANDS, None]}
+    active = []  # the command whose runner or report is running
+    read = ExperimentConfig.__getattribute__
+
+    def spy(self, name):
+        if active and name in fields:
+            reads[active[-1]].add(name)
+        return read(self, name)
+
+    def within(command, function):
+        def wrapped(*args):
+            active.append(command)
+            try:
+                return function(*args)
+            finally:
+                active.pop()
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExperimentConfig, "__getattribute__", spy)
+        mp.setattr(harness, "_check_command", within(None, harness._check_command))
+        for command, (run, report) in cli._RUNNERS.items():
+            mp.setitem(cli._RUNNERS, command, (within(command, run), within(command, report)))
+        reach.run_calls(main, tmp_path_factory.mktemp("reads"))
+    return reads
+
+
+@pytest.mark.parametrize("command", list(harness.COMMANDS))
+def test_command_keys_are_the_keys_it_reads(measured_reads, command):
+    """Each COMMANDS row names exactly the keys, beyond the shared ones,
+    that its runner and report read over every call of reach.CALLS."""
+    assert measured_reads[command] - SHARED_KEYS == set(harness.COMMANDS[command][3])
+
+
+@pytest.mark.parametrize("command", [*harness.COMMANDS, "every command"])
+def test_readme_key_lists_match_the_table(command):
+    """README's key paragraph lists each command's row and the shared keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    if command == "every command":
+        shared = re.search(r"^Every command takes (.*?)\sBeyond those", readme, re.M | re.S)[1]
+        assert set(re.findall(r"`--(\w+)`", shared)) == set(cli._FLAGS)
+        assert set(re.findall(r"`(\w+)`", shared)) == SHARED_KEYS
+    else:
+        line = re.search(rf"^- `{command}`: (.*)$", readme, re.M)[1]
+        assert set(re.findall(r"`(\w+)`", line)) == set(harness.COMMANDS[command][3])
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("train", "experiment = toy_train\nfamily = linear\nstate_dim = 7\nt_end = 3\n"
+              "depths = 4\niterations = 5\n", "['family', 'state_dim', 't_end']"),
+    ("train", "experiment = toy_train\nstate_dim = 4\n", "['state_dim']"),
+    ("tightness", "experiment = tightness_suite\nfamily = mlp\n", "['family']"),
+    ("tightness", "experiment = tightness_suite\nprofile_scale = 0.25\n", "['profile_scale']"),
+    ("linflow", "experiment = limit_map\nhidden_dim = 3\ntarget = neg_square_half\n",
+     "['hidden_dim', 'target']"),
+    ("study", "experiment = approx_error\nt_end = 3\nseed = 2\n", "['t_end']"),
+], ids=["train_unread_keys", "train_default_state_dim", "tightness_family",
+        "tightness_profile_scale", "linflow_two_keys", "study_t_end"])
+def test_unread_key_exits_2_naming_each(tmp_path, capsys, command, text, unread):
+    """A config file that names a key its command does not read, even at
+    its default, exits 2 naming every such key, and leaves no directory."""
+    out = tmp_path / "out" / "run"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: keys {unread} are not read by {command}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("runner, experiment, field, value", [
+    (run_toy_training, "toy_train", "family", "linear"),
+    (run_toy_training, "toy_train", "t_end", 3.0),
+    (run_tightness_suite, "tightness_suite", "profile_scale", 9.0),
+    (run_linear_flow_experiment, "limit_map", "gradient_mode", "adjoint_heun"),
+    (run_scaling_study, "heun_adjoint", "iterations", 5),
+], ids=["train_family", "train_t_end", "tightness_profile_scale", "linflow_gradient_mode",
+        "study_iterations"])
+def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, experiment, field, value):
+    """An API caller's config that sets an unread key off its resolved
+    default fails in the runner, before any work."""
+    def no_work(*args):
+        raise AssertionError("work started before the keys were checked")
+    monkeypatch.setattr(harness, "_child_rngs", no_work)
+    monkeypatch.setattr(harness, "_tightness_case", no_work)
+    config = ExperimentConfig(experiment=experiment, **{field: value})
+    with pytest.raises(ConfigError, match=rf"keys \['{field}'\] are not read"):
+        runner(config)
+
+
+def test_replaced_shared_keys_pass_the_key_check(tmp_path):
+    """A resolved config that dataclasses.replace gives another seed,
+    output_dir and depths, as the CLI's flags do, still runs."""
+    config = dataclasses.replace(
+        parse_config("experiment = tightness_suite\n"),
+        seed=5, output_dir=str(tmp_path), depths=(2, 4))
+    assert [r.depth for r in run_tightness_suite(config).records] == [2, 4] * 3
 
 
 class TestCli:

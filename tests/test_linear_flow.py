@@ -440,6 +440,27 @@ class TestMonitors:
         rep = monitor_invariants(trace)
         assert rep.theta_bound_ok is False
 
+    @staticmethod
+    def _planted(times, losses):
+        """A trace of the given losses: the decay monitor reads only t and the loss."""
+        return FlowTrace([FlowSample(t, value, 0.0, 0.0, np.zeros((2, 1, 1)))
+                          for t, value in zip(times, losses)], np.zeros((1, 1)))
+
+    def test_decay_slower_than_the_envelope_rate_fails(self):
+        """The envelope decays at rate 2/e: a loss decaying at 1.5/e falls
+        behind it, and one decaying at 2.5/e stays under it."""
+        times = np.linspace(0.0, 5.0, 6)
+        assert not monitor_invariants(self._planted(times, np.exp(-1.5 / math.e * times))).decay_ok
+        assert monitor_invariants(self._planted(times, np.exp(-2.5 / math.e * times))).decay_ok
+
+    @pytest.mark.parametrize("excess, ok", [(5e-4, True), (2e-3, False)])
+    def test_decay_ratio_slack_is_one_in_a_thousand(self, excess, ok):
+        """A decay ratio of 1 + 5e-4 passes and one of 1 + 2e-3 fails."""
+        loss = math.exp(-2.0 / math.e) * (1.0 + excess)
+        rep = monitor_invariants(self._planted([0.0, 1.0], [1.0, loss]))
+        assert rep.max_decay_ratio == pytest.approx(1.0 + excess, rel=1e-12)
+        assert rep.decay_ok == ok
+
 
 @pytest.fixture(scope="module")
 def doubling_runs():

@@ -225,6 +225,12 @@ class TestAboveNoiseFloor:
         mask = above_noise_floor([floor * 10, floor, floor * 0.9, 0.0], scale=2.0)
         assert mask.tolist() == [True, True, False, False]
 
+    def test_floor_is_a_hundred_epsilons_of_scale(self):
+        """50 eps * scale is rounding noise; 200 eps * scale is not."""
+        eps = np.finfo(float).eps
+        mask = above_noise_floor([50 * eps * 3.0, 200 * eps * 3.0], scale=3.0)
+        assert mask.tolist() == [False, True]
+
     def test_zero_scale_keeps_positive_errors(self):
         # Degenerate scale must not declare everything noise.
         assert above_noise_floor([1e-300], scale=0.0).tolist() == [True]
