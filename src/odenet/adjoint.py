@@ -13,19 +13,22 @@ reconstructed states.  The two-stage scheme reverses both stages,
     x~_n = x~_{n+1} - (1/2N) (f(x~_{n+1}, theta_{n+1}) + f(y~_n, theta_n)),
 
 and evaluates the same two-term parameter-gradient assembly at the
-reconstructed states.  Observed, not derived: on a smooth schedule
-(``lipschitz_profile``, N = 16..1024) its gradient error decays near
-N^-4, with slopes -3.966 to -3.863 over seeds 0-15.
+reconstructed states.  A step of order p followed by its step at -h is
+the identity plus O(h^{p+1}) for odd p and O(h^{p+2}) for even p, as a
+method and its adjoint differ by (-1)^p in the leading error term
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, II.3).  Over
+N = 1/h layers of a smooth schedule the reconstruction error is thus
+O(N^-1) single-stage and O(N^-3) two-stage; O(1) jumps between layers,
+as on ``alternating``, break the cancellation.  Observed, not derived:
+the two-stage gradient error on ``lipschitz_profile`` (N = 16..1024)
+decays near N^-4, with slopes -3.966 to -3.863 over seeds 0-15.
 
-One reverse sweep runs both schemes' ``dynamics.Scheme`` steps.  It
-yields (n, grad_theta_n, grad_x_n, x_n) for n = N-1..0, x_n being the
-state it linearized at layer n: the stored node in exact reverse mode,
-and the rebuilt x~_n in the memory-free adjoint, so one pass gives both
-the reconstruction and the gradients.
-
-The sweep walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
-a block's states are a view of the stored nodes, or a block buffer the
-reverse step fills and ``dynamics._check_block`` screens once, and the
+One reverse sweep, ``_sweep``, runs both schemes' ``dynamics.Scheme``
+steps and yields each layer's gradients with the state it linearized
+at, so one pass gives both the reconstruction and the gradients.  It
+walks the layers in blocks of ``SWEEP_BLOCK``, from the top: a block's
+states are a view of the stored nodes, or a block buffer the reverse
+step fills and ``dynamics._check_block`` screens once, and the
 scheme's ``backprop`` linearizes the block in one stacked call (two for
 the two-stage scheme), builds every layer's cotangent transition matrix
 from the stacked state Jacobians, and applies them one product per

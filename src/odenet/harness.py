@@ -83,29 +83,30 @@ __all__ = [
     "run_toy_training",
 ]
 
-# The experiments each CLI command runs, their default depths and profile_scale,
-# and the config keys it reads besides `experiment` and the keys _FLAGS sets.
+# The experiments each CLI command runs, their default depths and profile_scale, and the
+# keys every run reads besides `experiment`, _FLAGS' keys and its family's and profile's.
 COMMANDS = {
     "study": (("approx_error", "euler_adjoint", "heun_adjoint"),
-              (16, 32, 64, 128, 256, 512, 1024), 0.25,
-              ("family", "state_dim", "hidden_dim", "schedule_profile", "profile_scale")),
+              (16, 32, 64, 128, 256, 512, 1024), 0.25, ("family", "schedule_profile")),
     "tightness": (("tightness_suite",), (10, 100, 1000), 0.25, ()),
     "linflow": (("limit_map",), (16, 32, 64, 128, 256), 0.1,
                 ("state_dim", "profile_scale", "t_end", "snapshot_count")),
     "train": (("toy_train",), (64, 300), 0.25,
-              ("hidden_dim", "schedule_profile", "profile_scale", "target", "input_count",
+              ("hidden_dim", "schedule_profile", "target", "input_count",
                "learning_rate", "iterations", "gradient_mode")),
 }
 # Each flag of every command -> the config key whose file line its value parses as.
 _FLAGS = {"seed": "seed", "out": "output_dir", "depths": "depths"}
 COMMAND_OF = {experiment: command for command, (experiments, *_) in COMMANDS.items()
               for experiment in experiments}
-PROFILES = ("constant", "lipschitz_profile", "alternating", "index")
-# The lambdas look the constructors up per call: the benchmark tracer rebinds them.
-FAMILIES = {"mlp": lambda c: make_mlp_family(c.state_dim, c.hidden_dim),
-            "linear": lambda c: make_linear_family(c.state_dim),
-            "square": lambda c: make_square_family(),
-            "identity": lambda c: make_identity_family()}
+# Each schedule profile -> the config keys it reads.
+PROFILES = {"constant": ("profile_scale",), "lipschitz_profile": ("profile_scale",),
+            "alternating": ("profile_scale",), "index": ()}
+# Each study family -> its constructor and the config keys it takes, in order.
+FAMILIES = {"mlp": (make_mlp_family, ("state_dim", "hidden_dim")),
+            "linear": (make_linear_family, ("state_dim",)),
+            "square": (make_square_family, ()),
+            "identity": (make_identity_family, ())}
 TARGETS = {"square_half": lambda x: 0.5 * x * x, "neg_square_half": lambda x: -0.5 * x * x}
 # Gradient mode -> (scheme, whether the forward pass stores the trajectory).
 GRADIENT_MODES = {"exact": (EULER, True), "adjoint_euler": (EULER, False),
@@ -244,7 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in values:
         raise ConfigError("config must set `experiment`")
     config = ExperimentConfig(**values)
-    _check_keys(COMMAND_OF[config.experiment], values)
+    _check_keys(config, values)
     return config
 
 
@@ -271,9 +272,13 @@ def _table(name: str, header, rows) -> tuple:
     return name, [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
 
 
-def _check_keys(command: str, keys) -> None:
-    """Reject, naming them all, the keys that `command` does not read."""
-    unread = sorted(set(keys) - {"experiment", *_FLAGS.values(), *COMMANDS[command][3]})
+def _check_keys(config: ExperimentConfig, keys) -> None:
+    """Reject, naming them all, the keys that a run of `config` does not read."""
+    command = COMMAND_OF[config.experiment]
+    read = {"experiment", *_FLAGS.values(), *COMMANDS[command][3]}
+    read.update(FAMILIES[config.family][1] if "family" in read else (),
+                PROFILES[config.schedule_profile] if "schedule_profile" in read else ())
+    unread = sorted(set(keys) - read)
     if unread:
         raise ConfigError(f"keys {unread} are not read by {command}")
 
@@ -286,8 +291,8 @@ def _check_command(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"experiment {config.experiment!r} does not belong to "
                           f"`{command}` (expected one of {', '.join(allowed)})")
     default = ExperimentConfig(experiment=config.experiment)
-    _check_keys(command, [f.name for f in dataclasses.fields(config)
-                          if getattr(config, f.name) != getattr(default, f.name)])
+    _check_keys(config, [f.name for f in dataclasses.fields(config)
+                         if getattr(config, f.name) != getattr(default, f.name)])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,6 @@ def _poly_eval(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _make_profile(config: ExperimentConfig, param_dim: int,
                   rng) -> Callable[[int], np.ndarray]:
     """The profile's rows(depth), its randomness drawn once for every depth."""
-    scale = config.profile_scale
     kind = config.schedule_profile
     if kind == "index":
         if param_dim != 1:
@@ -312,7 +316,7 @@ def _make_profile(config: ExperimentConfig, param_dim: int,
 
     def draw():
         row = rng.standard_normal(param_dim)
-        return row * (scale / np.max(np.abs(row)))
+        return row * (config.profile_scale / np.max(np.abs(row)))
     if kind == "constant":
         base = draw()
         return lambda depth: np.tile(base, (depth, 1))
@@ -323,10 +327,10 @@ def _make_profile(config: ExperimentConfig, param_dim: int,
         even, odd = draw(), draw()
         return lambda depth: np.where((np.arange(depth) % 2 == 0)[:, None], even, odd)
     coeffs = rng.standard_normal((4, param_dim))
-    # Rescale the whole cubic so its sup-norm over [0, 1] hits `scale`;
+    # Rescale the whole cubic so its sup-norm over [0, 1] hits `profile_scale`;
     # left sampling g(n/N) then keeps consecutive rows O(1/N) apart.
     probe = _poly_eval(coeffs, np.linspace(0.0, 1.0, 513))
-    coeffs *= scale / np.max(np.abs(probe))
+    coeffs *= config.profile_scale / np.max(np.abs(probe))
     return lambda depth: _poly_eval(coeffs, np.arange(depth) / depth)
 
 
@@ -430,7 +434,8 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     records, fits and the study.csv and slopes.csv tables."""
     _check_command(config, "study")
     profile_rng, data_rng = _child_rngs(config.seed, 2)
-    family = FAMILIES[config.family](config)
+    make, keys = FAMILIES[config.family]
+    family = make(*(getattr(config, k) for k in keys))
     profile = _make_profile(config, family.param_dim, profile_rng)
     x0 = data_rng.standard_normal(family.state_dim) / math.sqrt(family.state_dim)
     target = data_rng.standard_normal(family.state_dim)

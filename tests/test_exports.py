@@ -24,6 +24,7 @@ import pytest
 import odenet
 from odenet.harness import ExperimentConfig
 from odenet.residual_models import ResidualFamily
+import mutants
 import outputs
 import reach
 
@@ -278,3 +279,11 @@ def test_every_src_function_is_reached(tmp_path):
     assert not gone, f"UNREACHED names functions src no longer has: {gone}"
     reached = sorted(n for n in UNREACHED if counts.get(n) == 0)
     assert not reached, f"UNREACHED names functions a command now calls: {reached}"
+
+
+@pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+def test_mutant_substitution_occurs_once(name):
+    """Each planted defect of ``tests/mutants.py`` still names one exact
+    spot of its file, so the catalogue cannot go stale in silence."""
+    path, old, _ = mutants.MUTANTS[name]
+    assert mutants.source(path).count(old) == 1

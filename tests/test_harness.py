@@ -1,5 +1,6 @@
 """Experiment runner and CLI behavior, including exit codes and CSVs."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -892,55 +893,101 @@ SHARED_KEYS = {"experiment", *cli._FLAGS.values()}
 
 @pytest.fixture(scope="module")
 def measured_reads(tmp_path_factory):
-    """{command: every ExperimentConfig field its runner and report read}
-    over all of ``reach.CALLS``, by a spy on attribute reads.  The reads
-    of ``_check_command``, which compares every field, are not counted."""
+    """[(command, config, fields read)] for each exit-0 entry of
+    ``reach.CALLS``: the config its file parses to and every
+    ExperimentConfig field its runner and report read, by a spy on
+    attribute reads.  The reads of ``_check_command``, which compares
+    every field, are not counted."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    reads = {command: set() for command in [*harness.COMMANDS, None]}
-    active = []  # the command whose runner or report is running
+    measured = []
+    counting = []  # whether the innermost runner, report or check counts its reads
     read = ExperimentConfig.__getattribute__
 
     def spy(self, name):
-        if active and name in fields:
-            reads[active[-1]].add(name)
+        if counting and counting[-1] and name in fields:
+            measured[-1][2].add(name)
         return read(self, name)
 
-    def within(command, function):
+    def within(counts, function):
         def wrapped(*args):
-            active.append(command)
+            counting.append(counts)
             try:
                 return function(*args)
             finally:
-                active.pop()
+                counting.pop()
         return wrapped
 
+    out = tmp_path_factory.mktemp("reads")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExperimentConfig, "__getattribute__", spy)
-        mp.setattr(harness, "_check_command", within(None, harness._check_command))
+        mp.setattr(harness, "_check_command", within(False, harness._check_command))
         for command, (run, report) in cli._RUNNERS.items():
-            mp.setitem(cli._RUNNERS, command, (within(command, run), within(command, report)))
-        reach.run_calls(main, tmp_path_factory.mktemp("reads"))
-    return reads
+            mp.setitem(cli._RUNNERS, command, (within(True, run), within(True, report)))
+        for i, call in enumerate(reach.CALLS):
+            command, text, code = call
+            if code == 0:
+                measured.append((command, parse_config(text), set()))
+                (out / str(i)).mkdir()
+                reach.run_calls(main, out / str(i), calls=[call])
+    return measured
+
+
+def accepted_keys(config):
+    """The fields ``_check_keys`` lets a file or caller set for ``config``."""
+    accepted = set()
+    for f in dataclasses.fields(ExperimentConfig):
+        with contextlib.suppress(ConfigError):
+            harness._check_keys(config, [f.name])
+            accepted.add(f.name)
+    return accepted
 
 
 @pytest.mark.parametrize("command", list(harness.COMMANDS))
 def test_command_keys_are_the_keys_it_reads(measured_reads, command):
-    """Each COMMANDS row names exactly the keys, beyond the shared ones,
-    that its runner and report read over every call of reach.CALLS."""
-    assert measured_reads[command] - SHARED_KEYS == set(harness.COMMANDS[command][3])
+    """For each exit-0 call of reach.CALLS, the keys its runner and report
+    read, beyond the shared ones, are exactly the keys _check_keys accepts
+    for its config: its command's row, its family's and its profile's."""
+    runs = [(config, reads) for name, config, reads in measured_reads if name == command]
+    assert runs
+    mismatched = []
+    for config, reads in runs:
+        accepted = accepted_keys(config) - SHARED_KEYS
+        if reads - SHARED_KEYS != accepted:
+            mismatched.append((config.experiment, config.family, config.schedule_profile,
+                               sorted((reads - SHARED_KEYS) ^ accepted)))
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("command", [*harness.COMMANDS, "every command"])
 def test_readme_key_lists_match_the_table(command):
-    """README's key paragraph lists each command's row and the shared keys."""
+    """README's key paragraph lists each command's row, then the keys its
+    family and profile add with the families or profiles that read each,
+    and the shared keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     if command == "every command":
         shared = re.search(r"^Every command takes (.*?)\sBeyond those", readme, re.M | re.S)[1]
         assert set(re.findall(r"`--(\w+)`", shared)) == set(cli._FLAGS)
         assert set(re.findall(r"`(\w+)`", shared)) == SHARED_KEYS
-    else:
-        line = re.search(rf"^- `{command}`: (.*)$", readme, re.M)[1]
-        assert set(re.findall(r"`(\w+)`", line)) == set(harness.COMMANDS[command][3])
+        return
+    line = re.search(rf"^- `{command}`: (.*)$", readme, re.M)[1]
+    row, _, added = line.partition("; then ")
+    keys = harness.COMMANDS[command][3]
+    assert set(re.findall(r"`(\w+)`", row)) == set(keys)
+    readers = {}  # each added key -> the families or profiles that read it
+    if "family" in keys:
+        for family, (_, family_keys) in harness.FAMILIES.items():
+            for key in family_keys:
+                readers.setdefault(key, set()).add(family)
+    if "schedule_profile" in keys:
+        for profile, profile_keys in harness.PROFILES.items():
+            for key in profile_keys:
+                readers.setdefault(key, set()).add(profile)
+    listed = {}
+    for key, names in re.findall(r"`(\w+)` \(([^)]*)\)", added):
+        every = re.fullmatch(r"every profile but (.*)", names)
+        listed[key] = (set(harness.PROFILES) - set(re.findall(r"`(\w+)`", every[1]))
+                       if every else set(names.split(", ")))
+    assert listed == readers
 
 
 @pytest.mark.parametrize("command, text, unread", [
@@ -952,8 +999,15 @@ def test_readme_key_lists_match_the_table(command):
     ("linflow", "experiment = limit_map\nhidden_dim = 3\ntarget = neg_square_half\n",
      "['hidden_dim', 'target']"),
     ("study", "experiment = approx_error\nt_end = 3\nseed = 2\n", "['t_end']"),
+    ("study", "experiment = approx_error\nfamily = square\nstate_dim = 7\nhidden_dim = 99\n"
+              "depths = 4, 8\n", "['hidden_dim', 'state_dim']"),
+    ("study", "experiment = euler_adjoint\nfamily = linear\nhidden_dim = 99\n",
+     "['hidden_dim']"),
+    ("study", "experiment = approx_error\nfamily = identity\nschedule_profile = index\n"
+              "profile_scale = 77\n", "['profile_scale']"),
 ], ids=["train_unread_keys", "train_default_state_dim", "tightness_family",
-        "tightness_profile_scale", "linflow_two_keys", "study_t_end"])
+        "tightness_profile_scale", "linflow_two_keys", "study_t_end", "study_square_dims",
+        "study_linear_hidden_dim", "study_index_profile_scale"])
 def test_unread_key_exits_2_naming_each(tmp_path, capsys, command, text, unread):
     """A config file that names a key its command does not read, even at
     its default, exits 2 naming every such key, and leaves no directory."""
@@ -964,22 +1018,28 @@ def test_unread_key_exits_2_naming_each(tmp_path, capsys, command, text, unread)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("runner, experiment, field, value", [
-    (run_toy_training, "toy_train", "family", "linear"),
-    (run_toy_training, "toy_train", "t_end", 3.0),
-    (run_tightness_suite, "tightness_suite", "profile_scale", 9.0),
-    (run_linear_flow_experiment, "limit_map", "gradient_mode", "adjoint_heun"),
-    (run_scaling_study, "heun_adjoint", "iterations", 5),
+@pytest.mark.parametrize("runner, settings, field", [
+    (run_toy_training, dict(experiment="toy_train", family="linear"), "family"),
+    (run_toy_training, dict(experiment="toy_train", t_end=3.0), "t_end"),
+    (run_tightness_suite, dict(experiment="tightness_suite", profile_scale=9.0),
+     "profile_scale"),
+    (run_linear_flow_experiment, dict(experiment="limit_map", gradient_mode="adjoint_heun"),
+     "gradient_mode"),
+    (run_scaling_study, dict(experiment="heun_adjoint", iterations=5), "iterations"),
+    (run_scaling_study, dict(experiment="approx_error", family="square", state_dim=7),
+     "state_dim"),
+    (run_scaling_study, dict(experiment="approx_error", family="identity",
+                             schedule_profile="index", profile_scale=77.0), "profile_scale"),
 ], ids=["train_family", "train_t_end", "tightness_profile_scale", "linflow_gradient_mode",
-        "study_iterations"])
-def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, experiment, field, value):
+        "study_iterations", "study_square_state_dim", "study_index_profile_scale"])
+def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, settings, field):
     """An API caller's config that sets an unread key off its resolved
     default fails in the runner, before any work."""
     def no_work(*args):
         raise AssertionError("work started before the keys were checked")
     monkeypatch.setattr(harness, "_child_rngs", no_work)
     monkeypatch.setattr(harness, "_tightness_case", no_work)
-    config = ExperimentConfig(experiment=experiment, **{field: value})
+    config = ExperimentConfig(**settings)
     with pytest.raises(ConfigError, match=rf"keys \['{field}'\] are not read"):
         runner(config)
 
