@@ -215,6 +215,8 @@ class ExperimentConfig:
         for name, low in _AT_LEAST.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if not math.isfinite(self.t_end / MAX_STEP_SIZE):
+            raise ConfigError(f"t_end must take a finite count of {MAX_STEP_SIZE:g} steps")
 
 
 # Value parser of each config key, from its field's annotation.
@@ -273,14 +275,19 @@ def _table(name: str, header, rows) -> tuple:
 
 
 def _check_keys(config: ExperimentConfig, keys) -> None:
-    """Reject, naming them all, the keys that a run of `config` does not read."""
+    """Reject, naming them all, the keys that a run of `config` does not read,
+    then an index profile on any but a one-parameter study family."""
     command = COMMAND_OF[config.experiment]
     read = {"experiment", *_FLAGS.values(), *COMMANDS[command][3]}
-    read.update(FAMILIES[config.family][1] if "family" in read else (),
+    make, args = FAMILIES[config.family]
+    read.update(args if "family" in read else (),
                 PROFILES[config.schedule_profile] if "schedule_profile" in read else ())
     unread = sorted(set(keys) - read)
     if unread:
         raise ConfigError(f"keys {unread} are not read by {command}")
+    if "schedule_profile" in read and config.schedule_profile == "index" and (
+            "family" not in read or make(*(getattr(config, k) for k in args)).param_dim != 1):
+        raise ConfigError("index profile needs a one-parameter family")
 
 
 def _check_command(config: ExperimentConfig, command: str) -> None:
@@ -310,8 +317,6 @@ def _make_profile(config: ExperimentConfig, param_dim: int,
     """The profile's rows(depth), its randomness drawn once for every depth."""
     kind = config.schedule_profile
     if kind == "index":
-        if param_dim != 1:
-            raise ConfigError("index profile needs a one-parameter family")
         return lambda depth: np.arange(depth, dtype=float).reshape(depth, 1)
 
     def draw():

@@ -65,6 +65,13 @@ MUTANTS = {
     "key_check_skips_profile_keys": (
         "src/odenet/harness.py",
         'PROFILES[config.schedule_profile] if "schedule_profile" in read else ()', "()"),
+    "key_check_skips_index_rule": (
+        "src/odenet/harness.py", 'config.schedule_profile == "index" and (',
+        'config.schedule_profile == "no profile" and ('),
+    # The weight-interpolated ODE of the paper's negative result.
+    "weight_interp_blends_at_alpha_0": (
+        "src/odenet/dynamics.py", "alpha = np.asarray(alphas)[:, None]",
+        "alpha = 0.0 * np.asarray(alphas)[:, None]"),
 }
 
 

@@ -21,6 +21,7 @@ from odenet.adjoint import (
     backprop_exact_heun,
 )
 from odenet.dynamics import (
+    approximation_error,
     forward_euler_chain,
     forward_heun_chain,
     interpolate,
@@ -31,6 +32,7 @@ from odenet.harness import (
     run_linear_flow_experiment,
     run_scaling_study,
 )
+from odenet.numerics import fit_loglog_slope
 from odenet.residual_models import (
     WeightSchedule,
     make_identity_family,
@@ -45,11 +47,12 @@ from oracles import finite_difference_gradient, tables, values
 SEEDS = range(4)
 
 
-def _timed_studies(experiment: str, profile: str) -> dict:
-    """{seed: (result, seconds)} of the default study at each of SEEDS."""
+def _timed_studies(experiment: str, profile: str, profile_scale=None) -> dict:
+    """{seed: (result, seconds)} of the default-depth study at each of SEEDS."""
     studies = {}
     for seed in SEEDS:
-        config = ExperimentConfig(experiment=experiment, schedule_profile=profile, seed=seed)
+        config = ExperimentConfig(experiment=experiment, schedule_profile=profile,
+                                  profile_scale=profile_scale, seed=seed)
         start = time.perf_counter()
         result = run_scaling_study(config)
         studies[seed] = result, time.perf_counter() - start
@@ -188,6 +191,60 @@ def test_heun_relative_gradient_error_dominated_by_euler(euler_study, heun_study
         for n in checked:
             assert heun_rel[n] <= euler_rel[n]
         assert t_euler + t_heun < 60.0
+
+
+def _success_depth(result, tolerance=1e-2) -> int:
+    """The smallest depth from which grad_max_rel_error stays within
+    ``tolerance`` at every deeper depth, or 2048 if the deepest misses;
+    a diverged depth (NaN) misses."""
+    series = sorted((r.depth, r.value) for r in result.records
+                    if r.metric == "grad_max_rel_error")
+    depth = 2048
+    for n, value in reversed(series):
+        if not value <= tolerance:
+            break
+        depth = n
+    return depth
+
+
+def test_heun_adjoint_succeeds_at_an_eighth_of_euler_depth_at_large_lipschitz():
+    """The paper's "Heun's method needs fewer layers to succeed": at
+    profile_scale 8 (a Lipschitz bound near 114 at seed 0) Heun's
+    memory-free gradients reach 1e-2 relative error at no more than 1/8
+    of the depth Euler's need; Euler's miss it even at N = 1024."""
+    euler = _timed_studies("euler_adjoint", "lipschitz_profile", 8.0)
+    heun = _timed_studies("heun_adjoint", "lipschitz_profile", 8.0)
+    for seed in SEEDS:
+        assert 8 * _success_depth(heun[seed][0]) <= _success_depth(euler[seed][0])
+    assert sum(elapsed for study in (euler, heun) for _, elapsed in study.values()) < 5.0
+
+
+def test_weight_interpolated_gap_does_not_close_on_a_rough_mlp_schedule():
+    """The paper's negative result: on an alternating mlp(4, 8) schedule
+    the chain's gap to the weight-interpolated ODE stays flat in depth,
+    while its gap to the residual-interpolated ODE, whose consecutive
+    blends cancel, still decays like 1/N.  Each kind runs at the depths
+    its assertion reads."""
+    family = make_mlp_family(4, 8)
+    depths = (16, 32, 64, 128, 256)
+    start = time.perf_counter()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((2, family.param_dim))
+        rows *= 0.25 / np.max(np.abs(rows), axis=1, keepdims=True)
+        x0 = rng.standard_normal(family.state_dim) / 2.0
+        gaps = {}
+        for kind, kind_depths in (("weight_interp", (16, 256)), ("residual_interp", depths)):
+            for depth in kind_depths:
+                schedule = WeightSchedule(rows[np.arange(depth) % 2])
+                traj = forward_euler_chain(family, schedule, x0)
+                flow = solve_ode_oracle(interpolate(family, schedule, kind), x0, 8 * depth)
+                gaps[kind, depth] = approximation_error(traj, flow)[1]
+        assert gaps["weight_interp", 256] / gaps["weight_interp", 16] >= 0.5
+        fit = fit_loglog_slope([(n, gaps["residual_interp", n]) for n in depths])
+        assert abs(fit.slope + 1.0) <= 0.1
+        assert fit.r_squared >= 0.99
+    assert time.perf_counter() - start < 5.0
 
 
 def test_exact_gradients_match_finite_differences_for_all_families():

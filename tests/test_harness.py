@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -49,6 +50,8 @@ from odenet.harness import (
 from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
 from oracles import eval_field, tables, values
 import reach
+
+INDEX_ERROR = "index profile needs a one-parameter family"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -305,8 +308,20 @@ class TestScheduleProfiles:
         assert np.array_equal(rows, np.arange(5.0).reshape(5, 1))
 
     def test_index_profile_needs_scalar_parameters(self):
-        with pytest.raises(ConfigError):
-            _make_profile(self._config("index"), 2, np.random.default_rng(0))
+        """The config gate takes an index profile only on a study family of
+        one parameter: `train`'s network mlp(1, hidden_dim) has two or more."""
+        for settings, runs in [
+            (dict(experiment="euler_adjoint", family="square"), True),
+            (dict(experiment="euler_adjoint", family="identity"), True),
+            (dict(experiment="approx_error", family="linear", state_dim=1), True),
+            (dict(experiment="approx_error", family="linear", state_dim=2), False),
+            (dict(experiment="heun_adjoint", family="mlp", state_dim=1, hidden_dim=1), False),
+            (dict(experiment="toy_train", hidden_dim=1), False),
+        ]:
+            config = ExperimentConfig(schedule_profile="index", **settings)
+            with contextlib.nullcontext() if runs else pytest.raises(ConfigError,
+                                                                     match=f"^{INDEX_ERROR}$"):
+                harness._check_keys(config, [])
 
     def test_constant_profile_is_depth_independent(self):
         spec = _make_profile(self._config("constant"), 3, np.random.default_rng(1))
@@ -1018,30 +1033,66 @@ def test_unread_key_exits_2_naming_each(tmp_path, capsys, command, text, unread)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("runner, settings, field", [
-    (run_toy_training, dict(experiment="toy_train", family="linear"), "family"),
-    (run_toy_training, dict(experiment="toy_train", t_end=3.0), "t_end"),
+@pytest.mark.parametrize("runner, settings, message", [
+    (run_toy_training, dict(experiment="toy_train", family="linear"), "keys ['family']"),
+    (run_toy_training, dict(experiment="toy_train", t_end=3.0), "keys ['t_end']"),
     (run_tightness_suite, dict(experiment="tightness_suite", profile_scale=9.0),
-     "profile_scale"),
+     "keys ['profile_scale']"),
     (run_linear_flow_experiment, dict(experiment="limit_map", gradient_mode="adjoint_heun"),
-     "gradient_mode"),
-    (run_scaling_study, dict(experiment="heun_adjoint", iterations=5), "iterations"),
+     "keys ['gradient_mode']"),
+    (run_scaling_study, dict(experiment="heun_adjoint", iterations=5), "keys ['iterations']"),
     (run_scaling_study, dict(experiment="approx_error", family="square", state_dim=7),
-     "state_dim"),
+     "keys ['state_dim']"),
     (run_scaling_study, dict(experiment="approx_error", family="identity",
-                             schedule_profile="index", profile_scale=77.0), "profile_scale"),
+                             schedule_profile="index", profile_scale=77.0),
+     "keys ['profile_scale']"),
+    (run_toy_training, dict(experiment="toy_train", schedule_profile="index"), INDEX_ERROR),
+    (run_scaling_study, dict(experiment="approx_error", schedule_profile="index"), INDEX_ERROR),
+    (run_scaling_study, dict(experiment="heun_adjoint", family="linear", state_dim=2,
+                             schedule_profile="index"), INDEX_ERROR),
 ], ids=["train_family", "train_t_end", "tightness_profile_scale", "linflow_gradient_mode",
-        "study_iterations", "study_square_state_dim", "study_index_profile_scale"])
-def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, settings, field):
+        "study_iterations", "study_square_state_dim", "study_index_profile_scale",
+        "train_index", "study_mlp_index", "study_linear_2_index"])
+def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, settings, message):
     """An API caller's config that sets an unread key off its resolved
-    default fails in the runner, before any work."""
+    default, or an index profile on any but a one-parameter study family,
+    fails in the runner, before any work."""
     def no_work(*args):
         raise AssertionError("work started before the keys were checked")
     monkeypatch.setattr(harness, "_child_rngs", no_work)
     monkeypatch.setattr(harness, "_tightness_case", no_work)
     config = ExperimentConfig(**settings)
-    with pytest.raises(ConfigError, match=rf"keys \['{field}'\] are not read"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         runner(config)
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("train", "experiment = toy_train\nschedule_profile = index\nhidden_dim = 1\n"
+              "depths = 4\n", 2),
+    ("study", "experiment = approx_error\nfamily = linear\nstate_dim = 2\n"
+              "schedule_profile = index\n", 2),
+    ("study", "experiment = approx_error\nfamily = linear\nstate_dim = 1\n"
+              "schedule_profile = index\ndepths = 4, 8\n", 0),
+], ids=["train_hidden_dim_1", "study_linear_2", "study_linear_1"])
+def test_index_profile_is_decided_before_any_directory(tmp_path, capsys, monkeypatch,
+                                                        command, text, code):
+    """An index profile that no run can use exits 2 from the config gate:
+    main makes no directory and starts no runner.  On a one-parameter
+    family it runs."""
+    made, started = [], []
+    makedirs = os.makedirs
+    monkeypatch.setattr(cli.os, "makedirs", lambda *a, **k: made.append(a[0]) or makedirs(*a, **k))
+    run, report = cli._RUNNERS[command]
+    monkeypatch.setitem(cli._RUNNERS, command, (lambda c: started.append(c) or run(c), report))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"config error: {INDEX_ERROR}\n"
+        assert made == started == [] and not out.exists()
+    else:
+        assert (err, len(made), len(started)) == ("", 1, 1)
+        assert (out / "study.csv").exists()
 
 
 def test_replaced_shared_keys_pass_the_key_check(tmp_path):
@@ -1114,8 +1165,10 @@ class TestCli:
         ("linflow", "limit_map", "dt = 0.5"),  # not a key: flows step at MAX_STEP_SIZE
         ("study", "approx_error", "seed = -1"),
         ("linflow", "limit_map", "t_end = 0"),
+        # t_end / MAX_STEP_SIZE overflows to inf: no count of steps reaches it
+        ("linflow", "limit_map", "t_end = 1e308"),
     ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt", "seed",
-            "t_end_zero"])
+            "t_end_zero", "t_end_step_count"])
     def test_unusable_value_exits_2(self, tmp_path, capsys, command, experiment, setting):
         path = write_cfg(tmp_path, f"experiment = {experiment}\ndepths = 8, 16\n"
                                    f"{setting}\n")
