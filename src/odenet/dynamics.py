@@ -43,7 +43,6 @@ __all__ = [
     "solve_ode_oracle",
     "approximation_error",
     "approximation_bound",
-    "estimate_c_n",
 ]
 
 # A state this large has left the regime where any of the error bounds
@@ -365,42 +364,3 @@ def approximation_bound(L: float, c_n: float, N: int) -> float:
         return c_n / (2.0 * N)
     # expm1 keeps the L -> 0 limit (e^L - 1)/L -> 1 continuous.
     return float(np.expm1(L) / (2.0 * N * L) * c_n)
-
-
-def _unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / max(np.linalg.norm(v), 1e-300)
-
-
-def estimate_c_n(field: VectorField, region_radius: float, samples: int,
-                 seed: int = 0) -> float:
-    """Sampled supremum of ||d_s phi + d_x phi[phi]|| over ball x [0, 1].
-
-    The time derivative is one-sided with step 1/(100N), taken inside
-    the interpolation interval the sample falls in: the field is only
-    piecewise smooth in s, and differences across a grid point would
-    measure the (generally large) jump instead of the derivative.
-    """
-    if region_radius <= 0.0 or samples < 1:
-        raise ValueError("need positive radius and at least one sample")
-    rng = np.random.default_rng(seed)
-    N = max(int(field.depth), 1)
-    d = field.state_dim
-    hs = 1.0 / (100.0 * N)
-    best = 0.0
-    for _ in range(samples):
-        v = _unit(rng, d)
-        x = region_radius * rng.random() ** (1.0 / d) * v
-        interval = int(rng.integers(0, N))
-        u = 0.02 + 0.96 * rng.random()  # stay clear of the interval edges
-        s = (interval + u) / N
-        phi = field.eval(x, s)
-        # forward difference, flipped near the right edge of the interval
-        if u + hs * N < 0.995:
-            ds = (field.eval(x, s + hs) - phi) / hs
-        else:
-            ds = (phi - field.eval(x, s - hs)) / hs
-        eps = 1e-6 * max(1.0, float(np.linalg.norm(x))) / max(1.0, float(np.linalg.norm(phi)))
-        jvp = (field.eval(x + eps * phi, s) - field.eval(x - eps * phi, s)) / (2.0 * eps)
-        best = max(best, float(np.linalg.norm(ds + jvp)))
-    return best

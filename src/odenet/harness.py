@@ -217,6 +217,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if not math.isfinite(self.t_end / MAX_STEP_SIZE):
             raise ConfigError(f"t_end must take a finite count of {MAX_STEP_SIZE:g} steps")
+        if not np.all(np.diff(np.linspace(0.0, self.t_end, self.snapshot_count)) > 0):
+            raise ConfigError(f"t_end must give {self.snapshot_count} distinct snapshot times")
 
 
 # Value parser of each config key, from its field's annotation.
@@ -253,7 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -25,7 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import _check_divergence
-from .numerics import SlopeFit, _rk4_increment, fit_loglog_slope, require_finite, spectral_norm
+from .numerics import (SlopeFit, _rk4_increment, above_noise_floor, fit_loglog_slope,
+                       require_finite, spectral_norm)
 from .residual_models import WeightSchedule
 
 __all__ = [
@@ -347,7 +348,7 @@ def check_small_loss_regime(state0: FlowState, target) -> RegimeReport:
 class MonitorReport:
     max_theta_norm: float
     max_smoothness_stat: float
-    max_decay_ratio: float   # worst loss(t) / (exp(-(2/e) (t - t0)) loss(t0))
+    max_decay_ratio: float   # worst loss(t) / (exp(-(2/e) (t - t0)) loss(t0)) off the floor
     theta_bound_ok: bool     # all sampled norms < 1/2
     decay_ok: bool           # decay ratio <= 1 + DECAY_SLACK
 
@@ -360,12 +361,13 @@ def monitor_invariants(trace: FlowTrace) -> MonitorReport:
     max_smooth = max(s.smoothness_stat for s in trace.samples)
     rate = 2.0 / math.e
     ratios = []
+    scale = math.sqrt(_sq_norm(trace.target))
     for s in trace.samples:
         envelope = math.exp(-rate * (s.t - t0)) * l0
-        if envelope == 0.0:
-            ratios.append(0.0 if s.loss_value == 0.0 else math.inf)
+        if not above_noise_floor(math.sqrt(s.loss_value), scale):
+            ratios.append(0.0)  # at the rounding floor of ||B||_F: no decay left to resolve
         else:
-            ratios.append(s.loss_value / envelope)
+            ratios.append(s.loss_value / envelope if envelope else math.inf)
     max_ratio = max(ratios)
     return MonitorReport(max_norm, max_smooth, max_ratio,
                          max_norm < 0.5, max_ratio <= 1.0 + DECAY_SLACK)

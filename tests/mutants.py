@@ -49,6 +49,8 @@ MUTANTS = {
         "src/odenet/linear_flow.py", "rate = 2.0 / math.e", "rate = 1.0 / math.e"),
     "decay_slack_1e-1": (
         "src/odenet/linear_flow.py", "DECAY_SLACK = 1e-3", "DECAY_SLACK = 1e-1"),
+    "decay_counts_floor_losses": (
+        "src/odenet/linear_flow.py", "scale = math.sqrt(_sq_norm(trace.target))", "scale = 0.0"),
     # The study's flags.
     "oracle_tolerance_1e-1": (
         "src/odenet/harness.py", "ORACLE_TOLERANCE = 1e-3", "ORACLE_TOLERANCE = 1e-1"),
@@ -68,6 +70,11 @@ MUTANTS = {
     "key_check_skips_index_rule": (
         "src/odenet/harness.py", 'config.schedule_profile == "index" and (',
         'config.schedule_profile == "no profile" and ('),
+    # The config file and values the gate must reject or read.
+    "snapshot_rule_skipped": (
+        "src/odenet/harness.py", "self.snapshot_count)) > 0):", "self.snapshot_count)) >= 0):"),
+    "config_read_without_bom": (
+        "src/odenet/harness.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     # The weight-interpolated ODE of the paper's negative result.
     "weight_interp_blends_at_alpha_0": (
         "src/odenet/dynamics.py", "alpha = np.asarray(alphas)[:, None]",

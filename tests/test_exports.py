@@ -250,11 +250,12 @@ def test_outputs_records_a_call_with_its_roots_replaced(tmp_path):
 # The functions no command reaches yet: {name: what it waits for}.
 UNREACHED = {
     # The chain-vs-ODE bound (ROADMAP item 2): no run reports it yet.
-    "dynamics.approximation_bound": "item 2: the bound itself",
-    "dynamics.estimate_c_n": "item 2: the bound's sampled c_n",
-    "dynamics._unit": "item 2: estimate_c_n's direction sampler",
-    "dynamics.interpolate.<locals>.eval_field": "item 2: the field.eval estimate_c_n samples",
-    "dynamics._locate": "item 2: eval_field's grid lookup",
+    "dynamics.approximation_bound": "item 2: the bound waits for a closed-form c_n",
+    # A field's pointwise eval: the oracle steps through `piece`, but the
+    # tests state interpolate's contract through field.eval, and
+    # bench/tracing.py's wrap_oracle replaces field.eval by dataclasses.replace.
+    "dynamics.interpolate.<locals>.eval_field": "the field.eval tests and the tracer use",
+    "dynamics._locate": "eval_field's grid lookup",
     # The checked kernels: bench/tracing.py wraps eval, vjp_state and
     # vjp_params by name until it traces by code object (item 1a).
     "residual_models.ResidualFamily.eval": "item 1a: traced by name",

@@ -273,6 +273,13 @@ class TestParseConfig:
         assert config.experiment == "tightness_suite"
         assert config.seed == 9
 
+    def test_load_config_reads_a_byte_order_mark(self, tmp_path):
+        """A UTF-8 file that starts with a byte-order mark, as some editors
+        save one, parses to the same config as the file without it."""
+        text = "experiment = limit_map\ndepths = 4, 8\nt_end = 0.1\n"
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(tmp_path / "bom.cfg") == load_config(write_cfg(tmp_path, text))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
@@ -1167,8 +1174,10 @@ class TestCli:
         ("linflow", "limit_map", "t_end = 0"),
         # t_end / MAX_STEP_SIZE overflows to inf: no count of steps reaches it
         ("linflow", "limit_map", "t_end = 1e308"),
+        # np.linspace(0, t_end, snapshot_count) collapses to fewer distinct times
+        ("linflow", "limit_map", "t_end = 5e-324"),
     ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt", "seed",
-            "t_end_zero", "t_end_step_count"])
+            "t_end_zero", "t_end_step_count", "t_end_snapshot_times"])
     def test_unusable_value_exits_2(self, tmp_path, capsys, command, experiment, setting):
         path = write_cfg(tmp_path, f"experiment = {experiment}\ndepths = 8, 16\n"
                                    f"{setting}\n")

@@ -441,10 +441,11 @@ class TestMonitors:
         assert rep.theta_bound_ok is False
 
     @staticmethod
-    def _planted(times, losses):
-        """A trace of the given losses: the decay monitor reads only t and the loss."""
+    def _planted(times, losses, target=np.zeros((1, 1))):
+        """A trace of the given losses: the decay monitor reads only t, the
+        loss and the target's scale."""
         return FlowTrace([FlowSample(t, value, 0.0, 0.0, np.zeros((2, 1, 1)))
-                          for t, value in zip(times, losses)], np.zeros((1, 1)))
+                          for t, value in zip(times, losses)], target)
 
     def test_decay_slower_than_the_envelope_rate_fails(self):
         """The envelope decays at rate 2/e: a loss decaying at 1.5/e falls
@@ -460,6 +461,19 @@ class TestMonitors:
         rep = monitor_invariants(self._planted([0.0, 1.0], [1.0, loss]))
         assert rep.max_decay_ratio == pytest.approx(1.0 + excess, rel=1e-12)
         assert rep.decay_ok == ok
+
+    def test_loss_at_the_rounding_floor_does_not_count_against_the_envelope(self):
+        """A loss that settles at 4e-32 from t = 18 to 90 while the envelope
+        keeps falling: its root, 2e-16, is below the rounding floor of a
+        target with ||B||_F = 2, so those samples cannot violate the
+        envelope.  Against a zero target the floor is 100 machine epsilons
+        of the smallest normal number, and the same losses fail."""
+        times = np.linspace(0.0, 90.0, 11)
+        losses = np.maximum(1e-4 * np.exp(-5.0 * times), 4e-32)
+        assert np.all(losses[2:] == 4e-32)
+        rep = monitor_invariants(self._planted(times, losses, np.full((1, 1), 2.0)))
+        assert rep.decay_ok and rep.max_decay_ratio == 1.0
+        assert not monitor_invariants(self._planted(times, losses)).decay_ok
 
 
 @pytest.fixture(scope="module")
