@@ -107,9 +107,9 @@ def _report_linflow(config: ExperimentConfig, result) -> None:
 
 def _report_train(config: ExperimentConfig, result) -> None:
     """toy chain training with exact or memory-free gradients"""
-    for depth, run in sorted(result.runs.items()):
+    for depth, losses in sorted(result.losses.items()):
         path = os.path.join(config.output_dir, f"losses_N{depth}.csv")
-        print(f"N={depth} ({config.gradient_mode}): final loss {run.final_loss:.6g} -> {path}")
+        print(f"N={depth} ({config.gradient_mode}): final loss {losses[-1]:.6g} -> {path}")
 
 
 # Each command's runner, looked up per call as the benchmark tracer rebinds

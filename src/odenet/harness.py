@@ -78,7 +78,6 @@ __all__ = [
     "run_tightness_suite",
     "LinearFlowResult",
     "run_linear_flow_experiment",
-    "ToyRun",
     "ToyTrainResult",
     "run_toy_training",
 ]
@@ -631,14 +630,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
 # toy training
 
 @dataclass
-class ToyRun:
-    losses: np.ndarray     # per-iteration mean squared error, length iters+1
-    final_loss: float
-
-
-@dataclass
 class ToyTrainResult:
-    runs: dict             # depth -> ToyRun
+    losses: dict           # depth -> per-iteration mean squared error, length iters+1
     tables: list           # (file name, lines): each depth's losses and trajectories
 
 
@@ -668,7 +661,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     scheme, stored = GRADIENT_MODES[config.gradient_mode]
     forward, exact_backprop, _, adjoint_backprop = _scheme_functions(scheme)
 
-    runs, tables = {}, []
+    all_losses, tables = {}, []
     for depth in config.depths:
         params = profile(depth)
         losses = np.empty(config.iterations + 1)
@@ -697,5 +690,5 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
         tables += [_table(f"losses_N{depth}.csv", ["iteration", "loss"],
                           [[k, _fmt(losses[k])] for k in range(losses.size)]),
                    (f"trajectories_N{depth}.csv", _trajectory_lines(traj.nodes))]
-        runs[depth] = ToyRun(losses, float(losses[-1]))
-    return ToyTrainResult(runs, tables)
+        all_losses[depth] = losses
+    return ToyTrainResult(all_losses, tables)

@@ -51,6 +51,17 @@ MUTANTS = {
         "src/odenet/linear_flow.py", "DECAY_SLACK = 1e-3", "DECAY_SLACK = 1e-1"),
     "decay_counts_floor_losses": (
         "src/odenet/linear_flow.py", "scale = math.sqrt(_sq_norm(trace.target))", "scale = 0.0"),
+    "loss_rise_rtol_1e-3": (
+        "src/odenet/linear_flow.py", "LOSS_INCREASE_RTOL = 1e-9", "LOSS_INCREASE_RTOL = 1e-3"),
+    "loss_rise_atol_1e-8": (
+        "src/odenet/linear_flow.py", "LOSS_INCREASE_ATOL = 1e-18", "LOSS_INCREASE_ATOL = 1e-8"),
+    "regime_margin_2_5": (
+        "src/odenet/linear_flow.py", "norm_margin = 0.25 - max_norm", "norm_margin = 2.5 - max_norm"),
+    # The gradient comparison and the oracle's step count.
+    "rel_error_floor_1e-3": (
+        "src/odenet/adjoint.py", "REL_ERROR_FLOOR = 1e-15", "REL_ERROR_FLOOR = 1e-3"),
+    "oracle_steps_below_4_per_layer": (
+        "src/odenet/dynamics.py", "if fine_steps < 4 * n_grid:", "if fine_steps < n_grid:"),
     # The study's flags.
     "oracle_tolerance_1e-1": (
         "src/odenet/harness.py", "ORACLE_TOLERANCE = 1e-3", "ORACLE_TOLERANCE = 1e-1"),

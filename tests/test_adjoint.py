@@ -578,9 +578,10 @@ class TestCompareGradients:
         exact = backprop_exact(fam, sched, traj, np.ones(1))
         approx = backprop_adjoint_euler(fam, sched, traj.nodes[-1], np.ones(1))
         cmp = compare_gradients(exact, approx)
-        assert cmp.per_layer_abs.tolist() == [0.328125, 0.1875]
-        assert cmp.per_layer_rel.tolist() == [0.4375, 0.25]
         assert cmp.max_abs == 0.328125 and cmp.max_rel == 0.4375
+        # the second layer's gaps alone, below the first's
+        cmp = compare_gradients(exact[1:], approx[1:])
+        assert cmp.max_abs == 0.1875 and cmp.max_rel == 0.25
 
     def test_relative_floor(self):
         cmp = compare_gradients(np.zeros((2, 1)), np.full((2, 1), 1e-18))

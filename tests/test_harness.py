@@ -702,10 +702,9 @@ class TestToyTraining:
                                   learning_rate=0.3, iterations=30,
                                   input_count=8, hidden_dim=3, seed=0)
         result = run_toy_training(config)
-        run = result.runs[4]
-        assert run.losses.size == 31
-        assert run.final_loss == run.losses[-1]
-        assert run.final_loss < run.losses[0]
+        losses = result.losses[4]
+        assert losses.size == 31
+        assert losses[-1] < losses[0]
         text = tables(result)
         loss_lines = text["losses_N4.csv"].strip().splitlines()
         assert loss_lines[0] == "iteration,loss"
@@ -721,9 +720,9 @@ class TestToyTraining:
                                   input_count=8, hidden_dim=3, seed=0,
                                   gradient_mode=mode)
         result = run_toy_training(config)
-        run = result.runs[4]
-        assert np.all(np.isfinite(run.losses))
-        assert run.final_loss < run.losses[0]
+        losses = result.losses[4]
+        assert np.all(np.isfinite(losses))
+        assert losses[-1] < losses[0]
 
     def test_shallow_chain_fits_decreasing_target(self):
         # with only 4 layers each Euler step is large enough to fold the
@@ -732,7 +731,7 @@ class TestToyTraining:
                                   target="neg_square_half", learning_rate=0.3,
                                   iterations=100, seed=0)
         result = run_toy_training(config)
-        assert result.runs[4].final_loss <= 1e-2
+        assert result.losses[4][-1] <= 1e-2
 
     def test_deep_chain_hits_monotone_floor(self):
         # a deep chain approximates an ODE flow, which is monotone in the
@@ -742,8 +741,8 @@ class TestToyTraining:
                                   target="neg_square_half", learning_rate=3.0,
                                   iterations=600, seed=0)
         result = run_toy_training(config)
-        final = result.runs[64].final_loss
-        assert final < result.runs[64].losses[0]
+        final = result.losses[64][-1]
+        assert final < result.losses[64][0]
         assert 0.015 <= final <= 0.2
 
     def test_overflowing_update_names_first_bad_layer(self, monkeypatch):
@@ -770,7 +769,7 @@ class TestToyTraining:
         config = ExperimentConfig(experiment="toy_train", depths=(4,), learning_rate=0.3,
                                   iterations=5, input_count=8, hidden_dim=3, seed=0,
                                   gradient_mode="exact_heun")
-        losses = run_toy_training(config).runs[4].losses
+        losses = run_toy_training(config).losses[4]
         family = make_mlp_family(1, 3)
         params = _make_profile(config, family.param_dim, _child_rngs(config.seed, 1)[0])(4)
         inputs = np.linspace(0.0, 1.0, 8).reshape(1, -1)
@@ -870,7 +869,7 @@ class TestTrainedAccuracy:
             config = ExperimentConfig(experiment="toy_train", depths=(300,),
                                       learning_rate=3.0, iterations=600, seed=0,
                                       gradient_mode=mode)
-            finals[mode] = run_toy_training(config).runs[300].final_loss
+            finals[mode] = run_toy_training(config).losses[300][-1]
         assert finals["exact"] <= 1e-3
         assert finals["adjoint_euler"] <= 2.0 * finals["exact"]
 
@@ -882,7 +881,7 @@ class TestTrainedAccuracy:
             config = ExperimentConfig(experiment="toy_train", depths=(4,),
                                       learning_rate=0.3, iterations=2000, seed=0,
                                       gradient_mode=mode)
-            finals[mode] = run_toy_training(config).runs[4].final_loss
+            finals[mode] = run_toy_training(config).losses[4][-1]
         assert finals["adjoint_euler"] >= 5.0 * finals["exact"]
 
 
@@ -1316,6 +1315,21 @@ class TestCli:
         metric, _, _, r2, flag = lines[1].split(",")
         assert (metric, flag) == ("approx_max_error", "low_confidence")
         assert float(r2) < harness.SLOPE_R2_MIN
+
+    @pytest.mark.parametrize("mode", ["exact", "adjoint_heun"])
+    def test_train_report_reads_the_last_loss_row(self, tmp_path, capsys, mode):
+        """Each depth's printed final loss is the last row of its losses
+        table, to the report's six significant digits."""
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 4, 8\niterations = 5\n"
+                                   f"input_count = 8\nhidden_dim = 3\ngradient_mode = {mode}\n")
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for depth in (4, 8):
+            table = out / f"losses_N{depth}.csv"
+            last = float(table.read_text().strip().splitlines()[-1].split(",")[1])
+            expected = f"N={depth} ({mode}): final loss {last:.6g} -> {table}"
+            assert lines.count(expected) == 1, lines
 
     def test_training_divergence_exits_3(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 4\n"

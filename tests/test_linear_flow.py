@@ -382,6 +382,21 @@ class TestFlowTraceValidation:
         with pytest.raises(ValueError, match="increased"):
             FlowTrace([self._sample(0.0, 1.0), self._sample(1.0, 1.1)], b)
 
+    @pytest.mark.parametrize("losses, rose", [
+        ((1.0, 1.0 + 0.5e-9), False), ((1.0, 1.0 + 2e-9), True),
+        ((0.0, 0.5e-18), False), ((0.0, 2e-18), True)],
+        ids=["rel_inside", "rel_outside", "abs_inside", "abs_outside"])
+    def test_loss_rise_tolerances(self, losses, rose):
+        """A rise counts past 1e-9 of the earlier loss plus 1e-18 times
+        1 + the first loss; from a loss of 0 only the second term is left."""
+        b = np.zeros((1, 1))
+        samples = [self._sample(0.0, losses[0]), self._sample(1.0, losses[1])]
+        if rose:
+            with pytest.raises(ValueError, match="increased"):
+                FlowTrace(samples, b)
+        else:
+            FlowTrace(samples, b)
+
     @pytest.mark.parametrize("losses", [(1.0, math.nan), (math.nan, 1.0)],
                              ids=["nan_later", "nan_first"])
     def test_nan_loss_counts_as_a_rise(self, losses):
