@@ -24,18 +24,20 @@ the two-stage gradient error on ``lipschitz_profile`` (N = 16..1024)
 decays near N^-4, with slopes -3.966 to -3.863 over seeds 0-15.
 
 One reverse sweep, ``_sweep``, runs both schemes' ``dynamics.Scheme``
-steps and yields each layer's gradients with the state it linearized
-at, so one pass gives both the reconstruction and the gradients.  It
-walks the layers in blocks of ``SWEEP_BLOCK``, from the top: a block's
-states are a view of the stored nodes, or a block buffer the reverse
-step fills and ``dynamics._check_block`` screens once, and the
-scheme's ``backprop`` linearizes the block in one stacked call (two for
-the two-stage scheme), builds every layer's cotangent transition matrix
-from the stacked state Jacobians, and applies them one product per
-layer (one cumulative product for a scalar state).  So a sweep holds
-one or two blocks of states, activations, Jacobians and state
-gradients, O(SWEEP_BLOCK (d^2 + h) B) for a (d, B) state and h hidden
-units, whatever the depth N; ``backprop_*`` keep only its
+steps and yields each block of layers' gradients with the states it
+linearized them at, so one pass gives both the reconstruction and the
+gradients; ``backprop_*`` store each block's parameter rows with one
+slice assignment, and ``adjoint_sweep_*`` unpack the blocks layer by
+layer.  It walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
+a block's states are a view of the stored nodes, or a block buffer the
+reverse step writes in place and ``dynamics._check_block`` screens once,
+and the scheme's ``backprop`` linearizes the block in one stacked call
+(two for the two-stage scheme), builds every layer's cotangent
+transition matrix from the stacked state Jacobians, and applies them
+one product per layer (one cumulative product for a scalar state).  So
+a sweep holds one or two blocks of states, activations, Jacobians and
+state gradients, O(SWEEP_BLOCK (d^2 + h) B) for a (d, B) state and h
+hidden units, whatever the depth N; ``backprop_*`` keep only its
 parameter gradients, one (param_dim,) row per layer.
 
 Every sweep validates its inputs once on entry (state and schedule
@@ -102,14 +104,17 @@ def backprop_exact_heun(family: ResidualFamily, schedule: WeightSchedule,
 def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
            xN, output_grad, nodes=None
            ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Reverse sweep yielding (n, grad_theta_n, grad_x_n, x_n), n = N-1..0.
+    """Reverse sweep yielding one (lo, own, grads, xs) per block of layers
+    lo..lo + J - 1, from the top block down: row j of each array belongs
+    to layer lo + j, own[j] being grad_theta, grads[j] grad_x and xs[j]
+    the state the layer was linearized at.
 
-    x_n is the state layer n was linearized at.  With ``nodes`` (a stored
-    x_0..x_N) a block's states are a view of them: exact reverse mode.
-    Without, they are x~_n, rebuilt by the scheme's reverse step, which
-    is the memory-free adjoint.  A stage's carry to theta_{n+1} comes
-    from step n, so a block's lowest layer is yielded with the next
-    block; theta_N's carry is padded back to theta_{N-1}.
+    With ``nodes`` (a stored x_0..x_N) a block's states are a view of
+    them: exact reverse mode.  Without, they are x~_n, rebuilt by the
+    scheme's reverse step, which is the memory-free adjoint.  A stage's
+    carry to theta_{n+1} comes from step n, so each block is yielded
+    once the block below it has added its carry to own[0]; theta_N's
+    carry is padded back to theta_{N-1}.
     """
     x = family.check_entry(schedule, xN, "xN")
     g = require_finite(output_grad, "output_grad")
@@ -127,56 +132,61 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
             # Layers past a divergence run on until the block's screen.
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in range(hi - 1, lo - 1, -1):
-                    x = xs[n - lo] = step(f, x, n + lead, n, -N)
+                    x = step(f, x, n + lead, n, -N, xs[n - lo])
             _check_block(xs[::-1], range(hi - 1, lo - 1, -1), "adjoint sweep")
         else:
             xs = nodes[lo:hi]
         own, carry, grads = scheme.backprop(linearize_block, xs, lo, g, N)
         if carry is not None:
-            row = own[-1] if hi == N else pending[1]  # theta_hi's row
+            row = own[-1] if hi == N else pending[1][0]  # theta_hi's row
             row += carry[-1]
             own[1:] += carry[:-1]
         if pending is not None:
             yield pending
-        for j in range(hi - lo - 1, 0, -1):
-            yield lo + j, own[j], grads[j], xs[j]
-        pending, g = (lo, own[0], grads[0], xs[0]), grads[0]
+        pending, g = (lo, own, grads[:-1], xs), grads[0]
     yield pending
+
+
+def _layers(blocks) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """A sweep's blocks as (n, grad_theta_n, grad_x_n, x_n), n = N-1..0."""
+    for lo, own, grads, xs in blocks:
+        for j in range(len(own) - 1, -1, -1):
+            yield lo + j, own[j], grads[j], xs[j]
 
 
 def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                         ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Memory-free single-stage sweep yielding (n, grad_theta_n, grad_x_n,
     x~_n): one evaluation per layer and one block linearization per block."""
-    yield from _sweep(EULER, family, schedule, xN, output_grad)
+    yield from _layers(_sweep(EULER, family, schedule, xN, output_grad))
 
 
 def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Memory-free two-stage sweep yielding (n, grad_theta_n, grad_x_n,
     x~_n): two evaluations per layer and two block linearizations per block."""
-    yield from _sweep(HEUN, family, schedule, xN, output_grad)
+    yield from _layers(_sweep(HEUN, family, schedule, xN, output_grad))
 
 
-def _collect(sweep, schedule: WeightSchedule) -> np.ndarray:
-    """Run a reverse sweep, which yields every layer once and checks its
+def _collect(blocks, schedule: WeightSchedule) -> np.ndarray:
+    """Run a reverse sweep, which yields every block once and checks its
     inputs before the first, into its (N, param_dim) parameter gradients."""
     param_grads = np.empty((schedule.depth, schedule.param_dim))
-    for n, theta_grad, _, _ in sweep:
-        param_grads[n] = theta_grad
+    for lo, own, _, _ in blocks:
+        param_grads[lo:lo + len(own)] = own
     return require_finite(param_grads, "param_grads")
 
 
 def backprop_adjoint_euler(family: ResidualFamily, schedule: WeightSchedule,
                            xN, output_grad) -> np.ndarray:
     """The single-stage memory-free sweep's (N, param_dim) parameter gradients."""
-    return _collect(adjoint_sweep_euler(family, schedule, xN, output_grad), schedule)
+    return _collect(_sweep(EULER, family, schedule, xN, output_grad), schedule)
 
 
 def backprop_adjoint_heun(family: ResidualFamily, schedule: WeightSchedule,
                           xN, output_grad) -> np.ndarray:
     """The two-stage memory-free sweep's (N, param_dim) parameter gradients."""
-    return _collect(adjoint_sweep_heun(family, schedule, xN, output_grad), schedule)
+    return _collect(_sweep(HEUN, family, schedule, xN, output_grad), schedule)
 
 
 def compare_gradients(exact: np.ndarray, approx: np.ndarray) -> GradientComparison:

@@ -50,7 +50,9 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e12
 # Layers per block of a chain or reverse sweep: one divergence screen and
 # one stacked linearization each.  It bounds a sweep's working memory,
-# whatever the depth.
+# whatever the depth.  At 2 or more, the unstored chain's reused block
+# buffer never steps a block's first state (slot 0) from itself: its
+# input is the previous block's last slot.
 SWEEP_BLOCK = 16
 
 
@@ -109,13 +111,22 @@ def _locate(s, N: int):
     return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
-def _euler_step(f, x, a, b, div):
-    return x + f(x, a) / div
+def _euler_step(f, x, a, b, div, out):
+    out = f(x, a, out)
+    out /= div
+    out += x
+    return out
 
 
-def _heun_step(f, x, a, b, div):
+def _heun_step(f, x, a, b, div, out):
     f_a = f(x, a)
-    return x + (f_a + f(x + f_a / div, b)) / (2.0 * div)
+    y = f_a / div
+    y += x
+    out = f(y, b, out)
+    out += f_a
+    out /= 2.0 * div
+    out += x
+    return out
 
 
 def _eye_plus(m) -> np.ndarray:
@@ -190,9 +201,11 @@ class Scheme:
 
     ``f`` and ``linearize_block`` are a family's kernels bound to the
     schedule's ``padded`` rows (``ResidualFamily._bind``); a, b and lo
-    are layer indices into those rows.  ``step(f, x, a, b, div) ->
-    x_next`` steps by 1/div: forward at div = N from layer a = n to
-    b = n + 1, in reverse at div = -N from a = n + lead to b = n.
+    are layer indices into those rows.  ``step(f, x, a, b, div, out)``
+    steps by 1/div, forward at div = N from layer a = n to b = n + 1, in
+    reverse at div = -N from a = n + lead to b = n: it writes x_next into
+    ``out``, which must not overlap x, and returns it.  f(x, n, out)
+    writes into ``out`` too; without one it returns a fresh array.
 
     ``backprop(linearize_block, xs, lo, g, N) -> (own, carry, grads)``
     differentiates forward steps lo..lo + J - 1 at the states xs (J of
@@ -250,7 +263,7 @@ def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
         # Layers past a divergence run on until the block's screen.
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(lo, hi):
-                x = block[n - lo] = step(f, x, n, n + 1, N)
+                x = step(f, x, n, n + 1, N, block[n - lo])
         _check_block(block, range(lo, hi), "forward chain")
     return Trajectory(states, scheme) if store else x
 

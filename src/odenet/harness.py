@@ -541,7 +541,6 @@ def run_tightness_suite(config: ExperimentConfig) -> TightnessResult:
 
 @dataclass
 class LinearFlowResult:
-    regime_reports: dict      # depth -> RegimeReport
     traces: dict              # depth -> FlowTrace
     monitor_reports: dict     # depth -> MonitorReport
     doubling: dict            # depth N -> sup distance to the 2N run
@@ -586,10 +585,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
             raise RegimeAbort(ref_depth, check_small_loss_regime(
                 states0[ref_depth], np.zeros_like(b_target)))
 
-    regime_reports = {}
     for depth in config.depths:
         report = check_small_loss_regime(states0[depth], b_target)
-        regime_reports[depth] = report
         if not report.passes:
             raise RegimeAbort(depth, report)
 
@@ -622,8 +619,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
 
     tables.append(_table("productode.csv", ["N", "discrepancy"],
                          [[n, _fmt(product_gaps[n])] for n in config.depths]))
-    return LinearFlowResult(regime_reports, traces, monitor_reports, doubling,
-                            limit_report, product_gaps, tables)
+    return LinearFlowResult(traces, monitor_reports, doubling, limit_report, product_gaps,
+                            tables)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +635,14 @@ class ToyTrainResult:
 def _trajectory_lines(nodes: np.ndarray):
     """The nodes' B·(N + 1) rows, one input's N + 1 lines per string, never held whole."""
     depth = nodes.shape[0] - 1
-    node_cells = [f"{node},{_fmt(node / depth)}," for node in range(depth + 1)]
+    template = "".join([f"%d,{node},{_fmt(node / depth)},%.17g\r\n"
+                        for node in range(depth + 1)])
+    cells = [0, 0.0] * (depth + 1)   # input index, x_0; one pair per line
     yield "input_index,node_index,s,x_0\r\n"
     for b in range(nodes.shape[2]):
-        yield "".join([f"{b},{cells}{x:.17g}\r\n" for cells, x
-                       in zip(node_cells, nodes[:, 0, b].tolist())])
+        cells[::2] = [b] * (depth + 1)
+        cells[1::2] = nodes[:, 0, b].tolist()
+        yield template % tuple(cells)
 
 
 def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:

@@ -325,7 +325,6 @@ class RegimeReport:
     passes: bool
     loss_margin: float    # LOSS_THRESHOLD - sqrt(initial loss); pass while > 0
     norm_margin: float    # 1/4 - max spectral norm; pass while >= 0
-    max_theta_norm: float
 
 
 def check_small_loss_regime(state0: FlowState, target) -> RegimeReport:
@@ -340,8 +339,7 @@ def check_small_loss_regime(state0: FlowState, target) -> RegimeReport:
     max_norm = spectral_norm(state0.matrices())
     loss_margin = LOSS_THRESHOLD - root_loss
     norm_margin = 0.25 - max_norm
-    return RegimeReport(loss_margin > 0.0 and norm_margin >= 0.0,
-                        loss_margin, norm_margin, max_norm)
+    return RegimeReport(loss_margin > 0.0 and norm_margin >= 0.0, loss_margin, norm_margin)
 
 
 @dataclass

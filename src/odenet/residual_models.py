@@ -36,7 +36,8 @@ class ResidualFamily:
                 (K, h, d) and (K, d, h) weights, the linear family's
                 (K, d, d)), so binding holds nothing per layer and no
                 call re-splits a row
-    eval:       (x, n) -> f(x, rows[n]), same shape as x
+    eval:       (x, n, out=None) -> f(x, rows[n]), same shape as x,
+                written into ``out`` when one is given
     linearize_block:
                 (xs, lo) -> (values, jac_t, vjp_theta) at the points xs[j]
                 of layers lo + j, j < len(xs), from one stacked forward
@@ -168,8 +169,8 @@ def make_linear_family(d: int) -> ResidualFamily:
     def bind(rows):
         mats = rows.reshape(-1, d, d)
 
-        def eval_fn(x, n):
-            return mats[n].dot(x)
+        def eval_fn(x, n, out=None):
+            return mats[n].dot(x, out=out)
 
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
@@ -202,8 +203,9 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
     def bind(rows):
         w1s, w2s = rows[:, :n1].reshape(-1, hidden, d), rows[:, n1:].reshape(-1, d, hidden)
 
-        def eval_fn(x, n):
-            return w2s[n].dot(np.tanh(w1s[n].dot(x)))
+        def eval_fn(x, n, out=None):
+            pre = w1s[n].dot(x)
+            return w2s[n].dot(np.tanh(pre, out=pre), out=out)
 
         def linearize_block(xs, lo):
             count, cols = len(xs), _columns(xs)
@@ -243,8 +245,10 @@ def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:
     def bind(rows):
         thetas = rows[:, 0]
 
-        def eval_fn(x, n):
-            return np.full_like(x, g(thetas[n]))
+        def eval_fn(x, n, out=None):
+            out = np.empty_like(x) if out is None else out
+            out.fill(g(thetas[n]))
+            return out
 
         def linearize_block(xs, lo):
             th = thetas[lo:lo + len(xs)]

@@ -37,6 +37,10 @@ MUTANTS = {
     "heun_stage_at_theta_n": (
         "src/odenet/dynamics.py", "linearize_block(xs + f_x / N, lo + 1)",
         "linearize_block(xs + f_x / N, lo)"),
+    "heun_carry_on_pending_last_row": (
+        "src/odenet/adjoint.py", "else pending[1][0]", "else pending[1][-1]"),
+    "heun_step_divisor_drops_2": (
+        "src/odenet/dynamics.py", "out /= 2.0 * div", "out /= div"),
     "divergence_screen_4x_lax": (
         "src/odenet/dynamics.py", "DIVERGENCE_THRESHOLD / (2.0 * math.sqrt(states[0].size))",
         "DIVERGENCE_THRESHOLD * 2.0 / math.sqrt(states[0].size)"),

@@ -28,17 +28,26 @@ def jac_state(family, x, theta):
     return np.array([family.vjp_state(x, theta, e) for e in np.eye(family.state_dim)])
 
 
+def checked_eval(family, schedule):
+    """f(x, n, out=None) = f(x, theta_n), a bound ``eval``'s signature,
+    through the checked ``eval``; copied into ``out`` when one is given."""
+    def f(x, n, out=None):
+        value = family.eval(x, schedule.padded[n])
+        if out is None:
+            return value
+        out[...] = value
+        return out
+    return f
+
+
 def reverse_nodes(scheme, family, schedule, xN):
     """x~_0..x~_N as one (N + 1, ...) array: the scheme's reverse step
     looped from xN through the checked ``eval``."""
-    def f(x, n):
-        return family.eval(x, schedule.padded[n])
-
-    N = schedule.depth
+    f, N = checked_eval(family, schedule), schedule.depth
     nodes = np.empty((N + 1,) + np.shape(xN))
     x = nodes[N] = xN
     for n in range(N - 1, -1, -1):
-        x = nodes[n] = scheme.step(f, x, n + scheme.lead, n, -N)
+        x = scheme.step(f, x, n + scheme.lead, n, -N, nodes[n])
     return nodes
 
 
@@ -66,7 +75,7 @@ LAYER_PULLBACKS = {"euler": _euler_layer, "heun": _heun_layer}
 
 def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
     """The reverse sweep one layer at a time, yielding (n, grad_theta_n,
-    grad_x_n, x_n) for n = N-1..0 like ``adjoint._sweep``, whose
+    grad_x_n, x_n) for n = N-1..0 like ``adjoint_sweep_*``, whose
     per-layer transition matrices it checks to rounding: the cotangent
     recursion of ``LAYER_PULLBACKS``, cotangent by cotangent; x_n read from
     ``nodes`` or rebuilt by the scheme's reverse step through the checked
@@ -75,17 +84,14 @@ def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
     through the checked ``vjp_state`` and ``vjp_params``.  A stage's
     carry to theta_{n+1} comes from step n, so layer n + 1 is yielded
     once step n has run; theta_N's carry is padded back to theta_{N-1}."""
-    def f(x, n):
-        return family.eval(x, schedule.padded[n])
-
-    N = schedule.depth
+    f, N = checked_eval(family, schedule), schedule.depth
     pullback = LAYER_PULLBACKS[scheme.name]
     x, g = np.asarray(xN, dtype=float), np.asarray(output_grad, dtype=float)
     f_next = pending = x_prev = None
     for n in range(N - 1, -1, -1):
         if nodes is None:
             if f_next is None:
-                x = scheme.step(f, x, n + scheme.lead, n, -N)
+                x = scheme.step(f, x, n + scheme.lead, n, -N, np.empty_like(x))
             else:  # Heun's reverse step from the carried f(x~_{n+1}, theta_{n+1})
                 x = x + (f_next + f(x + f_next / -N, n)) / (2.0 * -N)
             _check_divergence(x, n, "adjoint sweep")

@@ -7,6 +7,7 @@ import pytest
 from odenet import adjoint
 from odenet.adjoint import (
     SWEEP_BLOCK,
+    _layers,
     _sweep,
     backprop_adjoint_euler,
     backprop_adjoint_heun,
@@ -69,7 +70,7 @@ class TestExactBackpropEuler:
         traj = forward_euler_chain(fam, sched, np.array([1.0]))
         g = np.array([1.0])
         grads = backprop_exact(fam, sched, traj, g)
-        swept = list(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes))
+        swept = list(_layers(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes)))
         assert [n for n, *_ in swept] == [1, 0]
         assert [g_x[0] for _, _, g_x, _ in swept[::-1]] + [g[0]] == [2.25, 1.5, 1.0]
         assert grads[:, 0].tolist() == [0.75, 0.75]
@@ -82,7 +83,7 @@ class TestExactBackpropEuler:
         g = np.array([1.0, 2.0])
         grads = backprop_exact(fam, sched, traj, g)
         assert np.all(grads == 0.0)
-        for _, _, g_x, _ in _sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes):
+        for _, _, g_x, _ in _layers(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes)):
             assert np.all(g_x == g)
 
     def test_rejects_heun_trajectory(self):
@@ -188,7 +189,7 @@ class TestFiniteDifferenceOracle:
         grads = backprop_exact_heun(fam, sched, traj, g)
         fd = _fd_reference(fam, sched, x0, target, "heun")
         state_grads = {n: g_x for n, _, g_x, _ in
-                       _sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes)}
+                       _layers(_sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes))}
 
         N = sched.depth
         alt = np.zeros_like(grads)
@@ -314,7 +315,8 @@ class TestSweepStates:
         rng = np.random.default_rng(1)
         shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
         traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
-        swept = list(_sweep(scheme, fam, sched, traj.nodes[-1], np.ones(shape), traj.nodes))
+        swept = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], np.ones(shape),
+                                    traj.nodes)))
         assert [n for n, *_ in swept] == list(range(6, -1, -1))
         for n, _, _, x_n in swept:
             assert np.shares_memory(x_n, traj.nodes[n])
@@ -354,9 +356,9 @@ class TestBlockedSweep:
         and parameter rows do not depend on the block they were built in."""
         sched, traj, g = sweep_case(fam, scheme, depth, batch)
         nodes = traj.nodes if stored else None
-        got = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        got = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
         monkeypatch.setattr(adjoint, "SWEEP_BLOCK", 1)
-        want = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        want = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
         assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
         for got_layer, want_layer in zip(got, want):
             for a, b in zip(got_layer[1:], want_layer[1:]):  # grad_theta, grad_x, x
@@ -373,7 +375,7 @@ class TestBlockedSweep:
         entry, and the same states bit for bit."""
         sched, traj, g = sweep_case(fam, scheme, depth, batch)
         nodes = traj.nodes if stored else None
-        got = list(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
+        got = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
         want = list(layer_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
         assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
         for (_, theta_got, g_got, x_got), (_, theta_want, g_want, x_want) in zip(got, want):
@@ -478,6 +480,24 @@ class TestAdjointBackprop:
         with pytest.raises(DivergenceError):
             backprop_adjoint_euler(fam, constant_schedule([-400.0], 8),
                                    np.array([1.0]), np.ones(1))
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    @pytest.mark.parametrize("depth", [1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 1])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", RECURSION_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_rows_equal_the_per_layer_sweep(self, fam, scheme, depth, batch):
+        """``backprop_adjoint_*`` store each block's rows with one slice
+        assignment, ``adjoint_sweep_*`` unpack the same blocks layer by
+        layer: the two agree byte for byte, Heun's rows that take a carry
+        from the block below included."""
+        sched, traj, g = sweep_case(fam, scheme, depth, batch)
+        backprop, sweep = ((backprop_adjoint_heun, adjoint_sweep_heun) if scheme is HEUN else
+                           (backprop_adjoint_euler, adjoint_sweep_euler))
+        got = backprop(fam, sched, traj.nodes[-1], g)
+        want = np.full_like(got, np.nan)
+        for n, theta_grad, _, _ in sweep(fam, sched, traj.nodes[-1], g):
+            want[n] = theta_grad
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_gradient_rows_survive_later_sweeps():
@@ -733,10 +753,10 @@ def counting_family(fam):
         counts["bind"] += 1
         f, linearize_block, blend = fam._bind(rows)
 
-        def eval_fn(x, n):
+        def eval_fn(x, n, out=None):
             counts["eval"] += 1
             counts["calls"].append("eval")
-            return f(x, n)
+            return f(x, n, out)
 
         def linearize(xs, lo):
             counts["linearize"] += 1

@@ -129,6 +129,29 @@ class TestForwardWithoutStorage:
         out = _forward({"euler": EULER, "heun": HEUN}[scheme], fam, sched, x0, store=False)
         assert np.array_equal(out, chain(fam, sched, x0).nodes[-1])
 
+    @pytest.mark.parametrize("batch", [None, 1, 64])
+    @pytest.mark.parametrize("depth", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+                                       2 * SWEEP_BLOCK + 1])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    @pytest.mark.parametrize("fam", [make_mlp_family(3, 5), make_mlp_family(1, 8),
+                                     make_linear_family(2), make_square_family()],
+                             ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_reused_block_buffer_is_bit_equal_at_every_block_edge(self, fam, scheme, depth,
+                                                                  batch):
+        """The unstored chain steps in place through one reused block
+        buffer, each block's first state from the last slot of the block
+        before; its output is the stored chain's x_N byte for byte, and
+        the caller's x0 is left as it was."""
+        rng = np.random.default_rng(depth)
+        sched = WeightSchedule(0.4 * rng.standard_normal((depth, fam.param_dim)))
+        shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
+        x0 = rng.standard_normal(shape)
+        given = x0.copy()
+        out = _forward(scheme, fam, sched, x0, store=False)
+        want = _forward(scheme, fam, sched, x0).nodes[-1]
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert x0.tobytes() == given.tobytes()
+
 
 class TestTrajectoryType:
     def test_validation(self):
@@ -421,8 +444,14 @@ def planting_family(d, residuals):
     def bind(rows):
         f, linearize_block, blend = base._bind(rows)
 
-        def eval_fn(x, n):
-            return residuals[n](x) if n in residuals else f(x, n)
+        def eval_fn(x, n, out=None):
+            if n not in residuals:
+                return f(x, n, out)
+            value = residuals[n](x)
+            if out is None:
+                return value
+            out[...] = value
+            return out
         return eval_fn, linearize_block, blend
     return ResidualFamily("planting", d, d * d, bind)
 

@@ -649,7 +649,6 @@ def flow_result():
 class TestLinearFlowExperiment:
     def test_regime_and_monitors(self, flow_result):
         _, result = flow_result
-        assert all(r.passes for r in result.regime_reports.values())
         for depth in (8, 16, 32):
             mon = result.monitor_reports[depth]
             assert mon.theta_bound_ok and mon.decay_ok
