@@ -127,7 +127,7 @@ def transport_product(thetas: np.ndarray) -> np.ndarray:
 
 
 def _bind_flow(n_layers: int, d: int):
-    """The bound kernels for (N, d) layer stacks: ``scan`` and ``gradients``.
+    """The bound kernels for (N, d) layer stacks: ``scan`` and ``velocity``.
 
     ``scan(thetas)`` gives pre[n] = product of layers 1..n and
     suf_t[n] = (layers n+1..N)^T, n = 0..N, from one blocked scan
@@ -148,15 +148,17 @@ def _bind_flow(n_layers: int, d: int):
     would compound to overflow across calls.  Both stacks are views of
     the buffer, valid until the next call; suf_t runs backwards in it.
 
-    ``gradients(thetas, target)`` returns all N rescaled gradients and
-    Pi - B, which the loss is read from, both fresh arrays.
+    ``velocity(thetas, target)`` returns the flow's velocity -N grad_n for
+    every layer and Pi - B, which the loss is read from, both fresh arrays.
 
-    The carry and the sandwich's left half suf_t[1:] @ (2 (Pi - B)) each
+    The carry and the sandwich's left half suf_t[1:] @ (-2 (Pi - B)) each
     multiply a stack of d x d matrices by one shared matrix; a broadcast
     stacked matmul makes one BLAS call per matrix, so both stacks are bound
     as row-stacked views of the buffer and run as one gemm (per block and
     row for the carry).  The sums and their order are unchanged, so the
-    bytes are too, on one OpenBLAS core.
+    bytes are too, on one OpenBLAS core.  The sign rides on the shared
+    factor, so each product is the exact negation of the gradient's, up
+    to the sign of an exact zero.
     """
     eye = np.eye(d)
     blocks = n_layers // SCAN_BLOCK + 1
@@ -185,15 +187,15 @@ def _bind_flow(n_layers: int, d: int):
             a[...] = a @ b
         return pre, suf_t
 
-    def gradients(thetas, target):
+    def velocity(thetas, target):
         # Layer n sees transposed partial products on both sides; the
         # quadratic loss contributes the overall factor 2.
         scan(thetas)
         gap = pre[-1] - target
         pre_t[...] = pre_t_view
-        left = (suf_rows @ (2.0 * gap)).reshape(n_layers, d, d)[::-1]
+        left = (suf_rows @ (-2.0 * gap)).reshape(n_layers, d, d)[::-1]
         return left @ pre_t, gap
-    return scan, gradients
+    return scan, velocity
 
 
 def _require_target(target, state: FlowState) -> np.ndarray:
@@ -272,7 +274,7 @@ def integrate_flow(state0: FlowState, target, t_end: float,
     A loss increase beyond the relative tolerance aborts with
     StepSizeError at the start time of the failing step.  Every loss,
     the starting one included, is read from the full product built by
-    the gradient evaluation at the same layers, which is also the next
+    the velocity evaluation at the same layers, which is also the next
     step's first RK4 stage; the inner stages take no loss.
     """
     target = _require_target(target, state0).copy()   # the trace keeps it
@@ -290,25 +292,22 @@ def integrate_flow(state0: FlowState, target, t_end: float,
 
     thetas = state0.matrices()
     t = state0.t
-    gradients = _bind_flow(*thetas.shape[:2])[1]
-    grads, gap = gradients(thetas, target)
+    velocity = _bind_flow(*thetas.shape[:2])[1]
+    field = lambda th, m: velocity(th, target)[0]
+    v, gap = velocity(thetas, target)
     current_loss = _sq_norm(gap)
     samples = []
     if abs(stops[0] - t) <= 1e-12:
         samples.append(_sample(thetas, t, current_loss))
         stops = stops[1:]
-
-    def field(th, m):
-        return -gradients(th, target)[0]
-
     first = current_loss
     for stop in stops:
         span = stop - t
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
         for k in range(steps):
-            thetas = thetas + _rk4_increment(field, thetas, h, k1=-grads)
-            grads, gap = gradients(thetas, target)
+            thetas = thetas + _rk4_increment(field, thetas, h, k1=v)
+            v, gap = velocity(thetas, target)
             new_loss = _sq_norm(gap)
             if _loss_rose(current_loss, new_loss, first):
                 raise StepSizeError(
@@ -398,7 +397,6 @@ class LimitMapReport:
     """Exact L2 gaps of each shallower step profile to the deepest run's, and their fits."""
 
     depths: np.ndarray           # shallower depths, ascending
-    ref_depth: int
     times: np.ndarray            # shared sample times
     distances: np.ndarray        # (times, depths) exact L2 gaps to the reference
     per_time_fits: list          # Optional[SlopeFit] per sample time
@@ -443,12 +441,12 @@ def extract_limit_map(traces: Sequence[FlowTrace]) -> LimitMapReport:
     distances = np.array([[_profile_gap(tr.samples[ti].thetas, ref.samples[ti].thetas)
                            for tr in rest] for ti in range(len(times))])
 
-    rest_depths = np.array([tr.depth for tr in rest], dtype=float)
+    rest_depths = np.array(depths[:-1], dtype=float)
 
     def fit(row):
         """A row's slope, or None when a distance is zero and has no log."""
         return fit_loglog_slope(list(zip(rest_depths, row))) if np.all(row > 0.0) else None
-    return LimitMapReport(rest_depths, ref.depth, times, distances,
+    return LimitMapReport(rest_depths, times, distances,
                           [fit(row) for row in distances], fit(distances.max(axis=0)))
 
 

@@ -3,7 +3,7 @@
 The reference quantities are built only from the package's public,
 shape-checked kernels: ``jac_state``, ``reverse_nodes``, the reverse
 sweep one layer at a time (``layer_sweep``) and central finite
-differences.  The flow's gradient kernel is checked against its earlier
+differences.  The flow's velocity kernel is checked against its earlier
 broadcast form (``bind_flow_broadcast``).  The fixtures are the index
 schedule, the eval-defined vector field, a study's clean values by depth
 and the text of each table a runner returns.
@@ -137,8 +137,8 @@ def bind_flow_broadcast(n_layers: int, d: int):
     """``linear_flow._bind_flow`` as it was before its shared-operand
     products ran as one gemm each: the carry multiplies every in-block
     entry by its block's predecessor through a broadcast ``(..., 1, d, d)``
-    operand, and the gradient sandwich is the three-operand
-    ``suf_t[1:] @ (2 gap) @ pre_t``.  numpy makes one BLAS call per matrix
+    operand, and the velocity sandwich is the three-operand
+    ``suf_t[1:] @ (-2 gap) @ pre_t``.  numpy makes one BLAS call per matrix
     of such a stack, with the same sums, so the two kernels agree byte for
     byte; this one is the reference."""
     eye = np.eye(d)
@@ -166,14 +166,14 @@ def bind_flow_broadcast(n_layers: int, d: int):
             a[...] = a @ b
         return pre, suf_t
 
-    def gradients(thetas, target):
+    def velocity(thetas, target):
         # Layer n sees transposed partial products on both sides; the
         # quadratic loss contributes the overall factor 2.
         scan(thetas)
         gap = pre[-1] - target
         pre_t[...] = pre_t_view
-        return suf_t[1:] @ (2.0 * gap) @ pre_t, gap
-    return scan, gradients
+        return suf_t[1:] @ (-2.0 * gap) @ pre_t, gap
+    return scan, velocity
 
 
 def make_index_schedule(N: int) -> WeightSchedule:

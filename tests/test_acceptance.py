@@ -315,7 +315,7 @@ def test_depth_doubling_distances_halve(flow_experiment):
 def test_limit_profile_rate_and_product_discrepancy(flow_experiment):
     result, elapsed = flow_experiment
     report = result.limit_report
-    assert report.ref_depth == 256
+    assert report.depths.tolist() == [16, 32, 64, 128]
     for fit in report.per_time_fits:
         assert fit is not None
         assert -1.3 <= fit.slope <= -0.7

@@ -286,5 +286,17 @@ def test_every_src_function_is_reached(tmp_path):
 def test_mutant_substitution_occurs_once(name):
     """Each planted defect of ``tests/mutants.py`` still names one exact
     spot of its file, so the catalogue cannot go stale in silence."""
-    path, old, _ = mutants.MUTANTS[name]
+    path, old, *_ = mutants.MUTANTS[name]
     assert mutants.source(path).count(old) == 1
+
+
+def test_mutant_killers_are_collected_test_ids():
+    """Each planted defect's recorded killer is a test id pytest collects,
+    so a killer-first catalogue run never falls back to the full suite on
+    a stale id."""
+    killers = sorted({killer for *_, killer in mutants.MUTANTS.values()})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *killers], cwd=mutants.ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert set(killers) <= set(proc.stdout.splitlines())

@@ -664,7 +664,7 @@ class TestLinearFlowExperiment:
     def test_limit_profile_report(self, flow_result):
         _, result = flow_result
         report = result.limit_report
-        assert report.ref_depth == 32
+        assert report.depths.tolist() == [8, 16]
         assert report.distances.shape == (3, 2)
         assert report.sup_fit.r_squared >= 0.9
         assert -1.3 <= report.sup_fit.slope <= -0.7

@@ -118,8 +118,8 @@ def test_prefix_suffix_matches_sequential_products(depth, dim):
 
 
 def gradients(thetas, target):
-    """The rescaled gradients from a freshly bound kernel."""
-    return linear_flow._bind_flow(*thetas.shape[:2])[1](thetas, target)[0]
+    """The rescaled gradients N grad_n, the negated velocity of a freshly bound kernel."""
+    return -linear_flow._bind_flow(*thetas.shape[:2])[1](thetas, target)[0]
 
 
 class TestLayerGradient:
@@ -187,8 +187,8 @@ def test_bound_gradients_keep_no_state(depth, dim):
 def test_gradients_match_the_broadcast_kernel_byte_for_byte(depth, dim):
     """The carry and the sandwich's left factor each run as one gemm over
     stacked rows, with the broadcast kernel's sums in its order, so the
-    gradients and Pi - B keep every byte, below, on and past the scan's
-    block edges; at B = Pi the gap is all zeros and each gradient entry's
+    velocities and Pi - B keep every byte, below, on and past the scan's
+    block edges; at B = Pi the gap is all zeros and each velocity entry's
     sign of zero comes from the order of its sums."""
     rng = np.random.default_rng(1000 * dim + depth)
     kernel = linear_flow._bind_flow(depth, dim)[1]
@@ -213,8 +213,8 @@ def test_shared_operand_products_use_views_of_the_scan_buffer(depth, dim):
     """The carry's stacked rows and the sandwich's suffix rows are reshaped
     views of the scan buffer: a reshape that copied would carry into a
     stray array, or copy the suffixes on every call."""
-    scan, gradients = linear_flow._bind_flow(depth, dim)
-    cells = _closed_over(gradients)
+    scan, velocity = linear_flow._bind_flow(depth, dim)
+    cells = _closed_over(velocity)
     buffer, suf_rows = cells["pre"].base, cells["suf_rows"]
     carried = _closed_over(scan)["pairs"][-1][0]
     blocks = depth // linear_flow.SCAN_BLOCK + 1
@@ -539,7 +539,7 @@ class TestLimitMap:
     def test_profiles_converge_to_deepest_run(self, doubling_runs):
         _, _, traces = doubling_runs
         report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)])
-        assert report.ref_depth == 128
+        assert report.depths.tolist() == [16, 32, 64]
         assert report.sup_fit is not None and report.sup_fit.r_squared >= 0.9
         assert -1.3 <= report.sup_fit.slope <= -0.7
         # distances shrink with depth at every sampled time, 10% slack
