@@ -27,8 +27,8 @@ One reverse sweep, ``_sweep``, runs both schemes' ``dynamics.Scheme``
 steps and yields each block of layers' gradients with the states it
 linearized them at, so one pass gives both the reconstruction and the
 gradients; ``backprop_*`` store each block's parameter rows with one
-slice assignment, and ``adjoint_sweep_*`` unpack the blocks layer by
-layer.  It walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
+slice assignment, and ``adjoint_sweep_*`` yield the blocks as they come.
+It walks the layers in blocks of ``SWEEP_BLOCK``, from the top:
 a block's states are a view of the stored nodes, or a block buffer the
 reverse step writes in place and ``dynamics._check_block`` screens once,
 and the scheme's ``backprop`` linearizes the block in one stacked call
@@ -147,25 +147,18 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     yield pending
 
 
-def _layers(blocks) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """A sweep's blocks as (n, grad_theta_n, grad_x_n, x_n), n = N-1..0."""
-    for lo, own, grads, xs in blocks:
-        for j in range(len(own) - 1, -1, -1):
-            yield lo + j, own[j], grads[j], xs[j]
-
-
 def adjoint_sweep_euler(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                         ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Memory-free single-stage sweep yielding (n, grad_theta_n, grad_x_n,
-    x~_n): one evaluation per layer and one block linearization per block."""
-    yield from _layers(_sweep(EULER, family, schedule, xN, output_grad))
+    """The memory-free single-stage ``_sweep``: its (lo, own, grads, xs)
+    blocks, from one evaluation per layer and one linearization per block."""
+    yield from _sweep(EULER, family, schedule, xN, output_grad)
 
 
 def adjoint_sweep_heun(family: ResidualFamily, schedule: WeightSchedule, xN, output_grad
                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Memory-free two-stage sweep yielding (n, grad_theta_n, grad_x_n,
-    x~_n): two evaluations per layer and two block linearizations per block."""
-    yield from _layers(_sweep(HEUN, family, schedule, xN, output_grad))
+    """The memory-free two-stage ``_sweep``: its (lo, own, grads, xs) blocks,
+    from two evaluations per layer and two linearizations per block."""
+    yield from _sweep(HEUN, family, schedule, xN, output_grad)
 
 
 def _collect(blocks, schedule: WeightSchedule) -> np.ndarray:

@@ -375,12 +375,11 @@ def _adjoint_depth_metrics(scheme, family, schedule, x0, target):
     out = traj.nodes[-1]
     out_grad = out - target
     exact = exact_backprop(family, schedule, traj, out_grad)
-    approx = np.empty_like(exact)
-    rebuilt = np.empty_like(traj.nodes[:-1])  # x~_N is x_N
-    for n, theta_grad, _, x_n in adjoint_sweep(family, schedule, out, out_grad):
-        approx[n] = theta_grad
-        rebuilt[n] = x_n
-    recon_error = float(np.max(np.linalg.norm(rebuilt - traj.nodes[:-1], axis=1)))
+    approx, recon_error = np.empty_like(exact), 0.0  # x~_N is x_N
+    for lo, own, _, xs in adjoint_sweep(family, schedule, out, out_grad):
+        approx[lo:lo + len(own)] = own
+        gaps = np.linalg.norm(xs - traj.nodes[lo:lo + len(xs)], axis=1)
+        recon_error = max(recon_error, float(np.max(gaps)))
     comp = compare_gradients(exact, require_finite(approx, "param_grads"))
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
     grad_scale = float(np.max(np.linalg.norm(exact, axis=1)))

@@ -75,15 +75,16 @@ LAYER_PULLBACKS = {"euler": _euler_layer, "heun": _heun_layer}
 
 def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
     """The reverse sweep one layer at a time, yielding (n, grad_theta_n,
-    grad_x_n, x_n) for n = N-1..0 like ``adjoint_sweep_*``, whose
-    per-layer transition matrices it checks to rounding: the cotangent
-    recursion of ``LAYER_PULLBACKS``, cotangent by cotangent; x_n read from
-    ``nodes`` or rebuilt by the scheme's reverse step through the checked
-    ``eval`` (carrying Heun's f(x~_n, theta_n) from the pullback to the
-    next step), with a divergence check per layer; each layer pulled back
-    through the checked ``vjp_state`` and ``vjp_params``.  A stage's
-    carry to theta_{n+1} comes from step n, so layer n + 1 is yielded
-    once step n has run; theta_N's carry is padded back to theta_{N-1}."""
+    grad_x_n, x_n) for n = N-1..0, the rows ``adjoint._sweep`` yields a
+    block at a time, whose per-layer transition matrices it checks to
+    rounding: the cotangent recursion of ``LAYER_PULLBACKS``, cotangent by
+    cotangent; x_n read from ``nodes`` or rebuilt by the scheme's reverse
+    step through the checked ``eval`` (carrying Heun's f(x~_n, theta_n)
+    from the pullback to the next step), with a divergence check per
+    layer; each layer pulled back through the checked ``vjp_state`` and
+    ``vjp_params``.  A stage's carry to theta_{n+1} comes from step n, so
+    layer n + 1 is yielded once step n has run; theta_N's carry is padded
+    back to theta_{N-1}."""
     f, N = checked_eval(family, schedule), schedule.depth
     pullback = LAYER_PULLBACKS[scheme.name]
     x, g = np.asarray(xN, dtype=float), np.asarray(output_grad, dtype=float)

@@ -336,8 +336,8 @@ def _sweep_peak_bytes(forward, sweep, depth: int) -> int:
 
     def consume() -> float:
         total = 0.0
-        for _, theta_grad, state_grad, state in sweep(family, schedule, out, g):
-            total += float(theta_grad[0]) + float(state_grad[0]) + float(state[0])
+        for _, own, grads, xs in sweep(family, schedule, out, g):
+            total += float(own[0, 0]) + float(grads[0, 0]) + float(xs[0, 0])
         return total
 
     consume()  # warm numpy internals so they do not count as live state
@@ -360,8 +360,8 @@ def test_adjoint_sweeps_use_depth_independent_memory():
 
 
 def _round_trip_over_gradient_error(config, depth, scheme) -> float:
-    """||x~_0 - x_0|| / ||x_0||, x~_0 the state the memory-free sweep yields
-    with layer 0, over the max relative error of its gradients against
+    """||x~_0 - x_0|| / ||x_0||, x~_0 the first state of the memory-free
+    sweep's last block, over the max relative error of its gradients against
     exact reverse mode over the stored chain.  The family, schedule, x_0
     and target are the study's: ``_make_profile`` and ``_child_rngs`` at
     the config's seed, with x_N - target as the output gradient."""
@@ -376,10 +376,10 @@ def _round_trip_over_gradient_error(config, depth, scheme) -> float:
     out_grad = traj.nodes[-1] - target
     exact = exact_backprop(family, schedule, traj, out_grad)
     approx = np.empty_like(exact)
-    for n, theta_grad, _, x_n in sweep(family, schedule, traj.nodes[-1], out_grad):
-        approx[n] = theta_grad
-    # The sweep ends with layer 0, so x_n is now x~_0.
-    round_trip = np.linalg.norm(x_n - x0) / np.linalg.norm(x0)
+    for lo, own, _, xs in sweep(family, schedule, traj.nodes[-1], out_grad):
+        approx[lo:lo + len(own)] = own
+    # The sweep ends with the block of layer 0, so xs[0] is now x~_0.
+    round_trip = np.linalg.norm(xs[0] - x0) / np.linalg.norm(x0)
     return round_trip / compare_gradients(exact, approx).max_rel
 
 

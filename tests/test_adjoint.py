@@ -7,7 +7,6 @@ import pytest
 from odenet import adjoint
 from odenet.adjoint import (
     SWEEP_BLOCK,
-    _layers,
     _sweep,
     backprop_adjoint_euler,
     backprop_adjoint_heun,
@@ -42,6 +41,17 @@ from odenet.harness import _adjoint_depth_metrics
 from oracles import finite_difference_gradient, jac_state, layer_sweep, reverse_nodes
 
 
+def layer_rows(blocks, depth):
+    """A sweep's (lo, own, grads, xs) blocks as its (grad_theta, grad_x, x)
+    arrays, row n belonging to layer n, once the blocks are checked to
+    tile layers depth-1..0 from the top block down."""
+    blocks = list(blocks)
+    assert [lo + len(own) for lo, own, _, _ in blocks] == [depth] + [
+        lo for lo, *_ in blocks[:-1]]
+    assert blocks[-1][0] == 0
+    return tuple(np.concatenate([block[i] for block in blocks[::-1]]) for i in (1, 2, 3))
+
+
 def constant_schedule(theta, depth):
     return WeightSchedule(np.tile(np.asarray(theta, dtype=float), (depth, 1)))
 
@@ -70,9 +80,8 @@ class TestExactBackpropEuler:
         traj = forward_euler_chain(fam, sched, np.array([1.0]))
         g = np.array([1.0])
         grads = backprop_exact(fam, sched, traj, g)
-        swept = list(_layers(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes)))
-        assert [n for n, *_ in swept] == [1, 0]
-        assert [g_x[0] for _, _, g_x, _ in swept[::-1]] + [g[0]] == [2.25, 1.5, 1.0]
+        _, g_xs, _ = layer_rows(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes), 2)
+        assert g_xs[:, 0].tolist() + [g[0]] == [2.25, 1.5, 1.0]
         assert grads[:, 0].tolist() == [0.75, 0.75]
 
     def test_zero_weight_mlp(self):
@@ -83,8 +92,8 @@ class TestExactBackpropEuler:
         g = np.array([1.0, 2.0])
         grads = backprop_exact(fam, sched, traj, g)
         assert np.all(grads == 0.0)
-        for _, _, g_x, _ in _layers(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes)):
-            assert np.all(g_x == g)
+        _, g_xs, _ = layer_rows(_sweep(EULER, fam, sched, traj.nodes[-1], g, traj.nodes), 4)
+        assert np.all(g_xs == g)
 
     def test_rejects_heun_trajectory(self):
         fam = make_linear_family(1)
@@ -188,8 +197,8 @@ class TestFiniteDifferenceOracle:
         g = traj.nodes[-1] - target
         grads = backprop_exact_heun(fam, sched, traj, g)
         fd = _fd_reference(fam, sched, x0, target, "heun")
-        state_grads = {n: g_x for n, _, g_x, _ in
-                       _layers(_sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes))}
+        _, state_grads, _ = layer_rows(
+            _sweep(HEUN, fam, sched, traj.nodes[-1], g, traj.nodes), sched.depth)
 
         N = sched.depth
         alt = np.zeros_like(grads)
@@ -213,8 +222,8 @@ def swept_nodes(sweep, fam, sched, xN):
     """x~_0..x~_N: the states a memory-free sweep yields, below its input xN."""
     nodes = np.empty((sched.depth + 1,) + np.shape(xN))
     nodes[-1] = xN
-    for n, _, _, x_n in sweep(fam, sched, xN, np.ones_like(xN)):
-        nodes[n] = x_n
+    for lo, _, _, xs in sweep(fam, sched, xN, np.ones_like(xN)):
+        nodes[lo:lo + len(xs)] = xs
     return nodes
 
 
@@ -301,11 +310,8 @@ class TestSweepStates:
         shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
         xN = _forward(scheme, fam, sched, rng.standard_normal(shape), store=False)
         sweep = adjoint_sweep_heun if scheme is HEUN else adjoint_sweep_euler
-        got = list(sweep(fam, sched, xN, rng.standard_normal(shape)))
-        want = reverse_nodes(scheme, fam, sched, xN)
-        assert [n for n, *_ in got] == list(range(depth - 1, -1, -1))
-        for n, _, _, x_n in got:
-            assert np.array_equal(x_n, want[n])
+        _, _, xs = layer_rows(sweep(fam, sched, xN, rng.standard_normal(shape)), depth)
+        assert np.array_equal(xs, reverse_nodes(scheme, fam, sched, xN)[:-1])
 
     @pytest.mark.parametrize("batch", [None, 5])
     @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
@@ -315,12 +321,12 @@ class TestSweepStates:
         rng = np.random.default_rng(1)
         shape = (fam.state_dim,) if batch is None else (fam.state_dim, batch)
         traj = _forward(scheme, fam, sched, rng.standard_normal(shape))
-        swept = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], np.ones(shape),
-                                    traj.nodes)))
-        assert [n for n, *_ in swept] == list(range(6, -1, -1))
-        for n, _, _, x_n in swept:
-            assert np.shares_memory(x_n, traj.nodes[n])
-            assert np.array_equal(x_n, traj.nodes[n])
+        blocks = list(_sweep(scheme, fam, sched, traj.nodes[-1], np.ones(shape), traj.nodes))
+        layer_rows(blocks, 7)
+        for lo, _, _, xs in blocks:
+            for j, x_n in enumerate(xs):
+                assert np.shares_memory(x_n, traj.nodes[lo + j])
+                assert np.array_equal(x_n, traj.nodes[lo + j])
 
 
 SWEEP_DEPTHS = [1, 2, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK + 3, 300]
@@ -356,13 +362,11 @@ class TestBlockedSweep:
         and parameter rows do not depend on the block they were built in."""
         sched, traj, g = sweep_case(fam, scheme, depth, batch)
         nodes = traj.nodes if stored else None
-        got = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
+        got = layer_rows(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes), depth)
         monkeypatch.setattr(adjoint, "SWEEP_BLOCK", 1)
-        want = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
-        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
-        for got_layer, want_layer in zip(got, want):
-            for a, b in zip(got_layer[1:], want_layer[1:]):  # grad_theta, grad_x, x
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        want = layer_rows(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes), depth)
+        for a, b in zip(got, want):  # grad_theta, grad_x, x
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "memory_free"])
     @pytest.mark.parametrize("batch", [None, 5])
@@ -375,12 +379,12 @@ class TestBlockedSweep:
         entry, and the same states bit for bit."""
         sched, traj, g = sweep_case(fam, scheme, depth, batch)
         nodes = traj.nodes if stored else None
-        got = list(_layers(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes)))
+        thetas, gs, xs = layer_rows(_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes), depth)
         want = list(layer_sweep(scheme, fam, sched, traj.nodes[-1], g, nodes))
-        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
-        for (_, theta_got, g_got, x_got), (_, theta_want, g_want, x_want) in zip(got, want):
-            assert np.array_equal(x_got, x_want)
-            for a, b in ((theta_got, theta_want), (g_got, g_want)):
+        assert [n for n, *_ in want] == list(range(depth - 1, -1, -1))
+        for n, theta_want, g_want, x_want in want:
+            assert np.array_equal(xs[n], x_want)
+            for a, b in ((thetas[n], theta_want), (gs[n], g_want)):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
@@ -486,18 +490,25 @@ class TestAdjointBackprop:
     @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
     @pytest.mark.parametrize("fam", RECURSION_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
     def test_rows_equal_the_per_layer_sweep(self, fam, scheme, depth, batch):
-        """``backprop_adjoint_*`` store each block's rows with one slice
-        assignment, ``adjoint_sweep_*`` unpack the same blocks layer by
-        layer: the two agree byte for byte, Heun's rows that take a carry
-        from the block below included."""
+        """``adjoint_sweep_*`` yield the blocks top block first, ``lo``
+        falling by ``SWEEP_BLOCK`` to 0, each block's three arrays one row
+        per layer, and their states are the reverse step loop's bit for
+        bit.  ``backprop_adjoint_*`` store each block's rows with one slice
+        assignment: they equal the blocks' rows byte for byte, Heun's rows
+        that take a carry from the block below included."""
         sched, traj, g = sweep_case(fam, scheme, depth, batch)
         backprop, sweep = ((backprop_adjoint_heun, adjoint_sweep_heun) if scheme is HEUN else
                            (backprop_adjoint_euler, adjoint_sweep_euler))
         got = backprop(fam, sched, traj.nodes[-1], g)
-        want = np.full_like(got, np.nan)
-        for n, theta_grad, _, _ in sweep(fam, sched, traj.nodes[-1], g):
-            want[n] = theta_grad
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        blocks = list(sweep(fam, sched, traj.nodes[-1], g))
+        tops = range(depth, 0, -SWEEP_BLOCK)
+        assert [lo for lo, *_ in blocks] == [max(hi - SWEEP_BLOCK, 0) for hi in tops]
+        for (lo, own, grads, xs), hi in zip(blocks, tops):
+            assert len(own) == len(grads) == len(xs) == hi - lo
+        rows, _, xs = layer_rows(blocks, depth)
+        assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+        want_xs = reverse_nodes(scheme, fam, sched, traj.nodes[-1])[:-1]
+        assert xs.shape == want_xs.shape and xs.tobytes() == want_xs.tobytes()
 
 
 def test_gradient_rows_survive_later_sweeps():
@@ -956,9 +967,9 @@ class TestHeunSweepAgainstEightCallStep:
         shape = (3,) if batch is None else (3, batch)
         xN = forward_heun_chain(fam, sched, rng.standard_normal(shape)).nodes[-1]
         g = rng.standard_normal(shape)
-        got = list(adjoint_sweep_heun(fam, sched, xN, g))
+        thetas, gs, _ = layer_rows(adjoint_sweep_heun(fam, sched, xN, g), depth)
         want = list(eight_call_heun_sweep(fam, sched, xN, g))
-        assert [n for n, *_ in got] == [n for n, *_ in want] == list(range(depth - 1, -1, -1))
-        for (_, theta_got, g_got, _), (_, theta_want, g_want) in zip(got, want):
-            for a, b in ((theta_got, theta_want), (g_got, g_want)):
+        assert [n for n, *_ in want] == list(range(depth - 1, -1, -1))
+        for n, theta_want, g_want in want:
+            for a, b in ((thetas[n], theta_want), (gs[n], g_want)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))

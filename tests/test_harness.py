@@ -416,10 +416,10 @@ class TestScalingStudy:
         out_grad = traj.nodes[-1] - target
         exact = backprop_exact(family, schedule, traj, out_grad)
         approx, recon = np.empty_like(exact), 0.0
-        for n, theta_grad, _, x_n in adjoint_sweep_euler(family, schedule, traj.nodes[-1],
-                                                         out_grad):
-            approx[n] = theta_grad
-            recon = max(recon, float(np.sqrt(np.sum((x_n - traj.nodes[n]) ** 2))))
+        for lo, own, _, xs in adjoint_sweep_euler(family, schedule, traj.nodes[-1], out_grad):
+            approx[lo:lo + len(own)] = own
+            for j, x_n in enumerate(xs):
+                recon = max(recon, float(np.sqrt(np.sum((x_n - traj.nodes[lo + j]) ** 2))))
         comp = compare_gradients(exact, approx)
         metrics, oracle_error = _adjoint_depth_metrics(EULER, family, schedule, x0, target)
         assert oracle_error is None
