@@ -309,7 +309,8 @@ def _check_command(config: ExperimentConfig, command: str) -> None:
 def _poly_eval(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.zeros((s.size, coeffs.shape[1]))
     for c in coeffs[::-1]:
-        out = out * s[:, None] + c[None, :]
+        out *= s[:, None]
+        out += c
     return out
 
 
@@ -369,22 +370,23 @@ def _scheme_functions(scheme):
 
 
 def _adjoint_depth_metrics(scheme, family, schedule, x0, target):
-    """Reconstruction and gradient errors of one memory-free sweep pass."""
+    """Reconstruction and gradient errors of one memory-free sweep pass, as running
+    maxima over its blocks: only the exact rows and the nodes grow with the depth."""
     forward, exact_backprop, adjoint_sweep, _ = _scheme_functions(scheme)
     traj = forward(family, schedule, x0)
     out = traj.nodes[-1]
     out_grad = out - target
     exact = exact_backprop(family, schedule, traj, out_grad)
-    approx, recon_error = np.empty_like(exact), 0.0  # x~_N is x_N
+    recon_error = max_abs = max_rel = grad_scale = 0.0  # x~_N is x_N
     for lo, own, _, xs in adjoint_sweep(family, schedule, out, out_grad):
-        approx[lo:lo + len(own)] = own
+        block = exact[lo:lo + len(own)]
+        comp = compare_gradients(block, require_finite(own, "param_grads"))
+        max_abs, max_rel = max(max_abs, comp.max_abs), max(max_rel, comp.max_rel)
+        grad_scale = max(grad_scale, float(np.max(np.linalg.norm(block, axis=1))))
         gaps = np.linalg.norm(xs - traj.nodes[lo:lo + len(xs)], axis=1)
         recon_error = max(recon_error, float(np.max(gaps)))
-    comp = compare_gradients(exact, require_finite(approx, "param_grads"))
     state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    grad_scale = float(np.max(np.linalg.norm(exact, axis=1)))
-    return [(recon_error, state_scale), (comp.max_abs, grad_scale),
-            (comp.max_rel, 1.0)], None
+    return [(recon_error, state_scale), (max_abs, grad_scale), (max_rel, 1.0)], None
 
 
 # RK4 steps per layer of the reference solution.  It is checked by step

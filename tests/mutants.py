@@ -88,11 +88,14 @@ MUTANTS = {
     "oracle_steps_below_4_per_layer": (
         "src/odenet/dynamics.py", "if fine_steps < 4 * n_grid:", "if fine_steps < n_grid:",
         "tests/test_dynamics.py::TestSolveOdeOracle::test_step_count_validation"),
-    # The adjoint study's reconstruction error, taken block by block.
+    # The adjoint study's errors, taken block by block.
     "recon_error_skips_block_lowest_layer": (
         "src/odenet/harness.py", "xs - traj.nodes[lo:lo + len(xs)]",
         "xs[1:] - traj.nodes[lo + 1:lo + len(xs)]",
-        "tests/test_harness.py::TestScalingStudy::test_euler_adjoint_metrics_run_the_euler_pass"),
+        "tests/test_harness.py::TestScalingStudy::test_euler_adjoint_metrics_run_the_euler_pass[euler-6]"),
+    "grad_error_keeps_last_block_only": (
+        "src/odenet/harness.py", "max(max_abs, comp.max_abs)", "comp.max_abs",
+        "tests/test_harness.py::TestScalingStudy::test_euler_adjoint_metrics_run_the_euler_pass[heun-37]"),
     # The study's flags.
     "oracle_tolerance_1e-1": (
         "src/odenet/harness.py", "ORACLE_TOLERANCE = 1e-3", "ORACLE_TOLERANCE = 1e-1",

@@ -593,6 +593,25 @@ def test_exact_gradients_hold_one_block_of_layers(scheme, backprop):
     assert deep <= 1.1 * shallow
 
 
+@pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+def test_adjoint_study_holds_only_rows_and_nodes(scheme):
+    """The study compares the memory-free gradients with the exact ones
+    block by block, so its heap peak at N = 2048 stays within 1.5 times
+    the exact (N, param_dim) rows plus the stored (N + 1, d) nodes."""
+    family, depth = make_mlp_family(4, 8), 2048
+    schedule = cubic_profile_schedule(depth, family.param_dim)
+    x0, target = np.linspace(-1.0, 1.0, 4), np.zeros(4)
+    _adjoint_depth_metrics(scheme, family, WeightSchedule(schedule.params[:2]),
+                           x0, target)  # warm numpy
+    gc.collect()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    _adjoint_depth_metrics(scheme, family, schedule, x0, target)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.5 * (depth * family.param_dim * 8 + (depth + 1) * family.state_dim * 8)
+
+
 class TestCompareGradients:
     def test_identical_sets_are_zero(self):
         fam = make_mlp_family(2, 2)

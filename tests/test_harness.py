@@ -17,6 +17,7 @@ import pytest
 from odenet import cli, harness
 from odenet.adjoint import (
     adjoint_sweep_euler,
+    adjoint_sweep_heun,
     backprop_exact,
     backprop_exact_heun,
     compare_gradients,
@@ -352,6 +353,20 @@ class TestScheduleProfiles:
         vals = _poly_eval(coeffs, np.array([0.0, 0.25, 0.5]))
         assert vals[:, 0].tolist() == [1.0, 1.5, 2.0]
 
+    def test_smooth_profile_is_built_in_one_buffer(self):
+        """Horner's rule runs in place: a 1024 x 64 cubic profile's heap
+        peak stays within 1.5 times its rows."""
+        spec = _make_profile(self._config("lipschitz_profile"), 64,
+                             np.random.default_rng(0))
+        spec(2)  # warm numpy
+        tracemalloc.start()
+        try:
+            spec(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1024 * 64 * 8
+
     def test_smooth_profile_gaps_shrink_with_depth(self):
         spec = _make_profile(self._config("lipschitz_profile"), 3,
                              np.random.default_rng(3))
@@ -405,23 +420,30 @@ class TestScalingStudy:
         assert sorted(result.fit_flags) == [
             "grad_max_abs_error", "grad_max_rel_error", "recon_max_error"]
 
-    def test_euler_adjoint_metrics_run_the_euler_pass(self):
-        """The euler_adjoint measure is a hand Euler pass bit for bit: the
-        stored chain, its exact backprop and the memory-free Euler sweep."""
+    @pytest.mark.parametrize("depth", [6, 37])
+    @pytest.mark.parametrize("scheme", [EULER, HEUN], ids=lambda s: s.name)
+    def test_euler_adjoint_metrics_run_the_euler_pass(self, scheme, depth):
+        """Each adjoint measure is a hand pass of its scheme bit for bit:
+        the stored chain, its exact backprop and the memory-free sweep,
+        compared over whole arrays.  Depth 37 is two full sweep blocks
+        and 5 layers, so Heun's carry crosses a block boundary."""
+        forward, backprop, sweep = {
+            EULER: (forward_euler_chain, backprop_exact, adjoint_sweep_euler),
+            HEUN: (forward_heun_chain, backprop_exact_heun, adjoint_sweep_heun)}[scheme]
         family = make_mlp_family(2, 3)
         rng = np.random.default_rng(7)
-        schedule = WeightSchedule(0.3 * rng.standard_normal((6, family.param_dim)))
+        schedule = WeightSchedule(0.3 * rng.standard_normal((depth, family.param_dim)))
         x0, target = rng.standard_normal(2), rng.standard_normal(2)
-        traj = forward_euler_chain(family, schedule, x0)
+        traj = forward(family, schedule, x0)
         out_grad = traj.nodes[-1] - target
-        exact = backprop_exact(family, schedule, traj, out_grad)
+        exact = backprop(family, schedule, traj, out_grad)
         approx, recon = np.empty_like(exact), 0.0
-        for lo, own, _, xs in adjoint_sweep_euler(family, schedule, traj.nodes[-1], out_grad):
+        for lo, own, _, xs in sweep(family, schedule, traj.nodes[-1], out_grad):
             approx[lo:lo + len(own)] = own
             for j, x_n in enumerate(xs):
                 recon = max(recon, float(np.sqrt(np.sum((x_n - traj.nodes[lo + j]) ** 2))))
         comp = compare_gradients(exact, approx)
-        metrics, oracle_error = _adjoint_depth_metrics(EULER, family, schedule, x0, target)
+        metrics, oracle_error = _adjoint_depth_metrics(scheme, family, schedule, x0, target)
         assert oracle_error is None
         assert metrics == [(recon, float(np.max(np.linalg.norm(traj.nodes, axis=1)))),
                            (comp.max_abs, float(np.max(np.linalg.norm(exact, axis=1)))),
