@@ -18,13 +18,15 @@ one of them, SWEEP_BLOCK layers at a time, and screens each block of
 states for divergence once (``_check_block``): the error names the
 first layer in step order whose state fails the per-state rule.
 Interpolating fields turn a schedule into a continuous-time right-hand
-side that agrees with f(., theta_n) at every grid time n/N, which is the
-property all error measurements below are anchored on.
+side, given per layer interval, that agrees with f(., theta_n) at both
+ends of its intervals: fraction 0 of interval n and fraction 1 of
+interval n - 1, the property all error measurements below are anchored on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,18 +68,19 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class VectorField:
-    """Right-hand side of dx/ds = eval(x, s) on s in [0, 1].
-
-    ``piece`` is piece(n, alphas) -> g(x, m) = eval(x, (n + alphas[m]) / N)
-    at stage fractions alphas of layer interval n: one unchecked kernel
-    per interval, its inputs checked when the field was built.  The
-    oracle steps through ``piece`` alone.
+    """Right-hand side of dx/ds = phi(x, s) on s in [0, 1], given per layer
+    interval: piece(n, alphas) -> g(x, m) = phi(x, (n + alphas[m]) / N) at
+    stage fractions alphas of interval n, one unchecked kernel per
+    interval, its inputs checked when the field was built.  The oracle
+    steps through ``piece`` alone.
     """
 
-    eval: Callable[[np.ndarray, float], np.ndarray]
     piece: Callable[[int, list], Callable]
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
+    # Never set or called in src: bench/tracing.py's wrap_oracle reads and
+    # replaces it (dataclasses.replace); ROADMAP item 1 deletes it.
+    eval: Optional[Callable] = None
 
 
 def _check_divergence(x, layer: int, context: str):
@@ -100,15 +103,6 @@ def _check_block(states, layers, context: str):
     if not np.abs(states).max() <= DIVERGENCE_THRESHOLD / (2.0 * math.sqrt(states[0].size)):
         for x, layer in zip(states, layers):
             _check_divergence(x, layer, context)
-
-
-def _locate(s, N: int):
-    """Layer intervals n (left-continuous) of the times s, and positions s*N
-    snapped to the grid so that s = n/N hits layer n bit-exactly."""
-    u = np.asarray(s, dtype=float) * N
-    nearest = np.round(u)
-    u = np.where((np.abs(u - nearest) < 1e-9) & (nearest >= 0) & (nearest <= N), nearest, u)
-    return np.clip(np.ceil(u).astype(int) - 1, 0, N - 1), u
 
 
 def _euler_step(f, x, a, b, div, out):
@@ -282,20 +276,22 @@ def forward_heun_chain(family: ResidualFamily, schedule: WeightSchedule,
 
 def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
                 theta_end: Optional[np.ndarray] = None) -> VectorField:
-    """Continuous-time field agreeing with the chain's residuals on the grid.
+    """Continuous-time field, given per layer interval, agreeing with the
+    chain's residual f(., theta_n) at both ends of the intervals n - 1, n.
 
     kind "residual_interp" blends the residual values,
 
-        phi(x, s) = (n+1-Ns) f(x, theta_n) + (Ns-n) f(x, theta_{n+1}),
+        phi_n(x, a) = (1 - a) f(x, theta_n) + a f(x, theta_{n+1}),
 
     kind "weight_interp" blends the parameters,
 
-        phi(x, s) = f(x, (n+1-Ns) theta_n + (Ns-n) theta_{n+1}),
+        phi_n(x, a) = f(x, (1 - a) theta_n + a theta_{n+1}),
 
-    both on s in [n/N, (n+1)/N].  The last interval needs theta_N: by
-    default the padding rule (theta_N = theta_{N-1}) applies; pass
-    ``theta_end`` to extend the schedule differently, e.g. to continue
-    an analytic pattern.
+    both at fraction a in [0, 1] of layer interval n, depth s = (n + a) / N,
+    the fractions ``piece(n, alphas)`` takes.  The last interval needs
+    theta_N: by default the padding rule (theta_N = theta_{N-1}) applies;
+    pass ``theta_end`` to extend the schedule differently, e.g. to
+    continue an analytic pattern.
 
     The schedule and ``theta_end`` are checked here, once, for both kinds.
     residual_interp binds the rows once and its pieces are the bound
@@ -316,14 +312,7 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
         def piece(n, alphas):
             alpha = np.asarray(alphas)[:, None]
             return family._bind((1.0 - alpha) * rows[n] + alpha * rows[n + 1])[0]
-
-    def eval_field(x, s):
-        if not (0.0 <= s <= 1.0):
-            raise ValueError(f"field time {s} outside [0, 1]")
-        n, u = _locate(s, N)
-        return piece(int(n), [float(u - n)])(family._check_state(x), 0)
-
-    return VectorField(eval_field, depth=N, state_dim=family.state_dim, piece=piece)
+    return VectorField(piece, depth=N, state_dim=family.state_dim)
 
 
 def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
@@ -335,11 +324,15 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
     whole sub-steps and none straddles an interpolation interval.  Each
     interval gets one ``piece`` kernel at the stage fractions j / (2K),
     j = 0..2K; sub-step i of the interval evaluates fractions 2i, 2i + 1
-    and 2i + 2.  x0 is validated once, here.
+    and 2i + 2; it never calls ``field.eval``.  x0 and fine_steps are
+    validated once, here.
     """
     x = require_finite(x0, "x0").astype(float)
     if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
         raise ValueError(f"x0 shape {x.shape} does not match state_dim {field.state_dim}")
+    if isinstance(fine_steps, bool) or not hasattr(fine_steps, "__index__"):
+        raise ValueError(f"fine_steps must be an integer, got {fine_steps!r}")
+    fine_steps = operator.index(fine_steps)
     n_grid = max(int(field.depth), 1)
     if fine_steps % n_grid != 0:
         raise ValueError(f"fine_steps {fine_steps} must be a multiple of {n_grid}")

@@ -134,6 +134,10 @@ MUTANTS = {
         "src/odenet/dynamics.py", "alpha = np.asarray(alphas)[:, None]",
         "alpha = 0.0 * np.asarray(alphas)[:, None]",
         "tests/test_acceptance.py::test_rough_schedule_gaps_reach_their_limits"),
+    "mlp_blend_alpha_1_keeps_layer_n": (
+        "src/odenet/residual_models.py", "1.0: (w1s[n + 1], w2s[n + 1])}",
+        "1.0: (w1s[n], w2s[n])}",
+        "tests/test_dynamics.py::TestInterpolate::test_grid_consistency[residual_interp]"),
 }
 
 

@@ -4,9 +4,11 @@ The reference quantities are built only from the package's public,
 shape-checked kernels: ``jac_state``, ``reverse_nodes``, the reverse
 sweep one layer at a time (``layer_sweep``) and central finite
 differences.  The flow's velocity kernel is checked against its earlier
-broadcast form (``bind_flow_broadcast``).  The fixtures are the index
-schedule, the eval-defined vector field, a study's clean values by depth
-and the text of each table a runner returns.
+broadcast form (``bind_flow_broadcast``), and ``interpolate``'s fields
+against the same blends stated through the checked ``eval``
+(``interpolated_field``).  The fixtures are the index schedule, the
+pointwise-defined vector field, a study's clean values by depth and the
+text of each table a runner returns.
 """
 
 from typing import Callable
@@ -186,12 +188,30 @@ def make_index_schedule(N: int) -> WeightSchedule:
 
 def eval_field(eval, depth=1, state_dim=1) -> VectorField:
     """The field defined by eval(x, s) alone.  Its ``piece`` evaluates
-    eval at s = (n + alphas[m]) / depth, one call per stage: the reference
-    path the package's per-interval kernels are checked against."""
+    eval at s = (n + alphas[m]) / depth, one call per stage."""
     def piece(n, alphas):
         return lambda y, m: eval(y, (n + alphas[m]) / depth)
 
-    return VectorField(eval, piece, depth=depth, state_dim=state_dim)
+    return VectorField(piece, depth=depth, state_dim=state_dim)
+
+
+def interpolated_field(family, schedule, kind, theta_end=None) -> VectorField:
+    """``interpolate``'s field through the checked ``eval``, one stage at a
+    time: at fraction a of layer interval n, residual_interp is
+    (1 - a) f(x, theta_n) + a f(x, theta_{n+1}) and weight_interp is
+    f(x, (1 - a) theta_n + a theta_{n+1}), theta_N being ``theta_end``
+    when one is given and theta_{N-1} otherwise."""
+    rows = schedule.padded if theta_end is None else np.vstack([schedule.params, theta_end])
+
+    def stage(x, n, a):
+        if kind == "residual_interp":
+            return (1.0 - a) * family.eval(x, rows[n]) + a * family.eval(x, rows[n + 1])
+        return family.eval(x, (1.0 - a) * rows[n] + a * rows[n + 1])
+
+    def piece(n, alphas):
+        return lambda x, m: stage(x, n, alphas[m])
+
+    return VectorField(piece, depth=schedule.depth, state_dim=family.state_dim)
 
 
 def values(result, metric: str) -> dict:

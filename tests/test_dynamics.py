@@ -29,7 +29,7 @@ from odenet.residual_models import (
     make_mlp_family,
     make_square_family,
 )
-from oracles import eval_field, make_index_schedule
+from oracles import eval_field, interpolated_field, make_index_schedule
 
 
 def constant_schedule(theta, depth):
@@ -165,16 +165,20 @@ class TestTrajectoryType:
 class TestInterpolate:
     @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
     def test_grid_consistency(self, kind):
-        """Field values at s = n/N equal the layer residuals exactly."""
+        """Both ends of every layer interval equal the layer residuals
+        exactly: fraction 0 of interval n is f(., theta_n), fraction 1 of
+        interval n - 1 is f(., theta_n) too, theta_N being the padded row."""
         fam = make_mlp_family(2, 3)
         rng = np.random.default_rng(9)
         sched = WeightSchedule(rng.standard_normal((8, fam.param_dim)) * 0.4)
         field = interpolate(fam, sched, kind)
         for n in range(sched.depth):
+            g = field.piece(n, [0.0, 1.0])
             for _ in range(50):
                 x = rng.standard_normal(2)
-                gap = field.eval(x, n / 8) - fam.eval(x, sched.params[n])
-                assert np.max(np.abs(gap)) == 0.0
+                for m, theta in enumerate(sched.padded[n:n + 2]):
+                    gap = g(x, m) - fam.eval(x, theta)
+                    assert np.max(np.abs(gap)) == 0.0
 
     def test_constant_schedule_time_independent(self):
         fam = make_mlp_family(2, 2)
@@ -182,48 +186,51 @@ class TestInterpolate:
         sched = constant_schedule(theta, 5)
         x = np.array([0.3, -0.7])
         expected = fam.eval(x, theta)
+        alphas = [0.0, 0.123, 0.5, 0.999, 1.0]
         for kind in ("residual_interp", "weight_interp"):
             field = interpolate(fam, sched, kind)
-            for s in (0.0, 0.123, 0.5, 0.999, 1.0):
-                assert np.allclose(field.eval(x, s), expected, atol=0)
+            for n in range(sched.depth):
+                g = field.piece(n, alphas)
+                for m in range(len(alphas)):
+                    assert np.allclose(g(x, m), expected, atol=0)
 
     def test_alternating_square_weight_interp_closed_form(self):
-        # theta linear between +-1 gives phi(s) = (2Ns - (2n+1))^2
+        # theta linear between +-1 gives phi_n(a) = (2a - 1)^2 on every interval
         depth = 4
         field = interpolate(make_square_family(), alternating_unit_schedule(depth),
                             "weight_interp", theta_end=np.array([1.0]))
         x = np.zeros(1)
-        for s in np.linspace(0.0, 1.0, 33):
-            n = min(int(np.ceil(s * depth)) - 1, depth - 1) if s > 0 else 0
-            expected = (2 * depth * s - (2 * n + 1)) ** 2
-            assert field.eval(x, s)[0] == pytest.approx(expected, abs=1e-12)
+        alphas = np.linspace(0.0, 1.0, 9).tolist()
+        for n in range(depth):
+            g = field.piece(n, alphas)
+            for m, a in enumerate(alphas):
+                assert g(x, m)[0] == pytest.approx((2 * a - 1) ** 2, abs=1e-12)
 
     def test_alternating_square_residual_interp_is_constant_one(self):
         field = interpolate(make_square_family(), alternating_unit_schedule(5),
                             "residual_interp")
         x = np.zeros(1)
-        for s in np.linspace(0.0, 1.0, 17):
-            assert field.eval(x, s)[0] == pytest.approx(1.0, abs=0)
+        alphas = np.linspace(0.0, 1.0, 17).tolist()
+        for n in range(field.depth):
+            g = field.piece(n, alphas)
+            for m in range(len(alphas)):
+                assert g(x, m)[0] == pytest.approx(1.0, abs=0)
 
     def test_last_interval_padding_and_override(self):
         fam = make_identity_family()
         sched = make_index_schedule(3)  # rows 0, 1, 2
         padded = interpolate(fam, sched, "residual_interp")
         # default padding repeats the last row, so the field is flat there
-        assert padded.eval(np.zeros(1), 1.0)[0] == pytest.approx(2.0)
+        assert padded.piece(2, [1.0])(np.zeros(1), 0)[0] == pytest.approx(2.0)
         extended = interpolate(fam, sched, "residual_interp",
                                theta_end=np.array([3.0]))
-        assert extended.eval(np.zeros(1), 1.0)[0] == pytest.approx(3.0)
-        assert extended.eval(np.zeros(1), 5.0 / 6.0)[0] == pytest.approx(2.5)
+        g = extended.piece(2, [1.0, 0.5])
+        assert g(np.zeros(1), 0)[0] == pytest.approx(3.0)
+        assert g(np.zeros(1), 1)[0] == pytest.approx(2.5)
 
     def test_domain_and_kind_errors(self):
         fam = make_identity_family()
         sched = make_index_schedule(2)
-        field = interpolate(fam, sched, "residual_interp")
-        with pytest.raises(ValueError):
-            field.eval(np.zeros(1), -0.1)
-        with pytest.raises(ValueError):
-            field.eval(np.zeros(1), 1.1)
         with pytest.raises(ValueError):
             interpolate(fam, sched, "spline")
         with pytest.raises(ValueError):
@@ -259,6 +266,35 @@ class TestSolveOdeOracle:
             solve_ode_oracle(field, np.zeros(1), 64)   # not a multiple of 3
         with pytest.raises(ValueError):
             solve_ode_oracle(field, np.zeros(1), 6)    # below 4x depth
+
+    @pytest.mark.parametrize("bad", [24.0, True], ids=["float", "bool"])
+    def test_step_count_must_be_an_integer(self, bad):
+        field = interpolate(make_identity_family(), make_index_schedule(3),
+                            "residual_interp")
+        with pytest.raises(ValueError, match="fine_steps must be an integer"):
+            solve_ode_oracle(field, np.zeros(1), bad)
+
+    def test_numpy_integer_step_count_solves(self):
+        field = interpolate(make_identity_family(), make_index_schedule(3),
+                            "residual_interp")
+        want = solve_ode_oracle(field, np.zeros(1), 24)
+        assert solve_ode_oracle(field, np.zeros(1), np.int64(24)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
+    def test_replacing_eval_leaves_the_nodes(self, kind):
+        """The benchmark tracer swaps ``VectorField.eval`` by
+        dataclasses.replace (bench/tracing.py's wrap_oracle): the oracle
+        never calls it, and its nodes stay the same bit for bit."""
+        def raising(x, s):
+            raise AssertionError("the oracle called field.eval")
+
+        fam = make_mlp_family(3, 4)
+        rng = np.random.default_rng(14)
+        field = interpolate(fam, WeightSchedule(rng.standard_normal((4, fam.param_dim))), kind)
+        x0 = rng.standard_normal(3)
+        want = solve_ode_oracle(field, x0, 32)
+        got = solve_ode_oracle(dataclasses.replace(field, eval=raising), x0, 32)
+        assert got.tobytes() == want.tobytes()
 
     def test_self_convergence_order(self):
         """Halving the step on a smooth field gains a factor >= 2^3.5."""
@@ -298,13 +334,9 @@ ORACLE_FAMILIES = {
 }
 
 
-def eval_path(field):
-    """The field's eval, stepped by the oracle one call per stage."""
-    return eval_field(field.eval, field.depth, field.state_dim)
-
-
 class TestOraclePiecePath:
-    """Per-interval kernels reproduce the field.eval path of the oracle."""
+    """Per-interval kernels reproduce the oracle path of the same blends
+    stated through the checked ``eval`` (``interpolated_field``)."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
     @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
@@ -319,27 +351,28 @@ class TestOraclePiecePath:
         assert field.piece is not None
         x0 = rng.standard_normal(fam.state_dim)
         fused = solve_ode_oracle(field, x0, 16 * depth)
-        plain = solve_ode_oracle(eval_path(field), x0, 16 * depth)
+        plain = solve_ode_oracle(interpolated_field(fam, sched, kind, theta_end), x0,
+                                 16 * depth)
         scale = np.max(np.abs(plain))
         assert np.max(np.abs(fused - plain)) <= 1e-13 * scale
 
     def test_batched_mlp_matches_eval_path(self):
         fam = make_mlp_family(3, 4)
         rng = np.random.default_rng(13)
-        field = interpolate(fam, WeightSchedule(rng.standard_normal((5, fam.param_dim))),
-                            "residual_interp")
+        sched = WeightSchedule(rng.standard_normal((5, fam.param_dim)))
+        field = interpolate(fam, sched, "residual_interp")
         x0 = rng.standard_normal((3, 7))
         fused = solve_ode_oracle(field, x0, 40)
-        plain = solve_ode_oracle(eval_path(field), x0, 40)
+        plain = solve_ode_oracle(interpolated_field(fam, sched, "residual_interp"), x0, 40)
         assert fused.shape == (6, 3, 7)
         assert np.max(np.abs(fused - plain)) <= 1e-13 * np.max(np.abs(plain))
 
     @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
     def test_divergence_layer_is_the_same(self, kind):
         sched = WeightSchedule(np.array([[30.0], [40.0], [50.0], [60.0]]))
-        field = interpolate(make_linear_family(1), sched, kind)
+        fam = make_linear_family(1)
         layers = []
-        for f in (field, eval_path(field)):
+        for f in (interpolate(fam, sched, kind), interpolated_field(fam, sched, kind)):
             with pytest.raises(DivergenceError) as info:
                 solve_ode_oracle(f, np.ones(1), 64 * 4)
             layers.append(info.value.layer)
@@ -555,7 +588,7 @@ class TestApproximationError:
         traj = forward_euler_chain(fam, sched, x0)
         x = x0.copy()
         for n in range(depth):
-            x = x + field.eval(x, n / depth) / depth
+            x = x + field.piece(n, [0.0])(x, 0) / depth
             assert np.array_equal(x, traj.nodes[n + 1])
 
 

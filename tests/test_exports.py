@@ -131,7 +131,9 @@ TRACED_NAMES = (
 def test_benchmark_tracer_installs_and_records(tmp_path):
     """The tracer reads ``VectorField.eval``, ``FlowState.schedule.depth``,
     the kernel and sweep names; a refactor that renames any of them
-    breaks traced benchmark runs."""
+    breaks traced benchmark runs.  ``VectorField.eval`` must stay an init
+    field, as the tracer replaces it by ``dataclasses.replace``; the
+    oracle never calls it."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(root), str(tmp_path), *TRACED_NAMES],
@@ -251,17 +253,12 @@ def test_outputs_records_a_call_with_its_roots_replaced(tmp_path):
 UNREACHED = {
     # The chain-vs-ODE bound (ROADMAP item 2): no run reports it yet.
     "dynamics.approximation_bound": "item 2: the bound waits for a closed-form c_n",
-    # A field's pointwise eval: the oracle steps through `piece`, but the
-    # tests state interpolate's contract through field.eval, and
-    # bench/tracing.py's wrap_oracle replaces field.eval by dataclasses.replace.
-    "dynamics.interpolate.<locals>.eval_field": "the field.eval tests and the tracer use",
-    "dynamics._locate": "eval_field's grid lookup",
     # The checked kernels: bench/tracing.py wraps eval, vjp_state and
-    # vjp_params by name until it traces by code object (item 1a).
-    "residual_models.ResidualFamily.eval": "item 1a: traced by name",
-    "residual_models.ResidualFamily.vjp_state": "item 1a: traced by name",
-    "residual_models.ResidualFamily.vjp_params": "item 1a: traced by name",
-    "residual_models.ResidualFamily._pull": "item 1a: the vjp_* call it",
+    # vjp_params by name until it traces by code object (item 1).
+    "residual_models.ResidualFamily.eval": "item 1: traced by name",
+    "residual_models.ResidualFamily.vjp_state": "item 1: traced by name",
+    "residual_models.ResidualFamily.vjp_params": "item 1: traced by name",
+    "residual_models.ResidualFamily._pull": "item 1: the vjp_* call it",
 }
 
 

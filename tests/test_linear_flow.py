@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from odenet import linear_flow
-from odenet.dynamics import DivergenceError, VectorField, _locate, solve_ode_oracle
+from odenet.dynamics import DivergenceError, VectorField, solve_ode_oracle
 from odenet.harness import ExperimentConfig, run_linear_flow_experiment
 from odenet.linear_flow import (
     FlowSample,
@@ -660,12 +660,11 @@ class TestProductVsOde:
         monkeypatch.setattr(linear_flow, "PROBES", probes)
         thetas = np.random.default_rng(8).standard_normal((n_layers, d, d)) * 0.3
 
-        def piece(n, alphas):   # fraction 0 of layer n >= 1 applies theta_{n-1}, as eval does
+        def piece(n, alphas):   # left-continuous: fraction 0 of layer n >= 1 applies theta_{n-1}
             layers = [thetas[n - 1] if a == 0.0 and n > 0 else thetas[n] for a in alphas]
             return lambda x, m: layers[m] @ x
 
-        field = VectorField(lambda x, s: thetas[int(_locate(s, n_layers)[0])] @ x,
-                            depth=n_layers, state_dim=d, piece=piece)
+        field = VectorField(piece, depth=n_layers, state_dim=d)
         x0 = np.random.default_rng(0).standard_normal((d, probes))   # product_vs_ode's probes
         x0 /= np.linalg.norm(x0, axis=0)
         flow = solve_ode_oracle(field, x0, fine * n_layers)[-1]
