@@ -60,6 +60,11 @@ MUTANTS = {
     "flow_velocity_drops_sign": (
         "src/odenet/linear_flow.py", "(suf_rows @ (-2.0 * gap))", "(suf_rows @ (2.0 * gap))",
         "tests/test_acceptance.py::test_flow_monitors_hold_across_depths"),
+    # A 2 % depth roughness: the flow still converges, but not to one limit ODE.
+    "flow_odd_layers_velocity_1_02": (
+        "src/odenet/linear_flow.py", "return left @ pre_t, gap",
+        "v = left @ pre_t\n        v[1::2] *= 1.02\n        return v, gap",
+        "tests/test_acceptance.py::test_trained_layers_approach_the_limit_ode_at_first_order"),
     "theta_norm_bound_5": (
         "src/odenet/linear_flow.py", "max_norm < 0.5,", "max_norm < 5.0,",
         "tests/test_linear_flow.py::TestMonitors::test_violating_init_is_flagged_not_raised"),

@@ -326,6 +326,45 @@ def test_limit_profile_rate_and_product_discrepancy(flow_experiment):
     assert elapsed < 180.0
 
 
+def _avg2(thetas: np.ndarray) -> np.ndarray:
+    """The mean of layers 2k and 2k + 1: a depth-2N stack at depth N's cell centres."""
+    return 0.5 * (thetas[0::2] + thetas[1::2])
+
+
+def _cell_centre_distances(coarse: dict, fine: dict) -> dict:
+    """{N: max_k ||coarse[N]_k - avg2(fine[2N])_k||_F} for each N with a 2N."""
+    return {n: float(np.max(np.linalg.norm(coarse[n] - _avg2(fine[2 * n]), axis=(1, 2))))
+            for n in coarse if 2 * n in fine}
+
+
+def test_trained_layers_approach_the_limit_ode_at_first_order():
+    """Gradient descent keeps the linear ResNet depth-smooth at rate 1/N.
+    After training to t = 2, depth N's layers lie O(1/N) from the mean of
+    depth 2N's at their cell centre, with one constant N * distance for
+    N = 16..64; Richardson's X_N = 2 avg2(theta^{2N}) - theta^N, the limit
+    ODE's weights at N cell centres, is then exact to O(N^-2).  At t = 0
+    the cell-centre distance is the profile's sampling error, O(N^-2)."""
+    for seed in SEEDS:
+        config = ExperimentConfig(experiment="limit_map", seed=seed, t_end=2.0,
+                                  depths=(16, 32, 64, 128))
+        start = time.perf_counter()
+        traces = run_linear_flow_experiment(config).traces
+        initial = {n: trace.samples[0].thetas for n, trace in traces.items()}
+        trained = {n: trace.samples[-1].thetas for n, trace in traces.items()}
+        assert all(trace.samples[-1].t == 2.0 for trace in traces.values())
+
+        dist = _cell_centre_distances(trained, trained)
+        assert abs(fit_loglog_slope(sorted(dist.items())).slope + 1.0) <= 0.1
+        scaled = [n * d for n, d in dist.items()]
+        assert max(scaled) <= 1.1 * min(scaled)
+        limits = {n: 2.0 * _avg2(trained[2 * n]) - trained[n] for n in dist}
+        remainder = _cell_centre_distances(limits, limits)
+        assert abs(fit_loglog_slope(sorted(remainder.items())).slope + 2.0) <= 0.15
+        sampling = _cell_centre_distances(initial, initial)
+        assert abs(fit_loglog_slope(sorted(sampling.items())).slope + 2.0) <= 0.15
+        assert time.perf_counter() - start < 30.0
+
+
 def _sweep_peak_bytes(forward, sweep, depth: int) -> int:
     """Traced allocation peak of one memory-free backward sweep."""
     family = make_mlp_family(4, 8)

@@ -14,14 +14,17 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import odenet
+from odenet import cli
 from odenet.harness import ExperimentConfig
 from odenet.residual_models import ResidualFamily
 import mutants
@@ -247,6 +250,46 @@ def test_outputs_records_a_call_with_its_roots_replaced(tmp_path):
         assert (trees[0] / path).read_bytes() == (trees[1] / path).read_bytes()
     stdout = (trees[0] / "seed0" / name / "stdout").read_text()
     assert "OUT/" in stdout and str(tmp_path) not in stdout
+
+
+@pytest.fixture(scope="module")
+def seed0_outputs(tmp_path_factory):
+    """Every call of ``outputs.py`` at seed 0, recorded in this interpreter
+    into ``OUT/seed0/NAME/`` as a fresh interpreter would record it."""
+    out = tmp_path_factory.mktemp("outputs")
+    outputs.record_all(Path(__file__).resolve().parents[1], out, [0], main=cli.main)
+    return out
+
+
+def test_outputs_match_the_golden_digests(seed0_outputs):
+    """Every CSV table, stream and exit code at seed 0 is byte for byte the
+    one ``tests/golden_outputs.txt`` records; ``python tests/outputs.py
+    --golden`` rewrites it when a change moves an output on purpose."""
+    core, golden = outputs.read_golden()
+    here = outputs.openblas_core()
+    if here != core:
+        pytest.skip(f"digests recorded on OpenBLAS core {core}, this machine runs {here}")
+    differ = outputs.differing(golden, outputs.digests(seed0_outputs))
+    assert not differ, f"{len(differ)} outputs differ from tests/golden_outputs.txt: {differ}"
+
+
+def test_digests_name_each_planted_change(seed0_outputs, tmp_path):
+    """One ulp in one study.csv value, two stdout lines swapped and one
+    exit code changed are each named, and nothing else is."""
+    tree = tmp_path / "planted"
+    shutil.copytree(seed0_outputs, tree)
+    call = tree / "seed0" / "study-approx_error"
+    study = call / "approx_error" / "study.csv"
+    header, row, *rest = study.read_bytes().split(b"\r\n")
+    *cells, value = row.split(b",")
+    cells.append(b"%.17g" % np.nextafter(float(value), np.inf))
+    study.write_bytes(b"\r\n".join([header, b",".join(cells), *rest]))
+    first, second, *lines = (call / "stdout").read_text().splitlines(keepends=True)
+    (call / "stdout").write_text("".join([second, first, *lines]))
+    (tree / "seed0" / "reach43-linflow" / "exit").write_text("1\n")
+    planted = [study, call / "stdout", tree / "seed0" / "reach43-linflow" / "exit"]
+    assert outputs.differing(outputs.digests(seed0_outputs), outputs.digests(tree)) == sorted(
+        str(path.relative_to(tree)) for path in planted)
 
 
 # The functions no command reaches yet: {name: what it waits for}.

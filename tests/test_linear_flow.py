@@ -29,8 +29,8 @@ from odenet.residual_models import WeightSchedule
 from oracles import bind_flow_broadcast, finite_difference_gradient, tables
 
 
-def flat_state(thetas, t=0.0):
-    return state_from_matrices(np.asarray(thetas, dtype=float), t)
+def flat_state(thetas):
+    return state_from_matrices(np.asarray(thetas, dtype=float))
 
 
 def scalar_state(values, t=0.0):
@@ -60,7 +60,7 @@ class TestBuildProblem:
         finite and of the state's (d, d) shape."""
         state = flat_state(np.zeros((3, 2, 2)))
         for call in (lambda: loss(state, target),
-                     lambda: integrate_flow(state, target, 0.1, 1e-2, [0.0]),
+                     lambda: integrate_flow(state, target, 0.1, 1e-2, [0.0, 0.1]),
                      lambda: check_small_loss_regime(state, target)):
             with pytest.raises(ValueError):
                 call()
@@ -316,13 +316,13 @@ class TestIntegrateFlow:
                                np.linspace(0.0, 1.0, 5))
         for s in trace.samples:
             assert s.loss_value == pytest.approx(
-                loss(state_from_matrices(s.thetas, s.t), b), rel=1e-12)
+                loss(state_from_matrices(s.thetas), b), rel=1e-12)
 
     def test_trace_keeps_its_own_target(self):
         """Reusing the caller's B buffer later cannot change which problem a
         trace is compared as."""
         b = np.array([[1.01]])
-        trace = integrate_flow(scalar_state([0.0]), b, 0.01, 1e-2, [0.0])
+        trace = integrate_flow(scalar_state([0.0]), b, 0.01, 1e-2, [0.0, 0.01])
         b[0, 0] = 2.0
         assert trace.target[0, 0] == 1.01
 
@@ -339,6 +339,23 @@ class TestIntegrateFlow:
             integrate_flow(state, b, 1.0, 1e-3, [0.0, 2.0])
         with pytest.raises(ValueError):
             integrate_flow(FlowState(state.schedule, 3.0), b, 1.0, 1e-3, [])
+
+    @pytest.mark.parametrize("t_end, snapshots", [(1.0, [0.5, 1.0]), (0.1, [0.0]), (0.1, [])],
+                             ids=["starts_late", "stops_short", "empty"])
+    def test_snapshots_must_run_from_the_start_to_t_end(self, t_end, snapshots):
+        """No sample is added: the first snapshot is the start, the last is t_end."""
+        with pytest.raises(ValueError, match="from state0.t to t_end"):
+            integrate_flow(scalar_state([0.0]), np.array([[1.01]]), t_end, 1e-2, snapshots)
+
+    @pytest.mark.parametrize("t0, t_end, snapshots", [
+        (0.0, 0.0, [0.0]), (0.0, 0.05, [0.0, 0.05]), (0.0, 1.0, [0.0, 0.003, 0.5, 1.0]),
+        (0.25, 0.5, [0.25 + 1e-13, 0.3, 0.5 - 1e-13])],
+        ids=["start_only", "one_segment", "uneven", "ends_within_1e-12"])
+    def test_sample_times_are_the_snapshots(self, t0, t_end, snapshots):
+        """A trace's times are its snapshots, exactly, not state0.t or t_end."""
+        trace = integrate_flow(scalar_state([0.0, 0.0], t0), np.array([[1.01]]), t_end, 1e-2,
+                               snapshots)
+        assert trace.times.tolist() == snapshots
 
     def test_unstable_step_raises_with_advice(self):
         b = np.zeros((1, 1))
@@ -502,6 +519,7 @@ def doubling_runs():
         state = state_from_profile(profile, depth)
         assert check_small_loss_regime(state, b).passes
         traces[depth] = integrate_flow(state, b, 20.0, linear_flow.MAX_STEP_SIZE, snaps)
+        assert traces[depth].times.tolist() == snaps.tolist()
     return profile, b, traces
 
 

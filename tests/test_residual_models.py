@@ -224,6 +224,13 @@ class TestSpecificFamilies:
         theta = np.random.default_rng(0).standard_normal(fam.param_dim)
         assert np.allclose(fam.eval(np.zeros(2), theta), 0.0)
 
+    @pytest.mark.parametrize("make, dims", [(make_linear_family, (0,)),
+                                            (make_mlp_family, (0, 8)), (make_mlp_family, (4, 0))],
+                             ids=["linear_d0", "mlp_d0", "mlp_hidden0"])
+    def test_empty_dimensions_are_rejected(self, make, dims):
+        with pytest.raises(ValueError, match=">= 1"):
+            make(*dims)
+
 
 class TestBlend:
     """The bound blend(n, alphas) -> g(x, m), the interpolation kernel of
