@@ -139,19 +139,17 @@ def test_euler_gradient_error_decays_at_second_order(euler_study):
         assert elapsed < 90.0
 
 
-def test_heun_gradient_error_rates(heun_study, heun_alternating_study):
+def test_heun_alternating_gradient_error_falls_back_to_second_order(
+        heun_study, heun_alternating_study):
+    """O(1) jumps between layers break the two-stage scheme's smooth-schedule
+    cancellation (see the adjoint module docstring): on `alternating` its
+    gradient error falls back to N^-2."""
     for seed in SEEDS:
-        smooth, t_smooth = heun_study[seed]
+        _, t_smooth = heun_study[seed]
         rough, t_rough = heun_alternating_study[seed]
-        fit = smooth.fits["grad_max_abs_error"]
-        assert fit.slope <= -2.5
+        fit = rough.fits["grad_max_abs_error"]
+        assert -2.3 <= fit.slope <= -1.7
         assert fit.r_squared >= 0.95
-        # smooth reconstruction also beats second order (see the window
-        # checks below for its law and the advertised range)
-        assert smooth.fits["recon_max_error"].slope <= -2.5
-        alt_fit = rough.fits["grad_max_abs_error"]
-        assert -2.3 <= alt_fit.slope <= -1.7
-        assert alt_fit.r_squared >= 0.95
         assert t_smooth + t_rough < 180.0
 
 
@@ -174,17 +172,6 @@ def test_heun_smooth_reconstruction_error_decays_at_third_order(heun_study):
         assert -3.4 <= fit.slope <= -2.6
         assert fit.r_squared >= 0.95
         assert elapsed < 60.0
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the two-stage reverse pass cancels the constant-parameter "
-           "inversion defect, so smooth-schedule reconstruction decays a "
-           "full order faster than this window allows (slope near -2.9)")
-def test_heun_reconstruction_error_within_second_order_window(heun_study):
-    for result, _ in heun_study.values():
-        fit = result.fits["recon_max_error"]
-        assert -2.35 <= fit.slope <= -1.7
 
 
 def test_heun_relative_gradient_error_dominated_by_euler(euler_study, heun_study):

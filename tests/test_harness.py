@@ -296,6 +296,25 @@ class TestParseConfig:
         for name, body in blocks:
             assert harness.COMMAND_OF[parse_config(body).experiment] == commands[name]
 
+    def test_readme_acceptance_windows_are_asserted(self):
+        """Every `[a, b]` window of README's acceptance paragraph is an
+        `a <= ... <= b` bound of a test in tests/test_acceptance.py that is
+        not an expected failure."""
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        paragraph = readme[readme.index("The headline guarantees live in one file"):
+                           readme.index("## Library sketch")]
+        number = r"(-?\d+(?:\.\d+)?)"
+        windows = {(float(a), float(b))
+                   for a, b in re.findall(rf"\[{number}, {number}\]", paragraph)}
+        assert windows
+        # Top-level blocks are separated by blank lines; a decorator stays
+        # with the function it marks.
+        blocks = re.split(r"\n\n(?=\S)", (root / "tests" / "test_acceptance.py").read_text())
+        bounds = {(float(a), float(b)) for block in blocks if "xfail" not in block
+                  for a, b in re.findall(rf"{number} <= \S+ <= {number}", block)}
+        assert windows <= bounds, sorted(windows - bounds)
+
     def test_readme_library_sketch_runs(self, capsys):
         """The README's fenced `python` sketch runs and prints one number."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
