@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import _rk4_increment, require_finite
+from .numerics import _rk4_stepper, require_finite
 from .residual_models import ResidualFamily, WeightSchedule, _jac_t_dot
 
 __all__ = [
@@ -69,13 +69,15 @@ class DivergenceError(RuntimeError):
 @dataclass
 class VectorField:
     """Right-hand side of dx/ds = phi(x, s) on s in [0, 1], given per layer
-    interval: piece(n, alphas) -> g(x, m) = phi(x, (n + alphas[m]) / N) at
-    stage fractions alphas of interval n, one unchecked kernel per
-    interval, its inputs checked when the field was built.  The oracle
-    steps through ``piece`` alone.
+    interval at bound stage fractions: piece(alphas) -> at(n) -> g(x, m)
+    = phi(x, (n + alphas[m]) / N), one unchecked kernel per interval, its
+    inputs checked when the field was built.  ``piece`` does the work all
+    intervals share once, ``at`` that of interval n; a kernel is valid
+    until the next ``at`` call, since the mlp's ``at`` refills shared
+    buffers and returns the same kernel.  The oracle uses ``piece`` alone.
     """
 
-    piece: Callable[[int, list], Callable]
+    piece: Callable[[list], Callable[[int], Callable]]
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
     # Never set or called in src: bench/tracing.py's wrap_oracle reads and
@@ -288,14 +290,15 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
         phi_n(x, a) = f(x, (1 - a) theta_n + a theta_{n+1}),
 
     both at fraction a in [0, 1] of layer interval n, depth s = (n + a) / N,
-    the fractions ``piece(n, alphas)`` takes.  The last interval needs
+    the fractions ``piece(alphas)`` binds.  The last interval needs
     theta_N: by default the padding rule (theta_N = theta_{N-1}) applies;
     pass ``theta_end`` to extend the schedule differently, e.g. to
     continue an analytic pattern.
 
     The schedule and ``theta_end`` are checked here, once, for both kinds.
-    residual_interp binds the rows once and its pieces are the bound
-    ``blend``; each weight_interp piece binds its interval's blended row.
+    residual_interp binds the rows once and its ``piece`` is the bound
+    ``blend``; weight_interp takes the 1 - alpha and alpha columns once
+    and binds each interval's blended rows.
     """
     if kind not in ("residual_interp", "weight_interp"):
         raise ValueError(f"unknown interpolation kind {kind!r}")
@@ -309,9 +312,10 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
     if kind == "residual_interp":
         piece = family._bind(rows)[2]
     else:
-        def piece(n, alphas):
+        def piece(alphas):
             alpha = np.asarray(alphas)[:, None]
-            return family._bind((1.0 - alpha) * rows[n] + alpha * rows[n + 1])[0]
+            rest = 1.0 - alpha
+            return lambda n: family._bind(rest * rows[n] + alpha * rows[n + 1])[0]
     return VectorField(piece, depth=N, state_dim=family.state_dim)
 
 
@@ -321,11 +325,13 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
 
     ``fine_steps`` must be a multiple of the field's grid resolution N
     and at least 4N, so each layer interval takes K = fine_steps / N
-    whole sub-steps and none straddles an interpolation interval.  Each
-    interval gets one ``piece`` kernel at the stage fractions j / (2K),
-    j = 0..2K; sub-step i of the interval evaluates fractions 2i, 2i + 1
-    and 2i + 2; it never calls ``field.eval``.  x0 and fine_steps are
-    validated once, here.
+    whole sub-steps and none straddles an interpolation interval.  The
+    solve binds one RK4 stepper and the field's ``piece`` at the stage
+    fractions j / (2K), j = 0..2K, once; each interval gets one kernel,
+    and sub-step i of it evaluates fractions 2i, 2i + 1 and 2i + 2; it
+    never calls ``field.eval``.  Each interval's K sub-step states are
+    screened for divergence once, as a chain's block is.  x0 and
+    fine_steps are validated once, here.
     """
     x = require_finite(x0, "x0").astype(float)
     if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
@@ -340,16 +346,19 @@ def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
         raise ValueError(f"fine_steps {fine_steps} too coarse; need >= {4 * n_grid}")
 
     per_layer = fine_steps // n_grid
-    alphas = (np.arange(2 * per_layer + 1) / (2 * per_layer)).tolist()
-    h = 1.0 / fine_steps
+    at = field.piece((np.arange(2 * per_layer + 1) / (2 * per_layer)).tolist())
+    increment = _rk4_stepper(1.0 / fine_steps, x.shape)
     states = np.empty((n_grid + 1,) + x.shape)
+    sub_steps = np.empty((per_layer,) + x.shape)
     states[0] = x
-    for n in range(n_grid):
-        g = field.piece(n, alphas)
-        for j in range(per_layer):
-            x = x + _rk4_increment(g, x, h, 2 * j)
-            _check_divergence(x, n, "ode oracle")
-        states[n + 1] = x
+    # Sub-steps past a divergence run on until the interval's screen.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_grid):
+            g = at(n)
+            for j in range(per_layer):
+                x = np.add(x, increment(g, x, 2 * j), sub_steps[j])
+            _check_block(sub_steps, (n,) * per_layer, "ode oracle")
+            states[n + 1] = x
     return states
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import _check_divergence
-from .numerics import (SlopeFit, _rk4_increment, above_noise_floor, fit_loglog_slope,
+from .numerics import (SlopeFit, _rk4_stepper, above_noise_floor, fit_loglog_slope,
                        require_finite, spectral_norm)
 from .residual_models import WeightSchedule
 
@@ -294,8 +294,9 @@ def integrate_flow(state0: FlowState, target, t_end: float,
         span = stop - t
         steps = max(1, math.ceil(span / dt - 1e-12))
         h = span / steps
+        increment = _rk4_stepper(h, thetas.shape)
         for k in range(steps):
-            thetas = thetas + _rk4_increment(field, thetas, h, k1=v)
+            thetas = thetas + increment(field, thetas, k1=v)
             v, gap = velocity(thetas, target)
             new_loss = _sq_norm(gap)
             if _loss_rose(current_loss, new_loss, first):
@@ -466,8 +467,9 @@ def product_vs_ode(thetas) -> float:
     x = x0
     # An overflowing layer turns x non-finite, which the check reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        layers = _rk4_increment(lambda y, m: (prev if m == 0 else thetas) @ y, eye, h)
-        step = _rk4_increment(lambda y, m: thetas @ y, eye, h)
+        increment = _rk4_stepper(h, thetas.shape)
+        layers = increment(lambda y, m: (prev if m == 0 else thetas) @ y, eye)
+        step = increment(lambda y, m: thetas @ y, eye)
         for _ in range(ODE_STEPS_PER_LAYER - 1):
             layers = layers + step + step @ layers
         for n, inc in enumerate(layers):

@@ -1,4 +1,4 @@
-"""Dense linear algebra, the RK4 increment, and slope fitting.
+"""Dense linear algebra, the RK4 stepper, and slope fitting.
 
 All data is plain float64 numpy: vectors are 1-D arrays, matrices 2-D
 arrays in row-major semantic order.  Every routine here is a pure
@@ -63,18 +63,37 @@ def spectral_norm(m) -> float:
     return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
 
 
-def _rk4_increment(g, x, h, m=0, k1=None):
-    """What one classical Runge-Kutta step of x' = g(x, stage) with step h adds to x.
+def _rk4_stepper(h, shape):
+    """The increment one classical Runge-Kutta step of x' = g(x, stage)
+    with step h adds to a state of ``shape``, bound once per step size:
+    increment(g, x, m=0, k1=None) returns (h/6)(k1 + 2 k2 + 2 k3 + k4) as
+    a fresh array.
 
     The four stages evaluate g at stages m, m + 1, m + 1 and m + 2, so a
     caller indexing half-steps gets the start, midpoint and end of the
-    step.  ``k1`` is g(x, m) when the caller already has it.
+    step.  ``k1`` is g(x, m) when the caller already has it.  g must
+    return a fresh array: its input may be a scratch buffer.
+
+    The coefficients 0.5h, h, h/6 and 2 are bound as 0-d arrays and
+    every stage point and partial sum is written into two scratch buffers
+    of ``shape``: on a 4-entry state numpy's fixed per-call cost
+    dominates, and a 0-d array times it into a buffer costs about two
+    thirds of a Python float times it.  Each product and sum rounds as
+    the formula does.
     """
-    k1 = g(x, m) if k1 is None else k1
-    k2 = g(x + 0.5 * h * k1, m + 1)
-    k3 = g(x + 0.5 * h * k2, m + 1)
-    k4 = g(x + h * k3, m + 2)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half, full, sixth, two = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
+    point, total = np.empty(shape), np.empty(shape)
+    add, mul = np.add, np.multiply
+
+    def increment(g, x, m=0, k1=None):
+        k1 = g(x, m) if k1 is None else k1
+        k2 = g(add(x, mul(half, k1, point), point), m + 1)
+        add(k1, mul(two, k2, total), total)
+        k3 = g(add(x, mul(half, k2, point), point), m + 1)
+        add(total, mul(two, k3, point), total)
+        k4 = g(add(x, mul(full, k3, point), point), m + 2)
+        return mul(sixth, add(total, k4, total))
+    return increment
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:

@@ -48,9 +48,12 @@ class ResidualFamily:
                 belongs to input b), and vjp_theta(vs) the fresh
                 (len(xs), param_dim) rows [d_theta f]^T vs[j], in one
                 stacked pullback
-    blend:      (n, alphas) -> g(x, m) = (1 - alphas[m]) f(x, rows[n])
-                + alphas[m] f(x, rows[n + 1]); the mlp fuses it into one
-                tanh per stage, the others sum two evals (``_eval_blend``)
+    blend:      (alphas) -> at(n) -> g(x, m) = (1 - alphas[m]) f(x, rows[n])
+                + alphas[m] f(x, rows[n + 1]): ``blend`` binds one solve's
+                stage fractions, ``at`` gives interval n's kernel, valid
+                until the next ``at`` call; the mlp fuses it into one
+                tanh per stage over two weight buffers ``at`` refills,
+                the others sum two evals (``_eval_blend``)
 
     The public ``eval``, ``vjp_state`` and ``vjp_params`` check shapes
     and bind the one row ``theta[None]``.  The chains, sweeps and
@@ -156,8 +159,9 @@ def _jac_t_dot(jac_t, v, out=None) -> np.ndarray:
 
 def _eval_blend(eval_fn) -> Callable:
     """The blend kernel of a bound ``eval``, as the weighted sum of two calls."""
-    def blend(n, alphas):
-        return lambda x, m: (1.0 - alphas[m]) * eval_fn(x, n) + alphas[m] * eval_fn(x, n + 1)
+    def blend(alphas):
+        return lambda n: lambda x, m: ((1.0 - alphas[m]) * eval_fn(x, n)
+                                       + alphas[m] * eval_fn(x, n + 1))
     return blend
 
 
@@ -225,15 +229,33 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
                 return np.concatenate([grad_w1, grad_w2], axis=1)
             return np.matmul(w2, a).reshape(xs.shape), jac_t, vjp_theta
 
-        def blend(n, alphas):
-            # One stacked (2h, d) first layer, so one tanh per stage; alpha 0
-            # or 1 keeps its single layer, so g is f(., rows[n]) bit-exactly.
-            ends = {0.0: (w1s[n], w2s[n]), 1.0: (w1s[n + 1], w2s[n + 1])}
-            w1 = w1s[n:n + 2].reshape(2 * hidden, d)
-            alpha = np.asarray(alphas, dtype=float)[:, None, None]
-            table = np.concatenate([(1.0 - alpha) * w2s[n], alpha * w2s[n + 1]], axis=2)
-            layers = [ends.get(a) or (w1, table[m]) for m, a in enumerate(alphas)]
-            return lambda x, m: layers[m][1].dot(np.tanh(layers[m][0].dot(x)))
+        def blend(alphas):
+            # One stacked (2h, d) first layer [W1_n; W1_n+1] and, per stage
+            # m, the (d, 2h) second layer [(1 - alpha_m) W2_n, alpha_m W2_n+1],
+            # so one tanh per stage; alpha 0 or 1 keeps its single layer, so
+            # g is f(., rows[n]) or f(., rows[n + 1]) bit-exactly.  The
+            # weights, both buffers and their bound .dot methods are made
+            # once; at(n) refills the buffers and rebinds the end stages, so
+            # its one kernel holds interval n until the next call.
+            alpha = np.asarray(alphas, dtype=float)[:, None, None, None]
+            weights = np.concatenate([1.0 - alpha, alpha], axis=2)
+            w1, table = np.empty((2, hidden, d)), np.empty((len(alphas), d, 2, hidden))
+            stacked = w1.reshape(2 * hidden, d).dot
+            layers = [(stacked, w2.dot) for w2 in table.reshape(len(alphas), d, 2 * hidden)]
+            ends = [(m, int(a)) for m, a in enumerate(alphas) if a in (0.0, 1.0)]
+
+            def g(x, m):
+                inner, outer = layers[m]
+                pre = inner(x)
+                return outer(np.tanh(pre, pre))
+
+            def at(n):
+                w1[...] = w1s[n:n + 2]
+                np.multiply(weights, w2s[n:n + 2].swapaxes(0, 1), out=table)
+                for m, end in ends:
+                    layers[m] = (w1s[n + end].dot, w2s[n + end].dot)
+                return g
+            return at
         return eval_fn, linearize_block, blend
 
     return ResidualFamily("mlp", d, 2 * d * hidden, bind)

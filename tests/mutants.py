@@ -86,6 +86,10 @@ MUTANTS = {
     "regime_margin_2_5": (
         "src/odenet/linear_flow.py", "norm_margin = 0.25 - max_norm", "norm_margin = 2.5 - max_norm",
         "tests/test_exports.py::test_benchmark_tracer_installs_and_records"),
+    # The RK4 stepper, one ulp off its 2 coefficient.
+    "rk4_two_one_ulp_high": (
+        "src/odenet/numerics.py", "h / 6.0, 2.0)", "h / 6.0, np.nextafter(2.0, 3.0))",
+        "tests/test_numerics.py::TestRk4Stepper::test_increment_is_the_formula_bit_for_bit[0.3-4]"),
     # The gradient comparison and the oracle's step count.
     "rel_error_floor_1e-3": (
         "src/odenet/adjoint.py", "REL_ERROR_FLOOR = 1e-15", "REL_ERROR_FLOOR = 1e-3",
@@ -140,8 +144,7 @@ MUTANTS = {
         "alpha = 0.0 * np.asarray(alphas)[:, None]",
         "tests/test_acceptance.py::test_rough_schedule_gaps_reach_their_limits"),
     "mlp_blend_alpha_1_keeps_layer_n": (
-        "src/odenet/residual_models.py", "1.0: (w1s[n + 1], w2s[n + 1])}",
-        "1.0: (w1s[n], w2s[n])}",
+        "src/odenet/residual_models.py", "(m, int(a))", "(m, 0)",
         "tests/test_dynamics.py::TestInterpolate::test_grid_consistency[residual_interp]"),
 }
 

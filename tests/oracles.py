@@ -189,8 +189,8 @@ def make_index_schedule(N: int) -> WeightSchedule:
 def eval_field(eval, depth=1, state_dim=1) -> VectorField:
     """The field defined by eval(x, s) alone.  Its ``piece`` evaluates
     eval at s = (n + alphas[m]) / depth, one call per stage."""
-    def piece(n, alphas):
-        return lambda y, m: eval(y, (n + alphas[m]) / depth)
+    def piece(alphas):
+        return lambda n: lambda y, m: eval(y, (n + alphas[m]) / depth)
 
     return VectorField(piece, depth=depth, state_dim=state_dim)
 
@@ -208,8 +208,8 @@ def interpolated_field(family, schedule, kind, theta_end=None) -> VectorField:
             return (1.0 - a) * family.eval(x, rows[n]) + a * family.eval(x, rows[n + 1])
         return family.eval(x, (1.0 - a) * rows[n] + a * rows[n + 1])
 
-    def piece(n, alphas):
-        return lambda x, m: stage(x, n, alphas[m])
+    def piece(alphas):
+        return lambda n: lambda x, m: stage(x, n, alphas[m])
 
     return VectorField(piece, depth=schedule.depth, state_dim=family.state_dim)
 

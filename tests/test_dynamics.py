@@ -173,7 +173,7 @@ class TestInterpolate:
         sched = WeightSchedule(rng.standard_normal((8, fam.param_dim)) * 0.4)
         field = interpolate(fam, sched, kind)
         for n in range(sched.depth):
-            g = field.piece(n, [0.0, 1.0])
+            g = field.piece([0.0, 1.0])(n)
             for _ in range(50):
                 x = rng.standard_normal(2)
                 for m, theta in enumerate(sched.padded[n:n + 2]):
@@ -190,7 +190,7 @@ class TestInterpolate:
         for kind in ("residual_interp", "weight_interp"):
             field = interpolate(fam, sched, kind)
             for n in range(sched.depth):
-                g = field.piece(n, alphas)
+                g = field.piece(alphas)(n)
                 for m in range(len(alphas)):
                     assert np.allclose(g(x, m), expected, atol=0)
 
@@ -202,7 +202,7 @@ class TestInterpolate:
         x = np.zeros(1)
         alphas = np.linspace(0.0, 1.0, 9).tolist()
         for n in range(depth):
-            g = field.piece(n, alphas)
+            g = field.piece(alphas)(n)
             for m, a in enumerate(alphas):
                 assert g(x, m)[0] == pytest.approx((2 * a - 1) ** 2, abs=1e-12)
 
@@ -212,7 +212,7 @@ class TestInterpolate:
         x = np.zeros(1)
         alphas = np.linspace(0.0, 1.0, 17).tolist()
         for n in range(field.depth):
-            g = field.piece(n, alphas)
+            g = field.piece(alphas)(n)
             for m in range(len(alphas)):
                 assert g(x, m)[0] == pytest.approx(1.0, abs=0)
 
@@ -221,10 +221,10 @@ class TestInterpolate:
         sched = make_index_schedule(3)  # rows 0, 1, 2
         padded = interpolate(fam, sched, "residual_interp")
         # default padding repeats the last row, so the field is flat there
-        assert padded.piece(2, [1.0])(np.zeros(1), 0)[0] == pytest.approx(2.0)
+        assert padded.piece([1.0])(2)(np.zeros(1), 0)[0] == pytest.approx(2.0)
         extended = interpolate(fam, sched, "residual_interp",
                                theta_end=np.array([3.0]))
-        g = extended.piece(2, [1.0, 0.5])
+        g = extended.piece([1.0, 0.5])(2)
         assert g(np.zeros(1), 0)[0] == pytest.approx(3.0)
         assert g(np.zeros(1), 1)[0] == pytest.approx(2.5)
 
@@ -384,6 +384,14 @@ class TestOraclePiecePath:
         with pytest.raises(DivergenceError, match="ode oracle diverged at layer 2") as info:
             solve_ode_oracle(field, np.ones(1), 64 * 4)
         assert info.value.layer == 2
+        # Interval 1 blends towards theta_2 = -1e300: its first sub-step
+        # overflows to inf and then to NaN (inf - inf).  The interval's screen
+        # names it, and no overflow warning escapes the solve.
+        sched = WeightSchedule(np.array([[1.0], [1.0], [-1e300], [1.0]]))
+        field = interpolate(make_linear_family(1), sched, "residual_interp")
+        with pytest.raises(DivergenceError, match="ode oracle diverged at layer 1$") as info:
+            solve_ode_oracle(field, np.ones(1), 64 * 4)
+        assert info.value.layer == 1
 
     @pytest.mark.parametrize("per_layer", [4, 8])
     def test_piece_gets_the_stage_fractions(self, per_layer):
@@ -392,9 +400,13 @@ class TestOraclePiecePath:
                             "residual_interp")
         piece, seen = field.piece, []
 
-        def recording(n, alphas):
-            seen.append((n, list(alphas)))
-            return piece(n, alphas)
+        def recording(alphas):
+            at = piece(alphas)
+
+            def recording_at(n):
+                seen.append((n, list(alphas)))
+                return at(n)
+            return recording_at
 
         solve_ode_oracle(dataclasses.replace(field, piece=recording), np.zeros(1),
                          per_layer * depth)
@@ -588,7 +600,7 @@ class TestApproximationError:
         traj = forward_euler_chain(fam, sched, x0)
         x = x0.copy()
         for n in range(depth):
-            x = x + field.piece(n, [0.0])(x, 0) / depth
+            x = x + field.piece([0.0])(n)(x, 0) / depth
             assert np.array_equal(x, traj.nodes[n + 1])
 
 

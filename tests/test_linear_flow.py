@@ -678,9 +678,11 @@ class TestProductVsOde:
         monkeypatch.setattr(linear_flow, "PROBES", probes)
         thetas = np.random.default_rng(8).standard_normal((n_layers, d, d)) * 0.3
 
-        def piece(n, alphas):   # left-continuous: fraction 0 of layer n >= 1 applies theta_{n-1}
-            layers = [thetas[n - 1] if a == 0.0 and n > 0 else thetas[n] for a in alphas]
-            return lambda x, m: layers[m] @ x
+        def piece(alphas):   # left-continuous: fraction 0 of layer n >= 1 applies theta_{n-1}
+            def at(n):
+                layers = [thetas[n - 1] if a == 0.0 and n > 0 else thetas[n] for a in alphas]
+                return lambda x, m: layers[m] @ x
+            return at
 
         field = VectorField(piece, depth=n_layers, state_dim=d)
         x0 = np.random.default_rng(0).standard_normal((d, probes))   # product_vs_ode's probes

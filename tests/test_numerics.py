@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from odenet.numerics import (
     NOISE_FLOOR_FACTOR,
     SlopeFit,
-    _rk4_increment,
+    _rk4_stepper,
     above_noise_floor,
     fit_loglog_slope,
     require_finite,
@@ -129,7 +131,7 @@ class TestRk4Step:
 
     def test_stages_and_stability_polynomial(self):
         g, stages = self.linear_field()
-        x = self.X0 + _rk4_increment(g, self.X0, self.H, m=4)
+        x = self.X0 + _rk4_stepper(self.H, ())(g, self.X0, m=4)
         z = self.LAM * self.H
         assert stages == [4, 5, 5, 6]
         expected = self.X0 * (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
@@ -137,10 +139,57 @@ class TestRk4Step:
 
     def test_given_first_stage_is_not_recomputed(self):
         g, stages = self.linear_field()
-        x = self.X0 + _rk4_increment(g, self.X0, self.H, k1=self.LAM * self.X0)
+        increment = _rk4_stepper(self.H, ())
+        x = self.X0 + increment(g, self.X0, k1=self.LAM * self.X0)
         assert stages == [1, 1, 2]
         g_full, _ = self.linear_field()
-        assert x == self.X0 + _rk4_increment(g_full, self.X0, self.H)
+        assert x == self.X0 + increment(g_full, self.X0)
+
+
+def rk4_formula(g, x, h, m=0):
+    """One RK4 increment as the textbook formula, float coefficients and
+    fresh temporaries throughout."""
+    k1 = g(x, m)
+    k2 = g(x + 0.5 * h * k1, m + 1)
+    k3 = g(x + 0.5 * h * k2, m + 1)
+    k4 = g(x + h * k3, m + 2)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRk4Stepper:
+    """The bound stepper on a single state, a batch and a layer stack."""
+
+    SHAPES = [(4,), (3, 7), (16, 4, 4)]
+
+    @staticmethod
+    def field(shape):
+        """A nonlinear field whose stages differ, with a per-stage twist."""
+        weights = np.random.default_rng(math.prod(shape)).standard_normal(shape)
+        return lambda x, m: np.sin(weights * x) + 0.1 * m * x
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("h", [0.3, 1.0 / 3.0, 1.0 / 4096])
+    def test_increment_is_the_formula_bit_for_bit(self, shape, h):
+        g = self.field(shape)
+        x = np.random.default_rng(1).standard_normal(shape)
+        increment = _rk4_stepper(h, shape)
+        for m in (0, 4):
+            got, want = increment(g, x, m), rk4_formula(g, x, h, m)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_first_increment_survives_a_second_call(self, shape):
+        g = self.field(shape)
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        increment = _rk4_stepper(0.25, shape)
+        first = increment(g, x)
+        kept = first.copy()
+        second = increment(g, y)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        assert second.tobytes() == rk4_formula(g, y, 0.25).tobytes()
 
 
 class TestFitLoglogSlope:

@@ -233,8 +233,8 @@ class TestSpecificFamilies:
 
 
 class TestBlend:
-    """The bound blend(n, alphas) -> g(x, m), the interpolation kernel of
-    interval n, against ``_eval_blend``, the weighted sum of two evals."""
+    """The bound blend(alphas) -> at(n) -> g(x, m), the interpolation
+    kernel of interval n, against ``_eval_blend``, the weighted sum of two evals."""
 
     ALPHAS = [0.0, 1.0 / 3.0, 0.5, 0.75, 1.0 - 2.0 ** -52, 1.0]
 
@@ -244,9 +244,9 @@ class TestBlend:
         rows = rng.standard_normal((4, family.param_dim))
         f, _, blend = family._bind(rows)
         for n in range(3):
-            kernels = [_eval_blend(f)(n, self.ALPHAS)]
+            kernels = [_eval_blend(f)(self.ALPHAS)(n)]
             if family.name != "mlp":  # the mlp's own blend is fused, below
-                kernels.append(blend(n, self.ALPHAS))
+                kernels.append(blend(self.ALPHAS)(n))
             for x in (rng.standard_normal(family.state_dim),
                       rng.standard_normal((family.state_dim, 5))):
                 for m, alpha in enumerate(self.ALPHAS):
@@ -263,7 +263,7 @@ class TestBlend:
             rows = rng.standard_normal((5, fam.param_dim))
             f, _, blend = fam._bind(rows)
             for n in range(4):
-                fused, plain = blend(n, self.ALPHAS), _eval_blend(f)(n, self.ALPHAS)
+                fused, plain = blend(self.ALPHAS)(n), _eval_blend(f)(self.ALPHAS)(n)
                 for x in (rng.standard_normal(d), rng.standard_normal((d, 6))):
                     for m in range(len(self.ALPHAS)):
                         want = plain(x, m)
@@ -273,6 +273,20 @@ class TestBlend:
                     assert np.array_equal(fused(x, 0), fam.eval(x, rows[n]))
                     assert np.array_equal(fused(x, len(self.ALPHAS) - 1),
                                           fam.eval(x, rows[n + 1]))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    def test_one_binding_serves_every_interval(self, family):
+        """One ``at`` called for intervals in any order, its kernel used
+        before the next call, gives each interval's kernel bit for bit."""
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((5, family.param_dim))
+        blend = family._bind(rows)[2]
+        at = blend(self.ALPHAS)
+        x = rng.standard_normal((family.state_dim, 3))
+        for n in (3, 0, 2, 2, 1):
+            g, fresh = at(n), blend(self.ALPHAS)(n)
+            for m in range(len(self.ALPHAS)):
+                assert np.array_equal(g(x, m), fresh(x, m))
 
 
 def matmul_kernels(family, x, theta, v):
@@ -397,7 +411,7 @@ class TestKernelsBitForBit:
             rows.setflags(write=False)
             blend = fam._bind(rows)[2]
             for n in range(3):
-                got, want = blend(n, alphas), matmul_blend(fam, rows[n], rows[n + 1], alphas)
+                got, want = blend(alphas)(n), matmul_blend(fam, rows[n], rows[n + 1], alphas)
                 x = rng.standard_normal(state_shape(fam, batch))
                 for m in range(len(alphas)):
                     assert_bit_equal(got(x, m), want(x, m))
@@ -435,11 +449,11 @@ class TestBindingHoldsNothingPerLayer:
         """Peak heap of binding a depth-``depth`` schedule and building the
         blend kernel of its last interval."""
         schedule = WeightSchedule(np.ones((depth, family.param_dim)))
-        family._bind(schedule.padded)[2](depth - 1, TestBlend.ALPHAS)  # warm
+        family._bind(schedule.padded)[2](TestBlend.ALPHAS)(depth - 1)  # warm
         gc.collect()
         tracemalloc.start()
         tracemalloc.reset_peak()
-        family._bind(schedule.padded)[2](depth - 1, TestBlend.ALPHAS)
+        family._bind(schedule.padded)[2](TestBlend.ALPHAS)(depth - 1)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return peak
