@@ -373,9 +373,12 @@ def approximation_error(traj: Trajectory, flow: np.ndarray):
 
 def approximation_bound(L: float, c_n: float, N: int) -> float:
     """Worst-case chain-vs-ODE gap: (e^L - 1)/(2NL) * c_n, or c_n/(2N) at L = 0."""
-    if L < 0.0 or c_n < 0.0 or N < 1:
+    L, c_n = float(L), float(c_n)  # Python floats overflow to inf without a warning
+    if not (L >= 0.0 and c_n >= 0.0) or N < 1:  # NaN fails both comparisons
         raise ValueError("bound inputs must be nonnegative with N >= 1")
-    if L == 0.0:
+    if L == 0.0 or c_n == 0.0:
         return c_n / (2.0 * N)
+    if L > math.log(np.finfo(float).max):  # e^L overflows: the bound reads +inf
+        return math.inf
     # expm1 keeps the L -> 0 limit (e^L - 1)/L -> 1 continuous.
-    return float(np.expm1(L) / (2.0 * N * L) * c_n)
+    return math.expm1(L) / (2.0 * N * L) * c_n

@@ -89,11 +89,12 @@ COMMANDS = {
               (16, 32, 64, 128, 256, 512, 1024), 0.25, ("family", "schedule_profile")),
     "tightness": (("tightness_suite",), (10, 100, 1000), 0.25, ()),
     "linflow": (("limit_map",), (16, 32, 64, 128, 256), 0.1,
-                ("state_dim", "profile_scale", "t_end", "snapshot_count")),
+                ("state_dim", "profile_scale", "t_end")),
     "train": (("toy_train",), (64, 300), 0.25,
-              ("hidden_dim", "schedule_profile", "target", "input_count",
-               "learning_rate", "iterations", "gradient_mode")),
+              ("schedule_profile", "target", "learning_rate", "iterations", "gradient_mode")),
 }
+# Not config keys: the mlp's hidden width, train's input count and a flow's snapshot count.
+MLP_WIDTH, TRAIN_INPUTS, SNAPSHOT_COUNT = 8, 64, 11
 # Each flag of every command -> the config key whose file line its value parses as.
 _FLAGS = {"seed": "seed", "out": "output_dir", "depths": "depths"}
 COMMAND_OF = {experiment: command for command, (experiments, *_) in COMMANDS.items()
@@ -102,7 +103,7 @@ COMMAND_OF = {experiment: command for command, (experiments, *_) in COMMANDS.ite
 PROFILES = {"constant": ("profile_scale",), "lipschitz_profile": ("profile_scale",),
             "alternating": ("profile_scale",), "index": ()}
 # Each study family -> its constructor and the config keys it takes, in order.
-FAMILIES = {"mlp": (make_mlp_family, ("state_dim", "hidden_dim")),
+FAMILIES = {"mlp": (functools.partial(make_mlp_family, hidden=MLP_WIDTH), ("state_dim",)),
             "linear": (make_linear_family, ("state_dim",)),
             "square": (make_square_family, ()),
             "identity": (make_identity_family, ())}
@@ -115,8 +116,7 @@ GRADIENT_MODES = {"exact": (EULER, True), "adjoint_euler": (EULER, False),
 _CHOICES = {"experiment": COMMAND_OF, "family": FAMILIES, "schedule_profile": PROFILES,
             "target": TARGETS, "gradient_mode": GRADIENT_MODES}
 _POSITIVE = ("profile_scale", "t_end", "learning_rate")
-_AT_LEAST = {"state_dim": 1, "hidden_dim": 1, "seed": 0, "snapshot_count": 2,
-             "input_count": 2, "iterations": 1}
+_AT_LEAST = {"state_dim": 1, "seed": 0, "iterations": 1}
 
 
 class ConfigError(ValueError):
@@ -169,17 +169,14 @@ class ExperimentConfig:
     depths: Optional[tuple] = None
     family: str = "mlp"
     state_dim: int = 4
-    hidden_dim: int = 8
     schedule_profile: str = "lipschitz_profile"
     profile_scale: Optional[float] = None
     seed: int = 0
     output_dir: str = "."
     # linear-flow knobs; state_dim is the flow's matrix dimension d
     t_end: float = 20.0
-    snapshot_count: int = 11
     # toy-training knobs; the inputs span [0, 1]
     target: str = "square_half"
-    input_count: int = 64
     learning_rate: float = 0.05
     iterations: int = 600
     gradient_mode: str = "exact"
@@ -216,8 +213,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if not math.isfinite(self.t_end / MAX_STEP_SIZE):
             raise ConfigError(f"t_end must take a finite count of {MAX_STEP_SIZE:g} steps")
-        if not np.all(np.diff(np.linspace(0.0, self.t_end, self.snapshot_count)) > 0):
-            raise ConfigError(f"t_end must give {self.snapshot_count} distinct snapshot times")
+        if not np.all(np.diff(np.linspace(0.0, self.t_end, SNAPSHOT_COUNT)) > 0):
+            raise ConfigError(f"t_end must give {SNAPSHOT_COUNT} distinct snapshot times")
 
 
 # Value parser of each config key, from its field's annotation.
@@ -591,7 +588,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
         if not report.passes:
             raise RegimeAbort(depth, report)
 
-    snapshots = np.linspace(0.0, config.t_end, config.snapshot_count)
+    snapshots = np.linspace(0.0, config.t_end, SNAPSHOT_COUNT)
     traces, monitor_reports, product_gaps, tables = {}, {}, {}, []
     for depth in config.depths:
         trace = integrate_flow(states0[depth], b_target, config.t_end, MAX_STEP_SIZE,
@@ -655,9 +652,9 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     """
     _check_command(config, "train")
     profile_rng, = _child_rngs(config.seed, 1)
-    family = make_mlp_family(1, config.hidden_dim)
+    family = make_mlp_family(1, MLP_WIDTH)
     profile = _make_profile(config, family.param_dim, profile_rng)
-    inputs = np.linspace(0.0, 1.0, config.input_count).reshape(1, -1)
+    inputs = np.linspace(0.0, 1.0, TRAIN_INPUTS).reshape(1, -1)
     targets = TARGETS[config.target](inputs)
     scheme, stored = GRADIENT_MODES[config.gradient_mode]
     forward, exact_backprop, _, adjoint_backprop = _scheme_functions(scheme)
@@ -679,7 +676,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
             losses[it] = float(np.mean((out - targets) ** 2))
             if it == config.iterations:
                 break
-            out_grad = 2.0 * (out - targets) / config.input_count
+            out_grad = 2.0 * (out - targets) / TRAIN_INPUTS
             grads = (exact_backprop(family, schedule, traj, out_grad) if stored else
                      adjoint_backprop(family, schedule, out, out_grad))
             params = params - config.learning_rate * depth * grads

@@ -100,7 +100,7 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     """Fit log(error) = slope*log(N) + intercept by least squares.
 
     ``points`` is a sequence of (N, error) pairs with N >= 1 strictly
-    increasing and error > 0.  Callers must drop numerical-floor points
+    increasing and finite error > 0.  Callers must drop numerical-floor points
     first (see :func:`above_noise_floor`).
     """
     pts = list(points)
@@ -108,8 +108,8 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
         raise ValueError("need at least two points to fit a slope")
     ns = np.array([float(p[0]) for p in pts])
     errs = np.array([float(p[1]) for p in pts])
-    if np.any(errs <= 0.0):
-        raise ValueError("all errors must be positive; filter floor points first")
+    if not np.all((errs > 0.0) & np.isfinite(errs)):
+        raise ValueError("all errors must be positive and finite; filter floor points first")
     if np.any(ns < 1.0):
         raise ValueError("all N must be >= 1")
     if np.any(np.diff(ns) <= 0.0):

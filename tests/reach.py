@@ -9,9 +9,9 @@ the hook before it imports the modules it measures.
 
 ``CALLS`` lists every command the reproduction is run by, at small
 depths, and is the one such list: ``run_calls`` runs them through one
-``main`` for the reach guard, the benchmark-tracer test and the CLI's
-tables test, and ``outputs.py`` runs each in its own interpreter to
-record its bytes.
+``main`` for the reach guard, the benchmark-tracer test, the CLI's
+tables test and the ``measured_reads`` fixture of the command-keys test,
+and ``outputs.py`` runs each in its own interpreter to record its bytes.
 """
 
 import inspect

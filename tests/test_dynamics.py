@@ -622,6 +622,22 @@ class TestApproximationBound:
         with pytest.raises(ValueError):
             approximation_bound(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("L, c_n", [(np.nan, 1.0), (1.0, np.nan), (np.nan, 0.0)])
+    def test_rejects_nan(self, L, c_n):
+        """A NaN bound compares false against every gap, so it would never flag one."""
+        with pytest.raises(ValueError):
+            approximation_bound(L, c_n, 10)
+
+    @pytest.mark.parametrize("L, c_n", [(800.0, 1.0), (np.inf, 1.0), (709.0, 1e300)])
+    def test_overflow_reads_inf_without_a_warning(self, L, c_n):
+        """Past e^L's overflow, or the product's, the bound is +inf; the
+        suite's filter turns any floating-point warning into an error."""
+        assert approximation_bound(L, c_n, 10) == np.inf
+
+    @pytest.mark.parametrize("L", [800.0, np.inf])
+    def test_zero_constant_reads_zero_at_any_lipschitz(self, L):
+        assert approximation_bound(L, 0.0, 10) == 0.0
+
     def test_bounds_measured_error_with_sampled_constants(self):
         """The measured chain-vs-flow gap obeys the bound, with no slack,
         on mlp(2, 3) schedules drawn at seeds 0-7.  On interval n the field

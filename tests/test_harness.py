@@ -33,6 +33,9 @@ from odenet.dynamics import (
     solve_ode_oracle,
 )
 from odenet.harness import (
+    MLP_WIDTH,
+    SNAPSHOT_COUNT,
+    TRAIN_INPUTS,
     AllDepthsDiverged,
     ConfigError,
     ExperimentConfig,
@@ -142,7 +145,6 @@ class TestParseConfig:
         "learning_rate = 0",
         "iterations = 0",
         "input_low = 2",
-        "snapshot_count = 1",
         "loss_fraction = 1.5",
         "slope_r2_min = 0",
         "dt = -0.1",
@@ -162,10 +164,7 @@ class TestParseConfig:
         ("seed", True),
         ("iterations", False),
         ("state_dim", 2.0),
-        ("hidden_dim", 3.5),
         ("seed", 1.5),
-        ("snapshot_count", 3.5),
-        ("input_count", 8.0),
         ("iterations", 2.5),
     ])
     def test_rejects_non_integral_values(self, field, value):
@@ -336,14 +335,14 @@ class TestScheduleProfiles:
 
     def test_index_profile_needs_scalar_parameters(self):
         """The config gate takes an index profile only on a study family of
-        one parameter: `train`'s network mlp(1, hidden_dim) has two or more."""
+        one parameter: `train`'s network mlp(1, MLP_WIDTH) has two or more."""
         for settings, runs in [
             (dict(experiment="euler_adjoint", family="square"), True),
             (dict(experiment="euler_adjoint", family="identity"), True),
             (dict(experiment="approx_error", family="linear", state_dim=1), True),
             (dict(experiment="approx_error", family="linear", state_dim=2), False),
-            (dict(experiment="heun_adjoint", family="mlp", state_dim=1, hidden_dim=1), False),
-            (dict(experiment="toy_train", hidden_dim=1), False),
+            (dict(experiment="heun_adjoint", family="mlp", state_dim=1), False),
+            (dict(experiment="toy_train"), False),
         ]:
             config = ExperimentConfig(schedule_profile="index", **settings)
             with contextlib.nullcontext() if runs else pytest.raises(ConfigError,
@@ -417,7 +416,7 @@ class TestScalingStudy:
 
     def test_mlp_study_smoke(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3, seed=1)
+                                  family="mlp", state_dim=2, seed=1)
         result = run_scaling_study(config)
         assert len(result.records) == 6
         assert all(r.flag == "" for r in result.records)
@@ -434,7 +433,7 @@ class TestScalingStudy:
 
     def test_heun_study_smoke(self):
         config = ExperimentConfig(experiment="heun_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3, seed=1)
+                                  family="mlp", state_dim=2, seed=1)
         result = run_scaling_study(config)
         assert sorted(result.fit_flags) == [
             "grad_max_abs_error", "grad_max_rel_error", "recon_max_error"]
@@ -530,11 +529,11 @@ class TestScalingStudy:
         outputs = []
         for _ in range(2):
             config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                      family="mlp", state_dim=2, hidden_dim=3, seed=5)
+                                      family="mlp", state_dim=2, seed=5)
             outputs.append(tables(run_scaling_study(config))["study.csv"])
         assert outputs[0] == outputs[1]
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  family="mlp", state_dim=2, hidden_dim=3, seed=6)
+                                  family="mlp", state_dim=2, seed=6)
         assert tables(run_scaling_study(config))["study.csv"] != outputs[0]
 
 
@@ -621,7 +620,7 @@ class TestOracleFlag:
     def test_large_estimate_flags_every_point(self, monkeypatch):
         monkeypatch.setattr(harness, "_oracle", _huge_estimate)
         config = ExperimentConfig(experiment="approx_error", depths=(8, 16),
-                                  state_dim=2, hidden_dim=3, seed=1)
+                                  state_dim=2, seed=1)
         result = run_scaling_study(config)
         assert [r.flag for r in result.records] == ["oracle", "oracle"]
         assert all(r.value > 0.0 for r in result.records)
@@ -634,7 +633,7 @@ class TestOracleFlag:
     def test_flagged_point_leaves_the_fit(self, monkeypatch):
         depths = (8, 16, 32)
         base = ExperimentConfig(experiment="approx_error", depths=depths,
-                                state_dim=2, hidden_dim=3, seed=1)
+                                state_dim=2, seed=1)
         clean = values(run_scaling_study(base), "approx_max_error")
         real = harness._oracle
 
@@ -658,7 +657,7 @@ class TestOracleFlag:
 
     def test_adjoint_studies_carry_no_estimate(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
-                                  state_dim=2, hidden_dim=3, seed=1)
+                                  state_dim=2, seed=1)
         assert run_scaling_study(config).oracle_errors == {}
 
     def test_diverged_depth_has_no_estimate(self):
@@ -677,7 +676,7 @@ class TestOracleFlag:
 
 
 FLOW_CONFIG = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32), state_dim=2,
-                               t_end=2.0, snapshot_count=3, seed=0)
+                               t_end=2.0, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -706,7 +705,7 @@ class TestLinearFlowExperiment:
         _, result = flow_result
         report = result.limit_report
         assert report.depths.tolist() == [8, 16]
-        assert report.distances.shape == (3, 2)
+        assert report.distances.shape == (SNAPSHOT_COUNT, 2)
         assert report.sup_fit.r_squared >= 0.9
         assert -1.3 <= report.sup_fit.slope <= -0.7
 
@@ -718,7 +717,7 @@ class TestLinearFlowExperiment:
         assert text["doubling.csv"].splitlines()[0] == "N,sup_distance"
         assert text["productode.csv"].splitlines()[0] == "N,discrepancy"
         limit_lines = text["limitmap.csv"].strip().splitlines()
-        assert len(limit_lines) == 1 + 3 * 2
+        assert len(limit_lines) == 1 + SNAPSHOT_COUNT * 2
 
     def test_reruns_are_byte_identical(self, flow_result):
         """A second run of the fixture's config returns every CSV byte for byte."""
@@ -728,8 +727,7 @@ class TestLinearFlowExperiment:
 
     def test_oversized_init_aborts(self):
         config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                                  state_dim=2, t_end=1.0, snapshot_count=2,
-                                  profile_scale=0.3, seed=0)
+                                  state_dim=2, t_end=1.0, profile_scale=0.3, seed=0)
         with pytest.raises(RegimeAbort) as exc:
             run_linear_flow_experiment(config)
         assert exc.value.depth == 8
@@ -739,8 +737,7 @@ class TestLinearFlowExperiment:
 class TestToyTraining:
     def test_exact_training_smoke(self):
         config = ExperimentConfig(experiment="toy_train", depths=(4,),
-                                  learning_rate=0.3, iterations=30,
-                                  input_count=8, hidden_dim=3, seed=0)
+                                  learning_rate=0.3, iterations=30, seed=0)
         result = run_toy_training(config)
         losses = result.losses[4]
         assert losses.size == 31
@@ -751,13 +748,12 @@ class TestToyTraining:
         assert len(loss_lines) == 32
         traj_lines = text["trajectories_N4.csv"].strip().splitlines()
         assert traj_lines[0] == "input_index,node_index,s,x_0"
-        assert len(traj_lines) == 1 + 8 * 5
+        assert len(traj_lines) == 1 + TRAIN_INPUTS * 5
 
     @pytest.mark.parametrize("mode", ["adjoint_euler", "adjoint_heun"])
     def test_memory_free_modes_train(self, mode):
         config = ExperimentConfig(experiment="toy_train", depths=(4,),
-                                  learning_rate=0.3, iterations=10,
-                                  input_count=8, hidden_dim=3, seed=0,
+                                  learning_rate=0.3, iterations=10, seed=0,
                                   gradient_mode=mode)
         result = run_toy_training(config)
         losses = result.losses[4]
@@ -795,8 +791,7 @@ class TestToyTraining:
             grads[2:] = np.inf
             return grads
         monkeypatch.setattr(harness, "backprop_exact", overflowing)
-        config = ExperimentConfig(experiment="toy_train", depths=(4,), iterations=3,
-                                  input_count=8, hidden_dim=3)
+        config = ExperimentConfig(experiment="toy_train", depths=(4,), iterations=3)
         with pytest.raises(DivergenceError) as exc:
             run_toy_training(config)
         assert exc.value.layer == 2
@@ -807,12 +802,11 @@ class TestToyTraining:
         and its losses are a hand loop of the two bit for bit."""
         monkeypatch.setitem(harness.GRADIENT_MODES, "exact_heun", (HEUN, True))
         config = ExperimentConfig(experiment="toy_train", depths=(4,), learning_rate=0.3,
-                                  iterations=5, input_count=8, hidden_dim=3, seed=0,
-                                  gradient_mode="exact_heun")
+                                  iterations=5, seed=0, gradient_mode="exact_heun")
         losses = run_toy_training(config).losses[4]
-        family = make_mlp_family(1, 3)
+        family = make_mlp_family(1, MLP_WIDTH)
         params = _make_profile(config, family.param_dim, _child_rngs(config.seed, 1)[0])(4)
-        inputs = np.linspace(0.0, 1.0, 8).reshape(1, -1)
+        inputs = np.linspace(0.0, 1.0, TRAIN_INPUTS).reshape(1, -1)
         targets = 0.5 * inputs * inputs
         expected = []
         for _ in range(config.iterations + 1):
@@ -820,7 +814,7 @@ class TestToyTraining:
             traj = forward_heun_chain(family, schedule, inputs)
             out = traj.nodes[-1]
             expected.append(float(np.mean((out - targets) ** 2)))
-            out_grad = 2.0 * (out - targets) / config.input_count
+            out_grad = 2.0 * (out - targets) / TRAIN_INPUTS
             grads = backprop_exact_heun(family, schedule, traj, out_grad)
             params = params - config.learning_rate * 4 * grads
         assert np.array_equal(losses, expected)
@@ -834,8 +828,7 @@ class TestToyTraining:
         blobs = []
         for _ in range(2):
             config = ExperimentConfig(experiment="toy_train", depths=(4,),
-                                      learning_rate=0.3, iterations=15,
-                                      input_count=8, hidden_dim=3, seed=2)
+                                      learning_rate=0.3, iterations=15, seed=2)
             text = tables(run_toy_training(config))
             blobs.append(text["losses_N4.csv"] + text["trajectories_N4.csv"])
         assert blobs[0] == blobs[1]
@@ -846,8 +839,7 @@ class TestToyTraining:
         blobs = []
         for _ in range(2):
             config = ExperimentConfig(experiment="toy_train", depths=(3, 8),
-                                      learning_rate=0.3, iterations=6,
-                                      input_count=8, hidden_dim=3, seed=4,
+                                      learning_rate=0.3, iterations=6, seed=4,
                                       gradient_mode=mode)
             text = tables(run_toy_training(config))
             blobs.append("".join(text[f"{kind}_N{n}.csv"]
@@ -860,7 +852,7 @@ class TestToyTraining:
         the whole command stays near the size of the node array (0.5 MB),
         far below the ~17 MB a list of all formatted rows takes."""
         path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 1000\niterations = 1\n"
-                                   f"input_count = 64\ngradient_mode = {mode}\n")
+                                   f"gradient_mode = {mode}\n")
         tracemalloc.start()
         try:
             assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -885,13 +877,13 @@ class TestToyTraining:
                 return traj
             monkeypatch.setattr(harness, name, recording)
         config = ExperimentConfig(experiment="toy_train", depths=(5,), iterations=4,
-                                  input_count=3, hidden_dim=3, seed=1, gradient_mode=mode)
+                                  seed=1, gradient_mode=mode)
         table = tables(run_toy_training(config))["trajectories_N5.csv"]
         nodes = finals[-1]
         depth = nodes.shape[0] - 1
         s_values = np.arange(depth + 1) / depth
         rows = []
-        for b in range(config.input_count):
+        for b in range(TRAIN_INPUTS):
             for node in range(depth + 1):
                 rows.append([b, node, f"{float(s_values[node]):.17g}",
                              f"{float(nodes[node, 0, b]):.17g}"])
@@ -1057,18 +1049,16 @@ def test_readme_key_lists_match_the_table(command):
     ("train", "experiment = toy_train\nstate_dim = 4\n", "['state_dim']"),
     ("tightness", "experiment = tightness_suite\nfamily = mlp\n", "['family']"),
     ("tightness", "experiment = tightness_suite\nprofile_scale = 0.25\n", "['profile_scale']"),
-    ("linflow", "experiment = limit_map\nhidden_dim = 3\ntarget = neg_square_half\n",
-     "['hidden_dim', 'target']"),
+    ("linflow", "experiment = limit_map\niterations = 3\ntarget = neg_square_half\n",
+     "['iterations', 'target']"),
     ("study", "experiment = approx_error\nt_end = 3\nseed = 2\n", "['t_end']"),
-    ("study", "experiment = approx_error\nfamily = square\nstate_dim = 7\nhidden_dim = 99\n"
-              "depths = 4, 8\n", "['hidden_dim', 'state_dim']"),
-    ("study", "experiment = euler_adjoint\nfamily = linear\nhidden_dim = 99\n",
-     "['hidden_dim']"),
+    ("study", "experiment = approx_error\nfamily = square\nstate_dim = 7\nlearning_rate = 9\n"
+              "depths = 4, 8\n", "['learning_rate', 'state_dim']"),
     ("study", "experiment = approx_error\nfamily = identity\nschedule_profile = index\n"
               "profile_scale = 77\n", "['profile_scale']"),
 ], ids=["train_unread_keys", "train_default_state_dim", "tightness_family",
         "tightness_profile_scale", "linflow_two_keys", "study_t_end", "study_square_dims",
-        "study_linear_hidden_dim", "study_index_profile_scale"])
+        "study_index_profile_scale"])
 def test_unread_key_exits_2_naming_each(tmp_path, capsys, command, text, unread):
     """A config file that names a key its command does not read, even at
     its default, exits 2 naming every such key, and leaves no directory."""
@@ -1113,13 +1103,12 @@ def test_runner_rejects_a_key_it_does_not_read(monkeypatch, runner, settings, me
 
 
 @pytest.mark.parametrize("command, text, code", [
-    ("train", "experiment = toy_train\nschedule_profile = index\nhidden_dim = 1\n"
-              "depths = 4\n", 2),
+    ("train", "experiment = toy_train\nschedule_profile = index\ndepths = 4\n", 2),
     ("study", "experiment = approx_error\nfamily = linear\nstate_dim = 2\n"
               "schedule_profile = index\n", 2),
     ("study", "experiment = approx_error\nfamily = linear\nstate_dim = 1\n"
               "schedule_profile = index\ndepths = 4, 8\n", 0),
-], ids=["train_hidden_dim_1", "study_linear_2", "study_linear_1"])
+], ids=["train_index", "study_linear_2", "study_linear_1"])
 def test_index_profile_is_decided_before_any_directory(tmp_path, capsys, monkeypatch,
                                                         command, text, code):
     """An index profile that no run can use exits 2 from the config gate:
@@ -1156,13 +1145,21 @@ class TestCli:
         assert main(["train", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["input_low = 0", "input_high = 1",
-                                      "loss_fraction = 0.125", "sigma_dim = 4"])
+    # Each removed key's line -> a command that read the key while it was one.
+    REMOVED_KEYS = {"input_low = 0": "train", "input_high = 1": "train",
+                    "loss_fraction = 0.125": "train", "sigma_dim = 4": "train",
+                    "hidden_dim = 8": "study", "input_count = 64": "train",
+                    "snapshot_count = 11": "linflow"}
+
+    @pytest.mark.parametrize("line", REMOVED_KEYS)
     def test_removed_key_exits_2(self, tmp_path, capsys, line):
-        """The inputs always span [0, 1], the flow's loss fraction is fixed
-        and state_dim is the flow's d: none of these is a key any more."""
-        path = write_cfg(tmp_path, f"experiment = toy_train\n{line}\n")
-        assert main(["train", "--config", path]) == 2
+        """The inputs always span [0, 1], the flow's loss fraction is fixed,
+        state_dim is the flow's d, and the mlp's width, train's input count
+        and a flow's snapshot count are harness constants: none of these is
+        a key any more, not even at its old default."""
+        command = self.REMOVED_KEYS[line]
+        path = write_cfg(tmp_path, f"experiment = {harness.COMMANDS[command][0][0]}\n{line}\n")
+        assert main([command, "--config", path]) == 2
         assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
 
     def test_command_experiment_mismatch_exits_2(self, tmp_path, capsys):
@@ -1213,7 +1210,7 @@ class TestCli:
         ("linflow", "limit_map", "t_end = 0"),
         # t_end / MAX_STEP_SIZE overflows to inf: no count of steps reaches it
         ("linflow", "limit_map", "t_end = 1e308"),
-        # np.linspace(0, t_end, snapshot_count) collapses to fewer distinct times
+        # np.linspace(0, t_end, SNAPSHOT_COUNT) collapses to fewer distinct times
         ("linflow", "limit_map", "t_end = 5e-324"),
     ], ids=["profile_scale", "learning_rate", "t_end", "input_high", "dt", "seed",
             "t_end_zero", "t_end_step_count", "t_end_snapshot_times"])
@@ -1234,7 +1231,7 @@ class TestCli:
         """Depths 4, 6, 9 run; each limitmap.csv distance is the L2 gap of
         two step profiles, integrated by brute force on a fine common grid."""
         text = "experiment = limit_map\ndepths = 4, 6, 9\nt_end = 1\nstate_dim = 2\n"
-        path = write_cfg(tmp_path, text + "snapshot_count = 3\n")
+        path = write_cfg(tmp_path, text)
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
         traces = run_linear_flow_experiment(load_config(path)).traces
         s = (np.arange(3600) + 0.5) / 3600
@@ -1242,7 +1239,7 @@ class TestCli:
         def profile(thetas):
             return thetas[(len(thetas) * s).astype(int)]
         rows = (tmp_path / "out" / "limitmap.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 3 * 2
+        assert len(rows) == SNAPSHOT_COUNT * 2
         for row in rows:
             t, n, distance = row.split(",")
             ti = [sample.t for sample in traces[9].samples].index(float(t))
@@ -1276,7 +1273,7 @@ class TestCli:
     def test_study_command_end_to_end(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
                                    "depths = 8, 16\n"
-                                   "state_dim = 2\nhidden_dim = 3\n")
+                                   "state_dim = 2\n")
         rc = main(["study", "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "slope" in capsys.readouterr().out
@@ -1286,7 +1283,7 @@ class TestCli:
     def test_study_prints_oracle_estimate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = approx_error\n"
                                    "depths = 8, 16\n"
-                                   "state_dim = 2\nhidden_dim = 3\n")
+                                   "state_dim = 2\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("oracle error")]
@@ -1317,7 +1314,7 @@ class TestCli:
     def test_adjoint_study_prints_no_oracle_line(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
                                    "depths = 8, 16\n"
-                                   "state_dim = 2\nhidden_dim = 3\n")
+                                   "state_dim = 2\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert "oracle" not in capsys.readouterr().out
 
@@ -1331,7 +1328,7 @@ class TestCli:
     def test_seed_override_controls_outputs(self, tmp_path):
         path = write_cfg(tmp_path, "experiment = euler_adjoint\n"
                                    "depths = 8, 16\n"
-                                   "state_dim = 2\nhidden_dim = 3\n")
+                                   "state_dim = 2\n")
         for sub, seed in (("a", "7"), ("b", "7"), ("c", "8")):
             rc = main(["study", "--config", path, "--seed", seed,
                        "--out", str(tmp_path / sub)])
@@ -1362,7 +1359,7 @@ class TestCli:
         table, to the report's six significant digits."""
         out = tmp_path / "out"
         path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 4, 8\niterations = 5\n"
-                                   f"input_count = 8\nhidden_dim = 3\ngradient_mode = {mode}\n")
+                                   f"gradient_mode = {mode}\n")
         assert main(["train", "--config", path, "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         for depth in (4, 8):
@@ -1373,8 +1370,7 @@ class TestCli:
 
     def test_training_divergence_exits_3(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = toy_train\ndepths = 4\n"
-                                   "learning_rate = 1e6\niterations = 10\n"
-                                   "input_count = 8\nhidden_dim = 3\n")
+                                   "learning_rate = 1e6\niterations = 10\n")
         rc = main(["train", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
         assert "diverged at layer" in capsys.readouterr().err
@@ -1397,14 +1393,12 @@ class TestCli:
                                   "state_dim = 1\nschedule_profile = index\n"
                                   "depths = 128, 256\n", 3, "all depths diverged"),
         "train_diverged": ("train", "experiment = toy_train\ndepths = 4\n"
-                                    "learning_rate = 1e6\niterations = 10\n"
-                                    "input_count = 8\nhidden_dim = 3\n", 3,
+                                    "learning_rate = 1e6\niterations = 10\n", 3,
                            "diverged at layer"),
         # The update itself overflows: params turn infinite, not the chain.
         **{f"train_overflow_{mode}": ("train", "experiment = toy_train\ndepths = 4\n"
                                                f"gradient_mode = {mode}\n"
-                                               "learning_rate = 1e308\niterations = 3\n"
-                                               "input_count = 8\nhidden_dim = 3\n", 3,
+                                               "learning_rate = 1e308\niterations = 3\n", 3,
                                       "training update diverged at layer 0")
            for mode in ("exact", "adjoint_euler", "adjoint_heun")},
         # The deepest initial product overflows, so no finite target exists.
@@ -1514,8 +1508,7 @@ class TestCli:
         """One line gives the range of N * product gap over the depths; the
         monitor lines the benchmark parses keep their form."""
         path = write_cfg(tmp_path, "experiment = limit_map\nstate_dim = 2\n"
-                                   "depths = 8, 16, 32\nt_end = 1\n"
-                                   "snapshot_count = 2\n")
+                                   "depths = 8, 16, 32\nt_end = 1\n")
         assert main(["linflow", "--config", path, "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         monitors = re.findall(r"^N=(\d+): max theta norm \S+, decay ratio \S+ \(ok\)$",
@@ -1541,7 +1534,7 @@ class TestCli:
     def test_regime_violation_exits_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "experiment = limit_map\nstate_dim = 2\n"
                                    "depths = 8, 16, 32\nprofile_scale = 0.3\n"
-                                   "t_end = 1\nsnapshot_count = 2\n")
+                                   "t_end = 1\n")
         rc = main(["linflow", "--config", path, "--out", str(tmp_path)])
         assert rc == 4
         assert "small-loss regime" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from odenet import linear_flow
 from odenet.dynamics import DivergenceError, VectorField, solve_ode_oracle
-from odenet.harness import ExperimentConfig, run_linear_flow_experiment
+from odenet.harness import SNAPSHOT_COUNT, ExperimentConfig, run_linear_flow_experiment
 from odenet.linear_flow import (
     FlowSample,
     FlowState,
@@ -737,7 +737,7 @@ def flow_csvs():
     """A small limit-map run; its trace and limit-map tables are the flow
     exports, {file name: text}, returned beside the result."""
     config = ExperimentConfig(experiment="limit_map", depths=(8, 16, 32),
-                              state_dim=2, t_end=1.0, snapshot_count=3, seed=0)
+                              state_dim=2, t_end=1.0, seed=0)
     result = run_linear_flow_experiment(config)
     return tables(result), result
 
@@ -749,7 +749,7 @@ class TestCsvExports:
             lines = text[f"trace_N{depth}.csv"].strip().splitlines()
             assert lines[0] == "t,loss,max_theta_norm,smoothness_stat"
             samples = result.traces[depth].samples
-            assert len(lines) == 1 + len(samples) == 1 + 3
+            assert len(lines) == 1 + len(samples) == 1 + SNAPSHOT_COUNT
             assert lines[1].startswith("0,")
             for line, sample in zip(lines[1:], samples):
                 assert [float(v) for v in line.split(",")] == [
@@ -761,7 +761,7 @@ class TestCsvExports:
         report = result.limit_report
         lines = text["limitmap.csv"].strip().splitlines()
         assert lines[0] == "t,N,l2_distance"
-        assert len(lines) == 1 + len(report.times) * len(report.depths) == 1 + 3 * 2
+        assert len(lines) == 1 + len(report.times) * len(report.depths) == 1 + SNAPSHOT_COUNT * 2
         assert [line.split(",")[1] for line in lines[1:3]] == ["8", "16"]
         rows = [line.split(",") for line in lines[1:]]
         assert [float(r[2]) for r in rows] == list(report.distances.ravel())

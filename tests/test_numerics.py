@@ -220,6 +220,12 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope([(0.5, 1.0), (8, 0.1)])
 
+    @pytest.mark.parametrize("error", [np.inf, np.nan])
+    def test_rejects_non_finite_errors(self, error):
+        """A non-finite error fails the error check, not np.polyfit or SlopeFit."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_loglog_slope([(4, 1.0), (8, error), (16, 0.25)])
+
     def test_slopefit_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             SlopeFit(-1.0, 0.0, 1.5, 4)
