@@ -378,7 +378,10 @@ def approximation_bound(L: float, c_n: float, N: int) -> float:
         raise ValueError("bound inputs must be nonnegative with N >= 1")
     if L == 0.0 or c_n == 0.0:
         return c_n / (2.0 * N)
-    if L > math.log(np.finfo(float).max):  # e^L overflows: the bound reads +inf
-        return math.inf
+    log_max = math.log(np.finfo(float).max)
+    if L > log_max:  # e^L overflows; e^L - 1 is e^L to rounding, so work in logs
+        exponent = L + math.log(c_n) - math.log(2.0 * N * L)
+        # At L = inf the exponent is inf - inf, a NaN, which fails the test too.
+        return math.exp(exponent) if exponent < log_max else math.inf
     # expm1 keeps the L -> 0 limit (e^L - 1)/L -> 1 continuous.
     return math.expm1(L) / (2.0 * N * L) * c_n

@@ -6,8 +6,9 @@ diagnostics, and desk-scale training of a toy chain with exact or
 memory-free gradients.  Every run is driven by an ExperimentConfig and
 a single integer seed.  A runner opens no file: it returns its CSV
 tables as (file name, lines), every number formatted with %.17g so that
-identical configurations reproduce byte-identical artifacts, and the
-CLI writes them once the run has succeeded.
+identical configurations reproduce byte-identical artifacts, and beside
+them the report lines the command prints.  The CLI writes the tables
+once the run has succeeded, then prints the report.
 """
 
 from __future__ import annotations
@@ -356,6 +357,7 @@ class StudyResult:
     fit_flags: dict     # metric -> "ok" | "low_confidence" | "insufficient"
     oracle_errors: dict  # depth -> Richardson estimate of the ODE oracle's error
     tables: list        # (file name, lines): study.csv and slopes.csv
+    report: list        # the lines the command prints
 
 
 def _scheme_functions(scheme):
@@ -435,7 +437,7 @@ _STUDIES = {
 
 def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     """Sweep depths, record error metrics, fit log-log slopes; return the
-    records, fits and the study.csv and slopes.csv tables."""
+    records, fits, the study.csv and slopes.csv tables and the report."""
     _check_command(config, "study")
     profile_rng, data_rng = _child_rngs(config.seed, 2)
     make, keys = FAMILIES[config.family]
@@ -469,21 +471,33 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
     if all(r.flag == "diverged" for r in records):
         raise AllDepthsDiverged(f"all depths diverged in {config.experiment}")
 
+    out = config.output_dir
+    report = [f"wrote {os.path.join(out, 'study.csv')} and {os.path.join(out, 'slopes.csv')}"]
     fits, fit_flags, slope_rows = {}, {}, []
     for name in metric_names:
         if len(clean[name]) >= 2:
             fit = fits[name] = fit_loglog_slope(clean[name])
             flag = "ok" if fit.r_squared >= SLOPE_R2_MIN else "low_confidence"
             values = (fit.slope, fit.intercept, fit.r_squared)
+            report.append(f"{name}: slope {fit.slope:+.4f} (r2 {fit.r_squared:.4f}, {flag})")
         else:
             flag, values = "insufficient", (math.nan,) * 3
+            report.append(f"{name}: {flag}")
         fit_flags[name] = flag
         slope_rows.append([name, *map(_fmt, values), flag])
+    if oracle_errors:
+        gaps = {r.depth: r.value for r in records}
+        # 0 over a zero gap (an exact chain) reads 0; a positive estimate, inf.
+        ratio = max(err / gaps[n] if gaps[n] > 0 else math.inf if err > 0 else 0.0
+                    for n, err in oracle_errors.items())
+        report.append(f"oracle error: Richardson estimate <= {max(oracle_errors.values()):.3g}, "
+                      f"worst estimate/gap {ratio:.3g}")
 
     return StudyResult(records, fits, fit_flags, oracle_errors, [
         _table("study.csv", ["N", "metric", "value"],
                [[r.depth, r.metric, _fmt(r.value)] for r in records]),
-        _table("slopes.csv", ["metric", "slope", "intercept", "r2", "flag"], slope_rows)])
+        _table("slopes.csv", ["metric", "slope", "intercept", "r2", "flag"], slope_rows)],
+        report)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +516,7 @@ class TightnessRecord:
 class TightnessResult:
     records: list        # TightnessRecord per case and depth
     tables: list         # (file name, lines): tightness.csv
+    report: list         # the lines the command prints
 
 
 # Each case at depth N: (family, interpolation kind, the N layer weights,
@@ -531,7 +546,9 @@ def run_tightness_suite(config: ExperimentConfig) -> TightnessResult:
                for case in TIGHTNESS_CASES for depth in config.depths]
     return TightnessResult(records, [_table(
         "tightness.csv", ["case", "N", "measured", "analytic"],
-        [[r.case, r.depth, _fmt(r.measured), _fmt(r.analytic)] for r in records])])
+        [[r.case, r.depth, _fmt(r.measured), _fmt(r.analytic)] for r in records])],
+        [f"{r.case} N={r.depth}: measured {r.measured:.10g} vs analytic {r.analytic:.10g} "
+         f"(oracle error {r.oracle_error:.3g})" for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +562,7 @@ class LinearFlowResult:
     limit_report: object      # LimitMapReport or None
     product_gaps: dict        # depth -> product-vs-flow discrepancy
     tables: list              # (file name, lines) of every CSV
+    report: list              # the lines the command prints
 
 
 def _matrix_profile(config: ExperimentConfig, rng) -> Callable[[float], np.ndarray]:
@@ -584,17 +602,20 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
                 states0[ref_depth], np.zeros_like(b_target)))
 
     for depth in config.depths:
-        report = check_small_loss_regime(states0[depth], b_target)
-        if not report.passes:
-            raise RegimeAbort(depth, report)
+        regime = check_small_loss_regime(states0[depth], b_target)
+        if not regime.passes:
+            raise RegimeAbort(depth, regime)
 
     snapshots = np.linspace(0.0, config.t_end, SNAPSHOT_COUNT)
-    traces, monitor_reports, product_gaps, tables = {}, {}, {}, []
+    traces, monitor_reports, product_gaps, tables, report = {}, {}, {}, [], []
     for depth in config.depths:
         trace = integrate_flow(states0[depth], b_target, config.t_end, MAX_STEP_SIZE,
                                snapshots)
         traces[depth] = trace
-        monitor_reports[depth] = monitor_invariants(trace)
+        mon = monitor_reports[depth] = monitor_invariants(trace)
+        status = "ok" if (mon.theta_bound_ok and mon.decay_ok) else "VIOLATED"
+        report.append(f"N={depth}: max theta norm {mon.max_theta_norm:.4f}, "
+                      f"decay ratio {mon.max_decay_ratio:.4f} ({status})")
         tables.append(_table(f"trace_N{depth}.csv",
                              ["t", "loss", "max_theta_norm", "smoothness_stat"],
                              [[_fmt(r.t), _fmt(r.loss_value), _fmt(r.max_theta_norm),
@@ -605,7 +626,8 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
                 for n in config.depths if 2 * n in traces}
     if doubling:
         tables.append(_table("doubling.csv", ["N", "sup_distance"],
-                             [[n, _fmt(doubling[n])] for n in sorted(doubling)]))
+                             [[n, _fmt(dist)] for n, dist in doubling.items()]))
+        report += [f"doubling sup-distance D_{n} = {dist:.6g}" for n, dist in doubling.items()]
 
     limit_report = None
     if len(config.depths) >= 3:
@@ -617,8 +639,12 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
 
     tables.append(_table("productode.csv", ["N", "discrepancy"],
                          [[n, _fmt(product_gaps[n])] for n in config.depths]))
+    scaled = [n * product_gaps[n] for n in config.depths]
+    report.append(f"product-vs-flow N*gap {min(scaled):.4g} to {max(scaled):.4g} over all depths")
+    if limit_report is not None and limit_report.sup_fit is not None:
+        report.append(f"limit-profile sup slope {limit_report.sup_fit.slope:+.4f}")
     return LinearFlowResult(traces, monitor_reports, doubling, limit_report, product_gaps,
-                            tables)
+                            tables, report)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +654,7 @@ def run_linear_flow_experiment(config: ExperimentConfig) -> LinearFlowResult:
 class ToyTrainResult:
     losses: dict           # depth -> per-iteration mean squared error, length iters+1
     tables: list           # (file name, lines): each depth's losses and trajectories
+    report: list           # the lines the command prints
 
 
 def _trajectory_lines(nodes: np.ndarray):
@@ -659,7 +686,7 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
     scheme, stored = GRADIENT_MODES[config.gradient_mode]
     forward, exact_backprop, _, adjoint_backprop = _scheme_functions(scheme)
 
-    all_losses, tables = {}, []
+    all_losses, tables, report = {}, [], []
     for depth in config.depths:
         params = profile(depth)
         losses = np.empty(config.iterations + 1)
@@ -685,8 +712,11 @@ def run_toy_training(config: ExperimentConfig) -> ToyTrainResult:
                 layer = int(np.argmax(bad))
                 raise DivergenceError(f"training update diverged at layer {layer}", layer)
 
-        tables += [_table(f"losses_N{depth}.csv", ["iteration", "loss"],
+        name = f"losses_N{depth}.csv"
+        tables += [_table(name, ["iteration", "loss"],
                           [[k, _fmt(losses[k])] for k in range(losses.size)]),
                    (f"trajectories_N{depth}.csv", _trajectory_lines(traj.nodes))]
+        report.append(f"N={depth} ({config.gradient_mode}): final loss {losses[-1]:.6g} "
+                      f"-> {os.path.join(config.output_dir, name)}")
         all_losses[depth] = losses
-    return ToyTrainResult(all_losses, tables)
+    return ToyTrainResult(all_losses, tables, report)

@@ -80,6 +80,12 @@ MUTANTS = {
     "loss_rise_rtol_1e-3": (
         "src/odenet/linear_flow.py", "LOSS_INCREASE_RTOL = 1e-9", "LOSS_INCREASE_RTOL = 1e-3",
         "tests/test_linear_flow.py::TestFlowTraceValidation::test_loss_rise_tolerances[rel_outside]"),
+    "loss_rise_rtol_1_5e-9": (
+        "src/odenet/linear_flow.py", "LOSS_INCREASE_RTOL = 1e-9", "LOSS_INCREASE_RTOL = 1.5e-9",
+        "tests/test_linear_flow.py::TestFlowTraceValidation::test_loss_rise_tolerances[rel_just_outside]"),
+    "loss_rise_at_bound_counts": (
+        "src/odenet/linear_flow.py", "return not after <= before", "return not after < before",
+        "tests/test_linear_flow.py::TestFlowTraceValidation::test_loss_rise_tolerances[rel_at_bound]"),
     "loss_rise_atol_1e-8": (
         "src/odenet/linear_flow.py", "LOSS_INCREASE_ATOL = 1e-18", "LOSS_INCREASE_ATOL = 1e-8",
         "tests/test_linear_flow.py::TestFlowTraceValidation::test_loss_rise_tolerances[rel_outside]"),
@@ -96,7 +102,7 @@ MUTANTS = {
         "if L < 0.0 or c_n < 0.0 or N < 1:",
         "tests/test_dynamics.py::TestApproximationBound::test_rejects_nan[nan-1.0]"),
     "bound_overflow_guard_skipped": (
-        "src/odenet/dynamics.py", "if L > math.log(np.finfo(float).max):", "if L > math.inf:",
+        "src/odenet/dynamics.py", "if L > log_max:", "if L > math.inf:",
         "tests/test_dynamics.py::TestApproximationBound::test_overflow_reads_inf_without_a_warning[800.0-1.0]"),
     # The gradient comparison and the oracle's step count.
     "rel_error_floor_1e-3": (
@@ -113,6 +119,10 @@ MUTANTS = {
     "grad_error_keeps_last_block_only": (
         "src/odenet/harness.py", "max(max_abs, comp.max_abs)", "comp.max_abs",
         "tests/test_harness.py::TestScalingStudy::test_euler_adjoint_metrics_run_the_euler_pass[heun-37]"),
+    # The study's input, of expected squared norm 1.
+    "study_input_times_sqrt_d": (
+        "src/odenet/harness.py", "/ math.sqrt(family.state_dim)", "* math.sqrt(family.state_dim)",
+        "tests/test_harness.py::TestScalingStudy::test_input_has_unit_expected_squared_norm"),
     # The study's flags.
     "oracle_tolerance_1e-1": (
         "src/odenet/harness.py", "ORACLE_TOLERANCE = 1e-3", "ORACLE_TOLERANCE = 1e-1",

@@ -630,9 +630,16 @@ class TestApproximationBound:
 
     @pytest.mark.parametrize("L, c_n", [(800.0, 1.0), (np.inf, 1.0), (709.0, 1e300)])
     def test_overflow_reads_inf_without_a_warning(self, L, c_n):
-        """Past e^L's overflow, or the product's, the bound is +inf; the
-        suite's filter turns any floating-point warning into an error."""
+        """A bound past the largest float, here e^790, e^1390 and e^inf,
+        is +inf; the suite's filter turns any floating-point warning into
+        an error."""
         assert approximation_bound(L, c_n, 10) == np.inf
+
+    def test_finite_past_the_exponential_overflow(self):
+        """e^710 overflows, but (e^710 - 1)/(2 * 710) * 1e-10 is a float:
+        1.5732357508181e295 in 30-digit decimal arithmetic."""
+        assert approximation_bound(710.0, 1e-10, 1) == pytest.approx(1.5732357508181e295,
+                                                                     rel=1e-12)
 
     @pytest.mark.parametrize("L", [800.0, np.inf])
     def test_zero_constant_reads_zero_at_any_lipschitz(self, L):

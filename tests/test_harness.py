@@ -414,6 +414,20 @@ class TestScalingStudy:
         assert result.fits["approx_max_error"].r_squared == pytest.approx(r2, abs=1e-3)
         assert result.fit_flags["approx_max_error"] == flag
 
+    def test_input_has_unit_expected_squared_norm(self, monkeypatch):
+        """The study's x0 is a standard normal over sqrt(d), so E||x0||^2 = 1:
+        over seeds 0-199 at d = 4 the mean lies within [0.8, 1.2], four
+        standard errors of sqrt(2 / d / 200) = 0.05."""
+        inputs = []
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (
+            lambda family, schedule, x0, target: inputs.append(x0) or ([(1.0, 1.0)], None),
+            ("approx_max_error",)))
+        for seed in range(200):
+            run_scaling_study(ExperimentConfig(experiment="approx_error", family="linear",
+                                               state_dim=4, depths=(2,), seed=seed))
+        assert len(inputs) == 200 and inputs[0].shape == (4,)
+        assert 0.8 <= np.mean([x @ x for x in inputs]) <= 1.2
+
     def test_mlp_study_smoke(self):
         config = ExperimentConfig(experiment="euler_adjoint", depths=(8, 16),
                                   family="mlp", state_dim=2, seed=1)
@@ -948,12 +962,13 @@ SHARED_KEYS = {"experiment", *cli._FLAGS.values()}
 def measured_reads(tmp_path_factory):
     """[(command, config, fields read)] for each exit-0 entry of
     ``reach.CALLS``: the config its file parses to and every
-    ExperimentConfig field its runner and report read, by a spy on
-    attribute reads.  The reads of ``_check_command``, which compares
-    every field, are not counted."""
+    ExperimentConfig field its runner reads, by a spy on attribute
+    reads; the runner builds the report lines the CLI prints, so their
+    reads are among them.  The reads of ``_check_command``, which
+    compares every field, are not counted."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     measured = []
-    counting = []  # whether the innermost runner, report or check counts its reads
+    counting = []  # whether the innermost runner or check counts its reads
     read = ExperimentConfig.__getattribute__
 
     def spy(self, name):
@@ -974,8 +989,8 @@ def measured_reads(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExperimentConfig, "__getattribute__", spy)
         mp.setattr(harness, "_check_command", within(False, harness._check_command))
-        for command, (run, report) in cli._RUNNERS.items():
-            mp.setitem(cli._RUNNERS, command, (within(True, run), within(True, report)))
+        for command, (run, help_text) in cli._RUNNERS.items():
+            mp.setitem(cli._RUNNERS, command, (within(True, run), help_text))
         for i, call in enumerate(reach.CALLS):
             command, text, code = call
             if code == 0:
@@ -997,8 +1012,8 @@ def accepted_keys(config):
 
 @pytest.mark.parametrize("command", list(harness.COMMANDS))
 def test_command_keys_are_the_keys_it_reads(measured_reads, command):
-    """For each exit-0 call of reach.CALLS, the keys its runner and report
-    read, beyond the shared ones, are exactly the keys _check_keys accepts
+    """For each exit-0 call of reach.CALLS, the keys its runner reads,
+    beyond the shared ones, are exactly the keys _check_keys accepts
     for its config: its command's row, its family's and its profile's."""
     runs = [(config, reads) for name, config, reads in measured_reads if name == command]
     assert runs
@@ -1117,8 +1132,9 @@ def test_index_profile_is_decided_before_any_directory(tmp_path, capsys, monkeyp
     made, started = [], []
     makedirs = os.makedirs
     monkeypatch.setattr(cli.os, "makedirs", lambda *a, **k: made.append(a[0]) or makedirs(*a, **k))
-    run, report = cli._RUNNERS[command]
-    monkeypatch.setitem(cli._RUNNERS, command, (lambda c: started.append(c) or run(c), report))
+    run, help_text = cli._RUNNERS[command]
+    monkeypatch.setitem(cli._RUNNERS, command,
+                        (lambda c: started.append(c) or run(c), help_text))
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -1302,12 +1318,12 @@ class TestCli:
         assert lines == ["oracle error: Richardson estimate <= 0, worst estimate/gap 0"]
 
     def test_positive_estimate_over_zero_gap_prints_inf(self, tmp_path, capsys, monkeypatch):
-        result = harness.StudyResult(
-            records=[harness.StudyRecord(4, "approx_max_error", 0.0),
-                     harness.StudyRecord(8, "approx_max_error", 1e-9)],
-            fits={}, fit_flags={}, oracle_errors={4: 1e-12, 8: 1e-12}, tables=[])
-        monkeypatch.setattr("odenet.cli.run_scaling_study", lambda config: result)
-        path = write_cfg(tmp_path, "experiment = approx_error\n")
+        """A zero gap at N = 4 under a positive oracle estimate reads inf."""
+        gaps = {4: 0.0, 8: 1e-9}
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (
+            lambda family, schedule, x0, target: ([(gaps[schedule.depth], 1.0)], 1e-12),
+            ("approx_max_error",)))
+        path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 4, 8\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith("worst estimate/gap inf")
 
@@ -1423,7 +1439,7 @@ class TestCli:
         def crash(config):
             assert Path(config.output_dir).is_dir()
             raise ValueError("crash")
-        monkeypatch.setitem(cli._RUNNERS, "study", (crash, cli._report_study))
+        monkeypatch.setitem(cli._RUNNERS, "study", (crash, "crashes"))
         path = write_cfg(tmp_path, "experiment = approx_error\n")
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="crash"):
@@ -1458,23 +1474,27 @@ class TestCli:
         assert list(tmp_path.rglob("*.csv")) == []
 
     @pytest.mark.parametrize("command", ["study", "tightness", "linflow", "train"])
-    def test_main_writes_exactly_the_returned_tables(self, tmp_path, monkeypatch, command):
+    def test_main_writes_exactly_the_returned_tables(self, tmp_path, capsys, monkeypatch,
+                                                     command):
         """On every call of ``reach.CALLS`` that succeeds, the files in
         --out are the tables the runner returned, each once and byte for
-        byte: no other code path writes output."""
-        run, report = cli._RUNNERS[command]
-        returned = []
+        byte, and stdout is the report lines it returned: no other code
+        path writes output."""
+        run, help_text = cli._RUNNERS[command]
+        returned, reports = [], []
 
         def recording(config):
             result = run(config)
             result.tables = [(name, "".join(lines)) for name, lines in result.tables]
             returned.append(dict(result.tables))
             assert len(returned[-1]) == len(result.tables)
+            reports.append("".join(f"{line}\n" for line in result.report))
             return result
-        monkeypatch.setitem(cli._RUNNERS, command, (recording, report))
+        monkeypatch.setitem(cli._RUNNERS, command, (recording, help_text))
         calls = [call for call in reach.CALLS if call[0] == command and call[2] == 0]
         reach.run_calls(main, tmp_path, calls)
-        assert len(returned) == len(calls)
+        assert len(returned) == len(reports) == len(calls)
+        assert capsys.readouterr().out == "".join(reports)
         for i, texts in enumerate(returned):
             assert {p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()} == {
                 name: body.encode() for name, body in texts.items()}

@@ -401,11 +401,17 @@ class TestFlowTraceValidation:
 
     @pytest.mark.parametrize("losses, rose", [
         ((1.0, 1.0 + 0.5e-9), False), ((1.0, 1.0 + 2e-9), True),
+        ((1.0, 1.0 * (1.0 + linear_flow.LOSS_INCREASE_RTOL)
+          + linear_flow.LOSS_INCREASE_ATOL * (1.0 + 1.0)), False),
+        ((1.0, 1.0 + 1.25e-9), True),
         ((0.0, 0.5e-18), False), ((0.0, 2e-18), True)],
-        ids=["rel_inside", "rel_outside", "abs_inside", "abs_outside"])
+        ids=["rel_inside", "rel_outside", "rel_at_bound", "rel_just_outside",
+             "abs_inside", "abs_outside"])
     def test_loss_rise_tolerances(self, losses, rose):
         """A rise counts past 1e-9 of the earlier loss plus 1e-18 times
-        1 + the first loss; from a loss of 0 only the second term is left."""
+        1 + the first loss; from a loss of 0 only the second term is left.
+        A loss equal to that bound, by the same expression, is no rise; a
+        1.25e-9 relative rise is one."""
         b = np.zeros((1, 1))
         samples = [self._sample(0.0, losses[0]), self._sample(1.0, losses[1])]
         if rose:
