@@ -1,5 +1,6 @@
 """Experiment runner and CLI behavior, including exit codes and CSVs."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -52,10 +53,63 @@ from odenet.harness import (
     run_toy_training,
 )
 from odenet.residual_models import WeightSchedule, make_linear_family, make_mlp_family
+from claims import CLAIMS
 from oracles import eval_field, tables, values
 import reach
 
 INDEX_ERROR = "index profile needs a one-parameter family"
+
+
+def _claim_line(claim) -> str:
+    """README's list item for one row of tests/claims.py, less its "- "."""
+    seeds = ", ".join(map(str, claim.seeds)) or "none"
+    r2 = "" if claim.r2_min is None else f", r² ≥ {claim.r2_min:g}"
+    return (f"`{claim.id}` in [{claim.low:g}, {claim.high:g}]{r2}, seeds {seeds}: "
+            f"{claim.statement}; `{claim.test}`.")
+
+
+def _is_number(node) -> bool:
+    """Whether an expression is arithmetic on number literals alone, like -1.25 or 2.0 / 3.0."""
+    return all(isinstance(n, (ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator))
+               or isinstance(n, ast.Constant) and type(n.value) in (int, float)
+               for n in ast.walk(node))
+
+
+def _literal_sides(compare) -> set:
+    """The sides, "low" and "high", from which a comparison bounds an
+    operand by a number literal."""
+    sides = set()
+    operands = [compare.left, *compare.comparators]
+    for op, a, b in zip(compare.ops, operands, operands[1:]):
+        if isinstance(op, (ast.Lt, ast.LtE)):
+            a_side, b_side = "low", "high"
+        elif isinstance(op, (ast.Gt, ast.GtE)):
+            a_side, b_side = "high", "low"
+        else:
+            continue
+        if _is_number(a):
+            sides.add(a_side)
+        if _is_number(b):
+            sides.add(b_side)
+    return sides
+
+
+def _is_literal_window(node) -> bool:
+    """Whether an expression writes a window or a fit's bound as a literal:
+    ``a <= x <= b``, ``a <= x and y <= b``, ``abs(x - c) <= e``, or a
+    fit's ``slope`` or ``r_squared`` against a number."""
+    if isinstance(node, ast.BoolOp):
+        compares = [value for value in node.values if isinstance(value, ast.Compare)]
+        return set().union(*map(_literal_sides, compares)) == {"low", "high"}
+    if not isinstance(node, ast.Compare):
+        return False
+    sides, operands = _literal_sides(node), [node.left, *node.comparators]
+    centred = any(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "abs"
+                  and isinstance(o.args[0], ast.BinOp)
+                  and (_is_number(o.args[0].left) or _is_number(o.args[0].right))
+                  for o in operands)
+    fit = any(isinstance(o, ast.Attribute) and o.attr in ("slope", "r_squared") for o in operands)
+    return sides == {"low", "high"} or bool(sides) and (centred or fit)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -296,23 +350,36 @@ class TestParseConfig:
             assert harness.COMMAND_OF[parse_config(body).experiment] == commands[name]
 
     def test_readme_acceptance_windows_are_asserted(self):
-        """Every `[a, b]` window of README's acceptance paragraph is an
-        `a <= ... <= b` bound of a test in tests/test_acceptance.py that is
-        not an expected failure."""
-        root = Path(__file__).resolve().parents[1]
-        readme = (root / "README.md").read_text()
-        paragraph = readme[readme.index("The headline guarantees live in one file"):
-                           readme.index("## Library sketch")]
-        number = r"(-?\d+(?:\.\d+)?)"
-        windows = {(float(a), float(b))
-                   for a, b in re.findall(rf"\[{number}, {number}\]", paragraph)}
-        assert windows
-        # Top-level blocks are separated by blank lines; a decorator stays
-        # with the function it marks.
-        blocks = re.split(r"\n\n(?=\S)", (root / "tests" / "test_acceptance.py").read_text())
-        bounds = {(float(a), float(b)) for block in blocks if "xfail" not in block
-                  for a, b in re.findall(rf"{number} <= \S+ <= {number}", block)}
-        assert windows <= bounds, sorted(windows - bounds)
+        """README's acceptance section lists every row of tests/claims.py
+        in the table's order, each item quoting its row's window, r² floor,
+        seeds, statement and test; it writes no other `[a, b]` window."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("The headline guarantees live in one file"):
+                         readme.index("## Library sketch")]
+        item = r"^- (.*(?:\n  .*)*)"
+        quoted = [" ".join(text.split()) for text in re.findall(item, section, re.MULTILINE)]
+        assert quoted == [_claim_line(claim) for claim in CLAIMS.values()]
+        assert not re.search(r"\[-?\d", re.sub(item, "", section, flags=re.MULTILINE))
+
+    def test_acceptance_windows_read_the_claims_table(self):
+        """tests/test_acceptance.py asserts no window or fit bound written
+        as a literal, and each row of tests/claims.py is read, as
+        `CLAIMS["<id>"]`, by the test function it names and by no other
+        function; the rows one test reads share their seeds."""
+        path = Path(__file__).resolve().parents[1] / "tests" / "test_acceptance.py"
+        tree = ast.parse(path.read_text())
+        literal = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Assert)
+                   and any(map(_is_literal_window, ast.walk(node.test)))]
+        assert not literal
+        tests = {fn.name for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_")}
+        assert {claim.test for claim in CLAIMS.values()} <= tests
+        reads = {(fn.name, ast.literal_eval(node.slice)) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                 if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "CLAIMS"}
+        assert reads == {(claim.test, claim.id) for claim in CLAIMS.values()}
+        for test in tests:
+            assert len({claim.seeds for claim in CLAIMS.values() if claim.test == test}) <= 1
 
     def test_readme_library_sketch_runs(self, capsys):
         """The README's fenced `python` sketch runs and prints one number."""

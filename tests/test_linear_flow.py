@@ -26,6 +26,7 @@ from odenet.linear_flow import (
     transport_product,
 )
 from odenet.residual_models import WeightSchedule
+from claims import CLAIMS
 from oracles import bind_flow_broadcast, finite_difference_gradient, tables
 
 
@@ -545,8 +546,9 @@ class TestDepthDoubling:
         d32 = depth_double_compare(traces[32], traces[64])
         d64 = depth_double_compare(traces[64], traces[128])
         assert d16 > d32 > d64 > 0.0
-        assert 0.35 <= d32 / d16 <= 0.7
-        assert 0.35 <= d64 / d32 <= 0.7
+        claim = CLAIMS["doubling_ratio"]
+        assert claim.low <= d32 / d16 <= claim.high
+        assert claim.low <= d64 / d32 <= claim.high
 
     def test_mismatch_validation(self, doubling_runs):
         _, b, traces = doubling_runs
@@ -565,7 +567,8 @@ class TestLimitMap:
         report = extract_limit_map([traces[d] for d in (16, 32, 64, 128)])
         assert report.depths.tolist() == [16, 32, 64]
         assert report.sup_fit is not None and report.sup_fit.r_squared >= 0.9
-        assert -1.3 <= report.sup_fit.slope <= -0.7
+        claim = CLAIMS["limit_map_slope"]
+        assert claim.low <= report.sup_fit.slope <= claim.high
         # distances shrink with depth at every sampled time, 10% slack
         for ti in range(len(report.times)):
             row = report.distances[ti]
