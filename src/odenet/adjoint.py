@@ -122,8 +122,9 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
         raise ValueError(f"output gradient shape {g.shape} does not match "
                          f"the state shape {x.shape}")
     N = schedule.depth
-    step, lead = scheme.step, scheme.lead
+    lead = scheme.lead
     f, linearize_block = family._bind(schedule.padded)[:2]
+    step = scheme.stepper(f, -N, x.shape)
     pending = None
     for hi in range(N, 0, -SWEEP_BLOCK):
         lo = max(hi - SWEEP_BLOCK, 0)
@@ -132,7 +133,7 @@ def _sweep(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
             # Layers past a divergence run on until the block's screen.
             with np.errstate(over="ignore", invalid="ignore"):
                 for n in range(hi - 1, lo - 1, -1):
-                    x = step(f, x, n + lead, n, -N, xs[n - lo])
+                    x = step(x, n + lead, n, xs[n - lo])
             _check_block(xs[::-1], range(hi - 1, lo - 1, -1), "adjoint sweep")
         else:
             xs = nodes[lo:hi]

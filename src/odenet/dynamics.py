@@ -25,6 +25,7 @@ interval n - 1, the property all error measurements below are anchored on.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "forward_euler_chain",
     "forward_heun_chain",
     "interpolate",
+    "stack_fields",
     "solve_ode_oracle",
     "approximation_error",
     "approximation_bound",
@@ -75,14 +77,22 @@ class VectorField:
     intervals share once, ``at`` that of interval n; a kernel is valid
     until the next ``at`` call, since the mlp's ``at`` refills shared
     buffers and returns the same kernel.  The oracle uses ``piece`` alone.
+
+    ``fuse`` is the family's stacked kernel (``ResidualFamily.fuse``) when
+    ``piece(alphas, slot=...)`` can fill one row's slot of its buffers.
+    A stack (``stack_fields``) has no ``piece``: its ``rows`` are the
+    (field, RK4 sub-steps per layer) pairs one oracle solve steps in
+    lockstep, and its ``depth`` is their total layer count.
     """
 
-    piece: Callable[[list], Callable[[int], Callable]]
+    piece: Optional[Callable[[list], Callable[[int], Callable]]]
     depth: int = 1   # grid resolution the field is piecewise-defined on
     state_dim: int = 1
     # Never set or called in src: bench/tracing.py's wrap_oracle reads and
     # replaces it (dataclasses.replace); ROADMAP item 1 deletes it.
     eval: Optional[Callable] = None
+    fuse: Optional[Callable] = None
+    rows: tuple = ()
 
 
 def _check_divergence(x, layer: int, context: str):
@@ -107,22 +117,30 @@ def _check_block(states, layers, context: str):
             _check_divergence(x, layer, context)
 
 
-def _euler_step(f, x, a, b, div, out):
-    out = f(x, a, out)
-    out /= div
-    out += x
-    return out
+def _euler_stepper(f, div, shape):
+    div = np.array(float(div))
+
+    def step(x, a, b, out):
+        out = f(x, a, out)
+        np.divide(out, div, out)
+        out += x
+        return out
+    return step
 
 
-def _heun_step(f, x, a, b, div, out):
-    f_a = f(x, a)
-    y = f_a / div
-    y += x
-    out = f(y, b, out)
-    out += f_a
-    out /= 2.0 * div
-    out += x
-    return out
+def _heun_stepper(f, div, shape):
+    div, twice = np.array(float(div)), np.array(2.0 * div)
+    f_a, y = np.empty(shape), np.empty(shape)
+
+    def step(x, a, b, out):
+        f(x, a, f_a)
+        np.add(np.divide(f_a, div, y), x, y)
+        out = f(y, b, out)
+        out += f_a
+        np.divide(out, twice, out)
+        out += x
+        return out
+    return step
 
 
 def _eye_plus(m) -> np.ndarray:
@@ -197,7 +215,9 @@ class Scheme:
 
     ``f`` and ``linearize_block`` are a family's kernels bound to the
     schedule's ``padded`` rows (``ResidualFamily._bind``); a, b and lo
-    are layer indices into those rows.  ``step(f, x, a, b, div, out)``
+    are layer indices into those rows.  ``stepper(f, div, shape)`` binds
+    the divisor, as a 0-d array, and the stage's scratch buffers once per
+    chain or sweep of states of ``shape``; its ``step(x, a, b, out)``
     steps by 1/div, forward at div = N from layer a = n to b = n + 1, in
     reverse at div = -N from a = n + lead to b = n: it writes x_next into
     ``out``, which must not overlap x, and returns it.  f(x, n, out)
@@ -216,12 +236,12 @@ class Scheme:
 
     name: str
     lead: int
-    step: Callable
+    stepper: Callable
     backprop: Callable
 
 
-EULER = Scheme("euler", 0, _euler_step, _euler_backprop)
-HEUN = Scheme("heun", 1, _heun_step, _heun_backprop)
+EULER = Scheme("euler", 0, _euler_stepper, _euler_backprop)
+HEUN = Scheme("heun", 1, _heun_stepper, _heun_backprop)
 
 
 @dataclass
@@ -249,7 +269,7 @@ def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
     """
     x = family.check_entry(schedule, x0)
     N = schedule.depth
-    step, f = scheme.step, family._bind(schedule.padded)[0]
+    step = scheme.stepper(family._bind(schedule.padded)[0], N, x.shape)
     states = np.empty(((N + 1) if store else SWEEP_BLOCK,) + x.shape)
     if store:
         states[0] = x
@@ -259,7 +279,7 @@ def _forward(scheme: Scheme, family: ResidualFamily, schedule: WeightSchedule,
         # Layers past a divergence run on until the block's screen.
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(lo, hi):
-                x = step(f, x, n, n + 1, N, block[n - lo])
+                x = step(x, n, n + 1, block[n - lo])
         _check_block(block, range(lo, hi), "forward chain")
     return Trajectory(states, scheme) if store else x
 
@@ -297,7 +317,7 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
 
     The schedule and ``theta_end`` are checked here, once, for both kinds.
     residual_interp binds the rows once and its ``piece`` is the bound
-    ``blend``; weight_interp takes the 1 - alpha and alpha columns once
+    ``blend``, its ``fuse`` the family's; weight_interp takes the 1 - alpha and alpha columns once
     and binds each interval's blended rows.
     """
     if kind not in ("residual_interp", "weight_interp"):
@@ -316,50 +336,143 @@ def interpolate(family: ResidualFamily, schedule: WeightSchedule, kind: str,
             alpha = np.asarray(alphas)[:, None]
             rest = 1.0 - alpha
             return lambda n: family._bind(rest * rows[n] + alpha * rows[n + 1])[0]
-    return VectorField(piece, depth=N, state_dim=family.state_dim)
+    return VectorField(piece, depth=N, state_dim=family.state_dim,
+                       fuse=family.fuse if kind == "residual_interp" else None)
 
 
-def solve_ode_oracle(field: VectorField, x0, fine_steps: int) -> np.ndarray:
+def _grid(field: VectorField) -> int:
+    return max(int(field.depth), 1)
+
+
+def stack_fields(fields, per_layer) -> VectorField:
+    """The fields as the rows of one stack, row r solved at per_layer[r]
+    RK4 sub-steps per layer, for one ``solve_ode_oracle`` call: its state
+    holds one row state per field, its ``fine_steps`` is the rows' total
+    sub-step count sum(N_r K_r), and the solve returns each row's nodes."""
+    rows = tuple(zip(fields, per_layer))
+    if not rows or len({field.state_dim for field, _ in rows}) != 1:
+        raise ValueError("a stack needs one or more fields of one state_dim")
+    for _, k in rows:
+        if isinstance(k, bool) or not hasattr(k, "__index__") or k < 4:
+            raise ValueError(f"sub-steps per layer must be an integer >= 4, got {k!r}")
+    return VectorField(None, depth=sum(_grid(field) for field, _ in rows),
+                       state_dim=rows[0][0].state_dim,
+                       rows=tuple((field, operator.index(k)) for field, k in rows))
+
+
+def solve_ode_oracle(field: VectorField, x0, fine_steps: int):
     """Classical 4-stage Runge-Kutta flow of the field at the chain nodes
-    n/N, returned as the (N + 1,) + x0.shape array of node states.
+    n/N, returned as the (N + 1,) + x0.shape array of node states; of a
+    stack (``stack_fields``), the list of its rows' node arrays, in order.
 
-    ``fine_steps`` must be a multiple of the field's grid resolution N
+    A field's ``fine_steps`` must be a multiple of its grid resolution N
     and at least 4N, so each layer interval takes K = fine_steps / N
-    whole sub-steps and none straddles an interpolation interval.  The
-    solve binds one RK4 stepper and the field's ``piece`` at the stage
-    fractions j / (2K), j = 0..2K, once; each interval gets one kernel,
-    and sub-step i of it evaluates fractions 2i, 2i + 1 and 2i + 2; it
-    never calls ``field.eval``.  Each interval's K sub-step states are
-    screened for divergence once, as a chain's block is.  x0 and
-    fine_steps are validated once, here.
+    whole sub-steps and none straddles an interpolation interval; it is
+    solved as the one-row stack.  A stack's x0 holds one state per row,
+    and its ``fine_steps`` must be the rows' total sub-step count.
+    x0 and fine_steps are validated once, here.
+
+    The rows step in lockstep, one cell of C = gcd(K_r) sub-steps per
+    tick: row r's layer interval is K_r / C cells, and its field's
+    ``piece`` binds each cell c's stage fractions (2Cc + j) / (2K_r),
+    j = 0..2C, once; sub-step i of a cell evaluates stages 2i, 2i + 1 and
+    2i + 2.  Sorted by cell count, the active rows are a prefix that
+    shrinks as rows finish, and each active-row count binds one RK4
+    stepper with the rows' own step sizes 1 / (N_r K_r).  A lone row
+    steps through its own kernel; more rows step through the ``fuse``
+    kernel they share (``_stack_kernel``).  Each tick's sub-step states
+    are screened for divergence once, the error naming the layer of the
+    row that failed; it never calls ``field.eval``.
     """
     x = require_finite(x0, "x0").astype(float)
-    if x.ndim not in (1, 2) or x.shape[0] != field.state_dim:
-        raise ValueError(f"x0 shape {x.shape} does not match state_dim {field.state_dim}")
+    row_shape = x.shape[1:] if field.rows else x.shape
+    if (len(row_shape) not in (1, 2) or row_shape[0] != field.state_dim
+            or field.rows and x.shape[0] != len(field.rows)):
+        rows = f" in {len(field.rows)} rows" if field.rows else ""
+        raise ValueError(f"x0 shape {x.shape} does not match state_dim {field.state_dim}{rows}")
     if isinstance(fine_steps, bool) or not hasattr(fine_steps, "__index__"):
         raise ValueError(f"fine_steps must be an integer, got {fine_steps!r}")
     fine_steps = operator.index(fine_steps)
-    n_grid = max(int(field.depth), 1)
+    if field.rows:
+        total = sum(_grid(row) * k for row, k in field.rows)
+        if fine_steps != total:
+            raise ValueError(f"fine_steps {fine_steps} must be the stack's {total} sub-steps")
+        return _solve_rows(field.rows, x)
+    n_grid = _grid(field)
     if fine_steps % n_grid != 0:
         raise ValueError(f"fine_steps {fine_steps} must be a multiple of {n_grid}")
     if fine_steps < 4 * n_grid:
         raise ValueError(f"fine_steps {fine_steps} too coarse; need >= {4 * n_grid}")
+    return _solve_rows(((field, fine_steps // n_grid),), x[None])[0]
 
-    per_layer = fine_steps // n_grid
-    at = field.piece((np.arange(2 * per_layer + 1) / (2 * per_layer)).tolist())
-    increment = _rk4_stepper(1.0 / fine_steps, x.shape)
-    states = np.empty((n_grid + 1,) + x.shape)
-    sub_steps = np.empty((per_layer,) + x.shape)
-    states[0] = x
-    # Sub-steps past a divergence run on until the interval's screen.
+
+def _cell_fractions(per_layer: int, cell: int, c: int) -> list:
+    """Stage fractions j / (2 per_layer) of sub-steps c cell .. (c + 1) cell."""
+    return ((2 * cell * c + np.arange(2 * cell + 1)) / (2 * per_layer)).tolist()
+
+
+def _stack_kernel(kernels, fused, last):
+    """Stage m of the active rows x[r]: the rows' ``fused`` kernel at a
+    cell's interior stages 0 < m < last, else kernels[r] row by row.  A
+    cell's end stages, where a row's fraction may be 0 or 1, keep each
+    row's own kernel, as the mlp's single-layer ends are not always its
+    fused two-layer form bit for bit."""
+    def g(x, m):
+        if fused is not None and 0 < m < last:
+            return fused(x, m)
+        out = np.empty_like(x)
+        for kernel, row, o in zip(kernels, x, out):
+            o[...] = kernel(row, m)
+        return out
+    return g
+
+
+def _solve_rows(rows, x):
+    """``solve_ode_oracle``'s lockstep RK4 loop over the (field, K) rows
+    from their (R,) + shape start states x."""
+    shape, cell = x.shape[1:], math.gcd(*(k for _, k in rows))
+    # Most cells first, so the rows still stepping are always a prefix.
+    order = sorted(range(len(rows)), key=lambda r: -_grid(rows[r][0]) * rows[r][1])
+    fields, per_layer = zip(*(rows[r] for r in order))
+    ticks = [_grid(f) * k // cell for f, k in zip(fields, per_layer)]
+    steps = [1.0 / (_grid(f) * k) for f, k in zip(fields, per_layer)]
+    pieces, fused = [f.piece for f in fields], None
+    fuse = fields[0].fuse
+    if len(rows) > 1 and fuse is not None and all(f.fuse is fuse for f in fields):
+        slots, fused = fuse(len(rows), 2 * cell + 1)
+        pieces = [functools.partial(p, slot=slot) for p, slot in zip(pieces, slots)]
+    # ats[r][c] gives row r's kernel for cell c of a layer interval.
+    ats = [[p(_cell_fractions(k, cell, c)) for c in range(k // cell)]
+           for p, k in zip(pieces, per_layer)]
+    nodes = [np.empty((_grid(f) + 1,) + shape) for f in fields]
+    x = x[order]
+    for r, row_nodes in enumerate(nodes):
+        row_nodes[0] = x[r]
+    t = 0
+    # Sub-steps past a divergence run on until the tick's screen.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_grid):
-            g = at(n)
-            for j in range(per_layer):
-                x = np.add(x, increment(g, x, 2 * j), sub_steps[j])
-            _check_block(sub_steps, (n,) * per_layer, "ode oracle")
-            states[n + 1] = x
-    return states
+        for a in range(len(rows), 0, -1):
+            if ticks[a - 1] <= t:
+                continue
+            active = ats[:a]
+            x = x[0] if a == 1 else x[:a]
+            h = steps[0] if a == 1 else np.reshape(steps[:a], (a,) + (1,) * len(shape))
+            increment = _rk4_stepper(h, x.shape)
+            block = np.empty((cell,) + x.shape)
+            states = block.reshape((-1,) + shape)
+            stacked = fused(a) if fused is not None and a > 1 else None
+            for t in range(t, ticks[a - 1]):
+                kernels = [at[t % len(at)](t // len(at)) for at in active]
+                g = kernels[0] if a == 1 else _stack_kernel(kernels, stacked, 2 * cell)
+                for i in range(cell):
+                    x = np.add(x, increment(g, x, 2 * i), block[i])
+                _check_block(states, (t // len(at) for _ in block for at in active),
+                             "ode oracle")
+                for at, row, row_nodes in zip(active, (x,) if a == 1 else x, nodes):
+                    if (t + 1) % len(at) == 0:
+                        row_nodes[(t + 1) // len(at)] = row
+            t = ticks[a - 1]
+    return [nodes[order.index(r)] for r in range(len(rows))]
 
 
 def approximation_error(traj: Trajectory, flow: np.ndarray):

@@ -43,6 +43,7 @@ from .dynamics import (
     forward_heun_chain,
     interpolate,
     solve_ode_oracle,
+    stack_fields,
 )
 from .linear_flow import (
     MAX_STEP_SIZE,
@@ -400,38 +401,86 @@ ORACLE_TOLERANCE = 1e-3
 SLOPE_R2_MIN = 0.9
 
 
-def _oracle(field, x0):
-    """Reference solution at 8N RK4 steps and its Richardson error estimate.
+def _oracle(fields, x0):
+    """Each field's reference solution at 8N RK4 steps and its Richardson
+    error estimate, as (flow, estimate) pairs, from one stack of every
+    field's 4N and 8N solves.
 
     The estimate is the largest gap, over the chain nodes n/N, between
     the solves at 4N and at 8N steps.
     """
-    coarse = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER // 2 * field.depth)
-    flow = solve_ode_oracle(field, x0, ORACLE_STEPS_PER_LAYER * field.depth)
-    return flow, float(np.max(np.linalg.norm(coarse - flow, axis=1)))
+    if not fields:
+        return []
+    steps = (ORACLE_STEPS_PER_LAYER // 2, ORACLE_STEPS_PER_LAYER)
+    rows = [(field, k) for field in fields for k in steps]
+    nodes = solve_ode_oracle(stack_fields(*zip(*rows)),
+                             np.broadcast_to(x0, (len(rows),) + x0.shape),
+                             sum(k * field.depth for field, k in rows))
+    return [(flow, float(np.max(np.linalg.norm(coarse - flow, axis=1))))
+            for coarse, flow in zip(nodes[::2], nodes[1::2])]
 
 
-def _chain_vs_flow(family, schedule, x0, kind="residual_interp", theta_end=None):
+def _chain_vs_flow(family, schedule, x0, kind, theta_end):
     """The Euler chain, its node gaps to the interpolating flow, and the oracle's error."""
     traj = forward_euler_chain(family, schedule, x0)
-    flow, oracle_error = _oracle(interpolate(family, schedule, kind, theta_end), x0)
+    [(flow, oracle_error)] = _oracle([interpolate(family, schedule, kind, theta_end)], x0)
     return traj, approximation_error(traj, flow)[0], oracle_error
 
 
-def _approx_depth_metrics(family, schedule, x0, target):
-    traj, gaps, oracle_error = _chain_vs_flow(family, schedule, x0)
-    state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
-    return [(float(np.max(gaps)), state_scale)], oracle_error
+def _unless_diverged(fn, *args):
+    """fn(*args), or None when it raises a DivergenceError."""
+    try:
+        return fn(*args)
+    except DivergenceError:
+        return None
+
+
+def _approx_metrics(family, schedules, x0, target):
+    """Every depth's Euler chain, then one oracle stack of the depths
+    whose chain did not diverge; a stack that diverges is solved again
+    one depth at a time, so a depth is None exactly when its own chain or
+    oracle diverges."""
+    runs = [(schedule, _unless_diverged(forward_euler_chain, family, schedule, x0))
+            for schedule in schedules]
+    fields = [interpolate(family, schedule, "residual_interp")
+              for schedule, traj in runs if traj is not None]
+    oracles = _unless_diverged(_oracle, fields, x0)
+    if oracles is None:
+        oracles = [(_unless_diverged(_oracle, [field], x0) or [None])[0] for field in fields]
+    oracles = iter(oracles)
+    for _, traj in runs:
+        oracle = None if traj is None else next(oracles)
+        if oracle is None:
+            yield None
+            continue
+        flow, oracle_error = oracle
+        state_scale = float(np.max(np.linalg.norm(traj.nodes, axis=1)))
+        yield [(float(np.max(approximation_error(traj, flow)[0])), state_scale)], oracle_error
+
+
+def _each_depth(measure):
+    """A study over its schedules from measure(family, schedule, x0,
+    target), one depth at a time: None for a depth that diverged.  Each
+    depth's schedule is released before the next one is built."""
+    def measure_all(family, schedules, x0, target):
+        for schedule in schedules:
+            measured = _unless_diverged(measure, family, schedule, x0, target)
+            del schedule
+            yield measured
+    return measure_all
 
 
 _ADJOINT_METRICS = ("recon_max_error", "grad_max_abs_error", "grad_max_rel_error")
-# Each study's measure(family, schedule, x0, target) returns its
-# (value, scale) pairs in metric-name order and the oracle's error
-# estimate, or None when the study runs no oracle.
+# Each study's measure(family, schedules, x0, target) yields, per schedule
+# of the iterable, None for a depth that diverged or else its (value,
+# scale) pairs in metric-name order and the oracle's error estimate, or
+# None when the study runs no oracle.
 _STUDIES = {
-    "approx_error": (_approx_depth_metrics, ("approx_max_error",)),
-    "euler_adjoint": (functools.partial(_adjoint_depth_metrics, EULER), _ADJOINT_METRICS),
-    "heun_adjoint": (functools.partial(_adjoint_depth_metrics, HEUN), _ADJOINT_METRICS),
+    "approx_error": (_approx_metrics, ("approx_max_error",)),
+    "euler_adjoint": (_each_depth(functools.partial(_adjoint_depth_metrics, EULER)),
+                      _ADJOINT_METRICS),
+    "heun_adjoint": (_each_depth(functools.partial(_adjoint_depth_metrics, HEUN)),
+                     _ADJOINT_METRICS),
 }
 
 
@@ -449,14 +498,13 @@ def run_scaling_study(config: ExperimentConfig) -> StudyResult:
 
     records, oracle_errors = [], {}
     clean = {name: [] for name in metric_names}
-    for depth in config.depths:
-        schedule = WeightSchedule(profile(depth))
-        try:
-            metrics, oracle_error = measure(family, schedule, x0, target)
-        except DivergenceError:
+    schedules = (WeightSchedule(profile(depth)) for depth in config.depths)
+    for depth, measured in zip(config.depths, measure(family, schedules, x0, target)):
+        if measured is None:
             for name in metric_names:
                 records.append(StudyRecord(depth, name, math.nan, "diverged"))
             continue
+        metrics, oracle_error = measured
         if oracle_error is not None:
             oracle_errors[depth] = oracle_error
         for name, (value, scale) in zip(metric_names, metrics):

@@ -67,7 +67,8 @@ def _rk4_stepper(h, shape):
     """The increment one classical Runge-Kutta step of x' = g(x, stage)
     with step h adds to a state of ``shape``, bound once per step size:
     increment(g, x, m=0, k1=None) returns (h/6)(k1 + 2 k2 + 2 k3 + k4) as
-    a fresh array.
+    a fresh array.  h is a float, or an array of step sizes that
+    broadcasts against the state, one per row of a stacked state.
 
     The four stages evaluate g at stages m, m + 1, m + 1 and m + 2, so a
     caller indexing half-steps gets the start, midpoint and end of the

@@ -11,7 +11,7 @@ scalar loss.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +54,11 @@ class ResidualFamily:
                 until the next ``at`` call; the mlp fuses it into one
                 tanh per stage over two weight buffers ``at`` refills,
                 the others sum two evals (``_eval_blend``)
+    fuse:       (count, stages) -> (slots, kernel), the mlp's alone: the
+                blends of a stack of fields, one per row, each bound as
+                blend(alphas, slot=slots[r]) to fill row r's slot, and
+                kernel(a) -> g(x, m) evaluating stage m of the first a
+                rows, x[r] being row r's state, in one stacked pass
 
     The public ``eval``, ``vjp_state`` and ``vjp_params`` check shapes
     and bind the one row ``theta[None]``.  The chains, sweeps and
@@ -62,11 +67,13 @@ class ResidualFamily:
     call the bound kernels at layer indices, unchecked.
     """
 
-    def __init__(self, name: str, state_dim: int, param_dim: int, bind: Callable):
+    def __init__(self, name: str, state_dim: int, param_dim: int, bind: Callable,
+                 fuse: Optional[Callable] = None):
         self.name = name
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
         self._bind = bind
+        self.fuse = fuse
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -229,19 +236,21 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
                 return np.concatenate([grad_w1, grad_w2], axis=1)
             return np.matmul(w2, a).reshape(xs.shape), jac_t, vjp_theta
 
-        def blend(alphas):
+        def blend(alphas, slot=None):
             # One stacked (2h, d) first layer [W1_n; W1_n+1] and, per stage
             # m, the (d, 2h) second layer [(1 - alpha_m) W2_n, alpha_m W2_n+1],
             # so one tanh per stage; alpha 0 or 1 keeps its single layer, so
             # g is f(., rows[n]) or f(., rows[n + 1]) bit-exactly.  The
-            # weights, both buffers and their bound .dot methods are made
-            # once; at(n) refills the buffers and rebinds the end stages, so
-            # its one kernel holds interval n until the next call.
+            # weights, both buffers (``slot``, one row of ``fuse``'s, when
+            # given) and their bound .dot methods are made once; at(n)
+            # refills the buffers and rebinds the end stages, so its one
+            # kernel holds interval n until the next call.
             alpha = np.asarray(alphas, dtype=float)[:, None, None, None]
             weights = np.concatenate([1.0 - alpha, alpha], axis=2)
-            w1, table = np.empty((2, hidden, d)), np.empty((len(alphas), d, 2, hidden))
-            stacked = w1.reshape(2 * hidden, d).dot
-            layers = [(stacked, w2.dot) for w2 in table.reshape(len(alphas), d, 2 * hidden)]
+            w1, table = slot or (np.empty((2 * hidden, d)),
+                                 np.empty((len(alphas), d, 2 * hidden)))
+            pair, split = w1.reshape(2, hidden, d), table.reshape(len(alphas), d, 2, hidden)
+            layers = [(w1.dot, w2.dot) for w2 in table]
             ends = [(m, int(a)) for m, a in enumerate(alphas) if a in (0.0, 1.0)]
 
             def g(x, m):
@@ -250,15 +259,31 @@ def make_mlp_family(d: int, hidden: int) -> ResidualFamily:
                 return outer(np.tanh(pre, pre))
 
             def at(n):
-                w1[...] = w1s[n:n + 2]
-                np.multiply(weights, w2s[n:n + 2].swapaxes(0, 1), out=table)
+                pair[...] = w1s[n:n + 2]
+                np.multiply(weights, w2s[n:n + 2].swapaxes(0, 1), out=split)
                 for m, end in ends:
                     layers[m] = (w1s[n + end].dot, w2s[n + end].dot)
                 return g
             return at
         return eval_fn, linearize_block, blend
 
-    return ResidualFamily("mlp", d, 2 * d * hidden, bind)
+    def fuse(count, stages):
+        """One slot per row of ``count`` blends at ``stages`` fractions
+        each, and kernel(a): stage m of the first a rows' blends, as two
+        stacked matmuls and one tanh, bit-equal to each row's kernel at a
+        stage that keeps both layers."""
+        w1, table = np.empty((count, 2 * hidden, d)), np.empty((count, stages, d, 2 * hidden))
+
+        def kernel(a):
+            inner, layers = w1[:a], [table[:a, m] for m in range(stages)]
+
+            def g(x, m):
+                pre = widen(inner, _columns(x))
+                return np.matmul(layers[m], np.tanh(pre, pre)).reshape(x.shape)
+            return g
+        return list(zip(w1, table)), kernel
+
+    return ResidualFamily("mlp", d, 2 * d * hidden, bind, fuse)
 
 
 def _scalar_family(name: str, g: Callable, dg: Callable) -> ResidualFamily:

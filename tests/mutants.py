@@ -47,7 +47,7 @@ MUTANTS = {
         "src/odenet/adjoint.py", "else pending[1][0]", "else pending[1][-1]",
         "tests/test_adjoint.py::TestBlockedSweep::test_bit_equal_to_the_layer_sweep[identity-heun-17-None-stored]"),
     "heun_step_divisor_drops_2": (
-        "src/odenet/dynamics.py", "out /= 2.0 * div", "out /= div",
+        "src/odenet/dynamics.py", "np.array(2.0 * div)", "np.array(1.0 * div)",
         "tests/test_acceptance.py::test_heun_smooth_gradient_error_decays_near_fourth_order"),
     "divergence_screen_4x_lax": (
         "src/odenet/dynamics.py", "DIVERGENCE_THRESHOLD / (2.0 * math.sqrt(states[0].size))",
@@ -96,6 +96,11 @@ MUTANTS = {
     "rk4_two_one_ulp_high": (
         "src/odenet/numerics.py", "h / 6.0, 2.0)", "h / 6.0, np.nextafter(2.0, 3.0))",
         "tests/test_numerics.py::TestRk4Stepper::test_increment_is_the_formula_bit_for_bit[0.3-4]"),
+    # The stacked oracle: an 8N row's second cell reads its first cell's fractions.
+    "stack_cell_reads_first_cell_fractions": (
+        "src/odenet/dynamics.py", "2 * cell * c + np.arange(2 * cell + 1)",
+        "np.arange(2 * cell + 1)",
+        "tests/test_dynamics.py::TestStackedOracle::test_rows_equal_their_own_solves[4_8-residual_interp-mlp4]"),
     # The chain-vs-ODE bound on a NaN input and past e^L's overflow.
     "bound_lets_nan_through": (
         "src/odenet/dynamics.py", "if not (L >= 0.0 and c_n >= 0.0) or N < 1:",

@@ -47,9 +47,10 @@ def reverse_nodes(scheme, family, schedule, xN):
     looped from xN through the checked ``eval``."""
     f, N = checked_eval(family, schedule), schedule.depth
     nodes = np.empty((N + 1,) + np.shape(xN))
+    step = scheme.stepper(f, -N, np.shape(xN))
     x = nodes[N] = xN
     for n in range(N - 1, -1, -1):
-        x = scheme.step(f, x, n + scheme.lead, n, -N, nodes[n])
+        x = step(x, n + scheme.lead, n, nodes[n])
     return nodes
 
 
@@ -90,11 +91,12 @@ def layer_sweep(scheme, family, schedule, xN, output_grad, nodes=None):
     f, N = checked_eval(family, schedule), schedule.depth
     pullback = LAYER_PULLBACKS[scheme.name]
     x, g = np.asarray(xN, dtype=float), np.asarray(output_grad, dtype=float)
+    step = scheme.stepper(f, -N, x.shape)
     f_next = pending = x_prev = None
     for n in range(N - 1, -1, -1):
         if nodes is None:
             if f_next is None:
-                x = scheme.step(f, x, n + scheme.lead, n, -N, np.empty_like(x))
+                x = step(x, n + scheme.lead, n, np.empty_like(x))
             else:  # Heun's reverse step from the carried f(x~_{n+1}, theta_{n+1})
                 x = x + (f_next + f(x + f_next / -N, n)) / (2.0 * -N)
             _check_divergence(x, n, "adjoint sweep")

@@ -12,13 +12,16 @@ from odenet.dynamics import (
     DivergenceError,
     Trajectory,
     approximation_bound,
+    _cell_fractions,
     _check_divergence,
     _forward,
+    _stack_kernel,
     approximation_error,
     forward_euler_chain,
     forward_heun_chain,
     interpolate,
     solve_ode_oracle,
+    stack_fields,
 )
 from odenet.numerics import fit_loglog_slope
 from odenet.residual_models import (
@@ -30,6 +33,7 @@ from odenet.residual_models import (
     make_square_family,
 )
 from oracles import eval_field, interpolated_field, make_index_schedule
+from test_residual_models import ALL_FAMILIES
 
 
 def constant_schedule(theta, depth):
@@ -419,6 +423,132 @@ class TestOraclePiecePath:
         for bad in (np.zeros(2), np.zeros((4, 5)), np.zeros((3, 2, 2))):
             with pytest.raises(ValueError, match="state_dim"):
                 solve_ode_oracle(field, bad, 8)
+
+
+# (depth, RK4 sub-steps per layer) rows: an 8-step row runs two cells of
+# the 4-step rows' four sub-steps; with a 5-step row the cells are single
+# sub-steps.  Ties in cell count and a row that outlasts all others occur.
+STACKS = {
+    "4_8": ((3, 8), (6, 4), (2, 4), (3, 4), (5, 8)),
+    "4_5_8": ((4, 5), (2, 8), (5, 4), (1, 4), (3, 5)),
+}
+
+
+def _stacked_and_alone(fields, rows, x0):
+    """A stack's node arrays and each row's own solve."""
+    stacked = solve_ode_oracle(stack_fields(fields, [k for _, k in rows]), x0,
+                               sum(n * k for n, k in rows))
+    alone = [solve_ode_oracle(f, x, n * k) for f, x, (n, k) in zip(fields, x0, rows)]
+    return stacked, alone
+
+
+class TestStackedOracle:
+    """One lockstep solve of a stack of fields gives each row's own solve
+    byte for byte, whatever its rows' depths and sub-steps per layer."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.name}{f.state_dim}")
+    @pytest.mark.parametrize("kind", ["residual_interp", "weight_interp"])
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_rows_equal_their_own_solves(self, family, kind, stack):
+        rng = np.random.default_rng(31)
+        rows = STACKS[stack]
+        fields = [interpolate(family, WeightSchedule(rng.standard_normal((n, family.param_dim))),
+                              kind, rng.standard_normal(family.param_dim)
+                              if kind == "weight_interp" else None) for n, _ in rows]
+        x0 = rng.standard_normal((len(rows), family.state_dim))
+        stacked, alone = _stacked_and_alone(fields, rows, x0)
+        assert [a.shape for a in stacked] == [(n + 1, family.state_dim) for n, _ in rows]
+        assert [a.tobytes() for a in stacked] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_batched_mlp_rows_equal_their_own_solves(self, stack):
+        fam = make_mlp_family(3, 4)
+        rng = np.random.default_rng(32)
+        rows = STACKS[stack]
+        fields = [interpolate(fam, WeightSchedule(rng.standard_normal((n, fam.param_dim))),
+                              "residual_interp") for n, _ in rows]
+        stacked, alone = _stacked_and_alone(fields, rows, rng.standard_normal((len(rows), 3, 5)))
+        assert [a.tobytes() for a in stacked] == [a.tobytes() for a in alone]
+
+    def test_mixed_fields_equal_their_own_solves(self):
+        """Rows of different kinds share no fused kernel and step row by row."""
+        fam = make_mlp_family(2, 3)
+        rng = np.random.default_rng(33)
+        sched = WeightSchedule(rng.standard_normal((4, fam.param_dim)))
+        fields = [interpolate(fam, sched, "residual_interp"),
+                  interpolate(fam, sched, "weight_interp"),
+                  interpolated_field(fam, sched, "residual_interp")]
+        rows = ((4, 8), (4, 4), (4, 4))
+        stacked, alone = _stacked_and_alone(fields, rows, rng.standard_normal((3, 2)))
+        assert [a.tobytes() for a in stacked] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("d,hidden", [(1, 8), (2, 3), (4, 8)])
+    def test_every_stage_is_each_rows_own_kernel(self, d, hidden):
+        """A tick's stacked kernel gives, at every stage of a cell, row r's
+        own kernel at x[r] byte for byte: the fused stages inside a cell
+        and the end stages, where the mlp keeps its single layer."""
+        fam = make_mlp_family(d, hidden)
+        rng = np.random.default_rng(35)
+        blends = [fam._bind(rng.standard_normal((4, fam.param_dim)))[2] for _ in range(3)]
+        slots, fused = fam.fuse(3, 9)
+        for per_layer, cell in ((8, 4), (4, 4), (12, 4)):
+            for c in range(per_layer // cell):
+                alphas = _cell_fractions(per_layer, cell, c)
+                kernels = [b(alphas, slot=slot)(n) for n, (b, slot) in enumerate(zip(blends, slots))]
+                g = _stack_kernel(kernels, fused(3), 2 * cell)
+                for x in (rng.standard_normal((3, d)), rng.standard_normal((3, d, 4))):
+                    for m in range(2 * cell + 1):
+                        got = g(x, m)
+                        for r, kernel in enumerate(kernels):
+                            assert got[r].tobytes() == kernel(x[r], m).tobytes()
+
+    @pytest.mark.parametrize("per_layer", [4, 8])
+    def test_one_row_stack_is_the_field_solve(self, per_layer):
+        fam = make_mlp_family(3, 4)
+        rng = np.random.default_rng(34)
+        field = interpolate(fam, WeightSchedule(rng.standard_normal((5, fam.param_dim))),
+                            "residual_interp")
+        x0 = rng.standard_normal(3)
+        [row] = solve_ode_oracle(stack_fields([field], [per_layer]), x0[None], 5 * per_layer)
+        assert row.tobytes() == solve_ode_oracle(field, x0, 5 * per_layer).tobytes()
+
+    def test_one_row_stack_keeps_the_divergence_layer_and_message(self):
+        sched = WeightSchedule(np.array([[30.0], [40.0], [50.0], [60.0]]))
+        field = interpolate(make_linear_family(1), sched, "residual_interp")
+        for solve in (lambda: solve_ode_oracle(field, np.ones(1), 64 * 4),
+                      lambda: solve_ode_oracle(stack_fields([field], [64]), np.ones((1, 1)),
+                                               64 * 4)):
+            with pytest.raises(DivergenceError, match="ode oracle diverged at layer 2$") as info:
+                solve()
+            assert info.value.layer == 2
+
+    def test_a_diverging_row_fails_the_stack(self):
+        fam = make_linear_family(1)
+        fields = [interpolate(fam, WeightSchedule(np.full((4, 1), theta)), "residual_interp")
+                  for theta in (1.0, 40.0)]
+        with pytest.raises(DivergenceError, match="ode oracle diverged at layer 2$") as info:
+            solve_ode_oracle(stack_fields(fields, [8, 4]), np.ones((2, 1)), 48)
+        assert info.value.layer == 2
+
+    def test_stack_validation(self):
+        fam = make_identity_family()
+        fields = [interpolate(fam, make_index_schedule(n), "residual_interp") for n in (2, 3)]
+        stack = stack_fields(fields, [4, 8])
+        assert (stack.depth, stack.state_dim) == (5, 1)
+        with pytest.raises(ValueError, match="sub-steps"):
+            solve_ode_oracle(stack, np.zeros((2, 1)), 40)     # not 2 * 4 + 3 * 8
+        with pytest.raises(ValueError, match="in 2 rows"):
+            solve_ode_oracle(stack, np.zeros((3, 1)), 32)
+        with pytest.raises(ValueError, match="in 2 rows"):
+            solve_ode_oracle(stack, np.zeros(2), 32)
+        for per_layer in ([4, 3], [4, 8.0], [4, True]):
+            with pytest.raises(ValueError, match="integer >= 4"):
+                stack_fields(fields, per_layer)
+        with pytest.raises(ValueError, match="one state_dim"):
+            stack_fields([fields[0], interpolate(make_linear_family(2), WeightSchedule(
+                np.zeros((2, 4))), "residual_interp")], [4, 4])
+        with pytest.raises(ValueError, match="one state_dim"):
+            stack_fields([], [])
 
 
 ABOVE = np.nextafter(DIVERGENCE_THRESHOLD, np.inf)

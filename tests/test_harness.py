@@ -473,8 +473,8 @@ class TestScalingStudy:
     def test_fit_confidence_threshold_is_r2_of_0_9(self, monkeypatch, planted, r2, flag):
         """A slope fit with r2 near 0.7 is low_confidence; one near 0.94 is ok."""
         by_depth = dict(zip((8, 16, 32, 64), planted))
-        monkeypatch.setitem(harness._STUDIES, "approx_error", (
-            lambda family, schedule, x0, target: ([(by_depth[schedule.depth], 1.0)], None),
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (harness._each_depth(
+            lambda family, schedule, x0, target: ([(by_depth[schedule.depth], 1.0)], None)),
             ("approx_max_error",)))
         result = run_scaling_study(ExperimentConfig(experiment="approx_error",
                                                     depths=(8, 16, 32, 64)))
@@ -486,8 +486,8 @@ class TestScalingStudy:
         over seeds 0-199 at d = 4 the mean lies within [0.8, 1.2], four
         standard errors of sqrt(2 / d / 200) = 0.05."""
         inputs = []
-        monkeypatch.setitem(harness._STUDIES, "approx_error", (
-            lambda family, schedule, x0, target: inputs.append(x0) or ([(1.0, 1.0)], None),
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (harness._each_depth(
+            lambda family, schedule, x0, target: inputs.append(x0) or ([(1.0, 1.0)], None)),
             ("approx_max_error",)))
         for seed in range(200):
             run_scaling_study(ExperimentConfig(experiment="approx_error", family="linear",
@@ -651,6 +651,11 @@ def _mlp_field(depth, seed=3):
     return interpolate(family, schedule, "residual_interp"), rng.standard_normal(3)
 
 
+def per_field(oracle):
+    """A ``harness._oracle`` stand-in from oracle(field, x0), field by field."""
+    return lambda fields, x0: [oracle(field, x0) for field in fields]
+
+
 def _huge_estimate(field, x0):
     return solve_ode_oracle(field, x0, 8 * field.depth), 1.0
 
@@ -659,14 +664,14 @@ class TestOracle:
     @pytest.mark.parametrize("depth", [1, 5, 32])
     def test_solution_is_the_eight_step_solve(self, depth):
         field, x0 = _mlp_field(depth)
-        sol, _ = harness._oracle(field, x0)
+        [(sol, _)] = harness._oracle([field], x0)
         ref = solve_ode_oracle(field, x0, 8 * depth)
         assert np.array_equal(sol, ref)
 
     @pytest.mark.parametrize("depth", [1, 5, 32])
     def test_estimate_is_the_largest_node_gap(self, depth):
         field, x0 = _mlp_field(depth)
-        _, estimate = harness._oracle(field, x0)
+        [(_, estimate)] = harness._oracle([field], x0)
         coarse = solve_ode_oracle(field, x0, 4 * depth)
         fine = solve_ode_oracle(field, x0, 8 * depth)
         gaps = [np.linalg.norm(coarse[n] - fine[n]) for n in range(depth + 1)]
@@ -678,7 +683,7 @@ class TestOracle:
         field = eval_field(lambda x, s: x * (1.0 - x),
                            depth=depth, state_dim=1)
         x0 = np.array([0.2])
-        sol, estimate = harness._oracle(field, x0)
+        [(sol, estimate)] = harness._oracle([field], x0)
         ref = solve_ode_oracle(field, x0, 512)
         true_error = np.max(np.abs(sol - ref))
         assert 0.0 < true_error <= estimate
@@ -691,7 +696,7 @@ class TestOracle:
 
         def oracle_64n(field, x0):
             return solve_ode_oracle(field, x0, 64 * field.depth), 0.0
-        monkeypatch.setattr(harness, "_oracle", oracle_64n)
+        monkeypatch.setattr(harness, "_oracle", per_field(oracle_64n))
         slow = values(run_scaling_study(config), "approx_max_error")
         for depth, value in values(fast, "approx_max_error").items():
             assert value == pytest.approx(slow[depth], rel=1e-8, abs=0.0)
@@ -699,7 +704,7 @@ class TestOracle:
 
 class TestOracleFlag:
     def test_large_estimate_flags_every_point(self, monkeypatch):
-        monkeypatch.setattr(harness, "_oracle", _huge_estimate)
+        monkeypatch.setattr(harness, "_oracle", per_field(_huge_estimate))
         config = ExperimentConfig(experiment="approx_error", depths=(8, 16),
                                   state_dim=2, seed=1)
         result = run_scaling_study(config)
@@ -719,10 +724,10 @@ class TestOracleFlag:
         real = harness._oracle
 
         def one_bad_depth(field, x0):
-            sol, estimate = real(field, x0)
+            [(sol, estimate)] = real([field], x0)
             # just above the tolerance at depth 16 only
             return sol, (2e-3 * clean[16] if field.depth == 16 else estimate)
-        monkeypatch.setattr(harness, "_oracle", one_bad_depth)
+        monkeypatch.setattr(harness, "_oracle", per_field(one_bad_depth))
         result = run_scaling_study(base)
         assert {r.depth: r.flag for r in result.records} == {8: "", 16: "oracle", 32: ""}
         assert values(result, "approx_max_error") == {8: clean[8], 32: clean[32]}
@@ -730,7 +735,7 @@ class TestOracleFlag:
 
     def test_floor_check_runs_first(self, monkeypatch):
         # a state-independent constant field makes the chain exact
-        monkeypatch.setattr(harness, "_oracle", _huge_estimate)
+        monkeypatch.setattr(harness, "_oracle", per_field(_huge_estimate))
         config = ExperimentConfig(experiment="approx_error", depths=(16, 64),
                                   family="identity", schedule_profile="constant", seed=0)
         result = run_scaling_study(config)
@@ -748,6 +753,33 @@ class TestOracleFlag:
         result = run_scaling_study(config)
         assert list(result.oracle_errors) == [16]
         assert result.oracle_errors[16] < 1e-3 * values(result, "approx_max_error")[16]
+
+    def test_a_depth_diverging_in_the_stack_is_solved_alone(self, monkeypatch):
+        """On the index schedule at N = 64 the oracle diverges (about e^32)
+        but the chain does not (about e^24.7).  The stack of every depth's
+        solves raises, each depth is solved again alone, and the records,
+        flags and estimates are those of one study per depth."""
+        config = ExperimentConfig(experiment="approx_error", family="linear", state_dim=1,
+                                  schedule_profile="index", depths=(16, 32, 48, 64), seed=0)
+        forward_euler_chain(make_linear_family(1),
+                            WeightSchedule(np.arange(64.0).reshape(64, 1)), np.ones(1))
+        rows, real = [], harness.solve_ode_oracle
+
+        def counting(field, x0, fine_steps):
+            rows.append(len(field.rows))
+            return real(field, x0, fine_steps)
+        monkeypatch.setattr(harness, "solve_ode_oracle", counting)
+        result = run_scaling_study(config)
+        assert rows == [8, 2, 2, 2, 2]
+        alone = [run_scaling_study(dataclasses.replace(config, depths=(depth,)))
+                 for depth in (16, 32, 48)]
+        assert result.records[:3] == [r for one in alone for r in one.records]
+        assert result.oracle_errors == {n: one.oracle_errors[n]
+                                        for one, n in zip(alone, (16, 32, 48))}
+        [last] = result.records[3:]
+        assert (last.depth, last.flag) == (64, "diverged") and math.isnan(last.value)
+        with pytest.raises(harness.AllDepthsDiverged):
+            run_scaling_study(dataclasses.replace(config, depths=(64,)))
 
     def test_tightness_records_carry_estimate(self):
         config = ExperimentConfig(experiment="tightness_suite", depths=(4, 64))
@@ -1387,8 +1419,8 @@ class TestCli:
     def test_positive_estimate_over_zero_gap_prints_inf(self, tmp_path, capsys, monkeypatch):
         """A zero gap at N = 4 under a positive oracle estimate reads inf."""
         gaps = {4: 0.0, 8: 1e-9}
-        monkeypatch.setitem(harness._STUDIES, "approx_error", (
-            lambda family, schedule, x0, target: ([(gaps[schedule.depth], 1.0)], 1e-12),
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (harness._each_depth(
+            lambda family, schedule, x0, target: ([(gaps[schedule.depth], 1.0)], 1e-12)),
             ("approx_max_error",)))
         path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 4, 8\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -1424,8 +1456,8 @@ class TestCli:
         """Values that scatter about every power law fit with r2 below
         SLOPE_R2_MIN; the flag reaches slopes.csv and stdout."""
         values = {8: 1.0, 16: 0.1, 32: 1.0, 64: 0.1}
-        monkeypatch.setitem(harness._STUDIES, "approx_error", (
-            lambda family, schedule, x0, target: ([(values[schedule.depth], 1.0)], None),
+        monkeypatch.setitem(harness._STUDIES, "approx_error", (harness._each_depth(
+            lambda family, schedule, x0, target: ([(values[schedule.depth], 1.0)], None)),
             ("approx_max_error",)))
         path = write_cfg(tmp_path, "experiment = approx_error\ndepths = 8, 16, 32, 64\n")
         assert main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 0
